@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -79,6 +80,30 @@ class AgentUpload:
     host: str
     uploaded_at_ns: int
     results: list[ProbeResult] = field(default_factory=list)
+
+
+class UploadDigest:
+    """Upload listener folding every uploaded result into a running hash.
+
+    What the replay digest (DESIGN.md §7) pins about the probing data
+    plane: each result's seq, completion time, timeout flag and the three
+    SLA delays, in upload-arrival order.  Constant memory (a 32-byte
+    chain value, not a log) and picklable, so it rides in checkpoints.
+    """
+
+    __slots__ = ("count", "value")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.value = b""
+
+    def __call__(self, batch: AgentUpload) -> None:
+        rows = "".join(
+            f"{r.seq},{r.completed_at_ns},{r.timeout},{r.network_rtt_ns},"
+            f"{r.prober_processing_ns},{r.responder_processing_ns};"
+            for r in batch.results)
+        self.count += len(batch.results)
+        self.value = hashlib.sha256(self.value + rows.encode()).digest()
 
 
 class ProblemCategory(Enum):

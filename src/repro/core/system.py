@@ -26,6 +26,7 @@ from repro.core.agent import Agent
 from repro.core.analyzer import Analyzer, ServiceMonitor
 from repro.core.config import RPingmeshConfig
 from repro.core.controller import Controller
+from repro.core.records import UploadDigest
 from repro.core.sharding import (AnalyzerShard, ControllerShard, PodMap,
                                  RootAnalyzer, RootController,
                                  analyzer_shard_endpoint,
@@ -103,6 +104,9 @@ class RPingmesh:
                                  cluster.rngs.stream(f"agent.{host_name}"))
                 for host_name, host in sorted(cluster.hosts.items())
             }
+        # What the replay digest pins about probe results (DESIGN.md §7).
+        self.upload_digest = UploadDigest()
+        self.analyzer.add_upload_listener(self.upload_digest)
         # Diagnosis backends (repro.diagnosis, DESIGN.md §14): build and
         # attach each configured backend.  The default ("probe",) attaches
         # a pure-observation adapter; "int" installs the fabric collector

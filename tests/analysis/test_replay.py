@@ -2,7 +2,7 @@
 
 The acceptance bar for the determinism contract: for several seeds, the
 reference scenario run twice produces identical structural digests —
-including ``Simulator.events_processed`` and per-stream RNG draw counts —
+including every uploaded probe result and per-stream RNG draw counts —
 and the opt-in scheduler invariants hold throughout.
 """
 
@@ -31,9 +31,8 @@ def test_replay_state_matches_field_by_field():
     # real divergence in them.
     first = default_scenario(7)
     second = default_scenario(7)
-    assert first["sim"]["events_processed"] == \
-        second["sim"]["events_processed"]
-    assert first["sim"]["events_processed"] > 0
+    assert first["results"] == second["results"]
+    assert first["results"]["count"] > 0
     assert first["rng"]["draw_counts"] == second["rng"]["draw_counts"]
     assert sum(first["rng"]["draw_counts"].values()) > 0
     assert first == second
@@ -50,8 +49,11 @@ def test_scenario_exercises_the_interesting_paths():
     # The reference scenario is only a meaningful determinism probe if it
     # actually schedules, draws, drops, and analyzes.
     state = default_scenario(7)
-    assert state["sim"]["events_processed"] > 10_000
-    assert state["fabric"]["drops"] > 0          # the corrupting link
+    assert state["results"]["count"] > 1_000
+    assert state["fabric"]["drops"]              # the corrupting link
+    assert {reason for _, reason, _, _ in state["fabric"]["drops"]} \
+        == {"corruption"}
+    assert sum(state["fabric"]["forwarded"].values()) > 10_000
     assert len(state["analyzer"]["windows"]) >= 2
     draws = state["rng"]["draw_counts"]
     assert any(name.startswith("agent.") for name in draws)
