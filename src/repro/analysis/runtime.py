@@ -91,10 +91,7 @@ def system_state(system: RPingmesh) -> dict[str, Any]:
             "delivered": fabric.packets_delivered,
             "drops": [(d.time_ns, d.reason.value, d.link, d.node)
                       for d in fabric.drops],
-            "forwarded": {
-                link.name: link.packets_forwarded
-                for link in cluster.topology.links.values()
-                if link.packets_forwarded},
+            "forwarded": fabric.forwarded_by_link(),
         },
         "results": {
             "count": system.upload_digest.count,

@@ -132,6 +132,7 @@ class PoolSanitizer:
 
     def __init__(self, *, leak_age_ns: int = SECOND):
         self._sim: Optional["Simulator"] = None
+        self._fabric = None
         self._seq = 0
         self._live: dict[str, dict[int, _Live]] = {
             kind: {} for kind in POOL_KINDS}
@@ -153,6 +154,10 @@ class PoolSanitizer:
     def bind_sim(self, sim: "Simulator") -> None:
         """Attach the clock source (and event-queue depth) for reports."""
         self._sim = sim
+
+    def bind_fabric(self, fabric) -> None:
+        """Attach the fabric whose in-flight table transits reconcile to."""
+        self._fabric = fabric
 
     def _now(self) -> int:
         return self._sim.now if self._sim is not None else 0
@@ -383,7 +388,10 @@ class PoolSanitizer:
         Packets/CQEs/transits: live, un-retained, and older than
         ``leak_age_ns`` of sim time (younger objects are presumed in
         flight).  Events: exact — every outstanding record must still be
-        in the calendar queue, in-flight age notwithstanding.
+        in the calendar queue, in-flight age notwithstanding.  Transits:
+        exact too — the ones carrying a packet must be the fabric's
+        in-flight table (the rest are tombstones a demotion left for
+        their pending event to release).
         """
         now = self._now()
         out: list[Finding] = []
@@ -405,6 +413,17 @@ class PoolSanitizer:
                     message=f"event accounting mismatch: {outstanding} "
                             f"outstanding _Event record(s) vs {queued} "
                             "queued — an event escaped the recycle path"))
+        if self._fabric is not None:
+            walking = sum(1 for record in self._live["transit"].values()
+                          if record.obj.packet is not None)
+            in_flight = self._fabric.packets_in_flight
+            if walking != in_flight:
+                out.append(Finding(
+                    code="SAN003", path="src/repro/net/fabric.py", line=0,
+                    col=1,
+                    message=f"transit accounting mismatch: {walking} live "
+                            f"_Transit record(s) carry a packet vs "
+                            f"{in_flight} in the fabric's in-flight table"))
         return out
 
     def report(self) -> list[Finding]:
@@ -439,7 +458,7 @@ def _leak_finding(kind: str, record: _Live, age: int) -> Finding:
 #
 # Every field poisoned here is reassigned by the corresponding pool's
 # reuse path (PacketPool.acquire_roce, Rnic._acquire_cqe, the engine's
-# call_at/schedule, Fabric._begin_transit) — that pairing is what keeps
+# call_at/schedule, Fabric.inject/_demote_in_flight) — that pairing is what keeps
 # sanitized digests byte-identical.  Verify functions return the names of
 # fields whose sentinel was clobbered between release and reacquire.
 

@@ -110,8 +110,9 @@ class _LinkAccumulator:
 class IntCollector:
     """Stamps per-hop telemetry onto packets and folds it per window.
 
-    Installed as ``fabric.int_collector``.  ``stamp`` runs once per hop
-    on both forwarding paths; ``collect`` runs at delivery and folds the
+    Installed as ``fabric.int_collector``.  ``stamp`` runs once per hop,
+    with the time the packet enters it (ahead of the clock for a quiet
+    hop the walker adds up); ``collect`` runs at delivery and folds the
     stamp stack into current-window per-link aggregates.  Neither draws
     RNG, schedules events, nor mutates ``size_bytes`` — the probe/vote
     pipeline is provably unaffected, which is why golden digests hold
@@ -146,6 +147,14 @@ class IntCollector:
                       link.pause_delay_ns > 0, link.utilization(), now))
         self.stamps_total += 1
         self.telemetry_bytes += INT_STAMP_BYTES
+
+    def unstamp(self, packet: "Packet", count: int) -> None:
+        """Take back the last ``count`` stamps: hops the fabric's walker
+        looked ahead over that a mid-flight write stopped the packet
+        reaching as planned (they are stamped again when it does)."""
+        del packet.payload[INT_PAYLOAD_KEY][-count:]
+        self.stamps_total -= count
+        self.telemetry_bytes -= count * INT_STAMP_BYTES
 
     def collect(self, packet: "Packet", now: int) -> None:
         """Strip and fold a delivered packet's stamp stack."""

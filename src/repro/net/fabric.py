@@ -1,11 +1,10 @@
 """Packet forwarding over the topology.
 
-The :class:`Fabric` walks packets hop by hop so that drops happen at the
-right link (which is what Algorithm 1's voting localises), queue delays are
-sampled at traversal time, and TTL semantics work for traceroute.
-
-Packets are injected at a source host port; at each node the next hop is the
-ECMP choice for the packet's outer 5-tuple.  Every hop applies, in order:
+The :class:`Fabric` moves every packet with **one lookahead walker**
+(DESIGN.md §10).  A packet is injected at a source host port; at each node
+the next hop is the ECMP choice for the packet's outer 5-tuple.  A hop that
+can drop, pause or queue the packet is evaluated by an event at the packet's
+true arrival time, applying in order:
 
 1. physical link state (down -> drop, unless routing already converged
    around the link, in which case ECMP never offered it),
@@ -14,7 +13,17 @@ ECMP choice for the packet's outer 5-tuple.  Every hop applies, in order:
 3. random corruption drops (damaged fiber / dusty optics, fault #2),
 4. silent per-5-tuple drops (the "certain 5-tuples" problem §4.1),
 5. lossy-queue overflow (PFC unconfigured / bad headroom, fault #9),
-6. ingress ACL at the downstream switch (fault #8).
+6. ingress ACL at the downstream switch (fault #8),
+
+so drops happen at the right link (which is what Algorithm 1's voting
+localises), queue delays are sampled at traversal time, and TTL semantics
+work.  A *quiet* hop (:attr:`DirectedLink.quiet`) can do none of that: its
+delay is a constant, so the walker adds consecutive quiet hops up and
+schedules a single event at the first hop that is not quiet — or at the
+destination.  Any write that makes a link stop being quiet, and any route
+change, takes back the lookahead decisions in-flight packets have not
+reached yet (:meth:`Fabric._demote_in_flight`), so a fault landing
+mid-flight is seen at exactly the hop a per-hop walk would have seen it.
 
 Delivery invokes the receiver registered for the destination host port —
 normally the RNIC model, which applies its own (host-side) fault logic.
@@ -25,7 +34,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional
 
 from repro.net.ecmp import EcmpHasher, pick_next_hop
@@ -35,6 +43,9 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 
 SWITCH_FORWARD_LATENCY_NS = 450  # ASIC pipeline latency per switch hop
+# A plan longer than this is a routing loop; the walker re-plans at its end
+# and the packet's TTL ends the loop.
+MAX_PLANNED_HOPS = 64
 
 
 class DropReason(Enum):
@@ -70,37 +81,49 @@ class DeliveryRecord:
 
 
 class _CachedPath:
-    """A fully resolved route for one 5-tuple: the fast path's unit."""
+    """A planned route; complete ECMP plans are shared per flow."""
 
-    __slots__ = ("nodes", "hops", "route_epoch")
+    __slots__ = ("nodes", "hops", "ways", "route_epoch")
 
     def __init__(self, nodes: tuple[str, ...],
-                 hops: tuple[tuple[DirectedLink, bool], ...],
+                 hops: tuple[DirectedLink, ...], ways: tuple[int, ...],
                  route_epoch: int):
-        self.nodes = nodes           # node names, endpoints inclusive
-        self.hops = hops             # per hop: (link, next_is_switch)
+        self.nodes = nodes           # node names, first to last planned
+        self.hops = hops             # hops[i] links nodes[i] -> nodes[i+1]
+        self.ways = ways             # ECMP fan-out at each hop
         self.route_epoch = route_epoch
 
 
 class _Transit:
-    """Pooled per-packet walker for the fault-free fast path.
+    """Pooled per-packet walker state; the callable the engine runs.
 
-    Schedules exactly one event per hop — the same event count and timing
-    as the slow path's per-hop closures — but with the route, links, and
-    ECMP choices resolved once at injection instead of at every hop.
+    ``idx`` is the node the pending event finds the packet at.  Hops
+    ``look_idx .. idx-1`` were added up ahead of the clock, the first of
+    them entered at ``look_ns``; they are what a demotion can take back.
     """
 
-    __slots__ = ("fabric", "packet", "path", "idx", "is_roce")
+    __slots__ = ("fabric", "packet", "path", "idx", "dst", "is_roce",
+                 "look_idx", "look_ns")
 
     def __init__(self) -> None:
         self.fabric: Optional["Fabric"] = None
         self.packet: Optional[Packet] = None
         self.path: Optional[_CachedPath] = None
         self.idx = 0
+        self.dst = ""
         self.is_roce = True
+        self.look_idx = 0
+        self.look_ns = 0
 
     def __call__(self) -> None:
-        self.fabric._transit_step(self)
+        self.fabric._walk(self)
+
+
+def _quiet_hop_ns(link: DirectedLink, size_bytes: int) -> int:
+    """What a quiet hop costs: a constant of the link and the packet size."""
+    if link.dst_acl is not None:
+        return link.base_delay_ns(size_bytes) + SWITCH_FORWARD_LATENCY_NS
+    return link.base_delay_ns(size_bytes)
 
 
 class Fabric:
@@ -126,15 +149,16 @@ class Fabric:
         self.packet_pool = PacketPool(
             limit=packet_pool_size if pooling else 0, sanitizer=sanitizer)
         self._hasher = EcmpHasher()
-        # Fault-free fast-path state: the scan result is valid for exactly
-        # one topology knob_epoch; the resolved-path cache for exactly one
-        # route_epoch (see DESIGN.md §10 for the invalidation rule).
-        self._fault_free = False
-        self._fault_scan_epoch = -1
+        # Complete plans per 5-tuple, valid for one Topology.route_epoch.
         self._path_cache: dict = {}
         self._path_cache_epoch = -1
         self._transit_free: list[_Transit] = []
         self._transit_pool_limit = 1024 if pooling else 0
+        # packet_id -> the transit whose event is pending.  Insertion
+        # ordered, so a demotion reschedules packets in a replayable order.
+        self._in_flight: dict[int, _Transit] = {}
+        # Packets whose lookahead a mid-flight write took back.
+        self.walker_demotions = 0
         self._receivers: dict[str, Callable[[Packet, DeliveryRecord], None]] = {}
         self._ip_to_port: dict[str, str] = {}
         self._drop_listeners: list[Callable[[DropRecord], None]] = []
@@ -146,19 +170,24 @@ class Fabric:
         # never saturate, which is what the metrics registry exports.
         self.drop_counts: dict[str, int] = {}
         # Probe-lifecycle tracer (repro.obs), installed by
-        # Observability.install when tracing is on; None keeps the
-        # per-packet fast path at a single attribute check.
-        self.tracer = None
+        # Observability.install when tracing is on.  While one is installed
+        # every hop is evaluated by its own event, so ``fabric.hop`` events
+        # carry true arrival times.
+        self._tracer = None
         # In-band telemetry collector (repro.diagnosis.inband), installed
         # by IntCollector.install when the "int" backend is deployed.
-        # Same contract as the tracer — None keeps both forwarding paths
-        # at a single attribute check; unlike the tracer, stamping does
-        # NOT disqualify the fast path: queue build-up under a pure
-        # congestion fault is exactly what INT must observe there.
-        self.int_collector = None
+        # Unlike the tracer, stamping does not end lookahead: a quiet
+        # hop's stamp is as constant as its delay.
+        self._int_collector = None
         # Per-fabric packet id source: ids restart at 1 for every cluster
         # so same-process replays see identical ids.
         self._packet_ids = itertools.count(1)
+        topology.on_disturb = self._demote_in_flight
+        if sanitizer is not None:
+            sanitizer.bind_fabric(self)
+
+    # The three switches below change what in-flight lookahead assumed, so
+    # each takes it back before flipping.
 
     @property
     def adaptive_routing(self) -> bool:
@@ -167,8 +196,36 @@ class Fabric:
 
     @adaptive_routing.setter
     def adaptive_routing(self, value: bool) -> None:
+        self._demote_in_flight()
         self._adaptive_routing = value
-        self._fault_scan_epoch = -1   # force a fast-path re-evaluation
+        self._path_cache.clear()
+        # Plans made the other way end where their packets stand, so each
+        # is re-planned under the new mode at its next event.
+        for transit in self._in_flight.values():
+            path = transit.path
+            idx = transit.idx
+            transit.path = _CachedPath(path.nodes[:idx + 1], path.hops[:idx],
+                                       path.ways[:idx], path.route_epoch)
+
+    @property
+    def tracer(self):
+        """The installed probe-lifecycle tracer, or None."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, value) -> None:
+        self._demote_in_flight()
+        self._tracer = value
+
+    @property
+    def int_collector(self):
+        """The installed in-band telemetry collector, or None."""
+        return self._int_collector
+
+    @int_collector.setter
+    def int_collector(self, value) -> None:
+        self._demote_in_flight()
+        self._int_collector = value
 
     # -- wiring ------------------------------------------------------------
 
@@ -206,223 +263,189 @@ class Fabric:
         if dst_port is None:
             self._drop(packet, DropReason.NO_ROUTE, link=None, node=src_port)
             return
-        if self.topology.knob_epoch != self._fault_scan_epoch:
-            self._refresh_fast_path()
-        if self._fault_free and self.tracer is None:
-            cached = self._cached_path(packet.five_tuple, src_port, dst_port)
-            if cached is not None:
-                self._begin_transit(packet, cached)
-                return
-        self._forward(packet, src_port, dst_port, path=[src_port])
+        transit = self._acquire_transit()
+        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _retire before the packet is recycled
+        transit.path = self._plan(packet.five_tuple, src_port, dst_port)
+        transit.idx = 0
+        transit.dst = dst_port
+        transit.is_roce = packet.traffic_class == TC_ROCE
+        self._in_flight[packet.packet_id] = transit
+        self._walk(transit)
 
-    # -- fault-free fast path ------------------------------------------------
+    @property
+    def packets_in_flight(self) -> int:
+        """Packets injected and neither delivered nor dropped yet."""
+        return len(self._in_flight)
 
-    def _refresh_fast_path(self) -> None:
-        """Re-evaluate fast-path eligibility for the current knob epoch.
+    # -- route planning ------------------------------------------------------
 
-        The fast path may run only when per-hop checking is provably a
-        no-op for every link: all links up and not routed-around, no PFC
-        deadlock, no corruption or silent-drop rules (their RNG draws and
-        counters must not be skipped), PFC healthy everywhere (so
-        ``congestion_drop_prob`` short-circuits to 0 without touching the
-        fluid queue), and no ACL rules on any switch.  Any knob write bumps
-        ``Topology.knob_epoch``, which forces this scan to rerun.
+    def _plan(self, five_tuple, node: str, dst_port: str) -> _CachedPath:
+        """The route from ``node`` toward ``dst_port`` under today's tables.
+
+        Complete ECMP plans are cached per flow for one ``route_epoch``.  A
+        plan may stop short — no candidates, or a loop — and the walker
+        re-plans (or drops NO_ROUTE) where it ends.  Under adaptive routing
+        a plan is one randomly drawn hop, so the draw for every hop happens
+        when the packet stands there.
         """
         topology = self.topology
-        self._fault_scan_epoch = topology.knob_epoch
-        if self._adaptive_routing:
-            self._fault_free = False
-            return
-        for link in topology.links.values():
-            pair = link.pair
-            if (not pair.up
-                    or pair.routed_around
-                    or link.pfc_deadlocked
-                    or link.corruption_drop_prob > 0.0
-                    or link.silent_drop_predicate is not None
-                    or not link.pfc_enabled
-                    or not link.pfc_headroom_ok):
-                self._fault_free = False
-                return
-        for node in topology.nodes.values():
-            if node.acl.rule_count:
-                self._fault_free = False
-                return
-        self._fault_free = True
-
-    def _cached_path(self, five_tuple, src_port: str,
-                     dst_port: str) -> Optional[_CachedPath]:
-        """The resolved route for this flow, cached per route_epoch."""
-        epoch = self.topology.route_epoch
+        epoch = topology.route_epoch
         cache = self._path_cache
         if self._path_cache_epoch != epoch:
             cache.clear()
             self._path_cache_epoch = epoch
-        cached = cache.get(five_tuple)
-        if (cached is not None and cached.nodes[0] == src_port
-                and cached.nodes[-1] == dst_port):
-            return cached
-        cached = self._resolve_path(five_tuple, src_port, dst_port)
-        if cached is not None:
-            if len(cache) >= 65536:
-                cache.clear()
-            cache[five_tuple] = cached
-        return cached
-
-    def _resolve_path(self, five_tuple, src_port: str,
-                      dst_port: str) -> Optional[_CachedPath]:
-        """Walk the per-hop ECMP choices once; None falls back to _forward."""
-        topology = self.topology
+        adaptive = self._adaptive_routing
+        if not adaptive:
+            cached = cache.get(five_tuple)
+            if (cached is not None and cached.nodes[0] == node
+                    and cached.nodes[-1] == dst_port):
+                return cached
         hasher = self._hasher
-        nodes = [src_port]
+        nodes = [node]
         hops = []
-        node = src_port
-        guard = 0
-        while node != dst_port:
-            guard += 1
-            if guard > 64:
-                return None
+        ways = []
+        while node != dst_port and len(hops) < MAX_PLANNED_HOPS:
             candidates = topology.next_hops(node, dst_port)
             if not candidates:
-                return None
-            next_node = hasher.pick(five_tuple, node, candidates)
-            hops.append((topology.links[(node, next_node)],
-                         topology.nodes[next_node].is_switch))
-            nodes.append(next_node)
-            node = next_node
-        return _CachedPath(tuple(nodes), tuple(hops), topology.route_epoch)
+                break
+            if adaptive and len(candidates) > 1:
+                node = self.rng.choice(candidates)
+            else:
+                node = hasher.pick(five_tuple, node, candidates)
+            hops.append(topology.links[(nodes[-1], node)])
+            ways.append(len(candidates))
+            nodes.append(node)
+            if adaptive:
+                break
+        plan = _CachedPath(tuple(nodes), tuple(hops), tuple(ways), epoch)
+        if node == dst_port and not adaptive:
+            if len(cache) >= 65536:
+                cache.clear()
+            cache[five_tuple] = plan
+        return plan
 
-    def _begin_transit(self, packet: Packet, cached: _CachedPath) -> None:
-        free = self._transit_free
-        if free:
-            transit = free.pop()
-            if self.sanitizer is not None:
-                self.sanitizer.reacquire_transit(transit)
-        else:
-            transit = _Transit()
-            if self.sanitizer is not None:
-                self.sanitizer.acquire_transit(transit)
-        transit.fabric = self
-        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _release_transit before the packet is recycled
-        transit.path = cached
-        transit.idx = 0
-        transit.is_roce = packet.traffic_class == TC_ROCE
-        self._transit_step(transit)
+    def _replan(self, transit: _Transit, path: _CachedPath,
+                idx: int) -> _CachedPath:
+        """Re-route from the node the packet stands at, keeping its trail."""
+        rest = self._plan(transit.packet.five_tuple, path.nodes[idx],
+                          transit.dst)
+        if idx:
+            rest = _CachedPath(path.nodes[:idx] + rest.nodes,
+                               path.hops[:idx] + rest.hops,
+                               path.ways[:idx] + rest.ways, rest.route_epoch)
+        transit.path = rest
+        return rest
 
-    def _release_transit(self, transit: _Transit) -> None:
-        transit.packet = None
-        transit.path = None
-        free = self._transit_free
-        recycled = len(free) < self._transit_pool_limit
-        if self.sanitizer is not None:
-            self.sanitizer.release_transit(transit, recycled=recycled)
-        if recycled:
-            free.append(transit)
+    # -- the walker ----------------------------------------------------------
 
-    def _transit_step(self, transit: _Transit) -> None:
-        cached = transit.path
-        idx = transit.idx
-        nodes = cached.nodes
-        if idx == len(nodes) - 1:
-            # Arrived: mirror _deliver (no tracer on the fast path), then
-            # recycle the packet — delivery is the only release point.
-            packet = transit.packet
-            self._release_transit(transit)
-            self.packets_delivered += 1
-            if self.int_collector is not None:
-                self.int_collector.collect(packet, self.sim.now)
-            receiver = self._receivers.get(nodes[-1])
-            if receiver is not None:
-                receiver(packet, DeliveryRecord(self.sim.now, nodes))
-            self.packet_pool.release(packet)
-            return
-        topology = self.topology
-        if topology.knob_epoch != self._fault_scan_epoch:
-            self._refresh_fast_path()
-        if (not self._fault_free or self.tracer is not None
-                or cached.route_epoch != topology.route_epoch):
-            # A fault/route/tracer change landed mid-flight: resume this
-            # packet on the classic per-hop path from its current node, so
-            # it sees exactly the checks the old code would have applied.
-            packet = transit.packet
-            node = nodes[idx]
-            path = list(nodes[:idx + 1])
-            self._release_transit(transit)
-            self._forward(packet, node, nodes[-1], path)
-            return
+    def _walk(self, transit: _Transit) -> None:
+        """Advance one packet from the node it stands at, at ``sim.now``.
+
+        Quiet hops are added up without an event of their own; the first
+        hop that is not quiet is evaluated here if the packet stands at it
+        now, otherwise by the event this schedules for its arrival time.
+        """
         packet = transit.packet
-        link, next_is_switch = cached.hops[idx]
-        if next_is_switch:
-            packet.ttl -= 1
-            if packet.ttl <= 0:
-                self._drop(packet, DropReason.TTL_EXPIRED, link=link.name,
-                           node=nodes[idx + 1])
-                self._release_transit(transit)
-                return
-        delay = link.traversal_delay_ns(self.sim.now, packet.size_bytes,
-                                        roce_queue=transit.is_roce)
-        if next_is_switch:
-            delay += SWITCH_FORWARD_LATENCY_NS
-        link.packets_forwarded += 1
-        if self.int_collector is not None:
-            self.int_collector.stamp(packet, link, self.sim.now)
-        transit.idx = idx + 1
-        self.sim.schedule(delay, transit)
-
-    # -- classic per-hop path ------------------------------------------------
-
-    def _forward(self, packet: Packet, node: str, dst_port: str,
-                 path: list[str]) -> None:
-        if node == dst_port:
-            self._deliver(packet, path)
+        if packet is None:
+            # Superseded by _demote_in_flight: this was its pending event.
+            self._release_transit(transit)
             return
-        candidates = self.topology.next_hops(node, dst_port)
-        if not candidates:
-            self._drop(packet, DropReason.NO_ROUTE, link=None, node=node)
-            return
-        if self._adaptive_routing and len(candidates) > 1:
-            next_node = self.rng.choice(candidates)
-        else:
-            next_node = self._hasher.pick(packet.five_tuple, node, candidates)
-        link = self.topology.link(node, next_node)
         now = self.sim.now
-        is_roce = packet.traffic_class == TC_ROCE
+        path = transit.path
+        idx = transit.idx
+        if path.route_epoch != self.topology.route_epoch:
+            path = self._replan(transit, path, idx)
+        hops = path.hops
+        n_hops = len(hops)
+        size = packet.size_bytes
+        collector = self._int_collector
+        # TTL cannot expire inside a plan shorter than it.
+        look = self._tracer is None and packet.ttl > n_hops - idx
+        look_idx = idx
+        look_ns = t = now
+        while True:
+            if idx == n_hops:
+                if t != now:
+                    break
+                if path.nodes[idx] == transit.dst:
+                    self._deliver(transit, path)
+                    return
+                path = self._replan(transit, path, idx)
+                hops = path.hops
+                n_hops = len(hops)
+                if idx == n_hops:
+                    self._retire(transit)
+                    self._drop(packet, DropReason.NO_ROUTE, link=None,
+                               node=path.nodes[idx])
+                    return
+                look = self._tracer is None and packet.ttl > n_hops - idx
+                continue
+            link = hops[idx]
+            if look and link.quiet:
+                if collector is not None:
+                    collector.stamp(packet, link, t)
+                if link.dst_acl is not None:
+                    packet.ttl -= 1
+                    t += SWITCH_FORWARD_LATENCY_NS
+                t += link.base_delay_ns(size)
+                link.packets_forwarded += 1
+                idx += 1
+            elif t == now:
+                delay = self._evaluate_hop(transit, path, idx, link)
+                if delay is None:
+                    return
+                idx += 1
+                look_idx = idx
+                look_ns = t = now + delay
+            else:
+                break
+        transit.idx = idx
+        transit.look_idx = look_idx
+        transit.look_ns = look_ns
+        self.sim.schedule(t - now, transit)
 
+    def _evaluate_hop(self, transit: _Transit, path: _CachedPath, idx: int,
+                      link: DirectedLink) -> Optional[int]:
+        """Apply every per-hop rule now; the hop's delay, or None if dropped."""
+        packet = transit.packet
+        now = self.sim.now
+        is_roce = transit.is_roce
         reason = self._check_link(packet, link, now, is_roce)
         if reason is not None:
-            self._drop(packet, reason, link=link.name, node=node)
-            return
-
-        next_is_switch = self.topology.nodes[next_node].is_switch
-        if next_is_switch:
-            if not self.topology.nodes[next_node].acl.permits(packet.five_tuple):
-                self._drop(packet, DropReason.ACL_DENY, link=link.name,
-                           node=next_node)
-                return
-            packet.ttl -= 1
-            if packet.ttl <= 0:
-                self._drop(packet, DropReason.TTL_EXPIRED, link=link.name,
-                           node=next_node)
-                return
-
+            self._retire(transit)
+            self._drop(packet, reason, link=link.name, node=path.nodes[idx])
+            return None
+        acl = link.dst_acl
+        if acl is not None:
+            reason = None
+            if not acl.permits(packet.five_tuple):
+                reason = DropReason.ACL_DENY
+            else:
+                packet.ttl -= 1
+                if packet.ttl <= 0:
+                    reason = DropReason.TTL_EXPIRED
+            if reason is not None:
+                self._retire(transit)
+                self._drop(packet, reason, link=link.name,
+                           node=path.nodes[idx + 1])
+                return None
         delay = link.traversal_delay_ns(now, packet.size_bytes,
                                         roce_queue=is_roce)
-        if next_is_switch:
+        if acl is not None:
             delay += SWITCH_FORWARD_LATENCY_NS
         link.packets_forwarded += 1
-        if self.int_collector is not None:
-            self.int_collector.stamp(packet, link, now)
-        path.append(next_node)
-        if self.tracer is not None:
+        if self._int_collector is not None:
+            self._int_collector.stamp(packet, link, now)
+        if self._tracer is not None:
             seq, leg = self._probe_leg(packet)
             if seq is not None:
-                fields = {"leg": leg, "node": node, "next": next_node,
-                          "delay_ns": delay, "ecmp_ways": len(candidates)}
+                fields = {"leg": leg, "node": path.nodes[idx],
+                          "next": path.nodes[idx + 1], "delay_ns": delay,
+                          "ecmp_ways": path.ways[idx]}
                 if link.pause_delay_ns:
                     fields["pfc_pause_ns"] = link.pause_delay_ns
-                self.tracer.event(seq, now, "fabric.hop", **fields)
-        self.sim.schedule(
-            delay, partial(self._forward, packet, next_node, dst_port, path))
+                self._tracer.event(seq, now, "fabric.hop", **fields)
+        return delay
 
     def _check_link(self, packet: Packet, link: DirectedLink,
                     now: int, is_roce: bool) -> Optional[DropReason]:
@@ -450,18 +473,133 @@ class Fabric:
                 return DropReason.QUEUE_OVERFLOW
         return None
 
-    def _deliver(self, packet: Packet, path: list[str]) -> None:
+    # -- taking lookahead back -----------------------------------------------
+
+    def _first_unreached(self, transit: _Transit,
+                         now: int) -> tuple[int, int]:
+        """(node index, arrival ns) of the first looked-ahead hop the
+        packet enters at or after ``now``; ``transit.idx`` if none."""
+        idx = transit.idx
+        k = transit.look_idx
+        t = transit.look_ns
+        hops = transit.path.hops
+        size = transit.packet.size_bytes
+        while k < idx and t < now:
+            t += _quiet_hop_ns(hops[k], size)
+            k += 1
+        return k, t
+
+    def _demote_in_flight(self) -> None:
+        """Take back every lookahead decision not reached yet.
+
+        Called by any write that makes a hop stop being quiet, by route
+        changes, and by the tracer / collector / adaptive switches.  Each
+        in-flight packet is put back at the first looked-ahead node it has
+        not entered, with an event at its arrival time there, so the hop is
+        evaluated under the written state exactly as a per-hop walk would.
+
+        Tie rule: a write at the very nanosecond a packet enters a
+        looked-ahead hop applies to that hop (write first).  That is what
+        the per-hop walker did for every writer that schedules ahead —
+        fault windows, periodic engines, job phases — because their events
+        are queued long before the hop's.  O(1) when nothing is in flight.
+        """
+        if not self._in_flight:
+            return
+        now = self.sim.now
+        collector = self._int_collector
+        for transit in list(self._in_flight.values()):
+            idx = transit.idx
+            k, t = self._first_unreached(transit, now)
+            if k == idx:
+                continue
+            packet = transit.packet
+            for link in transit.path.hops[k:idx]:
+                link.packets_forwarded -= 1
+                if link.dst_acl is not None:
+                    packet.ttl += 1
+            if collector is not None:
+                collector.unstamp(packet, idx - k)
+            # The pending event cannot be cancelled (schedule() keeps no
+            # handle): leave its transit behind as a tombstone and carry on
+            # with a fresh one.
+            successor = self._acquire_transit()
+            successor.packet = packet
+            successor.path = transit.path
+            successor.dst = transit.dst
+            successor.is_roce = transit.is_roce
+            successor.idx = successor.look_idx = k
+            successor.look_ns = t
+            transit.packet = None
+            self._in_flight[packet.packet_id] = successor
+            self.sim.schedule(t - now, successor)
+            self.walker_demotions += 1
+
+    def forwarded_by_link(self) -> dict[str, int]:
+        """Packets that have entered each directed link by ``sim.now``.
+
+        ``DirectedLink.packets_forwarded`` runs ahead of the clock by the
+        hops in-flight packets have looked ahead over; this takes those
+        back out, so the answer does not depend on when it is asked.
+        """
+        counts = {link.name: link.packets_forwarded
+                  for link in self.topology.links.values()
+                  if link.packets_forwarded}
+        now = self.sim.now
+        for transit in self._in_flight.values():
+            k, _ = self._first_unreached(transit, now + 1)
+            for link in transit.path.hops[k:transit.idx]:
+                counts[link.name] -= 1
+        return {name: count for name, count in counts.items() if count}
+
+    # -- transit pool --------------------------------------------------------
+
+    def _acquire_transit(self) -> _Transit:
+        free = self._transit_free
+        if free:
+            transit = free.pop()
+            if self.sanitizer is not None:
+                self.sanitizer.reacquire_transit(transit)
+        else:
+            transit = _Transit()
+            if self.sanitizer is not None:
+                self.sanitizer.acquire_transit(transit)
+        transit.fabric = self
+        return transit
+
+    def _release_transit(self, transit: _Transit) -> None:
+        transit.packet = None
+        transit.path = None
+        free = self._transit_free
+        recycled = len(free) < self._transit_pool_limit
+        if self.sanitizer is not None:
+            self.sanitizer.release_transit(transit, recycled=recycled)
+        if recycled:
+            free.append(transit)
+
+    def _retire(self, transit: _Transit) -> None:
+        """The packet's walk is over (delivered or dropped)."""
+        del self._in_flight[transit.packet.packet_id]
+        self._release_transit(transit)
+
+    # -- endings -------------------------------------------------------------
+
+    def _deliver(self, transit: _Transit, path: _CachedPath) -> None:
+        packet = transit.packet
+        nodes = path.nodes
+        self._retire(transit)
+        now = self.sim.now
         self.packets_delivered += 1
-        if self.int_collector is not None:
-            self.int_collector.collect(packet, self.sim.now)
-        if self.tracer is not None:
+        if self._int_collector is not None:
+            self._int_collector.collect(packet, now)
+        if self._tracer is not None:
             seq, leg = self._probe_leg(packet)
             if seq is not None:
-                self.tracer.event(seq, self.sim.now, "fabric.deliver",
-                                  leg=leg, dst=path[-1], hops=len(path) - 1)
-        receiver = self._receivers.get(path[-1])
+                self._tracer.event(seq, now, "fabric.deliver", leg=leg,
+                                   dst=nodes[-1], hops=len(nodes) - 1)
+        receiver = self._receivers.get(nodes[-1])
         if receiver is not None:
-            receiver(packet, DeliveryRecord(self.sim.now, tuple(path)))
+            receiver(packet, DeliveryRecord(now, nodes))
         # Delivered pool-owned packets are recycled once the receiver is
         # done with them; dropped packets never are (DropRecords keep them).
         self.packet_pool.release(packet)
@@ -477,11 +615,11 @@ class Fabric:
             self.sanitizer.retain_packet(packet, f"drop evidence: {reason.value}")
         if len(self.drops) < self.max_drop_log:
             self.drops.append(record)  # detlint: disable=DET007 DropRecords retain dropped packets as evidence; never recycled
-        if self.tracer is not None:
+        if self._tracer is not None:
             seq, leg = self._probe_leg(packet)
             if seq is not None:
-                self.tracer.event(seq, self.sim.now, "fabric.drop", leg=leg,
-                                  reason=reason.value, link=link, node=node)
+                self._tracer.event(seq, self.sim.now, "fabric.drop", leg=leg,
+                                   reason=reason.value, link=link, node=node)
         for listener in self._drop_listeners:
             listener(record)
 

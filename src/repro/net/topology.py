@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.net.addresses import FiveTuple
@@ -71,8 +72,8 @@ class Acl:
 
     def __init__(self) -> None:
         self._deny_rules: list[AclRule] = []
-        # Topology hook (set by add_node): rule edits bump the fault-knob
-        # epoch so the fabric's fault-free fast path re-evaluates.
+        # Topology hook (set by add_node): rule edits re-derive the quiet
+        # flag of every link into this switch.
         self._on_change: Optional[Callable[[], None]] = None
 
     def _changed(self) -> None:
@@ -162,7 +163,7 @@ class LinkPair:
     """Shared physical-cable state for the two directions of a cable."""
 
     __slots__ = ("name", "_up", "_routed_around", "last_transition_ns",
-                 "transition_count", "_on_change")
+                 "transition_count", "links", "_on_reroute")
 
     def __init__(self, name: str, up: bool = True,
                  routed_around: bool = False,
@@ -175,11 +176,12 @@ class LinkPair:
         self.last_transition_ns = last_transition_ns
         # Lifetime transition count (the "port flap counter" operators read).
         self.transition_count = transition_count
-        # Topology hook (set by add_cable), called with whether the change
-        # affects routing.  State writes route through it so that *any*
-        # writer — faults or tests poking pairs directly — invalidates the
-        # fabric's fast-path and route caches.
-        self._on_change: Optional[Callable[[bool], None]] = None
+        # The cable's two directions and the topology's reroute hook (both
+        # set by add_cable).  State writes go through the setters below so
+        # that *any* writer — faults or tests poking pairs directly — keeps
+        # the links' quiet flags and the fabric's cached routes current.
+        self.links: tuple["DirectedLink", ...] = ()
+        self._on_reroute: Optional[Callable[[], None]] = None
 
     @property
     def up(self) -> bool:
@@ -191,9 +193,8 @@ class LinkPair:
         if value == self._up:
             return
         self._up = value
-        callback = self._on_change
-        if callback is not None:
-            callback(False)
+        for link in self.links:
+            link._refresh_quiet()
 
     @property
     def routed_around(self) -> bool:
@@ -205,9 +206,11 @@ class LinkPair:
         if value == self._routed_around:
             return
         self._routed_around = value
-        callback = self._on_change
+        for link in self.links:
+            link._refresh_quiet()
+        callback = self._on_reroute
         if callback is not None:
-            callback(True)
+            callback()
 
     def mark_transition(self, now_ns: int) -> None:
         """Record an up/down state change at ``now_ns``."""
@@ -229,7 +232,8 @@ class DirectedLink:
 
     def __init__(self, src: str, dst: str, pair: LinkPair, *,
                  rate_gbps: float = 400.0, propagation_ns: int = 500,
-                 buffer_bytes: int = 16 * 1024 * 1024):
+                 buffer_bytes: int = 16 * 1024 * 1024,
+                 dst_acl: Optional[Acl] = None):
         if rate_gbps <= 0:
             raise ValueError(f"rate must be positive: {rate_gbps}")
         self.src = src
@@ -238,27 +242,38 @@ class DirectedLink:
         self.rate_gbps = rate_gbps
         self.propagation_ns = propagation_ns
         self.buffer_bytes = buffer_bytes
+        # Ingress ACL of the switch this link feeds; None for a host port,
+        # which is also how the fabric tells the two apart per hop.
+        self.dst_acl = dst_acl
 
-        # Fault knobs (driven by repro.net.faults).  Writes go through
-        # properties that notify the owning topology (fault-knob epoch) so
-        # the fabric's fault-free fast path re-evaluates; rate/propagation
+        # Fault knobs (driven by repro.net.faults).  Every write goes
+        # through a property that re-derives ``quiet``; rate/propagation
         # are construction-time constants, which the base-delay cache and
-        # the ECMP path cache both rely on.
+        # the fabric's route cache both rely on.
         self._corruption_drop_prob = 0.0
         self._silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
         self._pfc_enabled = True
         self._pfc_headroom_ok = True
         self._pfc_deadlocked = False
-        self._on_knob_change: Optional[Callable[[], None]] = None
         # Extra fixed delay, e.g. PFC storm pause pressure (Figure 8 right).
-        self.pause_delay_ns = 0
+        self._pause_delay_ns = 0
 
         # Fluid queue state
-        self.offered_load_gbps = 0.0
-        self.queue_bytes = 0.0
+        self.offered_load_gbps = 0.0     # written by set_offered_load only
+        self._queue_bytes = 0.0
         self._queue_updated_ns = 0
         # propagation + serialization per packet size (both immutable).
         self._base_delay_ns: dict[int, int] = {}
+
+        # Whether a packet crossing now can only be delayed by a constant:
+        # cable up and not routed around, no deadlock / corruption /
+        # silent-drop rule, PFC healthy, fluid queue idle, no pause
+        # pressure, no ACL rule at the far switch.  The fabric adds such
+        # hops up without an event of their own (DESIGN.md §10), so the
+        # flag is re-derived by every write that can change it, and a
+        # link that stops being quiet tells the topology.
+        self.quiet = True
+        self._on_unquiet: Optional[Callable[[], None]] = None
 
         # Counters for assertions and SLA accounting
         self.packets_forwarded = 0
@@ -266,10 +281,23 @@ class DirectedLink:
         # CRC error counter, as a switch would expose for this port.
         self.crc_errors = 0
 
-    def _knob_changed(self) -> None:
-        callback = self._on_knob_change
-        if callback is not None:
-            callback()
+    def _refresh_quiet(self) -> None:
+        pair = self.pair
+        acl = self.dst_acl
+        quiet = (pair._up and not pair._routed_around
+                 and not self._pfc_deadlocked
+                 and not self._corruption_drop_prob > 0
+                 and self._silent_drop_predicate is None
+                 and self._pfc_enabled and self._pfc_headroom_ok
+                 and self.offered_load_gbps == 0.0
+                 and self._queue_bytes == 0.0
+                 and self._pause_delay_ns == 0
+                 and (acl is None or not acl.rule_count))
+        if quiet == self.quiet:
+            return
+        self.quiet = quiet
+        if not quiet and self._on_unquiet is not None:
+            self._on_unquiet()
 
     @property
     def corruption_drop_prob(self) -> float:
@@ -279,7 +307,7 @@ class DirectedLink:
     @corruption_drop_prob.setter
     def corruption_drop_prob(self, value: float) -> None:
         self._corruption_drop_prob = value
-        self._knob_changed()
+        self._refresh_quiet()
 
     @property
     def silent_drop_predicate(self) -> Optional[Callable[[FiveTuple], bool]]:
@@ -290,7 +318,7 @@ class DirectedLink:
     def silent_drop_predicate(
             self, value: Optional[Callable[[FiveTuple], bool]]) -> None:
         self._silent_drop_predicate = value
-        self._knob_changed()
+        self._refresh_quiet()
 
     @property
     def pfc_enabled(self) -> bool:
@@ -300,7 +328,7 @@ class DirectedLink:
     @pfc_enabled.setter
     def pfc_enabled(self, value: bool) -> None:
         self._pfc_enabled = value
-        self._knob_changed()
+        self._refresh_quiet()
 
     @property
     def pfc_headroom_ok(self) -> bool:
@@ -310,7 +338,7 @@ class DirectedLink:
     @pfc_headroom_ok.setter
     def pfc_headroom_ok(self, value: bool) -> None:
         self._pfc_headroom_ok = value
-        self._knob_changed()
+        self._refresh_quiet()
 
     @property
     def pfc_deadlocked(self) -> bool:
@@ -320,7 +348,27 @@ class DirectedLink:
     @pfc_deadlocked.setter
     def pfc_deadlocked(self, value: bool) -> None:
         self._pfc_deadlocked = value
-        self._knob_changed()
+        self._refresh_quiet()
+
+    @property
+    def pause_delay_ns(self) -> int:
+        """Extra per-packet delay from PFC pause pressure on this port."""
+        return self._pause_delay_ns
+
+    @pause_delay_ns.setter
+    def pause_delay_ns(self, value: int) -> None:
+        self._pause_delay_ns = value
+        self._refresh_quiet()
+
+    @property
+    def queue_bytes(self) -> float:
+        """Fluid queue occupancy as of the last integration."""
+        return self._queue_bytes
+
+    @queue_bytes.setter
+    def queue_bytes(self, value: float) -> None:
+        self._queue_bytes = value
+        self._refresh_quiet()
 
     @property
     def name(self) -> str:
@@ -338,10 +386,12 @@ class DirectedLink:
             return
         net_gbps = self.offered_load_gbps - self.rate_gbps
         # Gbps == bits/ns, so bytes delta = net * dt / 8.
-        self.queue_bytes += net_gbps * dt / 8.0
-        self.queue_bytes = min(max(self.queue_bytes, 0.0),
-                               float(self.buffer_bytes))
+        queue_bytes = self._queue_bytes + net_gbps * dt / 8.0
+        self._queue_bytes = queue_bytes = min(max(queue_bytes, 0.0),
+                                              float(self.buffer_bytes))
         self._queue_updated_ns = now_ns
+        if queue_bytes == 0.0 and not self.quiet:
+            self._refresh_quiet()      # a backlog that has drained
 
     def set_offered_load(self, now_ns: int, load_gbps: float) -> None:
         """Update the fluid background load (traffic layer hook)."""
@@ -349,6 +399,7 @@ class DirectedLink:
             raise ValueError(f"load must be non-negative: {load_gbps}")
         self.advance_queue(now_ns)
         self.offered_load_gbps = load_gbps
+        self._refresh_quiet()
 
     def utilization(self) -> float:
         """Offered load over capacity (may exceed 1.0 when congested)."""
@@ -356,8 +407,21 @@ class DirectedLink:
 
     def queue_delay_ns(self, now_ns: int) -> int:
         """Queue wait a packet entering now would experience."""
+        if self.quiet:
+            # Idle queue: nothing to integrate.  (Also keeps a lookahead
+            # caller's future ``now_ns`` out of the integration clock.)
+            return 0
         self.advance_queue(now_ns)
-        return round(self.queue_bytes * 8.0 / self.rate_gbps)
+        return round(self._queue_bytes * 8.0 / self.rate_gbps)
+
+    def base_delay_ns(self, size_bytes: int) -> int:
+        """Propagation + serialization: all a quiet link costs a packet."""
+        delay = self._base_delay_ns.get(size_bytes)
+        if delay is None:
+            delay = self._base_delay_ns[size_bytes] = (
+                self.propagation_ns
+                + serialization_delay_ns(size_bytes, self.rate_gbps))
+        return delay
 
     def traversal_delay_ns(self, now_ns: int, size_bytes: int, *,
                            roce_queue: bool = True) -> int:
@@ -367,18 +431,14 @@ class DirectedLink:
         class; TCP rides a separate, lightly loaded queue (§2.4), so
         non-RoCE packets see only propagation + serialization.
         """
-        delay = self._base_delay_ns.get(size_bytes)
-        if delay is None:
-            delay = self._base_delay_ns[size_bytes] = (
-                self.propagation_ns
-                + serialization_delay_ns(size_bytes, self.rate_gbps))
+        delay = self.base_delay_ns(size_bytes)
         if roce_queue:
-            if self.offered_load_gbps == 0.0 and self.queue_bytes == 0.0:
+            if self.offered_load_gbps == 0.0 and self._queue_bytes == 0.0:
                 # Idle fluid queue: integrating it is a no-op and the queue
                 # delay is exactly round(0) — skip both.
                 self._queue_updated_ns = max(self._queue_updated_ns, now_ns)
-                return delay + self.pause_delay_ns
-            delay += self.queue_delay_ns(now_ns) + self.pause_delay_ns
+                return delay + self._pause_delay_ns
+            delay += self.queue_delay_ns(now_ns) + self._pause_delay_ns
         return delay
 
     def congestion_drop_prob(self, now_ns: int) -> float:
@@ -387,10 +447,10 @@ class DirectedLink:
         Zero whenever PFC is healthy (lossless), or the queue is not full.
         With PFC unconfigured/mis-headroomed (fault #9), overload spills.
         """
-        if self.pfc_enabled and self.pfc_headroom_ok:
+        if self._pfc_enabled and self._pfc_headroom_ok:
             return 0.0
         self.advance_queue(now_ns)
-        if self.queue_bytes < self.buffer_bytes * 0.98:
+        if self._queue_bytes < self.buffer_bytes * 0.98:
             return 0.0
         overload = self.offered_load_gbps / self.rate_gbps
         if overload <= 1.0:
@@ -409,26 +469,33 @@ class Topology:
         self._adjacency: dict[str, list[str]] = {}
         self._next_hops: dict[str, dict[str, list[str]]] = {}
         self._routes_dirty = True
-        # Invalidations for the fabric's fast-path caches (DESIGN.md §10):
-        # knob_epoch bumps on any fault-knob / link-state / ACL change
-        # (fault-free scan result is stale); route_epoch bumps whenever
-        # next-hop tables are invalidated (resolved-path cache is stale).
-        self.knob_epoch = 0
+        # Bumps whenever next_hops() may answer differently — route
+        # invalidation or a routed_around flip — which is what the fabric's
+        # cached plans are valid for (DESIGN.md §10).
         self.route_epoch = 0
         # (node, dst) -> filtered ECMP candidates, valid for the current
         # route tables + routed_around flags.
         self._next_hop_memo: dict[tuple[str, str], list[str]] = {}
+        # The fabric's hook: called when a hop stops being quiet or routes
+        # change, i.e. whenever lookahead already done may no longer hold.
+        self.on_disturb: Optional[Callable[[], None]] = None
 
-    def _bump_knob_epoch(self) -> None:
-        self.knob_epoch += 1
+    def _disturbed(self) -> None:
+        callback = self.on_disturb
+        if callback is not None:
+            callback()
 
-    def _pair_changed(self, routing_changed: bool) -> None:
-        self.knob_epoch += 1
-        if routing_changed:
-            # routed_around flips alter the live next_hops filter but NOT
-            # the stale BFS tables (reconvergence needs an explicit
-            # invalidate_routes — the black-hole window depends on this).
-            self._next_hop_memo.clear()
+    def _routes_changed(self) -> None:
+        # routed_around flips alter the live next_hops filter but NOT the
+        # stale BFS tables (reconvergence needs an explicit
+        # invalidate_routes — the black-hole window depends on this).
+        self.route_epoch += 1
+        self._next_hop_memo.clear()
+        self._disturbed()
+
+    def _acl_changed(self, switch: str) -> None:
+        for neighbor in self._adjacency[switch]:
+            self.links[(neighbor, switch)]._refresh_quiet()
 
     # -- construction -----------------------------------------------------
 
@@ -437,7 +504,7 @@ class Topology:
         if name in self.nodes:
             raise ValueError(f"duplicate node name: {name}")
         node = Node(name=name, kind=kind, tier=tier)
-        node.acl._on_change = self._bump_knob_epoch
+        node.acl._on_change = partial(self._acl_changed, name)
         self.nodes[name] = node
         self._adjacency[name] = []
         self.invalidate_routes()
@@ -461,14 +528,18 @@ class Topology:
         if (a, b) in self.links:
             raise ValueError(f"duplicate cable: {a} <-> {b}")
         pair = LinkPair(name=f"{a}<->{b}")
-        pair._on_change = self._pair_changed
+        pair._on_reroute = self._routes_changed
         for src, dst in ((a, b), (b, a)):
+            far = self.nodes[dst]
             link = DirectedLink(
                 src, dst, pair, rate_gbps=rate_gbps,
-                propagation_ns=propagation_ns, buffer_bytes=buffer_bytes)
-            link._on_knob_change = self._bump_knob_epoch
+                propagation_ns=propagation_ns, buffer_bytes=buffer_bytes,
+                dst_acl=far.acl if far.is_switch else None)
+            link._on_unquiet = self._disturbed
+            link._refresh_quiet()
             self.links[(src, dst)] = link
             self._adjacency[src].append(dst)
+        pair.links = (self.links[(a, b)], self.links[(b, a)])
         self.invalidate_routes()
         return pair
 
@@ -569,8 +640,7 @@ class Topology:
     def invalidate_routes(self) -> None:
         """Force next-hop recomputation (after topology edits)."""
         self._routes_dirty = True
-        self.route_epoch += 1
-        self._next_hop_memo.clear()
+        self._routes_changed()
 
     def next_hops(self, node: str, dst: str) -> list[str]:
         """ECMP candidate next hops from ``node`` toward host port ``dst``.

@@ -115,6 +115,15 @@ class Observability:
             "repro_fabric_packet_pool_free",
             help="RoCE packets parked on the fabric packet pool free list"
         ).set(fabric.packet_pool.free_count)
+        self.metrics.gauge(
+            "repro_fabric_packets_in_flight",
+            help="packets injected and neither delivered nor dropped yet"
+        ).set(fabric.packets_in_flight)
+        self.metrics.counter(
+            "repro_fabric_walker_demotions_total",
+            help="in-flight packets whose lookahead a mid-flight fault, "
+                 "load or route write took back for per-hop evaluation"
+        ).value = fabric.walker_demotions
         for rnic in cluster.all_rnics():
             self.metrics.counter("repro_rnic_tx_packets_total",
                                  rnic=rnic.name).value = rnic.tx_packets

@@ -166,6 +166,45 @@ class TestLeaks:
                 if "event accounting" in f.message] == []
 
 
+    def test_transits_reconcile_with_the_in_flight_table(self):
+        """Live ``_Transit`` records that carry a packet are exactly the
+        fabric's in-flight table — also mid-flight, and across a demotion
+        (which leaves a packet-less tombstone behind for its event)."""
+        cluster = Cluster.clos(ClosParams(pods=1, tors_per_pod=2,
+                                          aggs_per_pod=1, spines=1,
+                                          hosts_per_tor=1),
+                               seed=0, sanitize=True)
+        fabric, sanitizer = cluster.fabric, cluster.sanitizer
+        a, b = cluster.all_rnics()
+        five_tuple = roce_five_tuple(a.ip, b.ip, 4242)
+        fabric.attach_receiver(b.name, lambda packet, record: None)
+
+        def transit_findings():
+            return [f for f in sanitizer.leaks() if "transit" in f.message]
+
+        fabric.inject(fabric.packet_pool.acquire_roce(
+            five_tuple, 64, RoCEOpcode.UD_SEND, 1, 2, "g", "g", {}), a.name)
+        assert fabric.packets_in_flight == 1
+        assert transit_findings() == []
+        cluster.sim.run_for(700)           # between the first two hops
+        path = fabric.path_of(five_tuple, a.name)
+        cluster.topology.link(path[2], path[3]).pause_delay_ns = 50
+        assert fabric.walker_demotions == 1
+        assert sanitizer.live_counts()["transit"] == 2   # + the tombstone
+        assert transit_findings() == []
+        # A packet walking without an in-flight entry is a finding.
+        (packet_id, transit), = fabric._in_flight.items()
+        del fabric._in_flight[packet_id]
+        (finding,) = transit_findings()
+        assert finding.code == "SAN003"
+        assert "1 live _Transit" in finding.message
+        fabric._in_flight[packet_id] = transit
+        cluster.sim.run_for(SECOND)
+        assert fabric.packets_delivered == 1
+        assert sanitizer.live_counts()["transit"] == 0
+        assert sanitizer.report() == []
+
+
 class TestMetricsExport:
     def test_poolsan_series_in_snapshot(self):
         from repro.core.system import RPingmesh

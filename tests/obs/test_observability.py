@@ -14,8 +14,10 @@ from repro.analysis.runtime import (default_scenario, replay_digest,
 from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
 from repro.core.system import RPingmesh
+from repro.net.addresses import roce_five_tuple
 from repro.net.clos import ClosParams
 from repro.net.faults import RnicDown
+from repro.net.packet import RoCEPacket
 from repro.obs import Observability
 from repro.sim.units import SECOND
 
@@ -110,6 +112,31 @@ class TestSpanLifecycle:
         for span in local_errors:
             assert span.closed and span.status == "timeout"
             assert span.close_count == 1
+
+
+class TestWalkerSeries:
+    def test_in_flight_gauge_and_demotion_counter(self, tiny_clos):
+        """The rare path is visible: how many packets are mid-walk, and how
+        often a mid-flight write took lookahead back."""
+        obs = Observability(metrics=True)
+        obs.install(tiny_clos)
+        fabric = tiny_clos.fabric
+        a, b = tiny_clos.rnic("host0-rnic0"), tiny_clos.rnic("host2-rnic0")
+        five_tuple = roce_five_tuple(a.ip, b.ip, 5000)
+        fabric.attach_receiver(b.name, lambda packet, record: None)
+        fabric.inject(RoCEPacket(five_tuple=five_tuple, size_bytes=108),
+                      a.name)
+        snap = obs.metrics.snapshot()
+        assert snap["repro_fabric_packets_in_flight"] == 1
+        assert snap["repro_fabric_walker_demotions_total"] == 0
+        tiny_clos.sim.run_for(700)
+        path = fabric.path_of(five_tuple, a.name)
+        tiny_clos.topology.link(path[-2], path[-1]).corruption_drop_prob = 1.0
+        tiny_clos.sim.run_for(SECOND)
+        snap = obs.metrics.snapshot()
+        assert snap["repro_fabric_packets_in_flight"] == 0
+        assert snap["repro_fabric_walker_demotions_total"] == 1
+        assert snap['repro_fabric_drops_total{reason="corruption"}'] == 1
 
 
 class TestMetricsDeterminism:
