@@ -256,6 +256,11 @@ class PeriodicTask:
 
     The callback may inspect :attr:`runs` (number of completed firings) and
     may call :meth:`stop` from inside itself to terminate the cycle.
+
+    Each task draws its jitter from a stream of its own, seeded from the
+    simulator seed and the task's creation ordinal: what one task draws —
+    or whether it runs at all — never shifts another task's firing times,
+    so a task can be stopped while idle and restarted when there is work.
     """
 
     def __init__(self, sim: "Simulator", interval: int,
@@ -266,7 +271,8 @@ class PeriodicTask:
         self._interval = interval
         self._callback = callback
         self._jitter = jitter
-        self._stopped = False
+        self._jitter_state = sim._next_jitter_seed()
+        self._stopped = True          # until start()
         self._handle: Optional[EventHandle] = None
         self.runs = 0
 
@@ -277,7 +283,7 @@ class PeriodicTask:
 
     @property
     def stopped(self) -> bool:
-        """Whether the task has been stopped."""
+        """Whether the task is stopped (or was never started)."""
         return self._stopped
 
     def set_interval(self, interval: int) -> None:
@@ -314,7 +320,10 @@ class PeriodicTask:
             return
         delay = self._interval
         if self._jitter:
-            delay += self._sim.rng_jitter(self._jitter)
+            # Deterministic LCG step, decoupled from component RNGs.
+            self._jitter_state = state = (
+                self._jitter_state * 1103515245 + 12345) & 0x7FFFFFFF
+            delay += state % self._jitter
         self._handle = self._sim.call_later(max(1, delay), self._fire)
 
 
@@ -335,8 +344,9 @@ class Simulator:
         self._now = 0
         self._running = False
         self.seed = seed
-        # Simple deterministic jitter source decoupled from component RNGs.
-        self._jitter_state = (seed * 2654435761 + 1) & 0xFFFFFFFF
+        # PeriodicTasks created so far: the ordinal that seeds each one's
+        # private jitter stream.
+        self._tasks_created = 0
         self.events_processed = 0
         # Opt-in runtime invariant checking (detlint --check-invariants):
         # asserts the popped-event clock never moves backwards, i.e. no
@@ -549,7 +559,8 @@ class Simulator:
         """Number of live (non-cancelled) events still queued."""
         return self._queue.live
 
-    def rng_jitter(self, bound: int) -> int:
-        """Deterministic jitter in ``[0, bound)`` for periodic task spacing."""
-        self._jitter_state = (self._jitter_state * 1103515245 + 12345) & 0x7FFFFFFF
-        return self._jitter_state % bound if bound > 0 else 0
+    def _next_jitter_seed(self) -> int:
+        """Seed of the next PeriodicTask's private jitter stream."""
+        self._tasks_created += 1
+        return (self.seed * 2654435761
+                + self._tasks_created * 0x9E3779B1) & 0xFFFFFFFF
