@@ -179,8 +179,10 @@ class Agent:
             cfg.tor_mesh_interval_ns(),  # retimed when pinglists arrive
             partial(self._probe_next, state, ProbeKind.INTER_TOR),
             jitter=cfg.tor_mesh_interval_ns() // 4))
-        state.tasks.append(sim.every(
-            cfg.service_probe_interval_ns,
+        # Service Tracing is paused while the RNIC has no traced connection
+        # (§4.2.2): the task stays parked until the first one resolves.
+        state.tasks.append(PeriodicTask(
+            sim, cfg.service_probe_interval_ns,
             partial(self._probe_next_service, state),
             jitter=cfg.service_probe_interval_ns // 4))
         return state
@@ -260,6 +262,8 @@ class Agent:
             state.service_round = [e for e in state.service_round
                                    if e.kind != ProbeKind.SERVICE_TRACING
                                    or e in state.service.values()]
+            if not state.service:
+                state.tasks[2].stop()
 
     def _on_service_resolved(self, state: _RnicAgentState, qpn: int,
                              src_port: int, resolved) -> None:
@@ -271,6 +275,8 @@ class Agent:
         state.service[qpn] = PinglistEntry(
             kind=ProbeKind.SERVICE_TRACING, target_rnic=target_rnic,
             target=info, src_port=src_port)
+        if state.tasks[2].stopped:
+            state.tasks[2].start()
 
     def _refresh_service_targets(self) -> None:
         """5-minute pull of fresh comm info for service targets (§5)."""
@@ -307,8 +313,9 @@ class Agent:
         self._probe(state, entries[index])
 
     def _probe_next_service(self, state: _RnicAgentState) -> None:
-        """Service Tracing is paused while no connections exist (§4.2.2)."""
-        if not self.host.up or not state.service:
+        """One service probe; only armed while ``state.service`` is not
+        empty (see _on_service_resolved / _on_qp_event)."""
+        if not self.host.up:
             return
         if not state.service_round:
             # New round: shuffle so every path is sampled at random phases

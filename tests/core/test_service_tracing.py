@@ -70,6 +70,69 @@ class TestPinglistLifecycle:
         assert not any(a.has_service_entries() for a in outsiders)
 
 
+class TestParking:
+    """The service-tracing task runs only while its RNIC has a traced
+    connection (§4.2.2): park -> resolve -> destroy -> park."""
+
+    def test_park_resolve_destroy_park(self, small_clos, system_with_job):
+        system, job = system_with_job
+        agent = system.agent_for_rnic(job.participants[0])
+        state = agent.states[job.participants[0]]
+        service_task = state.tasks[2]
+        cluster_rate = agent.probe_rate_pps()
+        service_rate = 1e9 / system.config.service_probe_interval_ns
+
+        # Parked: no entries, no pending tick, no service share of the rate.
+        assert service_task.stopped and service_task.runs == 0
+        assert not agent.has_service_entries()
+        small_clos.sim.run_for(seconds(1))
+        assert service_task.runs == 0
+
+        # The first resolved connection arms it.
+        job.start()
+        assert agent.has_service_entries()
+        assert not service_task.stopped
+        assert agent.probe_rate_pps() == pytest.approx(
+            cluster_rate + service_rate)
+        small_clos.sim.run_for(seconds(1))
+        ticks = service_task.runs
+        assert 70 < ticks < 110          # 10 ms + up to 2.5 ms jitter
+
+        # The last destroyed connection parks it again.
+        job.stop()
+        assert not agent.has_service_entries()
+        assert service_task.stopped
+        assert agent.probe_rate_pps() == pytest.approx(cluster_rate)
+        small_clos.sim.run_for(seconds(1))
+        assert service_task.runs == ticks
+
+        # ... and a new job arms it once more.
+        again = DmlJob(small_clos, job.participants,
+                       DmlConfig(pattern=CommPattern.ALLREDUCE,
+                                 compute_time_ns=300 * MILLISECOND,
+                                 data_gbits_per_cycle=2.0))
+        again.start()
+        assert agent.has_service_entries() and not service_task.stopped
+        small_clos.sim.run_for(seconds(1))
+        assert service_task.runs > ticks
+
+    def test_one_rnic_parks_independently_of_its_host_mate(
+            self, multi_rnic_clos):
+        system = RPingmesh(multi_rnic_clos)
+        system.start()
+        multi_rnic_clos.sim.run_for(seconds(1))
+        names = multi_rnic_clos.rnic_names()
+        job = DmlJob(multi_rnic_clos, [names[0], names[2]],
+                     DmlConfig(pattern=CommPattern.ALLREDUCE,
+                               compute_time_ns=300 * MILLISECOND,
+                               data_gbits_per_cycle=2.0))
+        job.start()
+        agent = system.agent_for_rnic(names[0])
+        assert agent.has_service_entries()
+        assert not agent.states[names[0]].tasks[2].stopped
+        assert agent.states[names[1]].tasks[2].stopped
+
+
 class TestServiceProbing:
     def test_service_probes_flow_after_start(self, small_clos,
                                              system_with_job):
