@@ -1,9 +1,13 @@
-"""CI perf-regression smoke: steady-state events/sec vs a checked-in floor.
+"""CI perf-regression smoke: steady-state probes/sec vs a checked-in floor.
 
 Runs the R-Pingmesh system on the small benchmark topology, measures the
-steady-state simulation rate, emits one ``BENCH {json}`` line, writes the
-same record to an artifact file, and exits non-zero when the rate falls
-more than the configured tolerance below ``bench_floor.json``.
+steady-state simulation rate, emits one ``BENCH {json}`` line (also written
+to ``--out`` when given), and exits non-zero when the rate falls more than
+the configured tolerance below ``bench_floor.json``.
+
+The gate is **probes** per wall second — the work the simulator exists to
+do.  Events per second is recorded but not gated: an optimization that
+needs fewer events per probe lowers it while making the simulator faster.
 
 Exit codes: 0 pass, 2 perf regression (rate < floor * tolerance).
 
@@ -46,9 +50,9 @@ def measure(floor_config: dict) -> dict:
 
     events = cluster.sim.events_processed - events_before
     probes = sum(a.probes_sent for a in system.agents.values()) - probes_before
-    floor = floor_config["events_per_sec_floor"]
+    floor = floor_config["probes_per_sec_floor"]
     tolerance = floor_config["tolerance"]
-    events_per_sec = round(events / wall_s) if wall_s else 0
+    probes_per_sec = round(probes / wall_s) if wall_s else 0
     return {
         "benchmark": "bench_smoke",
         "size": floor_config["size"],
@@ -56,18 +60,19 @@ def measure(floor_config: dict) -> dict:
         "simulated_s": floor_config["measure_simulated_s"],
         "wall_s": round(wall_s, 3),
         "events": events,
-        "events_per_sec": events_per_sec,
-        "probes_per_sec": round(probes / wall_s) if wall_s else 0,
-        "floor_events_per_sec": floor,
+        "probes": probes,
+        "events_per_sec": round(events / wall_s) if wall_s else 0,
+        "probes_per_sec": probes_per_sec,
+        "floor_probes_per_sec": floor,
         "fail_below": round(floor * tolerance),
-        "passed": events_per_sec >= floor * tolerance,
+        "passed": probes_per_sec >= floor * tolerance,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="bench_smoke.json",
-                        help="artifact file for the BENCH record")
+    parser.add_argument("--out", default=None,
+                        help="also write the BENCH record to this file")
     parser.add_argument("--floor", default=None,
                         help="override path to bench_floor.json")
     args = parser.parse_args(argv)
@@ -78,12 +83,13 @@ def main(argv=None) -> int:
 
     record = measure(floor_config)
     print("BENCH " + json.dumps(record, sort_keys=True))
-    Path(args.out).write_text(json.dumps(record, sort_keys=True, indent=2)
-                              + "\n")
+    if args.out:
+        Path(args.out).write_text(
+            json.dumps(record, sort_keys=True, indent=2) + "\n")
     if not record["passed"]:
-        print(f"PERF REGRESSION: {record['events_per_sec']} events/sec is "
+        print(f"PERF REGRESSION: {record['probes_per_sec']} probes/sec is "
               f"more than {round((1 - floor_config['tolerance']) * 100)}% "
-              f"below the checked-in floor of {record['floor_events_per_sec']}"
+              f"below the checked-in floor of {record['floor_probes_per_sec']}"
               f" (fail threshold {record['fail_below']})", file=sys.stderr)
         return 2
     return 0

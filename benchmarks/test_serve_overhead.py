@@ -4,7 +4,7 @@ Not a paper artifact — this pins the cost of the ISSUE-9 service mode.
 A serve tick adds per-second work on top of the raw simulation: a
 metrics snapshot, alert-rule evaluation, and a history sample.  The
 acceptance bound is a <= 1.2x slowdown with tracing off, and the two
-drive styles must process the identical event stream (tick boundaries
+drive styles must end in the identical replay digest (tick boundaries
 are not allowed to perturb the sim).  Emits one ``BENCH {json}`` line.
 """
 
@@ -13,6 +13,7 @@ import time
 
 from conftest import run_once
 
+from repro.analysis.runtime import structural_digest, system_state
 from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
 from repro.core.system import RPingmesh
@@ -36,7 +37,7 @@ def _drive_batch():
                    hosts_per_tor=SPEC.hosts_per_tor),
         seed=SEED)
     # Identical world to the ServeSession build: same control-plane
-    # knobs, so both drive styles replay the same event stream.
+    # knobs, so both drive styles replay the same behaviour.
     config = RPingmeshConfig(
         control_latency_ns=SPEC.control_latency_ns,
         control_jitter_ns=SPEC.control_jitter_ns,
@@ -50,7 +51,8 @@ def _drive_batch():
     cluster.sim.run_for(seconds(MEASURED_S))
     wall_s = time.perf_counter() - start  # detlint: disable=DET001 benchmark output: wall time is the measurement, never sim input
     return {"events": cluster.sim.events_processed - before,
-            "wall_s": wall_s}
+            "wall_s": wall_s,
+            "digest": structural_digest(system_state(system))}
 
 
 def _drive_serve():
@@ -66,14 +68,14 @@ def _drive_serve():
         session.render_metrics()
     wall_s = time.perf_counter() - start  # detlint: disable=DET001 benchmark output: wall time is the measurement, never sim input
     return {"events": session.cluster.sim.events_processed - before,
-            "wall_s": wall_s}
+            "wall_s": wall_s, "digest": session.replay_digest()}
 
 
 def test_serve_tick_overhead(benchmark):
     batch = _drive_batch()
     serve = run_once(benchmark, _drive_serve)
     # Tick boundaries must not change what the simulator does.
-    assert serve["events"] == batch["events"]
+    assert serve["digest"] == batch["digest"]
     slowdown = (serve["wall_s"] / batch["wall_s"]
                 if batch["wall_s"] else float("inf"))
     print("BENCH " + json.dumps({

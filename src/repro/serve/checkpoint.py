@@ -16,9 +16,14 @@ File layout (all before the payload is human-inspectable)::
     {json metadata, sorted keys}\\n
     <zlib-compressed pickle payload>
 
-The metadata carries enough identity (spec, seed, shards, tick, config
-digest) to reject a restore against the wrong code or world without
-unpickling anything.
+The metadata carries enough identity (format, spec, seed, shards, tick,
+config digest) to reject a restore against the wrong code or world
+without unpickling anything.  ``format`` moves whenever a pickled world of
+the old code would restore but *run differently* under the new: format 1
+files hold per-hop fabric events and one shared jitter state, which the
+lookahead walker and per-task jitter streams would silently diverge from,
+so they are refused.  (The ``v1`` in the magic line names the container
+layout — magic, JSON line, zlib pickle — which has not changed.)
 
 Also a tiny CLI, used by tests to prove *cross-process* restore::
 
@@ -38,7 +43,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 1
+FORMAT = 2
 
 
 class CheckpointError(RuntimeError):

@@ -65,6 +65,35 @@ class TestRestoreDeterminism:
         assert restored.replay_digest() == session.replay_digest()
         assert restored.ticks == session.ticks
 
+    def test_cut_with_a_packet_in_lookahead_flight(self, tmp_path):
+        """The hardest cut for the walker: a packet whose remaining hops
+        were already added up, its one pending event and its in-flight
+        entry in the pickle — plus parked (never-started) service-tracing
+        tasks, whose private jitter streams ride along."""
+        session = ServeSession(ServeSpec(seed=7, tick_ns=50_000))
+        fabric = session.cluster.fabric
+        for _ in range(400_000):
+            session.tick()
+            if any(t.look_idx < t.idx for t in fabric._in_flight.values()):
+                break
+        else:
+            pytest.fail("no tick boundary caught a packet mid-lookahead")
+        assert all(state.tasks[2].stopped
+                   for agent in session.system.agents.values()
+                   for state in agent.states.values())
+        path = tmp_path / "ck.bin"
+        save_checkpoint(session, path)
+        restored = load_checkpoint(path)
+        assert restored.cluster.fabric.packets_in_flight \
+            == fabric.packets_in_flight
+        # Long enough to deliver it, complete its probe and upload the
+        # result: 6 s of 50 us ticks would be slow, so run the sims flat.
+        for twin in (session, restored):
+            twin.cluster.sim.run_for(6 * 10 ** 9)
+        assert restored.replay_digest() == session.replay_digest()
+        assert restored.cluster.fabric.packets_delivered \
+            == fabric.packets_delivered > 0
+
     def test_uptime_and_alert_state_survive(self, tmp_path):
         session = ServeSession(ServeSpec(seed=3))
         for _ in range(8):
@@ -91,7 +120,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 1
+        assert meta["format"] == 2
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -104,6 +133,20 @@ class TestFileFormat:
         line = raw[len(MAGIC):].split(b"\n", 1)[0].decode()
         assert json.loads(line) == json.loads(
             json.dumps(json.loads(line), sort_keys=True))
+
+    def test_format_1_file_refused(self, tmp_path):
+        """A v1 payload holds per-hop fabric events and one shared jitter
+        state; resuming it under this code would diverge silently."""
+        path = self.make_checkpoint(tmp_path)
+        magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(meta_line)
+        meta["format"] = 1
+        path.write_bytes(b"\n".join(
+            [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
+        for reader in (read_metadata, load_checkpoint):
+            with pytest.raises(CheckpointError,
+                               match="unsupported checkpoint format 1"):
+                reader(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
