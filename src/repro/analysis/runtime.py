@@ -221,10 +221,9 @@ def default_scenario(seed: int, *,
 # -- golden reference scenarios ------------------------------------------------
 #
 # Three fixed workloads spanning the engine's behaviour space, digested by
-# tests/sim/test_golden_digests.py against hashes captured before the
-# sim-core fast path landed.  Any engine/fabric change that silently alters
-# event ordering, RNG draw order, or drop decisions flips a hash and fails
-# tier-1.  Scenario definitions are therefore FROZEN: changing topology,
+# tests/sim/test_golden_digests.py against checked-in hashes.  Any
+# engine/fabric change that silently alters a probe result, RNG draw order,
+# or a drop decision flips a hash and fails tier-1.  Scenario definitions are therefore FROZEN: changing topology,
 # durations, fault doses, or config here invalidates the checked-in hashes.
 
 def _golden_cluster(seed: int, *, sanitize: bool = False) -> Cluster:
@@ -238,8 +237,8 @@ def quiet_scenario(seed: int, *, sanitize: bool = False,
                    poolsan_out: Optional[list] = None) -> dict[str, Any]:
     """Golden scenario: healthy fabric, clean control plane, no faults.
 
-    Exercises the pure probe/ack/analyze machinery — the workload the
-    fault-free fast path must reproduce byte-for-byte.
+    Exercises the pure probe/ack/analyze machinery over a fabric whose
+    every hop is quiet: the walker's lookahead end to end.
     """
     cluster = _golden_cluster(seed, sanitize=sanitize)
     if poolsan_out is not None:
@@ -345,7 +344,7 @@ def int_smoke_scenario(seed: int, *, sanitize: bool = False,
     Not a golden scenario: INT telemetry is off by default (the golden
     digests pin the disabled path).  Its job under PoolSan is the
     telemetry stamp/collect cycle itself — per-hop stamps pushed onto
-    pooled packets' payloads on the fast and slow paths, popped at
+    pooled packets' payloads on looked-ahead and evaluated hops, popped at
     delivery, window drains, and Analyzer fusion — proving the collector
     neither leaks stamps into reused packets nor retains pooled refs.
     """

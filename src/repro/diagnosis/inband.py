@@ -17,9 +17,9 @@ collector pops before the receiver callback runs, so no packet or dict
 references outlive delivery (PoolSan-clean) and recycled payload dicts
 never leak stamps between probes.
 
-Crucially the *fast path* stamps too: a pure congestion fault
-(`LinkOverload`) keeps the fabric's fault-free forwarding eligible, and
-queue build-up is exactly what INT exists to see.
+Quiet hops the fabric's walker looks ahead over are stamped too (with the
+time the packet will enter them), so a path's stack is always complete;
+loaded hops — the ones INT exists to see — are stamped at their own event.
 """
 
 from __future__ import annotations
