@@ -410,25 +410,30 @@ class Fabric:
         packet = transit.packet
         now = self.sim.now
         is_roce = transit.is_roce
-        reason = self._check_link(packet, link, now, is_roce)
+        acl = link.dst_acl
+        if link.lossless:
+            # Only queued or paused here: every drop rule is a no-op.
+            if acl is not None:
+                packet.ttl -= 1
+                reason = DropReason.TTL_EXPIRED if packet.ttl <= 0 else None
+                node = path.nodes[idx + 1]
+            else:
+                reason = None
+        else:
+            reason = self._check_link(packet, link, now, is_roce)
+            node = path.nodes[idx]
+            if reason is None and acl is not None:
+                node = path.nodes[idx + 1]
+                if not acl.permits(packet.five_tuple):
+                    reason = DropReason.ACL_DENY
+                else:
+                    packet.ttl -= 1
+                    if packet.ttl <= 0:
+                        reason = DropReason.TTL_EXPIRED
         if reason is not None:
             self._retire(transit)
-            self._drop(packet, reason, link=link.name, node=path.nodes[idx])
+            self._drop(packet, reason, link=link.name, node=node)
             return None
-        acl = link.dst_acl
-        if acl is not None:
-            reason = None
-            if not acl.permits(packet.five_tuple):
-                reason = DropReason.ACL_DENY
-            else:
-                packet.ttl -= 1
-                if packet.ttl <= 0:
-                    reason = DropReason.TTL_EXPIRED
-            if reason is not None:
-                self._retire(transit)
-                self._drop(packet, reason, link=link.name,
-                           node=path.nodes[idx + 1])
-                return None
         delay = link.traversal_delay_ns(now, packet.size_bytes,
                                         roce_queue=is_roce)
         if acl is not None:

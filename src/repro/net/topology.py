@@ -273,6 +273,9 @@ class DirectedLink:
         # flag is re-derived by every write that can change it, and a
         # link that stops being quiet tells the topology.
         self.quiet = True
+        # The part of ``quiet`` that is about drops: no rule on this hop
+        # can lose the packet, it can only be queued or paused.
+        self.lossless = True
         self._on_unquiet: Optional[Callable[[], None]] = None
 
         # Counters for assertions and SLA accounting
@@ -284,15 +287,15 @@ class DirectedLink:
     def _refresh_quiet(self) -> None:
         pair = self.pair
         acl = self.dst_acl
-        quiet = (pair._up and not pair._routed_around
-                 and not self._pfc_deadlocked
-                 and not self._corruption_drop_prob > 0
-                 and self._silent_drop_predicate is None
-                 and self._pfc_enabled and self._pfc_headroom_ok
-                 and self.offered_load_gbps == 0.0
-                 and self._queue_bytes == 0.0
-                 and self._pause_delay_ns == 0
-                 and (acl is None or not acl.rule_count))
+        self.lossless = lossless = (
+            pair._up and not pair._routed_around
+            and not self._pfc_deadlocked
+            and self._corruption_drop_prob <= 0
+            and self._silent_drop_predicate is None
+            and self._pfc_enabled and self._pfc_headroom_ok
+            and (acl is None or not acl.rule_count))
+        quiet = (lossless and self.offered_load_gbps == 0.0
+                 and self._queue_bytes == 0.0 and self._pause_delay_ns == 0)
         if quiet == self.quiet:
             return
         self.quiet = quiet

@@ -168,7 +168,7 @@ class _Script:
         self.adaptive = rng.random() < 0.15
         self.with_int = rng.random() < 0.5
         # A scratch world to draw names and quiet arrival times from.
-        world = _World(self, Fabric, script_only=True)
+        world = _World(self.params, seed, Fabric)
         topo, ports, ips = world.topo, world.ports, world.ips
         links = sorted(topo.links)
         switch_links = sorted((l.src, l.dst) for l in topo.switch_links())
@@ -255,21 +255,21 @@ def _apply(world, kind, link_key, switch, port, x, undo):
 
 
 class _World:
-    """A fabric of the given class with a script queued into it."""
+    """A fabric of the given class over a Clos of the given shape."""
 
-    def __init__(self, script, fabric_cls, *, script_only=False):
-        self.topo = build_clos(script.params).topology
+    def __init__(self, params, seed, fabric_cls):
+        self.topo = build_clos(params).topology
         # Every cable its own length: with build_clos's uniform 500 ns two
         # packets injected a whole number of hop delays apart meet at the
         # same nanosecond hop after hop, and which of them draws from the
         # fabric RNG first then hangs on event sequence numbers — the one
         # thing the two walkers are *not* meant to share.
-        lengths = random.Random(script.seed)
+        lengths = random.Random(seed)
         for key in sorted(self.topo.links):
             self.topo.links[key].propagation_ns = lengths.randrange(300, 900)
         self.sim = Simulator(seed=0)
         self.fabric = fabric_cls(self.sim, self.topo,
-                                 RngStream(script.seed, "fabric"))
+                                 RngStream(seed, "fabric"))
         self.ports = self.topo.host_ports()
         self.ips = {port: f"10.0.{i // 200}.{i % 200 + 1}"
                     for i, port in enumerate(self.ports)}
@@ -280,8 +280,9 @@ class _World:
             self.fabric.register_ip(ip, port)
             self.fabric.attach_receiver(port, self._on_delivery)
         self.fabric.add_drop_listener(self._on_drop)
-        if script_only:
-            return
+
+    def play(self, script):
+        """Queue a whole script into the simulator."""
         if script.with_int:
             self.collector = IntCollector()
             self.collector.install(self.fabric)
@@ -348,7 +349,8 @@ class _World:
 
 
 def _run(script, fabric_cls):
-    world = _World(script, fabric_cls)
+    world = _World(script.params, script.seed, fabric_cls)
+    world.play(script)
     snapshots = []
     for cut in script.cuts:
         world.sim.run_until(cut)
@@ -394,11 +396,8 @@ def test_scripts_reach_every_ending_and_demote_in_flight():
 
 def _line_world(fabric_cls=Fabric):
     """a - tor0 - agg0 - tor1 - b: one path, four quiet hops."""
-    script = _Script.__new__(_Script)
-    script.seed = 0
-    script.params = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=1,
-                               spines=1, hosts_per_tor=1)
-    world = _World(script, fabric_cls, script_only=True)
+    world = _World(ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=1,
+                              spines=1, hosts_per_tor=1), 0, fabric_cls)
     src, dst = world.ports[0], world.ports[-1]
     five_tuple = roce_five_tuple(world.ips[src], world.ips[dst], 5000)
     path = world.fabric.path_of(five_tuple, src)
