@@ -25,6 +25,16 @@ last window through a strict classification pipeline:
 6. **High RTT / high processing delay** — successful probes over the
    thresholds mark congestion and host bottlenecks.
 7. **SLA aggregation** and **priority assessment** (§4.3.4).
+
+The pipeline runs as two stages (DESIGN.md §11).  :meth:`Analyzer.gather`
+turns one window's uploads into a :class:`WindowEvidence` — everything
+above that needs raw ``ProbeResult``s, with Algorithm 1's votes left as
+*ungated* tallies.  :meth:`Analyzer.conclude` turns a list of evidence
+parts into the window's verdicts: every field of the evidence merges over
+disjoint parts (sets union, counts and votes sum, sketches merge), so the
+single Analyzer is the one-part case and the sharded root
+(:class:`~repro.core.sharding.RootAnalyzer`) the many-part case of the
+same code.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from repro.core.records import (AgentUpload, Priority, Problem,
                                 ProbeKind, ProbeResult, ProblemCategory)
 from repro.core.sla import SlaHistory, SlaReport, tracker_factory
 from repro.diagnosis.fusion import FusionReport, fuse_window
+from repro.diagnosis.inband import merge_link_evidence
 
 
 class ServiceMonitor(Protocol):
@@ -72,6 +83,51 @@ class WindowAnalysis:
     def problem_categories(self) -> Counter:
         """Histogram of problem categories in this window."""
         return Counter(p.category for p in self.problems)
+
+
+@dataclass
+class SideTally:
+    """One side's (cluster or service) Algorithm-1 evidence, *ungated*.
+
+    Votes are additive over disjoint anomaly sets, so parts sum and the
+    ``min_anomalies_for_localization`` gate applies to the summed count.
+    """
+
+    votes: Counter = field(default_factory=Counter)
+    paths: int = 0
+    anomalies: int = 0
+
+
+@dataclass
+class WindowEvidence:
+    """What :meth:`Analyzer.gather` extracted from one window's uploads.
+
+    The in-process hand-off between the two stages: nothing in it needs a
+    raw ``ProbeResult`` any more, and every field merges over disjoint
+    parts.  ``problems`` holds the verdicts one part can reach alone
+    (host-down, then RNIC) and ``latency_problems`` the high-RTT /
+    processing-delay ones; the switch-network problems that sit between
+    them in a window's list come from the merged ``tallies``.
+    """
+
+    window_start_ns: int
+    window_end_ns: int
+    results_processed: int = 0
+    down_hosts: set[str] = field(default_factory=set)
+    qpn_reset_timeouts: int = 0
+    anomalous_rnics: set[str] = field(default_factory=set)
+    cpu_noise_hosts: set[str] = field(default_factory=set)
+    problems: list[Problem] = field(default_factory=list)
+    latency_problems: list[Problem] = field(default_factory=list)
+    # Indexed by service_side: (cluster monitoring, service tracing).
+    tallies: tuple[SideTally, SideTally] = field(
+        default_factory=lambda: (SideTally(), SideTally()))
+    sla: Optional[SlaReport] = None
+    service_members: tuple[str, ...] = ()   # sorted
+    int_links: tuple = ()   # this part's IntLinkEvidence records
+    # (seq, service_side, category) per result, only while tracing is on.
+    verdicts: list[tuple[int, bool, Optional[ProblemCategory]]] = field(
+        default_factory=list)
 
 
 class Analyzer:
@@ -190,24 +246,108 @@ class Analyzer:
 
     def analyze(self) -> WindowAnalysis:
         """Process everything uploaded since the previous window."""
+        return self.conclude([self.gather()])
+
+    def gather(self) -> WindowEvidence:
+        """Stage 1: drain the ingest queue into this window's evidence."""
         now = self.cluster.sim.now
-        window = WindowAnalysis(
+        evidence = WindowEvidence(
             window_start_ns=now - self.config.analysis_period_ns,
             window_end_ns=now)
         uploads, self._pending = self._pending, []
         results = [r for batch in uploads for r in batch.results]
-        window.results_processed = len(results)
+        evidence.results_processed = len(results)
 
-        window.down_hosts = self._down_hosts(now)
-        classification = self._classify(results, window, now)
-        self._emit_problems(results, classification, window, now)
-        if self.int_provider is not None:
-            self._fuse_int(window)
-        self._aggregate_sla(results, classification, window)
-        self._update_service_membership(results, now)
+        evidence.down_hosts = self._down_hosts(now)
+        classification = self._classify(results, evidence, now)
+        self._emit_problems(results, classification, evidence, now)
+        evidence.int_links = self._int_links(now)
+        evidence.sla = self._aggregate_sla(results, classification, evidence)
+        evidence.service_members = self._service_members_seen(results)
+        if self.tracer.enabled:
+            evidence.verdicts = [
+                (r.seq, r.kind == ProbeKind.SERVICE_TRACING,
+                 classification.get(r.seq)) for r in results]
+        return evidence
+
+    def conclude(self, parts: list[WindowEvidence]) -> WindowAnalysis:
+        """Stage 2: one window's verdicts from its evidence parts.
+
+        ``parts`` are disjoint slices of the same window (one per shard;
+        exactly one when nothing is sharded).  With one part every merge
+        below is the identity, so the list comes out in the order the
+        single Analyzer always produced: host-down, RNIC, switch network
+        (cluster then service), latency.
+        """
+        now = parts[0].window_end_ns
+        window = WindowAnalysis(
+            window_start_ns=min(e.window_start_ns for e in parts),
+            window_end_ns=now)
+        # Host-down merges by host: once every pod knows a host is down
+        # each one probing it reports the verdict, and the evidence is the
+        # sum of their timeouts against it.
+        host_down: dict[str, Problem] = {}
+        local: list[Problem] = []
+        for e in parts:
+            window.results_processed += e.results_processed
+            window.qpn_reset_timeouts += e.qpn_reset_timeouts
+            window.down_hosts |= e.down_hosts
+            window.anomalous_rnics |= e.anomalous_rnics
+            window.cpu_noise_hosts |= e.cpu_noise_hosts
+            for member in e.service_members:
+                self._service_members[member] = now
+            for p in e.problems:
+                if p.category != ProblemCategory.HOST_DOWN:
+                    local.append(p)
+                elif p.locus in host_down:
+                    host_down[p.locus].evidence_count += p.evidence_count
+                else:
+                    host_down[p.locus] = p
+        window.problems = [host_down[h] for h in sorted(host_down)] + local
+
+        # Switch network problems: localise cluster and service anomalies
+        # separately (§4.3.3 "Analyzer analyzes them individually").
+        for service_side in (False, True):
+            votes: Counter = Counter()
+            paths = anomalies = 0
+            for e in parts:
+                tally = e.tallies[service_side]
+                votes.update(tally.votes)
+                paths += tally.paths
+                anomalies += tally.anomalies
+            if anomalies < self.config.min_anomalies_for_localization:
+                continue
+            loc = Localization.from_votes(votes, paths)
+            if service_side:
+                window.service_localization = loc
+            else:
+                window.cluster_localization = loc
+            for suspect in loc.suspects[:3] or ["unlocalized"]:
+                window.problems.append(Problem(
+                    category=ProblemCategory.SWITCH_NETWORK_PROBLEM,
+                    locus=suspect, detected_at_ns=now,
+                    window_start_ns=window.window_start_ns,
+                    evidence_count=anomalies,
+                    from_service_tracing=service_side,
+                    detail=f"votes={loc.votes.get(suspect, 0)}"))
+        for e in parts:
+            window.problems.extend(e.latency_problems)
+
+        # INT fusion (repro.diagnosis.fusion, paper §7.4), exactly once per
+        # window over the merged link evidence.  Strictly additive; runs
+        # before priority assignment so INT-origin problems are
+        # prioritised like any other.
+        links = merge_link_evidence(e.int_links for e in parts)
+        if links:
+            self.fusion.merge(fuse_window(
+                window, links,
+                threshold_ns=self.config.high_rtt_threshold_ns,
+                min_evidence=self.config.min_anomalies_for_localization))
+
+        self.sla.append(SlaReport.merged([e.sla for e in parts]))
         self._assign_priorities(window)
         if self.tracer.enabled:
-            self._trace_verdicts(results, classification, window)
+            self._trace_verdicts(parts, window)
 
         self.windows.append(window)
         self.problems.extend(window.problems)
@@ -229,7 +369,7 @@ class Analyzer:
     def _host_of_target(self, result: ProbeResult) -> str:
         return self.cluster.host_of_rnic(result.target_rnic).name
 
-    def _classify(self, results: list[ProbeResult], window: WindowAnalysis,
+    def _classify(self, results: list[ProbeResult], window: WindowEvidence,
                   now: int) -> dict[int, ProblemCategory]:
         """Map result seq -> category for every timeout."""
         classification: dict[int, ProblemCategory] = {}
@@ -363,7 +503,7 @@ class Analyzer:
 
     def _filter_cpu_noise(self, anomalous: set[str],
                           results: list[ProbeResult],
-                          window: WindowAnalysis) -> set[str]:
+                          window: WindowEvidence) -> set[str]:
         """§6 false-positive filters: multi-RNIC simultaneity first, then
         the responder-processing-delay corroboration."""
         by_host: dict[str, set[str]] = defaultdict(set)
@@ -406,11 +546,11 @@ class Analyzer:
         p90 = samples[max(0, int(len(samples) * 0.9) - 1)]
         return p90 > self.config.high_processing_delay_ns
 
-    # -- steps 5-6: problem emission -----------------------------------------------------
+    # -- steps 5-6: what one part can say alone, and its votes ---------------------------
 
     def _emit_problems(self, results: list[ProbeResult],
                        classification: dict[int, ProblemCategory],
-                       window: WindowAnalysis, now: int) -> None:
+                       window: WindowEvidence, now: int) -> None:
         by_seq = {r.seq: r for r in results}
 
         # Host-down problems (non-network but reportable, Table 2 #4).
@@ -437,37 +577,27 @@ class Analyzer:
                 from_service_tracing=any(
                     r.kind == ProbeKind.SERVICE_TRACING for r in evidence)))
 
-        # Switch network problems: localise cluster and service anomalies
-        # separately (§4.3.3 "Analyzer analyzes them individually").
+        # Algorithm 1 over the fabric-caused timeouts, per side, with no
+        # gate: conclude() applies it to the window-wide sum.
+        tallies = []
         for service_side in (False, True):
             anomalies = [
                 by_seq[s] for s, c in classification.items()
                 if c == ProblemCategory.SWITCH_NETWORK_PROBLEM
                 and (by_seq[s].kind == ProbeKind.SERVICE_TRACING)
                 == service_side]
-            if len(anomalies) < self.config.min_anomalies_for_localization:
-                continue
             loc = localize([r.probe_path for r in anomalies],
                            [r.ack_path for r in anomalies])
-            if service_side:
-                window.service_localization = loc
-            else:
-                window.cluster_localization = loc
-            suspects = loc.suspects[:3] or ["unlocalized"]
-            for suspect in suspects:
-                window.problems.append(Problem(
-                    category=ProblemCategory.SWITCH_NETWORK_PROBLEM,
-                    locus=suspect, detected_at_ns=now,
-                    window_start_ns=window.window_start_ns,
-                    evidence_count=len(anomalies),
-                    from_service_tracing=service_side,
-                    detail=f"votes={loc.votes.get(suspect, 0)}"))
+            tallies.append(SideTally(loc.votes, loc.paths_considered,
+                                     len(anomalies)))
+        window.tallies = (tallies[0], tallies[1])
 
         self._emit_latency_problems(results, window, now)
 
     def _emit_latency_problems(self, results: list[ProbeResult],
-                               window: WindowAnalysis, now: int) -> None:
+                               window: WindowEvidence, now: int) -> None:
         """High-RTT (congestion) and high-processing-delay (bottleneck)."""
+        problems = window.latency_problems
         high_rtt = [r for r in results
                     if r.network_rtt_ns is not None
                     and r.network_rtt_ns > self.config.high_rtt_threshold_ns]
@@ -486,7 +616,7 @@ class Analyzer:
                 if count >= self.config.min_anomalies_for_localization:
                     localized_rnic = rnic
             if localized_rnic is not None:
-                window.problems.append(Problem(
+                problems.append(Problem(
                     category=ProblemCategory.HIGH_RTT, locus=localized_rnic,
                     detected_at_ns=now,
                     window_start_ns=window.window_start_ns,
@@ -495,7 +625,7 @@ class Analyzer:
             loc = localize([r.probe_path for r in side],
                            [r.ack_path for r in side])
             for suspect in loc.suspects[:1]:
-                window.problems.append(Problem(
+                problems.append(Problem(
                     category=ProblemCategory.HIGH_RTT, locus=suspect,
                     detected_at_ns=now,
                     window_start_ns=window.window_start_ns,
@@ -517,7 +647,7 @@ class Analyzer:
             samples.sort()
             p90 = samples[max(0, int(len(samples) * 0.9) - 1)]
             if p90 > self.config.high_processing_delay_ns:
-                window.problems.append(Problem(
+                problems.append(Problem(
                     category=ProblemCategory.HIGH_PROCESSING_DELAY,
                     locus=host, detected_at_ns=now,
                     window_start_ns=window.window_start_ns,
@@ -525,30 +655,20 @@ class Analyzer:
                     from_service_tracing=False,
                     detail=f"p90={p90}ns"))
 
-    # -- INT fusion (repro.diagnosis, paper §7.4) ------------------------------------------------
+    # -- INT link evidence (repro.diagnosis) -----------------------------------------------------
 
-    def _fuse_int(self, window: WindowAnalysis) -> None:
-        """Fuse this window's INT link evidence into its problem list.
-
-        Strictly additive (see :mod:`repro.diagnosis.fusion`): sharpens
-        vote-based loci to the INT directed link, breaks Algorithm-1 vote
-        ties, attributes congestion cause, and adds INT-origin problems
-        for hot links nothing else named.  Runs before priority
-        assignment so INT-origin problems are prioritised like any other.
-        """
-        links = self.int_provider.link_evidence(window.window_end_ns)
-        if not links:
-            return
-        self.fusion.merge(fuse_window(
-            window, links,
-            threshold_ns=self.config.high_rtt_threshold_ns,
-            min_evidence=self.config.min_anomalies_for_localization))
+    def _int_links(self, window_end_ns: int) -> tuple:
+        """This window's INT link evidence (empty without a provider)."""
+        if self.int_provider is None:
+            return ()
+        return tuple(
+            self.int_provider.link_evidence(window_end_ns).values())
 
     # -- step 7: SLA -------------------------------------------------------------------------
 
     def _aggregate_sla(self, results: list[ProbeResult],
                        classification: dict[int, ProblemCategory],
-                       window: WindowAnalysis) -> None:
+                       window: WindowEvidence) -> SlaReport:
         report = SlaReport(window.window_start_ns, window.window_end_ns,
                            tracker=self._tracker)
         for result in results:
@@ -572,12 +692,14 @@ class Analyzer:
                     scope.processing.add(float(result.responder_processing_ns))
                 if result.prober_processing_ns is not None:
                     scope.processing.add(float(result.prober_processing_ns))
-        self.sla.append(report)
+        return report
 
     # -- step 8: service-network membership + priority (§4.3.4) ---------------------------------
 
-    def _update_service_membership(self, results: list[ProbeResult],
-                                   now: int) -> None:
+    def _service_members_seen(self, results: list[ProbeResult]
+                              ) -> tuple[str, ...]:
+        """Every device and link a service-tracing probe touched, sorted."""
+        seen: set[str] = set()
         for result in results:
             if result.kind != ProbeKind.SERVICE_TRACING:
                 continue
@@ -588,8 +710,8 @@ class Analyzer:
                     continue
                 members.extend(h for h in path.hops if h is not None)
                 members.extend(f"{a}->{b}" for a, b in path.known_links())
-            for member in members:
-                self._service_members[member] = now
+            seen.update(members)
+        return tuple(sorted(seen))
 
     def in_service_network(self, locus: str, now: Optional[int] = None) -> bool:
         """Whether a device/link was part of the service network recently."""
@@ -614,8 +736,7 @@ class Analyzer:
 
     # -- observability (repro.obs) ---------------------------------------------------------------
 
-    def _trace_verdicts(self, results: list[ProbeResult],
-                        classification: dict[int, ProblemCategory],
+    def _trace_verdicts(self, parts: list[WindowEvidence],
                         window: WindowAnalysis) -> None:
         """Annotate each probe's span with this window's verdict.
 
@@ -626,19 +747,18 @@ class Analyzer:
         count ride along.
         """
         now = window.window_end_ns
-        for result in results:
-            category = classification.get(result.seq)
-            fields: dict = {
-                "verdict": "ok" if category is None else category.value}
-            if category == ProblemCategory.SWITCH_NETWORK_PROBLEM:
-                loc = (window.service_localization
-                       if result.kind == ProbeKind.SERVICE_TRACING
-                       else window.cluster_localization)
-                if loc is not None and loc.suspects:
-                    suspect = loc.suspects[0]
-                    fields["suspect"] = suspect
-                    fields["votes"] = loc.votes.get(suspect, 0)
-            self.tracer.event(result.seq, now, "analyzer.verdict", **fields)
+        for evidence in parts:
+            for seq, service_side, category in evidence.verdicts:
+                fields: dict = {
+                    "verdict": "ok" if category is None else category.value}
+                if category == ProblemCategory.SWITCH_NETWORK_PROBLEM:
+                    loc = (window.service_localization if service_side
+                           else window.cluster_localization)
+                    if loc is not None and loc.suspects:
+                        suspect = loc.suspects[0]
+                        fields["suspect"] = suspect
+                        fields["votes"] = loc.votes.get(suspect, 0)
+                self.tracer.event(seq, now, "analyzer.verdict", **fields)
 
     # -- footprint (DESIGN.md §11) ---------------------------------------------------------------
 

@@ -24,6 +24,23 @@ class Localization:
     votes: Counter = field(default_factory=Counter)
     paths_considered: int = 0
 
+    @classmethod
+    def from_votes(cls, votes: Counter,
+                   paths_considered: int) -> "Localization":
+        """The arg-max of a vote tally (no suspects when nothing voted).
+
+        Votes are additive over disjoint path sets, so a tally summed
+        from several partial ones localises exactly as one vote over
+        the union would.
+        """
+        if not votes:
+            return cls(paths_considered=paths_considered)
+        best = max(votes.values())
+        suspects = sorted(name for name, count in votes.items()
+                          if count == best)
+        return cls(suspects=suspects, votes=votes,
+                   paths_considered=paths_considered)
+
     @property
     def confident(self) -> bool:
         """A unique arg-max is a far stronger signal than a tie."""
@@ -52,7 +69,7 @@ def detect_abnormal_links(paths: list[PathRecord]) -> Localization:
         considered += 1
         for link_name in _link_names(path):
             votes[link_name] += 1
-    return _argmax(votes, considered)
+    return Localization.from_votes(votes, considered)
 
 
 def detect_abnormal_switches(paths: list[PathRecord]) -> Localization:
@@ -63,16 +80,7 @@ def detect_abnormal_switches(paths: list[PathRecord]) -> Localization:
         considered += 1
         for switch in path.known_switches():
             votes[switch] += 1
-    return _argmax(votes, considered)
-
-
-def _argmax(votes: Counter, considered: int) -> Localization:
-    if not votes:
-        return Localization(paths_considered=considered)
-    best = max(votes.values())
-    suspects = sorted(name for name, count in votes.items() if count == best)
-    return Localization(suspects=suspects, votes=votes,
-                        paths_considered=considered)
+    return Localization.from_votes(votes, considered)
 
 
 def localize(probe_paths: list[Optional[PathRecord]],

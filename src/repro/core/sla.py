@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.sim.sketch import QuantileSketch
 from repro.sim.stats import PercentileTracker
@@ -45,6 +45,20 @@ def tracker_factory(config=None) -> TrackerFactory:
     if config is not None and config.sla_sketch:
         return partial(QuantileSketch, config.sketch_relative_accuracy)
     return PercentileTracker
+
+
+def as_sketch(tracker: Tracker) -> QuantileSketch:
+    """A tracker's distribution in the mergeable shape.
+
+    Sketches pass through; an exact tracker's samples are folded into a
+    fresh sketch (it keeps exactness where it lives, the merged and the
+    wire form are always the sketch).
+    """
+    if isinstance(tracker, QuantileSketch):
+        return tracker
+    sketch = QuantileSketch()
+    sketch.extend(tracker.samples())
+    return sketch
 
 
 @dataclass
@@ -96,6 +110,20 @@ class SlaWindow:
         """Estimated footprint of this window's percentile stores."""
         return 256 + self.rtt.memory_bytes() + self.processing.memory_bytes()
 
+    def merge(self, other: "SlaWindow") -> None:
+        """Fold in a disjoint part of the same window (sketch stores).
+
+        Counts are exact integer sums and the sketch merge is bucket-wise,
+        so any merge order yields the same numbers.
+        """
+        self.probes_total += other.probes_total
+        self.probes_ok += other.probes_ok
+        self.timeouts_rnic += other.timeouts_rnic
+        self.timeouts_switch += other.timeouts_switch
+        self.timeouts_non_network += other.timeouts_non_network
+        self.rtt.merge(as_sketch(other.rtt))
+        self.processing.merge(as_sketch(other.processing))
+
 
 @dataclass
 class SlaReport:
@@ -126,6 +154,22 @@ class SlaReport:
     def memory_bytes(self) -> int:
         """Estimated footprint of both scopes."""
         return self.cluster.memory_bytes() + self.service.memory_bytes()
+
+    @classmethod
+    def merged(cls, parts: Sequence["SlaReport"]) -> "SlaReport":
+        """One window's report from the reports of its disjoint parts.
+
+        A single part *is* the window's report and comes back untouched,
+        exact trackers included; several merge into sketch stores.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        report = cls(min(p.window_start_ns for p in parts),
+                     parts[0].window_end_ns, tracker=QuantileSketch)
+        for part in parts:
+            report.cluster.merge(part.cluster)
+            report.service.merge(part.service)
+        return report
 
 
 class SlaHistory:
