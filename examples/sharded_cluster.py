@@ -63,7 +63,7 @@ def main() -> None:
           f"{FAULTED[0]} <-> {FAULTED[1]}")
 
     root = sharded.analyzer
-    print(f"\nRootAnalyzer fused {root.fusions} windows from "
+    print(f"\nRootAnalyzer fused {len(root.windows)} windows from "
           f"{len(root.shards)} shards")
     for shard in root.shards:
         summary_note = (f"windows retained={len(shard.windows)} "

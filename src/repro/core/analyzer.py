@@ -138,6 +138,13 @@ class Analyzer:
     bind their own; the default is the classic single ``"analyzer"``.
     """
 
+    # Ingest accounting: batches accepted into / refused by the bounded
+    # queue since start (part of the control-plane metrics surface).
+    # Class-level zeros that ``receive_upload`` shadows per instance, so
+    # the sharded root can answer the same names with per-shard sums.
+    ingest_accepted = 0
+    ingest_dropped = 0
+
     def __init__(self, cluster: Cluster, controller: Controller,
                  config: RPingmeshConfig, *,
                  endpoint_name: str = ANALYZER_ENDPOINT):
@@ -170,10 +177,6 @@ class Analyzer:
         # skips fusion entirely — the default pipeline is untouched.
         self.int_provider = None
         self.fusion = FusionReport()
-        # Ingest accounting: batches accepted into / refused by the bounded
-        # queue since start (part of the control-plane metrics surface).
-        self.ingest_accepted = 0
-        self.ingest_dropped = 0
         self._started = False
 
     # -- wiring -----------------------------------------------------------------

@@ -10,18 +10,18 @@ scale.  This module splits both along the fabric's natural seam — the pod:
   there.  Registrations replicate through the :class:`RootController` so
   every shard can resolve cross-pod targets.
 * :class:`AnalyzerShard` — a scoped :class:`~repro.core.analyzer.
-  Analyzer` ingesting its pod's uploads locally and running the full
-  classification / Algorithm-1 pipeline on pod-local evidence.  After
-  each window it ships a :class:`ShardWindowSummary` — mergeable plain
-  data (vote tallies, SLA counts, quantile-sketch states), never raw
-  ``ProbeResult``s — to the :class:`RootAnalyzer`, then trims its local
-  retention to ``shard_window_retention`` windows.
-* :class:`RootAnalyzer` — collects summaries per window, fuses them into
-  cluster-wide verdicts (vote Counters merge across pods; fused switch
-  suspects replace the shards' pod-local ones) and cluster SLAs (sketch
-  merges in sorted shard order — byte-stable by construction), and
-  broadcasts fused cluster state (down hosts, quarantines) back to the
-  shards, which apply it from the next window on (one-window lag).
+  Analyzer` ingesting its pod's uploads.  Each window it *gathers* its
+  pod's :class:`~repro.core.analyzer.WindowEvidence`, ships it to the
+  root as a :class:`ShardWindowSummary` — mergeable plain data (vote
+  tallies, SLA counts, quantile-sketch states), never raw
+  ``ProbeResult``s — concludes its own pod-local view from the same
+  evidence, and trims that to ``shard_window_retention`` windows.
+* :class:`RootAnalyzer` — an :class:`~repro.core.analyzer.Analyzer`
+  that ingests summaries instead of uploads: once every shard has
+  reported a window it *concludes* over their evidence with the base
+  class's code, then broadcasts the fused cluster state (down hosts,
+  quarantines) back to the shards, which apply it from the next window
+  on (one-window lag).
 
 Everything crosses the simulated management network as messages; with the
 default inline transport the sharded system stays fully deterministic.
@@ -32,22 +32,19 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Optional
 
 from repro.cluster import Cluster
 from repro.controlplane.clients import ANALYZER_ENDPOINT, CONTROLLER_ENDPOINT
 from repro.controlplane.endpoint import Endpoint
 from repro.controlplane.transport import ManagementNetwork
-from repro.core.analyzer import Analyzer, ServiceMonitor, WindowAnalysis
+from repro.core.analyzer import (Analyzer, ServiceMonitor, SideTally,
+                                 WindowAnalysis, WindowEvidence)
 from repro.core.config import RPingmeshConfig
 from repro.core.controller import Controller
-from repro.core.localization import Localization, localize
-from repro.core.records import (Priority, ProbeKind, Problem,
-                                ProblemCategory)
-from repro.core.sla import SlaHistory, SlaReport, SlaWindow
-from repro.diagnosis.fusion import FusionReport, fuse_window
-from repro.diagnosis.inband import merge_link_evidence, slice_links
+from repro.core.records import Problem
+from repro.core.sla import SlaReport, SlaWindow, as_sketch
+from repro.diagnosis.inband import slice_links
 from repro.host.rnic import CommInfo
 from repro.sim.sketch import QuantileSketch
 
@@ -115,7 +112,7 @@ class PodMap:
         return self.shard_of_tor(cluster.tor_of(host.rnics[0].name))
 
 
-# -- mergeable shard summaries -------------------------------------------------
+# -- the wire form --------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,13 +132,35 @@ class ScopeSlaSummary:
     rtt_sketch: tuple[tuple[str, Any], ...]
     processing_sketch: tuple[tuple[str, Any], ...]
 
+    @classmethod
+    def of(cls, window: SlaWindow) -> "ScopeSlaSummary":
+        return cls(
+            window.probes_total, window.probes_ok, window.timeouts_rnic,
+            window.timeouts_switch, window.timeouts_non_network,
+            rtt_sketch=tuple(sorted(as_sketch(window.rtt).state().items())),
+            processing_sketch=tuple(sorted(
+                as_sketch(window.processing).state().items())))
+
+    def fill(self, window: SlaWindow) -> None:
+        """Write these numbers into a fresh SlaWindow."""
+        window.probes_total = self.probes_total
+        window.probes_ok = self.probes_ok
+        window.timeouts_rnic = self.timeouts_rnic
+        window.timeouts_switch = self.timeouts_switch
+        window.timeouts_non_network = self.timeouts_non_network
+        window.rtt = QuantileSketch.from_state(dict(self.rtt_sketch))
+        window.processing = QuantileSketch.from_state(
+            dict(self.processing_sketch))
+
 
 @dataclass(frozen=True, slots=True)
 class ShardWindowSummary:
-    """Everything one AnalyzerShard concluded for one window, as data.
+    """One shard's :class:`WindowEvidence` as it crosses the network.
 
-    This is the *only* thing shards ship upward — bounded size regardless
-    of probe volume, unlike the raw ``ProbeResult`` stream.
+    This is the *only* thing shards ship upward — bounded plain data
+    regardless of probe volume, unlike the raw ``ProbeResult`` stream.
+    Made by :meth:`of` where the shard sends and turned back by
+    :meth:`evidence` where the root fuses, and nowhere else.
     """
 
     shard: int
@@ -153,14 +172,12 @@ class ShardWindowSummary:
     anomalous_rnics: tuple[str, ...]
     cpu_noise_hosts: tuple[str, ...]
     quarantined: tuple[tuple[str, int], ...]   # rnic -> quarantined-until ns
-    problems: tuple[Problem, ...]              # pod-local verdicts (copies)
-    cluster_votes: tuple[tuple[str, int], ...]
-    cluster_paths: int
-    cluster_anomalies: int
-    service_votes: tuple[tuple[str, int], ...]
-    service_paths: int
-    service_anomalies: int
-    service_members: tuple[str, ...]
+    problems: tuple[Problem, ...]              # host-down + RNIC (copies)
+    latency_problems: tuple[Problem, ...]      # (copies)
+    # Per side (cluster, service): (sorted vote items, paths, anomalies),
+    # ungated — the root applies the threshold to the summed count.
+    tallies: tuple[tuple[tuple[tuple[str, int], ...], int, int], ...]
+    service_members: tuple[str, ...]           # seen *this* window
     cluster_sla: ScopeSlaSummary
     service_sla: ScopeSlaSummary
     # This shard's pod-owned slice of the window's INT link evidence
@@ -168,39 +185,54 @@ class ShardWindowSummary:
     # collector's top-K, disjoint across shards, merged at the root.
     int_links: tuple = ()
 
+    @classmethod
+    def of(cls, shard: int, evidence: WindowEvidence,
+           quarantined: dict[str, int]) -> "ShardWindowSummary":
+        assert evidence.sla is not None
+        return cls(
+            shard=shard,
+            window_start_ns=evidence.window_start_ns,
+            window_end_ns=evidence.window_end_ns,
+            results_processed=evidence.results_processed,
+            down_hosts=tuple(sorted(evidence.down_hosts)),
+            qpn_reset_timeouts=evidence.qpn_reset_timeouts,
+            anomalous_rnics=tuple(sorted(evidence.anomalous_rnics)),
+            cpu_noise_hosts=tuple(sorted(evidence.cpu_noise_hosts)),
+            quarantined=tuple(sorted(quarantined.items())),
+            # Copies: both ends conclude (and so prioritise) the same
+            # verdicts; aliased Problems would leak one's edits to the other.
+            problems=tuple(dataclasses.replace(p)
+                           for p in evidence.problems),
+            latency_problems=tuple(dataclasses.replace(p)
+                                   for p in evidence.latency_problems),
+            tallies=tuple((tuple(sorted(t.votes.items())), t.paths,
+                           t.anomalies) for t in evidence.tallies),
+            service_members=evidence.service_members,
+            cluster_sla=ScopeSlaSummary.of(evidence.sla.cluster),
+            service_sla=ScopeSlaSummary.of(evidence.sla.service),
+            int_links=evidence.int_links)
 
-def _sketch_state(tracker, accuracy: float) -> tuple[tuple[str, Any], ...]:
-    """A tracker's distribution as canonical sketch state items.
-
-    Sketch-mode trackers export directly; exact trackers are folded into
-    a sketch first (the shard keeps exactness locally, the wire format is
-    always the mergeable sketch).
-    """
-    if isinstance(tracker, QuantileSketch):
-        state = tracker.state()
-    else:
-        sketch = QuantileSketch(accuracy)
-        sketch.extend(tracker.samples())
-        state = sketch.state()
-    return tuple(sorted(state.items()))
-
-
-def _scope_summary(window: SlaWindow, accuracy: float) -> ScopeSlaSummary:
-    return ScopeSlaSummary(
-        probes_total=window.probes_total,
-        probes_ok=window.probes_ok,
-        timeouts_rnic=window.timeouts_rnic,
-        timeouts_switch=window.timeouts_switch,
-        timeouts_non_network=window.timeouts_non_network,
-        rtt_sketch=_sketch_state(window.rtt, accuracy),
-        processing_sketch=_sketch_state(window.processing, accuracy))
-
-
-def _loc_items(loc: Optional[Localization]
-               ) -> tuple[tuple[tuple[str, int], ...], int]:
-    if loc is None:
-        return (), 0
-    return tuple(sorted(loc.votes.items())), loc.paths_considered
+    def evidence(self) -> WindowEvidence:
+        """The evidence this summary carries, ready to conclude over."""
+        sla = SlaReport(self.window_start_ns, self.window_end_ns)
+        self.cluster_sla.fill(sla.cluster)
+        self.service_sla.fill(sla.service)
+        cluster, service = (SideTally(Counter(dict(votes)), paths, anomalies)
+                            for votes, paths, anomalies in self.tallies)
+        return WindowEvidence(
+            window_start_ns=self.window_start_ns,
+            window_end_ns=self.window_end_ns,
+            results_processed=self.results_processed,
+            down_hosts=set(self.down_hosts),
+            qpn_reset_timeouts=self.qpn_reset_timeouts,
+            anomalous_rnics=set(self.anomalous_rnics),
+            cpu_noise_hosts=set(self.cpu_noise_hosts),
+            problems=list(self.problems),
+            latency_problems=list(self.latency_problems),
+            tallies=(cluster, service),
+            sla=sla,
+            service_members=self.service_members,
+            int_links=self.int_links)
 
 
 # -- controller tier -----------------------------------------------------------
@@ -366,10 +398,10 @@ class RootController:
 class AnalyzerShard(Analyzer):
     """An Analyzer scoped to one pod group's uploads.
 
-    Runs the unmodified classification pipeline on pod-local evidence,
-    augmented by the root's fused cluster state (remote down hosts and
-    quarantines, applied with a one-window lag), ships a summary upward
-    after every window, and trims local retention."""
+    Gathers with the unmodified classification pipeline on pod-local
+    evidence, augmented by the root's fused cluster state (remote down
+    hosts and quarantines, applied with a one-window lag), ships the
+    evidence upward, and keeps a trimmed pod-local view of its own."""
 
     def __init__(self, cluster: Cluster, controller: Controller,
                  config: RPingmeshConfig, shard_index: int, *,
@@ -379,22 +411,7 @@ class AnalyzerShard(Analyzer):
         self.shard_index = shard_index
         self._root_endpoint = root_endpoint
         self._remote_down: set[str] = set()
-        # Per-side (cluster/service) localization evidence for the window
-        # being analysed, WITHOUT the min-anomalies gate: Algorithm-1
-        # votes are additive over disjoint anomaly sets, so shipping the
-        # ungated tallies lets the root reproduce the unsharded vote
-        # exactly and apply the threshold to the cluster-wide sum.
-        self._side_evidence: dict[bool, tuple[Optional[Localization], int]]
-        self._side_evidence = {}
-        # INT evidence source for summary slicing.  Deliberately NOT the
-        # base class's int_provider: fusion must run exactly once per
-        # window, at the root, on the merged cluster-wide evidence —
-        # shard-local fusion would duplicate INT-origin problems upward.
-        self._int_source = None
-
-    def attach_int_evidence(self, provider) -> None:
-        """Slice INT evidence into summaries; the root fuses."""
-        self._int_source = provider
+        self._pods = {pod_of_tor(tor) for tor in controller.owned_tors()}
 
     def bind(self, network: ManagementNetwork) -> Endpoint:
         endpoint = super().bind(network)
@@ -418,75 +435,22 @@ class AnalyzerShard(Analyzer):
         return down | {h for h in self._remote_down
                        if h not in self._last_upload_ns}
 
+    def _int_links(self, window_end_ns: int) -> tuple:
+        """The pod-owned slice: slices are disjoint across shards, so the
+        root's merge sees every link's evidence exactly once."""
+        return slice_links(super()._int_links(window_end_ns), self._pods,
+                           include_unowned=self.shard_index == 0)
+
     def analyze(self) -> WindowAnalysis:
-        window = super().analyze()
+        evidence = self.gather()
         assert self.endpoint is not None
-        self.endpoint.send(self._root_endpoint, "shard_summary",
-                           self._summarize(window))
+        self.endpoint.send(
+            self._root_endpoint, "shard_summary",
+            ShardWindowSummary.of(self.shard_index, evidence,
+                                  self._quarantined_until))
+        window = self.conclude([evidence])
         self._trim_retention()
         return window
-
-    def _emit_problems(self, results, classification, window, now) -> None:
-        super()._emit_problems(results, classification, window, now)
-        # Capture the ungated per-side vote tallies for the summary (the
-        # base class only localizes above min_anomalies_for_localization;
-        # the root needs every shard's votes to reproduce the cluster-wide
-        # tally and apply that gate to the summed count).
-        by_seq = {r.seq: r for r in results}
-        self._side_evidence = {}
-        for service_side in (False, True):
-            anomalies = [
-                by_seq[s] for s, c in classification.items()
-                if c == ProblemCategory.SWITCH_NETWORK_PROBLEM
-                and (by_seq[s].kind == ProbeKind.SERVICE_TRACING)
-                == service_side]
-            loc = (localize([r.probe_path for r in anomalies],
-                            [r.ack_path for r in anomalies])
-                   if anomalies else None)
-            self._side_evidence[service_side] = (loc, len(anomalies))
-
-    def _summarize(self, window: WindowAnalysis) -> ShardWindowSummary:
-        accuracy = self.config.sketch_relative_accuracy
-        report = self.sla.latest()
-        assert report is not None  # analyze() always appends one
-        cluster_loc, cluster_n = self._side_evidence.get(False, (None, 0))
-        service_loc, service_n = self._side_evidence.get(True, (None, 0))
-        cluster_votes, cluster_paths = _loc_items(cluster_loc)
-        service_votes, service_paths = _loc_items(service_loc)
-        cls = ProblemCategory.SWITCH_NETWORK_PROBLEM
-        int_links: tuple = ()
-        if self._int_source is not None:
-            summary = self._int_source.window_summary(window.window_end_ns)
-            if summary is not None:
-                scope = getattr(self.controller, "_scope_tors", None) or ()
-                pods = {pod_of_tor(tor) for tor in scope}
-                int_links = slice_links(
-                    summary.links, pods,
-                    include_unowned=self.shard_index == 0)
-        return ShardWindowSummary(
-            shard=self.shard_index,
-            window_start_ns=window.window_start_ns,
-            window_end_ns=window.window_end_ns,
-            results_processed=window.results_processed,
-            down_hosts=tuple(sorted(window.down_hosts)),
-            qpn_reset_timeouts=window.qpn_reset_timeouts,
-            anomalous_rnics=tuple(sorted(window.anomalous_rnics)),
-            cpu_noise_hosts=tuple(sorted(window.cpu_noise_hosts)),
-            quarantined=tuple(sorted(self._quarantined_until.items())),
-            # Copies: the root re-prioritises fused problems; aliasing the
-            # shard's Problem objects would let that mutation leak back.
-            problems=tuple(dataclasses.replace(p) for p in window.problems
-                           if p.category != cls),
-            cluster_votes=cluster_votes,
-            cluster_paths=cluster_paths,
-            cluster_anomalies=cluster_n,
-            service_votes=service_votes,
-            service_paths=service_paths,
-            service_anomalies=service_n,
-            service_members=tuple(sorted(self._service_members)),
-            cluster_sla=_scope_summary(report.cluster, accuracy),
-            service_sla=_scope_summary(report.service, accuracy),
-            int_links=int_links)
 
     def _trim_retention(self) -> None:
         """Drop windows/reports already summarised to the root."""
@@ -500,38 +464,28 @@ class AnalyzerShard(Analyzer):
             del self.sla.reports[:-keep]
 
 
-class RootAnalyzer:
-    """Fuses per-pod shard summaries into cluster-wide conclusions.
+class RootAnalyzer(Analyzer):
+    """The Analyzer of the whole cluster, fed by shard summaries.
 
-    Exposes the same read surface as :class:`Analyzer` (``windows``,
-    ``problems``, ``sla``, ``network_innocent`` …) so dashboards, replay
-    digests, and experiments consume fused output unchanged."""
+    Everything downstream of the evidence — verdicts, SLA history,
+    service-network membership, priorities, window listeners — is the
+    base class's; this class only collects one summary per shard per
+    window, hands their evidence to :meth:`Analyzer.conclude`, and tells
+    the shards what the cluster as a whole now knows."""
 
-    def __init__(self, cluster: Cluster, config: RPingmeshConfig,
-                 shards: list[AnalyzerShard]):
-        self.cluster = cluster
-        self.config = config
+    def __init__(self, cluster: Cluster, controller: "RootController",
+                 config: RPingmeshConfig, shards: list[AnalyzerShard]):
+        super().__init__(cluster, controller, config)
         self.shards = shards
-        self.service_monitor: Optional[ServiceMonitor] = None
-        self.endpoint: Optional[Endpoint] = None
-        self.sla = SlaHistory()
-        self.windows: list[WindowAnalysis] = []
-        self.problems: list[Problem] = []
-        self.category_counts: Counter = Counter()
-        self.fusions = 0
-        self.int_provider = None
-        self.fusion = FusionReport()
         # window_end_ns -> shard index -> summary, fused once complete.
-        self._pending: dict[int, dict[int, ShardWindowSummary]] = {}
-        self._service_members: dict[str, int] = {}
-        self._started = False
+        self._summaries: dict[int, dict[int, ShardWindowSummary]] = {}
 
     # -- wiring -----------------------------------------------------------------
 
     def bind(self, network: ManagementNetwork) -> Endpoint:
         """Attach the root endpoint and bind every shard."""
         self.endpoint = (
-            Endpoint(ANALYZER_ENDPOINT, network)
+            Endpoint(self.endpoint_name, network)
             .on("shard_summary", self._receive_summary))
         for shard in self.shards:
             shard.bind(network)
@@ -547,7 +501,7 @@ class RootAnalyzer:
 
     def attach_service_monitor(self, monitor: ServiceMonitor) -> None:
         """Feed the degradation signal to the root and every shard."""
-        self.service_monitor = monitor
+        super().attach_service_monitor(monitor)
         for shard in self.shards:
             shard.attach_service_monitor(monitor)
 
@@ -557,148 +511,28 @@ class RootAnalyzer:
             shard.add_upload_listener(listener)
 
     def attach_int_evidence(self, provider) -> None:
-        """Enable INT fusion: shards slice evidence, the root fuses it."""
-        self.int_provider = provider
+        """Enable INT fusion: shards slice the evidence, the root fuses."""
+        super().attach_int_evidence(provider)
         for shard in self.shards:
             shard.attach_int_evidence(provider)
 
-    # -- summary ingestion & fusion ----------------------------------------------
+    # -- summary collection --------------------------------------------------------
 
     def _receive_summary(self, summary: ShardWindowSummary) -> None:
-        bucket = self._pending.setdefault(summary.window_end_ns, {})
+        bucket = self._summaries.setdefault(summary.window_end_ns, {})
         bucket[summary.shard] = summary
         if len(bucket) == len(self.shards):
             # Straggler discipline: a complete window also flushes any
             # older partial ones (a dead/partitioned shard must not wedge
             # fusion forever).
-            for end in sorted(self._pending):
+            for end in sorted(self._summaries):
                 if end <= summary.window_end_ns:
-                    self._fuse(end, self._pending.pop(end))
+                    self._fuse(self._summaries.pop(end))
 
-    def _fuse(self, window_end_ns: int,
-              summaries: dict[int, ShardWindowSummary]) -> None:
-        """Merge one window's shard summaries into cluster conclusions."""
-        self.fusions += 1
+    def _fuse(self, summaries: dict[int, ShardWindowSummary]) -> None:
+        """Conclude one window over its shards, then tell them about it."""
         ordered = [summaries[i] for i in sorted(summaries)]
-        window = WindowAnalysis(
-            window_start_ns=min(s.window_start_ns for s in ordered),
-            window_end_ns=window_end_ns)
-        window.results_processed = sum(s.results_processed for s in ordered)
-        window.qpn_reset_timeouts = sum(s.qpn_reset_timeouts
-                                        for s in ordered)
-        for s in ordered:
-            window.down_hosts.update(s.down_hosts)
-            window.anomalous_rnics.update(s.anomalous_rnics)
-            window.cpu_noise_hosts.update(s.cpu_noise_hosts)
-            for member in s.service_members:
-                self._service_members[member] = window_end_ns
-
-        # Pod-local problems (RNIC/latency verdicts) pass through; switch
-        # problems are re-derived from the *merged* votes so a fault on a
-        # spine seen from several pods localises once, with the combined
-        # tally.  HOST_DOWN merges by host: once the cluster-state
-        # broadcast marks a host down, every pod probing it reports the
-        # same verdict, and the fused evidence is the sum of each pod's
-        # timeouts against it — one problem, cluster-wide evidence.
-        host_down: dict[str, Problem] = {}
-        for s in ordered:
-            for p in s.problems:
-                if p.category != ProblemCategory.HOST_DOWN:
-                    window.problems.append(p)
-                elif p.locus in host_down:
-                    host_down[p.locus].evidence_count += p.evidence_count
-                else:
-                    host_down[p.locus] = p
-        window.problems.extend(host_down[h] for h in sorted(host_down))
-        for service_side in (False, True):
-            loc, anomalies = self._merge_localization(ordered, service_side)
-            # Same gate as the unsharded path, applied to the cluster-wide
-            # sum: votes merge additively over the pods' disjoint anomaly
-            # sets, so tally and threshold match the single Analyzer.
-            if anomalies < self.config.min_anomalies_for_localization:
-                continue
-            if service_side:
-                window.service_localization = loc
-            else:
-                window.cluster_localization = loc
-            suspects = loc.suspects[:3] or ["unlocalized"]
-            for suspect in suspects:
-                window.problems.append(Problem(
-                    category=ProblemCategory.SWITCH_NETWORK_PROBLEM,
-                    locus=suspect, detected_at_ns=window_end_ns,
-                    window_start_ns=window.window_start_ns,
-                    evidence_count=anomalies,
-                    from_service_tracing=service_side,
-                    detail=f"votes={loc.votes.get(suspect, 0)}"))
-
-        # INT fusion over the merged per-shard evidence slices — exactly
-        # once per window, after the fused vote problems exist, so the
-        # sharded and single-analyzer paths sharpen the same loci.
-        merged_int = merge_link_evidence(s.int_links for s in ordered)
-        if merged_int:
-            self.fusion.merge(fuse_window(
-                window, merged_int,
-                threshold_ns=self.config.high_rtt_threshold_ns,
-                min_evidence=self.config.min_anomalies_for_localization))
-
-        self._fuse_sla(window, ordered)
-        self._assign_priorities(window)
-        self.windows.append(window)
-        self.problems.extend(window.problems)
-        self.category_counts.update(p.category for p in window.problems)
-        self._broadcast_cluster_state(window, ordered)
-
-    def _merge_localization(self, ordered: list[ShardWindowSummary],
-                            service_side: bool
-                            ) -> tuple[Localization, int]:
-        """Cluster-wide Algorithm-1 tally from per-pod partial tallies.
-
-        Mirrors :func:`~repro.core.localization._argmax` on the merged
-        Counter — including the all-paths-unknown case, where the result
-        carries no suspects and the caller reports "unlocalized"."""
-        votes: Counter = Counter()
-        paths = 0
-        anomalies = 0
-        for s in ordered:
-            items = s.service_votes if service_side else s.cluster_votes
-            votes.update(dict(items))
-            paths += s.service_paths if service_side else s.cluster_paths
-            anomalies += (s.service_anomalies if service_side
-                          else s.cluster_anomalies)
-        if not votes:
-            return Localization(paths_considered=paths), anomalies
-        best = max(votes.values())
-        suspects = sorted(name for name, count in votes.items()
-                          if count == best)
-        return Localization(suspects=suspects, votes=votes,
-                            paths_considered=paths), anomalies
-
-    def _fuse_sla(self, window: WindowAnalysis,
-                  ordered: list[ShardWindowSummary]) -> None:
-        report = SlaReport(
-            window.window_start_ns, window.window_end_ns,
-            tracker=partial(QuantileSketch,
-                            self.config.sketch_relative_accuracy))
-        for scope_name in ("cluster", "service"):
-            scope: SlaWindow = getattr(report, scope_name)
-            for s in ordered:  # sorted shard order: deterministic fold
-                part: ScopeSlaSummary = getattr(s, f"{scope_name}_sla")
-                scope.probes_total += part.probes_total
-                scope.probes_ok += part.probes_ok
-                scope.timeouts_rnic += part.timeouts_rnic
-                scope.timeouts_switch += part.timeouts_switch
-                scope.timeouts_non_network += part.timeouts_non_network
-                scope.rtt.merge(QuantileSketch.from_state(
-                    dict(part.rtt_sketch)))
-                scope.processing.merge(QuantileSketch.from_state(
-                    dict(part.processing_sketch)))
-        self.sla.append(report)
-
-    def _broadcast_cluster_state(
-            self, window: WindowAnalysis,
-            ordered: list[ShardWindowSummary]) -> None:
-        """Push the fused cross-pod evidence back down to every shard."""
-        assert self.endpoint is not None
+        window = self.conclude([s.evidence() for s in ordered])
         quarantined: dict[str, int] = {}
         for s in ordered:
             for rnic, until in s.quarantined:
@@ -709,46 +543,11 @@ class RootAnalyzer:
             "down_hosts": tuple(sorted(window.down_hosts)),
             "quarantined": tuple(sorted(quarantined.items())),
         }
+        assert self.endpoint is not None
         for shard in self.shards:
             self.endpoint.send(shard.endpoint_name, "cluster_state", payload)
 
-    # -- Analyzer-compatible read surface -----------------------------------------
-
-    def in_service_network(self, locus: str,
-                           now: Optional[int] = None) -> bool:
-        """Whether a device/link was in the service network recently."""
-        if now is None:
-            now = self.cluster.sim.now
-        seen = self._service_members.get(locus)
-        if seen is None:
-            return False
-        return now - seen <= 3 * self.config.analysis_period_ns
-
-    def _assign_priorities(self, window: WindowAnalysis) -> None:
-        degraded = (self.service_monitor.degraded()
-                    if self.service_monitor is not None else False)
-        for problem in window.problems:
-            affects_service = (problem.from_service_tracing
-                               or self.in_service_network(
-                                   problem.locus, window.window_end_ns))
-            if affects_service:
-                problem.priority = Priority.P0 if degraded else Priority.P1
-            else:
-                problem.priority = Priority.P2
-
-    def network_innocent(self) -> bool:
-        """§4.3.4 over the latest *fused* window."""
-        if not self.windows:
-            return True
-        return all(p.priority == Priority.P2
-                   for p in self.windows[-1].problems)
-
-    def distinct_problems(self) -> dict[tuple[str, str], list[Problem]]:
-        """Fused problems grouped by (category, locus)."""
-        grouped: dict[tuple[str, str], list[Problem]] = {}
-        for problem in self.problems:
-            grouped.setdefault(problem.key(), []).append(problem)
-        return grouped
+    # -- per-shard sums ------------------------------------------------------------
 
     @property
     def ingest_accepted(self) -> int:
@@ -764,6 +563,5 @@ class RootAnalyzer:
 
     def memory_bytes(self) -> int:
         """Whole analyzer tier: fused state plus every shard's retention."""
-        windows = sum(512 + 128 * len(w.problems) for w in self.windows)
-        own = 1024 + windows + self.sla.memory_bytes()
-        return own + sum(s.memory_bytes() for s in self.shards)
+        return super().memory_bytes() + sum(s.memory_bytes()
+                                            for s in self.shards)

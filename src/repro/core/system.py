@@ -82,8 +82,8 @@ class RPingmesh:
             analyzer_shards = [
                 AnalyzerShard(cluster, controller_shards[i], self.config, i)
                 for i in range(self.pod_map.shard_count)]
-            self.analyzer = RootAnalyzer(cluster, self.config,
-                                         analyzer_shards)
+            self.analyzer = RootAnalyzer(cluster, self.controller,
+                                         self.config, analyzer_shards)
             self.analyzer.bind(self.network)
             self.agents: dict[str, Agent] = {}
             for host_name, host in sorted(cluster.hosts.items()):

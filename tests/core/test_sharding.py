@@ -7,8 +7,10 @@ from repro.core.config import RPingmeshConfig
 from repro.core.records import ProblemCategory
 from repro.core.sharding import PodMap, pod_of_tor
 from repro.core.system import RPingmesh
+from repro.core.tracker import ProblemTracker
 from repro.net.clos import ClosParams
 from repro.net.faults import HostDown, LinkCorruption
+from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.units import seconds
 
 POD4 = ClosParams(pods=4, tors_per_pod=2, aggs_per_pod=2, spines=2,
@@ -162,10 +164,10 @@ class TestShardedFaultParity:
 
     def test_fusion_ran_every_window(self, verdicts):
         root = verdicts["sharded"].analyzer
-        assert root.fusions == len(root.windows)
-        assert root.fusions >= 2
+        ends = [w.window_end_ns for w in root.windows]
+        assert ends == [seconds(20), seconds(40)]
         # No wedged partial windows left behind.
-        assert not root._pending
+        assert not root._summaries
 
 
 class TestRootAnalyzerSurface:
@@ -260,6 +262,43 @@ class TestHostDownFusion:
         others = [s for s in system.analyzer.shards
                   if s.shard_index != home]
         assert any("host0" in s._remote_down for s in others)
+
+
+class TestOneVerdictStage:
+    """The root concludes with the single Analyzer's code, so what that
+    code does after the merge cannot differ between deployments."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_service_membership_expires(self, shards):
+        cluster, system = deploy(shards=shards, sla_sketch=False)
+        members = [f"host{i}-rnic0" for i in (0, 1, 4, 5)]  # pods 0 and 1
+        job = DmlJob(cluster, members,
+                     DmlConfig(pattern=CommPattern.ALL2ALL))
+        job.start()
+        cluster.sim.run_for(seconds(45))
+        assert all(system.analyzer.in_service_network(m) for m in members)
+        job.stop()
+        # > 3 analysis periods after the last service-tracing probe.
+        cluster.sim.run_for(seconds(100))
+        assert not any(system.analyzer.in_service_network(m)
+                       for m in members)
+
+    def test_problem_tracker_follows_fused_windows(self):
+        cluster, system = deploy(shards=2)
+        tracker = ProblemTracker()
+        tracker.attach(system.analyzer)
+        cluster.sim.run_for(seconds(10))
+        LinkCorruption(cluster, "pod1-tor0", "pod1-agg0",
+                       drop_prob=0.5).inject()
+        cluster.sim.run_for(seconds(55))
+        fused = {p.key() for p in system.analyzer.problems
+                 if p.category in ProblemTracker.TICKETED}
+        assert fused
+        assert {(t.category.value, t.locus)
+                for t in tracker.tickets} == fused
+        assert sum(t.windows_seen for t in tracker.tickets) == sum(
+            1 for p in system.analyzer.problems
+            if p.category in ProblemTracker.TICKETED)
 
 
 class TestDefaultPathUnchanged:
