@@ -40,7 +40,9 @@ from functools import partial
 from typing import Any, Optional
 
 from repro.cluster import Cluster
-from repro.controlplane.clients import ControllerClient, UploadChannel
+from repro.controlplane.clients import (ANALYZER_ENDPOINT,
+                                        CONTROLLER_ENDPOINT,
+                                        ControllerClient, UploadChannel)
 from repro.controlplane.endpoint import Endpoint
 from repro.controlplane.transport import ManagementNetwork
 from repro.core.config import RPingmeshConfig
@@ -105,8 +107,8 @@ class Agent:
     def __init__(self, host: Host, cluster: Cluster,
                  network: ManagementNetwork, config: RPingmeshConfig,
                  rng: RngStream, *,
-                 controller_endpoint: Optional[str] = None,
-                 analyzer_endpoint: Optional[str] = None):
+                 controller_endpoint: str = CONTROLLER_ENDPOINT,
+                 analyzer_endpoint: str = ANALYZER_ENDPOINT):
         self.host = host
         self.cluster = cluster
         self.config = config
@@ -117,16 +119,12 @@ class Agent:
         # pair instead of the classic "controller"/"analyzer" singletons.
         self.endpoint = Endpoint(agent_endpoint_name(host.name), network)
         self.endpoint.on("set_pinglists", self._handle_set_pinglists)
-        client_kwargs = ({"controller": controller_endpoint}
-                         if controller_endpoint is not None else {})
         self.client = ControllerClient(self.endpoint, config,
-                                       is_alive=self.host.is_up,
-                                       **client_kwargs)
-        upload_kwargs = ({"analyzer": analyzer_endpoint}
-                         if analyzer_endpoint is not None else {})
+                                       controller_endpoint,
+                                       is_alive=self.host.is_up)
         self.uploads = UploadChannel(self.endpoint, config,
-                                     is_alive=self.host.is_up,
-                                     **upload_kwargs)
+                                     analyzer=analyzer_endpoint,
+                                     is_alive=self.host.is_up)
         # Probe-lifecycle tracing (repro.obs): the Agent owns the span —
         # it opens one per probe sent and closes it exactly once, in
         # _record, which both the success and the timeout paths reach.

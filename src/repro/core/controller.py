@@ -40,7 +40,53 @@ from repro.sim.rng import RngStream
 from repro.sim.units import SECOND
 
 
-class Controller:
+class CommRegistry:
+    """Latest probe-QP comm info of every known RNIC, by name and by IP.
+
+    The read surface the Analyzer, service tracing and the tests use.  A
+    Controller, each :class:`~repro.core.sharding.ControllerShard` and the
+    :class:`~repro.core.sharding.RootController` all *are* one (the
+    shards' and the root's hold replicas), so it is written once here.
+    """
+
+    def __init__(self) -> None:
+        self._registry: dict[str, CommInfo] = {}      # rnic name -> comm info
+        self._by_ip: dict[str, str] = {}              # ip -> rnic name
+
+    def _store(self, rnic_name: str, info: CommInfo) -> None:
+        self._registry[rnic_name] = info
+        self._by_ip[info.ip] = rnic_name
+
+    def _forget(self, rnic_name: str) -> None:
+        info = self._registry.pop(rnic_name, None)
+        if info is not None:
+            self._by_ip.pop(info.ip, None)
+
+    def comm_info(self, rnic_name: str) -> CommInfo:
+        """Latest registered comm info for an RNIC."""
+        try:
+            return self._registry[rnic_name]
+        except KeyError:
+            raise KeyError(f"RNIC not registered: {rnic_name}") from None
+
+    def current_qpn(self, rnic_name: str) -> Optional[int]:
+        """The registry's QPN for an RNIC (None if unregistered)."""
+        info = self._registry.get(rnic_name)
+        return info.qpn if info else None
+
+    def resolve_ip(self, ip: str) -> Optional[tuple[str, CommInfo]]:
+        """Service-tracing lookup: peer IP -> (rnic name, comm info)."""
+        rnic_name = self._by_ip.get(ip)
+        if rnic_name is None:
+            return None
+        return rnic_name, self._registry[rnic_name]
+
+    def registered_rnics(self) -> list[str]:
+        """All registered RNIC names, sorted."""
+        return sorted(self._registry)
+
+
+class Controller(CommRegistry):
     """Central registry + pinglist generator.
 
     ``scope`` restricts pinglist *ownership* to a subset of ToR switches —
@@ -57,13 +103,12 @@ class Controller:
                  rng: RngStream, *,
                  endpoint_name: str = CONTROLLER_ENDPOINT,
                  scope: Optional[Sequence[str]] = None):
+        super().__init__()
         self.cluster = cluster
         self.config = config
         self.rng = rng
         self.endpoint_name = endpoint_name
         self._scope_tors = sorted(scope) if scope is not None else None
-        self._registry: dict[str, CommInfo] = {}      # rnic name -> comm info
-        self._by_ip: dict[str, str] = {}              # ip -> rnic name
         self._agent_endpoints: dict[str, str] = {}    # host -> endpoint name
         self._host_rnics: dict[str, list[str]] = {}   # host -> rnic names
         self.endpoint: Optional[Endpoint] = None
@@ -107,8 +152,7 @@ class Controller:
         self._agent_endpoints[host] = agent_endpoint
         self._host_rnics[host] = list(comm_infos)
         for rnic_name, info in comm_infos.items():
-            self._registry[rnic_name] = info
-            self._by_ip[info.ip] = rnic_name
+            self._store(rnic_name, info)
         if self._started:
             # Late registration (slow management network): refresh so the
             # newcomer gets pinglists — and appears in its ToR peers' —
@@ -129,9 +173,7 @@ class Controller:
         rnics = self._host_rnics.pop(host, [])
         self._agent_endpoints.pop(host, None)
         for rnic_name in rnics:
-            info = self._registry.pop(rnic_name, None)
-            if info is not None:
-                self._by_ip.pop(info.ip, None)
+            self._forget(rnic_name)
         if self._started and rnics:
             if self.config.incremental_pinglists:
                 self._push_delta(sorted(rnics))
@@ -140,31 +182,7 @@ class Controller:
 
     def update_comm_info(self, rnic_name: str, info: CommInfo) -> None:
         """Refresh one RNIC's comm info (Agent restart path)."""
-        self._registry[rnic_name] = info
-        self._by_ip[info.ip] = rnic_name
-
-    def comm_info(self, rnic_name: str) -> CommInfo:
-        """Latest registered comm info for an RNIC."""
-        try:
-            return self._registry[rnic_name]
-        except KeyError:
-            raise KeyError(f"RNIC not registered: {rnic_name}") from None
-
-    def current_qpn(self, rnic_name: str) -> Optional[int]:
-        """The registry's QPN for an RNIC (None if unregistered)."""
-        info = self._registry.get(rnic_name)
-        return info.qpn if info else None
-
-    def resolve_ip(self, ip: str) -> Optional[tuple[str, CommInfo]]:
-        """Service-tracing lookup: peer IP -> (rnic name, comm info)."""
-        rnic_name = self._by_ip.get(ip)
-        if rnic_name is None:
-            return None
-        return rnic_name, self._registry[rnic_name]
-
-    def registered_rnics(self) -> list[str]:
-        """All registered RNIC names, sorted."""
-        return sorted(self._registry)
+        self._store(rnic_name, info)
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -106,9 +106,8 @@ def render_analyzer_state(analyzer: Analyzer, *,
         lines.append(f"recent problems (last {len(recent)}):")
         lines.extend("  " + render_problem(p) for p in recent)
     # INT fusion tallies, when an in-band telemetry provider is attached.
-    fusion = getattr(analyzer, "fusion", None)
-    if fusion is not None and getattr(analyzer, "int_provider",
-                                      None) is not None:
+    fusion = analyzer.fusion
+    if analyzer.int_provider is not None:
         lines.append(f"int fusion: sharpened={fusion.sharpened} "
                      f"annotated={fusion.annotated} added={fusion.added} "
                      f"ties_broken={fusion.ties_broken}")
@@ -137,7 +136,7 @@ def render_control_plane(system: "RPingmesh", *,
                  f"queued={analyzer.ingest_backlog}")
     # Sharded deployments: the ingest bound is per shard, so one hot pod
     # can drop batches while the totals above look healthy.
-    for shard in getattr(analyzer, "shards", []):
+    for shard in system.analyzer_shards:
         lines.append(f"  shard{shard.shard_index}: "
                      f"accepted={shard.ingest_accepted} "
                      f"dropped={shard.ingest_dropped} "

@@ -41,7 +41,7 @@ from repro.controlplane.transport import ManagementNetwork
 from repro.core.analyzer import (Analyzer, ServiceMonitor, SideTally,
                                  WindowAnalysis, WindowEvidence)
 from repro.core.config import RPingmeshConfig
-from repro.core.controller import Controller
+from repro.core.controller import CommRegistry, Controller
 from repro.core.records import Problem
 from repro.core.sla import SlaReport, SlaWindow, as_sketch
 from repro.diagnosis.inband import slice_links
@@ -286,11 +286,9 @@ class ControllerShard(Controller):
         comm_infos: dict[str, CommInfo] = payload["comm_infos"]
         fresh = []
         for rnic_name in sorted(comm_infos):
-            info = comm_infos[rnic_name]
             if rnic_name not in self._registry:
                 fresh.append(rnic_name)
-            self._registry[rnic_name] = info
-            self._by_ip[info.ip] = rnic_name
+            self._store(rnic_name, comm_infos[rnic_name])
         if self._started and fresh:
             if self.config.incremental_pinglists:
                 self._push_delta(fresh)
@@ -298,7 +296,7 @@ class ControllerShard(Controller):
                 self.push_pinglists()
 
 
-class RootController:
+class RootController(CommRegistry):
     """The thin root of the controller tier.
 
     Holds the fused registry, relays registry deltas between shards, and
@@ -309,12 +307,11 @@ class RootController:
 
     def __init__(self, cluster: Cluster, config: RPingmeshConfig,
                  shards: list[ControllerShard]):
+        super().__init__()
         self.cluster = cluster
         self.config = config
         self.shards = shards
         self.endpoint: Optional[Endpoint] = None
-        self._registry: dict[str, CommInfo] = {}
-        self._by_ip: dict[str, str] = {}
         self._started = False
 
     # -- wiring -----------------------------------------------------------------
@@ -340,39 +337,14 @@ class RootController:
     def _handle_replicate(self, payload: dict) -> None:
         comm_infos: dict[str, CommInfo] = payload["comm_infos"]
         for rnic_name in sorted(comm_infos):
-            info = comm_infos[rnic_name]
-            self._registry[rnic_name] = info
-            self._by_ip[info.ip] = rnic_name
+            self._store(rnic_name, comm_infos[rnic_name])
         assert self.endpoint is not None
         for shard in self.shards:
             if shard.shard_index != payload["shard"]:
                 self.endpoint.send(shard.endpoint_name, "registry_delta",
                                    {"comm_infos": comm_infos})
 
-    # -- Controller-compatible read surface --------------------------------------
-
-    def comm_info(self, rnic_name: str) -> CommInfo:
-        """Latest replicated comm info for an RNIC."""
-        try:
-            return self._registry[rnic_name]
-        except KeyError:
-            raise KeyError(f"RNIC not registered: {rnic_name}") from None
-
-    def current_qpn(self, rnic_name: str) -> Optional[int]:
-        """The fused registry's QPN for an RNIC (None if unregistered)."""
-        info = self._registry.get(rnic_name)
-        return info.qpn if info else None
-
-    def resolve_ip(self, ip: str) -> Optional[tuple[str, CommInfo]]:
-        """Service-tracing lookup against the fused registry."""
-        rnic_name = self._by_ip.get(ip)
-        if rnic_name is None:
-            return None
-        return rnic_name, self._registry[rnic_name]
-
-    def registered_rnics(self) -> list[str]:
-        """All replicated RNIC names, sorted."""
-        return sorted(self._registry)
+    # -- per-shard sums ------------------------------------------------------------
 
     def push_pinglists(self) -> None:
         """Force a full refresh on every shard."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster import Cluster
+from repro.controlplane.clients import ANALYZER_ENDPOINT, CONTROLLER_ENDPOINT
 from repro.controlplane.transport import LinkProfile, ManagementNetwork
 from repro.core.agent import Agent
 from repro.core.analyzer import Analyzer, ServiceMonitor
@@ -66,6 +67,8 @@ class RPingmesh:
             metrics=(self.obs.metrics if self.obs.metrics_enabled else None))
         cluster.management = self.network
         self.pod_map: Optional[PodMap] = None
+        # Per-pod AnalyzerShards under a RootAnalyzer; none when unsharded.
+        self.analyzer_shards: list[AnalyzerShard] = []
         if self.config.shards > 1:
             # Two-tier deployment (DESIGN.md §11): per-pod shard pairs
             # under thin roots.  Each Agent talks to its pod's shards.
@@ -78,32 +81,26 @@ class RPingmesh:
                 for i, tors in enumerate(self.pod_map.shard_tors)]
             self.controller = RootController(cluster, self.config,
                                              controller_shards)
-            self.controller.bind(self.network)
-            analyzer_shards = [
-                AnalyzerShard(cluster, controller_shards[i], self.config, i)
-                for i in range(self.pod_map.shard_count)]
-            self.analyzer = RootAnalyzer(cluster, self.controller,
-                                         self.config, analyzer_shards)
-            self.analyzer.bind(self.network)
-            self.agents: dict[str, Agent] = {}
-            for host_name, host in sorted(cluster.hosts.items()):
-                shard = self.pod_map.shard_of_host(cluster, host_name)
-                self.agents[host_name] = Agent(
-                    host, cluster, self.network, self.config,
-                    cluster.rngs.stream(f"agent.{host_name}"),
-                    controller_endpoint=controller_shard_endpoint(shard),
-                    analyzer_endpoint=analyzer_shard_endpoint(shard))
+            self.analyzer_shards = [
+                AnalyzerShard(cluster, shard, self.config, i)
+                for i, shard in enumerate(controller_shards)]
+            self.analyzer: Analyzer = RootAnalyzer(
+                cluster, self.controller, self.config, self.analyzer_shards)
         else:
             self.controller = Controller(cluster, self.config,
                                          cluster.rngs.stream("controller"))
-            self.controller.bind(self.network)
             self.analyzer = Analyzer(cluster, self.controller, self.config)
-            self.analyzer.bind(self.network)
-            self.agents = {
-                host_name: Agent(host, cluster, self.network, self.config,
-                                 cluster.rngs.stream(f"agent.{host_name}"))
-                for host_name, host in sorted(cluster.hosts.items())
-            }
+        self.controller.bind(self.network)
+        self.analyzer.bind(self.network)
+        self.agents: dict[str, Agent] = {}
+        for host_name, host in sorted(cluster.hosts.items()):
+            controller_endpoint, analyzer_endpoint = \
+                self._endpoints_serving(host_name)
+            self.agents[host_name] = Agent(
+                host, cluster, self.network, self.config,
+                cluster.rngs.stream(f"agent.{host_name}"),
+                controller_endpoint=controller_endpoint,
+                analyzer_endpoint=analyzer_endpoint)
         # What the replay digest pins about probe results (DESIGN.md §7).
         self.upload_digest = UploadDigest()
         self.analyzer.add_upload_listener(self.upload_digest)
@@ -119,6 +116,13 @@ class RPingmesh:
         self._started = False
         if self.obs.metrics_enabled:
             self.obs.metrics.register_collector(self._collect_system)
+
+    def _endpoints_serving(self, host_name: str) -> tuple[str, str]:
+        """The (controller, analyzer) endpoint names a host's Agent uses."""
+        if self.pod_map is None:
+            return CONTROLLER_ENDPOINT, ANALYZER_ENDPOINT
+        shard = self.pod_map.shard_of_host(self.cluster, host_name)
+        return controller_shard_endpoint(shard), analyzer_shard_endpoint(shard)
 
     def start(self) -> None:
         """Bring the whole system up (idempotent).
@@ -174,7 +178,7 @@ class RPingmesh:
         # Sharded deployments additionally expose per-shard ingest health
         # (the bounded queue is per shard, so the sums above can hide one
         # hot pod saturating its own slice).
-        for shard in getattr(self.analyzer, "shards", []):
+        for shard in self.analyzer_shards:
             label = str(shard.shard_index)
             m.counter("repro_analyzer_shard_ingest_accepted_total",
                       shard=label).value = shard.ingest_accepted
@@ -209,8 +213,8 @@ class RPingmesh:
                       backend=name).value = cost.telemetry_bytes
             m.counter("repro_diagnosis_events_observed_total",
                       backend=name).value = cost.events_observed
-        fusion = getattr(self.analyzer, "fusion", None)
-        if fusion is not None and self.analyzer.int_provider is not None:
+        fusion = self.analyzer.fusion
+        if self.analyzer.int_provider is not None:
             m.counter("repro_fusion_sharpened_total").value = fusion.sharpened
             m.counter("repro_fusion_annotated_total").value = fusion.annotated
             m.counter("repro_fusion_added_total").value = fusion.added
