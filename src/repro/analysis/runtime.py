@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
 from repro.cluster import Cluster
@@ -176,18 +177,83 @@ def replay_digest(scenario: Scenario, seed: int) -> ReplayReport:
     )
 
 
-def default_scenario(seed: int, *,
-                     check_invariants: bool = True,
-                     duration_ns: Optional[int] = None,
-                     obs: Optional[Any] = None,
-                     sanitize: bool = False,
-                     poolsan_out: Optional[list] = None) -> dict[str, Any]:
-    """The reference scenario for replay tests: small, noisy, eventful.
+# -- reference scenarios -------------------------------------------------------
+#
+# Fixed workloads spanning the engine's behaviour space.  The golden three
+# are digested by tests/sim/test_golden_digests.py against checked-in
+# hashes: any engine/fabric change that silently alters a probe result, RNG
+# draw order, or a drop decision flips a hash and fails tier-1.  The
+# definitions are therefore FROZEN: changing a topology, duration, fault
+# dose or config value here invalidates the checked-in hashes.
 
-    A tiny Clos cluster with a lossy/jittery control plane and a
-    corrupting fabric link, run for two analysis windows — enough to
-    exercise the scheduler, every RNG stream, retries, and the analyzer's
-    anomaly paths, while staying fast enough for tier-1 tests.
+_TINY = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2,
+                   spines=1, hosts_per_tor=2)
+_SLOW_CONTROL = {"control_latency_ns": 200 * MICROSECOND,
+                 "control_jitter_ns": 50 * MICROSECOND}
+# Every scenario's faults sit on this one uplink cable.
+_UPLINK = ("pod0-tor0", "pod0-agg0")
+_MID_RUN = (5 * SECOND, 35 * SECOND)
+
+
+@dataclass(frozen=True)
+class ScenarioDef:
+    """One reference world: what to build, what to break, and why.
+
+    ``faults`` are ``(fault class, kwargs, window)`` on :data:`_UPLINK`,
+    applied in order after the system starts; a ``None`` window injects
+    at once, a ``(start_ns, end_ns)`` one goes through a FaultManager.
+    """
+
+    covers: str
+    config: Mapping[str, Any]
+    faults: tuple = ()
+    params: ClosParams = _TINY
+
+
+SCENARIOS: dict[str, ScenarioDef] = {
+    "quiet": ScenarioDef(
+        "healthy fabric, clean control plane: the pure probe/ack/analyze "
+        "machinery over hops that are quiet end to end (walker lookahead)",
+        {**_SLOW_CONTROL, "control_loss_prob": 0.0}),
+    "faulted": ScenarioDef(
+        "lossy/jittery control plane + a corrupting link: every RNG "
+        "stream, retries, per-hop drop draws, the analyzer's anomaly paths",
+        {**_SLOW_CONTROL, "control_loss_prob": 0.02},
+        ((LinkCorruption, {"drop_prob": 0.3}, None),)),
+    "congested": ScenarioDef(
+        "a 1.3x-overloaded uplink with misconfigured PFC headroom from "
+        "5 s to 35 s: fluid-queue integration, overflow drops, RTT "
+        "inflation, quiet -> loaded -> quiet transitions mid-run",
+        {**_SLOW_CONTROL, "control_loss_prob": 0.0},
+        ((LinkOverload, {"extra_gbps": 520.0}, _MID_RUN),
+         (PfcHeadroomMisconfig, {}, _MID_RUN))),
+    # Not golden (no pinned hash): these drag default-off subsystems
+    # across the sanitized pools; sanitize-on/off equality is what is
+    # pinned.
+    "sharded": ScenarioDef(
+        "two pods, shards=2 + sketch SLA: summary shipping, sketch "
+        "states, fused verdicts",
+        {**_SLOW_CONTROL, "control_loss_prob": 0.01,
+         "shards": 2, "sla_sketch": True},
+        ((LinkCorruption, {"drop_prob": 0.25}, None),),
+        ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2,
+                   spines=1, hosts_per_tor=1)),
+    "int_telemetry": ScenarioDef(
+        "congestion with the INT backend deployed: per-hop stamps on "
+        "pooled packets' payloads, popped at delivery, window drains, "
+        "Analyzer fusion",
+        {"backends": ("probe", "int")},
+        ((LinkOverload, {"extra_gbps": 520.0}, _MID_RUN),)),
+}
+
+
+def run_scenario(name: str, seed: int, *,
+                 check_invariants: bool = True,
+                 duration_ns: int = 45 * SECOND,
+                 obs: Optional[Any] = None,
+                 sanitize: bool = False,
+                 poolsan_out: Optional[list] = None) -> dict[str, Any]:
+    """Build ``SCENARIOS[name]`` from ``seed``, run it, snapshot it.
 
     ``obs`` (an :class:`~repro.obs.Observability`) opts the run into the
     observability layer; the returned snapshot is sim state only, so it
@@ -197,179 +263,32 @@ def default_scenario(seed: int, *,
     :class:`~repro.analysis.sanitize.PoolSanitizer` so callers can pull
     its findings without the snapshot (and thus the digest) changing.
     """
-    params = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2,
-                        spines=1, hosts_per_tor=2)
-    cluster = Cluster.clos(params, seed=seed,
+    scenario = SCENARIOS[name]
+    cluster = Cluster.clos(scenario.params, seed=seed,
                            check_invariants=check_invariants,
                            sanitize=sanitize)
     if poolsan_out is not None:
         poolsan_out.append(cluster.sanitizer)
-    config = RPingmeshConfig(
-        control_latency_ns=200 * MICROSECOND,
-        control_jitter_ns=50 * MICROSECOND,
-        control_loss_prob=0.02,
-    )
-    system = RPingmesh(cluster, config, obs=obs)
+    system = RPingmesh(cluster, RPingmeshConfig(**scenario.config), obs=obs)
     system.start()
-    fault = LinkCorruption(cluster, "pod0-tor0", "pod0-agg0",
-                           drop_prob=0.3)
-    fault.inject()
-    system.run(duration_ns if duration_ns is not None else 45 * SECOND)
-    return system_state(system)
-
-
-# -- golden reference scenarios ------------------------------------------------
-#
-# Three fixed workloads spanning the engine's behaviour space, digested by
-# tests/sim/test_golden_digests.py against checked-in hashes.  Any
-# engine/fabric change that silently alters a probe result, RNG draw order,
-# or a drop decision flips a hash and fails tier-1.  Scenario definitions are therefore FROZEN: changing topology,
-# durations, fault doses, or config here invalidates the checked-in hashes.
-
-def _golden_cluster(seed: int, *, sanitize: bool = False) -> Cluster:
-    params = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2,
-                        spines=1, hosts_per_tor=2)
-    return Cluster.clos(params, seed=seed, check_invariants=True,
-                        sanitize=sanitize)
-
-
-def quiet_scenario(seed: int, *, sanitize: bool = False,
-                   poolsan_out: Optional[list] = None) -> dict[str, Any]:
-    """Golden scenario: healthy fabric, clean control plane, no faults.
-
-    Exercises the pure probe/ack/analyze machinery over a fabric whose
-    every hop is quiet: the walker's lookahead end to end.
-    """
-    cluster = _golden_cluster(seed, sanitize=sanitize)
-    if poolsan_out is not None:
-        poolsan_out.append(cluster.sanitizer)
-    config = RPingmeshConfig(
-        control_latency_ns=200 * MICROSECOND,
-        control_jitter_ns=50 * MICROSECOND,
-        control_loss_prob=0.0,
-    )
-    system = RPingmesh(cluster, config)
-    system.start()
-    system.run(45 * SECOND)
-    return system_state(system)
-
-
-def faulted_scenario(seed: int, *, sanitize: bool = False,
-                     poolsan_out: Optional[list] = None) -> dict[str, Any]:
-    """Golden scenario: the lossy-control-plane + corrupting-link reference.
-
-    Identical to :func:`default_scenario` at its defaults; named here so the
-    golden suite reads as (quiet, faulted, congested).
-    """
-    return default_scenario(seed, sanitize=sanitize,
-                            poolsan_out=poolsan_out)
-
-
-def congested_scenario(seed: int, *, sanitize: bool = False,
-                       poolsan_out: Optional[list] = None) -> dict[str, Any]:
-    """Golden scenario: a lossy saturated uplink under a fault window.
-
-    A 1.3x-overloaded tor->agg uplink with PFC headroom misconfigured on
-    the cable, active from t=5s to t=35s via FaultManager windows.  Covers
-    the fluid-queue integration, queue-overflow drops, RTT inflation, and
-    the mid-run fast-path -> slow-path -> fast-path transitions.
-    """
-    cluster = _golden_cluster(seed, sanitize=sanitize)
-    if poolsan_out is not None:
-        poolsan_out.append(cluster.sanitizer)
-    config = RPingmeshConfig(
-        control_latency_ns=200 * MICROSECOND,
-        control_jitter_ns=50 * MICROSECOND,
-        control_loss_prob=0.0,
-    )
-    system = RPingmesh(cluster, config)
-    system.start()
-    faults = FaultManager(cluster)
-    faults.schedule(
-        LinkOverload(cluster, "pod0-tor0", "pod0-agg0", extra_gbps=520.0),
-        start_ns=5 * SECOND, end_ns=35 * SECOND)
-    faults.schedule(
-        PfcHeadroomMisconfig(cluster, "pod0-tor0", "pod0-agg0"),
-        start_ns=5 * SECOND, end_ns=35 * SECOND)
-    system.run(45 * SECOND)
+    windows = FaultManager(cluster)
+    for fault_cls, kwargs, window in scenario.faults:
+        fault = fault_cls(cluster, *_UPLINK, **kwargs)
+        if window is None:
+            fault.inject()
+        else:
+            windows.schedule(fault, start_ns=window[0], end_ns=window[1])
+    system.run(duration_ns)
     return system_state(system)
 
 
 GOLDEN_SCENARIOS: dict[str, Scenario] = {
-    "quiet": quiet_scenario,
-    "faulted": faulted_scenario,
-    "congested": congested_scenario,
-}
+    name: partial(run_scenario, name)
+    for name in ("quiet", "faulted", "congested")}
 
-
-# -- sanitized sweeps ----------------------------------------------------------
-
-def sharded_smoke_scenario(seed: int, *, sanitize: bool = False,
-                           poolsan_out: Optional[list] = None
-                           ) -> dict[str, Any]:
-    """A two-pod, ``shards=2`` + sketch-SLA scenario for sanitized runs.
-
-    Not a golden scenario (no pinned hash): its job is to drag the
-    sharded control plane — summary shipping, sketch states, fused
-    verdicts — across the sanitized pools, per the PoolSan acceptance
-    criteria.  Sanitize-on/off digest equality is what tests pin.
-    """
-    params = ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2,
-                        spines=1, hosts_per_tor=1)
-    cluster = Cluster.clos(params, seed=seed, check_invariants=True,
-                           sanitize=sanitize)
-    if poolsan_out is not None:
-        poolsan_out.append(cluster.sanitizer)
-    config = RPingmeshConfig(
-        control_latency_ns=200 * MICROSECOND,
-        control_jitter_ns=50 * MICROSECOND,
-        control_loss_prob=0.01,
-        shards=2,
-        sla_sketch=True,
-    )
-    system = RPingmesh(cluster, config)
-    system.start()
-    fault = LinkCorruption(cluster, "pod0-tor0", "pod0-agg0",
-                           drop_prob=0.25)
-    fault.inject()
-    system.run(45 * SECOND)
-    return system_state(system)
-
-
-def int_smoke_scenario(seed: int, *, sanitize: bool = False,
-                       poolsan_out: Optional[list] = None
-                       ) -> dict[str, Any]:
-    """A congested run with the INT diagnosis backend deployed.
-
-    Not a golden scenario: INT telemetry is off by default (the golden
-    digests pin the disabled path).  Its job under PoolSan is the
-    telemetry stamp/collect cycle itself — per-hop stamps pushed onto
-    pooled packets' payloads on looked-ahead and evaluated hops, popped at
-    delivery, window drains, and Analyzer fusion — proving the collector
-    neither leaks stamps into reused packets nor retains pooled refs.
-    """
-    cluster = _golden_cluster(seed, sanitize=sanitize)
-    if poolsan_out is not None:
-        poolsan_out.append(cluster.sanitizer)
-    config = RPingmeshConfig(backends=("probe", "int"))
-    system = RPingmesh(cluster, config)
-    system.start()
-    faults = FaultManager(cluster)
-    faults.schedule(
-        LinkOverload(cluster, "pod0-tor0", "pod0-agg0", extra_gbps=520.0),
-        start_ns=5 * SECOND, end_ns=35 * SECOND)
-    system.run(45 * SECOND)
-    return system_state(system)
-
-
-#: What ``python -m repro.analysis --sanitize-check`` (and the CI
-#: sanitizer-smoke job) sweeps: every golden scenario plus the sharded
-#: and INT-telemetry ones.
-SANITIZE_SCENARIOS: dict[str, Scenario] = {
-    **GOLDEN_SCENARIOS,
-    "sharded": sharded_smoke_scenario,
-    "int_telemetry": int_smoke_scenario,
-}
+#: The reference scenario for replay tests: small, noisy, eventful, two
+#: analysis windows, fast enough for tier-1.
+default_scenario: Scenario = GOLDEN_SCENARIOS["faulted"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,17 +309,16 @@ class SanitizeReport:
                 and not self.findings)
 
 
-def sanitize_check(seed: int = 7, *,
-                   scenarios: Optional[Mapping[str, Scenario]] = None
-                   ) -> list[SanitizeReport]:
-    """Run each scenario plain and sanitized; compare digests, collect
-    findings.  The runtime half of the CI sanitizer-smoke gate."""
+def sanitize_check(seed: int = 7) -> list[SanitizeReport]:
+    """Run every reference scenario plain and sanitized; compare digests,
+    collect findings.  The runtime half of the CI sanitizer-smoke gate
+    (``python -m repro.analysis --sanitize-check``)."""
     out: list[SanitizeReport] = []
-    for name, scenario in (scenarios or SANITIZE_SCENARIOS).items():
-        plain = structural_digest(scenario(seed))
+    for name in SCENARIOS:
+        plain = structural_digest(run_scenario(name, seed))
         sink: list = []
         sanitized = structural_digest(
-            scenario(seed, sanitize=True, poolsan_out=sink))
+            run_scenario(name, seed, sanitize=True, poolsan_out=sink))
         sanitizer = sink[0]
         out.append(SanitizeReport(
             scenario=name, seed=seed,

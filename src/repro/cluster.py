@@ -21,7 +21,7 @@ from repro.net.rail import RailFabricPlan, RailParams, build_rail
 from repro.net.topology import Topology
 from repro.net.traceroute import TracerouteService
 from repro.obs import Observability
-from repro.sim.engine import EVENT_POOL_DEFAULT, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 Plan = Union[ClosFabricPlan, RailFabricPlan]
@@ -31,7 +31,7 @@ class Cluster:
     """A fully wired simulated RoCE cluster."""
 
     def __init__(self, sim: Simulator, rngs: RngRegistry, plan: Plan,
-                 *, pooling: bool = True, sanitize: bool = False):
+                 *, sanitize: bool = False):
         self.sim = sim
         self.rngs = rngs
         self.plan = plan
@@ -45,7 +45,7 @@ class Cluster:
             self.sanitizer = PoolSanitizer()
             sim.set_sanitizer(self.sanitizer)
         self.fabric = Fabric(sim, self.topology, rngs.stream("fabric"),
-                             pooling=pooling, sanitizer=self.sanitizer)
+                             sanitizer=self.sanitizer)
         self.traceroute = TracerouteService(self.fabric)
         self.hosts: dict[str, Host] = {}
         self._rnics: dict[str, Rnic] = {}
@@ -78,31 +78,28 @@ class Cluster:
     @classmethod
     def clos(cls, params: Optional[ClosParams] = None, *,
              seed: int = 0, check_invariants: bool = False,
-             pooling: bool = True, sanitize: bool = False) -> "Cluster":
+             sanitize: bool = False) -> "Cluster":
         """Build a 3-tier Clos cluster.
 
-        ``pooling=False`` disables every free-list fast path (events,
-        packets, CQEs) — behaviour must be byte-identical either way,
-        which the pooling-equivalence tests assert via replay digests.
-        ``sanitize=True`` wraps every pool in the PoolSan lifetime
-        sanitizer (same byte-identical contract, same tests).
+        ``sanitize=True`` wraps every pool (events, packets, transits,
+        CQEs) in the PoolSan lifetime sanitizer; behaviour must be
+        byte-identical either way, which ``tests/analysis/test_sanitize.py``
+        asserts via replay digests.
         """
-        sim = Simulator(seed=seed, check_invariants=check_invariants,
-                        event_pool_size=EVENT_POOL_DEFAULT if pooling else 0)
+        sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)
         return cls(sim, rngs, build_clos(params or ClosParams()),
-                   pooling=pooling, sanitize=sanitize)
+                   sanitize=sanitize)
 
     @classmethod
     def rail(cls, params: Optional[RailParams] = None, *,
              seed: int = 0, check_invariants: bool = False,
-             pooling: bool = True, sanitize: bool = False) -> "Cluster":
+             sanitize: bool = False) -> "Cluster":
         """Build a two-tier rail-optimized cluster (§7.4)."""
-        sim = Simulator(seed=seed, check_invariants=check_invariants,
-                        event_pool_size=EVENT_POOL_DEFAULT if pooling else 0)
+        sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)
         return cls(sim, rngs, build_rail(params or RailParams()),
-                   pooling=pooling, sanitize=sanitize)
+                   sanitize=sanitize)
 
     # -- lookups ----------------------------------------------------------------
 

@@ -83,7 +83,7 @@ class ControllerClient:
         if not self._is_alive():
             return  # the host (and its Agent) is gone; restart re-registers
         self.retries += 1
-        self._endpoint.network.note_retry(self._endpoint.name)
+        self._endpoint.stats.retries += 1
         self._request_acked(method, payload, attempt + 1)
 
     def resolve_ip(self, ip: str, on_reply: ReplyCallback) -> None:
@@ -160,5 +160,5 @@ class UploadChannel:
             self._buffer.clear()
             return
         self.retries += 1
-        self._endpoint.network.note_retry(self._endpoint.name)
+        self._endpoint.stats.retries += 1
         self._send(uid, attempt + 1)

@@ -20,12 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.controlplane.messages import Envelope
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
 
 DeliverFn = Callable[[Envelope], None]
 
@@ -54,17 +56,14 @@ class LinkProfile:
 class EndpointStats:
     """Per-endpoint message counters (the control-plane metrics surface).
 
-    Historically a plain dataclass of ints; now a façade over
-    :class:`~repro.obs.metrics.MetricsRegistry` counters named
-    ``repro_controlplane_<field>_total{endpoint="<name>"}`` so the same
-    numbers surface in metric snapshots, Prometheus-style exports, and
-    the legacy attribute reads (``stats.sent``, ``stats.dropped_loss``
-    …) without double bookkeeping.  The field names — and therefore the
-    keys of :meth:`as_dict` — are unchanged.
+    Plain integer slots, bumped on every control-plane message.  With
+    metrics on, :meth:`ManagementNetwork.export_metrics` copies them into
+    ``repro_controlplane_<field>_total{endpoint="<name>"}`` series when a
+    snapshot is taken — pull, like the Fabric/RNIC tallies.
     """
 
     # Field -> one-line meaning (doubles as the counter help text).
-    _FIELDS: dict[str, str] = {
+    FIELDS: dict[str, str] = {
         "sent": "envelopes this endpoint put on the wire",
         "delivered": "of those, how many reached their dst",
         "received": "envelopes delivered *to* this endpoint",
@@ -76,41 +75,11 @@ class EndpointStats:
         "latency_total_ns": "summed delivery delay of received msgs",
     }
 
-    __slots__ = ("_counters",)
+    __slots__ = tuple(FIELDS)
 
-    def __init__(self, registry: MetricsRegistry, endpoint: str):
-        object.__setattr__(self, "_counters", {
-            name: registry.counter(self._series_name(name),
-                                   help=self._FIELDS[name],
-                                   endpoint=endpoint)
-            for name in self._FIELDS})
-
-    @staticmethod
-    def _series_name(fld: str) -> str:
-        if fld.endswith("_total_ns"):  # latency_total_ns, avoid _total_ns_total
-            fld = fld.replace("_total_ns", "_ns")
-        return f"repro_controlplane_{fld}_total"
-
-    def __getattr__(self, name: str) -> int:
-        counters = object.__getattribute__(self, "_counters")
-        try:
-            return counters[name].value
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value: int) -> None:
-        counters = object.__getattribute__(self, "_counters")
-        if name not in counters:
-            raise AttributeError(f"EndpointStats has no field {name!r}")
-        counters[name].value = value
-
-    # The __setattr__ override would reject the default slot-state
-    # restore path, so pickling spells the round-trip out explicitly.
-    def __getstate__(self):
-        return object.__getattribute__(self, "_counters")
-
-    def __setstate__(self, counters) -> None:
-        object.__setattr__(self, "_counters", counters)
+    def __init__(self) -> None:
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
     @property
     def dropped(self) -> int:
@@ -123,13 +92,8 @@ class EndpointStats:
         return self.latency_total_ns / self.received if self.received else 0.0
 
     def as_dict(self) -> dict[str, int]:
-        """The legacy dict shape (field name -> count), plus ``dropped``.
-
-        Deprecated in favour of reading the endpoint's series from
-        ``MetricsRegistry.snapshot()``; kept because dashboards and
-        older callers still expect these exact keys.
-        """
-        out = {name: getattr(self, name) for name in self._FIELDS}
+        """Field name -> count, plus ``dropped``."""
+        out = {name: getattr(self, name) for name in self.FIELDS}
         out["dropped"] = self.dropped
         return out
 
@@ -144,15 +108,10 @@ class ManagementNetwork:
     """Simulated control-plane transport between named endpoints."""
 
     def __init__(self, sim: Simulator, rng: RngStream,
-                 default_profile: Optional[LinkProfile] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 default_profile: Optional[LinkProfile] = None):
         self.sim = sim
         self.rng = rng
         self.default_profile = default_profile or LinkProfile()
-        # Endpoint counters live in a metrics registry; callers that want
-        # the numbers in their own snapshot (RPingmesh with metrics
-        # enabled) pass theirs, everyone else gets a private one.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._links: dict[tuple[str, str], LinkProfile] = {}
         self._attached: dict[str, _Attachment] = {}
         self._partitioned: set[str] = set()
@@ -168,7 +127,7 @@ class ManagementNetwork:
         """Register an endpoint; returns its (live) stats object."""
         if name in self._attached:
             raise ValueError(f"endpoint already attached: {name}")
-        attachment = _Attachment(deliver, EndpointStats(self.metrics, name))
+        attachment = _Attachment(deliver, EndpointStats())
         self._attached[name] = attachment
         return attachment.stats
 
@@ -217,15 +176,15 @@ class ManagementNetwork:
 
     # -- metrics hooks ---------------------------------------------------------------
 
-    def note_retry(self, name: str) -> None:
-        """Record a client-level resend on an endpoint's stats."""
-        if name in self._attached:
-            self._attached[name].stats.retries += 1
-
-    def note_request_timeout(self, name: str) -> None:
-        """Record an expired request on an endpoint's stats."""
-        if name in self._attached:
-            self._attached[name].stats.request_timeouts += 1
+    def export_metrics(self, registry: "MetricsRegistry") -> None:
+        """Copy every endpoint's counters into their metric series."""
+        for name, attachment in self._attached.items():
+            for fld, meaning in EndpointStats.FIELDS.items():
+                # latency_total_ns -> ..._latency_ns_total, not _total_ns_total
+                series = fld.replace("_total_ns", "_ns")
+                registry.counter(f"repro_controlplane_{series}_total",
+                                 help=meaning, endpoint=name
+                                 ).value = getattr(attachment.stats, fld)
 
     # -- the wire ---------------------------------------------------------------------
 

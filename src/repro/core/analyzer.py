@@ -52,9 +52,11 @@ from repro.core.controller import Controller
 from repro.core.localization import Localization, localize
 from repro.core.records import (AgentUpload, Priority, Problem,
                                 ProbeKind, ProbeResult, ProblemCategory)
-from repro.core.sla import SlaHistory, SlaReport, tracker_factory
+from repro.core.sla import SlaHistory, SlaReport
 from repro.diagnosis.fusion import FusionReport, fuse_window
 from repro.diagnosis.inband import merge_link_evidence
+from repro.sim.sketch import QuantileSketch
+from repro.sim.stats import PercentileTracker
 
 
 class ServiceMonitor(Protocol):
@@ -168,7 +170,8 @@ class Analyzer:
         self._service_members: dict[str, int] = {}  # name -> last seen ns
 
         self.sla = SlaHistory()
-        self._tracker = tracker_factory(config)
+        self._tracker = (QuantileSketch if config.sla_sketch
+                         else PercentileTracker)
         self.windows: list[WindowAnalysis] = []
         self.problems: list[Problem] = []
         self.category_counts: Counter = Counter()

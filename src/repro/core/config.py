@@ -80,9 +80,8 @@ class RPingmeshConfig:
     shards: int = 1
     # SLA percentile storage: False = exact PercentileTracker retention
     # (every sample kept per window); True = fixed-memory mergeable
-    # QuantileSketch at ``sketch_relative_accuracy``.
+    # QuantileSketch (1 % relative accuracy, the sketch's own default).
     sla_sketch: bool = False
-    sketch_relative_accuracy: float = 0.01
     # Incremental pinglist maintenance: registry deltas patch only the
     # affected ToR-mesh entries and push only the affected agents, instead
     # of regenerating and re-pushing every pinglist.  Off by default (the
@@ -136,8 +135,6 @@ class RPingmeshConfig:
             raise ValueError("analyzer ingest capacity must be >=1")
         if self.shards < 1:
             raise ValueError("shards must be >=1")
-        if not 0.0 < self.sketch_relative_accuracy < 1.0:
-            raise ValueError("sketch relative accuracy must be in (0,1)")
         if self.shard_window_retention < 1:
             raise ValueError("shard window retention must be >=1")
         if len(set(self.backends)) != len(self.backends):

@@ -112,6 +112,12 @@ class PodMap:
         return self.shard_of_tor(cluster.tor_of(host.rnics[0].name))
 
 
+def _shard_sum(counter: str) -> property:
+    """A root's read-only view of one counter: the sum over its shards."""
+    return property(lambda self: sum(getattr(shard, counter)
+                                     for shard in self.shards))
+
+
 # -- the wire form --------------------------------------------------------------
 
 
@@ -248,13 +254,11 @@ class ControllerShard(Controller):
     """
 
     def __init__(self, cluster: Cluster, config: RPingmeshConfig, rng,
-                 shard_index: int, tors: tuple[str, ...], *,
-                 root_endpoint: str = CONTROLLER_ENDPOINT):
+                 shard_index: int, tors: tuple[str, ...]):
         super().__init__(cluster, config, rng,
                          endpoint_name=controller_shard_endpoint(shard_index),
                          scope=tors)
         self.shard_index = shard_index
-        self._root_endpoint = root_endpoint
 
     def bind(self, network: ManagementNetwork) -> Endpoint:
         endpoint = super().bind(network)
@@ -265,13 +269,13 @@ class ControllerShard(Controller):
                       comm_infos: dict[str, CommInfo]) -> None:
         super().register_host(host, agent_endpoint, comm_infos)
         assert self.endpoint is not None
-        self.endpoint.send(self._root_endpoint, "replicate_registry", {
+        self.endpoint.send(CONTROLLER_ENDPOINT, "replicate_registry", {
             "shard": self.shard_index, "comm_infos": dict(comm_infos)})
 
     def update_comm_info(self, rnic_name: str, info: CommInfo) -> None:
         super().update_comm_info(rnic_name, info)
         if self.endpoint is not None:
-            self.endpoint.send(self._root_endpoint, "replicate_registry", {
+            self.endpoint.send(CONTROLLER_ENDPOINT, "replicate_registry", {
                 "shard": self.shard_index, "comm_infos": {rnic_name: info}})
 
     def _handle_registry_delta(self, payload: dict) -> None:
@@ -305,11 +309,8 @@ class RootController(CommRegistry):
     that work is entirely sharded.
     """
 
-    def __init__(self, cluster: Cluster, config: RPingmeshConfig,
-                 shards: list[ControllerShard]):
+    def __init__(self, shards: list[ControllerShard]):
         super().__init__()
-        self.cluster = cluster
-        self.config = config
         self.shards = shards
         self.endpoint: Optional[Endpoint] = None
         self._started = False
@@ -344,24 +345,14 @@ class RootController(CommRegistry):
                 self.endpoint.send(shard.endpoint_name, "registry_delta",
                                    {"comm_infos": comm_infos})
 
-    # -- per-shard sums ------------------------------------------------------------
-
     def push_pinglists(self) -> None:
         """Force a full refresh on every shard."""
         for shard in self.shards:
             shard.push_pinglists()
 
-    @property
-    def pinglist_pushes(self) -> int:
-        return sum(s.pinglist_pushes for s in self.shards)
-
-    @property
-    def delta_pushes(self) -> int:
-        return sum(s.delta_pushes for s in self.shards)
-
-    @property
-    def rotations(self) -> int:
-        return sum(s.rotations for s in self.shards)
+    pinglist_pushes = _shard_sum("pinglist_pushes")
+    delta_pushes = _shard_sum("delta_pushes")
+    rotations = _shard_sum("rotations")
 
 
 # -- analyzer tier -------------------------------------------------------------
@@ -376,12 +367,10 @@ class AnalyzerShard(Analyzer):
     evidence upward, and keeps a trimmed pod-local view of its own."""
 
     def __init__(self, cluster: Cluster, controller: Controller,
-                 config: RPingmeshConfig, shard_index: int, *,
-                 root_endpoint: str = ANALYZER_ENDPOINT):
+                 config: RPingmeshConfig, shard_index: int):
         super().__init__(cluster, controller, config,
                          endpoint_name=analyzer_shard_endpoint(shard_index))
         self.shard_index = shard_index
-        self._root_endpoint = root_endpoint
         self._remote_down: set[str] = set()
         self._pods = {pod_of_tor(tor) for tor in controller.owned_tors()}
 
@@ -417,7 +406,7 @@ class AnalyzerShard(Analyzer):
         evidence = self.gather()
         assert self.endpoint is not None
         self.endpoint.send(
-            self._root_endpoint, "shard_summary",
+            ANALYZER_ENDPOINT, "shard_summary",
             ShardWindowSummary.of(self.shard_index, evidence,
                                   self._quarantined_until))
         window = self.conclude([evidence])
@@ -521,17 +510,9 @@ class RootAnalyzer(Analyzer):
 
     # -- per-shard sums ------------------------------------------------------------
 
-    @property
-    def ingest_accepted(self) -> int:
-        return sum(s.ingest_accepted for s in self.shards)
-
-    @property
-    def ingest_dropped(self) -> int:
-        return sum(s.ingest_dropped for s in self.shards)
-
-    @property
-    def ingest_backlog(self) -> int:
-        return sum(s.ingest_backlog for s in self.shards)
+    ingest_accepted = _shard_sum("ingest_accepted")
+    ingest_dropped = _shard_sum("ingest_dropped")
+    ingest_backlog = _shard_sum("ingest_backlog")
 
     def memory_bytes(self) -> int:
         """Whole analyzer tier: fused state plus every shard's retention."""

@@ -15,14 +15,13 @@ using two servers under a ToR must not produce a "50% ToR drop rate".
 Percentile storage is pluggable (DESIGN.md §11): the default
 :class:`~repro.sim.stats.PercentileTracker` keeps every sample exactly;
 ``RPingmeshConfig(sla_sketch=True)`` swaps in the fixed-memory mergeable
-:class:`~repro.sim.sketch.QuantileSketch` via :func:`tracker_factory`.
+:class:`~repro.sim.sketch.QuantileSketch` (<= 1 % relative error).
 Both answer ``None`` on empty, so the reporting surface is identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from repro.sim.sketch import QuantileSketch
@@ -33,18 +32,6 @@ MIN_SAMPLES_FOR_AGGREGATION = 20
 
 Tracker = Union[PercentileTracker, QuantileSketch]
 TrackerFactory = Callable[[], Tracker]
-
-
-def tracker_factory(config=None) -> TrackerFactory:
-    """The percentile-store constructor a config selects.
-
-    ``None`` (or ``sla_sketch=False``) keeps exact sample retention;
-    sketch mode trades <= ``sketch_relative_accuracy`` relative error for
-    a fixed per-window footprint and order-independent mergeability.
-    """
-    if config is not None and config.sla_sketch:
-        return partial(QuantileSketch, config.sketch_relative_accuracy)
-    return PercentileTracker
 
 
 def as_sketch(tracker: Tracker) -> QuantileSketch:

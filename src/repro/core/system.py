@@ -63,8 +63,7 @@ class RPingmesh:
             default_profile=LinkProfile(
                 latency_ns=self.config.control_latency_ns,
                 jitter_ns=self.config.control_jitter_ns,
-                loss_prob=self.config.control_loss_prob),
-            metrics=(self.obs.metrics if self.obs.metrics_enabled else None))
+                loss_prob=self.config.control_loss_prob))
         cluster.management = self.network
         self.pod_map: Optional[PodMap] = None
         # Per-pod AnalyzerShards under a RootAnalyzer; none when unsharded.
@@ -79,8 +78,7 @@ class RPingmesh:
                     cluster.rngs.stream(controller_shard_endpoint(i)),
                     i, tors)
                 for i, tors in enumerate(self.pod_map.shard_tors)]
-            self.controller = RootController(cluster, self.config,
-                                             controller_shards)
+            self.controller = RootController(controller_shards)
             self.analyzer_shards = [
                 AnalyzerShard(cluster, shard, self.config, i)
                 for i, shard in enumerate(controller_shards)]
@@ -152,12 +150,11 @@ class RPingmesh:
         return self.agents[host.name]
 
     def control_plane_stats(self) -> dict[str, "object"]:
-        """Per-endpoint control-plane metrics (dashboard/CLI surface).
+        """Per-endpoint control-plane counters (dashboard/CLI surface).
 
-        Deprecated shape: the same numbers now live in the metrics
-        registry as ``repro_controlplane_*{endpoint=...}`` series (see
-        :meth:`metrics_snapshot`); this accessor remains for dashboards
-        and tests that read ``stats.sent`` / ``stats.dropped`` directly.
+        With metrics on, the same numbers are exported as
+        ``repro_controlplane_*{endpoint=...}`` series (see
+        :meth:`metrics_snapshot`).
         """
         return {name: self.network.stats_for(name)
                 for name in self.network.endpoints()}
@@ -201,6 +198,7 @@ class RPingmesh:
             self.network.messages_delivered
         m.counter("repro_controlplane_messages_dropped_total").value = \
             self.network.messages_dropped
+        self.network.export_metrics(m)
         for name, backend in sorted(self.backends.items()):
             cost = backend.cost()
             m.gauge("repro_diagnosis_verdicts",

@@ -335,10 +335,6 @@ class IntBackend:
 
     # -- Analyzer fusion surface ----------------------------------------------
 
-    def window_summary(self, window_end_ns: int) -> Optional[IntWindowSummary]:
-        """Non-consuming accessor for the summary closed at this tick."""
-        return self._summaries.get(window_end_ns)
-
     def link_evidence(self, window_end_ns: int) -> Mapping[str, IntLinkEvidence]:
         """Per-link evidence map for the window closed at this tick."""
         summary = self._summaries.get(window_end_ns)

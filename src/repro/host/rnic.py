@@ -178,11 +178,11 @@ class Rnic:
         # (which writes pcie_gbps directly) invalidates it naturally.
         self._five_tuple_memo: dict[tuple[str, int], FiveTuple] = {}
         self._pcie_memo: tuple[float, dict[int, int]] = (pcie_gbps, {})
-        # CQE free list (bounded; active only when the fabric pools).
+        # CQE free list (bounded).
         self._cqe_free: list[Cqe] = []
-        self._cqe_pool_limit = 64 if fabric.pooling else 0
+        self._cqe_pool_limit = 64
         # Pool sanitizer: explicit kwarg wins, else inherited from the
-        # fabric (the same way the pooling knob is).
+        # fabric.
         self._san = sanitizer if sanitizer is not None else fabric.sanitizer
         # Host TCP stack hook (Pingmesh baseline, checkpoint traffic).
         self.tcp_handler: Optional[

@@ -130,8 +130,7 @@ class Fabric:
     """Forwards packets over a :class:`Topology` inside a simulation."""
 
     def __init__(self, sim: Simulator, topology: Topology, rng: RngStream,
-                 *, pooling: bool = True, packet_pool_size: int = 4096,
-                 sanitizer=None):
+                 *, packet_pool_size: int = 4096, sanitizer=None):
         self.sim = sim
         self.topology = topology
         self.rng = rng
@@ -143,17 +142,14 @@ class Fabric:
         # still detects problems, but traced paths stop matching the
         # packets that died — the stated localisation limitation.
         self._adaptive_routing = False
-        # Pooling knob: False forces fresh allocations everywhere (digest
-        # equivalence with pooling on is a tested invariant).
-        self.pooling = pooling
-        self.packet_pool = PacketPool(
-            limit=packet_pool_size if pooling else 0, sanitizer=sanitizer)
+        self.packet_pool = PacketPool(limit=packet_pool_size,
+                                      sanitizer=sanitizer)
         self._hasher = EcmpHasher()
         # Complete plans per 5-tuple, valid for one Topology.route_epoch.
         self._path_cache: dict = {}
         self._path_cache_epoch = -1
         self._transit_free: list[_Transit] = []
-        self._transit_pool_limit = 1024 if pooling else 0
+        self._transit_pool_limit = 1024
         # packet_id -> the transit whose event is pending.  Insertion
         # ordered, so a demotion reschedules packets in a replayable order.
         self._in_flight: dict[int, _Transit] = {}

@@ -43,7 +43,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 2
+FORMAT = 3
 
 
 class CheckpointError(RuntimeError):

@@ -14,8 +14,8 @@ import pytest
 
 from repro.analysis import (PoolSanitizer, PoolSanitizerError,
                             sanitize_check, structural_digest)
-from repro.analysis.runtime import (GOLDEN_SCENARIOS, SANITIZE_SCENARIOS,
-                                    sharded_smoke_scenario)
+from repro.analysis.runtime import (GOLDEN_SCENARIOS, SCENARIOS,
+                                    run_scenario)
 from repro.cluster import Cluster
 from repro.host.rnic import CqeKind
 from repro.net.addresses import roce_five_tuple
@@ -53,10 +53,10 @@ class TestDigestNeutrality:
         assert sanitizer.report() == []
 
     def test_sharded_scenario_on_off_equality(self):
-        plain = structural_digest(sharded_smoke_scenario(SEED))
+        plain = structural_digest(run_scenario("sharded", SEED))
         sink: list = []
         sanitized = structural_digest(
-            sharded_smoke_scenario(SEED, sanitize=True, poolsan_out=sink))
+            run_scenario("sharded", SEED, sanitize=True, poolsan_out=sink))
         assert sanitized == plain
         (sanitizer,) = sink
         assert sanitizer.report() == []
@@ -64,7 +64,7 @@ class TestDigestNeutrality:
     def test_sanitize_check_harness_is_green(self):
         reports = sanitize_check(SEED)
         assert [r.scenario for r in reports] \
-            == list(SANITIZE_SCENARIOS)
+            == list(SCENARIOS)
         assert all(r.ok for r in reports), \
             [(r.scenario, r.findings) for r in reports]
 

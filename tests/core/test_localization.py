@@ -1,8 +1,10 @@
 """Unit tests for Algorithm 1 (vote-based localisation)."""
 
+from collections import Counter
+
 from hypothesis import given, strategies as st
 
-from repro.core.localization import (detect_abnormal_links,
+from repro.core.localization import (Localization, detect_abnormal_links,
                                      detect_abnormal_switches, localize)
 from repro.net.addresses import roce_five_tuple
 from repro.net.traceroute import PathRecord
@@ -112,3 +114,35 @@ def test_votes_equal_link_occurrences(hop_lists):
     if result.votes:
         best = max(result.votes.values())
         assert all(result.votes[s] == best for s in result.suspects)
+
+
+# Probes as (probe path, ACK path) hop lists with rate-limited (None) hops
+# and missing ACK traces, each tagged with the part it lands in.
+_HOPS = st.lists(st.sampled_from(["s1", "s2", "s3", "s4", None]),
+                 min_size=1, max_size=4)
+_PROBES = st.lists(
+    st.tuples(_HOPS, st.none() | _HOPS, st.integers(0, 3)),
+    max_size=24)
+
+
+@given(_PROBES)
+def test_summed_part_tallies_localize_like_one_vote_over_the_union(probes):
+    """The algebra Analyzer.conclude rests on: Algorithm-1 votes are
+    additive over disjoint parts, so summing per-part Counters and taking
+    the arg-max equals one ``localize`` over all the paths."""
+    def run(subset):
+        return localize(
+            [record("src", *p, "dst") for p, _, _ in subset],
+            [None if a is None else record("dst", *a, "src")
+             for _, a, _ in subset])
+
+    whole = run(probes)
+    votes, paths = Counter(), 0
+    for part in range(4):
+        tally = run([p for p in probes if p[2] == part])
+        votes.update(tally.votes)
+        paths += tally.paths_considered
+    merged = Localization.from_votes(votes, paths)
+    assert merged.votes == whole.votes
+    assert merged.paths_considered == whole.paths_considered
+    assert merged.suspects == whole.suspects

@@ -1,9 +1,12 @@
 """Unit tests for SLA windows, reports, and history."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.sla import (MIN_SAMPLES_FOR_AGGREGATION, SlaHistory,
                             SlaReport, SlaWindow)
+from repro.sim.sketch import QuantileSketch
+from repro.sim.stats import PercentileTracker
 
 
 def window(**kwargs):
@@ -107,3 +110,77 @@ class TestSlaHistory:
             history.append(self._report(i * 20))
         assert len(history.reports) == 3
         assert history.reports[0].window_start_ns == 40
+
+
+# -- the merge Analyzer.conclude rests on ------------------------------------
+
+_COUNTS = ("probes_total", "probes_ok", "timeouts_rnic", "timeouts_switch",
+           "timeouts_non_network")
+# One part of a window: five counts + RTT samples per scope.
+_SCOPE = st.tuples(st.tuples(*[st.integers(0, 10_000)] * 5),
+                   st.lists(st.floats(1_000.0, 1e9), max_size=30))
+_PART = st.tuples(_SCOPE, _SCOPE)
+
+
+def _report(part, tracker, start=0):
+    report = SlaReport(start, 20_000_000_000, tracker=tracker)
+    for scope, (counts, samples) in zip((report.cluster, report.service),
+                                        part):
+        for name, value in zip(_COUNTS, counts):
+            setattr(scope, name, value)
+        scope.rtt.extend(samples)
+        scope.processing.extend(samples[::2])
+    return report
+
+
+def _numbers(report):
+    """Counts + percentiles (not the exact tracker's float-sum mean, which
+    depends on whether a query has sorted its samples yet)."""
+    def percentiles(summary):
+        return summary and {k: v for k, v in summary.items() if k != "mean"}
+    return [([getattr(scope, name) for name in _COUNTS],
+             percentiles(scope.rtt_percentiles()),
+             percentiles(scope.processing_percentiles()))
+            for scope in (report.cluster, report.service)]
+
+
+class TestSlaReportMerge:
+    @pytest.mark.parametrize("tracker", [PercentileTracker, QuantileSketch])
+    @given(part=_PART)
+    def test_one_part_is_the_report(self, tracker, part):
+        report = _report(part, tracker)
+        before = _numbers(report)
+        merged = SlaReport.merged([report])
+        assert merged is report
+        assert _numbers(merged) == before
+        assert type(merged.cluster.rtt) is tracker
+
+    @pytest.mark.parametrize("tracker", [PercentileTracker, QuantileSketch])
+    @given(parts=st.lists(_PART, min_size=2, max_size=5), seed=st.randoms())
+    def test_count_exact_and_order_independent(self, tracker, parts, seed):
+        reports = [_report(part, tracker, start=i)
+                   for i, part in enumerate(parts)]
+        merged = SlaReport.merged(reports)
+        for i, scope in enumerate((merged.cluster, merged.service)):
+            for j, name in enumerate(_COUNTS):
+                assert getattr(scope, name) == sum(p[i][0][j] for p in parts)
+            assert len(scope.rtt) == sum(len(p[i][1]) for p in parts)
+        assert merged.window_start_ns == 0
+        shuffled = list(reports)
+        seed.shuffle(shuffled)
+        assert _numbers(SlaReport.merged(shuffled)) == _numbers(merged)
+
+    @given(parts=st.lists(_PART, min_size=2, max_size=5))
+    def test_merged_percentiles_within_sketch_accuracy(self, parts):
+        """Exact parts fold into sketches: p50 stays within 1 % of the
+        exact nearest-rank answer over the union."""
+        merged = SlaReport.merged(
+            [_report(part, PercentileTracker) for part in parts])
+        exact = PercentileTracker()
+        for part in parts:
+            exact.extend(part[0][1])
+        if len(exact):
+            assert merged.cluster.rtt.p50() == pytest.approx(
+                exact.p50(), rel=0.0101)
+        else:
+            assert merged.cluster.rtt_percentiles() is None

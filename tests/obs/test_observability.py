@@ -175,15 +175,25 @@ class TestMetricsDeterminism:
 
 
 class TestEndpointStatsFacade:
+    """EndpointStats are plain ints; one pull collector exports them."""
+
     def test_attributes_and_registry_agree(self, full_obs_run):
         obs, state = full_obs_run
         snap = obs.metrics.snapshot()
         for name, counters in state["control_plane"].items():
-            series = f'repro_controlplane_sent_total{{endpoint="{name}"}}'
-            assert snap[series] == counters["sent"]
+            for fld in ("sent", "delivered", "retries"):
+                series = (f'repro_controlplane_{fld}_total'
+                          f'{{endpoint="{name}"}}')
+                assert snap[series] == counters[fld]
+        assert 'repro_controlplane_latency_ns_total{endpoint="analyzer"}' \
+            in snap
+        assert ("# HELP repro_controlplane_retries_total "
+                "client resends (upload channel)"
+                ) in obs.metrics.render_prometheus()
 
     def test_as_dict_keeps_the_legacy_keys(self):
         from repro.controlplane.transport import ManagementNetwork
+        from repro.obs.metrics import MetricsRegistry
         from repro.sim.engine import Simulator
         from repro.sim.rng import RngRegistry
         net = ManagementNetwork(Simulator(seed=0),
@@ -199,6 +209,15 @@ class TestEndpointStatsFacade:
             "request_timeouts", "latency_total_ns", "dropped"}
         with pytest.raises(AttributeError):
             stats.not_a_field = 1
+        # Nothing reaches a registry until the collector is asked to.
+        registry = MetricsRegistry()
+        net.export_metrics(registry)
+        stats.sent += 1
+        assert registry.snapshot()[
+            'repro_controlplane_sent_total{endpoint="a"}'] == 2
+        net.export_metrics(registry)
+        assert registry.snapshot()[
+            'repro_controlplane_sent_total{endpoint="a"}'] == 3
 
 
 class TestDigestNeutrality:

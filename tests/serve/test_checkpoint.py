@@ -120,7 +120,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 2
+        assert meta["format"] == 3
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -134,19 +134,23 @@ class TestFileFormat:
         assert json.loads(line) == json.loads(
             json.dumps(json.loads(line), sort_keys=True))
 
-    def test_format_1_file_refused(self, tmp_path):
+    def test_older_formats_refused(self, tmp_path):
         """A v1 payload holds per-hop fabric events and one shared jitter
-        state; resuming it under this code would diverge silently."""
+        state, a v2 one the pre-gather/conclude Analyzer and the
+        registry-backed EndpointStats; resuming either under this code
+        would diverge silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        meta["format"] = 1
-        path.write_bytes(b"\n".join(
-            [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
-        for reader in (read_metadata, load_checkpoint):
-            with pytest.raises(CheckpointError,
-                               match="unsupported checkpoint format 1"):
-                reader(path)
+        for old in (1, 2):
+            meta["format"] = old
+            path.write_bytes(b"\n".join(
+                [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
+            for reader in (read_metadata, load_checkpoint):
+                with pytest.raises(
+                        CheckpointError,
+                        match=f"unsupported checkpoint format {old}"):
+                    reader(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
