@@ -98,6 +98,12 @@ class EndpointStats:
         return out
 
 
+# Field -> series name (latency_total_ns -> ..._latency_ns_total, not
+# ..._latency_total_ns_total).
+_SERIES = {fld: f"repro_controlplane_{fld.replace('_total_ns', '_ns')}_total"
+           for fld in EndpointStats.FIELDS}
+
+
 @dataclass
 class _Attachment:
     deliver: DeliverFn
@@ -180,10 +186,7 @@ class ManagementNetwork:
         """Copy every endpoint's counters into their metric series."""
         for name, attachment in self._attached.items():
             for fld, meaning in EndpointStats.FIELDS.items():
-                # latency_total_ns -> ..._latency_ns_total, not _total_ns_total
-                series = fld.replace("_total_ns", "_ns")
-                registry.counter(f"repro_controlplane_{series}_total",
-                                 help=meaning, endpoint=name
+                registry.counter(_SERIES[fld], help=meaning, endpoint=name
                                  ).value = getattr(attachment.stats, fld)
 
     # -- the wire ---------------------------------------------------------------------

@@ -585,8 +585,7 @@ class Analyzer:
 
         # Algorithm 1 over the fabric-caused timeouts, per side, with no
         # gate: conclude() applies it to the window-wide sum.
-        tallies = []
-        for service_side in (False, True):
+        def tally(service_side: bool) -> SideTally:
             anomalies = [
                 by_seq[s] for s, c in classification.items()
                 if c == ProblemCategory.SWITCH_NETWORK_PROBLEM
@@ -594,9 +593,9 @@ class Analyzer:
                 == service_side]
             loc = localize([r.probe_path for r in anomalies],
                            [r.ack_path for r in anomalies])
-            tallies.append(SideTally(loc.votes, loc.paths_considered,
-                                     len(anomalies)))
-        window.tallies = (tallies[0], tallies[1])
+            return SideTally(loc.votes, loc.paths_considered, len(anomalies))
+
+        window.tallies = (tally(False), tally(True))
 
         self._emit_latency_problems(results, window, now)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.cluster import Cluster
@@ -114,8 +115,8 @@ class PodMap:
 
 def _shard_sum(counter: str) -> property:
     """A root's read-only view of one counter: the sum over its shards."""
-    return property(lambda self: sum(getattr(shard, counter)
-                                     for shard in self.shards))
+    read = attrgetter(counter)
+    return property(lambda self: sum(map(read, self.shards)))
 
 
 # -- the wire form --------------------------------------------------------------
@@ -434,7 +435,7 @@ class RootAnalyzer(Analyzer):
     window, hands their evidence to :meth:`Analyzer.conclude`, and tells
     the shards what the cluster as a whole now knows."""
 
-    def __init__(self, cluster: Cluster, controller: "RootController",
+    def __init__(self, cluster: Cluster, controller: RootController,
                  config: RPingmeshConfig, shards: list[AnalyzerShard]):
         super().__init__(cluster, controller, config)
         self.shards = shards
