@@ -23,7 +23,7 @@ from repro.core.config import RPingmeshConfig
 from repro.core.system import RPingmesh
 from repro.net.clos import ClosParams
 from repro.net.faults import (FaultManager, LinkCorruption, LinkOverload,
-                              PfcHeadroomMisconfig)
+                              PfcHeadroomMisconfig, RnicCorruption)
 from repro.sim.units import MICROSECOND, SECOND
 
 Scenario = Callable[[int], Any]
@@ -190,7 +190,7 @@ _TINY = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2,
                    spines=1, hosts_per_tor=2)
 _SLOW_CONTROL = {"control_latency_ns": 200 * MICROSECOND,
                  "control_jitter_ns": 50 * MICROSECOND}
-# Every scenario's faults sit on this one uplink cable.
+# Most scenarios' faults sit on this one uplink cable.
 _UPLINK = ("pod0-tor0", "pod0-agg0")
 _MID_RUN = (5 * SECOND, 35 * SECOND)
 
@@ -199,7 +199,7 @@ _MID_RUN = (5 * SECOND, 35 * SECOND)
 class ScenarioDef:
     """One reference world: what to build, what to break, and why.
 
-    ``faults`` are ``(fault class, kwargs, window)`` on :data:`_UPLINK`,
+    ``faults`` are ``(fault class, kwargs, window)`` on ``target``,
     applied in order after the system starts; a ``None`` window injects
     at once, a ``(start_ns, end_ns)`` one goes through a FaultManager.
     """
@@ -208,6 +208,7 @@ class ScenarioDef:
     config: Mapping[str, Any]
     faults: tuple = ()
     params: ClosParams = _TINY
+    target: tuple = _UPLINK
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
@@ -244,6 +245,13 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "Analyzer fusion",
         {"backends": ("probe", "int")},
         ((LinkOverload, {"extra_gbps": 520.0}, _MID_RUN),)),
+    "rnic_corruption": ScenarioDef(
+        "an RNIC corrupting half of what it sends and receives from 5 s "
+        "to 35 s: packets lost inside the NIC, which no DropRecord keeps, "
+        "and host steps that stop being settled mid-run",
+        {},
+        ((RnicCorruption, {"drop_prob": 0.5}, _MID_RUN),),
+        target=("host0-rnic0",)),
 }
 
 
@@ -273,7 +281,7 @@ def run_scenario(name: str, seed: int, *,
     system.start()
     windows = FaultManager(cluster)
     for fault_cls, kwargs, window in scenario.faults:
-        fault = fault_cls(cluster, *_UPLINK, **kwargs)
+        fault = fault_cls(cluster, *scenario.target, **kwargs)
         if window is None:
             fault.inject()
         else:

@@ -343,6 +343,8 @@ class Rnic:
             self._count_drop("rnic_down")
             if self.tracer is not None:
                 self._trace_rnic_drop(packet.payload, "rnic_down")
+            # Nobody keeps a packet lost inside the NIC (no DropRecord).
+            self.fabric.packet_pool.release(packet)
             return
         self.tx_packets += 1
         self.tx_bytes += packet.size_bytes
@@ -354,6 +356,7 @@ class Rnic:
                 self._trace_rnic_drop(packet.payload, "tx_corruption")
             # CQE still fires: the NIC believes it sent the packet.
             self._complete_send_if_unreliable(qp, wr_id, packet.payload)
+            self.fabric.packet_pool.release(packet)
             return
 
         self.fabric.inject(packet, self.name)

@@ -161,7 +161,7 @@ class Fabric:
         self.drops: list[DropRecord] = []
         self.max_drop_log = 100_000
         self.packets_delivered = 0
-        self.packets_injected = 0
+        self._packets_injected = 0
         # Incremental per-reason totals; unlike the bounded drop log these
         # never saturate, which is what the metrics registry exports.
         self.drop_counts: dict[str, int] = {}
@@ -250,23 +250,62 @@ class Fabric:
 
     # -- sending -----------------------------------------------------------
 
-    def inject(self, packet: Packet, src_port: str) -> None:
-        """Send ``packet`` into the fabric from ``src_port``."""
-        self.packets_injected += 1
+    def inject(self, packet: Packet, src_port: str,
+               at_ns: Optional[int] = None) -> None:
+        """Send ``packet`` into the fabric from ``src_port``.
+
+        ``at_ns`` (default: now) may lie ahead of the clock: the sender's
+        TX pipeline is then one more quiet hop in front of the plan, and a
+        walk that cannot be planned from here gets its event at ``at_ns``.
+        :meth:`withdraw` takes such a packet back until then.
+        """
+        now = self.sim.now
+        if at_ns is None:
+            at_ns = now
+        self._packets_injected += 1
         packet.packet_id = next(self._packet_ids)
-        packet.sent_at_ns = self.sim.now
+        packet.sent_at_ns = at_ns
         dst_port = self._ip_to_port.get(packet.five_tuple.dst_ip)
-        if dst_port is None:
-            self._drop(packet, DropReason.NO_ROUTE, link=None, node=src_port)
-            return
         transit = self._acquire_transit()
         transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _retire before the packet is recycled
-        transit.path = self._plan(packet.five_tuple, src_port, dst_port)
+        if dst_port is None or (at_ns != now and self._adaptive_routing):
+            # No route to plan, or one drawn hop by hop: the packet stands
+            # at its port until the clock reaches it.
+            transit.path = _CachedPath((src_port,), (), (),
+                                       self.topology.route_epoch)
+        else:
+            transit.path = self._plan(packet.five_tuple, src_port, dst_port)
         transit.idx = 0
         transit.dst = dst_port
         transit.is_roce = packet.traffic_class == TC_ROCE
         self._in_flight[packet.packet_id] = transit
-        self._walk(transit)
+        self._walk(transit, at_ns)
+
+    def withdraw(self, packet: Packet) -> bool:
+        """Un-send a packet injected for an instant not before now.
+
+        Every hop it looked ahead over is given back and its pending event
+        finds a tombstone.  False (and nothing changes) if its walk has
+        already been evaluated at that instant, or is over.
+        """
+        transit = self._in_flight.get(packet.packet_id)
+        if (transit is None or transit.look_idx
+                or packet.sent_at_ns < self.sim.now):
+            return False
+        self._give_back(transit, 0)
+        del self._in_flight[packet.packet_id]
+        transit.packet = None
+        self._packets_injected -= 1
+        return True
+
+    @property
+    def packets_injected(self) -> int:
+        """Packets sent by ``sim.now`` (the raw tally runs ahead of the
+        clock by the ones injected for a later instant)."""
+        now = self.sim.now
+        return self._packets_injected - sum(
+            1 for transit in self._in_flight.values()
+            if transit.packet.sent_at_ns > now)
 
     @property
     def packets_in_flight(self) -> int:
@@ -291,6 +330,9 @@ class Fabric:
             cache.clear()
             self._path_cache_epoch = epoch
         adaptive = self._adaptive_routing
+        if dst_port is None:
+            # An address nobody registered: NO_ROUTE where the packet stands.
+            return _CachedPath((node,), (), (), epoch)
         if not adaptive:
             cached = cache.get(five_tuple)
             if (cached is not None and cached.nodes[0] == node
@@ -334,8 +376,10 @@ class Fabric:
 
     # -- the walker ----------------------------------------------------------
 
-    def _walk(self, transit: _Transit) -> None:
-        """Advance one packet from the node it stands at, at ``sim.now``.
+    def _walk(self, transit: _Transit,
+              start_ns: Optional[int] = None) -> None:
+        """Advance one packet from the node it stands at, at ``sim.now``
+        (or, fresh from :meth:`inject`, from ``start_ns`` on).
 
         Quiet hops are added up without an event of their own; the first
         hop that is not quiet is evaluated here if the packet stands at it
@@ -358,7 +402,7 @@ class Fabric:
         # TTL cannot expire inside a plan shorter than it.
         look = self._tracer is None and packet.ttl > n_hops - idx
         look_idx = idx
-        look_ns = t = now
+        look_ns = t = now if start_ns is None else start_ns
         while True:
             if idx == n_hops:
                 if t != now:
@@ -490,6 +534,19 @@ class Fabric:
             k += 1
         return k, t
 
+    def _give_back(self, transit: _Transit, k: int) -> None:
+        """Undo the looked-ahead hops ``k .. idx-1`` of one packet."""
+        idx = transit.idx
+        if k == idx:
+            return
+        packet = transit.packet
+        for link in transit.path.hops[k:idx]:
+            link.packets_forwarded -= 1
+            if link.dst_acl is not None:
+                packet.ttl += 1
+        if self._int_collector is not None:
+            self._int_collector.unstamp(packet, idx - k)
+
     def _demote_in_flight(self) -> None:
         """Take back every lookahead decision not reached yet.
 
@@ -508,19 +565,13 @@ class Fabric:
         if not self._in_flight:
             return
         now = self.sim.now
-        collector = self._int_collector
         for transit in list(self._in_flight.values()):
             idx = transit.idx
             k, t = self._first_unreached(transit, now)
             if k == idx:
                 continue
             packet = transit.packet
-            for link in transit.path.hops[k:idx]:
-                link.packets_forwarded -= 1
-                if link.dst_acl is not None:
-                    packet.ttl += 1
-            if collector is not None:
-                collector.unstamp(packet, idx - k)
+            self._give_back(transit, k)
             # The pending event cannot be cancelled (schedule() keeps no
             # handle): leave its transit behind as a tombstone and carry on
             # with a fresh one.

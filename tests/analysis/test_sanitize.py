@@ -204,6 +204,39 @@ class TestLeaks:
         assert sanitizer.live_counts()["transit"] == 0
         assert sanitizer.report() == []
 
+    def test_packets_lost_inside_the_nic_are_released(self):
+        """Local TX drops used to leak their pooled packet: nothing keeps
+        it (no DropRecord), so the departure step has to hand it back."""
+        from repro.core.system import RPingmesh
+        cluster = Cluster.clos(ClosParams(pods=1, tors_per_pod=2,
+                                          aggs_per_pod=2, spines=1,
+                                          hosts_per_tor=2),
+                               seed=SEED, sanitize=True)
+        system = RPingmesh(cluster)
+        system.start()
+        sim, sanitizer = cluster.sim, cluster.sanitizer
+        corrupting, dying = cluster.all_rnics()[:2]
+        sim.run_for(2 * SECOND)
+        corrupting.tx_corruption_prob = 0.5
+        # A NIC that goes down between post and departure, over and over:
+        # down 500 ns after every probe tick's post_send, up 1 us later.
+        post_send = dying.post_send
+
+        def post_then_die(*args, **kwargs):
+            wr_id = post_send(*args, **kwargs)
+            sim.call_later(500, lambda: setattr(dying, "admin_up", False))
+            sim.call_later(1_500, lambda: setattr(dying, "admin_up", True))
+            return wr_id
+
+        dying.post_send = post_then_die
+        sim.run_for(8 * SECOND)
+        assert corrupting.local_drops["tx_corruption"] > 100
+        assert dying.local_drops["rnic_down"] > 100
+        assert [f for f in sanitizer.report() if "packet" in f.message] == []
+        stats = sanitizer.summary()["packet"]
+        assert stats["acquired"] == stats["released"] + stats["live"]
+        assert stats["live"] - stats["retained"] <= cluster.fabric.packets_in_flight
+
 
 class TestMetricsExport:
     def test_poolsan_series_in_snapshot(self):

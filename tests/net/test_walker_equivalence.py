@@ -8,7 +8,10 @@ back.  Its contract is *exact* equivalence, so this harness drives both
 with the same randomized, seeded script — random Clos shapes, background
 loads, and fault / load / pause / ACL / route writes timed to land
 mid-flight, a third of them at the very nanosecond a packet enters a hop —
-and requires identical observable results:
+and requires identical observable results.  A quarter of the sends reach the
+lookahead walker early, through ``inject(..., at_ns)``, and some of those are
+withdrawn again and sent by an event after all; the per-hop walker sends
+every one of them by an event at its instant.  Compared:
 
 * delivery time and ``DeliveryRecord.path`` of every packet;
 * every ``DropRecord`` (time, reason, link, node);
@@ -63,8 +66,9 @@ HORIZON_NS = 2_000_000
 class _PerHopFabric(Fabric):
     """The original walker: one event per hop, every rule at every hop."""
 
-    def inject(self, packet, src_port):
-        self.packets_injected += 1
+    def inject(self, packet, src_port, at_ns=None):
+        assert at_ns is None or at_ns == self.sim.now
+        self._packets_injected += 1
         packet.packet_id = next(self._packet_ids)
         packet.sent_at_ns = self.sim.now
         dst_port = self._ip_to_port.get(packet.five_tuple.dst_ip)
@@ -198,6 +202,14 @@ class _Script:
                         t += SWITCH_FORWARD_LATENCY_NS
                 arrivals.append(t)
         self.cuts = sorted(rng.sample(arrivals, k=6))
+        # How early each send is handed to inject(at_ns=), and whether it is
+        # withdrawn halfway there.  Drawn from a stream of their own so the
+        # scripts above are the ones this file has always run.
+        early = random.Random(f"early-{seed}")
+        self.leads = [(min(at, early.randrange(1, 4_000)),
+                       early.random() < 0.3)
+                      if early.random() < 0.25 else (0, False)
+                      for at, *_ in self.sends]
 
         self.writes = []
         for _ in range(writes):
@@ -297,28 +309,41 @@ class _World:
                 self.sim.call_at(at + undo_after,
                                  partial(_apply, self, kind, link, switch,
                                          port, x, True))
-        for send in script.sends:
-            self.sim.call_at(send[0], partial(self._send, *send[1:]))
+        lookahead = type(self.fabric) is Fabric
+        for n, (send, (lead, withdrawn)) in enumerate(
+                zip(script.sends, script.leads), 1):
+            at = send[0]
+            if not lookahead:
+                lead = 0
+            self.sim.call_at(at - lead, partial(self._send, n, at, withdrawn
+                                                and lead > 1, *send[1:]))
 
-    def _send(self, src, dst, sport, ttl, tcp):
+    def _send(self, n, at, withdrawn, src, dst, sport, ttl, tcp):
         dst_ip = self.ips[dst] if dst is not None else "10.9.9.9"
         if tcp:
             packet = TCPPacket(
                 five_tuple=FiveTuple(self.ips[src], sport, dst_ip, 443,
                                      PROTO_TCP),
-                size_bytes=PROBE_BYTES, ttl=ttl)
+                size_bytes=PROBE_BYTES, ttl=ttl, payload={"n": n})
         else:
             packet = RoCEPacket(
                 five_tuple=roce_five_tuple(self.ips[src], dst_ip, sport),
-                size_bytes=PROBE_BYTES, ttl=ttl)
-        self.fabric.inject(packet, src)
+                size_bytes=PROBE_BYTES, ttl=ttl, payload={"n": n})
+        self.fabric.inject(packet, src, at)
+        if withdrawn:
+            self.sim.call_at((self.sim.now + at) // 2,
+                             partial(self._resend, packet, src, at))
+
+    def _resend(self, packet, src, at):
+        assert self.fabric.withdraw(packet)
+        self.sim.call_at(at, partial(self.fabric.inject, packet, src))
 
     def _on_delivery(self, packet, record):
-        self.delivered[packet.packet_id] = (record.time_ns, record.path,
-                                            packet.ttl)
+        self.delivered[packet.payload["n"]] = (record.time_ns, record.path,
+                                               packet.ttl)
 
     def _on_drop(self, record):
-        self.drops.append((record.time_ns, record.packet.packet_id,
+        self.drops.append((record.time_ns, record.packet.payload["n"],
                            record.reason, record.link, record.node,
                            record.packet.ttl))
 
@@ -427,8 +452,8 @@ class TestTieRule:
         # Queued before the injection, like every real writer's event.
         world.sim.call_at(entry + offset,
                           partial(setattr, link.pair, "up", False))
-        world.sim.call_at(100, partial(world._send, src, dst, 5000, 64,
-                                       False))
+        world.sim.call_at(100, partial(world._send, 1, 100, False, src, dst, 5000,
+                                       64, False))
         world.sim.run_all()
         if dropped:
             assert world.drops == [(entry, 1, DropReason.LINK_DOWN,
@@ -450,8 +475,8 @@ class TestTieRule:
         world, src, dst, path = _line_world()
         link = world.topo.link(path[2], path[3])
         entry = _entry_time(world, path, 2)
-        world.sim.call_at(100, partial(world._send, src, dst, 5000, 64,
-                                       False))
+        world.sim.call_at(100, partial(world._send, 1, 100, False, src, dst, 5000,
+                                       64, False))
         world.sim.call_at(
             101, lambda: world.sim.call_at(
                 entry, partial(setattr, link.pair, "up", False)))
@@ -461,8 +486,8 @@ class TestTieRule:
 
     def test_forwarded_counts_do_not_run_ahead_of_the_clock(self):
         world, src, dst, path = _line_world()
-        world.sim.call_at(100, partial(world._send, src, dst, 5000, 64,
-                                       False))
+        world.sim.call_at(100, partial(world._send, 1, 100, False, src, dst, 5000,
+                                       64, False))
         names = [f"{a}->{b}" for a, b in zip(path, path[1:])]
         for hop in range(1, 4):
             # One nanosecond before the packet enters hop `hop`.
