@@ -1,0 +1,452 @@
+"""Differential test: host lookahead vs the per-event host path it replaced.
+
+The RNIC used to schedule one ``_wire_departure`` event per send and the
+Agent one ``_post_ack1`` event per answered probe, with send CQEs matched
+back through a ``send_roles`` table.  Host lookahead (DESIGN.md §10) runs a
+departure, the first-ACK post and the second-ACK post at post time, with
+their own instants as arguments, whenever what they read is settled; a write
+to anything a planned step read takes the step back and re-queues it as an
+event.  The contract is *exact* equivalence, so this harness runs real
+Agents on small random Clos shapes twice — once as built, once with every
+RNIC and Agent swapped for the faithful port of the per-event path below —
+under the same seeded script of writes, and requires identical:
+
+* ``system.upload_digest`` (every uploaded result's seq, completion time,
+  timeout flag, three SLA delays);
+* fabric drop log, ``forwarded_by_link()``, ``packets_injected`` /
+  ``packets_delivered``;
+* per-RNIC ``tx_packets`` / ``tx_bytes`` / ``rx_packets`` / ``local_drops``,
+  per-Agent ``probes_sent`` / ``acks_sent``;
+* every RNG stream's draw count and the registry digest;
+
+read at the end, at cuts from outside, and by snapshot events queued to fall
+*mid-plan* (a nanosecond before a planned step is due, or halfway there).
+
+Writes are aimed, not sprayed: a hook on ``Agent._probe`` (run by the probe
+tick in both worlds) queues writes for the 1 us between the probe's post and
+its departure ②, and a hook on ``Agent._respond`` (run at ③ in both worlds)
+peeks the CPU delay the responder is about to draw and queues writes between
+③ and the ACK1 post, between the post and ④, and between ④ and ACK2's
+departure — a third of them at the exact nanosecond the step is due.  Both
+hooks queue before the step itself is posted, which is the tie rule's
+premise (a write at a step's due nanosecond applies to that step because
+every real writer queues far ahead of a step that exists for microseconds).
+
+Fabric faults and ``cpu.set_load`` need no host hook (the walker has its own;
+the CPU delay is drawn at ③ in both worlds) and ride along to show exactly
+that.
+
+One ordering is outside the contract, as in ``test_walker_equivalence``:
+two events at the same nanosecond that both draw from one RNG stream run in
+sequence-number order, and the two worlds queue their events at different
+moments.  The seeds below do not trip on it.
+"""
+
+import copy
+import random
+from functools import partial
+
+import pytest
+
+from repro.cluster import Cluster
+from repro.core.agent import Agent
+from repro.core.config import RPingmeshConfig
+from repro.core.system import RPingmesh
+from repro.host.rnic import (_DEFAULT_OPCODE, TX_PIPELINE_NS, CommInfo,
+                             CqeKind, LocalSendError, QPState, QPType, Rnic)
+from repro.net.addresses import roce_five_tuple
+from repro.net.clos import ClosParams
+from repro.net.packet import ROCE_HEADER_BYTES, probe_packet_size
+from repro.obs.tracer import Tracer
+from repro.sim.units import (MICROSECOND, MILLISECOND, SECOND,
+                             serialization_delay_ns)
+
+SPAN_NS = 3 * SECOND
+CONFIG = dict(upload_interval_ns=500 * MILLISECOND,
+              pinglist_refresh_ns=400 * MILLISECOND,
+              probe_timeout_ns=100 * MILLISECOND,
+              tor_mesh_pps=40.0)
+
+
+# -- the per-event port ----------------------------------------------------------
+
+class _PerEventRnic(Rnic):
+    """The original send path: one departure event, one CQE per send."""
+
+    def post_send(self, qp, dst, *, src_port, payload, payload_bytes,
+                  opcode=None, wr_id=None):
+        if qp.state != QPState.RTS:
+            raise LocalSendError("qp_not_rts")
+        if not self.operational:
+            raise LocalSendError("rnic_down")
+        if not self.routing_configured:
+            self._count_drop("routing_unconfigured")
+            raise LocalSendError("routing_unconfigured")
+        if not self.gid_index_present:
+            self._count_drop("gid_index_missing")
+            raise LocalSendError("gid_index_missing")
+        if opcode is None:
+            opcode = _DEFAULT_OPCODE[qp.qp_type]
+        if wr_id is None:
+            wr_id = next(self._wr_ids)
+        packet = self.fabric.packet_pool.acquire_roce(
+            roce_five_tuple(self.ip, dst.ip, src_port),
+            ROCE_HEADER_BYTES + payload_bytes, opcode, qp.qpn, dst.qpn,
+            self.gid.value, dst.gid, payload)
+        departure_delay = TX_PIPELINE_NS + serialization_delay_ns(
+            packet.size_bytes, self.pcie_gbps)
+        self.sim.schedule(
+            departure_delay,
+            partial(self._wire_departure, qp, packet, wr_id))
+        return wr_id
+
+    def _wire_departure(self, qp, packet, wr_id):
+        if not self.operational:
+            self._count_drop("rnic_down")
+            self.fabric.packet_pool.release(packet)
+            return
+        self.tx_packets += 1
+        self.tx_bytes += packet.size_bytes
+        if self.tx_corruption_prob > 0 and self.rng.chance(
+                self.tx_corruption_prob):
+            self._count_drop("tx_corruption")
+            self._send_cqe(qp, wr_id)
+            self.fabric.packet_pool.release(packet)
+            return
+        self.fabric.inject(packet, self.name)
+        self._send_cqe(qp, wr_id)
+
+    def _send_cqe(self, qp, wr_id):
+        self._emit_cqe(qp, self._acquire_cqe(
+            CqeKind.SEND, qp.qpn, wr_id, self.clock.read(self.sim.now)))
+
+
+class _PerEventAgent(Agent):
+    """The original exchange: send CQEs matched through ``send_roles``,
+    the first ACK posted by an event of its own."""
+
+    def _roles(self, state):
+        return self.__dict__.setdefault("_send_roles", {}).setdefault(
+            state.rnic.name, {})
+
+    def restart(self):
+        self.restarts += 1
+        comm_infos = {}
+        for name, state in self.states.items():
+            for out in list(state.outstanding.values()):
+                if out.timeout_handle is not None:
+                    out.timeout_handle.cancel()
+            state.outstanding.clear()
+            self._roles(state).clear()
+            self.host.verbs.destroy_qp(state.rnic, state.qp)
+            state.qp = self.host.verbs.create_qp(
+                state.rnic, QPType.UD, on_cqe=partial(self._on_cqe, state))
+            comm_infos[name] = state.rnic.comm_info(state.qp.qpn)
+        for name, info in comm_infos.items():
+            self.client.update_comm_info(name, info)
+
+    def _probe(self, state, entry):
+        from repro.core.agent import _Outstanding
+        seq = next(self.cluster.probe_seqs)
+        now = self.cluster.sim.now
+        out = _Outstanding(seq=seq, entry=entry, issued_at_ns=now,
+                           t1_host=self.host.read_clock())
+        state.outstanding[seq] = out
+        out.timeout_handle = self.cluster.sim.call_later(
+            self.config.probe_timeout_ns,
+            partial(self._on_timeout, state, seq))
+        try:
+            wr_id = self.host.verbs.post_send(
+                state.rnic, state.qp, entry.target,
+                src_port=entry.src_port,
+                payload={"t": "probe", "seq": seq},
+                payload_bytes=self.config.probe_payload_bytes)
+        except LocalSendError:
+            return
+        self._roles(state)[wr_id] = ("probe", seq)
+        self.probes_sent += 1
+        self._ensure_traced(state, entry)
+
+    def _on_cqe(self, state, cqe):
+        if cqe.kind == CqeKind.SEND:
+            self._on_send_cqe(state, cqe)
+        else:
+            kind = cqe.payload.get("t")
+            if kind == "probe":
+                self._respond(state, cqe)
+            elif kind == "ack1":
+                self._on_ack1(state, cqe)
+            elif kind == "ack2":
+                self._on_ack2(state, cqe)
+        state.rnic.release_cqe(cqe)
+
+    def _on_send_cqe(self, state, cqe):
+        role = self._roles(state).pop(cqe.wr_id, None)
+        if role is None:
+            return
+        tag, context = role
+        if tag == "probe":
+            out = state.outstanding.get(context)
+            if out is not None:
+                out.t2_rnic = cqe.rnic_timestamp_ns
+        elif tag == "ack1":
+            responder_delay = cqe.rnic_timestamp_ns - context["t3"]
+            self._post_ack(state, context["reply_to"], context["src_port"],
+                           {"t": "ack2", "seq": context["seq"],
+                            "responder_delay": responder_delay})
+
+    def _respond(self, state, cqe):
+        if not self.host.up:
+            return
+        t3 = cqe.rnic_timestamp_ns
+        reply_to = CommInfo(ip=cqe.src_ip, gid=cqe.src_gid, qpn=cqe.src_qpn)
+        seq = cqe.payload["seq"]
+        src_port = cqe.src_port
+        now = self.cluster.sim.now
+        delay = self.host.cpu.processing_delay_ns()
+        delay += self.host.cpu.starvation_stall_ns(now)
+        self.cluster.sim.schedule(
+            delay,
+            partial(self._post_first_ack, state, reply_to, src_port, seq, t3))
+
+    def _post_first_ack(self, state, reply_to, src_port, seq, t3):
+        wr_id = self._post_ack(state, reply_to, src_port,
+                               {"t": "ack1", "seq": seq})
+        if wr_id is not None:
+            self._roles(state)[wr_id] = ("ack1", {
+                "t3": t3, "reply_to": reply_to, "src_port": src_port,
+                "seq": seq})
+
+    def _post_ack(self, state, reply_to, src_port, payload):
+        try:
+            wr_id = self.host.verbs.post_send(
+                state.rnic, state.qp, reply_to, src_port=src_port,
+                payload=payload,
+                payload_bytes=self.config.probe_payload_bytes)
+        except LocalSendError:
+            return None
+        self.acks_sent += 1
+        return wr_id
+
+
+# -- scripts ---------------------------------------------------------------------
+
+RNIC_WRITES = ("admin", "flap", "routing", "gid", "corruption", "pcie",
+               "tracer")
+WRITE_KINDS = RNIC_WRITES + ("host", "restart", "link_down", "link_corrupt",
+                             "link_load", "cpu")
+UNDO_AFTER = (300, 1_500, 40 * MICROSECOND, 3 * MILLISECOND)
+
+
+def _random_shape(rng):
+    return ClosParams(pods=rng.choice((1, 2)), tors_per_pod=rng.choice((1, 2)),
+                      aggs_per_pod=rng.choice((1, 2)), spines=1,
+                      hosts_per_tor=2, rnics_per_host=rng.choice((1, 1, 2)))
+
+
+class _Script:
+    """One seeded scenario as plain data, replayable into either world.
+
+    Writes are keyed by *which* probe post / probe receipt they follow (a
+    running count both worlds share as long as they agree) and placed
+    relative to that exchange's own instants.
+    """
+
+    def __init__(self, seed, *, exchanges=4_000):
+        rng = random.Random(seed)
+        self.seed = seed
+        self.params = _random_shape(rng)
+        self.cuts = sorted(rng.randrange(SPAN_NS) for _ in range(5))
+        # n-th probe post -> writes between the post and departure ②.
+        self.probe_writes = {}
+        # n-th answered probe -> writes around the two ACKs.
+        self.respond_writes = {}
+        for n in range(exchanges):
+            if rng.random() < 0.06:
+                self.probe_writes[n] = [self._write(rng, ("depart",))]
+            if rng.random() < 0.12:
+                self.respond_writes[n] = [
+                    self._write(rng, ("post", "ack1", "ack2"))
+                    for _ in range(rng.choice((1, 1, 2)))]
+
+    @staticmethod
+    def _write(rng, windows):
+        return {
+            "window": rng.choice(windows),
+            # Where in the window: at the step's due nanosecond (a third),
+            # else this fraction of the way there.
+            "at_due": rng.random() < 1 / 3,
+            "fraction": rng.random(),
+            "kind": rng.choice(WRITE_KINDS),
+            "x": rng.random(),
+            "undo_after": rng.choice(UNDO_AFTER),
+            # Mostly the RNIC / host the step runs on; sometimes another.
+            "elsewhere": rng.random() < 0.15,
+            "snapshot": rng.choice((None, "before", "halfway")),
+        }
+
+
+class _World:
+    """One deployed system, built as is or swapped onto the port."""
+
+    def __init__(self, script, *, per_event, sanitize=False):
+        self.script = script
+        self.cluster = cluster = Cluster.clos(script.params, seed=script.seed,
+                                              sanitize=sanitize)
+        self.system = RPingmesh(cluster, RPingmeshConfig(**CONFIG))
+        self.sim = cluster.sim
+        self.rnics = cluster.all_rnics()
+        if per_event:
+            for rnic in self.rnics:
+                rnic.__class__ = _PerEventRnic
+            for agent in self.system.agents.values():
+                agent.__class__ = _PerEventAgent
+        self.links = sorted(cluster.topology.links)
+        self.tracer = Tracer(enabled=True)
+        self.probes = self.responds = 0
+        self.snapshots = []
+        for agent in self.system.agents.values():
+            agent._probe = partial(self._on_probe, agent, agent._probe)
+            agent._respond = partial(self._on_respond, agent, agent._respond)
+        self.system.start()
+
+    # -- the two hooks -----------------------------------------------------------
+
+    def _departure_delay(self, rnic):
+        return TX_PIPELINE_NS + serialization_delay_ns(probe_packet_size(),
+                                                       rnic.pcie_gbps)
+
+    def _on_probe(self, agent, probe, state, entry):
+        writes = self.script.probe_writes.get(self.probes, ())
+        self.probes += 1
+        now = self.sim.now
+        windows = {"depart": (now, now + self._departure_delay(state.rnic))}
+        for write in writes:
+            self._queue(write, windows, agent, state.rnic)
+        probe(state, entry)
+
+    def _on_respond(self, agent, respond, state, cqe):
+        if agent.host.up:
+            writes = self.script.respond_writes.get(self.responds, ())
+            self.responds += 1
+            if writes:
+                # The delay _respond is about to draw, from a copy of the
+                # CPU model so the real streams are left alone.
+                now = self.sim.now
+                cpu = copy.deepcopy(agent.host.cpu)
+                post = now + cpu.processing_delay_ns()
+                post += cpu.starvation_stall_ns(now)
+                ack1 = post + self._departure_delay(state.rnic)
+                ack2 = ack1 + self._departure_delay(state.rnic)
+                windows = {"post": (now, post), "ack1": (post, ack1),
+                           "ack2": (ack1, ack2)}
+                for write in writes:
+                    self._queue(write, windows, agent, state.rnic)
+        respond(state, cqe)
+
+    def _queue(self, write, windows, agent, rnic):
+        start, due = windows[write["window"]]
+        at = due if write["at_due"] else \
+            start + 1 + int(write["fraction"] * (due - start - 1))
+        at = max(at, self.sim.now)
+        if write["elsewhere"]:
+            rnic = self.rnics[int(write["x"] * len(self.rnics))]
+            agent = self.system.agents[
+                self.cluster.host_of_rnic(rnic.name).name]
+        self.sim.call_at(at, partial(self._apply, write, agent, rnic, False))
+        self.sim.call_at(at + write["undo_after"],
+                         partial(self._apply, write, agent, rnic, True))
+        if write["snapshot"] == "before" and due - 1 > self.sim.now:
+            self.sim.call_at(due - 1, self._snapshot)
+        elif write["snapshot"] == "halfway":
+            self.sim.call_at((self.sim.now + due) // 2, self._snapshot)
+
+    def _apply(self, write, agent, rnic, undo):
+        kind, x = write["kind"], write["x"]
+        host = agent.host
+        link = self.cluster.topology.links[
+            self.links[int(x * len(self.links))]]
+        if kind == "admin":
+            rnic.admin_up = undo
+        elif kind == "flap":
+            rnic.flap_down = not undo
+        elif kind == "routing":
+            rnic.routing_configured = undo
+        elif kind == "gid":
+            rnic.gid_index_present = undo
+        elif kind == "corruption":
+            rnic.tx_corruption_prob = 0.0 if undo else (0.5, 1.0)[x < 0.5]
+        elif kind == "pcie":
+            rnic.pcie_gbps = 512.0 if undo else 16.0
+        elif kind == "tracer":
+            rnic.tracer = None if undo else self.tracer
+        elif kind == "host":
+            host.set_up() if undo else host.set_down()
+        elif kind == "restart":
+            if not undo:
+                agent.restart()
+        elif kind == "link_down":
+            link.pair.up = undo
+        elif kind == "link_corrupt":
+            link.corruption_drop_prob = 0.0 if undo else 0.5
+        elif kind == "link_load":
+            link.set_offered_load(self.sim.now,
+                                  0.0 if undo else 1.2 * link.rate_gbps)
+        elif kind == "cpu":
+            host.cpu.set_load(0.10 if undo else (0.6, 0.93)[x < 0.3])
+
+    # -- what is compared ------------------------------------------------------------
+
+    def _snapshot(self):
+        self.snapshots.append(self.state())
+
+    def state(self):
+        cluster, system = self.cluster, self.system
+        fabric = cluster.fabric
+        if cluster.sanitizer is not None:
+            assert cluster.sanitizer.report() == []
+        return {
+            "now": self.sim.now,
+            "results": (system.upload_digest.count,
+                        system.upload_digest.value),
+            "drops": [(d.time_ns, d.reason.value, d.link, d.node)
+                      for d in fabric.drops],
+            "forwarded": fabric.forwarded_by_link(),
+            "injected": fabric.packets_injected,
+            "delivered": fabric.packets_delivered,
+            "rnics": {r.name: (r.tx_packets, r.tx_bytes, r.rx_packets,
+                               dict(r.local_drops)) for r in self.rnics},
+            "agents": {name: (a.probes_sent, a.acks_sent, a.restarts)
+                       for name, a in system.agents.items()},
+            "rng": (cluster.rngs.draw_counts(), cluster.rngs.digest()),
+        }
+
+
+def _run(script, **kwargs):
+    world = _World(script, **kwargs)
+    states = []
+    for cut in script.cuts:
+        world.sim.run_until(cut)
+        states.append(world.state())
+    world.sim.run_until(SPAN_NS)
+    states.append(world.state())
+    return world, world.snapshots + states
+
+
+def _assert_same(seed, expected, actual):
+    assert len(actual) == len(expected)
+    for want, got in zip(expected, actual):
+        for key in want:
+            assert got[key] == want[key], (
+                f"seed {seed}: {key} diverged at t={want['now']}")
+
+
+# -- the differential tests ------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(60))
+def test_host_lookahead_matches_per_event_host_path(seed):
+    script = _Script(seed)
+    reference, expected = _run(script, per_event=True)
+    world, actual = _run(script, per_event=False)
+    _assert_same(seed, expected, actual)
+    assert reference.system.upload_digest.count > 100
