@@ -50,7 +50,7 @@ from repro.core.records import (AgentUpload, PinglistEntry, ProbeKind,
                                 ProbeResult)
 from repro.host.ebpf import QpEvent, QpEventKind
 from repro.host.host import Host
-from repro.host.rnic import (CommInfo, Cqe, CqeKind, LocalSendError, QPType,
+from repro.host.rnic import (CommInfo, Cqe, LocalSendError, QPType,
                              QueuePair, Rnic)
 from repro.net.addresses import FiveTuple, roce_five_tuple
 from repro.net.traceroute import PathRecord
@@ -95,8 +95,6 @@ class _RnicAgentState:
     service_round: list[PinglistEntry] = field(default_factory=list)
     rr_index: dict[ProbeKind, int] = field(default_factory=dict)
     outstanding: dict[int, _Outstanding] = field(default_factory=dict)
-    # wr_id -> ("probe", seq) or ("ack1", responder context dict)
-    send_roles: dict[int, tuple[str, Any]] = field(default_factory=dict)
     path_cache: dict[FiveTuple, PathRecord] = field(default_factory=dict)
     tasks: list[PeriodicTask] = field(default_factory=list)
 
@@ -136,8 +134,16 @@ class Agent:
         self.restarts = 0
         # Overhead accounting (Figure 7)
         self.probes_sent = 0
-        self.acks_sent = 0
+        # Runs ahead of the clock by the ACKs posted for an instant yet to
+        # come; the property of the same name takes those back out.
+        self._acks_sent = 0
         self.results_buffered_peak = 0
+
+    @property
+    def acks_sent(self) -> int:
+        """ACKs posted by ``sim.now``."""
+        return self._acks_sent - sum(state.rnic.posts_planned
+                                     for state in self.states.values())
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -164,9 +170,7 @@ class Agent:
 
     def _init_rnic_state(self, rnic: Rnic) -> _RnicAgentState:
         state = _RnicAgentState(rnic=rnic, qp=None)  # type: ignore[arg-type]
-        state.qp = self.host.verbs.create_qp(
-            rnic, QPType.UD,
-            on_cqe=partial(self._on_cqe, state))
+        state.qp = self._create_qp(state)
         sim = self.cluster.sim
         cfg = self.config
         state.tasks.append(sim.every(
@@ -185,6 +189,13 @@ class Agent:
             jitter=cfg.service_probe_interval_ns // 4))
         return state
 
+    def _create_qp(self, state: _RnicAgentState) -> QueuePair:
+        """The probe/respond UD QP: recv CQEs, and send completions as
+        plain ``on_sent`` calls the RNIC may make ahead of the clock."""
+        return self.host.verbs.create_qp(
+            state.rnic, QPType.UD, on_cqe=partial(self._on_cqe, state),
+            on_sent=partial(self._on_sent, state))
+
     def restart(self) -> None:
         """Agent restart (host reboot path): all probe QPNs change (§4.1).
 
@@ -198,11 +209,8 @@ class Agent:
                 if out.timeout_handle is not None:
                     out.timeout_handle.cancel()
             state.outstanding.clear()
-            state.send_roles.clear()
             self.host.verbs.destroy_qp(state.rnic, state.qp)
-            state.qp = self.host.verbs.create_qp(
-                state.rnic, QPType.UD,
-                on_cqe=partial(self._on_cqe, state))
+            state.qp = self._create_qp(state)
             comm_infos[name] = state.rnic.comm_info(state.qp.qpn)
         for name, info in comm_infos.items():
             self.client.update_comm_info(name, info)
@@ -339,11 +347,11 @@ class Agent:
             self.tracer.event(seq, now, "agent.send", mark="t1",
                               host_clock_ns=out.t1_host)
         try:
-            wr_id = self.host.verbs.post_send(
+            self.host.verbs.post_send(
                 state.rnic, state.qp, entry.target,
                 src_port=entry.src_port,
                 payload={"t": "probe", "seq": seq},
-                payload_bytes=self.config.probe_payload_bytes)
+                payload_bytes=self.config.probe_payload_bytes, context=out)
         except LocalSendError as exc:
             # Unreachable locally (down/flapping/misconfigured RNIC): the
             # probe never leaves; it will be reported at the timeout tick
@@ -352,43 +360,51 @@ class Agent:
                 self.tracer.event(seq, now, "agent.local_send_error",
                                   reason=exc.reason)
             return
-        state.send_roles[wr_id] = ("probe", seq)
         self.probes_sent += 1
         self._ensure_traced(state, entry)
 
     # -- CQE dispatch -----------------------------------------------------------------
 
     def _on_cqe(self, state: _RnicAgentState, cqe: Cqe) -> None:
-        if cqe.kind == CqeKind.SEND:
-            self._on_send_cqe(state, cqe)
-        else:
-            kind = cqe.payload.get("t")
-            if kind == "probe":
-                self._respond(state, cqe)
-            elif kind == "ack1":
-                self._on_ack1(state, cqe)
-            elif kind == "ack2":
-                self._on_ack2(state, cqe)
+        kind = cqe.payload.get("t")
+        if kind == "probe":
+            self._respond(state, cqe)
+        elif kind == "ack1":
+            self._on_ack1(state, cqe)
+        elif kind == "ack2":
+            self._on_ack2(state, cqe)
         # Every handler above copies what it keeps; hand the CQE storage
-        # back to the RNIC for reuse (no-op when pooling is off).
+        # back to the RNIC for reuse.
         state.rnic.release_cqe(cqe)
 
-    def _on_send_cqe(self, state: _RnicAgentState, cqe: Cqe) -> None:
-        role = state.send_roles.pop(cqe.wr_id, None)
-        if role is None:
-            return
-        tag, context = role
-        if tag == "probe":
-            out = state.outstanding.get(context)
-            if out is not None:
-                out.t2_rnic = cqe.rnic_timestamp_ns     # ② wire departure
-        elif tag == "ack1":
+    def _on_sent(self, state: _RnicAgentState, qp: QueuePair, context: Any,
+                 timestamp: Optional[int], at_ns: int) -> None:
+        """Send completion of one of this Agent's posts (``Rnic.allocate_qp``).
+
+        ``context`` is the probe's :class:`_Outstanding`, the first ACK's
+        ``(reply_to, src_port, seq, t3)``, or None for the second ACK.
+        ``at_ns`` is the departure instant — possibly ahead of the clock,
+        so nothing here reads ``sim.now``.  A ``None`` timestamp takes back
+        a post planned for ``at_ns``.
+        """
+        if timestamp is None:
+            self._acks_sent -= 1
+            if context is not None:
+                sim = self.cluster.sim
+                sim.schedule(at_ns - sim.now, partial(
+                    self._post_ack1, state, *context, at_ns))
+        elif qp is not state.qp or context is None:
+            pass    # second ACK, or a QP that restart() has since replaced
+        elif type(context) is _Outstanding:
+            context.t2_rnic = timestamp                 # ② wire departure
+        else:
             # ④: the first ACK hit the wire; its delay vs ③ is the
-            # responder processing delay, shipped in the second ACK.
-            responder_delay = cqe.rnic_timestamp_ns - context["t3"]
-            self._send_ack(state, context["reply_to"], context["src_port"],
-                           {"t": "ack2", "seq": context["seq"],
-                            "responder_delay": responder_delay})
+            # responder processing delay, shipped in the second ACK, which
+            # is posted at that same instant.
+            reply_to, src_port, seq, t3 = context
+            self._send_ack(state, reply_to, src_port,
+                           {"t": "ack2", "seq": seq,
+                            "responder_delay": timestamp - t3}, at_ns)
 
     # -- responder role (steps 2-3 of Figure 4) --------------------------------------
 
@@ -408,32 +424,30 @@ class Agent:
             self.tracer.event(seq, now, "responder.recv",
                               host=self.host.name, rnic=state.rnic.name,
                               cpu_delay_ns=delay)
-        self.cluster.sim.schedule(
-            delay,
-            partial(self._post_ack1, state, reply_to, src_port, seq, t3))
+        self.cluster.sim.schedule(delay, partial(
+            self._post_ack1, state, reply_to, src_port, seq, t3, now + delay))
 
     def _post_ack1(self, state: _RnicAgentState, reply_to: CommInfo,
-                   src_port: int, seq: int, t3: int) -> None:
-        wr_id = self._send_ack(state, reply_to, src_port,
-                               {"t": "ack1", "seq": seq})
-        if wr_id is not None:
-            state.send_roles[wr_id] = ("ack1", {
-                "t3": t3, "reply_to": reply_to, "src_port": src_port,
-                "seq": seq})
+                   src_port: int, seq: int, t3: int, at_ns: int) -> None:
+        """Post the first ACK at ``at_ns``, from whichever QP is the
+        RNIC's then; its completion (④) posts the second."""
+        self._send_ack(state, reply_to, src_port, {"t": "ack1", "seq": seq},
+                       at_ns, (reply_to, src_port, seq, t3))
 
     def _send_ack(self, state: _RnicAgentState, reply_to: CommInfo,
-                  src_port: int, payload: dict) -> Optional[int]:
+                  src_port: int, payload: dict, at_ns: int,
+                  context: Any = None) -> None:
         """ACKs echo the probe's source port, mimicking RC hardware ACKs
         so they ride the same ECMP path class (§5)."""
         try:
-            wr_id = self.host.verbs.post_send(
+            self.host.verbs.post_send(
                 state.rnic, state.qp, reply_to, src_port=src_port,
                 payload=payload,
-                payload_bytes=self.config.probe_payload_bytes)
+                payload_bytes=self.config.probe_payload_bytes,
+                context=context, at_ns=at_ns)
         except LocalSendError:
-            return None
-        self.acks_sent += 1
-        return wr_id
+            return
+        self._acks_sent += 1
 
     # -- prober completion (steps 4-5 of Figure 4) --------------------------------------
 

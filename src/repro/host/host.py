@@ -28,12 +28,26 @@ class Host:
         self.name = name
         self.sim = sim
         self.mgmt_ip = mgmt_ip            # TCP NIC for control traffic
-        self.up = True                    # fault #4 clears this
+        self._up = True
         self.clock = random_clock(rngs.stream(f"{name}.hostclock"))
         self.cpu = CpuModel(rngs.stream(f"{name}.cpu"))
         self.tracer = QpTracer()
         self.verbs = VerbsContext(sim, self.tracer)
         self.rnics: list[Rnic] = []
+
+    @property
+    def up(self) -> bool:
+        """Whether the host is alive (fault #4 clears this)."""
+        return self._up
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        # Every RNIC's planned send steps read this (DESIGN.md §10).
+        for rnic in self.rnics:
+            rnic.demote_planned()
+        self._up = value
+        for rnic in self.rnics:
+            rnic.resettle()
 
     def add_rnic(self, rnic: Rnic) -> None:
         """Attach an RNIC to this host (sets the back reference)."""

@@ -17,11 +17,17 @@ model is deliberately faithful on the points the design exploits:
   (fault #6), missing GID index (fault #7), TX/RX packet corruption
   (fault #2), and QPN mismatch drops (the "QPN reset" probe noise §4.3.1)
   are all modelled where the real device exhibits them.
+* **Host lookahead** (DESIGN.md §10).  Wire departure is a reading, not a
+  decision: while everything the departure step reads is settled, it runs
+  at post time with its own instant as an argument, for QPs whose consumer
+  asked for send completions that way (``on_sent``).  A write to anything
+  a planned step read takes the step back (:meth:`Rnic.demote_planned`).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -32,7 +38,7 @@ from repro.net.fabric import DeliveryRecord, Fabric
 from repro.net.packet import (ROCE_HEADER_BYTES, Packet, RoCEOpcode,
                               RoCEPacket)
 from repro.host.clockmodel import Clock
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStream
 from repro.sim.units import MICROSECOND, serialization_delay_ns
 
@@ -113,6 +119,9 @@ class QueuePair:
     qp_type: QPType
     state: QPState = QPState.RESET
     on_cqe: Optional[Callable[[Cqe], None]] = None
+    # Send completions as a plain call ``on_sent(qp, context, timestamp_ns,
+    # at_ns)`` instead of a SEND Cqe — see Rnic.allocate_qp.
+    on_sent: Optional[Callable[..., None]] = None
     # RC/UC connection attributes (set by modify_qp):
     remote: Optional[CommInfo] = None
     five_tuple: Optional[FiveTuple] = None
@@ -138,8 +147,35 @@ class LocalSendError(Exception):
         self.reason = reason
 
 
+def _hooked(slot: str, doc: str) -> property:
+    """An attribute planned send steps read: a write takes them back first."""
+    def read(self):
+        return getattr(self, slot)
+
+    def write(self, value) -> None:
+        self.demote_planned()
+        setattr(self, slot, value)
+        self.resettle()
+    return property(read, write, doc=doc)
+
+
 class Rnic:
     """One RDMA NIC attached to a topology host port of the same name."""
+
+    host = _hooked("_host", "the owning Host (None while unattached)")
+    pcie_gbps = _hooked("_pcie_gbps", "PCIe rate; fault #13 lowers it")
+    gid_index_present = _hooked("_gid_index_present", "fault #7 clears this")
+    routing_configured = _hooked("_routing_configured",
+                                 "fault #6 clears this")
+    admin_up = _hooked("_admin_up", "fault #3 clears this")
+    flap_down = _hooked("_flap_down", "fault #1 toggles this")
+    tx_corruption_prob = _hooked("_tx_corruption_prob",
+                                 "fault #2 (RNIC-side)")
+    # Probe-lifecycle tracer (repro.obs), installed when tracing is on.
+    # CQE-timestamp events for marks ②-⑤ of Figure 4 are emitted here
+    # because only the RNIC knows its own clock's reading; while one is
+    # installed every departure is its own event, so they carry true times.
+    tracer = _hooked("_tracer", "the installed probe-lifecycle tracer")
 
     def __init__(self, name: str, ip: str, sim: Simulator, fabric: Fabric,
                  clock: Clock, rng: RngStream, *,
@@ -152,17 +188,24 @@ class Rnic:
         self.clock = clock
         self.rng = rng
         self.link_gbps = link_gbps
-        self.pcie_gbps = pcie_gbps
         self.qpc_cache_slots = qpc_cache_slots
-        self.host: Optional["Host"] = None
+        # Send steps run ahead of the clock and not due yet, oldest first:
+        # (departure ns, post ns if posted ahead of the clock else -1, qp,
+        # packet, wr_id, context).  See demote_planned.
+        self._planned: list[tuple] = []
+        self.step_demotions = 0
+        self._host: Optional["Host"] = None
+        self._pcie_gbps = pcie_gbps
+        self._gid_index_present = True
+        self._routing_configured = True
+        self._admin_up = True
+        self._flap_down = False
+        self._tx_corruption_prob = 0.0
+        self._tracer = None
+        self.resettle()
 
         self.gid = GID.from_ip(ip)
-        self.gid_index_present = True     # fault #7 clears this
-        self.routing_configured = True    # fault #6 clears this
-        self.admin_up = True              # fault #3 clears this
-        self.flap_down = False            # fault #1 toggles this
         self.last_flap_ns = -(1 << 62)    # last flap transition
-        self.tx_corruption_prob = 0.0     # fault #2 (RNIC-side)
         self.rx_corruption_prob = 0.0
 
         self._qps: dict[int, QueuePair] = {}
@@ -171,7 +214,7 @@ class Rnic:
         # history across scenarios run in the same process.
         self._wr_ids = itertools.count(1)
         self._next_qpn = rng.randint(0x100, 0xFFF)
-        self._pending_rc_sends: dict[int, list[int]] = {}
+        self._pending_rc_sends: dict[int, deque[int]] = {}
         # Hot-path memos: probe 5-tuples repeat per (peer, src_port) and
         # PCIe serialization depends only on (size, pcie_gbps); both are
         # pure.  The PCIe memo is keyed by the rate so PcieDowngrade
@@ -188,16 +231,13 @@ class Rnic:
         self.tcp_handler: Optional[
             Callable[[Packet, DeliveryRecord], None]] = None
 
-        # Counters
-        self.tx_packets = 0
+        # Counters (tx_* run ahead of the clock by the planned departures;
+        # the properties of the same name take those back out).
+        self._tx_packets = 0
         self.rx_packets = 0
-        self.tx_bytes = 0
+        self._tx_bytes = 0
         self.rx_bytes = 0
         self.local_drops: dict[str, int] = {}
-        # Probe-lifecycle tracer (repro.obs), installed when tracing is on.
-        # CQE-timestamp events for marks ②-⑤ of Figure 4 are emitted here
-        # because only the RNIC knows its own clock's reading.
-        self.tracer = None
 
         fabric.attach_receiver(name, self._on_fabric_packet)
         fabric.register_ip(ip, name)
@@ -207,8 +247,81 @@ class Rnic:
     @property
     def operational(self) -> bool:
         """Whether the NIC can currently move packets."""
-        host_up = self.host.up if self.host is not None else True
-        return self.admin_up and not self.flap_down and host_up
+        host = self._host
+        return (self._admin_up and not self._flap_down
+                and (host is None or host._up))
+
+    # -- host lookahead: settled steps, and taking them back -----------------
+
+    def resettle(self) -> None:
+        """Re-derive :attr:`settled` (every hooked write ends here)."""
+        self.settled = (self.operational and self._routing_configured
+                        and self._gid_index_present and self._tracer is None
+                        and self._tx_corruption_prob == 0)
+
+    def demote_planned(self) -> None:
+        """Take back every planned send step that is not due before now.
+
+        Called by any write to what such a step read: the hooked attributes
+        above, ``Host.up``, a QP's destruction.  A planned departure gives
+        its counters back and withdraws its packet from the fabric; if the
+        send was also *posted* ahead of the clock the post is undone too
+        (packet released, ``on_sent`` told with a ``None`` timestamp, which
+        is where a chained second ACK goes away with its first), otherwise
+        the departure is re-queued as an event at its instant, where it runs
+        against the written state.  Tie rule as for the fabric walker: a
+        write at a step's due nanosecond applies to that step.  O(1) when
+        nothing is planned.
+        """
+        steps = self._planned
+        if not steps:
+            return
+        self._planned = []
+        now = self.sim.now
+        stands = False
+        for depart_ns, post_ns, qp, packet, wr_id, context in steps:
+            if depart_ns < now:
+                continue
+            if not self.fabric.withdraw(packet):
+                # Evaluated at this very nanosecond, ahead of the write: it
+                # departed, and what its completion posted was posted.
+                stands = True
+                continue
+            self._tx_packets -= 1
+            self._tx_bytes -= packet.size_bytes
+            self.step_demotions += 1
+            if post_ns > now or (post_ns == now and not stands):
+                self.fabric.packet_pool.release(packet)
+                qp.on_sent(qp, context, None, post_ns)
+            else:
+                self.sim.schedule(depart_ns - now, partial(
+                    self._depart, qp, packet, wr_id, context, depart_ns))
+
+    def _planned_after_now(self, instant: int) -> list[tuple]:
+        """Planned steps whose departure (0) / post (1) is yet to come."""
+        now = self.sim.now
+        return [step for step in self._planned if step[instant] > now]
+
+    @property
+    def steps_planned(self) -> int:
+        """Send steps run ahead of the clock and not due yet."""
+        return len(self._planned_after_now(0))
+
+    @property
+    def posts_planned(self) -> int:
+        """Sends posted for an instant yet to come."""
+        return len(self._planned_after_now(1))
+
+    @property
+    def tx_packets(self) -> int:
+        """Packets that have left the NIC by ``sim.now``."""
+        return self._tx_packets - self.steps_planned
+
+    @property
+    def tx_bytes(self) -> int:
+        """Bytes that have left the NIC by ``sim.now``."""
+        return self._tx_bytes - sum(
+            step[3].size_bytes for step in self._planned_after_now(0))
 
     def flapped_recently(self, now_ns: int,
                          window_ns: int = 2_000_000_000) -> bool:
@@ -236,16 +349,28 @@ class Rnic:
     # -- QP lifecycle (driven through the verbs layer) -----------------------
 
     def allocate_qp(self, qp_type: QPType,
-                    on_cqe: Optional[Callable[[Cqe], None]] = None
+                    on_cqe: Optional[Callable[[Cqe], None]] = None, *,
+                    on_sent: Optional[Callable[..., None]] = None
                     ) -> QueuePair:
         """Create a QP in RESET state and assign it a fresh QPN.
 
         QPNs are never reused within an RNIC lifetime, so a restarted Agent
         gets different QPNs — the origin of "QPN reset" probe noise.
+
+        A UD/UC consumer that registers ``on_sent`` takes its send
+        completions as ``on_sent(qp, context, rnic_timestamp_ns, at_ns)`` —
+        the ``context`` it gave :meth:`post_send`, the CQE timestamp and the
+        departure instant it was taken at — instead of a SEND :class:`Cqe`.
+        It must not read ``sim.now`` for that instant: while the RNIC is
+        :attr:`settled` the call comes at post time, ahead of the clock, and
+        a later write may take the send back (see :meth:`demote_planned`).
         """
+        if on_sent is not None and qp_type == QPType.RC:
+            raise ValueError("RC send completions wait for the remote ACK")
         qpn = self._next_qpn
         self._next_qpn += self.rng.randint(1, 7)
-        qp = QueuePair(qpn=qpn, qp_type=qp_type, on_cqe=on_cqe)
+        qp = QueuePair(qpn=qpn, qp_type=qp_type, on_cqe=on_cqe,
+                       on_sent=on_sent)
         self._qps[qpn] = qp
         return qp
 
@@ -261,6 +386,7 @@ class Rnic:
         qp = self._qps.get(qpn)
         if qp is None:
             raise KeyError(f"unknown QPN {qpn} on {self.name}")
+        self.demote_planned()
         qp.state = QPState.DESTROYED
         qp.remote = None
 
@@ -275,24 +401,29 @@ class Rnic:
     def post_send(self, qp: QueuePair, dst: CommInfo, *, src_port: int,
                   payload: dict[str, Any], payload_bytes: int,
                   opcode: Optional[RoCEOpcode] = None,
-                  wr_id: Optional[int] = None) -> int:
+                  wr_id: Optional[int] = None, context: Any = None,
+                  at_ns: Optional[int] = None) -> int:
         """Post one message send on ``qp``; returns the work-request id.
 
         The send CQE (with the RNIC wire-departure timestamp) is delivered
         to ``qp.on_cqe`` for UD/UC at departure, for RC only when the remote
         hardware ACK returns.  Local conditions that keep the message off
         the wire raise :class:`LocalSendError`.
+
+        An ``on_sent`` consumer gets ``context`` back with its completion,
+        and may post for an instant ``at_ns`` ahead of the clock while the
+        RNIC is :attr:`settled`.
         """
         if qp.state != QPState.RTS:
             raise LocalSendError("qp_not_rts")
         if not self.operational:
             raise LocalSendError("rnic_down")
-        if not self.routing_configured:
+        if not self._routing_configured:
             # Fault #6: the RoCE routing table entries are missing, the
             # kernel cannot resolve the egress — nothing reaches the wire.
             self._count_drop("routing_unconfigured")
             raise LocalSendError("routing_unconfigured")
-        if not self.gid_index_present:
+        if not self._gid_index_present:
             # Fault #7: the RoCEv2 GID index is gone; address handles cannot
             # be created for this source GID.
             self._count_drop("gid_index_missing")
@@ -316,15 +447,31 @@ class Rnic:
             self.gid.value, dst.gid, payload)
 
         rate, pcie_sizes = self._pcie_memo
-        if rate != self.pcie_gbps:
-            rate, pcie_sizes = self._pcie_memo = (self.pcie_gbps, {})
+        if rate != self._pcie_gbps:
+            rate, pcie_sizes = self._pcie_memo = (self._pcie_gbps, {})
         pcie_ns = pcie_sizes.get(size)
         if pcie_ns is None:
             pcie_ns = pcie_sizes[size] = serialization_delay_ns(size, rate)
-        departure_delay = TX_PIPELINE_NS + pcie_ns
-        self.sim.schedule(
-            departure_delay,
-            partial(self._wire_departure, qp, packet, wr_id))
+        now = self.sim.now
+        post_ns = now if at_ns is None else at_ns
+        depart_ns = post_ns + TX_PIPELINE_NS + pcie_ns
+        if qp.on_sent is not None and self.settled:
+            # Nothing the departure reads can change without a hooked
+            # write: run it now, and remember how to take it back.
+            steps = self._planned
+            if steps and (steps[0][0] < now or len(steps) > 8):
+                steps = self._planned = [step for step in steps
+                                         if step[0] >= now]
+            steps.append((depart_ns, post_ns if post_ns > now else -1,
+                          qp, packet, wr_id, context))
+            self._depart(qp, packet, wr_id, context, depart_ns)
+        elif post_ns != now:
+            raise SimulationError(
+                f"{self.name}: posting ahead of the clock needs an on_sent "
+                f"consumer and a settled RNIC")
+        else:
+            self.sim.schedule(depart_ns - now, partial(
+                self._depart, qp, packet, wr_id, context, depart_ns))
         return wr_id
 
     def _trace_rnic_drop(self, payload: dict[str, Any], reason: str) -> None:
@@ -333,37 +480,51 @@ class Rnic:
             self.tracer.event(payload["seq"], self.sim.now, "rnic.drop",
                               leg=leg, rnic=self.name, reason=reason)
 
-    def _wire_departure(self, qp: QueuePair, packet: RoCEPacket,
-                        wr_id: int) -> None:
-        """The moment the message leaves the NIC: timestamp ② (or ④)."""
+    def _depart(self, qp: QueuePair, packet: RoCEPacket, wr_id: int,
+                context: Any, at_ns: int) -> None:
+        """The message leaves the NIC at ``at_ns``: timestamp ② (or ④).
+
+        One body, two ways to reach it: from :meth:`post_send` ahead of the
+        clock while the RNIC is settled, or as the event at ``at_ns``.
+        """
         if not self.operational:
             # NIC died between post and departure; message is lost and no
             # completion is ever generated (matches flush-on-down behaviour
             # closely enough for probing: the prober simply times out).
-            self._count_drop("rnic_down")
-            if self.tracer is not None:
-                self._trace_rnic_drop(packet.payload, "rnic_down")
             # Nobody keeps a packet lost inside the NIC (no DropRecord).
+            self._count_drop("rnic_down")
+            if self._tracer is not None:
+                self._trace_rnic_drop(packet.payload, "rnic_down")
             self.fabric.packet_pool.release(packet)
             return
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
+        self._tx_packets += 1
+        self._tx_bytes += packet.size_bytes
 
-        if self.tx_corruption_prob > 0 and self.rng.chance(
-                self.tx_corruption_prob):
+        corrupted = self._tx_corruption_prob > 0 and self.rng.chance(
+            self._tx_corruption_prob)
+        if corrupted:
             self._count_drop("tx_corruption")
-            if self.tracer is not None:
+            if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "tx_corruption")
-            # CQE still fires: the NIC believes it sent the packet.
-            self._complete_send_if_unreliable(qp, wr_id, packet.payload)
-            self.fabric.packet_pool.release(packet)
-            return
-
-        self.fabric.inject(packet, self.name)
-        self._complete_send_if_unreliable(qp, wr_id, packet.payload)
+        else:
+            self.fabric.inject(packet, self.name, at_ns)
         if qp.qp_type == QPType.RC:
             # RC send CQE deferred until the hardware ACK (Table 1: no ②/④).
-            self._pending_rc_sends.setdefault(qp.qpn, []).append(wr_id)
+            if not corrupted:
+                self._pending_rc_sends.setdefault(
+                    qp.qpn, deque()).append(wr_id)
+        else:
+            # A corrupted send completes too: the NIC believes it sent it.
+            timestamp = self.clock.read(at_ns)
+            if self._tracer is not None:
+                self._trace_cqe(packet.payload, CqeKind.SEND, timestamp)
+            if qp.on_sent is not None:
+                qp.on_sent(qp, context, timestamp, at_ns)
+            else:
+                self._emit_cqe(qp, self._acquire_cqe(
+                    CqeKind.SEND, qp.qpn, wr_id, timestamp))
+        if corrupted:
+            self.fabric.packet_pool.release(packet)
 
     # Figure-4 marks carried by send/recv CQEs of the probe exchange: the
     # probe's send CQE is ② and its recv CQE ③; the first ACK's are ④/⑤.
@@ -383,17 +544,6 @@ class Rnic:
         if mark is not None:
             fields["mark"] = mark
         self.tracer.event(payload["seq"], self.sim.now, name, **fields)
-
-    def _complete_send_if_unreliable(self, qp: QueuePair, wr_id: int,
-                                     payload: Optional[dict[str, Any]] = None
-                                     ) -> None:
-        if qp.qp_type == QPType.RC:
-            return
-        timestamp = self.clock.read(self.sim.now)
-        if self.tracer is not None and payload is not None:
-            self._trace_cqe(payload, CqeKind.SEND, timestamp)
-        self._emit_cqe(qp, self._acquire_cqe(
-            CqeKind.SEND, qp.qpn, wr_id, timestamp))
 
     def _emit_cqe(self, qp: QueuePair, cqe: Cqe) -> None:
         if qp.on_cqe is not None:
@@ -448,20 +598,20 @@ class Rnic:
             return
         if not self.operational:
             self._count_drop("rnic_down")
-            if self.tracer is not None:
+            if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "rnic_down")
             return
         if self.rx_corruption_prob > 0 and self.rng.chance(
                 self.rx_corruption_prob):
             self._count_drop("rx_corruption")
-            if self.tracer is not None:
+            if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "rx_corruption")
             return
-        if not self.gid_index_present or packet.dst_gid != self.gid.value:
+        if not self._gid_index_present or packet.dst_gid != self.gid.value:
             # Fault #7 as seen from the wire: the GID no longer matches any
             # table entry, the packet is silently discarded by hardware.
             self._count_drop("gid_mismatch")
-            if self.tracer is not None:
+            if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "gid_mismatch")
             return
 
@@ -473,14 +623,14 @@ class Rnic:
         if qp is None or qp.state != QPState.RTS:
             # QPN reset noise (§4.3.1): the prober used an outdated QPN.
             self._count_drop("qpn_mismatch")
-            if self.tracer is not None:
+            if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "qpn_mismatch")
             return
         if qp.qp_type in (QPType.RC, QPType.UC):
             expected = qp.remote
             if expected is None or packet.src_qpn != expected.qpn:
                 self._count_drop("qpn_mismatch")
-                if self.tracer is not None:
+                if self._tracer is not None:
                     self._trace_rnic_drop(packet.payload, "qpn_mismatch")
                 return
 
@@ -490,7 +640,7 @@ class Rnic:
             self._send_rc_hw_ack(packet)
 
         timestamp = self.clock.read(self.sim.now)
-        if self.tracer is not None:
+        if self._tracer is not None:
             self._trace_cqe(packet.payload, CqeKind.RECV, timestamp)
         cqe = self._acquire_cqe(
             CqeKind.RECV, qp.qpn, next(self._wr_ids), timestamp)
@@ -524,7 +674,7 @@ class Rnic:
         pending = self._pending_rc_sends.get(qp.qpn)
         if not pending:
             return
-        wr_id = pending.pop(0)
+        wr_id = pending.popleft()
         # RC send CQE timestamp is ACK-arrival time, NOT wire departure —
         # this is exactly why RC cannot provide timestamps ②/④ (Table 1).
         self._emit_cqe(qp, self._acquire_cqe(

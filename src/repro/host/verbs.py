@@ -32,15 +32,16 @@ class VerbsContext:
     # -- QP lifecycle --------------------------------------------------------
 
     def create_qp(self, rnic: Rnic, qp_type: QPType,
-                  on_cqe: Optional[Callable[[Cqe], None]] = None
+                  on_cqe: Optional[Callable[[Cqe], None]] = None, *,
+                  on_sent: Optional[Callable[..., None]] = None
                   ) -> QueuePair:
         """Create a QP.
 
         UD QPs are connectionless and go straight to RTS (after the usual
         INIT/RTR dance which we collapse); RC/UC QPs stay in RESET until
-        ``connect_qp``.
+        ``connect_qp``.  ``on_sent``: see :meth:`Rnic.allocate_qp`.
         """
-        qp = rnic.allocate_qp(qp_type, on_cqe)
+        qp = rnic.allocate_qp(qp_type, on_cqe, on_sent=on_sent)
         if qp_type == QPType.UD:
             qp.state = QPState.RTS
         return qp
@@ -94,7 +95,9 @@ class VerbsContext:
 
     def post_send(self, rnic: Rnic, qp: QueuePair, dst: CommInfo, *,
                   src_port: int, payload: dict, payload_bytes: int,
-                  wr_id: Optional[int] = None) -> int:
+                  wr_id: Optional[int] = None, context=None,
+                  at_ns: Optional[int] = None) -> int:
         """Post a message send; see :meth:`Rnic.post_send`."""
         return rnic.post_send(qp, dst, src_port=src_port, payload=payload,
-                              payload_bytes=payload_bytes, wr_id=wr_id)
+                              payload_bytes=payload_bytes, wr_id=wr_id,
+                              context=context, at_ns=at_ns)

@@ -62,6 +62,12 @@ from repro.sim.units import (MICROSECOND, MILLISECOND, SECOND,
                              serialization_delay_ns)
 
 SPAN_NS = 3 * SECOND
+# Every probe task's first tick falls on the same nanosecond (jitter starts
+# with the second), so that round's steps on one host are due together.  A
+# write one of them queues for its own due nanosecond is then queued *after*
+# its neighbours were posted — not the tie rule's premise — so the first
+# round is left alone.
+WRITES_FROM_NS = 40 * MILLISECOND
 CONFIG = dict(upload_interval_ns=500 * MILLISECOND,
               pinglist_refresh_ns=400 * MILLISECOND,
               probe_timeout_ns=100 * MILLISECOND,
@@ -74,7 +80,8 @@ class _PerEventRnic(Rnic):
     """The original send path: one departure event, one CQE per send."""
 
     def post_send(self, qp, dst, *, src_port, payload, payload_bytes,
-                  opcode=None, wr_id=None):
+                  opcode=None, wr_id=None, context=None, at_ns=None):
+        assert context is None and at_ns is None
         if qp.state != QPState.RTS:
             raise LocalSendError("qp_not_rts")
         if not self.operational:
@@ -105,8 +112,8 @@ class _PerEventRnic(Rnic):
             self._count_drop("rnic_down")
             self.fabric.packet_pool.release(packet)
             return
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
+        self._tx_packets += 1
+        self._tx_bytes += packet.size_bytes
         if self.tx_corruption_prob > 0 and self.rng.chance(
                 self.tx_corruption_prob):
             self._count_drop("tx_corruption")
@@ -129,21 +136,15 @@ class _PerEventAgent(Agent):
         return self.__dict__.setdefault("_send_roles", {}).setdefault(
             state.rnic.name, {})
 
+    def _create_qp(self, state):
+        # A plain CQE consumer: no on_sent.
+        return self.host.verbs.create_qp(
+            state.rnic, QPType.UD, on_cqe=partial(self._on_cqe, state))
+
     def restart(self):
-        self.restarts += 1
-        comm_infos = {}
-        for name, state in self.states.items():
-            for out in list(state.outstanding.values()):
-                if out.timeout_handle is not None:
-                    out.timeout_handle.cancel()
-            state.outstanding.clear()
+        for state in self.states.values():
             self._roles(state).clear()
-            self.host.verbs.destroy_qp(state.rnic, state.qp)
-            state.qp = self.host.verbs.create_qp(
-                state.rnic, QPType.UD, on_cqe=partial(self._on_cqe, state))
-            comm_infos[name] = state.rnic.comm_info(state.qp.qpn)
-        for name, info in comm_infos.items():
-            self.client.update_comm_info(name, info)
+        super().restart()
 
     def _probe(self, state, entry):
         from repro.core.agent import _Outstanding
@@ -225,7 +226,7 @@ class _PerEventAgent(Agent):
                 payload_bytes=self.config.probe_payload_bytes)
         except LocalSendError:
             return None
-        self.acks_sent += 1
+        self._acks_sent += 1
         return wr_id
 
 
@@ -247,9 +248,11 @@ def _random_shape(rng):
 class _Script:
     """One seeded scenario as plain data, replayable into either world.
 
-    Writes are keyed by *which* probe post / probe receipt they follow (a
-    running count both worlds share as long as they agree) and placed
-    relative to that exchange's own instants.
+    Writes are keyed by the sequence number of the probe whose post /
+    receipt they follow and placed relative to that exchange's own instants.
+    (Not by a running count of receipts: probes that reach different hosts
+    at the same nanosecond do so in event-sequence order, which the two
+    worlds do not share.)
     """
 
     def __init__(self, seed, *, exchanges=4_000):
@@ -257,11 +260,11 @@ class _Script:
         self.seed = seed
         self.params = _random_shape(rng)
         self.cuts = sorted(rng.randrange(SPAN_NS) for _ in range(5))
-        # n-th probe post -> writes between the post and departure ②.
+        # probe seq -> writes between its post and departure ②.
         self.probe_writes = {}
-        # n-th answered probe -> writes around the two ACKs.
+        # probe seq -> writes around the two ACKs that answer it.
         self.respond_writes = {}
-        for n in range(exchanges):
+        for n in range(1, exchanges):
             if rng.random() < 0.06:
                 self.probe_writes[n] = [self._write(rng, ("depart",))]
             if rng.random() < 0.12:
@@ -303,7 +306,7 @@ class _World:
                 agent.__class__ = _PerEventAgent
         self.links = sorted(cluster.topology.links)
         self.tracer = Tracer(enabled=True)
-        self.probes = self.responds = 0
+        self.probes = 0
         self.snapshots = []
         for agent in self.system.agents.values():
             agent._probe = partial(self._on_probe, agent, agent._probe)
@@ -317,8 +320,11 @@ class _World:
                                                        rnic.pcie_gbps)
 
     def _on_probe(self, agent, probe, state, entry):
-        writes = self.script.probe_writes.get(self.probes, ())
+        # Probe ticks run in one order in both worlds, and each takes the
+        # next cluster-wide sequence number.
         self.probes += 1
+        writes = self.script.probe_writes.get(self.probes, ()) \
+            if self.sim.now >= WRITES_FROM_NS else ()
         now = self.sim.now
         windows = {"depart": (now, now + self._departure_delay(state.rnic))}
         for write in writes:
@@ -327,9 +333,8 @@ class _World:
 
     def _on_respond(self, agent, respond, state, cqe):
         if agent.host.up:
-            writes = self.script.respond_writes.get(self.responds, ())
-            self.responds += 1
-            if writes:
+            writes = self.script.respond_writes.get(cqe.payload["seq"], ())
+            if writes and self.sim.now >= WRITES_FROM_NS:
                 # The delay _respond is about to draw, from a copy of the
                 # CPU model so the real streams are left alone.
                 now = self.sim.now
@@ -409,8 +414,8 @@ class _World:
             "now": self.sim.now,
             "results": (system.upload_digest.count,
                         system.upload_digest.value),
-            "drops": [(d.time_ns, d.reason.value, d.link, d.node)
-                      for d in fabric.drops],
+            "drops": sorted((d.time_ns, d.reason.value, d.link, d.node)
+                            for d in fabric.drops),
             "forwarded": fabric.forwarded_by_link(),
             "injected": fabric.packets_injected,
             "delivered": fabric.packets_delivered,
