@@ -419,13 +419,21 @@ class Agent:
         # CPU processing plus any Agent starvation stall (Figure 6 right).
         now = self.cluster.sim.now
         delay = self.host.cpu.processing_delay_ns()
-        delay += self.host.cpu.starvation_stall_ns(now)
+        stall = self.host.cpu.starvation_stall_ns(now)
+        delay += stall
         if self.tracer.enabled:
             self.tracer.event(seq, now, "responder.recv",
                               host=self.host.name, rnic=state.rnic.name,
                               cpu_delay_ns=delay)
-        self.cluster.sim.schedule(delay, partial(
-            self._post_ack1, state, reply_to, src_port, seq, t3, now + delay))
+        if state.rnic.settled and not stall:
+            # The delay is drawn and nothing the post reads can change
+            # without a hooked write: post now, for then.  (A starved Agent
+            # is seconds away from posting; that step keeps its event.)
+            self._post_ack1(state, reply_to, src_port, seq, t3, now + delay)
+        else:
+            self.cluster.sim.schedule(delay, partial(
+                self._post_ack1, state, reply_to, src_port, seq, t3,
+                now + delay))
 
     def _post_ack1(self, state: _RnicAgentState, reply_to: CommInfo,
                    src_port: int, seq: int, t3: int, at_ns: int) -> None:

@@ -18,6 +18,8 @@ under the same seeded script of writes, and requires identical:
 * per-RNIC ``tx_packets`` / ``tx_bytes`` / ``rx_packets`` / ``local_drops``,
   per-Agent ``probes_sent`` / ``acks_sent``;
 * every RNG stream's draw count and the registry digest;
+* every ``cqe.send`` / ``cqe.recv`` / ``rnic.drop`` event an RNIC reports
+  while a tracer is switched on, with the ``sim.now`` it carries;
 
 read at the end, at cuts from outside, and by snapshot events queued to fall
 *mid-plan* (a nanosecond before a planned step is due, or halfway there).
@@ -57,7 +59,6 @@ from repro.host.rnic import (_DEFAULT_OPCODE, TX_PIPELINE_NS, CommInfo,
 from repro.net.addresses import roce_five_tuple
 from repro.net.clos import ClosParams
 from repro.net.packet import ROCE_HEADER_BYTES, probe_packet_size
-from repro.obs.tracer import Tracer
 from repro.sim.units import (MICROSECOND, MILLISECOND, SECOND,
                              serialization_delay_ns)
 
@@ -110,6 +111,8 @@ class _PerEventRnic(Rnic):
     def _wire_departure(self, qp, packet, wr_id):
         if not self.operational:
             self._count_drop("rnic_down")
+            if self.tracer is not None:
+                self._trace_rnic_drop(packet.payload, "rnic_down")
             self.fabric.packet_pool.release(packet)
             return
         self._tx_packets += 1
@@ -117,15 +120,20 @@ class _PerEventRnic(Rnic):
         if self.tx_corruption_prob > 0 and self.rng.chance(
                 self.tx_corruption_prob):
             self._count_drop("tx_corruption")
-            self._send_cqe(qp, wr_id)
+            if self.tracer is not None:
+                self._trace_rnic_drop(packet.payload, "tx_corruption")
+            self._send_cqe(qp, wr_id, packet.payload)
             self.fabric.packet_pool.release(packet)
             return
         self.fabric.inject(packet, self.name)
-        self._send_cqe(qp, wr_id)
+        self._send_cqe(qp, wr_id, packet.payload)
 
-    def _send_cqe(self, qp, wr_id):
+    def _send_cqe(self, qp, wr_id, payload):
+        timestamp = self.clock.read(self.sim.now)
+        if self.tracer is not None:
+            self._trace_cqe(payload, CqeKind.SEND, timestamp)
         self._emit_cqe(qp, self._acquire_cqe(
-            CqeKind.SEND, qp.qpn, wr_id, self.clock.read(self.sim.now)))
+            CqeKind.SEND, qp.qpn, wr_id, timestamp))
 
 
 class _PerEventAgent(Agent):
@@ -289,6 +297,18 @@ class _Script:
         }
 
 
+class _Trace:
+    """What an RNIC tells an installed tracer, as comparable rows."""
+
+    def __init__(self):
+        self.rows = []
+
+    def event(self, seq, now_ns, name, **fields):
+        self.rows.append((now_ns, seq, name, fields["leg"], fields["rnic"],
+                          fields.get("rnic_timestamp_ns"),
+                          fields.get("reason")))
+
+
 class _World:
     """One deployed system, built as is or swapped onto the port."""
 
@@ -305,7 +325,7 @@ class _World:
             for agent in self.system.agents.values():
                 agent.__class__ = _PerEventAgent
         self.links = sorted(cluster.topology.links)
-        self.tracer = Tracer(enabled=True)
+        self.tracer = _Trace()
         self.probes = 0
         self.snapshots = []
         for agent in self.system.agents.values():
@@ -424,6 +444,7 @@ class _World:
             "agents": {name: (a.probes_sent, a.acks_sent, a.restarts)
                        for name, a in system.agents.items()},
             "rng": (cluster.rngs.draw_counts(), cluster.rngs.digest()),
+            "trace": sorted(self.tracer.rows),
         }
 
 
