@@ -5,11 +5,17 @@ steady-state simulation rate, emits one ``BENCH {json}`` line (also written
 to ``--out`` when given), and exits non-zero when the rate falls more than
 the configured tolerance below ``bench_floor.json``.
 
-The gate is **probes** per wall second — the work the simulator exists to
-do.  Events per second is recorded but not gated: an optimization that
-needs fewer events per probe lowers it while making the simulator faster.
+Two gates.  **Probes** per wall second — the work the simulator exists to
+do — against ``probes_per_sec_floor * tolerance``.  And **events per
+probe** on this quiet world against ``events_per_probe_ceiling``: an exact,
+seed-deterministic count (tick + three deliveries + ⑥ = 5, DESIGN.md §10)
+that no noisy runner can blur, so a change that quietly puts a per-packet
+event back fails here even when the rate gate is lost in VM noise.  Events
+per second is recorded but not gated: an optimization that needs fewer
+events per probe lowers it while making the simulator faster.
 
-Exit codes: 0 pass, 2 perf regression (rate < floor * tolerance).
+Exit codes: 0 pass, 2 perf regression (rate < floor * tolerance, or
+events per probe above the ceiling).
 
 Usage::
 
@@ -52,7 +58,9 @@ def measure(floor_config: dict) -> dict:
     probes = sum(a.probes_sent for a in system.agents.values()) - probes_before
     floor = floor_config["probes_per_sec_floor"]
     tolerance = floor_config["tolerance"]
+    ceiling = floor_config["events_per_probe_ceiling"]
     probes_per_sec = round(probes / wall_s) if wall_s else 0
+    events_per_probe = round(events / probes, 3)
     return {
         "benchmark": "bench_smoke",
         "size": floor_config["size"],
@@ -61,11 +69,14 @@ def measure(floor_config: dict) -> dict:
         "wall_s": round(wall_s, 3),
         "events": events,
         "probes": probes,
+        "events_per_probe": events_per_probe,
+        "events_per_probe_ceiling": ceiling,
         "events_per_sec": round(events / wall_s) if wall_s else 0,
         "probes_per_sec": probes_per_sec,
         "floor_probes_per_sec": floor,
         "fail_below": round(floor * tolerance),
-        "passed": probes_per_sec >= floor * tolerance,
+        "passed": (probes_per_sec >= floor * tolerance
+                   and events_per_probe <= ceiling),
     }
 
 
@@ -86,6 +97,12 @@ def main(argv=None) -> int:
     if args.out:
         Path(args.out).write_text(
             json.dumps(record, sort_keys=True, indent=2) + "\n")
+    if record["events_per_probe"] > record["events_per_probe_ceiling"]:
+        print(f"PERF REGRESSION: {record['events_per_probe']} events per "
+              f"probe on a quiet world, ceiling "
+              f"{record['events_per_probe_ceiling']} — a per-packet event "
+              f"is back (DESIGN.md §10)", file=sys.stderr)
+        return 2
     if not record["passed"]:
         print(f"PERF REGRESSION: {record['probes_per_sec']} probes/sec is "
               f"more than {round((1 - floor_config['tolerance']) * 100)}% "

@@ -96,6 +96,10 @@ class _RnicAgentState:
     rr_index: dict[ProbeKind, int] = field(default_factory=dict)
     outstanding: dict[int, _Outstanding] = field(default_factory=dict)
     path_cache: dict[FiveTuple, PathRecord] = field(default_factory=dict)
+    # (target ip, src_port) -> (probe 5-tuple, its reverse); see
+    # Agent._five_tuples.
+    five_tuples: dict[tuple[str, int], tuple[FiveTuple, FiveTuple]] = field(
+        default_factory=dict)
     tasks: list[PeriodicTask] = field(default_factory=list)
 
 
@@ -522,13 +526,12 @@ class Agent:
                 prober_processing_ns: Optional[int] = None,
                 responder_processing_ns: Optional[int] = None) -> None:
         entry = out.entry
-        five_tuple = roce_five_tuple(state.rnic.ip, entry.target.ip,
-                                     entry.src_port)
+        five_tuple, reverse = self._five_tuples(state, entry)
         if not self.config.continuous_path_tracing and timeout:
             # Ablation: on-demand tracing observes the path only AFTER the
             # failure — truncated or rehashed, exactly the mislocalisation
             # §4.2.3 warns about.
-            self._trace_tuple(state, five_tuple)
+            self._trace_tuple(state, five_tuple, reverse)
         result = ProbeResult(
             kind=entry.kind, seq=out.seq, prober_rnic=state.rnic.name,
             prober_host=self.host.name, target_rnic=entry.target_rnic,
@@ -539,7 +542,7 @@ class Agent:
             prober_processing_ns=prober_processing_ns,
             responder_processing_ns=responder_processing_ns,
             probe_path=state.path_cache.get(five_tuple),
-            ack_path=state.path_cache.get(five_tuple.reversed()))
+            ack_path=state.path_cache.get(reverse))
         if self.tracer.enabled:
             now = self.cluster.sim.now
             if timeout:
@@ -569,30 +572,43 @@ class Agent:
 
     # -- path tracing (§4.2.3) ------------------------------------------------------------
 
+    @staticmethod
+    def _five_tuples(state: _RnicAgentState,
+                     entry: PinglistEntry) -> tuple[FiveTuple, FiveTuple]:
+        """The entry's probe 5-tuple and its reverse (the ACKs'), built
+        once per (target ip, src_port); bounded like the RNIC's own memo."""
+        key = (entry.target.ip, entry.src_port)
+        pair = state.five_tuples.get(key)
+        if pair is None:
+            if len(state.five_tuples) >= 8192:
+                state.five_tuples.clear()
+            five_tuple = roce_five_tuple(state.rnic.ip, *key)
+            pair = state.five_tuples[key] = (five_tuple,
+                                             five_tuple.reversed())
+        return pair
+
     def _ensure_traced(self, state: _RnicAgentState,
                        entry: PinglistEntry) -> None:
         """First sight of a 5-tuple: trace it immediately so the path is
         known *before* any failure (the continuous-tracing rationale)."""
         if not self.config.continuous_path_tracing:
             return  # ablation: trace only on demand, after failures
-        five_tuple = roce_five_tuple(state.rnic.ip, entry.target.ip,
-                                     entry.src_port)
+        five_tuple, reverse = self._five_tuples(state, entry)
         if five_tuple not in state.path_cache:
-            self._trace_tuple(state, five_tuple)
+            self._trace_tuple(state, five_tuple, reverse)
 
-    def _trace_tuple(self, state: _RnicAgentState,
-                     five_tuple: FiveTuple) -> None:
+    def _trace_tuple(self, state: _RnicAgentState, five_tuple: FiveTuple,
+                     reverse: FiveTuple) -> None:
         tracer = self.cluster.traceroute
         dst_port_node = self.cluster.fabric.port_for_ip(five_tuple.dst_ip)
         if dst_port_node is None:
             return
-        forward = tracer.trace(five_tuple, state.rnic.name, dst_port_node)
-        self._cache_path(state, five_tuple, forward)
+        self._cache_path(state, five_tuple, tracer.trace(
+            five_tuple, state.rnic.name, dst_port_node))
         # The ACK direction is traced symmetrically (in deployment, by the
         # peer Agent; the Analyzer joins both sides).
-        reverse = tracer.trace(five_tuple.reversed(), dst_port_node,
-                               state.rnic.name)
-        self._cache_path(state, five_tuple.reversed(), reverse)
+        self._cache_path(state, reverse, tracer.trace(
+            reverse, dst_port_node, state.rnic.name))
 
     @staticmethod
     def _cache_path(state: _RnicAgentState, five_tuple: FiveTuple,
@@ -616,14 +632,12 @@ class Agent:
         for state in self.states.values():
             entries = (state.tor_mesh + state.inter_tor
                        + list(state.service.values()))
+            live = set()
             for entry in entries:
-                five_tuple = roce_five_tuple(
-                    state.rnic.ip, entry.target.ip, entry.src_port)
-                self._trace_tuple(state, five_tuple)
+                pair = self._five_tuples(state, entry)
+                self._trace_tuple(state, *pair)
+                live.update(pair)
             # Evict cache entries for 5-tuples no longer probed.
-            live = {roce_five_tuple(state.rnic.ip, e.target.ip, e.src_port)
-                    for e in entries}
-            live |= {ft.reversed() for ft in live}
             for cached in list(state.path_cache):
                 if cached not in live:
                     del state.path_cache[cached]

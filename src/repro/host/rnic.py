@@ -244,17 +244,17 @@ class Rnic:
 
     # -- state -------------------------------------------------------------
 
-    @property
-    def operational(self) -> bool:
-        """Whether the NIC can currently move packets."""
-        host = self._host
-        return (self._admin_up and not self._flap_down
-                and (host is None or host._up))
-
     # -- host lookahead: settled steps, and taking them back -----------------
 
     def resettle(self) -> None:
-        """Re-derive :attr:`settled` (every hooked write ends here)."""
+        """Re-derive what the hooked attributes add up to (every hooked
+        write ends here): ``operational`` — whether the NIC can currently
+        move packets — and ``settled`` — whether a send step can run ahead
+        of the clock, i.e. it would pass every local check and nothing
+        wants to see it happen (no tracer) or draw for it (no corruption)."""
+        host = self._host
+        self.operational = (self._admin_up and not self._flap_down
+                            and (host is None or host.up))
         self.settled = (self.operational and self._routing_configured
                         and self._gid_index_present and self._tracer is None
                         and self._tx_corruption_prob == 0)
@@ -414,20 +414,29 @@ class Rnic:
         and may post for an instant ``at_ns`` ahead of the clock while the
         RNIC is :attr:`settled`.
         """
+        now = self.sim.now
+        post_ns = now if at_ns is None else at_ns
+        settled = self.settled
+        planned = settled and qp.on_sent is not None
+        if post_ns != now and not planned:
+            raise SimulationError(
+                f"{self.name}: posting ahead of the clock needs an on_sent "
+                f"consumer and a settled RNIC")
         if qp.state != QPState.RTS:
             raise LocalSendError("qp_not_rts")
-        if not self.operational:
-            raise LocalSendError("rnic_down")
-        if not self._routing_configured:
-            # Fault #6: the RoCE routing table entries are missing, the
-            # kernel cannot resolve the egress — nothing reaches the wire.
-            self._count_drop("routing_unconfigured")
-            raise LocalSendError("routing_unconfigured")
-        if not self._gid_index_present:
-            # Fault #7: the RoCEv2 GID index is gone; address handles cannot
-            # be created for this source GID.
-            self._count_drop("gid_index_missing")
-            raise LocalSendError("gid_index_missing")
+        if not settled:         # settled passes all three by definition
+            if not self.operational:
+                raise LocalSendError("rnic_down")
+            if not self._routing_configured:
+                # Fault #6: the RoCE routing table entries are missing, the
+                # kernel cannot resolve the egress — nothing reaches the wire.
+                self._count_drop("routing_unconfigured")
+                raise LocalSendError("routing_unconfigured")
+            if not self._gid_index_present:
+                # Fault #7: the RoCEv2 GID index is gone; address handles
+                # cannot be created for this source GID.
+                self._count_drop("gid_index_missing")
+                raise LocalSendError("gid_index_missing")
 
         if opcode is None:
             opcode = _DEFAULT_OPCODE[qp.qp_type]
@@ -452,23 +461,18 @@ class Rnic:
         pcie_ns = pcie_sizes.get(size)
         if pcie_ns is None:
             pcie_ns = pcie_sizes[size] = serialization_delay_ns(size, rate)
-        now = self.sim.now
-        post_ns = now if at_ns is None else at_ns
         depart_ns = post_ns + TX_PIPELINE_NS + pcie_ns
-        if qp.on_sent is not None and self.settled:
+        if planned:
             # Nothing the departure reads can change without a hooked
-            # write: run it now, and remember how to take it back.
+            # write: run it now, and remember how to take it back.  (Steps
+            # whose instant has passed are dead weight, swept now and then.)
             steps = self._planned
-            if steps and (steps[0][0] < now or len(steps) > 8):
+            if len(steps) > 8:
                 steps = self._planned = [step for step in steps
                                          if step[0] >= now]
             steps.append((depart_ns, post_ns if post_ns > now else -1,
                           qp, packet, wr_id, context))
             self._depart(qp, packet, wr_id, context, depart_ns)
-        elif post_ns != now:
-            raise SimulationError(
-                f"{self.name}: posting ahead of the clock needs an on_sent "
-                f"consumer and a settled RNIC")
         else:
             self.sim.schedule(depart_ns - now, partial(
                 self._depart, qp, packet, wr_id, context, depart_ns))
@@ -619,7 +623,7 @@ class Rnic:
             self._on_rc_ack(packet)
             return
 
-        qp = self.qp(packet.dst_qpn)
+        qp = self._qps.get(packet.dst_qpn)
         if qp is None or qp.state != QPState.RTS:
             # QPN reset noise (§4.3.1): the prober used an outdated QPN.
             self._count_drop("qpn_mismatch")
@@ -650,7 +654,8 @@ class Rnic:
         cqe.src_qpn = packet.src_qpn
         cqe.src_port = packet.five_tuple.src_port
         cqe.opcode = packet.opcode
-        self._emit_cqe(qp, cqe)
+        if qp.on_cqe is not None:
+            qp.on_cqe(cqe)
 
     _EMPTY_PAYLOAD: dict[str, Any] = {}
 

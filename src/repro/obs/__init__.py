@@ -124,7 +124,18 @@ class Observability:
             help="in-flight packets whose lookahead a mid-flight fault, "
                  "load or route write took back for per-hop evaluation"
         ).value = fabric.walker_demotions
-        for rnic in cluster.all_rnics():
+        rnics = cluster.all_rnics()
+        self.metrics.gauge(
+            "repro_host_steps_planned",
+            help="RNIC send steps (wire departures, ACK posts) run ahead "
+                 "of the clock and not due yet"
+        ).set(sum(rnic.steps_planned for rnic in rnics))
+        self.metrics.counter(
+            "repro_host_step_demotions_total",
+            help="planned RNIC send steps that a write to RNIC, host or "
+                 "QP state took back and re-queued as events"
+        ).value = sum(rnic.step_demotions for rnic in rnics)
+        for rnic in rnics:
             self.metrics.counter("repro_rnic_tx_packets_total",
                                  rnic=rnic.name).value = rnic.tx_packets
             self.metrics.counter("repro_rnic_rx_packets_total",

@@ -22,7 +22,9 @@ without unpickling anything.  ``format`` moves whenever a pickled world of
 the old code would restore but *run differently* under the new: format 1
 files hold per-hop fabric events and one shared jitter state, which the
 lookahead walker and per-task jitter streams would silently diverge from,
-so they are refused.  (The ``v1`` in the magic line names the container
+so they are refused; format 3 files hold ``Rnic._wire_departure`` /
+``Agent._post_ack1`` events and ``send_roles`` tables that host lookahead
+(DESIGN.md §10) no longer has.  (The ``v1`` in the magic line names the container
 layout — magic, JSON line, zlib pickle — which has not changed.)
 
 Also a tiny CLI, used by tests to prove *cross-process* restore::
@@ -43,7 +45,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 3
+FORMAT = 4
 
 
 class CheckpointError(RuntimeError):

@@ -91,11 +91,15 @@ class CalendarQueue:
     bucket back into the calendar so ordering stays exact even then.
     """
 
-    __slots__ = ("bucket_bits", "_buckets", "_bucket_heap",
-                 "_cur_index", "_cur_heap", "_live", "_cancelled")
+    __slots__ = ("bucket_bits", "_buckets", "_bucket_heap", "_cur_index",
+                 "_cur_heap", "_live", "_cancelled", "on_swept")
 
-    def __init__(self, *, bucket_bits: int = BUCKET_BITS_DEFAULT):
+    def __init__(self, *, bucket_bits: int = BUCKET_BITS_DEFAULT,
+                 on_swept: Optional[Callable[[_Event], None]] = None):
         self.bucket_bits = bucket_bits
+        # Told of every cancelled event a compaction sweeps out, so the
+        # owner can retire the record as it does a popped one.
+        self.on_swept = on_swept
         # bucket index -> unsorted [(time, seq, event), ...]
         self._buckets: dict[int, list[tuple[int, int, _Event]]] = {}
         self._bucket_heap: list[int] = []
@@ -201,17 +205,22 @@ class CalendarQueue:
         live ones; also callable directly.  Emptied calendar buckets leave a
         stale index in the bucket heap, which activation skips.
         """
-        kept = [entry for entry in self._cur_heap if not entry[2].cancelled]
+        swept: list[_Event] = []
+        kept = [entry for entry in self._cur_heap
+                if not entry[2].cancelled or swept.append(entry[2])]
         heapq.heapify(kept)
         self._cur_heap = kept
         for index in list(self._buckets):
             bucket = [entry for entry in self._buckets[index]
-                      if not entry[2].cancelled]
+                      if not entry[2].cancelled or swept.append(entry[2])]
             if bucket:
                 self._buckets[index] = bucket
             else:
                 del self._buckets[index]
         self._cancelled = 0
+        if self.on_swept is not None:
+            for event in swept:
+                self.on_swept(event)
 
 
 class EventHandle:
@@ -339,7 +348,8 @@ class Simulator:
                  bucket_bits: int = BUCKET_BITS_DEFAULT,
                  event_pool_size: int = EVENT_POOL_DEFAULT,
                  sanitizer=None):
-        self._queue = CalendarQueue(bucket_bits=bucket_bits)
+        self._queue = CalendarQueue(bucket_bits=bucket_bits,
+                                    on_swept=self._recycle)
         self._seq = itertools.count()
         self._now = 0
         self._running = False

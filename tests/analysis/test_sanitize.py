@@ -165,6 +165,19 @@ class TestLeaks:
         assert [f for f in sanitizer.leaks()
                 if "event accounting" in f.message] == []
 
+    def test_event_accounting_survives_queue_compaction(self):
+        """Cancelled events the calendar queue sweeps out in a compaction
+        are retired like popped ones, not dropped behind PoolSan's back."""
+        sanitizer = PoolSanitizer()
+        sim = Simulator(seed=0, sanitizer=sanitizer)
+        handles = [sim.call_later(1_000 + n, int) for n in range(200)]
+        for handle in handles[:150]:
+            handle.cancel()             # > 64 and > live: compacts
+        assert sim.queue_depth < 200
+        assert sanitizer.leaks() == []
+        sim.run_all()
+        assert sim.events_processed == 50
+        assert sanitizer.report() == []
 
     def test_transits_reconcile_with_the_in_flight_table(self):
         """Live ``_Transit`` records that carry a packet are exactly the

@@ -476,3 +476,41 @@ def test_host_lookahead_matches_per_event_host_path(seed):
     world, actual = _run(script, per_event=False)
     _assert_same(seed, expected, actual)
     assert reference.system.upload_digest.count > 100
+    assert not any(rnic.step_demotions for rnic in reference.rnics)
+    # PoolSan armed: the same bytes, and (checked by every state() read,
+    # mid-plan ones included) no finding — SAN003's transit reconciliation
+    # stays exact with planned steps outstanding and across their demotion.
+    armed, sanitized = _run(script, per_event=False, sanitize=True)
+    _assert_same(seed, actual, sanitized)
+    stats = armed.cluster.sanitizer.summary()["packet"]
+    assert stats["acquired"] == stats["released"] + stats["live"]
+
+
+def test_scripts_plan_demote_and_unpost(monkeypatch):
+    """The scripts reach what they are for: steps run ahead of the clock,
+    writes that take departures and ahead-of-clock posts back, snapshots
+    that fall while something is planned — at five events a quiet probe."""
+    demotions = unposts = mid_plan = events = probes = 0
+    on_sent = Agent._on_sent
+
+    def counted(agent, state, qp, context, timestamp, at_ns):
+        nonlocal unposts
+        unposts += timestamp is None
+        on_sent(agent, state, qp, context, timestamp, at_ns)
+
+    monkeypatch.setattr(Agent, "_on_sent", counted)
+    for seed in range(0, 60, 6):
+        world = _World(_Script(seed), per_event=False)
+        seen = []
+        world._snapshot = lambda w=world, s=seen: s.append(
+            sum(rnic.steps_planned for rnic in w.rnics))
+        world.sim.run_until(SPAN_NS)
+        demotions += sum(rnic.step_demotions for rnic in world.rnics)
+        mid_plan += sum(1 for planned in seen if planned)
+        events += world.sim.events_processed
+        probes += world.probes
+    assert demotions > 300
+    assert unposts > 100
+    assert mid_plan > 200
+    # Writes, their undos, snapshots and uploads included.
+    assert events / probes < 6.5

@@ -284,3 +284,113 @@ class TestFailureModes:
         c.sim.run_for(seconds(1))
         assert cqes_b == []
         assert a.local_drops.get("tx_corruption") == 1
+
+
+class TestHostLookahead:
+    """``on_sent`` consumers: departures run at post time while the RNIC is
+    settled, and a write to what they read takes them back (DESIGN.md §10).
+    The exhaustive check is ``test_host_lookahead_equivalence``; these pin
+    the API."""
+
+    @staticmethod
+    def sender(cluster, rnic, sent):
+        host = cluster.host_of_rnic(rnic.name)
+        return host.verbs.create_qp(
+            rnic, QPType.UD,
+            on_sent=lambda qp, context, timestamp, at_ns:
+                sent.append((context, timestamp, at_ns)))
+
+    def post(self, cluster, a, b, qp_a, qp_b, **kwargs):
+        return a.post_send(qp_a, b.comm_info(qp_b.qpn), src_port=5000,
+                           payload={}, payload_bytes=50, **kwargs)
+
+    def test_completion_comes_at_post_time_with_the_departure_instant(
+            self, tiny_clos):
+        c = tiny_clos
+        a, b = make_pair(c)
+        sent, cqes_b = [], []
+        qp_a, qp_b = self.sender(c, a, sent), ud_qp(c, b, cqes_b)
+        c.sim.run_for(1_000)
+        self.post(c, a, b, qp_a, qp_b, context="mine")
+        ((context, timestamp, at_ns),) = sent
+        assert context == "mine"
+        assert at_ns > c.sim.now == 1_000
+        assert timestamp == a.clock.read(at_ns)
+        # Counters read clock-exact: nothing has left yet.
+        assert (a.tx_packets, a.tx_bytes, a.steps_planned) == (0, 0, 1)
+        assert c.fabric.packets_injected == 0
+        assert c.fabric.packets_in_flight == 1
+        events = c.sim.events_processed
+        c.sim.run_until(at_ns)
+        assert (a.tx_packets, a.tx_bytes, a.steps_planned) == (1, 108, 0)
+        assert c.fabric.packets_injected == 1
+        c.sim.run_for(seconds(1))
+        assert len(cqes_b) == 1
+        assert c.sim.events_processed == events + 1     # the delivery
+
+    def test_cqe_consumers_keep_their_event(self, tiny_clos):
+        c = tiny_clos
+        a, b = make_pair(c)
+        cqes_a = []
+        qp_a, qp_b = ud_qp(c, a, cqes_a), ud_qp(c, b, [])
+        self.post(c, a, b, qp_a, qp_b)
+        assert cqes_a == [] and a.steps_planned == 0
+        c.sim.run_for(seconds(1))
+        assert [q.kind for q in cqes_a] == [CqeKind.SEND]
+
+    @pytest.mark.parametrize("write", [
+        lambda c, a: setattr(a, "admin_up", False),
+        lambda c, a: setattr(a, "flap_down", True),
+        lambda c, a: c.host_of_rnic(a.name).set_down(),
+        lambda c, a: setattr(c.host_of_rnic(a.name), "up", False),
+    ], ids=["admin_up", "flap_down", "set_down", "host.up"])
+    def test_a_write_takes_the_departure_back(self, tiny_clos, write):
+        c = tiny_clos
+        a, b = make_pair(c)
+        sent, cqes_b = [], []
+        qp_a, qp_b = self.sender(c, a, sent), ud_qp(c, b, cqes_b)
+        self.post(c, a, b, qp_a, qp_b)
+        c.sim.run_for(500)
+        write(c, a)
+        assert a.step_demotions == 1
+        assert c.fabric.packets_in_flight == 0
+        c.sim.run_for(seconds(1))
+        # Re-queued at its instant, it found the NIC down: lost, counted,
+        # never delivered — what the per-event departure did.
+        assert a.local_drops == {"rnic_down": 1}
+        assert (a.tx_packets, cqes_b) == (0, [])
+
+    def test_unsettled_rnic_departs_by_event(self, tiny_clos):
+        c = tiny_clos
+        a, b = make_pair(c)
+        sent = []
+        qp_a, qp_b = self.sender(c, a, sent), ud_qp(c, b, [])
+        a.tx_corruption_prob = 1.0
+        assert not a.settled
+        self.post(c, a, b, qp_a, qp_b)
+        assert sent == [] and a.steps_planned == 0
+        c.sim.run_for(seconds(1))
+        ((_, timestamp, at_ns),) = sent     # the NIC believes it sent it
+        assert timestamp == a.clock.read(at_ns) and at_ns < c.sim.now
+        assert a.local_drops == {"tx_corruption": 1}
+
+    def test_posting_ahead_and_taking_the_post_back(self, tiny_clos):
+        c = tiny_clos
+        a, b = make_pair(c)
+        sent = []
+        qp_a, qp_b = self.sender(c, a, sent), ud_qp(c, b, [])
+        self.post(c, a, b, qp_a, qp_b, context="ack", at_ns=5_000)
+        assert a.posts_planned == 1 and sent[0][2] > 5_000
+        c.sim.run_for(2_000)
+        a.routing_configured = False
+        # Un-posted: the consumer is told, with the post instant.
+        assert sent[1] == ("ack", None, 5_000)
+        assert (a.posts_planned, a.steps_planned) == (0, 0)
+        assert c.fabric.packets_in_flight == 0
+        with pytest.raises(Exception, match="ahead of the clock"):
+            self.post(c, a, b, qp_a, qp_b, at_ns=9_000)
+
+    def test_rc_cannot_register_on_sent(self, tiny_clos):
+        a, _ = make_pair(tiny_clos)
+        with pytest.raises(ValueError):
+            a.allocate_qp(QPType.RC, on_sent=print)

@@ -138,6 +138,34 @@ class TestWalkerSeries:
         assert snap["repro_fabric_walker_demotions_total"] == 1
         assert snap['repro_fabric_drops_total{reason="corruption"}'] == 1
 
+    def test_host_steps_planned_gauge_and_demotion_counter(self, tiny_clos):
+        """The host half of the same story: send steps run ahead of the
+        clock, and how often a write took one back."""
+        obs = Observability(metrics=True)
+        system = RPingmesh(tiny_clos, obs=obs)
+        system.start()
+        sim = tiny_clos.sim
+        rnic = tiny_clos.rnic("host0-rnic0")
+        sim.run_until(2 * SECOND)
+        while not rnic.steps_planned:       # stop right after a probe post
+            sim.run_until(sim.now + 500)
+        snap = obs.metrics.snapshot()
+        planned = snap["repro_host_steps_planned"]
+        assert planned >= rnic.steps_planned >= 1
+        assert snap["repro_host_step_demotions_total"] == 0
+        sent = rnic.tx_packets
+        for other in tiny_clos.all_rnics():
+            other.flap_down = True
+        snap = obs.metrics.snapshot()
+        assert snap["repro_host_step_demotions_total"] == planned
+        assert snap["repro_host_steps_planned"] == 0
+        sim.run_for(10_000)
+        # The re-queued steps ran against the written state: nothing left.
+        assert rnic.tx_packets == sent
+        series = obs.metrics.render_prometheus()
+        assert "# HELP repro_host_steps_planned " in series
+        assert "# HELP repro_host_step_demotions_total " in series
+
 
 class TestMetricsDeterminism:
     @staticmethod

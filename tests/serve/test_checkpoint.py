@@ -94,6 +94,39 @@ class TestRestoreDeterminism:
         assert restored.cluster.fabric.packets_delivered \
             == fabric.packets_delivered > 0
 
+    def test_cut_with_host_steps_planned_and_not_yet_due(self, tmp_path):
+        """The hardest cut for host lookahead: a first ACK posted for an
+        instant still to come, its departure, the second ACK chained behind
+        it and both packets' walks all ran ahead of the clock — the RNIC's
+        planned steps, the raw counters and the in-flight entries ride in
+        the pickle, and a write after the restore still takes them back."""
+        session = ServeSession(ServeSpec(seed=7, tick_ns=20_000))
+        rnics = session.cluster.all_rnics()
+        for _ in range(400_000):
+            session.tick()
+            if any(rnic.posts_planned for rnic in rnics):
+                break
+        else:
+            pytest.fail("no tick boundary caught an ACK posted ahead")
+        path = tmp_path / "ck.bin"
+        save_checkpoint(session, path)
+        restored = load_checkpoint(path)
+        planned = [rnic.steps_planned for rnic in rnics]
+        assert sum(planned) >= 2
+        assert [rnic.steps_planned
+                for rnic in restored.cluster.all_rnics()] == planned
+        for twin in (session, restored):
+            twin.cluster.sim.run_for(6 * 10 ** 9)
+        assert restored.replay_digest() == session.replay_digest()
+        # And a third copy, where the responder's host dies mid-plan.
+        downed = load_checkpoint(path)
+        rnic = next(r for r in downed.cluster.all_rnics() if r.posts_planned)
+        acks = downed.system.agents[rnic.host.name].acks_sent
+        rnic.host.set_down()
+        assert rnic.step_demotions >= 2 and not rnic.steps_planned
+        downed.cluster.sim.run_for(100_000)
+        assert downed.system.agents[rnic.host.name].acks_sent == acks
+
     def test_uptime_and_alert_state_survive(self, tmp_path):
         session = ServeSession(ServeSpec(seed=3))
         for _ in range(8):
@@ -120,7 +153,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 3
+        assert meta["format"] == 4
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -137,12 +170,13 @@ class TestFileFormat:
     def test_older_formats_refused(self, tmp_path):
         """A v1 payload holds per-hop fabric events and one shared jitter
         state, a v2 one the pre-gather/conclude Analyzer and the
-        registry-backed EndpointStats; resuming either under this code
-        would diverge silently or fail to unpickle."""
+        registry-backed EndpointStats, a v3 one per-event wire departures
+        and the Agent's ``send_roles``; resuming any of them under this
+        code would diverge silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2):
+        for old in (1, 2, 3):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
