@@ -39,7 +39,7 @@ from typing import Callable, Optional
 from repro.net.ecmp import EcmpHasher, pick_next_hop
 from repro.net.packet import TC_ROCE, Packet, PacketPool
 from repro.net.topology import DirectedLink, Topology
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStream
 
 SWITCH_FORWARD_LATENCY_NS = 450  # ASIC pipeline latency per switch hop
@@ -262,6 +262,9 @@ class Fabric:
         now = self.sim.now
         if at_ns is None:
             at_ns = now
+        elif at_ns < now:
+            raise SimulationError(
+                f"cannot inject in the past: {at_ns} < now {now}")
         self._packets_injected += 1
         packet.packet_id = next(self._packet_ids)
         packet.sent_at_ns = at_ns

@@ -34,9 +34,20 @@ hooks queue before the step itself is posted, which is the tie rule's
 premise (a write at a step's due nanosecond applies to that step because
 every real writer queues far ahead of a step that exists for microseconds).
 
-Fabric faults and ``cpu.set_load`` need no host hook (the walker has its own;
-the CPU delay is drawn at ③ in both worlds) and ride along to show exactly
-that.
+Each hooked write class has scripts that fail when its hook is deleted —
+checked by hand, once, by keeping the write and its ``resettle()`` but
+dropping the ``demote_planned()`` call, over seeds 0-59: ``admin_up`` 59
+seeds fail, ``flap_down`` 57, ``routing_configured`` 54,
+``gid_index_present`` 50, ``tx_corruption_prob`` 60, ``pcie_gbps`` 36,
+``Rnic.tracer`` 56, ``Host.up`` (``set_down`` / ``set_up``) 58, QP destroy
+(``Agent.restart()``) 45; none deleted, 0.  Fabric faults and
+``cpu.set_load`` need no host hook (the walker has its own; the CPU delay is
+drawn at ③ in both worlds) and ride along to show exactly that.
+
+Also here: every script runs a third time PoolSan-armed (same bytes, no
+finding, mid-plan reads included).  The checkpoint cut with steps planned and
+not yet due lives beside its fabric sibling in
+``tests/serve/test_checkpoint.py``.
 
 One ordering is outside the contract, as in ``test_walker_equivalence``:
 two events at the same nanosecond that both draw from one RNG stream run in

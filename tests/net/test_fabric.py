@@ -6,7 +6,7 @@ from repro.net.addresses import roce_five_tuple, FiveTuple, PROTO_TCP
 from repro.net.fabric import DropReason, Fabric
 from repro.net.packet import RoCEPacket, TCPPacket
 from repro.net.topology import Tier, Topology
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStream
 from repro.sim.units import seconds
 
@@ -224,6 +224,71 @@ class TestPathOf:
         links = fabric.links_of_path(path)
         assert len(links) == len(path) - 1
         assert links[0].src == "a"
+
+
+class TestFutureStart:
+    """``inject(..., at_ns)``: the sender's TX pipeline as one more quiet
+    hop in front of the plan, and ``withdraw`` to take it back."""
+
+    def test_walk_starts_at_the_given_instant(self):
+        sim, topo, fabric = build_fabric()
+        now_start, later_start = [], []
+        fabric.attach_receiver("b", lambda p, rec: (
+            later_start if p.payload else now_start).append(rec.time_ns))
+        fabric.inject(roce_packet(), "a")
+        late = roce_packet()
+        late.payload["late"] = True
+        fabric.inject(late, "a", 2_500)
+        assert late.sent_at_ns == 2_500
+        # Counters read clock-exact until the instant comes.
+        assert fabric.packets_injected == 1
+        assert fabric.packets_in_flight == 2
+        assert fabric.forwarded_by_link() == {"a->tor1": 1}
+        events = sim.events_processed
+        sim.run_until(2_500)
+        assert fabric.packets_injected == 2
+        sim.run_until(seconds(1))
+        assert later_start == [now_start[0] + 2_500]
+        assert sim.events_processed == events + 2   # one delivery each
+
+    def test_a_first_hop_that_is_not_quiet_waits_for_the_instant(self):
+        sim, topo, fabric = build_fabric()
+        dropped = []
+        fabric.add_drop_listener(dropped.append)
+        topo.link_pair("a", "tor1").up = False
+        fabric.inject(roce_packet(), "a", 700)
+        assert dropped == [] and fabric.packets_in_flight == 1
+        sim.run_until(seconds(1))
+        assert [(d.time_ns, d.reason) for d in dropped] \
+            == [(700, DropReason.LINK_DOWN)]
+
+    def test_withdraw_gives_everything_back(self):
+        sim, topo, fabric = build_fabric()
+        got = []
+        fabric.attach_receiver("b", lambda p, rec: got.append(rec.time_ns))
+        packet = roce_packet()
+        fabric.inject(packet, "a", 900)
+        sim.run_until(400)
+        assert fabric.withdraw(packet)
+        assert (fabric.packets_injected, fabric.packets_in_flight,
+                packet.ttl) == (0, 0, 64)
+        assert not any(link.packets_forwarded
+                       for link in topo.links.values())
+        assert not fabric.withdraw(packet)          # already out
+        sim.run_until(seconds(1))                   # the tombstone's event
+        assert got == []
+        # Once its instant has passed, a packet is the fabric's.
+        fabric.inject(packet, "a", sim.now + 10)
+        sim.run_for(11)
+        assert not fabric.withdraw(packet)
+        sim.run_for(seconds(1))
+        assert len(got) == 1
+
+    def test_the_past_is_refused(self):
+        sim, topo, fabric = build_fabric()
+        sim.run_until(1_000)
+        with pytest.raises(SimulationError):
+            fabric.inject(roce_packet(), "a", 999)
 
 
 class TestCounters:

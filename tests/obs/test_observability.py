@@ -166,6 +166,24 @@ class TestWalkerSeries:
         assert "# HELP repro_host_steps_planned " in series
         assert "# HELP repro_host_step_demotions_total " in series
 
+    def test_tracer_on_means_no_host_lookahead(self, tiny_clos):
+        """As for the fabric: with the tracer installed every departure is
+        its own event, so ``cqe.send`` carries the true departure time."""
+        obs = Observability(tracing=True)
+        system = RPingmesh(tiny_clos, obs=obs)
+        system.start()
+        tiny_clos.sim.run_for(3 * SECOND)
+        rnics = {rnic.name: rnic for rnic in tiny_clos.all_rnics()}
+        assert not any(rnic.settled or rnic.steps_planned
+                       or rnic.step_demotions for rnic in rnics.values())
+        sends = [event for span in obs.tracer.all_spans()
+                 for event in span.events_named("cqe.send")]
+        assert len(sends) > 100
+        for event in sends:
+            clock = rnics[event.fields["rnic"]].clock
+            assert clock.read(event.time_ns) \
+                == event.fields["rnic_timestamp_ns"]
+
 
 class TestMetricsDeterminism:
     @staticmethod
