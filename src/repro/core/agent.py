@@ -96,8 +96,7 @@ class _RnicAgentState:
     rr_index: dict[ProbeKind, int] = field(default_factory=dict)
     outstanding: dict[int, _Outstanding] = field(default_factory=dict)
     path_cache: dict[FiveTuple, PathRecord] = field(default_factory=dict)
-    # (target ip, src_port) -> (probe 5-tuple, its reverse); see
-    # Agent._five_tuples.
+    # (target ip, src_port) -> (probe 5-tuple, its reverse), memoised.
     five_tuples: dict[tuple[str, int], tuple[FiveTuple, FiveTuple]] = field(
         default_factory=dict)
     tasks: list[PeriodicTask] = field(default_factory=list)
@@ -138,15 +137,13 @@ class Agent:
         self.restarts = 0
         # Overhead accounting (Figure 7)
         self.probes_sent = 0
-        # Runs ahead of the clock by the ACKs posted for an instant yet to
-        # come; the property of the same name takes those back out.
-        self._acks_sent = 0
+        self._acks_sent = 0     # acks_sent + the ACKs posted for later
         self.results_buffered_peak = 0
 
     @property
     def acks_sent(self) -> int:
         """ACKs posted by ``sim.now``."""
-        return self._acks_sent - sum(state.rnic.posts_planned
+        return self._acks_sent - sum(len(state.rnic.planned(1))
                                      for state in self.states.values())
 
     # -- lifecycle ------------------------------------------------------------
@@ -194,8 +191,7 @@ class Agent:
         return state
 
     def _create_qp(self, state: _RnicAgentState) -> QueuePair:
-        """The probe/respond UD QP: recv CQEs, and send completions as
-        plain ``on_sent`` calls the RNIC may make ahead of the clock."""
+        """The probe/respond UD QP (send completions: ``_on_sent``)."""
         return self.host.verbs.create_qp(
             state.rnic, QPType.UD, on_cqe=partial(self._on_cqe, state),
             on_sent=partial(self._on_sent, state))
@@ -351,9 +347,8 @@ class Agent:
             self.tracer.event(seq, now, "agent.send", mark="t1",
                               host_clock_ns=out.t1_host)
         try:
-            self.host.verbs.post_send(
-                state.rnic, state.qp, entry.target,
-                src_port=entry.src_port,
+            state.rnic.post_send(
+                state.qp, entry.target, src_port=entry.src_port,
                 payload={"t": "probe", "seq": seq},
                 payload_bytes=self.config.probe_payload_bytes, context=out)
         except LocalSendError as exc:
@@ -383,14 +378,11 @@ class Agent:
 
     def _on_sent(self, state: _RnicAgentState, qp: QueuePair, context: Any,
                  timestamp: Optional[int], at_ns: int) -> None:
-        """Send completion of one of this Agent's posts (``Rnic.allocate_qp``).
-
-        ``context`` is the probe's :class:`_Outstanding`, the first ACK's
-        ``(reply_to, src_port, seq, t3)``, or None for the second ACK.
-        ``at_ns`` is the departure instant — possibly ahead of the clock,
-        so nothing here reads ``sim.now``.  A ``None`` timestamp takes back
-        a post planned for ``at_ns``.
-        """
+        """Send completion (``Rnic.allocate_qp``) at departure instant
+        ``at_ns``, possibly ahead of the clock.  ``context``: the probe's
+        :class:`_Outstanding`, the first ACK's ``(reply_to, src_port, seq,
+        t3)``, None for the second.  A ``None`` timestamp takes back an ACK
+        posted for ``at_ns``."""
         if timestamp is None:
             self._acks_sent -= 1
             if context is not None:
@@ -430,9 +422,8 @@ class Agent:
                               host=self.host.name, rnic=state.rnic.name,
                               cpu_delay_ns=delay)
         if state.rnic.settled and not stall:
-            # The delay is drawn and nothing the post reads can change
-            # without a hooked write: post now, for then.  (A starved Agent
-            # is seconds away from posting; that step keeps its event.)
+            # Nothing the post reads changes without a hooked write: post
+            # now, for then.  (A starved Agent is seconds away: by event.)
             self._post_ack1(state, reply_to, src_port, seq, t3, now + delay)
         else:
             self.cluster.sim.schedule(delay, partial(
@@ -452,9 +443,8 @@ class Agent:
         """ACKs echo the probe's source port, mimicking RC hardware ACKs
         so they ride the same ECMP path class (§5)."""
         try:
-            self.host.verbs.post_send(
-                state.rnic, state.qp, reply_to, src_port=src_port,
-                payload=payload,
+            state.rnic.post_send(
+                state.qp, reply_to, src_port=src_port, payload=payload,
                 payload_bytes=self.config.probe_payload_bytes,
                 context=context, at_ns=at_ns)
         except LocalSendError:
@@ -575,8 +565,7 @@ class Agent:
     @staticmethod
     def _five_tuples(state: _RnicAgentState,
                      entry: PinglistEntry) -> tuple[FiveTuple, FiveTuple]:
-        """The entry's probe 5-tuple and its reverse (the ACKs'), built
-        once per (target ip, src_port); bounded like the RNIC's own memo."""
+        """The entry's probe 5-tuple and its reverse (the ACKs')."""
         key = (entry.target.ip, entry.src_port)
         pair = state.five_tuples.get(key)
         if pair is None:

@@ -42,8 +42,7 @@ class Host:
 
     @up.setter
     def up(self, value: bool) -> None:
-        # Every RNIC's planned send steps read this (DESIGN.md §10).
-        for rnic in self.rnics:
+        for rnic in self.rnics:     # their planned sends read this (§10)
             rnic.demote_planned()
         self._up = value
         for rnic in self.rnics:

@@ -18,10 +18,8 @@ model is deliberately faithful on the points the design exploits:
   (fault #2), and QPN mismatch drops (the "QPN reset" probe noise §4.3.1)
   are all modelled where the real device exhibits them.
 * **Host lookahead** (DESIGN.md §10).  Wire departure is a reading, not a
-  decision: while everything the departure step reads is settled, it runs
-  at post time with its own instant as an argument, for QPs whose consumer
-  asked for send completions that way (``on_sent``).  A write to anything
-  a planned step read takes the step back (:meth:`Rnic.demote_planned`).
+  decision: for ``on_sent`` consumers it runs at post time while what it
+  reads is settled, and a write to any of that takes it back.
 """
 
 from __future__ import annotations
@@ -119,8 +117,7 @@ class QueuePair:
     qp_type: QPType
     state: QPState = QPState.RESET
     on_cqe: Optional[Callable[[Cqe], None]] = None
-    # Send completions as a plain call ``on_sent(qp, context, timestamp_ns,
-    # at_ns)`` instead of a SEND Cqe — see Rnic.allocate_qp.
+    # Send completions as plain calls instead of Cqes: Rnic.allocate_qp.
     on_sent: Optional[Callable[..., None]] = None
     # RC/UC connection attributes (set by modify_qp):
     remote: Optional[CommInfo] = None
@@ -147,7 +144,7 @@ class LocalSendError(Exception):
         self.reason = reason
 
 
-def _hooked(slot: str, doc: str) -> property:
+def _hooked(slot: str) -> property:
     """An attribute planned send steps read: a write takes them back first."""
     def read(self):
         return getattr(self, slot)
@@ -156,26 +153,23 @@ def _hooked(slot: str, doc: str) -> property:
         self.demote_planned()
         setattr(self, slot, value)
         self.resettle()
-    return property(read, write, doc=doc)
+    return property(read, write)
 
 
 class Rnic:
     """One RDMA NIC attached to a topology host port of the same name."""
 
-    host = _hooked("_host", "the owning Host (None while unattached)")
-    pcie_gbps = _hooked("_pcie_gbps", "PCIe rate; fault #13 lowers it")
-    gid_index_present = _hooked("_gid_index_present", "fault #7 clears this")
-    routing_configured = _hooked("_routing_configured",
-                                 "fault #6 clears this")
-    admin_up = _hooked("_admin_up", "fault #3 clears this")
-    flap_down = _hooked("_flap_down", "fault #1 toggles this")
-    tx_corruption_prob = _hooked("_tx_corruption_prob",
-                                 "fault #2 (RNIC-side)")
+    host = _hooked("_host")                   # None while unattached
+    pcie_gbps = _hooked("_pcie_gbps")         # fault #13 lowers this
+    gid_index_present = _hooked("_gid_index_present")    # fault #7 clears
+    routing_configured = _hooked("_routing_configured")  # fault #6 clears
+    admin_up = _hooked("_admin_up")           # fault #3 clears this
+    flap_down = _hooked("_flap_down")         # fault #1 toggles this
+    tx_corruption_prob = _hooked("_tx_corruption_prob")  # fault #2, RNIC side
     # Probe-lifecycle tracer (repro.obs), installed when tracing is on.
     # CQE-timestamp events for marks ②-⑤ of Figure 4 are emitted here
-    # because only the RNIC knows its own clock's reading; while one is
-    # installed every departure is its own event, so they carry true times.
-    tracer = _hooked("_tracer", "the installed probe-lifecycle tracer")
+    # because only the RNIC knows its own clock's reading.
+    tracer = _hooked("_tracer")
 
     def __init__(self, name: str, ip: str, sim: Simulator, fabric: Fabric,
                  clock: Clock, rng: RngStream, *,
@@ -189,9 +183,9 @@ class Rnic:
         self.rng = rng
         self.link_gbps = link_gbps
         self.qpc_cache_slots = qpc_cache_slots
-        # Send steps run ahead of the clock and not due yet, oldest first:
-        # (departure ns, post ns if posted ahead of the clock else -1, qp,
-        # packet, wr_id, context).  See demote_planned.
+        # Sends whose departure ran ahead of the clock, oldest first:
+        # (departure ns, post ns if posted ahead too else -1, qp, packet,
+        # wr_id, context).
         self._planned: list[tuple] = []
         self.step_demotions = 0
         self._host: Optional["Host"] = None
@@ -231,8 +225,7 @@ class Rnic:
         self.tcp_handler: Optional[
             Callable[[Packet, DeliveryRecord], None]] = None
 
-        # Counters (tx_* run ahead of the clock by the planned departures;
-        # the properties of the same name take those back out).
+        # Counters (the tx_* properties take planned departures back out).
         self._tx_packets = 0
         self.rx_packets = 0
         self._tx_bytes = 0
@@ -242,16 +235,12 @@ class Rnic:
         fabric.attach_receiver(name, self._on_fabric_packet)
         fabric.register_ip(ip, name)
 
-    # -- state -------------------------------------------------------------
-
-    # -- host lookahead: settled steps, and taking them back -----------------
+    # -- state, and host lookahead over it ------------------------------------
 
     def resettle(self) -> None:
-        """Re-derive what the hooked attributes add up to (every hooked
-        write ends here): ``operational`` — whether the NIC can currently
-        move packets — and ``settled`` — whether a send step can run ahead
-        of the clock, i.e. it would pass every local check and nothing
-        wants to see it happen (no tracer) or draw for it (no corruption)."""
+        """Every hooked write ends here: ``operational`` (the NIC can move
+        packets) and ``settled`` (a send step may run ahead of the clock:
+        it passes every local check, nothing traces it or draws for it)."""
         host = self._host
         self.operational = (self._admin_up and not self._flap_down
                             and (host is None or host.up))
@@ -260,19 +249,10 @@ class Rnic:
                         and self._tx_corruption_prob == 0)
 
     def demote_planned(self) -> None:
-        """Take back every planned send step that is not due before now.
-
-        Called by any write to what such a step read: the hooked attributes
-        above, ``Host.up``, a QP's destruction.  A planned departure gives
-        its counters back and withdraws its packet from the fabric; if the
-        send was also *posted* ahead of the clock the post is undone too
-        (packet released, ``on_sent`` told with a ``None`` timestamp, which
-        is where a chained second ACK goes away with its first), otherwise
-        the departure is re-queued as an event at its instant, where it runs
-        against the written state.  Tie rule as for the fabric walker: a
-        write at a step's due nanosecond applies to that step.  O(1) when
-        nothing is planned.
-        """
+        """Take back every planned send not due before now (DESIGN.md §10),
+        on any write to what it read: counters given back, packet withdrawn;
+        a send *posted* ahead of the clock is un-posted (``on_sent`` gets a
+        ``None`` timestamp), any other departs by event at its instant."""
         steps = self._planned
         if not steps:
             return
@@ -283,10 +263,8 @@ class Rnic:
             if depart_ns < now:
                 continue
             if not self.fabric.withdraw(packet):
-                # Evaluated at this very nanosecond, ahead of the write: it
-                # departed, and what its completion posted was posted.
-                stands = True
-                continue
+                stands = True   # left this very ns, before the write: so
+                continue        # did what its completion posted (for now)
             self._tx_packets -= 1
             self._tx_bytes -= packet.size_bytes
             self.step_demotions += 1
@@ -297,31 +275,20 @@ class Rnic:
                 self.sim.schedule(depart_ns - now, partial(
                     self._depart, qp, packet, wr_id, context, depart_ns))
 
-    def _planned_after_now(self, instant: int) -> list[tuple]:
-        """Planned steps whose departure (0) / post (1) is yet to come."""
+    def planned(self, instant: int = 0) -> list[tuple]:
+        """Planned sends whose departure (0) / post (1) is yet to come."""
         now = self.sim.now
         return [step for step in self._planned if step[instant] > now]
 
     @property
-    def steps_planned(self) -> int:
-        """Send steps run ahead of the clock and not due yet."""
-        return len(self._planned_after_now(0))
-
-    @property
-    def posts_planned(self) -> int:
-        """Sends posted for an instant yet to come."""
-        return len(self._planned_after_now(1))
-
-    @property
     def tx_packets(self) -> int:
         """Packets that have left the NIC by ``sim.now``."""
-        return self._tx_packets - self.steps_planned
+        return self._tx_packets - len(self.planned())
 
     @property
     def tx_bytes(self) -> int:
         """Bytes that have left the NIC by ``sim.now``."""
-        return self._tx_bytes - sum(
-            step[3].size_bytes for step in self._planned_after_now(0))
+        return self._tx_bytes - sum(s[3].size_bytes for s in self.planned())
 
     def flapped_recently(self, now_ns: int,
                          window_ns: int = 2_000_000_000) -> bool:
@@ -357,13 +324,10 @@ class Rnic:
         QPNs are never reused within an RNIC lifetime, so a restarted Agent
         gets different QPNs — the origin of "QPN reset" probe noise.
 
-        A UD/UC consumer that registers ``on_sent`` takes its send
-        completions as ``on_sent(qp, context, rnic_timestamp_ns, at_ns)`` —
-        the ``context`` it gave :meth:`post_send`, the CQE timestamp and the
-        departure instant it was taken at — instead of a SEND :class:`Cqe`.
-        It must not read ``sim.now`` for that instant: while the RNIC is
-        :attr:`settled` the call comes at post time, ahead of the clock, and
-        a later write may take the send back (see :meth:`demote_planned`).
+        A UD/UC consumer that registers ``on_sent`` gets ``on_sent(qp,
+        context, rnic_timestamp_ns, at_ns)`` instead of a SEND :class:`Cqe`
+        — at post time, ahead of the clock, while the RNIC is ``settled``
+        (never read ``sim.now`` for ``at_ns``; see :meth:`demote_planned`).
         """
         if on_sent is not None and qp_type == QPType.RC:
             raise ValueError("RC send completions wait for the remote ACK")
@@ -410,18 +374,16 @@ class Rnic:
         hardware ACK returns.  Local conditions that keep the message off
         the wire raise :class:`LocalSendError`.
 
-        An ``on_sent`` consumer gets ``context`` back with its completion,
-        and may post for an instant ``at_ns`` ahead of the clock while the
-        RNIC is :attr:`settled`.
+        An ``on_sent`` consumer gets ``context`` back with its completion
+        and, while the RNIC is ``settled``, may post for a later ``at_ns``.
         """
         now = self.sim.now
         post_ns = now if at_ns is None else at_ns
         settled = self.settled
         planned = settled and qp.on_sent is not None
         if post_ns != now and not planned:
-            raise SimulationError(
-                f"{self.name}: posting ahead of the clock needs an on_sent "
-                f"consumer and a settled RNIC")
+            raise SimulationError(f"{self.name}: only a settled RNIC's "
+                                  f"on_sent consumer posts ahead of the clock")
         if qp.state != QPState.RTS:
             raise LocalSendError("qp_not_rts")
         if not settled:         # settled passes all three by definition
@@ -463,9 +425,8 @@ class Rnic:
             pcie_ns = pcie_sizes[size] = serialization_delay_ns(size, rate)
         depart_ns = post_ns + TX_PIPELINE_NS + pcie_ns
         if planned:
-            # Nothing the departure reads can change without a hooked
-            # write: run it now, and remember how to take it back.  (Steps
-            # whose instant has passed are dead weight, swept now and then.)
+            # Nothing the departure reads changes without a hooked write: run
+            # it now, remember how to take it back (sweeping stale steps).
             steps = self._planned
             if len(steps) > 8:
                 steps = self._planned = [step for step in steps
@@ -487,15 +448,12 @@ class Rnic:
     def _depart(self, qp: QueuePair, packet: RoCEPacket, wr_id: int,
                 context: Any, at_ns: int) -> None:
         """The message leaves the NIC at ``at_ns``: timestamp ② (or ④).
-
-        One body, two ways to reach it: from :meth:`post_send` ahead of the
-        clock while the RNIC is settled, or as the event at ``at_ns``.
-        """
+        Reached from :meth:`post_send` ahead of the clock, or by event."""
         if not self.operational:
             # NIC died between post and departure; message is lost and no
             # completion is ever generated (matches flush-on-down behaviour
             # closely enough for probing: the prober simply times out).
-            # Nobody keeps a packet lost inside the NIC (no DropRecord).
+            # No DropRecord keeps a packet lost inside the NIC: release it.
             self._count_drop("rnic_down")
             if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "rnic_down")

@@ -95,9 +95,7 @@ class VerbsContext:
 
     def post_send(self, rnic: Rnic, qp: QueuePair, dst: CommInfo, *,
                   src_port: int, payload: dict, payload_bytes: int,
-                  wr_id: Optional[int] = None, context=None,
-                  at_ns: Optional[int] = None) -> int:
+                  wr_id: Optional[int] = None) -> int:
         """Post a message send; see :meth:`Rnic.post_send`."""
         return rnic.post_send(qp, dst, src_port=src_port, payload=payload,
-                              payload_bytes=payload_bytes, wr_id=wr_id,
-                              context=context, at_ns=at_ns)
+                              payload_bytes=payload_bytes, wr_id=wr_id)

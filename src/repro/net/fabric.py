@@ -252,13 +252,9 @@ class Fabric:
 
     def inject(self, packet: Packet, src_port: str,
                at_ns: Optional[int] = None) -> None:
-        """Send ``packet`` into the fabric from ``src_port``.
-
-        ``at_ns`` (default: now) may lie ahead of the clock: the sender's
-        TX pipeline is then one more quiet hop in front of the plan, and a
-        walk that cannot be planned from here gets its event at ``at_ns``.
-        :meth:`withdraw` takes such a packet back until then.
-        """
+        """Send ``packet`` into the fabric from ``src_port``, now or at a
+        later ``at_ns`` (the sender's TX pipeline as one more quiet hop in
+        front of the plan; :meth:`withdraw` takes it back until then)."""
         now = self.sim.now
         if at_ns is None:
             at_ns = now
@@ -272,8 +268,7 @@ class Fabric:
         transit = self._acquire_transit()
         transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _retire before the packet is recycled
         if dst_port is None or (at_ns != now and self._adaptive_routing):
-            # No route to plan, or one drawn hop by hop: the packet stands
-            # at its port until the clock reaches it.
+            # No route to plan, or one drawn hop by hop when it stands there.
             transit.path = _CachedPath((src_port,), (), (),
                                        self.topology.route_epoch)
         else:
@@ -285,12 +280,9 @@ class Fabric:
         self._walk(transit, at_ns)
 
     def withdraw(self, packet: Packet) -> bool:
-        """Un-send a packet injected for an instant not before now.
-
-        Every hop it looked ahead over is given back and its pending event
-        finds a tombstone.  False (and nothing changes) if its walk has
-        already been evaluated at that instant, or is over.
-        """
+        """Un-send a packet injected for an instant not before now: its
+        looked-ahead hops are given back, its pending event finds a
+        tombstone.  False if its walk was evaluated already, or is over."""
         transit = self._in_flight.get(packet.packet_id)
         if (transit is None or transit.look_idx
                 or packet.sent_at_ns < self.sim.now):
@@ -303,8 +295,7 @@ class Fabric:
 
     @property
     def packets_injected(self) -> int:
-        """Packets sent by ``sim.now`` (the raw tally runs ahead of the
-        clock by the ones injected for a later instant)."""
+        """Packets sent by ``sim.now`` (not yet: those injected for later)."""
         now = self.sim.now
         return self._packets_injected - sum(
             1 for transit in self._in_flight.values()
@@ -382,7 +373,7 @@ class Fabric:
     def _walk(self, transit: _Transit,
               start_ns: Optional[int] = None) -> None:
         """Advance one packet from the node it stands at, at ``sim.now``
-        (or, fresh from :meth:`inject`, from ``start_ns`` on).
+        (fresh from :meth:`inject`: from ``start_ns`` on).
 
         Quiet hops are added up without an event of their own; the first
         hop that is not quiet is evaluated here if the packet stands at it
@@ -539,15 +530,12 @@ class Fabric:
 
     def _give_back(self, transit: _Transit, k: int) -> None:
         """Undo the looked-ahead hops ``k .. idx-1`` of one packet."""
-        idx = transit.idx
-        if k == idx:
-            return
-        packet = transit.packet
+        idx, packet = transit.idx, transit.packet
         for link in transit.path.hops[k:idx]:
             link.packets_forwarded -= 1
             if link.dst_acl is not None:
                 packet.ttl += 1
-        if self._int_collector is not None:
+        if idx > k and self._int_collector is not None:
             self._int_collector.unstamp(packet, idx - k)
 
     def _demote_in_flight(self) -> None:

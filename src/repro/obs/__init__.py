@@ -127,13 +127,11 @@ class Observability:
         rnics = cluster.all_rnics()
         self.metrics.gauge(
             "repro_host_steps_planned",
-            help="RNIC send steps (wire departures, ACK posts) run ahead "
-                 "of the clock and not due yet"
-        ).set(sum(rnic.steps_planned for rnic in rnics))
+            help="RNIC sends run ahead of the clock and not due yet"
+        ).set(sum(len(rnic.planned()) for rnic in rnics))
         self.metrics.counter(
             "repro_host_step_demotions_total",
-            help="planned RNIC send steps that a write to RNIC, host or "
-                 "QP state took back and re-queued as events"
+            help="planned RNIC sends a write to what they read took back"
         ).value = sum(rnic.step_demotions for rnic in rnics)
         for rnic in rnics:
             self.metrics.counter("repro_rnic_tx_packets_total",

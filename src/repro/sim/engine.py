@@ -97,8 +97,7 @@ class CalendarQueue:
     def __init__(self, *, bucket_bits: int = BUCKET_BITS_DEFAULT,
                  on_swept: Optional[Callable[[_Event], None]] = None):
         self.bucket_bits = bucket_bits
-        # Told of every cancelled event a compaction sweeps out, so the
-        # owner can retire the record as it does a popped one.
+        # Called with each cancelled event a compaction sweeps out.
         self.on_swept = on_swept
         # bucket index -> unsorted [(time, seq, event), ...]
         self._buckets: dict[int, list[tuple[int, int, _Event]]] = {}

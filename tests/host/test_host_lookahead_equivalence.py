@@ -514,7 +514,7 @@ def test_scripts_plan_demote_and_unpost(monkeypatch):
         world = _World(_Script(seed), per_event=False)
         seen = []
         world._snapshot = lambda w=world, s=seen: s.append(
-            sum(rnic.steps_planned for rnic in w.rnics))
+            sum(len(rnic.planned()) for rnic in w.rnics))
         world.sim.run_until(SPAN_NS)
         demotions += sum(rnic.step_demotions for rnic in world.rnics)
         mid_plan += sum(1 for planned in seen if planned)

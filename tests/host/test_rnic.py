@@ -317,12 +317,12 @@ class TestHostLookahead:
         assert at_ns > c.sim.now == 1_000
         assert timestamp == a.clock.read(at_ns)
         # Counters read clock-exact: nothing has left yet.
-        assert (a.tx_packets, a.tx_bytes, a.steps_planned) == (0, 0, 1)
+        assert (a.tx_packets, a.tx_bytes, len(a.planned())) == (0, 0, 1)
         assert c.fabric.packets_injected == 0
         assert c.fabric.packets_in_flight == 1
         events = c.sim.events_processed
         c.sim.run_until(at_ns)
-        assert (a.tx_packets, a.tx_bytes, a.steps_planned) == (1, 108, 0)
+        assert (a.tx_packets, a.tx_bytes, len(a.planned())) == (1, 108, 0)
         assert c.fabric.packets_injected == 1
         c.sim.run_for(seconds(1))
         assert len(cqes_b) == 1
@@ -334,7 +334,7 @@ class TestHostLookahead:
         cqes_a = []
         qp_a, qp_b = ud_qp(c, a, cqes_a), ud_qp(c, b, [])
         self.post(c, a, b, qp_a, qp_b)
-        assert cqes_a == [] and a.steps_planned == 0
+        assert cqes_a == [] and len(a.planned()) == 0
         c.sim.run_for(seconds(1))
         assert [q.kind for q in cqes_a] == [CqeKind.SEND]
 
@@ -368,7 +368,7 @@ class TestHostLookahead:
         a.tx_corruption_prob = 1.0
         assert not a.settled
         self.post(c, a, b, qp_a, qp_b)
-        assert sent == [] and a.steps_planned == 0
+        assert sent == [] and len(a.planned()) == 0
         c.sim.run_for(seconds(1))
         ((_, timestamp, at_ns),) = sent     # the NIC believes it sent it
         assert timestamp == a.clock.read(at_ns) and at_ns < c.sim.now
@@ -380,12 +380,12 @@ class TestHostLookahead:
         sent = []
         qp_a, qp_b = self.sender(c, a, sent), ud_qp(c, b, [])
         self.post(c, a, b, qp_a, qp_b, context="ack", at_ns=5_000)
-        assert a.posts_planned == 1 and sent[0][2] > 5_000
+        assert len(a.planned(1)) == 1 and sent[0][2] > 5_000
         c.sim.run_for(2_000)
         a.routing_configured = False
         # Un-posted: the consumer is told, with the post instant.
         assert sent[1] == ("ack", None, 5_000)
-        assert (a.posts_planned, a.steps_planned) == (0, 0)
+        assert (len(a.planned(1)), len(a.planned())) == (0, 0)
         assert c.fabric.packets_in_flight == 0
         with pytest.raises(Exception, match="ahead of the clock"):
             self.post(c, a, b, qp_a, qp_b, at_ns=9_000)

@@ -147,11 +147,11 @@ class TestWalkerSeries:
         sim = tiny_clos.sim
         rnic = tiny_clos.rnic("host0-rnic0")
         sim.run_until(2 * SECOND)
-        while not rnic.steps_planned:       # stop right after a probe post
+        while not rnic.planned():       # stop right after a probe post
             sim.run_until(sim.now + 500)
         snap = obs.metrics.snapshot()
         planned = snap["repro_host_steps_planned"]
-        assert planned >= rnic.steps_planned >= 1
+        assert planned >= len(rnic.planned()) >= 1
         assert snap["repro_host_step_demotions_total"] == 0
         sent = rnic.tx_packets
         for other in tiny_clos.all_rnics():
@@ -174,7 +174,7 @@ class TestWalkerSeries:
         system.start()
         tiny_clos.sim.run_for(3 * SECOND)
         rnics = {rnic.name: rnic for rnic in tiny_clos.all_rnics()}
-        assert not any(rnic.settled or rnic.steps_planned
+        assert not any(rnic.settled or rnic.planned()
                        or rnic.step_demotions for rnic in rnics.values())
         sends = [event for span in obs.tracer.all_spans()
                  for event in span.events_named("cqe.send")]

@@ -104,26 +104,26 @@ class TestRestoreDeterminism:
         rnics = session.cluster.all_rnics()
         for _ in range(400_000):
             session.tick()
-            if any(rnic.posts_planned for rnic in rnics):
+            if any(len(rnic.planned(1)) for rnic in rnics):
                 break
         else:
             pytest.fail("no tick boundary caught an ACK posted ahead")
         path = tmp_path / "ck.bin"
         save_checkpoint(session, path)
         restored = load_checkpoint(path)
-        planned = [rnic.steps_planned for rnic in rnics]
+        planned = [len(rnic.planned()) for rnic in rnics]
         assert sum(planned) >= 2
-        assert [rnic.steps_planned
+        assert [len(rnic.planned())
                 for rnic in restored.cluster.all_rnics()] == planned
         for twin in (session, restored):
             twin.cluster.sim.run_for(6 * 10 ** 9)
         assert restored.replay_digest() == session.replay_digest()
         # And a third copy, where the responder's host dies mid-plan.
         downed = load_checkpoint(path)
-        rnic = next(r for r in downed.cluster.all_rnics() if r.posts_planned)
+        rnic = next(r for r in downed.cluster.all_rnics() if len(r.planned(1)))
         acks = downed.system.agents[rnic.host.name].acks_sent
         rnic.host.set_down()
-        assert rnic.step_demotions >= 2 and not rnic.steps_planned
+        assert rnic.step_demotions >= 2 and not rnic.planned()
         downed.cluster.sim.run_for(100_000)
         assert downed.system.agents[rnic.host.name].acks_sent == acks
 
