@@ -102,14 +102,12 @@ def main(argv=None) -> int:
               f"probe on a quiet world, ceiling "
               f"{record['events_per_probe_ceiling']} — a per-packet event "
               f"is back (DESIGN.md §10)", file=sys.stderr)
-        return 2
-    if not record["passed"]:
+    if record["probes_per_sec"] < record["fail_below"]:
         print(f"PERF REGRESSION: {record['probes_per_sec']} probes/sec is "
               f"more than {round((1 - floor_config['tolerance']) * 100)}% "
               f"below the checked-in floor of {record['floor_probes_per_sec']}"
               f" (fail threshold {record['fail_below']})", file=sys.stderr)
-        return 2
-    return 0
+    return 0 if record["passed"] else 2
 
 
 if __name__ == "__main__":

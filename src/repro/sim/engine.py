@@ -205,13 +205,16 @@ class CalendarQueue:
         stale index in the bucket heap, which activation skips.
         """
         swept: list[_Event] = []
-        kept = [entry for entry in self._cur_heap
-                if not entry[2].cancelled or swept.append(entry[2])]
+
+        def live(entries):
+            swept.extend(e[2] for e in entries if e[2].cancelled)
+            return [e for e in entries if not e[2].cancelled]
+
+        kept = live(self._cur_heap)
         heapq.heapify(kept)
         self._cur_heap = kept
         for index in list(self._buckets):
-            bucket = [entry for entry in self._buckets[index]
-                      if not entry[2].cancelled or swept.append(entry[2])]
+            bucket = live(self._buckets[index])
             if bucket:
                 self._buckets[index] = bucket
             else:
