@@ -23,7 +23,8 @@ windows on the same locus stay idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from functools import partial
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.net.clos import ClosParams
 from repro.net.faults import (CpuOverload, Fault, HostDown, LinkCorruption,
@@ -33,6 +34,7 @@ from repro.net.faults import (CpuOverload, Fault, HostDown, LinkCorruption,
                               RnicFlapping, RnicGidIndexMissing,
                               RnicRoutingMisconfig, SwitchAclError,
                               SwitchPortFlapping)
+from repro.sim.units import SECOND
 
 if TYPE_CHECKING:
     from repro.cluster import Cluster
@@ -121,36 +123,23 @@ def schedule_campaign(manager, cluster: "Cluster",
                                               tuple[int, Optional[int]]]]:
     """Realise a declarative campaign onto the simulator.
 
-    Shared by the fleet worker and the serve-mode fault injector.  Events
-    sharing one identity (kind, loci, params) become one fault instance
-    with several refcounted windows; the returned scoring window of that
-    fault spans from its earliest start to its latest end (or ``None`` if
-    any window is open-ended).  ``manager`` is a
-    :class:`~repro.net.faults.FaultManager`; ``campaign`` an iterable of
-    :class:`FaultEvent`.
+    Events sharing one identity (kind, loci, params) — in this call or
+    an earlier one on the same ``manager`` — land on one fault instance
+    with several refcounted windows; the returned scoring window of each
+    fault named here is its :attr:`~repro.net.faults.Fault.span`.
+    ``manager`` is a :class:`~repro.net.faults.FaultManager`;
+    ``campaign`` an iterable of :class:`FaultEvent`.
     """
-    from repro.sim.units import seconds
-    built: dict[tuple, Fault] = {}
-    windows: dict[tuple, list[tuple[int, Optional[int]]]] = {}
+    named: list[Fault] = []
     for event in campaign:
-        fault = built.get(event.identity)
-        if fault is None:
-            fault = event.build(cluster)
-            built[event.identity] = fault
-            windows[event.identity] = []
-        start_ns = round(event.start_s * seconds(1))
-        end_ns = (None if event.end_s is None
-                  else round(event.end_s * seconds(1)))
-        manager.schedule(fault, start_ns=start_ns, end_ns=end_ns)
-        windows[event.identity].append((start_ns, end_ns))
-    out = []
-    for identity, fault in built.items():
-        spans = windows[identity]
-        start = min(s for s, _ in spans)
-        ends = [e for _, e in spans]
-        end = None if any(e is None for e in ends) else max(ends)
-        out.append((fault, (start, end)))
-    return out
+        fault = manager.fault(event.identity, partial(event.build, cluster))
+        manager.schedule(
+            fault, start_ns=round(event.start_s * SECOND),
+            end_ns=(None if event.end_s is None
+                    else round(event.end_s * SECOND)))
+        if not any(fault is seen for seen in named):
+            named.append(fault)
+    return [(fault, fault.span) for fault in named]
 
 
 @dataclass(frozen=True, slots=True)

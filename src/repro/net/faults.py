@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Hashable, Optional
 
 from repro.cluster import Cluster
 from repro.net.addresses import FiveTuple
@@ -77,6 +77,10 @@ class Fault:
         # Open activation windows (see acquire/release).  Raw inject() /
         # clear() bypass the count and stay idempotent on their own.
         self._open_windows = 0
+        # What scorers judge verdicts against: earliest scheduled start to
+        # latest scheduled end (None = some window never closes).  Set by
+        # FaultManager; None until a window is scheduled.
+        self.span: Optional[tuple[int, Optional[int]]] = None
 
     def inject(self) -> None:
         """Activate the fault (idempotent)."""
@@ -661,22 +665,43 @@ class FaultManager:
     its *last* open window ends, whatever order the engine fires the
     boundary events in.  Each fault registers in the ground-truth list
     once, however many windows it gets.
+
+    Refcounting only works on *one* instance, so the manager also owns the
+    table from a declarative identity to the fault built for it
+    (:meth:`fault`): two instances on one device would each restore it on
+    their own clear, under the other's open window.
     """
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.faults: list[Fault] = []
+        self._by_identity: dict[Hashable, Fault] = {}
 
-    def _register(self, fault: Fault) -> None:
+    def fault(self, identity: Hashable,
+              build: Callable[[], Fault]) -> Fault:
+        """The one instance behind ``identity``; ``build`` runs on first use."""
+        fault = self._by_identity.get(identity)
+        if fault is None:
+            fault = self._by_identity[identity] = build()
+        return fault
+
+    def _register(self, fault: Fault, start_ns: int,
+                  end_ns: Optional[int]) -> None:
         if not any(f is fault for f in self.faults):
             self.faults.append(fault)
+        if fault.span is not None:
+            start, end = fault.span
+            start_ns = min(start, start_ns)
+            end_ns = (None if end is None or end_ns is None
+                      else max(end, end_ns))
+        fault.span = (start_ns, end_ns)
 
     def schedule(self, fault: Fault, *, start_ns: int,
                  end_ns: Optional[int] = None) -> Fault:
         """Open a window at ``start_ns``; close it at ``end_ns`` if given."""
         if end_ns is not None and end_ns <= start_ns:
             raise ValueError("end_ns must follow start_ns")
-        self._register(fault)
+        self._register(fault, start_ns, end_ns)
         self.cluster.sim.call_at(start_ns, fault.acquire)
         if end_ns is not None:
             self.cluster.sim.call_at(end_ns, fault.release)
@@ -684,7 +709,7 @@ class FaultManager:
 
     def inject_now(self, fault: Fault) -> Fault:
         """Open a window immediately (never auto-closed)."""
-        self._register(fault)
+        self._register(fault, self.cluster.sim.now, None)
         fault.acquire()
         return fault
 

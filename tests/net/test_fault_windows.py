@@ -3,13 +3,14 @@
 Overlapping activation windows on the same locus, adjacent windows whose
 boundary events land on the same timestamp, and a clear that races ahead
 of its inject are all legal campaign shapes — the fleet's
-``_schedule_campaign`` produces them routinely.  The refcounted
+``schedule_campaign`` produces them routinely.  The refcounted
 ``Fault.acquire``/``release`` pair keeps the fault active exactly while
 at least one window is open, regardless of event order.
 """
 
 import pytest
 
+from repro.fleet.spec import FaultEvent, schedule_campaign
 from repro.net.faults import FaultManager, LinkCorruption, RnicDown
 from repro.sim.units import seconds
 
@@ -136,3 +137,47 @@ class TestWindowRefcounting:
         assert any(f is fault for f in manager.faults)
         manager.clear_all()
         assert rnic.operational
+
+
+class TestCampaignIdentity:
+    """Events naming one ``(kind, loci, params)`` are one refcounted fault
+    — across ``schedule_campaign`` calls too, since the manager owns the
+    identity table.  Two instances would each zero the link on their own
+    clear, under the other's open window."""
+
+    def test_same_identity_across_calls_shares_one_fault(self, tiny_clos):
+        c = tiny_clos
+        manager = FaultManager(c)
+        link = c.topology.link("pod0-tor0", "pod0-agg0")
+        first = FaultEvent.make("link_corruption", "pod0-tor0", "pod0-agg0",
+                                start_s=0, end_s=5, drop_prob=0.5)
+        second = FaultEvent.make("link_corruption", "pod0-tor0", "pod0-agg0",
+                                 start_s=2, end_s=20, drop_prob=0.5)
+        [(fault, _)] = schedule_campaign(manager, c, (first,))
+        [(again, span)] = schedule_campaign(manager, c, (second,))
+        assert again is fault and manager.faults == [fault]
+        assert span == fault.span == (0, seconds(20))
+        c.sim.run_until(seconds(6))     # first window closed, second open
+        assert link.corruption_drop_prob == pytest.approx(0.5)
+        assert fault.ground_truth.active and fault.open_windows == 1
+        c.sim.run_until(seconds(19))
+        assert link.corruption_drop_prob == pytest.approx(0.5)
+        c.sim.run_until(seconds(21))
+        assert link.corruption_drop_prob == 0.0
+        assert not fault.ground_truth.active and fault.open_windows == 0
+
+    def test_different_params_are_different_faults(self, tiny_clos):
+        manager = FaultManager(tiny_clos)
+        events = [FaultEvent.make("link_corruption", "pod0-tor0",
+                                  "pod0-agg0", start_s=1, drop_prob=p)
+                  for p in (0.2, 0.4)]
+        scheduled = schedule_campaign(manager, tiny_clos, events)
+        assert len(scheduled) == len(manager.faults) == 2
+
+    def test_open_ended_window_leaves_the_span_open(self, tiny_clos):
+        manager = FaultManager(tiny_clos)
+        events = (FaultEvent.make("rnic_down", "host0-rnic0",
+                                  start_s=3, end_s=9),
+                  FaultEvent.make("rnic_down", "host0-rnic0", start_s=1))
+        [(_, span)] = schedule_campaign(manager, tiny_clos, events)
+        assert span == (seconds(1), None)

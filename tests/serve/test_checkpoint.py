@@ -153,7 +153,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 4
+        assert meta["format"] == 5
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -171,12 +171,13 @@ class TestFileFormat:
         """A v1 payload holds per-hop fabric events and one shared jitter
         state, a v2 one the pre-gather/conclude Analyzer and the
         registry-backed EndpointStats, a v3 one per-event wire departures
-        and the Agent's ``send_roles``; resuming any of them under this
-        code would diverge silently or fail to unpickle."""
+        and the Agent's ``send_roles``, a v4 one a FaultManager with no
+        identity table; resuming any of them under this code would
+        diverge silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
