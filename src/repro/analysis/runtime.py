@@ -11,118 +11,20 @@ the mismatching keys name the subsystem that drifted.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
 from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
-from repro.core.system import RPingmesh
+from repro.core.records import structural_digest
+from repro.core.system import RPingmesh, system_state
 from repro.net.clos import ClosParams
 from repro.net.faults import (FaultManager, LinkCorruption, LinkOverload,
                               PfcHeadroomMisconfig, RnicCorruption)
 from repro.sim.units import MICROSECOND, SECOND
 
 Scenario = Callable[[int], Any]
-
-
-# -- structural digests --------------------------------------------------------
-
-def _canonical(value: Any) -> str:
-    """A stable text encoding: order-free for mappings/sets, exact floats."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = ",".join(
-            f"{f.name}={_canonical(getattr(value, f.name))}"
-            for f in dataclasses.fields(value))
-        return f"{type(value).__name__}({fields})"
-    if isinstance(value, Mapping):
-        items = sorted((_canonical(k), _canonical(v))
-                       for k, v in value.items())
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
-    raise TypeError(
-        f"structural_digest cannot canonicalize {type(value).__name__}; "
-        "snapshot it into plain data first")
-
-
-def structural_digest(value: Any) -> str:
-    """Hex sha256 of the canonical encoding of ``value``."""
-    return hashlib.sha256(_canonical(value).encode()).hexdigest()
-
-
-# -- state snapshots -----------------------------------------------------------
-
-def system_state(system: RPingmesh) -> dict[str, Any]:
-    """A structural snapshot of one deployed run, digest-ready.
-
-    Only *observable behaviour* is pinned: what every probe measured, what
-    the fabric dropped and forwarded, every RNG stream's draw count (plus
-    the registry state digest, which also pins generator positions), and
-    the conclusions the run reached.  How many simulator events it took to
-    get there is deliberately not part of it (DESIGN.md §7).
-    """
-    cluster = system.cluster
-    sim = cluster.sim
-    fabric = cluster.fabric
-    return {
-        "sim": {
-            "now": sim.now,
-            "seed": sim.seed,
-        },
-        "rng": {
-            "draw_counts": cluster.rngs.draw_counts(),
-            "digest": cluster.rngs.digest(),
-        },
-        "fabric": {
-            "injected": fabric.packets_injected,
-            "delivered": fabric.packets_delivered,
-            "drops": [(d.time_ns, d.reason.value, d.link, d.node)
-                      for d in fabric.drops],
-            "forwarded": fabric.forwarded_by_link(),
-        },
-        "results": {
-            "count": system.upload_digest.count,
-            "digest": system.upload_digest.value,
-        },
-        "analyzer": {
-            "windows": [
-                {
-                    "start": w.window_start_ns,
-                    "end": w.window_end_ns,
-                    "results": w.results_processed,
-                    "down_hosts": sorted(w.down_hosts),
-                    "anomalous_rnics": sorted(w.anomalous_rnics),
-                    "cpu_noise_hosts": sorted(w.cpu_noise_hosts),
-                    "problems": [
-                        (p.category.name, p.locus, p.detected_at_ns)
-                        for p in w.problems
-                    ],
-                }
-                for w in system.analyzer.windows
-            ],
-        },
-        "control_plane": {
-            name: {
-                "sent": stats.sent, "delivered": stats.delivered,
-                "dropped": stats.dropped, "retries": stats.retries,
-            }
-            for name, stats in sorted(system.control_plane_stats().items())
-        },
-    }
 
 
 # -- the replay harness --------------------------------------------------------

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Any, Mapping, Optional
 
 from repro.host.rnic import CommInfo
 from repro.net.addresses import FiveTuple
@@ -104,6 +105,39 @@ class UploadDigest:
             for r in batch.results)
         self.count += len(batch.results)
         self.value = hashlib.sha256(self.value + rows.encode()).digest()
+
+
+def _canonical(value: Any) -> str:
+    """A stable text encoding: order-free for mappings/sets, exact floats."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return repr(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ",".join(
+            f"{f.name}={_canonical(getattr(value, f.name))}"
+            for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, Mapping):
+        items = sorted((_canonical(k), _canonical(v))
+                       for k, v in value.items())
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_canonical(v) for v in value) + "]"
+    raise TypeError(
+        f"structural_digest cannot canonicalize {type(value).__name__}; "
+        "snapshot it into plain data first")
+
+
+def structural_digest(value: Any) -> str:
+    """Hex sha256 of the canonical encoding of ``value``."""
+    return hashlib.sha256(_canonical(value).encode()).hexdigest()
 
 
 class ProblemCategory(Enum):

@@ -18,7 +18,7 @@ control plane, never the RoCE data plane being monitored.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.cluster import Cluster
 from repro.controlplane.clients import ANALYZER_ENDPOINT, CONTROLLER_ENDPOINT
@@ -223,3 +223,62 @@ class RPingmesh:
         """Convenience: start (if needed) and advance simulated time."""
         self.start()
         self.cluster.sim.run_for(duration_ns)
+
+
+def system_state(system: RPingmesh) -> dict[str, Any]:
+    """A structural snapshot of one deployed run, digest-ready.
+
+    Only *observable behaviour* is pinned: what every probe measured, what
+    the fabric dropped and forwarded, every RNG stream's draw count (plus
+    the registry state digest, which also pins generator positions), and
+    the conclusions the run reached.  How many simulator events it took to
+    get there is deliberately not part of it (DESIGN.md §7).
+    """
+    cluster = system.cluster
+    sim = cluster.sim
+    fabric = cluster.fabric
+    return {
+        "sim": {
+            "now": sim.now,
+            "seed": sim.seed,
+        },
+        "rng": {
+            "draw_counts": cluster.rngs.draw_counts(),
+            "digest": cluster.rngs.digest(),
+        },
+        "fabric": {
+            "injected": fabric.packets_injected,
+            "delivered": fabric.packets_delivered,
+            "drops": [(d.time_ns, d.reason.value, d.link, d.node)
+                      for d in fabric.drops],
+            "forwarded": fabric.forwarded_by_link(),
+        },
+        "results": {
+            "count": system.upload_digest.count,
+            "digest": system.upload_digest.value,
+        },
+        "analyzer": {
+            "windows": [
+                {
+                    "start": w.window_start_ns,
+                    "end": w.window_end_ns,
+                    "results": w.results_processed,
+                    "down_hosts": sorted(w.down_hosts),
+                    "anomalous_rnics": sorted(w.anomalous_rnics),
+                    "cpu_noise_hosts": sorted(w.cpu_noise_hosts),
+                    "problems": [
+                        (p.category.name, p.locus, p.detected_at_ns)
+                        for p in w.problems
+                    ],
+                }
+                for w in system.analyzer.windows
+            ],
+        },
+        "control_plane": {
+            name: {
+                "sent": stats.sent, "delivered": stats.delivered,
+                "dropped": stats.dropped, "retries": stats.retries,
+            }
+            for name, stats in sorted(system.control_plane_stats().items())
+        },
+    }

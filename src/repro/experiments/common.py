@@ -8,41 +8,29 @@ to the paper's reported values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
-from repro.core.system import RPingmesh
+from repro.fleet.presets import SMALL
+from repro.fleet.spec import World, build_world
 from repro.net.clos import ClosParams
 
 
-@dataclass
-class Deployment:
-    """A cluster with R-Pingmesh running on it."""
-
-    cluster: Cluster
-    system: RPingmesh
-
-
 def default_cluster_params(**overrides) -> ClosParams:
-    """The downscaled evaluation fabric: 2 pods, 1:1 oversubscription."""
-    params = dict(pods=2, tors_per_pod=2, aggs_per_pod=2, spines=2,
-                  hosts_per_tor=3, rnics_per_host=1)
-    params.update(overrides)
-    return ClosParams(**params)
+    """The downscaled evaluation fabric (SMALL), optionally reshaped."""
+    return replace(SMALL, **overrides)
 
 
 def deploy(*, seed: int = 0, params: Optional[ClosParams] = None,
            config: Optional[RPingmeshConfig] = None,
-           warmup_ns: int = 0) -> Deployment:
+           warmup_ns: int = 0) -> World:
     """Build a Clos cluster, start R-Pingmesh, optionally warm up."""
-    cluster = Cluster.clos(params or default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster, config)
-    system.start()
+    world = build_world(params or SMALL, seed, config=config)
+    world.system.start()
     if warmup_ns:
-        cluster.sim.run_for(warmup_ns)
-    return Deployment(cluster=cluster, system=system)
+        world.cluster.sim.run_for(warmup_ns)
+    return world
 
 
 @dataclass

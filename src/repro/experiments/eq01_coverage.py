@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
 from repro.core.coverage import miss_probability, required_tuples
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import deploy
 from repro.net.addresses import roce_five_tuple
 from repro.sim.rng import RngStream
 
@@ -58,7 +57,7 @@ def run(*, probability: float = 0.99,
             empirical_coverage=covered / trials))
 
     # Fabric validation: do k tuples cover all distinct cross-pod paths?
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
+    cluster = deploy(seed=seed).cluster
     src, dst = "host0-rnic0", "host6-rnic0"  # cross-pod pair
     src_ip = cluster.rnic(src).ip
     dst_ip = cluster.rnic(dst).ip

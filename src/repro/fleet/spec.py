@@ -18,32 +18,42 @@ activation window.  Events naming the same ``(kind, loci, params)``
 identity are realised as **one** fault instance whose windows are
 refcounted by :class:`~repro.net.faults.FaultManager`, so overlapping
 windows on the same locus stay idempotent.
+
+:func:`build_world` is the one place a deployment is stood up from such
+data (DESIGN.md §9): the fleet worker, serve sessions, the reference
+scenarios, the CLI and the experiment scaffolding all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
+from repro.cluster import Cluster
+from repro.core.config import RPingmeshConfig
+from repro.core.records import structural_digest
+from repro.core.system import RPingmesh
 from repro.net.clos import ClosParams
-from repro.net.faults import (CpuOverload, Fault, HostDown, LinkCorruption,
+from repro.net.faults import (ControlPlanePartition, CpuOverload, Fault,
+                              FaultManager, HostDown, LinkCorruption,
                               LinkFailure, LinkOverload, PcieDowngrade,
                               PfcDeadlock, PfcHeadroomMisconfig,
                               RnicAcsMisconfig, RnicCorruption, RnicDown,
                               RnicFlapping, RnicGidIndexMissing,
                               RnicRoutingMisconfig, SwitchAclError,
                               SwitchPortFlapping)
-from repro.sim.units import SECOND
-
-if TYPE_CHECKING:
-    from repro.cluster import Cluster
+from repro.obs import Observability
+from repro.sim.units import MICROSECOND, SECOND
 
 ParamValue = Union[int, float, str, bool]
+# A fault with its scoring window (start_ns, end_ns or None if never cleared).
+ScheduledFault = tuple[Fault, tuple[int, Optional[int]]]
 
 # The declarative fault vocabulary: registry key -> constructor.  Every
 # constructor takes (cluster, *loci, **params); loci are positional
-# device/link-endpoint names, params are keyword knobs.
+# device/link-endpoint names (a management-network endpoint name for
+# ``control_plane_partition``), params are keyword knobs.
 FAULT_KINDS: dict[str, type[Fault]] = {
     "switch_port_flapping": SwitchPortFlapping,
     "rnic_flapping": RnicFlapping,
@@ -61,6 +71,7 @@ FAULT_KINDS: dict[str, type[Fault]] = {
     "pcie_downgrade": PcieDowngrade,
     "rnic_acs_misconfig": RnicAcsMisconfig,
     "link_failure": LinkFailure,
+    "control_plane_partition": ControlPlanePartition,
 }
 
 
@@ -112,27 +123,61 @@ class FaultEvent:
         """Params as keyword arguments for the fault constructor."""
         return dict(self.params)
 
-    def build(self, cluster: "Cluster") -> Fault:
-        """Realise the declarative event against a live cluster."""
-        return FAULT_KINDS[self.kind](cluster, *self.loci,
-                                      **self.params_dict())
+    def build(self, cluster: Cluster) -> Fault:
+        """Realise the declarative event against a live cluster.
+
+        Wrong arity, an unknown keyword or a pair of devices with no link
+        between them surface as the ``ValueError`` every other campaign
+        mistake raises, not as the constructor's ``TypeError``/``KeyError``.
+        """
+        try:
+            return FAULT_KINDS[self.kind](cluster, *self.loci,
+                                          **self.params_dict())
+        except (TypeError, KeyError) as exc:
+            raise ValueError(
+                f"campaign event {self.kind!r} cannot be built from loci "
+                f"{list(self.loci)} and params {self.params_dict()}: "
+                f"{exc.args[0] if exc.args else exc}") from exc
 
 
-def schedule_campaign(manager, cluster: "Cluster",
-                      campaign) -> list[tuple[Fault,
-                                              tuple[int, Optional[int]]]]:
-    """Realise a declarative campaign onto the simulator.
+def validate_campaign_loci(campaign: Iterable[FaultEvent],
+                           cluster: Cluster) -> None:
+    """Fail fast if a campaign names devices the deployment lacks."""
+    devices = set(cluster.topology.nodes) | set(cluster.hosts)
+    for event in campaign:
+        if event.kind in ("cpu_overload", "host_down"):
+            known = cluster.hosts
+        elif (event.kind == "control_plane_partition"
+                and cluster.management is not None):
+            known = cluster.management.endpoints()
+        else:
+            known = devices
+        unknown = [n for n in event.loci if n not in known]
+        if unknown:
+            raise ValueError(
+                f"campaign event {event.kind!r} names unknown "
+                f"loci {unknown} (topology has {len(devices)} devices)")
+
+
+def schedule_campaign(manager: FaultManager, cluster: Cluster,
+                      campaign: Iterable[FaultEvent]
+                      ) -> list[ScheduledFault]:
+    """Validate a declarative campaign and realise it onto the simulator.
 
     Events sharing one identity (kind, loci, params) — in this call or
     an earlier one on the same ``manager`` — land on one fault instance
     with several refcounted windows; the returned scoring window of each
     fault named here is its :attr:`~repro.net.faults.Fault.span`.
-    ``manager`` is a :class:`~repro.net.faults.FaultManager`;
-    ``campaign`` an iterable of :class:`FaultEvent`.
+
+    Every event is checked and built before any is armed, so a campaign
+    with one bad event raises ``ValueError`` and schedules nothing.
     """
+    campaign = tuple(campaign)
+    validate_campaign_loci(campaign, cluster)
+    faults = [manager.fault(event.identity, partial(event.build, cluster))
+              for event in campaign]
     named: list[Fault] = []
-    for event in campaign:
-        fault = manager.fault(event.identity, partial(event.build, cluster))
+    for event, fault in zip(campaign, faults):
         manager.schedule(
             fault, start_ns=round(event.start_s * SECOND),
             end_ns=(None if event.end_s is None
@@ -140,6 +185,35 @@ def schedule_campaign(manager, cluster: "Cluster",
         if not any(fault is seen for seen in named):
             named.append(fault)
     return [(fault, fault.span) for fault in named]
+
+
+class World(NamedTuple):
+    """The live parts of one deployment: built and armed, not started."""
+
+    cluster: Cluster
+    system: RPingmesh
+    faults: FaultManager
+    scheduled: list[ScheduledFault]     # the campaign, as scorers want it
+
+
+def build_world(topology: ClosParams, seed: int, *,
+                config: Optional[RPingmeshConfig] = None,
+                campaign: Iterable[FaultEvent] = (),
+                obs: Optional[Observability] = None,
+                check_invariants: bool = False,
+                sanitize: bool = False) -> World:
+    """Stand one deployment up: cluster -> RPingmesh -> FaultManager ->
+    validated, scheduled campaign (the order ``bench/`` builds by hand).
+
+    Nothing is started; callers ``system.start()`` / ``system.run()``.
+    """
+    cluster = Cluster.clos(topology, seed=seed,
+                           check_invariants=check_invariants,
+                           sanitize=sanitize)
+    system = RPingmesh(cluster, config, obs=obs)
+    faults = FaultManager(cluster)
+    return World(cluster, system, faults,
+                 schedule_campaign(faults, cluster, campaign))
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,9 +284,20 @@ class ScenarioSpec:
         (tests/analysis/test_sanitize.py), so both runs are mergeable
         under one key.
         """
-        from repro.analysis.runtime import structural_digest
         return structural_digest(replace(self, timeout_s=None,
                                          sanitize=False))
+
+    def config(self) -> RPingmeshConfig:
+        """The deployment configuration this spec's fields describe."""
+        config = RPingmeshConfig(
+            control_latency_ns=self.control_latency_us * MICROSECOND,
+            control_jitter_ns=self.control_jitter_us * MICROSECOND,
+            control_loss_prob=self.control_loss_prob,
+            shards=self.shards,
+            sla_sketch=self.sla_sketch)
+        if self.backends:
+            config.backends = self.backends
+        return config
 
     @property
     def label(self) -> str:
@@ -257,7 +342,6 @@ class SweepSpec:
     @property
     def sweep_digest(self) -> str:
         """Stable digest over all scenario digests and seeds."""
-        from repro.analysis.runtime import structural_digest
         return structural_digest({
             "scenarios": [s.spec_digest for s in self.scenarios],
             "seeds": list(self.seeds),
@@ -275,22 +359,3 @@ def spec_summary(spec: ScenarioSpec) -> dict[str, ParamValue]:
         "metrics": spec.metrics,
         "tracing": spec.tracing,
     }
-
-
-def validate_campaign_loci(spec: ScenarioSpec,
-                           cluster: "Cluster") -> None:
-    """Fail fast if a campaign names devices the topology lacks.
-
-    Workers call this before scheduling so a typo'd locus surfaces as a
-    clear per-scenario failure instead of a mid-run KeyError.
-    """
-    known = set(cluster.topology.nodes) | set(cluster.hosts)
-    for event in spec.campaign:
-        if event.kind in ("cpu_overload", "host_down"):
-            unknown = [n for n in event.loci if n not in cluster.hosts]
-        else:
-            unknown = [n for n in event.loci if n not in known]
-        if unknown:
-            raise ValueError(
-                f"campaign event {event.kind!r} names unknown "
-                f"loci {unknown} (topology has {len(known)} devices)")

@@ -1,11 +1,10 @@
 """The fleet worker: one ``(spec, seed)`` job, end to end, in one process.
 
 :func:`run_scenario` is the unit of fleet work.  It is a pure function of
-its ``(ScenarioSpec, seed)`` arguments: it builds a fresh cluster and
-deployment from the seed, schedules the declarative fault campaign
-through the refcounting :class:`~repro.net.faults.FaultManager`, runs the
-simulation, and condenses the outcome into a picklable
-:class:`ScenarioResult` — replay digest, detection scoring against the
+its ``(ScenarioSpec, seed)`` arguments: it has
+:func:`~repro.fleet.spec.build_world` stand the deployment up with the
+campaign scheduled, runs the simulation, and condenses the outcome into
+a picklable :class:`ScenarioResult` — replay digest, detection scoring against the
 campaign's ground truth, SLA percentiles, and (optionally) the metrics
 snapshot.  Everything in the result except ``wall_s`` is a deterministic
 function of the inputs; ``wall_s`` is explicitly wall-clock bookkeeping
@@ -25,16 +24,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.runtime import structural_digest, system_state
-from repro.cluster import Cluster
-from repro.core.config import RPingmeshConfig
-from repro.core.records import Problem, ProblemCategory
-from repro.core.system import RPingmesh
-from repro.fleet.spec import (ScenarioSpec, schedule_campaign,
-                              validate_campaign_loci)
-from repro.net.faults import Fault, FaultManager, GroundTruth, LocusKind
+from repro.core.records import Problem, ProblemCategory, structural_digest
+from repro.core.system import RPingmesh, system_state
+from repro.fleet.spec import ScenarioSpec, ScheduledFault, build_world
+from repro.net.faults import Fault, GroundTruth, LocusKind
 from repro.obs import Observability
-from repro.sim.units import MICROSECOND, seconds
+from repro.sim.units import seconds
 
 # Verdicts may land one analysis window after a fault clears (uploads
 # batch on 5 s boundaries, analysis on 20 s boundaries); detections
@@ -129,22 +124,10 @@ def run_scenario(spec: ScenarioSpec, seed: int) -> ScenarioResult:
     """Execute one ``(spec, seed)`` job and condense it for merging."""
     start_wall = time.perf_counter()  # detlint: disable=DET001 wall_s bookkeeping
 
-    cluster = Cluster.clos(spec.topology, seed=seed,
-                           sanitize=spec.sanitize)
-    validate_campaign_loci(spec, cluster)
-    config = RPingmeshConfig(
-        control_latency_ns=spec.control_latency_us * MICROSECOND,
-        control_jitter_ns=spec.control_jitter_us * MICROSECOND,
-        control_loss_prob=spec.control_loss_prob,
-        shards=spec.shards,
-        sla_sketch=spec.sla_sketch)
-    if spec.backends:
-        config.backends = spec.backends
-    obs = Observability(metrics=spec.metrics, tracing=spec.tracing)
-    system = RPingmesh(cluster, config, obs=obs)
-
-    manager = FaultManager(cluster)
-    faults = schedule_campaign(manager, cluster, spec.campaign)
+    cluster, system, _, faults = build_world(
+        spec.topology, seed, config=spec.config(), campaign=spec.campaign,
+        obs=Observability(metrics=spec.metrics, tracing=spec.tracing),
+        sanitize=spec.sanitize)
     system.run(seconds(spec.duration_s))
 
     if cluster.sanitizer is not None:
@@ -256,7 +239,7 @@ def _score_fault(fault: Fault, window: tuple[int, Optional[int]],
         verdict_locus=first.locus if first else "")
 
 
-def _score_precision(faults: list[tuple[Fault, tuple[int, Optional[int]]]],
+def _score_precision(faults: list[ScheduledFault],
                      problems: list[Problem]) -> tuple[int, int]:
     """Located verdicts explained by an injected fault vs spurious ones."""
     true_pos = 0
@@ -283,7 +266,7 @@ def _score_precision(faults: list[tuple[Fault, tuple[int, Optional[int]]]],
 
 
 def _score_backend(name: str, backend,
-                   faults: list[tuple[Fault, tuple[int, Optional[int]]]]
+                   faults: list[ScheduledFault]
                    ) -> BackendReport:
     """Score one backend's own verdict stream against ground truth.
 

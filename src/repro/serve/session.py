@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import __version__
-from repro.analysis.runtime import structural_digest, system_state
-from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
-from repro.core.system import RPingmesh
-from repro.fleet.spec import FaultEvent, schedule_campaign
+from repro.core.records import structural_digest
+from repro.core.system import system_state
+from repro.fleet.presets import TINY
+from repro.fleet.spec import FaultEvent, build_world, schedule_campaign
 from repro.net.clos import ClosParams
-from repro.net.faults import FaultManager
 from repro.obs import Observability
 from repro.serve.alerts import AlertEngine, AlertRule
 from repro.sim.units import MICROSECOND, SECOND
@@ -44,11 +43,11 @@ class ServeSpec:
     """Everything that defines a serve-mode world, as plain data."""
 
     seed: int = 0
-    pods: int = 1
-    tors_per_pod: int = 2
-    aggs_per_pod: int = 2
-    spines: int = 1
-    hosts_per_tor: int = 2
+    pods: int = TINY.pods
+    tors_per_pod: int = TINY.tors_per_pod
+    aggs_per_pod: int = TINY.aggs_per_pod
+    spines: int = TINY.spines
+    hosts_per_tor: int = TINY.hosts_per_tor
     shards: int = 1
     sla_sketch: Optional[bool] = None      # None: sketch iff shards > 1
     tick_ns: int = SECOND
@@ -68,6 +67,22 @@ class ServeSpec:
     def digest(self) -> str:
         """Structural digest of the spec — the world's identity."""
         return structural_digest(self)
+
+    @property
+    def topology(self) -> ClosParams:
+        return ClosParams(pods=self.pods, tors_per_pod=self.tors_per_pod,
+                          aggs_per_pod=self.aggs_per_pod, spines=self.spines,
+                          hosts_per_tor=self.hosts_per_tor)
+
+    def config(self) -> RPingmeshConfig:
+        """The deployment configuration this spec's fields describe."""
+        return RPingmeshConfig(
+            control_latency_ns=self.control_latency_ns,
+            control_jitter_ns=self.control_jitter_ns,
+            control_loss_prob=self.control_loss_prob,
+            shards=self.shards,
+            sla_sketch=(self.sla_sketch if self.sla_sketch is not None
+                        else self.shards > 1))
 
 
 def parse_fault_spec(text: str) -> FaultEvent:
@@ -123,24 +138,11 @@ class ServeSession:
     def __init__(self, spec: ServeSpec):
         self.spec = spec
         self.ticks = 0
-        params = ClosParams(pods=spec.pods, tors_per_pod=spec.tors_per_pod,
-                            aggs_per_pod=spec.aggs_per_pod,
-                            spines=spec.spines,
-                            hosts_per_tor=spec.hosts_per_tor)
-        self.cluster = Cluster.clos(params, seed=spec.seed,
-                                    check_invariants=spec.check_invariants)
-        sketch = (spec.sla_sketch if spec.sla_sketch is not None
-                  else spec.shards > 1)
-        config = RPingmeshConfig(
-            control_latency_ns=spec.control_latency_ns,
-            control_jitter_ns=spec.control_jitter_ns,
-            control_loss_prob=spec.control_loss_prob,
-            shards=spec.shards,
-            sla_sketch=sketch)
         obs = Observability(metrics=True)
-        self.system = RPingmesh(self.cluster, config, obs=obs)
-        self.faults = FaultManager(self.cluster)
-        schedule_campaign(self.faults, self.cluster, spec.campaign)
+        self.cluster, self.system, self.faults, _ = build_world(
+            spec.topology, spec.seed, config=spec.config(),
+            campaign=spec.campaign, obs=obs,
+            check_invariants=spec.check_invariants)
         self.alerts = AlertEngine(spec.rules, registry=obs.metrics)
         self.history: deque[TickSample] = deque(maxlen=HISTORY_TICKS)
         self.system.start()

@@ -4,14 +4,11 @@ import pickle
 
 import pytest
 
+from repro.fleet.presets import TINY
 from repro.fleet.spec import (FAULT_KINDS, FaultEvent, ScenarioSpec,
-                              SweepSpec, spec_summary,
-                              validate_campaign_loci)
-from repro.net.clos import ClosParams
+                              SweepSpec, build_world, schedule_campaign,
+                              spec_summary, validate_campaign_loci)
 from repro.net.faults import RnicDown
-
-TINY = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2, spines=1,
-                  hosts_per_tor=2)
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -141,16 +138,50 @@ class TestSweepSpec:
 
 class TestLocusValidation:
     def test_accepts_known_loci(self, tiny_clos):
-        validate_campaign_loci(_spec(), tiny_clos)
+        validate_campaign_loci(_spec().campaign, tiny_clos)
 
     def test_rejects_unknown_device(self, tiny_clos):
         spec = _spec(campaign=(FaultEvent.make(
             "rnic_down", "host9-rnic9", start_s=1.0),))
         with pytest.raises(ValueError, match="unknown"):
-            validate_campaign_loci(spec, tiny_clos)
+            validate_campaign_loci(spec.campaign, tiny_clos)
 
     def test_host_faults_need_hosts_not_rnics(self, tiny_clos):
         spec = _spec(campaign=(FaultEvent.make(
             "cpu_overload", "host0-rnic0", start_s=1.0, load=0.9),))
         with pytest.raises(ValueError, match="unknown"):
-            validate_campaign_loci(spec, tiny_clos)
+            validate_campaign_loci(spec.campaign, tiny_clos)
+
+
+class TestCampaignValidation:
+    """One bad event fails the whole campaign with one ``ValueError``
+    shape, before anything is armed — whoever the caller is."""
+
+    GOOD = FaultEvent.make("rnic_down", "host0-rnic0", start_s=1.0)
+
+    @pytest.mark.parametrize("bad", [
+        FaultEvent.make("link_corruption", "nope", "pod0-agg0", start_s=5),
+        FaultEvent.make("link_corruption", "pod0-tor0", start_s=5),
+        FaultEvent.make("link_corruption", "pod0-tor0", "pod0-tor1",
+                        start_s=5),
+        FaultEvent.make("rnic_down", "host0-rnic0", start_s=5, volume=11),
+        FaultEvent.make("control_plane_partition", "agent.host99",
+                        start_s=5),
+    ], ids=["unknown-locus", "wrong-arity", "no-such-link",
+            "unknown-param", "unknown-endpoint"])
+    def test_bad_event_schedules_nothing(self, bad):
+        with pytest.raises(ValueError, match="campaign event '"):
+            build_world(TINY, 0, campaign=(self.GOOD, bad))
+        cluster, _, manager, _ = build_world(TINY, 0)
+        before = cluster.sim.pending()
+        with pytest.raises(ValueError, match="campaign event '"):
+            schedule_campaign(manager, cluster, (self.GOOD, bad))
+        assert manager.faults == []
+        assert cluster.sim.pending() == before
+
+    def test_good_campaign_comes_back_with_its_windows(self):
+        world = build_world(TINY, 0, campaign=(self.GOOD,))
+        [(fault, window)] = world.scheduled
+        assert isinstance(fault, RnicDown)
+        assert window == (10 ** 9, None)
+        assert world.faults.faults == [fault]
