@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
-from repro.cluster import Cluster
-from repro.core.config import RPingmeshConfig
 from repro.core.records import structural_digest
-from repro.core.system import RPingmesh, system_state
+from repro.core.system import system_state
+from repro.fleet.presets import TINY
+from repro.fleet.spec import FaultEvent, ScenarioSpec, build_world
 from repro.net.clos import ClosParams
-from repro.net.faults import (FaultManager, LinkCorruption, LinkOverload,
-                              PfcHeadroomMisconfig, RnicCorruption)
-from repro.sim.units import MICROSECOND, SECOND
+from repro.sim.units import SECOND
 
 Scenario = Callable[[int], Any]
 
@@ -88,84 +86,77 @@ def replay_digest(scenario: Scenario, seed: int) -> ReplayReport:
 # definitions are therefore FROZEN: changing a topology, duration, fault
 # dose or config value here invalidates the checked-in hashes.
 
-_TINY = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2,
-                   spines=1, hosts_per_tor=2)
-_SLOW_CONTROL = {"control_latency_ns": 200 * MICROSECOND,
-                 "control_jitter_ns": 50 * MICROSECOND}
-# Most scenarios' faults sit on this one uplink cable.
-_UPLINK = ("pod0-tor0", "pod0-agg0")
-_MID_RUN = (5 * SECOND, 35 * SECOND)
+_SLOW_CONTROL = {"control_latency_us": 200, "control_jitter_us": 50}
+_MID_RUN = {"start_s": 5, "end_s": 35}
 
 
-@dataclass(frozen=True)
-class ScenarioDef:
-    """One reference world: what to build, what to break, and why.
-
-    ``faults`` are ``(fault class, kwargs, window)`` on ``target``,
-    applied in order after the system starts; a ``None`` window injects
-    at once, a ``(start_ns, end_ns)`` one goes through a FaultManager.
-    """
-
-    covers: str
-    config: Mapping[str, Any]
-    faults: tuple = ()
-    params: ClosParams = _TINY
-    target: tuple = _UPLINK
+def _reference(name: str, *campaign: FaultEvent, topology: ClosParams = TINY,
+               **config: Any) -> ScenarioSpec:
+    return ScenarioSpec(name=name, topology=topology, duration_s=45,
+                        campaign=campaign, metrics=False, **config)
 
 
-SCENARIOS: dict[str, ScenarioDef] = {
-    "quiet": ScenarioDef(
-        "healthy fabric, clean control plane: the pure probe/ack/analyze "
-        "machinery over hops that are quiet end to end (walker lookahead)",
-        {**_SLOW_CONTROL, "control_loss_prob": 0.0}),
-    "faulted": ScenarioDef(
-        "lossy/jittery control plane + a corrupting link: every RNG "
-        "stream, retries, per-hop drop draws, the analyzer's anomaly paths",
-        {**_SLOW_CONTROL, "control_loss_prob": 0.02},
-        ((LinkCorruption, {"drop_prob": 0.3}, None),)),
-    "congested": ScenarioDef(
-        "a 1.3x-overloaded uplink with misconfigured PFC headroom from "
-        "5 s to 35 s: fluid-queue integration, overflow drops, RTT "
-        "inflation, quiet -> loaded -> quiet transitions mid-run",
-        {**_SLOW_CONTROL, "control_loss_prob": 0.0},
-        ((LinkOverload, {"extra_gbps": 520.0}, _MID_RUN),
-         (PfcHeadroomMisconfig, {}, _MID_RUN))),
-    # Not golden (no pinned hash): these drag default-off subsystems
-    # across the sanitized pools; sanitize-on/off equality is what is
-    # pinned.
-    "sharded": ScenarioDef(
-        "two pods, shards=2 + sketch SLA: summary shipping, sketch "
-        "states, fused verdicts",
-        {**_SLOW_CONTROL, "control_loss_prob": 0.01,
-         "shards": 2, "sla_sketch": True},
-        ((LinkCorruption, {"drop_prob": 0.25}, None),),
-        ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2,
-                   spines=1, hosts_per_tor=1)),
-    "int_telemetry": ScenarioDef(
-        "congestion with the INT backend deployed: per-hop stamps on "
-        "pooled packets' payloads, popped at delivery, window drains, "
-        "Analyzer fusion",
-        {"backends": ("probe", "int")},
-        ((LinkOverload, {"extra_gbps": 520.0}, _MID_RUN),)),
-    "rnic_corruption": ScenarioDef(
-        "an RNIC corrupting half of what it sends and receives from 5 s "
-        "to 35 s: packets lost inside the NIC, which no DropRecord keeps, "
-        "and host steps that stop being settled mid-run",
-        {},
-        ((RnicCorruption, {"drop_prob": 0.5}, _MID_RUN),),
-        target=("host0-rnic0",)),
-}
+SCENARIOS: dict[str, ScenarioSpec] = {spec.name: spec for spec in (
+    # Healthy fabric, clean control plane: the pure probe/ack/analyze
+    # machinery over hops that are quiet end to end (walker lookahead).
+    _reference("quiet", **_SLOW_CONTROL),
+    # Lossy/jittery control plane + a corrupting link: every RNG stream,
+    # retries, per-hop drop draws, the analyzer's anomaly paths.
+    _reference(
+        "faulted",
+        FaultEvent.make("link_corruption", "pod0-tor0", "pod0-agg0",
+                        start_s=0, drop_prob=0.3),
+        control_loss_prob=0.02, **_SLOW_CONTROL),
+    # A 1.3x-overloaded uplink with misconfigured PFC headroom from 5 s to
+    # 35 s: fluid-queue integration, overflow drops, RTT inflation,
+    # quiet -> loaded -> quiet transitions mid-run.
+    _reference(
+        "congested",
+        FaultEvent.make("link_overload", "pod0-tor0", "pod0-agg0",
+                        extra_gbps=520.0, **_MID_RUN),
+        FaultEvent.make("pfc_headroom_misconfig", "pod0-tor0", "pod0-agg0",
+                        **_MID_RUN),
+        **_SLOW_CONTROL),
+    # Not golden (pinned at one seed only): these drag default-off
+    # subsystems across the sanitized pools; sanitize-on/off equality is
+    # what every seed must hold.
+    #
+    # Two pods, shards=2 + sketch SLA: summary shipping, sketch states,
+    # fused verdicts.
+    _reference(
+        "sharded",
+        FaultEvent.make("link_corruption", "pod0-tor0", "pod0-agg0",
+                        start_s=0, drop_prob=0.25),
+        topology=ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2,
+                            spines=1, hosts_per_tor=1),
+        control_loss_prob=0.01, shards=2, sla_sketch=True, **_SLOW_CONTROL),
+    # Congestion with the INT backend deployed: per-hop stamps on pooled
+    # packets' payloads, popped at delivery, window drains, Analyzer fusion.
+    _reference(
+        "int_telemetry",
+        FaultEvent.make("link_overload", "pod0-tor0", "pod0-agg0",
+                        extra_gbps=520.0, **_MID_RUN),
+        backends=("probe", "int")),
+    # An RNIC corrupting half of what it sends and receives from 5 s to
+    # 35 s: packets lost inside the NIC, which no DropRecord keeps, and
+    # host steps that stop being settled mid-run.
+    _reference(
+        "rnic_corruption",
+        FaultEvent.make("rnic_corruption", "host0-rnic0", drop_prob=0.5,
+                        **_MID_RUN)),
+)}
 
 
 def run_scenario(name: str, seed: int, *,
                  check_invariants: bool = True,
-                 duration_ns: int = 45 * SECOND,
+                 duration_ns: Optional[int] = None,
                  obs: Optional[Any] = None,
                  sanitize: bool = False,
                  poolsan_out: Optional[list] = None) -> dict[str, Any]:
     """Build ``SCENARIOS[name]`` from ``seed``, run it, snapshot it.
 
-    ``obs`` (an :class:`~repro.obs.Observability`) opts the run into the
+    ``duration_ns`` cuts the spec's 45 s short.  ``obs`` (an
+    :class:`~repro.obs.Observability`) opts the run into the
     observability layer; the returned snapshot is sim state only, so it
     must be identical with or without it (DESIGN.md §8).  ``sanitize``
     opts into the PoolSan lifetime sanitizer under the same contract
@@ -173,22 +164,14 @@ def run_scenario(name: str, seed: int, *,
     :class:`~repro.analysis.sanitize.PoolSanitizer` so callers can pull
     its findings without the snapshot (and thus the digest) changing.
     """
-    scenario = SCENARIOS[name]
-    cluster = Cluster.clos(scenario.params, seed=seed,
-                           check_invariants=check_invariants,
-                           sanitize=sanitize)
+    spec = SCENARIOS[name]
+    cluster, system, _, _ = build_world(
+        spec.topology, seed, config=spec.config(), campaign=spec.campaign,
+        obs=obs, check_invariants=check_invariants, sanitize=sanitize)
     if poolsan_out is not None:
         poolsan_out.append(cluster.sanitizer)
-    system = RPingmesh(cluster, RPingmeshConfig(**scenario.config), obs=obs)
-    system.start()
-    windows = FaultManager(cluster)
-    for fault_cls, kwargs, window in scenario.faults:
-        fault = fault_cls(cluster, *scenario.target, **kwargs)
-        if window is None:
-            fault.inject()
-        else:
-            windows.schedule(fault, start_ns=window[0], end_ns=window[1])
-    system.run(duration_ns)
+    system.run(duration_ns if duration_ns is not None
+               else spec.duration_s * SECOND)
     return system_state(system)
 
 

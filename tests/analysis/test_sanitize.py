@@ -23,7 +23,7 @@ from repro.net.clos import ClosParams
 from repro.net.packet import PacketPool, RoCEOpcode
 from repro.sim.engine import Simulator
 from repro.sim.units import SECOND
-from tests.sim.test_golden_digests import GOLDEN_DIGESTS
+from tests.sim.test_golden_digests import GOLDEN_DIGESTS, SEED7_DIGESTS
 
 SEED = 7
 FT = roce_five_tuple("10.0.0.1", "10.0.0.2", 4242)
@@ -67,6 +67,9 @@ class TestDigestNeutrality:
             == list(SCENARIOS)
         assert all(r.ok for r in reports), \
             [(r.scenario, r.findings) for r in reports]
+        pinned = {name: digest for (name, seed), digest
+                  in GOLDEN_DIGESTS.items() if seed == SEED} | SEED7_DIGESTS
+        assert {r.scenario: r.digest_plain for r in reports} == pinned
 
 
 class TestUseAfterRelease:

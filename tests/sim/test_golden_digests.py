@@ -25,7 +25,8 @@ The three scenarios x three seeds span the behaviour space:
 
 import pytest
 
-from repro.analysis.runtime import GOLDEN_SCENARIOS, structural_digest
+from repro.analysis.runtime import (GOLDEN_SCENARIOS, SCENARIOS,
+                                    structural_digest)
 
 # (scenario, seed) -> sha256 structural digest.  History: captured on the
 # per-hop fabric walker and reproduced bit for bit by the lookahead walker
@@ -52,6 +53,35 @@ GOLDEN_DIGESTS = {
     ("congested", 11):
         "3bb5bb09ee33bcf1dfcc4d714bed344f65e73d550999e69f35496890670fba93",
 }
+
+# The reference scenarios that are not golden, pinned at seed 7 only.
+# tests/analysis/test_sanitize.py checks them where it runs them anyway.
+SEED7_DIGESTS = {
+    "sharded":
+        "984ec4ffb15276cde3e563c26a03e9d7d986ef0106eb2813eddc7552c38015d5",
+    "int_telemetry":
+        "b7ff662c53865ce34dc927548a582605b0a471825eaea86e42c6b0090d6ce23b",
+    "rnic_corruption":
+        "41c90178b16452459b96abb8f154a7c280edcbb5f8bbe5b4fa7053510d7b536e",
+}
+
+# spec_digest[:16] of every reference ScenarioSpec: the definitions are
+# FROZEN, and an edit to one shows here before any simulation runs.
+SPEC_DIGESTS = {
+    "quiet": "9132293125aa0296",
+    "faulted": "508585bf0b52a94a",
+    "congested": "0820e62b75ff9632",
+    "sharded": "fa240dc9bc8bceca",
+    "int_telemetry": "ae84d5097fe04e26",
+    "rnic_corruption": "a843018bd854a98d",
+}
+
+
+def test_reference_specs_are_frozen():
+    assert {name: spec.spec_digest[:16]
+            for name, spec in SCENARIOS.items()} == SPEC_DIGESTS
+    assert all(spec.name == name for name, spec in SCENARIOS.items())
+    assert set(SCENARIOS) == set(GOLDEN_SCENARIOS) | set(SEED7_DIGESTS)
 
 
 def test_golden_table_covers_every_scenario():
