@@ -1,109 +1,99 @@
 """Command-line interface: run scenarios against a simulated deployment.
 
-Usage (installed as ``repro-pingmesh``, or ``python -m repro.cli``)::
+Installed as ``repro-pingmesh`` (or ``python -m repro.cli``); ``--help``
+lists the subcommands, and ``--help`` on any of them its flags.
 
-    repro-pingmesh monitor  [--seed N] [--duration S] [--metrics-port P]
-    repro-pingmesh serve    [--port P] [--pace S] [--checkpoint PATH]
-    repro-pingmesh inject   --fault FAULT [--duration S] [--seed N]
-    repro-pingmesh triage   [--scenario compute_bug|switch_drops]
-    repro-pingmesh catalog  [--rows 1,2,...]
-    repro-pingmesh trace    [--probe SEQ] [--jsonl PATH] [--seed N]
-    repro-pingmesh metrics  [--seed N] [--duration S]
-    repro-pingmesh profile  [--top K] [--seed N] [--duration S]
-    repro-pingmesh backends [--list] [--kinds K,...] [--modes M,...]
-    repro-pingmesh fleet    run [--preset P] [--workers N] [--out PATH]
-    repro-pingmesh fleet    report --artifact PATH
-
-* ``monitor`` — deploy on a healthy cluster and print SLA dashboards;
-  alert rules are evaluated every simulated second and ``--metrics-port``
-  exposes ``/metrics`` for the duration of the batch run.
-* ``serve``   — the long-running service mode: wall-clock-paced ticks, a
-  Prometheus ``/metrics`` endpoint, health/readiness probes, on-demand
-  checkpoints, and an optional live TUI (DESIGN.md §13).
-* ``inject``  — inject one named fault and watch detection/localisation.
-* ``triage``  — the §7.2 "is it a network problem?" workflow.
-* ``catalog`` — run Table 2 rows end to end.
-* ``trace``   — run the reference scenario with tracing on and print one
-  probe's full timeline (Agent send → per-hop fabric events → CQE marks
-  → Analyzer verdict); ``--jsonl`` exports every span.
-* ``metrics`` — same scenario with the metrics registry on; prints the
-  Prometheus-style exposition.
-* ``profile`` — same scenario under sim-engine profiling; prints host
-  wall time per callback site.
-* ``backends`` — race the diagnosis backends (probe, INT, Pingmesh) over
-  the bake-off fault registry and print BENCH comparison lines.
-* ``fleet``   — run a named scenario sweep across worker processes and
-  merge it into a deterministic scorecard (``run``), or re-render a
-  previously written scorecard artifact (``report``).
+``monitor`` and ``inject`` are one command body: a serve-mode session on
+the SMALL fabric ticked flat out, then the dashboards — ``inject`` adds a
+one-fault campaign opening at 30 s (a short name from ``FAULTS``, or any
+``KIND:LOCUS,...[:k=v,...]`` over the fault registry).  ``serve`` is the
+same session wall-clock paced behind HTTP (DESIGN.md §13).  ``trace`` /
+``metrics`` / ``profile`` run the replay-reference scenario with one
+observability layer on and print that layer.  ``triage`` is the §7.2 "is
+it a network problem?" workflow, ``catalog`` runs Table 2 rows end to end,
+``figures`` exports figure series as CSV, ``backends`` prints the
+diagnosis bake-off's BENCH lines, ``fleet run`` merges a named sweep into
+a deterministic scorecard that ``fleet report`` re-renders.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
-from typing import Optional
+from dataclasses import replace
+from pathlib import Path
+from typing import NoReturn, Optional
 
-from repro.cluster import Cluster
-from repro.core.config import RPingmeshConfig
 from repro.core.dashboard import render_analyzer_state, render_control_plane
-from repro.core.system import RPingmesh
-from repro.net.clos import ClosParams
-from repro.net.faults import (ControlPlanePartition, CpuOverload,
-                              LinkCorruption, PcieDowngrade, PfcDeadlock,
-                              RnicDown, RnicFlapping, SwitchPortFlapping)
+from repro.fleet.presets import PRESETS, SMALL, TINY
 from repro.sim.units import MILLISECOND, seconds
 
+# Short names for ``inject --fault``: fault specs in parse_fault_spec's
+# grammar, minus the window ``inject`` adds (SMALL's device names).
 FAULTS = {
-    "flap-port": lambda c: SwitchPortFlapping(c, "pod0-tor0", "pod0-agg0"),
-    "flap-rnic": lambda c: RnicFlapping(c, "host0-rnic0"),
-    "corrupt-link": lambda c: LinkCorruption(c, "pod0-tor0", "pod0-agg0",
-                                             drop_prob=0.5),
-    "rnic-down": lambda c: RnicDown(c, "host0-rnic0"),
-    "pfc-deadlock": lambda c: PfcDeadlock(c, "pod0-agg0", "spine0"),
-    "cpu-overload": lambda c: CpuOverload(c, "host0", load=0.85),
-    "pcie-downgrade": lambda c: PcieDowngrade(c, "host1-rnic0"),
-    "partition-agent": lambda c: ControlPlanePartition.for_host(c, "host0"),
-    "partition-controller": lambda c: ControlPlanePartition(c, "controller"),
+    "flap-port": "switch_port_flapping:pod0-tor0,pod0-agg0",
+    "flap-rnic": "rnic_flapping:host0-rnic0",
+    "corrupt-link": "link_corruption:pod0-tor0,pod0-agg0:drop_prob=0.5",
+    "rnic-down": "rnic_down:host0-rnic0",
+    "pfc-deadlock": "pfc_deadlock:pod0-agg0,spine0",
+    "cpu-overload": "cpu_overload:host0:load=0.85",
+    "pcie-downgrade": "pcie_downgrade:host1-rnic0",
+    "partition-agent": "control_plane_partition:agent.host0",
+    "partition-controller": "control_plane_partition:controller",
 }
 
+# ``inject`` opens its fault after this many healthy seconds.
+BASELINE_S = 30
 
-def _config_from_args(args: argparse.Namespace) -> RPingmeshConfig:
-    config = RPingmeshConfig()
-    if getattr(args, "control_latency_ms", 0):
-        config.control_latency_ns = args.control_latency_ms * MILLISECOND
-        config.control_jitter_ns = config.control_latency_ns // 2
-    if getattr(args, "control_loss", 0.0):
-        config.control_loss_prob = args.control_loss
-    return config
+SHAPE_FIELDS = ("pods", "tors_per_pod", "aggs_per_pod", "spines",
+                "hosts_per_tor")
 
 
-def _deploy(seed: int,
-            config: Optional[RPingmeshConfig] = None
-            ) -> tuple[Cluster, RPingmesh]:
-    cluster = Cluster.clos(
-        ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2, spines=2,
-                   hosts_per_tor=3),
-        seed=seed)
-    system = RPingmesh(cluster, config)
-    system.start()
-    return cluster, system
+def _reject(exc: ValueError) -> NoReturn:
+    """Bad user input is a usage error: one line on stderr and exit
+    status 2, as argparse does for a bad flag."""
+    print(f"repro-pingmesh: error: {exc}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.serve import ServeSession, ServeSpec
+def _session(args: argparse.Namespace, shape, faults, **control_plane):
+    """The ServeSession ``args`` describe: ``shape`` carries SHAPE_FIELDS,
+    ``faults`` are fault-spec strings.  A malformed spec or rule, or a
+    campaign the fabric cannot take, is rejected before anything runs."""
+    from repro.serve import ServeSession, ServeSpec, parse_fault_spec
     from repro.serve.alerts import AlertRule
     from repro.serve.session import DEFAULT_ALERT_RULES
+    try:
+        return ServeSession(ServeSpec(
+            seed=args.seed, **{f: getattr(shape, f) for f in SHAPE_FIELDS},
+            campaign=tuple(parse_fault_spec(text) for text in faults),
+            rules=tuple(AlertRule.parse(text)
+                        for text in (args.rule or DEFAULT_ALERT_RULES)),
+            **control_plane))
+    except ValueError as exc:
+        _reject(exc)
 
-    config = _config_from_args(args)
-    rules = tuple(AlertRule.parse(text)
-                  for text in (args.rule or DEFAULT_ALERT_RULES))
-    spec = ServeSpec(seed=args.seed, pods=2, tors_per_pod=2,
-                     aggs_per_pod=2, spines=2, hosts_per_tor=3,
-                     control_latency_ns=config.control_latency_ns,
-                     control_jitter_ns=config.control_jitter_ns,
-                     control_loss_prob=config.control_loss_prob,
-                     rules=rules)
-    session = ServeSession(spec)
+
+def cmd_watch(args: argparse.Namespace) -> int:
+    """``monitor`` and ``inject``: differ only in the spec they build."""
+    faults, duration = [], args.duration
+    if args.fault is not None:
+        head, sep, rest = FAULTS.get(args.fault, args.fault).partition(":")
+        if not sep:
+            _reject(ValueError(
+                f"unknown fault {args.fault!r}; choose from: "
+                f"{', '.join(sorted(FAULTS))}, or 'KIND:LOCUS,...[:k=v,...]'"))
+        if "@" not in head:
+            head += f"@{BASELINE_S}-{BASELINE_S + duration}"
+        faults = [head + sep + rest]
+        duration += BASELINE_S
+    latency_ns = args.control_latency_ms * MILLISECOND
+    session = _session(args, SMALL, faults, control_latency_ns=latency_ns,
+                       control_jitter_ns=latency_ns // 2,
+                       control_loss_prob=args.control_loss)
+    campaign = session.spec.campaign
     server = None
     if args.metrics_port is not None:
         from repro.serve.http import ServeHTTPServer
@@ -111,13 +101,13 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         server.start()
         print(f"metrics: {server.url}/metrics")
     print(f"monitoring a {session.cluster.size}-RNIC cluster for "
-          f"{args.duration}s of simulated time...")
+          f"{duration}s of simulated time...")
+    for event in campaign:
+        print(f"injecting {args.fault} from t={event.start_s:g}s "
+              f"to t={event.end_s:g}s")
     try:
-        for _ in range(args.duration):
-            if server is not None:
-                with server.lock:
-                    transitions = session.tick()
-            else:
+        for _ in range(duration):
+            with server.lock if server else contextlib.nullcontext():
                 transitions = session.tick()
             for event in transitions:
                 print(f"  alert {event.state:<8} {event.alert} "
@@ -126,8 +116,12 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         if server is not None:
             server.stop()
     print(render_analyzer_state(session.system.analyzer))
-    if args.control_plane:
+    if args.control_plane or any(event.kind == "control_plane_partition"
+                                 for event in campaign):
         print(render_control_plane(session.system))
+    for truth in session.faults.ground_truths():
+        print(f"ground truth: table2_row={truth.table2_row} "
+              f"category={truth.category.value} locus={truth.locus}")
     firing = session.alerts.firing()
     if firing:
         print("alerts firing: " + ", ".join(firing))
@@ -135,12 +129,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import (ServeSession, ServeSpec, load_checkpoint,
-                             parse_fault_spec, save_checkpoint)
-    from repro.serve.alerts import AlertRule
+    from repro.serve import load_checkpoint, save_checkpoint
     from repro.serve.http import ServeHTTPServer
     from repro.serve.runner import run_serve
-    from repro.serve.session import DEFAULT_ALERT_RULES
     from repro.serve.tui import render_serve
 
     if args.restore:
@@ -149,17 +140,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"sim={session.cluster.sim.now // 10**9}s "
               f"config={session.config_digest[:12]}")
     else:
-        campaign = tuple(parse_fault_spec(text) for text in args.fault)
-        rules = tuple(AlertRule.parse(text)
-                      for text in (args.rule or DEFAULT_ALERT_RULES))
-        spec = ServeSpec(seed=args.seed, pods=args.pods,
-                         tors_per_pod=args.tors_per_pod,
-                         aggs_per_pod=args.aggs_per_pod,
-                         spines=args.spines,
-                         hosts_per_tor=args.hosts_per_tor,
-                         shards=args.shards, campaign=campaign,
-                         rules=rules)
-        session = ServeSession(spec)
+        session = _session(args, args, args.fault, shards=args.shards)
     server = ServeHTTPServer(session, host=args.host, port=args.port,
                              checkpoint_path=args.checkpoint or None,
                              allow_inject=args.allow_inject)
@@ -167,7 +148,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving on {server.url}  seed={session.spec.seed} "
           f"shards={session.spec.shards} tick={session.ticks}")
 
-    def frame(s: "ServeSession") -> None:
+    def frame(s) -> None:
         if args.tui:
             prefix = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
             print(prefix + render_serve(s, url=server.url))
@@ -195,31 +176,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inject(args: argparse.Namespace) -> int:
-    if args.fault not in FAULTS:
-        print(f"unknown fault {args.fault!r}; choose from: "
-              f"{', '.join(sorted(FAULTS))}", file=sys.stderr)
-        return 2
-    cluster, system = _deploy(args.seed)
-    cluster.sim.run_for(seconds(30))
-    print(f"baseline established; injecting {args.fault} ...")
-    fault = FAULTS[args.fault](cluster)
-    fault.inject()
-    cluster.sim.run_for(seconds(args.duration))
-    fault.clear()
-    print(render_analyzer_state(system.analyzer))
-    if args.fault.startswith("partition-"):
-        print(render_control_plane(system))
-    truth = fault.ground_truth
-    print(f"ground truth: table2_row={truth.table2_row} "
-          f"category={truth.category.value} locus={truth.locus}")
-    return 0
-
-
 def cmd_triage(args: argparse.Namespace) -> int:
+    from repro.fleet.spec import build_world
+    from repro.serve import parse_fault_spec
     from repro.services.dml import CommPattern, DmlConfig, DmlJob
     from repro.sim.units import milliseconds
-    cluster, system = _deploy(args.seed)
+    switch_drops = args.scenario == "switch_drops"
+    cluster, system, _, _ = build_world(SMALL, args.seed, campaign=(
+        parse_fault_spec("link_corruption@35:pod0-tor0,pod0-agg0"
+                         ":drop_prob=0.4"),) if switch_drops else ())
+    system.start()
     job = DmlJob(cluster, cluster.rnic_names()[:8],
                  DmlConfig(pattern=CommPattern.ALLREDUCE,
                            compute_time_ns=milliseconds(500),
@@ -228,13 +194,11 @@ def cmd_triage(args: argparse.Namespace) -> int:
     cluster.sim.run_for(seconds(5))
     job.start()
     cluster.sim.run_for(seconds(30))
-    if args.scenario == "compute_bug":
+    if switch_drops:
+        print("scenario: corruption on a service-network link")
+    else:
         print("scenario: hidden compute degradation (4%/cycle)")
         job.set_compute_degradation(0.04)
-    else:
-        print("scenario: corruption on a service-network link")
-        LinkCorruption(cluster, "pod0-tor0", "pod0-agg0",
-                       drop_prob=0.4).inject()
     cluster.sim.run_for(seconds(90))
     print(render_analyzer_state(system.analyzer))
     print(f"service degraded: {job.degraded()}")
@@ -243,7 +207,6 @@ def cmd_triage(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    from pathlib import Path
     from repro.experiments import (export, fig01_flapping,
                                    fig02_pingmesh_load, fig05_sla,
                                    fig10_service_capture)
@@ -278,22 +241,22 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _run_reference_scenario(seed: int, duration_s: int, obs) -> None:
-    """Run the replay-reference scenario with an observability layer on."""
+def cmd_observe(args: argparse.Namespace) -> int:
+    """``trace`` / ``metrics`` / ``profile``: the replay-reference scenario
+    with one observability layer on, then that layer's printer."""
     from repro.analysis.runtime import default_scenario
-    default_scenario(seed, duration_ns=seconds(duration_s), obs=obs)
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Observability
-    obs = Observability(tracing=True)
-    _run_reference_scenario(args.seed, args.duration, obs)
+    obs = Observability(**{args.layer: True})
+    default_scenario(args.seed, duration_ns=seconds(args.duration), obs=obs)
+    return args.show(obs, args) or 0
+
+
+def _show_trace(obs, args: argparse.Namespace) -> int:
     tracer = obs.tracer
-    summary = tracer.summary()
-    print("tracer: " + " ".join(f"{k}={v}" for k, v in summary.items()))
+    print("tracer: "
+          + " ".join(f"{k}={v}" for k, v in tracer.summary().items()))
     if args.jsonl:
-        count = tracer.write_jsonl(args.jsonl)
-        print(f"wrote {count} spans to {args.jsonl}")
+        print(f"wrote {tracer.write_jsonl(args.jsonl)} spans to {args.jsonl}")
     if args.probe is not None:
         seq = args.probe
     else:
@@ -307,59 +270,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 1
         seq = chosen.seq
     print(tracer.render_timeline(seq))
-    if args.selftest:
-        # Spans still open at the cutoff are probes legitimately in
-        # flight; completeness means: the rendered span is closed with an
-        # agent.send, and nothing closed more than once.
-        span = tracer.span(seq)
-        complete = (span is not None and span.closed
-                    and bool(span.events_named("agent.send"))
-                    and all(s.close_count <= 1
-                            for s in tracer.all_spans()))
-        print(f"selftest: span_closed={bool(span and span.closed)} "
-              f"in_flight={len(tracer.open_spans())}")
-        return 0 if complete else 1
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import Observability
-    obs = Observability(metrics=True)
-    _run_reference_scenario(args.seed, args.duration, obs)
-    print(obs.metrics.render_prometheus())
-    if args.selftest:
-        snap = obs.metrics.snapshot()
-        sent = [v for k, v in snap.items()
-                if k.startswith("repro_controlplane_sent_total")]
-        ok = bool(sent) and sum(sent) > 0 \
-            and snap.get("repro_sim_events_processed_total", 0) > 0
-        print(f"selftest: series={len(snap)} endpoint_sent={sum(sent)}")
-        return 0 if ok else 1
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import Observability
-    obs = Observability(profiling=True)
-    _run_reference_scenario(args.seed, args.duration, obs)
-    assert obs.profiler is not None
-    print(obs.profiler.render(top=args.top))
-    if args.selftest:
-        counts = obs.profiler.deterministic_snapshot()
-        ok = obs.profiler.events_total > 0 and len(counts) > 1
-        print(f"selftest: sites={len(counts)} "
-              f"events={obs.profiler.events_total}")
-        return 0 if ok else 1
     return 0
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
-    import json
-
     from repro.diagnosis.backend import available_backends, create_backend
-    from repro.diagnosis.bakeoff import (MODES, bakeoff_cases,
-                                         case_by_label, int_verdict_loci,
-                                         record, run_case)
+    from repro.diagnosis.bakeoff import run_bakeoff
 
     if args.list:
         for name in available_backends():
@@ -367,61 +283,25 @@ def cmd_backends(args: argparse.Namespace) -> int:
             doc = (type(backend).__doc__ or "").strip().splitlines()
             print(f"{name:<10} {doc[0] if doc else ''}")
         return 0
-
-    if args.selftest:
-        # CI-sized slice: probe vs fused over one congestion case (the
-        # exact-directed-link claim) and two failure cases (recall
-        # parity) — 3 kinds x 2 backends' worth of runs.
-        kinds = ["link_overload_tor_agg", "rnic_down", "link_corruption"]
-        modes = ["probe", "fused"]
-    else:
-        kinds = args.kinds.split(",") if args.kinds else \
-            [c.label for c in bakeoff_cases()]
-        modes = args.modes.split(",") if args.modes else list(MODES)
-
-    ok = True
-    by_case: dict[str, dict[str, dict]] = {}
-    for label in kinds:
-        case = case_by_label(label)
-        for mode in modes:
-            result = run_case(case, mode, args.seed)
-            rec = record(case, mode, result)
-            rec["int_loci"] = int_verdict_loci(result)
-            by_case.setdefault(label, {})[mode] = rec
-            print("BENCH " + json.dumps(rec, sort_keys=True))
-    for label, runs in by_case.items():
-        case = case_by_label(label)
-        fused = runs.get("fused")
-        probe = runs.get("probe")
-        if fused and case.hot_link is not None:
-            exact = fused["int_loci"] == [case.hot_link]
-            ok &= exact
-            print(f"{label}: int_exact_link={exact} "
-                  f"({'/'.join(fused['int_loci']) or 'none'})")
-        if fused and probe:
-            not_worse = (fused["recall"] >= probe["recall"]
-                         and fused["precision"] >= probe["precision"])
-            ok &= not_worse
-            print(f"{label}: fused_not_worse={not_worse} "
-                  f"(recall {probe['recall']:.2f}->{fused['recall']:.2f})")
-    if args.selftest:
-        print(f"selftest: ok={ok}")
-    return 0 if ok else 1
+    try:
+        records = run_bakeoff(
+            args.kinds.split(",") if args.kinds else None,
+            args.modes.split(",") if args.modes else None, seed=args.seed)
+    except ValueError as exc:
+        _reject(exc)
+    for rec in records:
+        print("BENCH " + json.dumps(rec, sort_keys=True))
+    return 0
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
     from repro.core.dashboard import render_fleet
     from repro.fleet import FleetProgress, FleetRunner, merge
-    from repro.fleet.presets import PRESETS
 
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds \
-        else None
-    replicates = 2 if args.selftest else args.replicates
-    builder = PRESETS[args.preset]
-    sweep = (builder(seeds, replicates=replicates) if seeds is not None
-             else builder(replicates=replicates))
+    # No --seeds: the preset's own.
+    seeds = [tuple(map(int, args.seeds.split(",")))] if args.seeds else []
+    sweep = PRESETS[args.preset](*seeds, replicates=args.replicates)
     if args.sanitize:
-        from dataclasses import replace
         sweep = replace(sweep, scenarios=tuple(
             replace(spec, sanitize=True) for spec in sweep.scenarios))
 
@@ -447,33 +327,12 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
               f"after {failure.attempts} attempts: {failure.error}",
               file=sys.stderr)
     if args.out:
-        from pathlib import Path
         Path(args.out).write_text(scorecard.to_json() + "\n")
         print(f"wrote {args.out}")
-    if args.selftest:
-        # Two deterministic reorderings stand in for completion-order
-        # jitter: reversal and a rotation.
-        results = outcome.results
-        reordered = [list(reversed(results)), results[1:] + results[:1]]
-        shuffle_stable = all(merge(r).to_json() == scorecard.to_json()
-                             for r in reordered)
-        checks = {
-            "all_jobs_ran": outcome.ok,
-            "replicates_replayed_identically": scorecard.consistent,
-            "merge_order_independent": shuffle_stable,
-            "duplicates_checked":
-                scorecard.determinism.get("duplicated_jobs", 0) > 0,
-        }
-        print("selftest: " + " ".join(f"{k}={v}"
-                                      for k, v in checks.items()))
-        return 0 if all(checks.values()) else 1
     return 0 if outcome.ok else 1
 
 
 def cmd_fleet_report(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.core.dashboard import render_fleet
     from repro.fleet.merge import scorecard_from_dict
 
@@ -511,17 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--metrics-port", type=int, default=None,
                          help="expose /metrics on this port during the "
                               "batch run (0 = ephemeral)")
-    monitor.set_defaults(func=cmd_monitor)
+    monitor.set_defaults(func=cmd_watch, fault=None)
 
     serve = sub.add_parser("serve",
                            help="long-running monitor with /metrics, "
                                 "alerting, checkpoints, and a live TUI")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--pods", type=int, default=1)
-    serve.add_argument("--tors-per-pod", type=int, default=2)
-    serve.add_argument("--aggs-per-pod", type=int, default=2)
-    serve.add_argument("--spines", type=int, default=1)
-    serve.add_argument("--hosts-per-tor", type=int, default=2)
+    for name in SHAPE_FIELDS:
+        serve.add_argument("--" + name.replace("_", "-"), type=int,
+                           default=getattr(TINY, name))
     serve.add_argument("--shards", type=int, default=1,
                        help="control-plane shards (1 = unsharded)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -554,10 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     inject = sub.add_parser("inject", help="inject one fault and watch")
     inject.add_argument("--fault", required=True,
-                        choices=sorted(FAULTS))
+                        help=f"one of {', '.join(sorted(FAULTS))}; or "
+                             "'KIND:LOCUS,...[:k=v,...]'")
     inject.add_argument("--seed", type=int, default=0)
     inject.add_argument("--duration", type=int, default=45)
-    inject.set_defaults(func=cmd_inject)
+    inject.set_defaults(func=cmd_watch, control_plane=False,
+                        control_latency_ms=0, control_loss=0.0, rule=[],
+                        metrics_port=None)
 
     triage = sub.add_parser("triage", help="§7.2 is-it-the-network")
     triage.add_argument("--scenario", default="compute_bug",
@@ -580,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--duration", type=int, default=45,
                        help="simulated seconds of the reference scenario")
-        p.add_argument("--selftest", action="store_true",
-                       help="assert the layer worked; exit non-zero if not")
 
     trace = sub.add_parser("trace", help="probe-lifecycle timeline")
     obs_args(trace)
@@ -589,18 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="probe_seq to render (default: first timeout)")
     trace.add_argument("--jsonl", default="",
                        help="also export every span as JSONL to this path")
-    trace.set_defaults(func=cmd_trace)
+    trace.set_defaults(func=cmd_observe, layer="tracing", show=_show_trace)
 
     metrics = sub.add_parser("metrics",
                              help="Prometheus-style metrics snapshot")
     obs_args(metrics)
-    metrics.set_defaults(func=cmd_metrics)
+    metrics.set_defaults(
+        func=cmd_observe, layer="metrics",
+        show=lambda obs, args: print(obs.metrics.render_prometheus()))
 
     profile = sub.add_parser("profile", help="sim-engine callback profile")
     obs_args(profile)
     profile.add_argument("--top", type=int, default=20,
                          help="callback sites to show")
-    profile.set_defaults(func=cmd_profile)
+    profile.set_defaults(
+        func=cmd_observe, layer="profiling",
+        show=lambda obs, args: print(obs.profiler.render(top=args.top)))
 
     backends = sub.add_parser(
         "backends",
@@ -614,19 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated modes from probe, fused, "
                                "pingmesh (default: all)")
     backends.add_argument("--seed", type=int, default=0)
-    backends.add_argument("--selftest", action="store_true",
-                          help="reduced bake-off (2 backends x 3 fault "
-                               "kinds); exit non-zero unless INT names "
-                               "the exact link and fused is never worse")
     backends.set_defaults(func=cmd_backends)
 
     fleet = sub.add_parser("fleet", help="parallel scenario sweeps")
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
     fleet_run = fleet_sub.add_parser("run", help="execute a named sweep")
-    # Keep in sync with repro.fleet.presets.PRESETS (imported lazily so
-    # `repro-pingmesh --help` stays light).
     fleet_run.add_argument("--preset", default="smoke",
-                           choices=["smoke", "accuracy", "sharded"])
+                           choices=sorted(PRESETS))
     fleet_run.add_argument("--seeds", default="",
                            help="comma-separated seeds (default: preset's)")
     fleet_run.add_argument("--workers", type=int, default=1,
@@ -645,9 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run every scenario under the PoolSan "
                                 "pool-lifetime sanitizer; jobs fail on "
                                 "any finding (digests are unchanged)")
-    fleet_run.add_argument("--selftest", action="store_true",
-                           help="replicate jobs and assert determinism "
-                                "+ merge order-independence")
     fleet_run.set_defaults(func=cmd_fleet_run)
     fleet_report = fleet_sub.add_parser(
         "report", help="render a scorecard artifact")

@@ -18,13 +18,13 @@ observed) come from the run's :class:`~repro.fleet.worker.BackendReport`
 entries.  ``benchmarks/test_backend_bakeoff.py`` asserts the headline
 claims — INT names the exact directed link on every congestion case;
 fused is never worse than probe-only — and emits one BENCH line per
-record; the ``repro backends`` CLI subcommand reuses everything here.
+record; the ``repro backends`` CLI subcommand prints :func:`run_bakeoff`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.fleet.presets import SMALL, TINY
 from repro.net.clos import ClosParams
@@ -71,7 +71,7 @@ def _event(kind: str, *loci: str,
 
 
 def bakeoff_cases() -> tuple[BakeoffCase, ...]:
-    """The swept registry: 14 of the 16 fault kinds on the TINY Clos.
+    """The swept registry: 14 of the 16 data-plane fault kinds on TINY.
 
     ``rnic_acs_misconfig`` is covered through its ``pcie_downgrade``
     base (same mechanism, same phenomenology) and ``link_failure`` by
@@ -140,8 +140,8 @@ def case_by_label(label: str) -> BakeoffCase:
     for case in bakeoff_cases():
         if case.label == label:
             return case
-    raise KeyError(f"unknown bake-off case {label!r}; choose from: "
-                   f"{', '.join(c.label for c in bakeoff_cases())}")
+    raise ValueError(f"unknown bake-off case {label!r}; choose from: "
+                     f"{', '.join(c.label for c in bakeoff_cases())}")
 
 
 def run_case(case: BakeoffCase, mode: str, seed: int = 0, *,
@@ -205,11 +205,12 @@ def record(case: BakeoffCase, mode: str,
 def run_bakeoff(kinds: Optional[Sequence[str]] = None,
                 modes: Optional[Sequence[str]] = None, *,
                 seed: int = 0,
-                duration_s: int = DURATION_S) -> list[dict]:
-    """Run (cases x modes) and return one record per run.
+                duration_s: int = DURATION_S) -> Iterator[dict]:
+    """Run (cases x modes), yielding one record per run as it finishes.
 
     ``kinds`` filters cases by label (default: all); ``modes`` filters
-    the mode sweep (default: probe, fused, pingmesh).
+    the mode sweep (default: probe, fused, pingmesh).  An unknown label
+    or mode raises ``ValueError`` here, before anything runs.
     """
     cases = bakeoff_cases()
     if kinds is not None:
@@ -219,12 +220,9 @@ def run_bakeoff(kinds: Optional[Sequence[str]] = None,
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from: "
                              f"{', '.join(MODES)}")
-    records = []
-    for case in cases:
-        for mode in mode_names:
-            result = run_case(case, mode, seed, duration_s=duration_s)
-            records.append(record(case, mode, result))
-    return records
+    return (record(case, mode,
+                   run_case(case, mode, seed, duration_s=duration_s))
+            for case in cases for mode in mode_names)
 
 
 def int_verdict_loci(result: ScenarioResult) -> list[str]:

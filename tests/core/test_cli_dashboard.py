@@ -1,7 +1,10 @@
 """Tests for the CLI and the text dashboard."""
 
+import re
+
 import pytest
 
+import repro.obs
 from repro.cli import FAULTS, build_parser, main
 from repro.core.dashboard import (render_analyzer_state,
                                   render_observability, render_problem,
@@ -113,12 +116,88 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["inject", "--fault", "gremlins"])
 
+    def test_every_short_fault_name_is_a_valid_spec(self):
+        from repro.fleet.presets import SMALL
+        from repro.fleet.spec import build_world
+        from repro.serve import parse_fault_spec
+        campaign = [parse_fault_spec(spec.replace(":", "@1:", 1))
+                    for spec in FAULTS.values()]
+        assert len(build_world(SMALL, 0, campaign=campaign).scheduled) \
+            == len(FAULTS)
+
+    def test_inject_takes_a_raw_spec_over_the_whole_registry(self, capsys):
+        code = main(["inject", "--fault", "host_down:host3",
+                     "--duration", "25", "--seed", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ground truth: table2_row=4" in out and "locus=host3" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["inject", "--fault", "link_corruption:nope,pod0-agg0"],
+        ["inject", "--fault", "link_corruption:pod0-tor0"],
+        ["serve", "--ticks", "1", "--pace", "0",
+         "--fault", "link_corruption@5:nope,pod0-agg0"],
+        ["serve", "--ticks", "1", "--pace", "0",
+         "--fault", "rnic_down@1:host0-rnic0",
+         "--fault", "link_corruption@5:pod0-tor0"],
+    ], ids=["inject-unknown-locus", "inject-wrong-arity",
+            "serve-unknown-locus", "serve-wrong-arity"])
+    def test_bad_campaign_is_one_line_and_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "error: campaign event 'link_corruption'" in line
+
     def test_catalog_selected_rows(self, capsys):
         code = main(["catalog", "--rows", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert "row  3" in out
         assert "ok" in out
+
+
+class TestCliObservability:
+    """What ``trace|metrics|profile --selftest`` asserted in a CI side job."""
+
+    @pytest.fixture
+    def layers(self, monkeypatch):
+        made = []
+        real = repro.obs.Observability
+
+        def recording(**kwargs):
+            made.append(real(**kwargs))
+            return made[-1]
+        monkeypatch.setattr(repro.obs, "Observability", recording)
+        return made
+
+    def test_trace_renders_a_closed_span(self, capsys, layers):
+        assert main(["trace", "--duration", "25"]) == 0
+        out = capsys.readouterr().out
+        [obs] = layers
+        seq = int(re.search(r"^probe (\d+) ", out, re.MULTILINE).group(1))
+        span = obs.tracer.span(seq)
+        assert span.closed and span.events_named("agent.send")
+        assert "agent.send" in out and "status=open" not in out
+        assert all(s.close_count <= 1 for s in obs.tracer.all_spans())
+
+    def test_metrics_output_round_trips(self, capsys):
+        from repro.obs.metrics import parse_exposition
+        assert main(["metrics", "--duration", "21"]) == 0
+        series = parse_exposition(capsys.readouterr().out).series
+        sent = [value for key, value in series.items()
+                if key.startswith("repro_controlplane_sent_total")]
+        assert sent and sum(sent) > 0
+        assert series["repro_sim_events_processed_total"] > 0
+
+    def test_profile_names_more_than_one_site(self, capsys, layers):
+        assert main(["profile", "--duration", "21", "--top", "5"]) == 0
+        [obs] = layers
+        assert obs.profiler.events_total > 0
+        assert len(obs.profiler.deterministic_snapshot()) > 1
+        assert capsys.readouterr().out.count("\n  repro.") > 1
 
 
 class TestCliTriage:

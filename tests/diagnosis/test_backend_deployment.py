@@ -1,9 +1,12 @@
 """Backends deployed on a live cluster: wiring, fusion, digest hygiene."""
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
 from repro.core.system import RPingmesh
-from repro.diagnosis.bakeoff import case_by_label, run_case
+from repro.diagnosis.bakeoff import (case_by_label, int_verdict_loci, record,
+                                     run_case)
 from repro.fleet.presets import SMALL, TINY
 from repro.net.faults import FaultManager, LinkOverload
 from repro.sim.units import seconds
@@ -82,6 +85,23 @@ class TestFusedDeployment:
         assert fusion.sharpened + fusion.annotated + fusion.added > 0
         assert any(p.locus == HOT_LINK and "int:" in p.detail
                    for p in system.analyzer.problems)
+
+
+class TestBakeoffSlice:
+    """The slice ``backends --selftest`` raced in a CI side job: one
+    congestion case (exact directed link) and two failure cases."""
+
+    @pytest.mark.parametrize("label", ["link_overload_tor_agg", "rnic_down",
+                                       "link_corruption"])
+    def test_fused_is_never_worse_than_probe_only(self, label):
+        case = case_by_label(label)
+        probe = record(case, "probe", run_case(case, "probe"))
+        fused_result = run_case(case, "fused")
+        fused = record(case, "fused", fused_result)
+        assert fused["recall"] >= probe["recall"]
+        assert fused["precision"] >= probe["precision"]
+        if case.hot_link is not None:
+            assert int_verdict_loci(fused_result) == [case.hot_link]
 
 
 class TestPingmeshBackend:

@@ -32,13 +32,13 @@ class TestParser:
         args = build_parser().parse_args(["fleet", "run"])
         assert args.preset == "smoke"
         assert args.workers == 1
-        assert not args.selftest
+        assert args.replicates == 1
 
     def test_fleet_run_flags(self):
         args = build_parser().parse_args(
             ["fleet", "run", "--preset", "accuracy", "--workers", "4",
              "--seeds", "3,5", "--retries", "2", "--timeout", "30",
-             "--selftest"])
+             "--replicates", "2"])
         assert (args.preset, args.workers) == ("accuracy", 4)
         assert args.seeds == "3,5"
         assert args.timeout == 30.0
@@ -46,6 +46,20 @@ class TestParser:
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet"])
+
+
+class TestRunCommand:
+    def test_replicated_smoke_run_reports_consistent(self, tmp_path, capsys):
+        """What ``fleet run --selftest`` asserted: every job ran, and the
+        duplicate (spec, seed) jobs replayed to identical digests."""
+        artifact = tmp_path / "scorecard.json"
+        assert main(["fleet", "run", "--preset", "smoke", "--seeds", "0",
+                     "--replicates", "2", "--quiet",
+                     "--out", str(artifact)]) == 0
+        determinism = json.loads(artifact.read_text())["determinism"]
+        assert determinism["consistent"] is True
+        assert determinism["duplicated_jobs"] > 0
+        assert "determinism: CONSISTENT" in capsys.readouterr().out
 
 
 class TestRenderFleet:
