@@ -207,19 +207,34 @@ def _locus_matches(truth: GroundTruth, problem_locus: str) -> bool:
     return locus in problem_locus.split("->")
 
 
+def _explains(fault: Fault, window: tuple[int, Optional[int]],
+              problem: Problem, *, expected_category: bool = False,
+              locus: bool = True) -> bool:
+    """The one window test every scorer uses: was ``problem`` detected
+    inside the fault's window + ``DETECTION_GRACE_NS``, and (on request)
+    is it of a category this fault is expected to raise, on its locus?"""
+    start_ns, end_ns = window
+    if problem.detected_at_ns < start_ns:
+        return False
+    if (end_ns is not None
+            and problem.detected_at_ns > end_ns + DETECTION_GRACE_NS):
+        return False
+    truth = fault.ground_truth
+    if (expected_category
+            and problem.category not in _expected_categories(truth)):
+        return False
+    return not locus or _locus_matches(truth, problem.locus)
+
+
 def _score_fault(fault: Fault, window: tuple[int, Optional[int]],
                  problems: list[Problem]) -> DetectionOutcome:
     truth = fault.ground_truth
     start_ns, end_ns = window
-    horizon = (None if end_ns is None else end_ns + DETECTION_GRACE_NS)
-    expected = _expected_categories(truth)
+    # Host-down and latency verdicts count wherever they point; located
+    # verdicts only on the injected component.
     hits = [p for p in problems
-            if p.category in expected
-            and p.detected_at_ns >= start_ns
-            and (horizon is None or p.detected_at_ns <= horizon)
-            and (p.category == ProblemCategory.HOST_DOWN
-                 or p.category in LATENCY_CATEGORIES
-                 or _locus_matches(truth, p.locus))]
+            if _explains(fault, window, p, expected_category=True,
+                         locus=p.category in LOCATED_CATEGORIES)]
     localized = [p for p in hits if _locus_matches(truth, p.locus)]
     first = min(hits, key=lambda p: p.detected_at_ns) if hits else None
     return DetectionOutcome(
@@ -242,32 +257,14 @@ def _score_fault(fault: Fault, window: tuple[int, Optional[int]],
 def _score_precision(faults: list[ScheduledFault],
                      problems: list[Problem]) -> tuple[int, int]:
     """Located verdicts explained by an injected fault vs spurious ones."""
-    true_pos = 0
-    false_pos = 0
-    for problem in problems:
-        if problem.category not in LOCATED_CATEGORIES:
-            continue
-        explained = False
-        for fault, (start_ns, end_ns) in faults:
-            horizon = (None if end_ns is None
-                       else end_ns + DETECTION_GRACE_NS)
-            if problem.detected_at_ns < start_ns:
-                continue
-            if horizon is not None and problem.detected_at_ns > horizon:
-                continue
-            if _locus_matches(fault.ground_truth, problem.locus):
-                explained = True
-                break
-        if explained:
-            true_pos += 1
-        else:
-            false_pos += 1
-    return true_pos, false_pos
+    located = [p for p in problems if p.category in LOCATED_CATEGORIES]
+    true_pos = sum(any(_explains(fault, window, p)
+                       for fault, window in faults) for p in located)
+    return true_pos, len(located) - true_pos
 
 
 def _score_backend(name: str, backend,
-                   faults: list[ScheduledFault]
-                   ) -> BackendReport:
+                   faults: list[ScheduledFault]) -> BackendReport:
     """Score one backend's own verdict stream against ground truth.
 
     Reuses the Analyzer scoring machinery by converting each
@@ -282,30 +279,13 @@ def _score_backend(name: str, backend,
     detections = tuple(_score_fault(fault, window, problems)
                        for fault, window in faults)
     cost = backend.cost()
-    true_pos = 0
-    false_pos = 0
-    for problem in problems:
-        explained = False
-        for fault, (start_ns, end_ns) in faults:
-            horizon = (None if end_ns is None
-                       else end_ns + DETECTION_GRACE_NS)
-            if problem.detected_at_ns < start_ns:
-                continue
-            if horizon is not None and problem.detected_at_ns > horizon:
-                continue
-            if (problem.category in _expected_categories(fault.ground_truth)
-                    and _locus_matches(fault.ground_truth, problem.locus)):
-                explained = True
-                break
-        if explained:
-            true_pos += 1
-        else:
-            false_pos += 1
+    true_pos = sum(any(_explains(fault, window, p, expected_category=True)
+                       for fault, window in faults) for p in problems)
     return BackendReport(
         backend=name,
         verdicts_total=len(problems),
         true_positives=true_pos,
-        false_positives=false_pos,
+        false_positives=len(problems) - true_pos,
         detections=detections,
         probe_packets=cost.probe_packets,
         probe_bytes=cost.probe_bytes,
