@@ -30,6 +30,9 @@ from repro.serve.session import ServeSession, parse_fault_spec
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+# The largest request body a POST may carry; a fault spec is ~100 bytes.
+MAX_BODY_BYTES = 64 * 1024
+
 
 class ServeHTTPServer:
     """Session + lock + endpoints; owns the listener thread."""
@@ -115,8 +118,27 @@ class ServeHTTPServer:
 
     def _handle_post(self, handler) -> None:
         path = handler.path.split("?", 1)[0]
-        length = int(handler.headers.get("Content-Length") or 0)
-        body = handler.rfile.read(length).decode() if length else ""
+        # The headers and the body come from outside: never trust the
+        # declared length (a read past the real body blocks this handler
+        # thread forever) or the encoding.
+        try:
+            length = int(handler.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            handler.close_connection = True
+            handler._json(400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            handler.close_connection = True
+            handler._json(413, {"error": f"request body over "
+                                         f"{MAX_BODY_BYTES} bytes"})
+            return
+        try:
+            body = handler.rfile.read(length).decode()
+        except UnicodeDecodeError:
+            handler._json(400, {"error": "request body is not UTF-8"})
+            return
         if path == "/checkpoint":
             self._do_checkpoint(handler)
         elif path == "/inject":

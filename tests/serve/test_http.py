@@ -5,6 +5,7 @@ server over a real socket, exactly as a scraper would.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -141,10 +142,24 @@ class TestInjectEndpoint:
 
     def test_wrong_arity_400(self, served):
         _, server, _ = served
-        code, _, _ = request(
+        code, body, _ = request(
             server.url + "/inject", method="POST",
             payload={"fault": "link_corruption@5:only-one-locus"})
         assert code == 400
+        assert "campaign event 'link_corruption'" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("fault", [
+        "link_corruption@5:nope,pod0-agg0",
+        "link_corruption@5:pod0-tor0,pod0-tor1",
+    ], ids=["unknown-locus", "no-such-link"])
+    def test_bad_loci_400_and_nothing_scheduled(self, served, fault):
+        session, server, _ = served
+        before = len(session.faults.faults)
+        code, body, _ = request(server.url + "/inject", method="POST",
+                                payload={"fault": fault})
+        assert code == 400
+        assert "campaign event 'link_corruption'" in json.loads(body)["error"]
+        assert len(session.faults.faults) == before
 
     def test_403_when_disabled(self):
         session = ServeSession(ServeSpec(seed=6))
@@ -157,6 +172,31 @@ class TestInjectEndpoint:
             assert code == 403
         finally:
             server.stop()
+
+
+class TestMalformedPost:
+    """The request line, headers and body come from outside: a lying
+    Content-Length or a non-UTF-8 body gets a 4xx, never a traceback or a
+    handler blocked reading bytes that will not come."""
+
+    @pytest.mark.parametrize("headers,body,expected", [
+        ("Content-Length: abc\r\n", b"{}", 400),
+        ("Content-Length: -1\r\n", b"{}", 400),
+        ("Content-Length: 999999999\r\n", b"{}", 413),
+        ("Content-Length: 4\r\n", b"\xff\xfe\xfd\xfc", 400),
+    ], ids=["non-integer-length", "negative-length", "oversized-length",
+            "non-utf8-body"])
+    def test_answers_4xx_and_keeps_serving(self, served, headers, body,
+                                           expected):
+        _, server, _ = served
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /inject HTTP/1.1\r\nHost: test\r\n"
+                         + headers.encode() + b"\r\n" + body)
+            status_line = sock.makefile("rb").readline()
+        assert int(status_line.split()[1]) == expected
+        code, _, _ = request(server.url + "/health")
+        assert code == 200
 
 
 class TestShutdownEndpoint:
