@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.pingmesh import TcpPingmesh
+from repro.diagnosis.pingmesh import TcpPingmesh
 from repro.core.system import RPingmesh
 from repro.cluster import Cluster
 from repro.experiments.common import default_cluster_params

@@ -9,8 +9,7 @@ from repro.net.packet import (Packet, RoCEOpcode, RoCEPacket, TCPPacket,
                               probe_packet_size)
 from repro.net.pfc import PauseState, PfcPropagationEngine
 from repro.net.rail import RailFabricPlan, RailParams, build_rail
-from repro.net.telemetry import (ErspanTracer, IntHop, IntRecord, IntTracer,
-                                 localize_congestion_with_int)
+from repro.net.telemetry import ErspanTracer
 from repro.net.topology import (Acl, AclRule, DirectedLink, LinkPair, Node,
                                 NodeKind, Tier, Topology, TracerouteLimiter)
 from repro.net.traceroute import PathRecord, TracerouteService
@@ -53,8 +52,4 @@ __all__ = [
     "PfcPropagationEngine",
     "PauseState",
     "ErspanTracer",
-    "IntTracer",
-    "IntHop",
-    "IntRecord",
-    "localize_congestion_with_int",
 ]

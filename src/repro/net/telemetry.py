@@ -1,24 +1,21 @@
-"""Alternative path-tracing backends: ERSPAN and INT (paper §7.4).
+"""Alternative path-tracing backend: ERSPAN (paper §7.4).
 
 R-Pingmesh deliberately decouples path tracing from active probing so the
 Traceroute backend (works on legacy switches, but rate-limited by switch
-CPUs) can be swapped for ERSPAN or In-band Network Telemetry on fabrics
-that support them:
+CPUs) can be swapped on fabrics that support better: **ERSPAN** mirrors
+matching packets from the ASIC — no switch-CPU cost, no rate limit, so
+every trace is complete and fresh.  (In-band Network Telemetry, which
+additionally stamps per-hop queue state and so localises *congestion* to
+an exact queue, is :mod:`repro.diagnosis.inband`: its stamps ride the
+probe packets themselves.)
 
-* **ERSPAN** mirrors matching packets from the ASIC — no switch-CPU cost,
-  no rate limit, so every trace is complete and fresh.
-* **INT** additionally stamps per-hop metadata; here, the egress queue
-  depth of each traversed port, which localises *congestion* (not just
-  drops) to an exact queue.
-
-All backends implement the same ``trace``/``PathRecord`` contract as
+Every tracer implements the same ``trace``/``PathRecord`` contract as
 :class:`~repro.net.traceroute.TracerouteService`, so the Agent can adopt
-them without code changes (the paper's stated design goal).
+one without code changes (the paper's stated design goal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
 from repro.net.addresses import FiveTuple
@@ -59,87 +56,3 @@ class ErspanTracer:
         return PathRecord(
             five_tuple=five_tuple, traced_at_ns=self.fabric.sim.now,
             hops=tuple(path), reached=bool(path) and path[-1] == dst_port)
-
-
-@dataclass(frozen=True)
-class IntHop:
-    """Per-hop INT metadata."""
-
-    node: str
-    egress_queue_bytes: float
-    egress_utilization: float
-
-
-@dataclass(frozen=True)
-class IntRecord:
-    """An INT trace: the path plus per-hop queue state."""
-
-    path: PathRecord
-    hops: tuple[IntHop, ...]
-
-    def hottest_hop(self) -> Optional[IntHop]:
-        """The hop with the deepest egress queue (congestion locus)."""
-        if not self.hops:
-            return None
-        return max(self.hops, key=lambda h: h.egress_queue_bytes)
-
-
-class IntTracer:
-    """In-band Network Telemetry: path + per-hop queue depths.
-
-    With INT, a single high-RTT probe pinpoints *which queue* delayed it —
-    the §7.4 observation that INT "can help locate bottlenecks more
-    accurately when R-Pingmesh detects network congestion".
-    """
-
-    def __init__(self, fabric: Fabric):
-        self.fabric = fabric
-        self._erspan = ErspanTracer(fabric)
-        self.traces_issued = 0
-
-    def trace(self, five_tuple: FiveTuple, src_port: str,
-              dst_port: Optional[str] = None) -> PathRecord:
-        """PathTracer-compatible trace (metadata discarded)."""
-        return self.trace_with_telemetry(five_tuple, src_port,
-                                         dst_port).path
-
-    def trace_with_telemetry(self, five_tuple: FiveTuple, src_port: str,
-                             dst_port: Optional[str] = None) -> IntRecord:
-        """Trace and collect each traversed link's egress queue state."""
-        self.traces_issued += 1
-        record = self._erspan.trace(five_tuple, src_port, dst_port)
-        now = self.fabric.sim.now
-        hops = []
-        for a, b in record.known_links():
-            link = self.fabric.topology.link(a, b)
-            link.advance_queue(now)
-            hops.append(IntHop(node=a,
-                               egress_queue_bytes=link.queue_bytes,
-                               egress_utilization=link.utilization()))
-        return IntRecord(path=record, hops=tuple(hops))
-
-
-def localize_congestion_with_int(tracer: IntTracer,
-                                 five_tuples_and_srcs: list[tuple[FiveTuple,
-                                                                  str]]
-                                 ) -> Optional[str]:
-    """Name the directed link whose queue delays the given flows most.
-
-    A single INT sweep replaces Algorithm-1-style voting for congestion:
-    queue depth is direct evidence, not coincidence counting.
-    """
-    best_link: Optional[str] = None
-    best_depth = 0.0
-    for five_tuple, src in five_tuples_and_srcs:
-        record = tracer.trace_with_telemetry(five_tuple, src)
-        hop = record.hottest_hop()
-        if hop is None or hop.egress_queue_bytes <= best_depth:
-            continue
-        # Identify the link this hop's queue feeds.
-        links = record.path.known_links()
-        for a, b in links:
-            if a == hop.node:
-                best_link = f"{a}->{b}"
-                best_depth = hop.egress_queue_bytes
-                break
-    return best_link

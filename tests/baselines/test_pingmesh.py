@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.pingmesh import TcpPingmesh
+from repro.diagnosis.pingmesh import TcpPingmesh
 from repro.net.faults import HostDown, LinkCorruption, PfcDeadlock
 from repro.sim.units import MICROSECOND, seconds
 
@@ -77,5 +77,5 @@ class TestBlindSpots:
         result_fields = {"prober_host", "target_host", "issued_at_ns",
                          "timeout", "software_rtt_ns"}
         from dataclasses import fields
-        from repro.baselines.pingmesh import TcpProbeResult
+        from repro.diagnosis.pingmesh import TcpProbeResult
         assert {f.name for f in fields(TcpProbeResult)} == result_fields

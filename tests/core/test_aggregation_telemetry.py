@@ -6,8 +6,10 @@ from repro.core.aggregation import HierarchicalAggregator, TierAggregate
 from repro.core.records import ProbeKind
 from repro.core.sla import MIN_SAMPLES_FOR_AGGREGATION
 from repro.net.addresses import roce_five_tuple
-from repro.net.telemetry import (ErspanTracer, IntTracer,
-                                 localize_congestion_with_int)
+from repro.diagnosis.inband import IntCollector
+from repro.net.packet import RoCEPacket
+from repro.net.telemetry import ErspanTracer
+from repro.sim.units import seconds
 from tests.core.test_analyzer import probe_result
 
 
@@ -103,48 +105,53 @@ class TestErspanTracer:
 
 
 class TestIntTracer:
+    """INT on the Clos: stamps ride real packets and the ``IntCollector``
+    folds them per directed link (``repro.diagnosis.inband``)."""
+
+    SRC, DST = "host0-rnic0", "host6-rnic0"     # cross-pod pair
+
     def _congest(self, cluster, a, b, queue_bytes=4_000_000):
         link = cluster.topology.link(a, b)
         link.set_offered_load(cluster.sim.now, link.rate_gbps)
         link.queue_bytes = queue_bytes
         return link
 
+    def _flows(self, cluster, ports):
+        src_ip = cluster.rnic(self.SRC).ip
+        dst_ip = cluster.rnic(self.DST).ip
+        return [roce_five_tuple(src_ip, dst_ip, port) for port in ports]
+
+    def _sweep(self, cluster, flows):
+        """One stamped packet per flow; link evidence, hottest first."""
+        fabric = cluster.fabric
+        if fabric.int_collector is None:
+            IntCollector().install(fabric)
+        for ft in flows:
+            fabric.inject(RoCEPacket(five_tuple=ft, size_bytes=108,
+                                     dst_gid=cluster.rnic(self.DST).gid),
+                          self.SRC)
+        cluster.sim.run_for(seconds(1))
+        return fabric.int_collector.drain_window(0, cluster.sim.now).links
+
     def test_metadata_per_hop(self, small_clos):
-        tracer = IntTracer(small_clos.fabric)
-        src, dst = "host0-rnic0", "host6-rnic0"
-        ft = roce_five_tuple(small_clos.rnic(src).ip,
-                             small_clos.rnic(dst).ip, 7000)
-        record = tracer.trace_with_telemetry(ft, src, dst)
-        assert len(record.hops) == len(record.path.known_links())
-        assert all(h.egress_queue_bytes == 0.0 for h in record.hops)
+        [ft] = self._flows(small_clos, [7000])
+        path = small_clos.fabric.path_of(ft, self.SRC)
+        links = self._sweep(small_clos, [ft])
+        assert sorted(ev.link for ev in links) == \
+            sorted(f"{a}->{b}" for a, b in zip(path, path[1:]))
+        assert all(ev.max_queue_bytes == 0.0 for ev in links)
 
     def test_hottest_hop_finds_congested_queue(self, small_clos):
-        tracer = IntTracer(small_clos.fabric)
-        src, dst = "host0-rnic0", "host6-rnic0"
-        ft = roce_five_tuple(small_clos.rnic(src).ip,
-                             small_clos.rnic(dst).ip, 7000)
-        path = small_clos.fabric.path_of(ft, src)
+        [ft] = self._flows(small_clos, [7000])
+        path = small_clos.fabric.path_of(ft, self.SRC)
         self._congest(small_clos, path[1], path[2])
-        record = tracer.trace_with_telemetry(ft, src, dst)
-        assert record.hottest_hop().node == path[1]
+        assert self._sweep(small_clos, [ft])[0].link == \
+            f"{path[1]}->{path[2]}"
 
     def test_congestion_localization(self, small_clos):
-        tracer = IntTracer(small_clos.fabric)
-        src, dst = "host0-rnic0", "host6-rnic0"
-        src_ip = small_clos.rnic(src).ip
-        dst_ip = small_clos.rnic(dst).ip
-        flows = [(roce_five_tuple(src_ip, dst_ip, p), src)
-                 for p in range(7000, 7010)]
-        path = small_clos.fabric.path_of(flows[0][0], src)
+        flows = self._flows(small_clos, range(7000, 7010))
+        path = small_clos.fabric.path_of(flows[0], self.SRC)
         self._congest(small_clos, path[1], path[2])
-        suspect = localize_congestion_with_int(tracer, flows)
-        assert suspect == f"{path[1]}->{path[2]}"
-
-    def test_pathtracer_contract(self, small_clos):
-        """IntTracer can drop in anywhere a PathTracer is expected."""
-        tracer = IntTracer(small_clos.fabric)
-        src, dst = "host0-rnic0", "host1-rnic0"
-        ft = roce_five_tuple(small_clos.rnic(src).ip,
-                             small_clos.rnic(dst).ip, 7000)
-        record = tracer.trace(ft, src, dst)
-        assert record.reached
+        links = self._sweep(small_clos, flows)
+        assert [ev.link for ev in links if ev.max_delay_ns] == \
+            [f"{path[1]}->{path[2]}"]

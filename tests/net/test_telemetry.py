@@ -1,11 +1,12 @@
-"""Unit tests for the ERSPAN/INT path-tracing backends (§7.4)."""
+"""Unit tests for ERSPAN path tracing and INT per-hop telemetry (§7.4)."""
 
+from repro.diagnosis.inband import IntCollector
 from repro.net.addresses import roce_five_tuple
-from repro.net.telemetry import (ErspanTracer, IntHop, IntRecord, IntTracer,
-                                 PathTracer, localize_congestion_with_int)
+from repro.net.telemetry import ErspanTracer, PathTracer
 from repro.net.traceroute import TracerouteService
+from repro.sim.units import seconds
 
-from tests.net.test_fabric import build_fabric
+from tests.net.test_fabric import build_fabric, roce_packet
 
 
 def _ft(port=7000):
@@ -48,58 +49,76 @@ class TestErspanTracer:
         assert tracer.traces_issued == 3
 
 
+def int_fabric():
+    """The test fabric with an INT collector installed and b listening."""
+    sim, topo, fabric = build_fabric()
+    IntCollector().install(fabric)
+    fabric.attach_receiver("b", lambda packet, record: None)
+    return sim, topo, fabric
+
+
+def int_sweep(sim, fabric, ports=(7000,)):
+    """Send one stamped packet per source port a -> b; the window's
+    per-link evidence, hottest (deepest queue delay) first."""
+    for port in ports:
+        fabric.inject(roce_packet(port), "a")
+    sim.run_for(seconds(1))
+    return fabric.int_collector.drain_window(0, sim.now).links
+
+
+def congest(sim, topo, a, b, queue_bytes):
+    link = topo.link(a, b)
+    link.set_offered_load(sim.now, link.rate_gbps)  # holds the queue level
+    link.queue_bytes = queue_bytes
+    return link
+
+
 class TestIntTracer:
+    """INT tracing on a live fabric, through the one implementation there
+    is: per-hop stamps the fabric pushes onto real packets and the
+    ``IntCollector`` folds at delivery (``repro.diagnosis.inband``)."""
+
     def test_satisfies_path_tracer_protocol(self):
         sim, topo, fabric = build_fabric()
-        assert isinstance(IntTracer(fabric), PathTracer)
         assert isinstance(ErspanTracer(fabric), PathTracer)
         assert isinstance(TracerouteService(fabric), PathTracer)
 
     def test_hops_cover_every_known_link(self):
-        sim, topo, fabric = build_fabric()
-        record = IntTracer(fabric).trace_with_telemetry(_ft(), "a", "b")
-        assert isinstance(record, IntRecord)
-        assert len(record.hops) == len(record.path.known_links())
-        assert [h.node for h in record.hops] == \
-            [a for a, _ in record.path.known_links()]
+        sim, topo, fabric = int_fabric()
+        path = fabric.path_of(_ft(), "a")
+        links = int_sweep(sim, fabric)
+        assert sorted(ev.link for ev in links) == \
+            sorted(f"{a}->{b}" for a, b in zip(path, path[1:]))
+        assert all(ev.packets == 1 for ev in links)
 
     def test_idle_fabric_reports_empty_queues(self):
-        sim, topo, fabric = build_fabric()
-        record = IntTracer(fabric).trace_with_telemetry(_ft(), "a", "b")
-        assert all(h.egress_queue_bytes == 0 for h in record.hops)
-        assert record.hottest_hop().egress_queue_bytes == 0
+        sim, topo, fabric = int_fabric()
+        links = int_sweep(sim, fabric)
+        assert all(ev.max_queue_bytes == 0 for ev in links)
+        assert links[0].max_delay_ns == 0
 
     def test_hottest_hop_names_congested_queue(self):
-        sim, topo, fabric = build_fabric()
+        sim, topo, fabric = int_fabric()
         path = fabric.path_of(_ft(), "a")
         a, b = path[1], path[2]            # tor1 -> midX
-        link = topo.link(a, b)
-        link.queue_bytes = 500_000.0
-        record = IntTracer(fabric).trace_with_telemetry(_ft(), "a", "b")
-        hop = record.hottest_hop()
-        assert hop == IntHop(node=a, egress_queue_bytes=500_000.0,
-                             egress_utilization=link.utilization())
-
-    def test_plain_trace_discards_metadata(self):
-        sim, topo, fabric = build_fabric()
-        tracer = IntTracer(fabric)
-        record = tracer.trace(_ft(), "a", "b")
-        assert record.reached
-        assert not hasattr(record, "hops") or isinstance(record.hops, tuple)
-        assert tracer.traces_issued == 1
+        link = congest(sim, topo, a, b, 500_000.0)
+        hottest = int_sweep(sim, fabric)[0]
+        assert hottest.link == f"{a}->{b}"
+        assert hottest.max_queue_bytes == 500_000.0
+        assert hottest.max_utilization == link.utilization()
 
 
 class TestLocalizeCongestion:
     def test_names_directed_link_with_deepest_queue(self):
-        sim, topo, fabric = build_fabric()
-        flows = [(_ft(port), "a") for port in range(7000, 7008)]
-        guilty_path = fabric.path_of(flows[0][0], "a")
+        sim, topo, fabric = int_fabric()
+        guilty_path = fabric.path_of(_ft(7000), "a")
         a, b = guilty_path[1], guilty_path[2]
-        topo.link(a, b).queue_bytes = 2_000_000.0
-        suspect = localize_congestion_with_int(IntTracer(fabric), flows)
-        assert suspect == f"{a}->{b}"
+        congest(sim, topo, a, b, 2_000_000.0)
+        links = int_sweep(sim, fabric, ports=range(7000, 7008))
+        assert links[0].link == f"{a}->{b}"
+        assert [ev.link for ev in links if ev.max_delay_ns] == [f"{a}->{b}"]
 
     def test_no_congestion_yields_none(self):
-        sim, topo, fabric = build_fabric()
-        flows = [(_ft(port), "a") for port in range(7000, 7004)]
-        assert localize_congestion_with_int(IntTracer(fabric), flows) is None
+        sim, topo, fabric = int_fabric()
+        links = int_sweep(sim, fabric, ports=range(7000, 7004))
+        assert not any(ev.max_delay_ns for ev in links)

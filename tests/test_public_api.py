@@ -59,8 +59,6 @@ PUBLIC_MODULES = [
     "repro.core.tracker",
     "repro.core.audit",
     "repro.core.dashboard",
-    "repro.baselines",
-    "repro.baselines.pingmesh",
     "repro.diagnosis",
     "repro.diagnosis.backend",
     "repro.diagnosis.probe",
