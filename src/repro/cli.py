@@ -7,7 +7,8 @@ lists the subcommands, and ``--help`` on any of them its flags.
 the SMALL fabric ticked flat out, then the dashboards — ``inject`` adds a
 one-fault campaign opening at 30 s (a short name from ``FAULTS``, or any
 ``KIND:LOCUS,...[:k=v,...]`` over the fault registry).  ``serve`` is the
-same session wall-clock paced behind HTTP (DESIGN.md §13).  ``trace`` /
+same session wall-clock paced behind HTTP (DESIGN.md §13; ``--pace 0
+--ticks N`` for a scrapeable batch run).  ``trace`` /
 ``metrics`` / ``profile`` run the replay-reference scenario with one
 observability layer on and print that layer.  ``triage`` is the §7.2 "is
 it a network problem?" workflow, ``catalog`` runs Table 2 rows end to end,
@@ -19,7 +20,6 @@ a deterministic scorecard that ``fleet report`` re-renders.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -94,27 +94,15 @@ def cmd_watch(args: argparse.Namespace) -> int:
                        control_jitter_ns=latency_ns // 2,
                        control_loss_prob=args.control_loss)
     campaign = session.spec.campaign
-    server = None
-    if args.metrics_port is not None:
-        from repro.serve.http import ServeHTTPServer
-        server = ServeHTTPServer(session, port=args.metrics_port)
-        server.start()
-        print(f"metrics: {server.url}/metrics")
     print(f"monitoring a {session.cluster.size}-RNIC cluster for "
           f"{duration}s of simulated time...")
     for event in campaign:
         print(f"injecting {args.fault} from t={event.start_s:g}s "
               f"to t={event.end_s:g}s")
-    try:
-        for _ in range(duration):
-            with server.lock if server else contextlib.nullcontext():
-                transitions = session.tick()
-            for event in transitions:
-                print(f"  alert {event.state:<8} {event.alert} "
-                      f"value={event.value} at t={event.sim_now_ns // 10**9}s")
-    finally:
-        if server is not None:
-            server.stop()
+    for _ in range(duration):
+        for event in session.tick():
+            print(f"  alert {event.state:<8} {event.alert} "
+                  f"value={event.value} at t={event.sim_now_ns // 10**9}s")
     print(render_analyzer_state(session.system.analyzer))
     if args.control_plane or any(event.kind == "control_plane_partition"
                                  for event in campaign):
@@ -180,7 +168,6 @@ def cmd_triage(args: argparse.Namespace) -> int:
     from repro.fleet.spec import build_world
     from repro.serve import parse_fault_spec
     from repro.services.dml import CommPattern, DmlConfig, DmlJob
-    from repro.sim.units import milliseconds
     switch_drops = args.scenario == "switch_drops"
     cluster, system, _, _ = build_world(SMALL, args.seed, campaign=(
         parse_fault_spec("link_corruption@35:pod0-tor0,pod0-agg0"
@@ -188,7 +175,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
     system.start()
     job = DmlJob(cluster, cluster.rnic_names()[:8],
                  DmlConfig(pattern=CommPattern.ALLREDUCE,
-                           compute_time_ns=milliseconds(500),
+                           compute_time_ns=500 * MILLISECOND,
                            data_gbits_per_cycle=4.0))
     system.attach_service_monitor(job)
     cluster.sim.run_for(seconds(5))
@@ -367,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="alert rule 'NAME: SERIES OP THRESHOLD "
                               "[for N] [keep M]' (repeatable; default: "
                               "the built-in pair)")
-    monitor.add_argument("--metrics-port", type=int, default=None,
-                         help="expose /metrics on this port during the "
-                              "batch run (0 = ephemeral)")
     monitor.set_defaults(func=cmd_watch, fault=None)
 
     serve = sub.add_parser("serve",
@@ -416,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("--seed", type=int, default=0)
     inject.add_argument("--duration", type=int, default=45)
     inject.set_defaults(func=cmd_watch, control_plane=False,
-                        control_latency_ms=0, control_loss=0.0, rule=[],
-                        metrics_port=None)
+                        control_latency_ms=0, control_loss=0.0, rule=[])
 
     triage = sub.add_parser("triage", help="§7.2 is-it-the-network")
     triage.add_argument("--scenario", default="compute_bug",

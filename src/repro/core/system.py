@@ -48,13 +48,9 @@ class RPingmesh:
 
     def __init__(self, cluster: Cluster,
                  config: Optional[RPingmeshConfig] = None, *,
-                 obs: Optional[Observability] = None,
-                 backends: Optional[tuple] = None):
+                 obs: Optional[Observability] = None):
         self.cluster = cluster
         self.config = config or RPingmeshConfig()
-        if backends is not None:
-            # Convenience override of config.backends (fleet/CLI path).
-            self.config.backends = tuple(backends)
         self.config.validate()
         self.obs = obs if obs is not None else Observability()
         self.obs.install(cluster)

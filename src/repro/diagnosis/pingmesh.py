@@ -4,28 +4,23 @@ Paper §2.4, Figure 2.  Pingmesh probes between servers over TCP and
 timestamps **in software**: the measured RTT is network RTT plus the
 prober's and responder's userspace processing delays, so it rises and
 falls with host CPU load (Figure 2) and cannot separate end-host
-bottlenecks from network ones.
-
-Structural limitations reproduced here, which motivate R-Pingmesh:
+bottlenecks from network ones.  The limitations that motivate R-Pingmesh:
 
 * TCP probes ride the TCP traffic class — they cross PFC-deadlocked links
   untouched and never see RoCE-queue congestion or headroom drops;
-* timeouts cannot be attributed to NIC vs switch;
+* a target whose probes time out is *down or unreachable*: no NIC-vs-switch
+  attribution, no link locus; RTT inflation flags *somewhere slow* at host
+  granularity only;
 * it is service-oblivious: no notion of a service network, no priority.
 
 :class:`TcpPingmesh` is the deployment (``experiments/fig02`` drives it
 directly); :class:`PingmeshBackend` puts it behind the
-:class:`~repro.diagnosis.backend.DiagnosisBackend` protocol so it competes
-in the same bake-off as R-Pingmesh's probe pipeline and the INT collector.
-Its verdicts are what Pingmesh can actually conclude: a target whose TCP
-probes time out is *down or unreachable* — no NIC-vs-switch attribution,
-no link locus — and software-timestamped RTT inflation flags *somewhere
-slow* at host granularity only.
-
-Unlike the other built-in backends this one injects real TCP probe
-traffic and draws host-CPU RNG, so it perturbs replay digests by design;
-the fleet only enables it in dedicated scenarios, never alongside the
-digest-locked defaults.
+:class:`~repro.diagnosis.backend.DiagnosisBackend` protocol so it races
+R-Pingmesh's probe pipeline and the INT collector in the same bake-off.
+Unlike the other built-in backends it injects real TCP probe traffic and
+draws host-CPU RNG, so it perturbs replay digests by design; the fleet
+only enables it in dedicated scenarios, never alongside the digest-locked
+defaults.
 """
 
 from __future__ import annotations
@@ -239,7 +234,6 @@ class PingmeshBackend:
 
     def __init__(self):
         self.pingmesh: Optional[TcpPingmesh] = None
-        self._cluster: Optional[Cluster] = None
         self._system = None
         self._started = False
         self._verdicts: list[BackendVerdict] = []
@@ -247,7 +241,6 @@ class PingmeshBackend:
         self._last_close_ns = 0
 
     def attach(self, cluster: Cluster, system) -> None:
-        self._cluster = cluster
         self._system = system
         self.pingmesh = TcpPingmesh(cluster)
 
@@ -256,8 +249,8 @@ class PingmeshBackend:
             return
         self._started = True
         self.pingmesh.start()
-        self._cluster.sim.every(self._system.config.analysis_period_ns,
-                                self._close_window)
+        self.pingmesh.cluster.sim.every(
+            self._system.config.analysis_period_ns, self._close_window)
 
     def verdicts(self) -> list[BackendVerdict]:
         return list(self._verdicts)
@@ -272,7 +265,7 @@ class PingmeshBackend:
     # -- window close ----------------------------------------------------------
 
     def _close_window(self) -> None:
-        now = self._cluster.sim.now
+        now = self.pingmesh.cluster.sim.now
         window_start = self._last_close_ns
         self._last_close_ns = now
         results = self.pingmesh.all_results()

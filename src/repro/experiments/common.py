@@ -8,7 +8,7 @@ to the paper's reported values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.config import RPingmeshConfig
@@ -31,20 +31,6 @@ def deploy(*, seed: int = 0, params: Optional[ClosParams] = None,
     if warmup_ns:
         world.cluster.sim.run_for(warmup_ns)
     return world
-
-
-@dataclass
-class SeriesPoint:
-    """One (time, value) sample of a reported series."""
-
-    time_s: float
-    value: float
-
-
-def sample_series(times_ns: list[int], values: list[float]
-                  ) -> list[SeriesPoint]:
-    """Convert raw TimeSeries storage into second-scaled points."""
-    return [SeriesPoint(t / 1e9, v) for t, v in zip(times_ns, values)]
 
 
 def fmt_us(ns: Optional[float]) -> str:

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.diagnosis.pingmesh import TcpPingmesh
-from repro.core.system import RPingmesh
-from repro.cluster import Cluster
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import deploy
 from repro.sim.units import seconds
 
 
@@ -50,9 +48,7 @@ def run(*, seed: int = 2,
         loads: tuple[float, ...] = (0.1, 0.5, 0.9, 0.5, 0.1),
         epoch_s: int = 25) -> PingmeshLoadResult:
     """Sweep host CPU load and measure both systems' P99."""
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(seed=seed)
     pingmesh = TcpPingmesh(cluster)
     pingmesh.start()
 

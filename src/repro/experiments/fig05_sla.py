@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
 from repro.core.records import Priority, ProblemCategory
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import default_cluster_params, deploy
 from repro.net.faults import LinkCorruption, RnicCorruption
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.units import MILLISECOND, SECOND, seconds
@@ -59,10 +57,8 @@ def run(*, seed: int = 5) -> SlaTimeline:
       120-150 switch drop episode #2
       100-160 an RNIC outside the service drops packets (P2)
     """
-    cluster = Cluster.clos(default_cluster_params(hosts_per_tor=4),
-                           seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(
+        seed=seed, params=default_cluster_params(hosts_per_tor=4))
 
     # The service uses 8 of the 16 RNICs (pod0 + half of pod1); the rest of
     # the cluster is outside the service network.

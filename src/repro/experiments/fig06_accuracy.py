@@ -21,9 +21,8 @@ from typing import Callable
 
 from repro.cluster import Cluster
 from repro.core.config import RPingmeshConfig
-from repro.core.records import ProblemCategory
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import default_cluster_params, deploy
+from repro.fleet.worker import LOCATED_CATEGORIES
 from repro.net.faults import (CpuOverload, Fault, LinkCorruption,
                               RnicCorruption, RnicFlapping,
                               SwitchPortFlapping)
@@ -96,11 +95,9 @@ def run(*, seed: int = 6, switch_episodes: int = 8, rnic_episodes: int = 4,
         episode_s: int = 45, quiet_s: int = 70) -> AccuracyResult:
     """Run the episode schedule and score the analyzer."""
     params = default_cluster_params(rnics_per_host=2)
-    cluster = Cluster.clos(params, seed=seed)
-    config = RPingmeshConfig(cpu_fp_filter_enabled=fp_filter_enabled)
-    system = RPingmesh(cluster, config)
-    system.start()
-    cluster.sim.run_for(seconds(30))
+    cluster, system, *_ = deploy(
+        seed=seed, params=params, warmup_ns=seconds(30),
+        config=RPingmeshConfig(cpu_fp_filter_enabled=fp_filter_enabled))
     rng = cluster.rngs.stream("fig06")
 
     switch_sites = _switch_fault_locations(cluster)
@@ -147,9 +144,7 @@ def _score(kind: str, truth_locus: str, problems) -> EpisodeOutcome:
     The verdict considered is the dominant located problem in the episode
     window (host-down/noise categories are not located problems).
     """
-    located = [p for p in problems
-               if p.category in (ProblemCategory.RNIC_PROBLEM,
-                                 ProblemCategory.SWITCH_NETWORK_PROBLEM)]
+    located = [p for p in problems if p.category in LOCATED_CATEGORIES]
     if not located:
         return EpisodeOutcome(kind, truth_locus, detected=False,
                               verdict_category="none", verdict_locus="",

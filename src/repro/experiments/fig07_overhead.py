@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
-from repro.core.system import RPingmesh
+from repro.experiments.common import deploy
 from repro.net.clos import ClosParams
 from repro.sim.units import seconds
 
@@ -42,12 +41,9 @@ class OverheadResult:
 def run(*, seed: int = 7, rnics_per_host: int = 8, duration_s: int = 120,
         sample_every_s: int = 10) -> OverheadResult:
     """Measure Agent overhead on hosts with ``rnics_per_host`` RNICs."""
-    cluster = Cluster.clos(
-        ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2, spines=2,
-                   hosts_per_tor=2, rnics_per_host=rnics_per_host),
-        seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(seed=seed, params=ClosParams(
+        pods=1, tors_per_pod=2, aggs_per_pod=2, spines=2,
+        hosts_per_tor=2, rnics_per_host=rnics_per_host))
     agent = system.agents["host0"]
     result = OverheadResult(rnics_per_host=rnics_per_host)
 

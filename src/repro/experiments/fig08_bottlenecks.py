@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
 from repro.core.records import ProblemCategory
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import deploy
 from repro.net.faults import CpuOverload, PcieDowngrade
 from repro.sim.units import seconds
 
@@ -44,10 +42,7 @@ def run_cpu_overload(*, seed: int = 8, overload_hosts: int = 2,
                      baseline_s: int = 45, overload_s: int = 45
                      ) -> CpuOverloadResult:
     """Figure 8 (left): CPU overload -> high processing delay, flat RTT."""
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
-    cluster.sim.run_for(seconds(baseline_s))
+    cluster, system, *_ = deploy(seed=seed, warmup_ns=seconds(baseline_s))
     report = system.analyzer.sla.latest()
     baseline_proc = report.cluster.processing_percentiles()["p90"] / 1000
     rtt_before = report.cluster.rtt_percentiles()["p50"] / 1000
@@ -77,10 +72,7 @@ def run_cpu_overload(*, seed: int = 8, overload_hosts: int = 2,
 def run_pfc_storm(*, seed: int = 9, victim: str = "host1-rnic0",
                   baseline_s: int = 45, storm_s: int = 45) -> PfcStormResult:
     """Figure 8 (right): PCIe downgrade -> PFC storm -> P99 RTT spike."""
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
-    cluster.sim.run_for(seconds(baseline_s))
+    cluster, system, *_ = deploy(seed=seed, warmup_ns=seconds(baseline_s))
     before = system.analyzer.sla.latest().cluster.rtt_percentiles()["p99"]
 
     fault = PcieDowngrade(cluster, victim)

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import deploy
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.units import MILLISECOND, seconds
 
@@ -45,9 +43,7 @@ class InnocentResult:
 def run(*, seed: int = 10, duration_s: int = 150,
         decay_per_cycle: float = 0.04) -> InnocentResult:
     """Run a degrading-compute job and collect the Figure 9 series."""
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(seed=seed)
     # Ring AllReduce: the service is communication-light, so the network
     # is never the bottleneck — the paper's scenario, where the real
     # culprit is a compute bug and the network must come out innocent.

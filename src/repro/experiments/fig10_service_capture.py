@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
 from repro.core.records import ProbeKind
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import deploy
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.stats import PercentileTracker
 from repro.sim.units import MILLISECOND, seconds
@@ -42,9 +40,7 @@ class ServiceCaptureResult:
 
 def run(*, seed: int = 11, duration_s: int = 60) -> ServiceCaptureResult:
     """Run an All2All job and bucket one RNIC's service-tracing RTTs."""
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(seed=seed)
     captured = []
     system.analyzer.add_upload_listener(
         lambda batch: captured.extend(batch.results))

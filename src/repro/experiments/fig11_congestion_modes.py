@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster import Cluster
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import deploy
 from repro.services.congestion import CUSTOM_CC, DCQCN, CcModel
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.services.traffic import TrafficEngine
@@ -33,9 +31,7 @@ class ModeResult:
 def run_mode(pattern: CommPattern, cc: CcModel, *, seed: int = 12,
              duration_s: int = 60) -> ModeResult:
     """Run one communication mode under one CC model."""
-    cluster = Cluster.clos(default_cluster_params(), seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(seed=seed)
     traffic = TrafficEngine(cluster, cc=cc)
     job = DmlJob(cluster, cluster.rnic_names()[:8],
                  DmlConfig(pattern=pattern,

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster import Cluster
 from repro.core.records import ProblemCategory
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
+from repro.experiments.common import default_cluster_params, deploy
 from repro.net.addresses import roce_five_tuple
 from repro.net.ecmp import pick_next_hop
 from repro.net.topology import Tier
@@ -58,10 +56,8 @@ def _high_rtt_suspects(system) -> list[str]:
 def run_incast(*, seed: int = 14, senders: int = 5,
                duration_s: int = 50) -> CongestionCauseResult:
     """Many-to-one incast onto one host: ToR downlink congests."""
-    cluster = Cluster.clos(default_cluster_params(hosts_per_tor=4),
-                           seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(
+        seed=seed, params=default_cluster_params(hosts_per_tor=4))
 
     target = "host0-rnic0"
     sources = [r for r in cluster.rnic_names() if r != target][:senders]
@@ -96,10 +92,8 @@ def run_hash_collision(*, seed: int = 14,
     We pick source ports whose ECMP hash at the source ToR lands on the
     same aggregation uplink, so their combined demand exceeds it.
     """
-    cluster = Cluster.clos(default_cluster_params(hosts_per_tor=4),
-                           seed=seed)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, *_ = deploy(
+        seed=seed, params=default_cluster_params(hosts_per_tor=4))
 
     src_tor = "pod0-tor0"
     srcs = cluster.rnics_under_tor(src_tor)[:3]

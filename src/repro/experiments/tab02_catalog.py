@@ -14,27 +14,19 @@ a cluster running both R-Pingmesh and a DML service, and record:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 from repro.cluster import Cluster
 from repro.core.records import ProblemCategory
-from repro.core.system import RPingmesh
-from repro.experiments.common import default_cluster_params
-from repro.net.faults import (CpuOverload, Fault, HostDown, LinkCorruption,
-                              LinkOverload, PcieDowngrade, PfcDeadlock,
-                              PfcHeadroomMisconfig, RnicAcsMisconfig,
-                              RnicDown, RnicGidIndexMissing,
-                              RnicRoutingMisconfig, SwitchAclError,
-                              SwitchPortFlapping)
+from repro.experiments.common import default_cluster_params, deploy
+from repro.fleet.spec import FaultEvent, schedule_campaign
+from repro.fleet.worker import LATENCY_CATEGORIES, LOCATED_CATEGORIES
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.units import MILLISECOND, seconds
 
 # Categories that signal "failure" (timeout) vs "bottleneck" (latency).
-TIMEOUT_CATEGORIES = {ProblemCategory.RNIC_PROBLEM,
-                      ProblemCategory.SWITCH_NETWORK_PROBLEM,
-                      ProblemCategory.HOST_DOWN}
-LATENCY_CATEGORIES = {ProblemCategory.HIGH_RTT,
-                      ProblemCategory.HIGH_PROCESSING_DELAY}
+TIMEOUT_CATEGORIES = {*LOCATED_CATEGORIES, ProblemCategory.HOST_DOWN}
 
 
 @dataclass
@@ -54,7 +46,7 @@ class CatalogRow:
     def signal_matches(self) -> bool:
         wanted = (TIMEOUT_CATEGORIES if self.expect_signal == "timeout"
                   else LATENCY_CATEGORIES)
-        return bool(self.categories & wanted)
+        return not self.categories.isdisjoint(wanted)
 
     @property
     def service_failure_matches(self) -> bool:
@@ -62,79 +54,57 @@ class CatalogRow:
 
 
 def _catalog(cluster: Cluster, service_rnics: list[str]
-             ) -> list[tuple[int, str, bool, str, Callable[[], Fault]]]:
-    """(row, name, service_fails, signal, fault factory) for all 14."""
+             ) -> list[tuple[int, str, bool, str, tuple[FaultEvent, ...]]]:
+    """(row, name, service_fails, signal, campaign) for all 14; every
+    event opens now and is never cleared."""
     svc = service_rnics
     svc_host = cluster.host_of_rnic(svc[1]).name
+    fault = partial(FaultEvent.make, start_s=cluster.sim.now / 1e9)
     return [
         (1, "RNIC or switch port flapping", False, "timeout",
-         lambda: SwitchPortFlapping(cluster, "pod0-tor0", "pod0-agg0")),
+         (fault("switch_port_flapping", "pod0-tor0", "pod0-agg0"),)),
         (2, "packet corruption drops", False, "timeout",
-         lambda: LinkCorruption(cluster, "pod0-tor1", "pod0-agg0",
-                                drop_prob=0.5)),
+         (fault("link_corruption", "pod0-tor1", "pod0-agg0",
+                drop_prob=0.5),)),
         (3, "accident RNIC down (*)", True, "timeout",
-         lambda: RnicDown(cluster, svc[1])),
+         (fault("rnic_down", svc[1]),)),
         (4, "accident host down (*)", True, "timeout",
-         lambda: HostDown(cluster, svc_host)),
+         (fault("host_down", svc_host),)),
         (5, "PFC deadlock (*)", True, "timeout",
-         lambda: PfcDeadlock(cluster, "pod0-tor0", "pod0-agg1")),
+         (fault("pfc_deadlock", "pod0-tor0", "pod0-agg1"),)),
         (6, "missing RNIC routing config (*)", True, "timeout",
-         lambda: RnicRoutingMisconfig(cluster, svc[2])),
+         (fault("rnic_routing_misconfig", svc[2]),)),
         (7, "RNIC GID index missing (*)", True, "timeout",
-         lambda: RnicGidIndexMissing(cluster, svc[3])),
+         (fault("rnic_gid_index_missing", svc[3]),)),
         (8, "switch ACL misconfiguration (*)", True, "timeout",
-         lambda: SwitchAclError(cluster, "pod0-agg0",
-                                src_ip=cluster.rnic(svc[0]).ip)),
+         (fault("switch_acl_error", "pod0-agg0",
+                src_ip=cluster.rnic(svc[0]).ip),)),
+        # Row 9 needs congestion to manifest: the misconfig plus an
+        # overload on the same cable.
         (9, "PFC unconfigured / bad headroom", False, "timeout",
-         lambda: _headroom_under_congestion(cluster)),
+         (fault("pfc_headroom_misconfig", "pod0-tor0", "pod0-agg0"),
+          fault("link_overload", "pod0-tor0", "pod0-agg0",
+                extra_gbps=700.0))),
         (10, "uneven load balance congestion", False, "latency",
-         lambda: LinkOverload(cluster, "pod0-tor0", "pod0-agg0",
-                              extra_gbps=500.0, table2_row=10)),
+         (fault("link_overload", "pod0-tor0", "pod0-agg0",
+                extra_gbps=500.0, table2_row=10),)),
         (11, "inter-service interference", False, "latency",
-         lambda: LinkOverload(cluster, "pod0-agg0", "spine0",
-                              extra_gbps=500.0, table2_row=11)),
+         (fault("link_overload", "pod0-agg0", "spine0",
+                extra_gbps=500.0, table2_row=11),)),
         (12, "CPU overload", False, "latency",
-         lambda: CpuOverload(cluster, svc_host, load=0.85)),
+         (fault("cpu_overload", svc_host, load=0.85),)),
         (13, "PCIe downgrade -> PFC storm", False, "latency",
-         lambda: PcieDowngrade(cluster, svc[1])),
+         (fault("pcie_downgrade", svc[1]),)),
         (14, "wrong ACS/ATS config -> PFC storm", False, "latency",
-         lambda: RnicAcsMisconfig(cluster, svc[0])),
+         (fault("rnic_acs_misconfig", svc[0]),)),
     ]
-
-
-class _HeadroomScenario(Fault):
-    """Row 9 needs congestion to manifest: combine the misconfig with an
-    overload on the same cable."""
-
-    table2_row = 9
-
-    def __init__(self, cluster: Cluster):
-        super().__init__(cluster, "pod0-tor0<->pod0-agg0")
-        self.headroom = PfcHeadroomMisconfig(cluster, "pod0-tor0",
-                                             "pod0-agg0")
-        self.overload = LinkOverload(cluster, "pod0-tor0", "pod0-agg0",
-                                     extra_gbps=700.0)
-
-    def _inject(self) -> None:
-        self.headroom.inject()
-        self.overload.inject()
-
-    def _clear(self) -> None:
-        self.overload.clear()
-        self.headroom.clear()
-
-
-def _headroom_under_congestion(cluster: Cluster) -> Fault:
-    return _HeadroomScenario(cluster)
 
 
 def run_row(row: int, *, seed: int = 16, fault_s: int = 50,
             retransmission_tuned: bool = True) -> CatalogRow:
     """Inject one Table 2 row's fault and score the system's response."""
-    cluster = Cluster.clos(default_cluster_params(hosts_per_tor=3),
-                           seed=seed + row)
-    system = RPingmesh(cluster)
-    system.start()
+    cluster, system, faults, _ = deploy(
+        seed=seed + row, params=default_cluster_params(hosts_per_tor=3))
     service_rnics = cluster.rnic_names()[:6]
     job = DmlJob(cluster, service_rnics,
                  DmlConfig(pattern=CommPattern.ALL2ALL,
@@ -147,17 +117,15 @@ def run_row(row: int, *, seed: int = 16, fault_s: int = 50,
     cluster.sim.run_for(seconds(30))
 
     entries = _catalog(cluster, service_rnics)
-    row_num, name, fails, signal, maker = entries[row - 1]
+    row_num, name, fails, signal, campaign = entries[row - 1]
     assert row_num == row
     outcome = CatalogRow(row=row, root_cause=name,
                          expect_service_failure=fails, expect_signal=signal)
 
     problems_before = len(system.analyzer.problems)
-    fault = maker()
     injected_at = cluster.sim.now
-    fault.inject()
+    schedule_campaign(faults, cluster, campaign)
     cluster.sim.run_for(seconds(fault_s))
-    fault.clear()
 
     new_problems = system.analyzer.problems[problems_before:]
     if new_problems:

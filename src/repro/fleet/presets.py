@@ -12,11 +12,9 @@ from typing import Sequence
 from repro.fleet.spec import FaultEvent, ScenarioSpec, SweepSpec
 from repro.net.clos import ClosParams
 
-# The two fabric shapes everything outside bench/ is run on; named here
-# and nowhere else.  TINY: 4 RNICs, one pod — the reference scenarios,
-# serve-mode default and most bake-off cases.  SMALL: 12 RNICs, two pods,
-# 1:1 oversubscription — the downscaled evaluation fabric of the CLI and
-# the figure drivers.
+# The two fabric shapes src/ runs on, named here and nowhere else.  TINY
+# (4 RNICs, one pod): reference scenarios, serve default, most bake-off
+# cases.  SMALL (12 RNICs, two pods, 1:1): the CLI and the figure drivers.
 TINY = ClosParams(pods=1, tors_per_pod=2, aggs_per_pod=2, spines=1,
                   hosts_per_tor=2)
 SMALL = ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2, spines=2,

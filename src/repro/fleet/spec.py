@@ -124,12 +124,9 @@ class FaultEvent:
         return dict(self.params)
 
     def build(self, cluster: Cluster) -> Fault:
-        """Realise the declarative event against a live cluster.
-
-        Wrong arity, an unknown keyword or a pair of devices with no link
-        between them surface as the ``ValueError`` every other campaign
-        mistake raises, not as the constructor's ``TypeError``/``KeyError``.
-        """
+        """Realise the declarative event against a live cluster; wrong
+        arity, an unknown keyword or two devices with no link between them
+        raise the ``ValueError`` every other campaign mistake does."""
         try:
             return FAULT_KINDS[self.kind](cluster, *self.loci,
                                           **self.params_dict())
@@ -176,15 +173,13 @@ def schedule_campaign(manager: FaultManager, cluster: Cluster,
     validate_campaign_loci(campaign, cluster)
     faults = [manager.fault(event.identity, partial(event.build, cluster))
               for event in campaign]
-    named: list[Fault] = []
     for event, fault in zip(campaign, faults):
         manager.schedule(
             fault, start_ns=round(event.start_s * SECOND),
             end_ns=(None if event.end_s is None
                     else round(event.end_s * SECOND)))
-        if not any(fault is seen for seen in named):
-            named.append(fault)
-    return [(fault, fault.span) for fault in named]
+    # Each fault once, in first-named order (faults hash by identity).
+    return [(fault, fault.span) for fault in dict.fromkeys(faults)]
 
 
 class World(NamedTuple):

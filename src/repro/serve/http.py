@@ -177,8 +177,7 @@ class ServeHTTPServer:
             event = parse_fault_spec(payload["fault"])
             with self.lock:
                 scheduled = self.session.inject(event)
-        except (KeyError, TypeError, ValueError,
-                json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:   # incl. bad JSON
             handler._json(400, {"error": f"bad inject request: {exc}"})
             return
         handler._json(200, {"injected": scheduled.kind,

@@ -15,7 +15,7 @@ scrape (or a checkpoint file) always says which world produced it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro import __version__
@@ -222,11 +222,9 @@ class ServeSession:
         simulated time, so ``start_s=0`` activates on the next tick.
         """
         now_s = self.cluster.sim.now / SECOND
-        shifted = FaultEvent.make(
-            event.kind, *event.loci,
-            start_s=now_s + event.start_s,
-            end_s=None if event.end_s is None else now_s + event.end_s,
-            **event.params_dict())
+        shifted = replace(
+            event, start_s=now_s + event.start_s,
+            end_s=None if event.end_s is None else now_s + event.end_s)
         schedule_campaign(self.faults, self.cluster, (shifted,))
         return shifted
 
