@@ -8,13 +8,13 @@ the SMALL fabric ticked flat out, then the dashboards — ``inject`` adds a
 one-fault campaign opening at 30 s (a short name from ``FAULTS``, or any
 ``KIND:LOCUS,...[:k=v,...]`` over the fault registry).  ``serve`` is the
 same session wall-clock paced behind HTTP (DESIGN.md §13; ``--pace 0
---ticks N`` for a scrapeable batch run).  ``trace`` /
-``metrics`` / ``profile`` run the replay-reference scenario with one
-observability layer on and print that layer.  ``triage`` is the §7.2 "is
-it a network problem?" workflow, ``catalog`` runs Table 2 rows end to end,
-``figures`` exports figure series as CSV, ``backends`` prints the
-diagnosis bake-off's BENCH lines, ``fleet run`` merges a named sweep into
-a deterministic scorecard that ``fleet report`` re-renders.
+--ticks N`` for a scrapeable batch run).  ``trace`` / ``metrics`` /
+``profile`` run the replay-reference scenario with one observability
+layer on and print that layer.  ``triage`` is the §7.2 "is it a network
+problem?" workflow, ``catalog`` runs Table 2 rows end to end, ``figures``
+exports figure series as CSV, ``backends`` prints the diagnosis bake-off's
+BENCH lines, ``fleet run`` merges a named sweep into a deterministic
+scorecard that ``fleet report`` re-renders.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ SHAPE_FIELDS = ("pods", "tors_per_pod", "aggs_per_pod", "spines",
                 "hosts_per_tor")
 
 
-def _reject(exc: ValueError) -> NoReturn:
+def _reject(why: object) -> NoReturn:
     """Bad user input is a usage error: one line on stderr and exit
     status 2, as argparse does for a bad flag."""
-    print(f"repro-pingmesh: error: {exc}", file=sys.stderr)
+    print(f"repro-pingmesh: error: {why}", file=sys.stderr)
     raise SystemExit(2)
 
 
@@ -82,9 +82,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
     if args.fault is not None:
         head, sep, rest = FAULTS.get(args.fault, args.fault).partition(":")
         if not sep:
-            _reject(ValueError(
-                f"unknown fault {args.fault!r}; choose from: "
-                f"{', '.join(sorted(FAULTS))}, or 'KIND:LOCUS,...[:k=v,...]'"))
+            _reject(f"unknown fault {args.fault!r}; choose from: "
+                    f"{', '.join(sorted(FAULTS))}, or "
+                    f"'KIND:LOCUS,...[:k=v,...]'")
         if "@" not in head:
             head += f"@{BASELINE_S}-{BASELINE_S + duration}"
         faults = [head + sep + rest]
@@ -169,9 +169,9 @@ def cmd_triage(args: argparse.Namespace) -> int:
     from repro.serve import parse_fault_spec
     from repro.services.dml import CommPattern, DmlConfig, DmlJob
     switch_drops = args.scenario == "switch_drops"
-    cluster, system, _, _ = build_world(SMALL, args.seed, campaign=(
-        parse_fault_spec("link_corruption@35:pod0-tor0,pod0-agg0"
-                         ":drop_prob=0.4"),) if switch_drops else ())
+    campaign = [parse_fault_spec("link_corruption@35:pod0-tor0,pod0-agg0"
+                                 ":drop_prob=0.4")] if switch_drops else []
+    cluster, system, _, _ = build_world(SMALL, args.seed, campaign=campaign)
     system.start()
     job = DmlJob(cluster, cluster.rnic_names()[:8],
                  DmlConfig(pattern=CommPattern.ALLREDUCE,

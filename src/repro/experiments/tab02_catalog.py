@@ -18,15 +18,11 @@ from functools import partial
 from typing import Optional
 
 from repro.cluster import Cluster
-from repro.core.records import ProblemCategory
 from repro.experiments.common import default_cluster_params, deploy
 from repro.fleet.spec import FaultEvent, schedule_campaign
-from repro.fleet.worker import LATENCY_CATEGORIES, LOCATED_CATEGORIES
+from repro.fleet.worker import FAILURE_CATEGORIES, LATENCY_CATEGORIES
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.units import MILLISECOND, seconds
-
-# Categories that signal "failure" (timeout) vs "bottleneck" (latency).
-TIMEOUT_CATEGORIES = {*LOCATED_CATEGORIES, ProblemCategory.HOST_DOWN}
 
 
 @dataclass
@@ -44,7 +40,8 @@ class CatalogRow:
 
     @property
     def signal_matches(self) -> bool:
-        wanted = (TIMEOUT_CATEGORIES if self.expect_signal == "timeout"
+        # Failures signal by timeout verdicts, bottlenecks by latency ones.
+        wanted = (FAILURE_CATEGORIES if self.expect_signal == "timeout"
                   else LATENCY_CATEGORIES)
         return not self.categories.isdisjoint(wanted)
 

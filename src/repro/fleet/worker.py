@@ -4,17 +4,16 @@
 its ``(ScenarioSpec, seed)`` arguments: it has
 :func:`~repro.fleet.spec.build_world` stand the deployment up with the
 campaign scheduled, runs the simulation, and condenses the outcome into
-a picklable :class:`ScenarioResult` — replay digest, detection scoring against the
-campaign's ground truth, SLA percentiles, and (optionally) the metrics
-snapshot.  Everything in the result except ``wall_s`` is a deterministic
-function of the inputs; ``wall_s`` is explicitly wall-clock bookkeeping
-for the runner's progress/speedup accounting and is excluded from merge
-scorecards and digests.
+a picklable :class:`ScenarioResult` — replay digest, detection scoring
+against the campaign's ground truth, SLA percentiles, and (optionally)
+the metrics snapshot.  Everything in the result except ``wall_s`` is a
+deterministic function of the inputs; ``wall_s`` is explicitly wall-clock
+bookkeeping for the runner's progress/speedup accounting and is excluded
+from merge scorecards and digests.
 
-The module is import-light at worker start (ProcessPoolExecutor pickles
-``run_scenario`` by reference), and the result deliberately contains no
-live simulation objects: process boundaries and JSON artifacts both want
-plain data.
+ProcessPoolExecutor pickles ``run_scenario`` by reference, and the result
+deliberately contains no live simulation objects: process boundaries and
+JSON artifacts both want plain data.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ LOCATED_CATEGORIES = (ProblemCategory.RNIC_PROBLEM,
                       ProblemCategory.SWITCH_NETWORK_PROBLEM)
 LATENCY_CATEGORIES = (ProblemCategory.HIGH_RTT,
                       ProblemCategory.HIGH_PROCESSING_DELAY)
+FAILURE_CATEGORIES = LOCATED_CATEGORIES + (ProblemCategory.HOST_DOWN,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,7 +186,7 @@ def _expected_categories(truth: GroundTruth) -> tuple[ProblemCategory, ...]:
         return (ProblemCategory.HOST_DOWN,)
     if truth.table2_row >= 10:
         return LATENCY_CATEGORIES
-    return LOCATED_CATEGORIES + (ProblemCategory.HOST_DOWN,)
+    return FAILURE_CATEGORIES
 
 
 def _locus_matches(truth: GroundTruth, problem_locus: str) -> bool:
