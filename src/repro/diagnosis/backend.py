@@ -33,7 +33,7 @@ class BackendVerdict:
 
     ``category`` is a :class:`~repro.core.records.ProblemCategory`
     *value* string so verdicts stay plain data (picklable, digestable)
-    while still converting losslessly for Analyzer-style scoring.
+    while still converting without loss for Analyzer-style scoring.
     """
 
     backend: str                # registry name of the emitting backend

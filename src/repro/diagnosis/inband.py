@@ -18,8 +18,10 @@ references outlive delivery (PoolSan-clean) and recycled payload dicts
 never leak stamps between probes.
 
 Quiet hops the fabric's walker looks ahead over are stamped too (with the
-time the packet will enter them), so a path's stack is always complete;
-loaded hops — the ones INT exists to see — are stamped at their own event.
+time the packet will enter them), so a path's stack is always complete —
+loaded hops with a standing queue, the ones INT exists to see, among them:
+what they stamp is as constant as their delay.  A hop whose queue is moving
+is stamped at its own event.
 """
 
 from __future__ import annotations

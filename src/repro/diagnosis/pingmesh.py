@@ -237,7 +237,8 @@ class PingmeshBackend:
         self._system = None
         self._started = False
         self._verdicts: list[BackendVerdict] = []
-        self._cursor = 0          # results already folded into windows
+        # Per agent: results already folded into a window.
+        self._cursors: dict[str, int] = {}
         self._last_close_ns = 0
 
     def attach(self, cluster: Cluster, system) -> None:
@@ -256,11 +257,12 @@ class PingmeshBackend:
         return list(self._verdicts)
 
     def cost(self) -> BackendCost:
-        results = self.pingmesh.all_results() if self.pingmesh else []
-        packets = len(results) * PACKETS_PER_PROBE
+        agents = self.pingmesh.agents.values() if self.pingmesh else ()
+        results = sum(len(agent.results) for agent in agents)
+        packets = results * PACKETS_PER_PROBE
         return BackendCost(probe_packets=packets,
                            probe_bytes=packets * PROBE_BYTES,
-                           events_observed=len(results))
+                           events_observed=results)
 
     # -- window close ----------------------------------------------------------
 
@@ -268,13 +270,12 @@ class PingmeshBackend:
         now = self.pingmesh.cluster.sim.now
         window_start = self._last_close_ns
         self._last_close_ns = now
-        results = self.pingmesh.all_results()
-        fresh = results[self._cursor:]
-        self._cursor = len(results)
-
         per_target: dict[str, list] = defaultdict(list)
-        for r in fresh:
-            per_target[r.target_host].append(r)
+        for name, agent in self.pingmesh.agents.items():
+            results = agent.results
+            for r in results[self._cursors.get(name, 0):]:
+                per_target[r.target_host].append(r)
+            self._cursors[name] = len(results)
         config = self._system.config
         # Software RTT = network RTT + both stacks' processing, so the
         # anomaly cut allows for one round trip of normal host processing.

@@ -17,13 +17,15 @@ true arrival time, applying in order:
 
 so drops happen at the right link (which is what Algorithm 1's voting
 localises), queue delays are sampled at traversal time, and TTL semantics
-work.  A *quiet* hop (:attr:`DirectedLink.quiet`) can do none of that: its
-delay is a constant, so the walker adds consecutive quiet hops up and
-schedules a single event at the first hop that is not quiet — or at the
-destination.  Any write that makes a link stop being quiet, and any route
-change, takes back the lookahead decisions in-flight packets have not
-reached yet (:meth:`Fabric._demote_in_flight`), so a fault landing
-mid-flight is seen at exactly the hop a per-hop walk would have seen it.
+work.  A *quiet* hop (:attr:`DirectedLink.quiet`: no rule can lose the
+packet and the fluid queue cannot move — idle, or loaded with a standing
+queue) can do none of that: its delay is a constant, so the walker adds
+consecutive quiet hops up and schedules a single event at the first hop that
+is not quiet — or at the destination.  Before any write changes what a quiet
+link tells a packet, and on any route change, the lookahead decisions
+in-flight packets have not reached yet are taken back
+(:meth:`Fabric._demote_in_flight`), so a write landing mid-flight is seen at
+exactly the hop a per-hop walk would have seen it.
 
 Delivery invokes the receiver registered for the destination host port —
 normally the RNIC model, which applies its own (host-side) fault logic.
@@ -119,11 +121,14 @@ class _Transit:
         self.fabric._walk(self)
 
 
-def _quiet_hop_ns(link: DirectedLink, size_bytes: int) -> int:
-    """What a quiet hop costs: a constant of the link and the packet size."""
+def _quiet_hop_ns(link: DirectedLink, size_bytes: int, is_roce: bool) -> int:
+    """What a quiet hop costs: a constant of the link, size and class."""
+    delay = link.base_delay_ns(size_bytes)
+    if is_roce:
+        delay += link.quiet_wait_ns
     if link.dst_acl is not None:
-        return link.base_delay_ns(size_bytes) + SWITCH_FORWARD_LATENCY_NS
-    return link.base_delay_ns(size_bytes)
+        delay += SWITCH_FORWARD_LATENCY_NS
+    return delay
 
 
 class Fabric:
@@ -153,8 +158,10 @@ class Fabric:
         # packet_id -> the transit whose event is pending.  Insertion
         # ordered, so a demotion reschedules packets in a replayable order.
         self._in_flight: dict[int, _Transit] = {}
-        # Packets whose lookahead a mid-flight write took back.
+        # Packets whose lookahead a mid-flight write took back, and hops
+        # not quiet when their packet got there: the rule chain ran.
         self.walker_demotions = 0
+        self.hops_evaluated = 0
         self._receivers: dict[str, Callable[[Packet, DeliveryRecord], None]] = {}
         self._ip_to_port: dict[str, str] = {}
         self._drop_listeners: list[Callable[[DropRecord], None]] = []
@@ -392,6 +399,7 @@ class Fabric:
         hops = path.hops
         n_hops = len(hops)
         size = packet.size_bytes
+        is_roce = transit.is_roce
         collector = self._int_collector
         # TTL cannot expire inside a plan shorter than it.
         look = self._tracer is None and packet.ttl > n_hops - idx
@@ -422,6 +430,8 @@ class Fabric:
                     packet.ttl -= 1
                     t += SWITCH_FORWARD_LATENCY_NS
                 t += link.base_delay_ns(size)
+                if is_roce:
+                    t += link.quiet_wait_ns
                 link.packets_forwarded += 1
                 idx += 1
             elif t == now:
@@ -445,25 +455,17 @@ class Fabric:
         now = self.sim.now
         is_roce = transit.is_roce
         acl = link.dst_acl
-        if link.lossless:
-            # Only queued or paused here: every drop rule is a no-op.
-            if acl is not None:
-                packet.ttl -= 1
-                reason = DropReason.TTL_EXPIRED if packet.ttl <= 0 else None
-                node = path.nodes[idx + 1]
+        self.hops_evaluated += 1
+        reason = self._check_link(packet, link, now, is_roce)
+        node = path.nodes[idx]
+        if reason is None and acl is not None:
+            node = path.nodes[idx + 1]
+            if not acl.permits(packet.five_tuple):
+                reason = DropReason.ACL_DENY
             else:
-                reason = None
-        else:
-            reason = self._check_link(packet, link, now, is_roce)
-            node = path.nodes[idx]
-            if reason is None and acl is not None:
-                node = path.nodes[idx + 1]
-                if not acl.permits(packet.five_tuple):
-                    reason = DropReason.ACL_DENY
-                else:
-                    packet.ttl -= 1
-                    if packet.ttl <= 0:
-                        reason = DropReason.TTL_EXPIRED
+                packet.ttl -= 1
+                if packet.ttl <= 0:
+                    reason = DropReason.TTL_EXPIRED
         if reason is not None:
             self._retire(transit)
             self._drop(packet, reason, link=link.name, node=node)
@@ -523,8 +525,9 @@ class Fabric:
         t = transit.look_ns
         hops = transit.path.hops
         size = transit.packet.size_bytes
+        is_roce = transit.is_roce
         while k < idx and t < now:
-            t += _quiet_hop_ns(hops[k], size)
+            t += _quiet_hop_ns(hops[k], size, is_roce)
             k += 1
         return k, t
 
@@ -541,10 +544,12 @@ class Fabric:
     def _demote_in_flight(self) -> None:
         """Take back every lookahead decision not reached yet.
 
-        Called by any write that makes a hop stop being quiet, by route
-        changes, and by the tracer / collector / adaptive switches.  Each
-        in-flight packet is put back at the first looked-ahead node it has
-        not entered, with an event at its arrival time there, so the hop is
+        Called *before* any write that changes what a quiet hop tells a
+        packet — entry times are recomputed here from link constants, which
+        must still be the ones the plan was made with — by route changes,
+        and by the tracer / collector / adaptive switches.  Each in-flight
+        packet is put back at the first looked-ahead node it has not
+        entered, with an event at its arrival time there, so the hop is
         evaluated under the written state exactly as a per-hop walk would.
 
         Tie rule: a write at the very nanosecond a packet enters a
@@ -560,6 +565,9 @@ class Fabric:
             idx = transit.idx
             k, t = self._first_unreached(transit, now)
             if k == idx:
+                # All entered: nothing to take back, now or later, and
+                # nothing to re-time from constants about to change.
+                transit.look_idx = idx
                 continue
             packet = transit.packet
             self._give_back(transit, k)

@@ -14,7 +14,7 @@ from typing import Any, Optional
 from repro.net.addresses import FiveTuple
 
 # RoCE and TCP traffic ride different switch/RNIC traffic queues so that
-# lossless PFC applies only to RoCE (paper §2.4).
+# PFC (pause, never drop) applies only to RoCE (paper §2.4).
 TC_ROCE = "roce"
 TC_TCP = "tcp"
 

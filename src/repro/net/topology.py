@@ -72,8 +72,8 @@ class Acl:
 
     def __init__(self) -> None:
         self._deny_rules: list[AclRule] = []
-        # Topology hook (set by add_node): rule edits re-derive the quiet
-        # flag of every link into this switch.
+        # Topology hook (set by add_node): rule edits take lookahead back
+        # and re-derive the quiet flag of every link into this switch.
         self._on_change: Optional[Callable[[], None]] = None
 
     def _changed(self) -> None:
@@ -97,8 +97,9 @@ class Acl:
 
     def clear(self) -> None:
         """Remove all deny rules."""
-        self._deny_rules.clear()
-        self._changed()
+        if self._deny_rules:
+            self._deny_rules.clear()
+            self._changed()
 
     def permits(self, five_tuple: FiveTuple) -> bool:
         """Whether the packet passes the ACL."""
@@ -192,6 +193,8 @@ class LinkPair:
     def up(self, value: bool) -> None:
         if value == self._up:
             return
+        for link in self.links:
+            link._before_write()
         self._up = value
         for link in self.links:
             link._refresh_quiet()
@@ -208,6 +211,7 @@ class LinkPair:
         self._routed_around = value
         for link in self.links:
             link._refresh_quiet()
+        # Lookahead is taken back by the route change this announces.
         callback = self._on_reroute
         if callback is not None:
             callback()
@@ -247,8 +251,8 @@ class DirectedLink:
         self.dst_acl = dst_acl
 
         # Fault knobs (driven by repro.net.faults).  Every write goes
-        # through a property that re-derives ``quiet``; rate/propagation
-        # are construction-time constants, which the base-delay cache and
+        # through a property and ``_write``; rate/propagation are
+        # construction-time constants, which the base-delay cache and
         # the fabric's route cache both rely on.
         self._corruption_drop_prob = 0.0
         self._silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
@@ -265,18 +269,20 @@ class DirectedLink:
         # propagation + serialization per packet size (both immutable).
         self._base_delay_ns: dict[int, int] = {}
 
-        # Whether a packet crossing now can only be delayed by a constant:
-        # cable up and not routed around, no deadlock / corruption /
-        # silent-drop rule, PFC healthy, fluid queue idle, no pause
-        # pressure, no ACL rule at the far switch.  The fabric adds such
-        # hops up without an event of their own (DESIGN.md §10), so the
-        # flag is re-derived by every write that can change it, and a
-        # link that stops being quiet tells the topology.
+        # Whether a packet crossing now can only be delayed by a constant
+        # — the link is *steady*: cable up and not routed around, no
+        # deadlock / corruption / silent-drop rule, PFC healthy, no ACL
+        # rule at the far switch, and a fluid queue that cannot move
+        # (idle, fed at exactly line rate, or overfed and full).  The
+        # fabric adds such hops up without an event of their own
+        # (DESIGN.md §10); ``quiet_wait_ns`` is what a RoCE packet then
+        # pays on top of ``base_delay_ns``: standing queue plus pause
+        # pressure.  Both are re-derived after every write, and the
+        # topology hears *before* one that changes what a quiet link tells
+        # a packet, while the constants are still those lookahead used.
         self.quiet = True
-        # The part of ``quiet`` that is about drops: no rule on this hop
-        # can lose the packet, it can only be queued or paused.
-        self.lossless = True
-        self._on_unquiet: Optional[Callable[[], None]] = None
+        self.quiet_wait_ns = 0
+        self._on_disturb: Optional[Callable[[], None]] = None
 
         # Counters for assertions and SLA accounting
         self.packets_forwarded = 0
@@ -284,23 +290,35 @@ class DirectedLink:
         # CRC error counter, as a switch would expose for this port.
         self.crc_errors = 0
 
+    def _before_write(self) -> None:
+        if self.quiet and self._on_disturb is not None:
+            self._on_disturb()
+
     def _refresh_quiet(self) -> None:
         pair = self.pair
         acl = self.dst_acl
-        self.lossless = lossless = (
+        queue = self._queue_bytes
+        net_gbps = self.offered_load_gbps - self.rate_gbps
+        self.quiet = (
             pair._up and not pair._routed_around
             and not self._pfc_deadlocked
             and self._corruption_drop_prob <= 0
             and self._silent_drop_predicate is None
             and self._pfc_enabled and self._pfc_headroom_ok
-            and (acl is None or not acl.rule_count))
-        quiet = (lossless and self.offered_load_gbps == 0.0
-                 and self._queue_bytes == 0.0 and self._pause_delay_ns == 0)
-        if quiet == self.quiet:
-            return
-        self.quiet = quiet
-        if not quiet and self._on_unquiet is not None:
-            self._on_unquiet()
+            and (acl is None or not acl.rule_count)
+            # The three states advance_queue leaves exactly as they are.
+            and (queue == 0.0 if net_gbps < 0
+                 else queue == self.buffer_bytes if net_gbps > 0
+                 else 0.0 <= queue <= self.buffer_bytes))
+        self.quiet_wait_ns = (round(queue * 8.0 / self.rate_gbps)
+                              + self._pause_delay_ns)
+
+    def _write(self, attr: str, value) -> None:
+        """One write to what a packet is told here (a no-op returns early)."""
+        if getattr(self, attr) != value:
+            self._before_write()
+            setattr(self, attr, value)
+            self._refresh_quiet()
 
     @property
     def corruption_drop_prob(self) -> float:
@@ -309,8 +327,7 @@ class DirectedLink:
 
     @corruption_drop_prob.setter
     def corruption_drop_prob(self, value: float) -> None:
-        self._corruption_drop_prob = value
-        self._refresh_quiet()
+        self._write("_corruption_drop_prob", value)
 
     @property
     def silent_drop_predicate(self) -> Optional[Callable[[FiveTuple], bool]]:
@@ -320,8 +337,7 @@ class DirectedLink:
     @silent_drop_predicate.setter
     def silent_drop_predicate(
             self, value: Optional[Callable[[FiveTuple], bool]]) -> None:
-        self._silent_drop_predicate = value
-        self._refresh_quiet()
+        self._write("_silent_drop_predicate", value)
 
     @property
     def pfc_enabled(self) -> bool:
@@ -330,8 +346,7 @@ class DirectedLink:
 
     @pfc_enabled.setter
     def pfc_enabled(self, value: bool) -> None:
-        self._pfc_enabled = value
-        self._refresh_quiet()
+        self._write("_pfc_enabled", value)
 
     @property
     def pfc_headroom_ok(self) -> bool:
@@ -340,8 +355,7 @@ class DirectedLink:
 
     @pfc_headroom_ok.setter
     def pfc_headroom_ok(self, value: bool) -> None:
-        self._pfc_headroom_ok = value
-        self._refresh_quiet()
+        self._write("_pfc_headroom_ok", value)
 
     @property
     def pfc_deadlocked(self) -> bool:
@@ -350,8 +364,7 @@ class DirectedLink:
 
     @pfc_deadlocked.setter
     def pfc_deadlocked(self, value: bool) -> None:
-        self._pfc_deadlocked = value
-        self._refresh_quiet()
+        self._write("_pfc_deadlocked", value)
 
     @property
     def pause_delay_ns(self) -> int:
@@ -360,8 +373,7 @@ class DirectedLink:
 
     @pause_delay_ns.setter
     def pause_delay_ns(self, value: int) -> None:
-        self._pause_delay_ns = value
-        self._refresh_quiet()
+        self._write("_pause_delay_ns", value)
 
     @property
     def queue_bytes(self) -> float:
@@ -370,8 +382,7 @@ class DirectedLink:
 
     @queue_bytes.setter
     def queue_bytes(self, value: float) -> None:
-        self._queue_bytes = value
-        self._refresh_quiet()
+        self._write("_queue_bytes", value)
 
     @property
     def name(self) -> str:
@@ -388,21 +399,22 @@ class DirectedLink:
         if dt <= 0:
             return
         net_gbps = self.offered_load_gbps - self.rate_gbps
+        before = self._queue_bytes
+        limit = float(self.buffer_bytes)
         # Gbps == bits/ns, so bytes delta = net * dt / 8.
-        queue_bytes = self._queue_bytes + net_gbps * dt / 8.0
-        self._queue_bytes = queue_bytes = min(max(queue_bytes, 0.0),
-                                              float(self.buffer_bytes))
+        self._queue_bytes = queue_bytes = min(
+            max(before + net_gbps * dt / 8.0, 0.0), limit)
         self._queue_updated_ns = now_ns
-        if queue_bytes == 0.0 and not self.quiet:
-            self._refresh_quiet()      # a backlog that has drained
+        if queue_bytes != before and (queue_bytes == 0.0
+                                      or queue_bytes == limit):
+            self._refresh_quiet()      # a backlog that has drained, or filled
 
     def set_offered_load(self, now_ns: int, load_gbps: float) -> None:
         """Update the fluid background load (traffic layer hook)."""
         if load_gbps < 0:
             raise ValueError(f"load must be non-negative: {load_gbps}")
         self.advance_queue(now_ns)
-        self.offered_load_gbps = load_gbps
-        self._refresh_quiet()
+        self._write("offered_load_gbps", load_gbps)
 
     def utilization(self) -> float:
         """Offered load over capacity (may exceed 1.0 when congested)."""
@@ -411,14 +423,15 @@ class DirectedLink:
     def queue_delay_ns(self, now_ns: int) -> int:
         """Queue wait a packet entering now would experience."""
         if self.quiet:
-            # Idle queue: nothing to integrate.  (Also keeps a lookahead
-            # caller's future ``now_ns`` out of the integration clock.)
-            return 0
+            # Steady queue: integrating it is an exact no-op.  (Also keeps a
+            # lookahead caller's future ``now_ns`` out of the integration
+            # clock, which is therefore as old as the last write.)
+            return self.quiet_wait_ns - self._pause_delay_ns
         self.advance_queue(now_ns)
         return round(self._queue_bytes * 8.0 / self.rate_gbps)
 
     def base_delay_ns(self, size_bytes: int) -> int:
-        """Propagation + serialization: all a quiet link costs a packet."""
+        """Propagation + serialization: all an idle link costs a packet."""
         delay = self._base_delay_ns.get(size_bytes)
         if delay is None:
             delay = self._base_delay_ns[size_bytes] = (
@@ -436,19 +449,15 @@ class DirectedLink:
         """
         delay = self.base_delay_ns(size_bytes)
         if roce_queue:
-            if self.offered_load_gbps == 0.0 and self._queue_bytes == 0.0:
-                # Idle fluid queue: integrating it is a no-op and the queue
-                # delay is exactly round(0) — skip both.
-                self._queue_updated_ns = max(self._queue_updated_ns, now_ns)
-                return delay + self._pause_delay_ns
             delay += self.queue_delay_ns(now_ns) + self._pause_delay_ns
         return delay
 
     def congestion_drop_prob(self, now_ns: int) -> float:
         """Probability a packet is dropped by a *lossy* saturated queue.
 
-        Zero whenever PFC is healthy (lossless), or the queue is not full.
-        With PFC unconfigured/mis-headroomed (fault #9), overload spills.
+        Zero whenever PFC is healthy (pause, never drop), or the queue is
+        not full.  With PFC unconfigured/mis-headroomed (fault #9),
+        overload spills.
         """
         if self._pfc_enabled and self._pfc_headroom_ok:
             return 0.0
@@ -479,8 +488,9 @@ class Topology:
         # (node, dst) -> filtered ECMP candidates, valid for the current
         # route tables + routed_around flags.
         self._next_hop_memo: dict[tuple[str, str], list[str]] = {}
-        # The fabric's hook: called when a hop stops being quiet or routes
-        # change, i.e. whenever lookahead already done may no longer hold.
+        # The fabric's hook: called before a write changes what a quiet hop
+        # tells a packet and when routes change, i.e. whenever lookahead
+        # already done may no longer hold.
         self.on_disturb: Optional[Callable[[], None]] = None
 
     def _disturbed(self) -> None:
@@ -497,8 +507,14 @@ class Topology:
         self._disturbed()
 
     def _acl_changed(self, switch: str) -> None:
-        for neighbor in self._adjacency[switch]:
-            self.links[(neighbor, switch)]._refresh_quiet()
+        # After the edit, but before any flag moves: rules are nothing the
+        # take-back reads.
+        inbound = [self.links[(neighbor, switch)]
+                   for neighbor in self._adjacency[switch]]
+        for link in inbound:
+            link._before_write()
+        for link in inbound:
+            link._refresh_quiet()
 
     # -- construction -----------------------------------------------------
 
@@ -538,7 +554,7 @@ class Topology:
                 src, dst, pair, rate_gbps=rate_gbps,
                 propagation_ns=propagation_ns, buffer_bytes=buffer_bytes,
                 dst_acl=far.acl if far.is_switch else None)
-            link._on_unquiet = self._disturbed
+            link._on_disturb = self._disturbed
             link._refresh_quiet()
             self.links[(src, dst)] = link
             self._adjacency[src].append(dst)

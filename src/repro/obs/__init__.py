@@ -124,6 +124,11 @@ class Observability:
             help="in-flight packets whose lookahead a mid-flight fault, "
                  "load or route write took back for per-hop evaluation"
         ).value = fabric.walker_demotions
+        self.metrics.counter(
+            "repro_fabric_hops_evaluated_total",
+            help="hops that left the fast path: not quiet when the packet "
+                 "got there, so the rule chain ran at an event of their own"
+        ).value = fabric.hops_evaluated
         rnics = cluster.all_rnics()
         self.metrics.gauge(
             "repro_host_steps_planned",

@@ -26,9 +26,10 @@ so they are refused; format 3 files hold ``Rnic._wire_departure`` /
 ``Agent._post_ack1`` events and ``send_roles`` tables that host lookahead
 (DESIGN.md §10) no longer has; format 4 files hold a ``FaultManager``
 without its identity table, so an ``/inject`` after restore would build a
-second instance of a fault the campaign already armed.  (The ``v1`` in the
-magic line names the container layout — magic, JSON line, zlib pickle —
-which has not changed.)
+second instance of a fault the campaign already armed; format 5 files hold
+``DirectedLink``s without ``quiet_wait_ns``, the constant the walker adds
+up over a loaded hop.  (The ``v1`` in the magic line names the container
+layout — magic, JSON line, zlib pickle — which has not changed.)
 
 Also a tiny CLI, used by tests to prove *cross-process* restore::
 
@@ -48,7 +49,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 5
+FORMAT = 6
 
 
 class CheckpointError(RuntimeError):

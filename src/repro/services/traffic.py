@@ -72,11 +72,10 @@ class TrafficEngine:
 
         for key, load in demand.items():
             link = topo.links[key]
-            link.set_offered_load(now, load)
+            # Congestion: CC caps arrivals at capacity but leaves its
+            # characteristic standing queue (tail-RTT signature).
+            link.set_offered_load(now, min(load, link.rate_gbps))
             if load > link.rate_gbps:
-                # Congestion: CC caps arrivals at capacity but leaves its
-                # characteristic standing queue (tail-RTT signature).
-                link.set_offered_load(now, link.rate_gbps)
                 link.queue_bytes = self.cc.congested_queue_fill \
                     * link.buffer_bytes
             self._touched.add(key)

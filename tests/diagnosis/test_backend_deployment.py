@@ -8,6 +8,7 @@ from repro.core.system import RPingmesh
 from repro.diagnosis.bakeoff import (case_by_label, int_verdict_loci, record,
                                      run_case)
 from repro.fleet.presets import SMALL, TINY
+from repro.fleet.spec import FaultEvent, build_world
 from repro.net.faults import FaultManager, LinkOverload
 from repro.sim.units import seconds
 
@@ -116,3 +117,21 @@ class TestPingmeshBackend:
         assert outcome.verdict_locus == "host0"
         assert report.probe_packets > 0      # real TCP probes on the wire
         assert report.telemetry_bytes == 0
+
+    def test_a_window_judges_the_probes_that_completed_in_it(self):
+        """Every window after the first, too: a host that dies at 45 s is
+        named by the window closing at 60 s.  (One running cursor over the
+        agent-major concatenation of all results handed each later window
+        mostly old results of the last agents: named at 100 s.)"""
+        cluster, system, _, _ = build_world(
+            SMALL, seed=0,
+            config=RPingmeshConfig(backends=("probe", "pingmesh")),
+            campaign=(FaultEvent.make("host_down", "host3", start_s=45),))
+        system.run(seconds(60))
+        backend = system.backends["pingmesh"]
+        assert [(v.category, v.locus, v.detected_at_ns, v.window_start_ns)
+                for v in backend.verdicts()] == [
+            ("host_down", "host3", seconds(60), seconds(40))]
+        cost = backend.cost()
+        assert cost.events_observed == len(backend.pingmesh.all_results())
+        assert cost.probe_packets == 2 * cost.events_observed

@@ -425,6 +425,13 @@ class _World:
             link.pair.up = undo
         elif kind == "link_corrupt":
             link.corruption_drop_prob = 0.0 if undo else 0.5
+        elif kind == "link_load" and write["fraction"] < 0.4:
+            # The standing queue TrafficEngine.apply leaves on an overloaded
+            # link: as constant as an idle one, so a step planned ahead
+            # starts its walk over a loaded first hop.
+            link.set_offered_load(self.sim.now,
+                                  0.0 if undo else link.rate_gbps)
+            link.queue_bytes = 0.0 if undo else 0.02 * link.buffer_bytes
         elif kind == "link_load":
             link.set_offered_load(self.sim.now,
                                   0.0 if undo else 1.2 * link.rate_gbps)

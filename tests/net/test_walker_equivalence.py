@@ -3,24 +3,54 @@
 ``Fabric`` used to schedule one event per hop and apply every drop rule at
 each (``_forward``).  The lookahead walker adds the delays of consecutive
 *quiet* hops up and schedules one event where the run of quiet hops ends;
-writes that land while a packet is in flight take its unreached lookahead
-back.  Its contract is *exact* equivalence, so this harness drives both
-with the same randomized, seeded script — random Clos shapes, background
-loads, and fault / load / pause / ACL / route writes timed to land
-mid-flight, a third of them at the very nanosecond a packet enters a hop —
-and requires identical observable results.  A quarter of the sends reach the
-lookahead walker early, through ``inject(..., at_ns)``, and some of those are
-withdrawn again and sent by an event after all; the per-hop walker sends
-every one of them by an event at its instant.  Compared:
+before a write changes what a quiet link tells a packet, the lookahead
+in-flight packets have not reached is taken back.  Its contract is *exact*
+equivalence, so this harness drives both with the same randomized, seeded
+script — random Clos shapes, background loads, and fault / load / pause /
+ACL / route writes timed to land mid-flight, a third of them at the very
+nanosecond a packet enters a hop — and requires identical observable
+results.  A quarter of the sends reach the lookahead walker early, through
+``inject(..., at_ns)``, and some of those are withdrawn again and sent by an
+event after all; the per-hop walker sends every one of them by an event at
+its instant.  Compared:
 
 * delivery time and ``DeliveryRecord.path`` of every packet;
 * every ``DropRecord`` (time, reason, link, node);
 * per-link ``packets_forwarded`` and ``crc_errors``, at the end and at
   cuts taken while packets are in flight;
 * the fabric RNG stream's draw count and state;
-* with an INT collector installed, every stamp it folded.
+* with an INT collector installed, every stamp it folded;
+
+and the lookahead walker's results once more with PoolSan armed.
 
 ``_PerHopFabric`` below is a faithful port of the pre-lookahead walker.
+
+Quiet means *steady*, not idle: a link fed at exactly line rate with a
+standing queue, or overfed with a full one behind healthy PFC, costs a
+constant too, and that constant is something writes change.  So besides the
+sprayed writes every script aims a second batch at a link some packet has
+looked ahead over **that is not the last hop of its plan** — later hops'
+entry times hang on the constant being rewritten — ahead of the packet, at
+its entry nanosecond, or just behind it: ``standing`` (exactly what
+``TrafficEngine.apply`` does on a healthy-PFC link), ``saturate`` (1.5 x
+rate: moving until the buffer has filled, steady after; a second wave of
+sends crosses it then), steady -> steady rewrites (``repause`` A -> B,
+``reload`` A -> B below rate, ``refill`` x -> y) and ``spill`` (a full
+overfed queue loses PFC).  Over the 60 scripts packets look ahead over some
+2,300 loaded, 1,300 paused, 1,900 standing-queue and 160 full-queue hops; 25
+queues fill and 68 drain with the flag flipping inside ``advance_queue``.
+
+Each before-write demotion has scripts that fail when it is deleted —
+checked by hand, once, keeping the write and its ``_refresh_quiet()`` but
+dropping the ``_before_write()`` in front, over seeds 0-59:
+``offered_load_gbps`` 21 seeds fail, ``queue_bytes`` 22, ``pause_delay_ns``
+26, ``corruption_drop_prob`` 1, ``silent_drop_predicate`` 1, ``pfc_enabled``
+3, ``pfc_headroom_ok`` 3, ``pfc_deadlocked`` 1, ``LinkPair.up`` 5, ACL edits
+3; the line that forgets a packet's *entered* lookahead when a demotion finds
+nothing to take back (its entry times would be recomputed from rewritten
+constants by the next one) 2; none deleted, 0.  ``routed_around`` has no
+demotion of its own to delete: the route change it announces takes lookahead
+back, as ``invalidate_routes`` does.
 
 Tie rule (pinned by ``TestTieRule``): a write at the nanosecond a packet
 enters a looked-ahead hop applies to that hop.  The per-hop walker ordered
@@ -37,10 +67,14 @@ different moments (per hop vs per run of quiet hops; a demotion re-queues).
 About one random script in two thousand trips on that; the seeds below do
 not.  A seed that fails only there is ambiguous, not wrong.
 
-Not covered on purpose: poking ``link.queue_bytes`` directly on an idle
-link.  How such a backlog drains depends on when the queue was last
-integrated, which the per-hop walker advanced on every traversal; only
-tests use that backdoor, always at time zero.
+Not covered on purpose: poking ``link.queue_bytes`` directly, with no
+``set_offered_load(now, ...)`` in front of it, on any *steady* link — idle
+or loaded.  How such a backlog moves depends on when the queue was last
+integrated; the per-hop walker advanced that clock on every traversal,
+while a steady link's ``_queue_updated_ns`` is as old as the last write
+(there is nothing to integrate, and lookahead must not integrate toward a
+future instant).  ``TrafficEngine.apply``, the one writer outside tests,
+always integrates first; tests that use the backdoor do so at time zero.
 """
 
 import random
@@ -48,6 +82,7 @@ from functools import partial
 
 import pytest
 
+from repro.analysis.sanitize import PoolSanitizer
 from repro.diagnosis.inband import IntCollector
 from repro.net.addresses import FiveTuple, PROTO_TCP, roce_five_tuple
 from repro.net.clos import ClosParams, build_clos
@@ -58,9 +93,13 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 
 PROBE_BYTES = 108
+# Writes to steady loaded links per script, and the second wave of sends.
+STEADY_WRITES = 14
+LATE_PACKETS = 30
+LATE_NS = 700_000
 # Past the last delivery of any script: a full 16 MB queue holds a packet
-# for ~335 us.
-HORIZON_NS = 2_000_000
+# for ~335 us, and a path has at most six hops.
+HORIZON_NS = 4_000_000
 
 
 class _PerHopFabric(Fabric):
@@ -182,6 +221,25 @@ class _Script:
                       for key in rng.sample(links, k=len(links) // 6)]
         self.sends = []
         arrivals = []
+        # (link, its entry ns, the delivery ns, which hop) of every hop a
+        # packet looks ahead over that is not the last of its plan, on a
+        # quiet path.
+        inner_hops = []
+
+        def quiet_walk(at, src, dst, sport):
+            five_tuple = roce_five_tuple(ips[src], ips[dst], sport)
+            t = at
+            path = world.fabric.path_of(five_tuple, src)
+            entries = []
+            for link in world.fabric.links_of_path(path):
+                entries.append(((link.src, link.dst), t))
+                t += link.base_delay_ns(PROBE_BYTES)
+                if link.dst_acl is not None:
+                    t += SWITCH_FORWARD_LATENCY_NS
+            inner_hops.extend((key, entry, t, n)
+                              for n, (key, entry) in enumerate(entries[:-1]))
+            return [entry for _, entry in entries] + [t]
+
         for _ in range(packets):
             src, dst = rng.sample(ports, 2)
             at = rng.randrange(span_ns)
@@ -192,16 +250,22 @@ class _Script:
                 dst = None            # an address nobody registered
             self.sends.append((at, src, dst, sport, ttl, tcp))
             if dst is not None and not tcp:
-                five_tuple = roce_five_tuple(ips[src], ips[dst], sport)
-                t = at
-                path = world.fabric.path_of(five_tuple, src)
-                for link in world.fabric.links_of_path(path):
-                    arrivals.append(t)
-                    t += link.base_delay_ns(PROBE_BYTES)
-                    if link.dst_acl is not None:
-                        t += SWITCH_FORWARD_LATENCY_NS
-                arrivals.append(t)
+                arrivals.extend(quiet_walk(at, src, dst, sport))
         self.cuts = sorted(rng.sample(arrivals, k=6))
+        # Everything about *steady* loaded links comes from a stream of its
+        # own, after the draws above, for the same reason as the leads below.
+        steady = random.Random(f"steady-{seed}")
+        # A second wave, sent once a link saturated in the first has filled.
+        for _ in range(LATE_PACKETS):
+            src, dst = steady.sample(ports, 2)
+            at = LATE_NS + steady.randrange(span_ns)
+            sport = steady.randrange(5000, 5016)
+            self.sends.append((at, src, dst, sport, 64, False))
+            quiet_walk(at, src, dst, sport)
+        self.cuts = sorted(self.cuts + [
+            steady.randrange(lo, hi) for lo, hi in
+            ((0, 300_000), (0, 300_000), (LATE_NS, LATE_NS + 300_000),
+             (LATE_NS, LATE_NS + 300_000))])
         # How early each send is handed to inject(at_ns=), and whether it is
         # withdrawn halfway there.  Drawn from a stream of their own so the
         # scripts above are the ones this file has always run.
@@ -224,6 +288,33 @@ class _Script:
             undo_after = rng.choice((None, 700, 3_000, 15_000))
             self.writes.append((at, kind, link, rng.choice(switches),
                                 rng.choice(ports), rng.random(), undo_after))
+        # Writes to what a steady link tells a packet, aimed at an inner hop
+        # of some packet's plan — later hops' entry times hang on it — while
+        # it is still ahead of the packet, at its entry nanosecond, or just
+        # behind it (the packet is past, the rest of its plan is not).
+        for _ in range(STEADY_WRITES):
+            link, entry, delivery, nth = steady.choice(inner_hops)
+            aim = steady.random()
+            if aim < 0.3:
+                at = entry
+            elif aim < 0.7:
+                at = max(0, entry - steady.randrange(1, 3_000))
+            else:
+                at = steady.randrange(entry, delivery)
+            # Not a drawing rule on a first hop: packets sent at the same
+            # nanosecond would draw in event order (see above).
+            kind = steady.choice(("standing", "saturate", "repause", "reload",
+                                  "refill", "spill" if nth else "standing"))
+            if kind == "saturate":
+                undo_after = steady.choice((None, 15_000, LATE_NS + 200_000))
+            elif kind == "standing":
+                undo_after = steady.choice((None, 700, 3_000, 15_000))
+            else:
+                # A -> B: the aimed write is the second of the pair.
+                undo_after = steady.choice((700, 3_000, 15_000))
+                at = max(0, at - undo_after)
+            self.writes.append((at, kind, link, switches[0], ports[0],
+                                steady.random(), undo_after))
 
 
 def _apply(world, kind, link_key, switch, port, x, undo):
@@ -247,6 +338,31 @@ def _apply(world, kind, link_key, switch, port, x, undo):
         link.queue_bytes = 0.0 if undo else float(link.buffer_bytes)
     elif kind == "load":
         link.set_offered_load(now, 0.0 if undo else 100.0 + 400.0 * x)
+    elif kind == "standing":
+        # Exactly what TrafficEngine.apply does to an overloaded link with
+        # PFC healthy: arrivals capped at capacity, a fixed standing queue.
+        link.set_offered_load(now, 0.0 if undo else link.rate_gbps)
+        link.queue_bytes = 0.0 if undo else x ** 3 * link.buffer_bytes
+    elif kind == "saturate":
+        # Moving until the buffer is full (16 MB at 200 Gbps net = 640 us),
+        # steady after; taken back, moving again until it has drained.
+        link.set_offered_load(now, 0.0 if undo else 1.5 * link.rate_gbps)
+    # Steady -> steady: A first, then (as the "undo") B.
+    elif kind == "repause":
+        link.pause_delay_ns = 1 + int(5_000 * (1.0 - x if undo else x))
+    elif kind == "reload":
+        link.set_offered_load(
+            now, (0.1 + 0.8 * (1.0 - x if undo else x)) * link.rate_gbps)
+    elif kind == "refill":
+        link.set_offered_load(now, link.rate_gbps)
+        link.queue_bytes = (1.0 - x if undo else x) ** 3 * link.buffer_bytes
+    elif kind == "spill":
+        # Overfed and full, which PFC makes a constant — until it is gone.
+        if undo:
+            link.pfc_enabled = False
+        else:
+            link.set_offered_load(now, 1.5 * link.rate_gbps)
+            link.queue_bytes = float(link.buffer_bytes)
     elif kind == "pause":
         link.pause_delay_ns = 0 if undo else 1 + int(5_000 * x)
     elif kind == "acl":
@@ -269,7 +385,7 @@ def _apply(world, kind, link_key, switch, port, x, undo):
 class _World:
     """A fabric of the given class over a Clos of the given shape."""
 
-    def __init__(self, params, seed, fabric_cls):
+    def __init__(self, params, seed, fabric_cls, sanitizer=None):
         self.topo = build_clos(params).topology
         # Every cable its own length: with build_clos's uniform 500 ns two
         # packets injected a whole number of hop delays apart meet at the
@@ -279,9 +395,10 @@ class _World:
         lengths = random.Random(seed)
         for key in sorted(self.topo.links):
             self.topo.links[key].propagation_ns = lengths.randrange(300, 900)
-        self.sim = Simulator(seed=0)
+        self.sim = Simulator(seed=0, sanitizer=sanitizer)
         self.fabric = fabric_cls(self.sim, self.topo,
-                                 RngStream(seed, "fabric"))
+                                 RngStream(seed, "fabric"),
+                                 sanitizer=sanitizer)
         self.ports = self.topo.host_ports()
         self.ips = {port: f"10.0.{i // 200}.{i % 200 + 1}"
                     for i, port in enumerate(self.ports)}
@@ -373,8 +490,8 @@ class _World:
         return out
 
 
-def _run(script, fabric_cls):
-    world = _World(script.params, script.seed, fabric_cls)
+def _run(script, fabric_cls, sanitizer=None):
+    world = _World(script.params, script.seed, fabric_cls, sanitizer)
     world.play(script)
     snapshots = []
     for cut in script.cuts:
@@ -398,6 +515,10 @@ def test_lookahead_walker_matches_per_hop_walker(seed):
                 f"seed {seed}: {key} diverged at t={want['now']}")
     assert not walker.fabric.packets_in_flight
     assert not reference.fabric.walker_demotions
+    # PoolSan armed: the same results, every transit and event accounted for.
+    sanitizer = PoolSanitizer()
+    assert _run(script, Fabric, sanitizer)[1] == actual
+    assert sanitizer.report() == []
 
 
 def test_scripts_reach_every_ending_and_demote_in_flight():
@@ -412,9 +533,9 @@ def test_scripts_reach_every_ending_and_demote_in_flight():
     assert reasons == set(DropReason)
     assert demotions > 100
     assert delivered > 1_000
-    # 60 scripts x (120 sends + <= 80 writes): under 3 hop events a packet,
-    # where the per-hop walker took one per hop.
-    assert events < 60 * (200 + 120 * 3)
+    # 60 scripts x (150 sends + <= 108 writes): under 3 hop events a
+    # packet, where the per-hop walker took one per hop.
+    assert events < 60 * (258 + 150 * 3)
 
 
 # -- the tie rule ---------------------------------------------------------------------

@@ -129,6 +129,7 @@ class TestWalkerSeries:
         snap = obs.metrics.snapshot()
         assert snap["repro_fabric_packets_in_flight"] == 1
         assert snap["repro_fabric_walker_demotions_total"] == 0
+        assert snap["repro_fabric_hops_evaluated_total"] == 0
         tiny_clos.sim.run_for(700)
         path = fabric.path_of(five_tuple, a.name)
         tiny_clos.topology.link(path[-2], path[-1]).corruption_drop_prob = 1.0
@@ -136,6 +137,8 @@ class TestWalkerSeries:
         snap = obs.metrics.snapshot()
         assert snap["repro_fabric_packets_in_flight"] == 0
         assert snap["repro_fabric_walker_demotions_total"] == 1
+        # The one hop that left the fast path: the corrupting last one.
+        assert snap["repro_fabric_hops_evaluated_total"] == 1
         assert snap['repro_fabric_drops_total{reason="corruption"}'] == 1
 
     def test_host_steps_planned_gauge_and_demotion_counter(self, tiny_clos):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fleet.spec import FaultEvent
 from repro.serve import (CheckpointError, ServeSession, ServeSpec,
                          load_checkpoint, read_metadata, save_checkpoint)
 from repro.serve.checkpoint import MAGIC
@@ -94,6 +95,52 @@ class TestRestoreDeterminism:
         assert restored.cluster.fabric.packets_delivered \
             == fabric.packets_delivered > 0
 
+    def test_cut_with_a_packet_in_lookahead_flight_over_a_loaded_hop(
+            self, tmp_path):
+        """The same cut where a looked-ahead hop is *loaded*: 520 Gbps on
+        a 400 Gbps link behind healthy PFC fills the buffer in 1.1 ms and
+        is a constant from then on (335 us a packet) that the plan has
+        already added up.  The constant rides in the pickle beside the
+        link's ``quiet`` flag, and a load write after the restore still
+        takes the restored packet's lookahead back."""
+        overload = FaultEvent.make("link_overload", "host0-rnic0",
+                                   "pod0-tor0", start_s=0, extra_gbps=520.0)
+        session = ServeSession(ServeSpec(seed=7, tick_ns=50_000,
+                                         campaign=(overload,)))
+        fabric = session.cluster.fabric
+
+        def crossing(world):
+            link = world.cluster.topology.link("host0-rnic0", "pod0-tor0")
+            return link, [
+                t for t in world.cluster.fabric._in_flight.values()
+                if link in t.path.hops[t.look_idx:t.idx]]
+
+        for _ in range(400_000):
+            session.tick()
+            link, looking = crossing(session)
+            if looking:
+                break
+        else:
+            pytest.fail("no tick boundary caught a packet mid-lookahead")
+        assert link.quiet and link.queue_bytes == link.buffer_bytes
+        assert link.quiet_wait_ns == round(link.buffer_bytes * 8 / 400.0)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(session, path)
+        restored = load_checkpoint(path)
+        for twin in (session, restored):
+            twin.cluster.sim.run_for(6 * 10 ** 9)
+        assert restored.replay_digest() == session.replay_digest()
+        assert restored.cluster.fabric.packets_delivered \
+            == fabric.packets_delivered > 0
+        # And a third copy, where the load goes away mid-plan: the packets
+        # stay in the queue they stand in and give the rest of the plan back.
+        relieved = load_checkpoint(path)
+        link, looking = crossing(relieved)
+        assert looking and not relieved.cluster.fabric.walker_demotions
+        link.set_offered_load(relieved.cluster.sim.now, 0.0)
+        assert relieved.cluster.fabric.walker_demotions >= len(looking)
+        assert not link.quiet and not crossing(relieved)[1]
+
     def test_cut_with_host_steps_planned_and_not_yet_due(self, tmp_path):
         """The hardest cut for host lookahead: a first ACK posted for an
         instant still to come, its departure, the second ACK chained behind
@@ -153,7 +200,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 5
+        assert meta["format"] == 6
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -172,12 +219,13 @@ class TestFileFormat:
         state, a v2 one the pre-gather/conclude Analyzer and the
         registry-backed EndpointStats, a v3 one per-event wire departures
         and the Agent's ``send_roles``, a v4 one a FaultManager with no
-        identity table; resuming any of them under this code would
-        diverge silently or fail to unpickle."""
+        identity table, a v5 one links without the constant a loaded hop
+        costs; resuming any of them under this code would diverge
+        silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4):
+        for old in (1, 2, 3, 4, 5):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
