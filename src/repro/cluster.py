@@ -49,7 +49,7 @@ class Cluster:
         self.traceroute = TracerouteService(self.fabric)
         self.hosts: dict[str, Host] = {}
         self._rnics: dict[str, Rnic] = {}
-        self._rnic_host: dict[str, str] = {}
+        self.host_name_of: dict[str, str] = {}    # RNIC name -> host name
         # The simulated TCP management network, set by RPingmesh when it
         # deploys (None until then).  Fault drills reach it through here.
         self.management = None
@@ -71,7 +71,7 @@ class Cluster:
             self.hosts[host_name] = host
             for rnic in host.rnics:
                 self._rnics[rnic.name] = rnic
-                self._rnic_host[rnic.name] = host_name
+                self.host_name_of[rnic.name] = host_name
 
     # -- construction ---------------------------------------------------------
 
@@ -116,7 +116,7 @@ class Cluster:
 
     def host_of_rnic(self, rnic_name: str) -> Host:
         """The host owning an RNIC."""
-        return self.hosts[self._rnic_host[rnic_name]]
+        return self.hosts[self.host_name_of[rnic_name]]
 
     def rnic_names(self) -> list[str]:
         """All RNIC names, sorted."""

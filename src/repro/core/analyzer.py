@@ -29,7 +29,10 @@ last window through a strict classification pipeline:
 The pipeline runs as two stages (DESIGN.md §11).  :meth:`Analyzer.gather`
 turns one window's uploads into a :class:`WindowEvidence` — everything
 above that needs raw ``ProbeResult``s, with Algorithm 1's votes left as
-*ungated* tallies.  :meth:`Analyzer.conclude` turns a list of evidence
+*ungated* tallies.  It reads each result once: one fold collects what
+steps 3-7 need and settles steps 1-2, and the steps themselves run over
+the timeouts (and the few high-RTT results) alone.
+:meth:`Analyzer.conclude` turns a list of evidence
 parts into the window's verdicts: every field of the evidence merges over
 disjoint parts (sets union, counts and votes sum, sketches merge), so the
 single Analyzer is the one-part case and the sharded root
@@ -39,7 +42,7 @@ same code.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
@@ -55,6 +58,7 @@ from repro.core.records import (AgentUpload, Priority, Problem,
 from repro.core.sla import SlaHistory, SlaReport
 from repro.diagnosis.fusion import FusionReport, fuse_window
 from repro.diagnosis.inband import merge_link_evidence
+from repro.net.traceroute import PathRecord
 from repro.sim.sketch import QuantileSketch
 from repro.sim.stats import PercentileTracker
 
@@ -98,6 +102,13 @@ class SideTally:
     votes: Counter = field(default_factory=Counter)
     paths: int = 0
     anomalies: int = 0
+
+    @classmethod
+    def of(cls, anomalies: list[ProbeResult]) -> "SideTally":
+        """Algorithm 1 over the paths of these probes and their ACKs."""
+        loc = localize([r.probe_path for r in anomalies],
+                       [r.ack_path for r in anomalies])
+        return cls(loc.votes, loc.paths_considered, len(anomalies))
 
 
 @dataclass
@@ -146,6 +157,7 @@ class Analyzer:
     # the sharded root can answer the same names with per-shard sums.
     ingest_accepted = 0
     ingest_dropped = 0
+    ingest_duplicates = 0   # resends of a batch already taken (lost ack)
 
     def __init__(self, cluster: Cluster, controller: Controller,
                  config: RPingmeshConfig, *,
@@ -165,6 +177,9 @@ class Analyzer:
         self._upload_listeners: list = []
         self._window_listeners: list = []
         self._last_upload_ns: dict[str, int] = {}
+        # host -> uploaded_at_ns of the batches last accepted from it; a
+        # channel can only resend what its resend buffer still holds.
+        self._accepted_uploads: dict[str, deque[int]] = {}
         self._quarantined_until: dict[str, int] = {}
         # Rolling service-network membership from service-tracing paths.
         self._service_members: dict[str, int] = {}  # name -> last seen ns
@@ -224,12 +239,25 @@ class Analyzer:
         bounded (``analyzer_ingest_capacity`` batches per window): beyond
         it arrivals are refused and counted, which the upload channel
         surfaces as a NACK rather than retrying forever.  Even a refused
-        batch proves the host is alive, so the silence clock still resets.
+        batch proves the host is alive, so the silence clock still resets
+        (never backwards: a retry carries its first send's timestamp).
+        A batch whose ack was lost comes again: it is acked again, so the
+        channel stops resending, and counted — not ingested twice.
         """
-        self._last_upload_ns[batch.host] = batch.uploaded_at_ns
+        host, sent_at = batch.host, batch.uploaded_at_ns
+        self._last_upload_ns[host] = max(
+            self._last_upload_ns.get(host, sent_at), sent_at)
+        accepted = self._accepted_uploads.get(host)
+        if accepted is None:
+            accepted = self._accepted_uploads[host] = deque(
+                maxlen=self.config.upload_resend_buffer)
+        elif sent_at in accepted:
+            self.ingest_duplicates += 1
+            return True
         if len(self._pending) >= self.config.analyzer_ingest_capacity:
             self.ingest_dropped += 1
             return False
+        accepted.append(sent_at)
         self._pending.append(batch)
         self.ingest_accepted += 1
         for listener in self._upload_listeners:
@@ -255,25 +283,177 @@ class Analyzer:
         return self.conclude([self.gather()])
 
     def gather(self) -> WindowEvidence:
-        """Stage 1: drain the ingest queue into this window's evidence."""
+        """Stage 1: drain the ingest queue into this window's evidence.
+
+        One loop folds each result exactly once (DESIGN.md §11): side
+        totals, SLA samples, the per-host processing table, the high-RTT
+        and service-side results, ToR-mesh pair counts, and — steps 1-2
+        need nothing but the result — the timeouts still unexplained.
+        Every later step reads those timeouts only.  The fold is locals:
+        nothing of it outlives the call.
+        """
         now = self.cluster.sim.now
+        config = self.config
         evidence = WindowEvidence(
-            window_start_ns=now - self.config.analysis_period_ns,
+            window_start_ns=now - config.analysis_period_ns,
             window_end_ns=now)
         uploads, self._pending = self._pending, []
-        results = [r for batch in uploads for r in batch.results]
-        evidence.results_processed = len(results)
+        down_hosts = evidence.down_hosts = self._down_hosts(now)
+        report = evidence.sla = SlaReport(evidence.window_start_ns, now,
+                                          tracker=self._tracker)
+        # Pairs below are indexed by service_side: (cluster, service).
+        scopes = (report.cluster, report.service)
+        host_of = self.cluster.host_name_of
+        current_qpn = self.controller.current_qpn
+        high_rtt_ns = config.high_rtt_threshold_ns
 
-        evidence.down_hosts = self._down_hosts(now)
-        classification = self._classify(results, evidence, now)
-        self._emit_problems(results, classification, evidence, now)
+        totals, timed_out = [0, 0], [0, 0]
+        rtts, delays = ([], []), ([], [])     # one batch's SLA samples
+        # Host -> processing-delay samples, responder-side (probes the
+        # host answered) and prober-side (probes its own Agent sent):
+        # during a starvation episode the responder samples largely
+        # *disappear* into timeouts, while the prober-side ones remain
+        # plentiful and inflated — they are what convicts the CPU.
+        processing: dict[str, list[int]] = defaultdict(list)
+        high_rtt: list[ProbeResult] = []
+        service: list[ProbeResult] = []
+        # ToR-mesh (prober, target) -> [probes, timeouts], first seen first.
+        mesh: dict[tuple[str, str], list[int]] = {}
+        verdict: dict[int, ProblemCategory] = {}    # seq -> category
+        down_evidence: Counter = Counter()
+        unexplained: list[ProbeResult] = []     # timeouts past steps 1-2
+        for batch in uploads:
+            for r in batch.results:
+                kind = r.kind
+                side = kind is ProbeKind.SERVICE_TRACING
+                totals[side] += 1
+                if side:
+                    service.append(r)
+                target_host = host_of[r.target_rnic]
+                rtt = r.network_rtt_ns
+                responder = r.responder_processing_ns
+                prober = r.prober_processing_ns
+                if responder is not None:
+                    processing[target_host].append(responder)
+                if prober is not None:
+                    processing[r.prober_host].append(prober)
+                if rtt is not None and rtt > high_rtt_ns:
+                    high_rtt.append(r)
+                timeout = r.timeout
+                if timeout:
+                    timed_out[side] += 1
+                    # Step 1: host down.  Step 2: QPN reset noise.
+                    if target_host in down_hosts:
+                        verdict[r.seq] = ProblemCategory.HOST_DOWN
+                        down_evidence[target_host] += 1
+                        continue
+                    current = current_qpn(r.target_rnic)
+                    if current is not None and r.target_qpn != current:
+                        verdict[r.seq] = ProblemCategory.QPN_RESET
+                        evidence.qpn_reset_timeouts += 1
+                        continue
+                    unexplained.append(r)
+                else:
+                    if rtt is not None:
+                        rtts[side].append(float(rtt))
+                    if responder is not None:
+                        delays[side].append(float(responder))
+                    if prober is not None:
+                        delays[side].append(float(prober))
+                if kind is ProbeKind.TOR_MESH:
+                    pair = (r.prober_rnic, r.target_rnic)
+                    counts = mesh.get(pair)
+                    if counts is None:
+                        counts = mesh[pair] = [0, 0]
+                    counts[0] += 1
+                    counts[1] += timeout
+            for scope, rtt_samples, delay_samples in zip(scopes, rtts, delays):
+                scope.rtt.extend(rtt_samples)
+                scope.processing.extend(delay_samples)
+                rtt_samples.clear()
+                delay_samples.clear()
+        evidence.results_processed = sum(totals)
+
+        # Step 3: anomalous RNICs from ToR-mesh probing (iterative).
+        # (The ablation switch reproduces Pingmesh-style analysis where
+        # RNIC and switch drops interfere during troubleshooting, §2.4.)
+        anomalous = (self._detect_anomalous_rnics(mesh)
+                     if config.tor_mesh_rnic_filter_enabled else set())
+        # Step 4: agent-CPU false-positive filters (§6).
+        if config.cpu_fp_filter_enabled:
+            anomalous = self._filter_cpu_noise(anomalous, processing, evidence)
+        evidence.anomalous_rnics = anomalous
+        quarantined = self._quarantined_until
+        for rnic in anomalous:
+            quarantined[rnic] = max(quarantined.get(rnic, 0),
+                                    now + config.rnic_quarantine_ns)
+
+        # Quarantine attribution: timeouts to/from quarantined RNICs are
+        # RNIC problems for this window and the next minute (§5).  Then
+        # CPU-noise hosts: their residual timeouts are noise, not fabric.
+        rnic_timeouts: list[ProbeResult] = []
+        residual: list[ProbeResult] = []
+        noise_hosts = evidence.cpu_noise_hosts
+        for r in unexplained:
+            if (quarantined.get(r.prober_rnic, 0) >= r.issued_at_ns
+                    or quarantined.get(r.target_rnic, 0) >= r.issued_at_ns):
+                verdict[r.seq] = ProblemCategory.RNIC_PROBLEM
+                rnic_timeouts.append(r)
+            elif host_of[r.target_rnic] in noise_hosts:
+                verdict[r.seq] = ProblemCategory.AGENT_CPU_NOISE
+            else:
+                residual.append(r)
+        starved = (self._starved_hosts(residual, processing)
+                   if config.cpu_fp_filter_enabled else set())
+        noise_hosts |= starved
+        # Step 5: everything else is the switch network's fault.
+        fabric: tuple[list, list] = ([], [])
+        for r in residual:
+            if r.prober_host in starved or host_of[r.target_rnic] in starved:
+                verdict[r.seq] = ProblemCategory.AGENT_CPU_NOISE
+            else:
+                verdict[r.seq] = ProblemCategory.SWITCH_NETWORK_PROBLEM
+                fabric[r.kind is ProbeKind.SERVICE_TRACING].append(r)
+
+        # Host-down problems (non-network but reportable, Table 2 #4).
+        for host in sorted(down_hosts):
+            evidence.problems.append(Problem(
+                category=ProblemCategory.HOST_DOWN, locus=host,
+                detected_at_ns=now, window_start_ns=evidence.window_start_ns,
+                evidence_count=down_evidence[host],
+                from_service_tracing=False))
+        for rnic in sorted(anomalous):
+            hits = [r for r in rnic_timeouts
+                    if rnic in (r.prober_rnic, r.target_rnic)]
+            evidence.problems.append(Problem(
+                category=ProblemCategory.RNIC_PROBLEM, locus=rnic,
+                detected_at_ns=now, window_start_ns=evidence.window_start_ns,
+                evidence_count=len(hits),
+                from_service_tracing=any(
+                    r.kind is ProbeKind.SERVICE_TRACING for r in hits)))
+        # Algorithm 1 over the fabric-caused timeouts, per side, with no
+        # gate: conclude() applies it to the window-wide sum.
+        evidence.tallies = (SideTally.of(fabric[0]), SideTally.of(fabric[1]))
+        self._emit_latency_problems(high_rtt, processing, evidence, now)
         evidence.int_links = self._int_links(now)
-        evidence.sla = self._aggregate_sla(results, classification, evidence)
-        evidence.service_members = self._service_members_seen(results)
+
+        # Step 7: the SLA counts (the samples went in batch by batch).
+        service_rnic = sum(r.kind is ProbeKind.SERVICE_TRACING
+                           for r in rnic_timeouts)
+        rnic_side = (len(rnic_timeouts) - service_rnic, service_rnic)
+        for side, scope in enumerate(scopes):
+            scope.probes_total = totals[side]
+            scope.probes_ok = totals[side] - timed_out[side]
+            scope.timeouts_rnic = rnic_side[side]
+            scope.timeouts_switch = len(fabric[side])
+            scope.timeouts_non_network = (
+                timed_out[side] - scope.timeouts_rnic - scope.timeouts_switch)
+        evidence.service_members = self._service_members_seen(service)
         if self.tracer.enabled:
             evidence.verdicts = [
-                (r.seq, r.kind == ProbeKind.SERVICE_TRACING,
-                 classification.get(r.seq)) for r in results]
+                (r.seq, r.kind is ProbeKind.SERVICE_TRACING,
+                 verdict.get(r.seq))
+                for batch in uploads for r in batch.results]
         return evidence
 
     def conclude(self, parts: list[WindowEvidence]) -> WindowAnalysis:
@@ -362,7 +542,7 @@ class Analyzer:
             listener(window)
         return window
 
-    # -- steps 1-4: timeout classification -------------------------------------------
+    # -- steps 1-4: what the fold leaves to decide ---------------------------------------
 
     def _down_hosts(self, now: int) -> set[str]:
         """Hosts whose Agent has stopped uploading (§5)."""
@@ -372,128 +552,29 @@ class Analyzer:
                 down.add(host)
         return down
 
-    def _host_of_target(self, result: ProbeResult) -> str:
-        return self.cluster.host_of_rnic(result.target_rnic).name
-
-    def _classify(self, results: list[ProbeResult], window: WindowEvidence,
-                  now: int) -> dict[int, ProblemCategory]:
-        """Map result seq -> category for every timeout."""
-        classification: dict[int, ProblemCategory] = {}
-
-        # Step 1: host down.
-        for result in results:
-            if not result.timeout:
-                continue
-            if self._host_of_target(result) in window.down_hosts:
-                classification[result.seq] = ProblemCategory.HOST_DOWN
-
-        # Step 2: QPN reset noise.
-        for result in results:
-            if not result.timeout or result.seq in classification:
-                continue
-            current = self.controller.current_qpn(result.target_rnic)
-            if current is not None and result.target_qpn != current:
-                classification[result.seq] = ProblemCategory.QPN_RESET
-                window.qpn_reset_timeouts += 1
-
-        # Step 3: anomalous RNICs from ToR-mesh probing (iterative).
-        # (The ablation switch reproduces Pingmesh-style analysis where
-        # RNIC and switch drops interfere during troubleshooting, §2.4.)
-        if self.config.tor_mesh_rnic_filter_enabled:
-            anomalous = self._detect_anomalous_rnics(results, classification)
-        else:
-            anomalous = set()
-
-        # Step 4: agent-CPU false-positive filters (§6).
-        if self.config.cpu_fp_filter_enabled:
-            anomalous = self._filter_cpu_noise(anomalous, results, window)
-        window.anomalous_rnics = anomalous
-        for rnic in anomalous:
-            self._quarantined_until[rnic] = max(
-                self._quarantined_until.get(rnic, 0),
-                now + self.config.rnic_quarantine_ns)
-
-        # Quarantine attribution: timeouts to/from quarantined RNICs are
-        # RNIC problems for this window and the next minute (§5).
-        for result in results:
-            if not result.timeout or result.seq in classification:
-                continue
-            for rnic in (result.prober_rnic, result.target_rnic):
-                if self._quarantined_until.get(rnic, 0) >= result.issued_at_ns:
-                    classification[result.seq] = ProblemCategory.RNIC_PROBLEM
-                    break
-        # CPU-noise hosts: their residual timeouts are noise, not fabric.
-        for result in results:
-            if not result.timeout or result.seq in classification:
-                continue
-            if self._host_of_target(result) in window.cpu_noise_hosts:
-                classification[result.seq] = ProblemCategory.AGENT_CPU_NOISE
-
-        # §6's simultaneity rule applied to the residual pool as well: a
-        # starved Agent freezes probing *and* responding, so essentially
-        # every surviving timeout involves that ONE host (as prober or as
-        # target) and the host's processing delay is abnormal.  A genuine
-        # fabric fault spreads its victims over many prober/target hosts,
-        # so the concentration guard keeps real switch evidence intact.
-        if self.config.cpu_fp_filter_enabled:
-            remaining = [r for r in results
-                         if r.timeout and r.seq not in classification]
-            involvement: dict[str, int] = defaultdict(int)
-            involved_rnics: dict[str, set[str]] = defaultdict(set)
-            for r in remaining:
-                hosts = {r.prober_host, self._host_of_target(r)}
-                for host in sorted(hosts):
-                    involvement[host] += 1
-                for rnic in (r.prober_rnic, r.target_rnic):
-                    involved_rnics[self.cluster.host_of_rnic(rnic)
-                                   .name].add(rnic)
-            for host, count in involvement.items():
-                if count < 0.8 * len(remaining) or count < 3:
-                    continue
-                # Either delay evidence convicts the CPU, or (with total
-                # starvation leaving too few samples) the paper's primary
-                # rule does: several RNICs of the same host failing at
-                # once is not independent hardware.
-                multi_rnic = (len(involved_rnics[host])
-                              >= self.config.cpu_fp_min_rnics)
-                if not (self._host_processing_abnormal(host, results)
-                        or multi_rnic):
-                    continue
-                window.cpu_noise_hosts.add(host)
-                for r in remaining:
-                    if host in (r.prober_host, self._host_of_target(r)):
-                        classification[r.seq] = \
-                            ProblemCategory.AGENT_CPU_NOISE
-
-        # Step 5: everything else is the switch network's fault.
-        for result in results:
-            if result.timeout and result.seq not in classification:
-                classification[result.seq] = \
-                    ProblemCategory.SWITCH_NETWORK_PROBLEM
-        return classification
-
     def _detect_anomalous_rnics(
-            self, results: list[ProbeResult],
-            classification: dict[int, ProblemCategory]) -> set[str]:
+            self, mesh: dict[tuple[str, str], list[int]]) -> set[str]:
         """Iterative §4.3.2 detection over this window's ToR-mesh probes.
 
         Repeatedly pick the RNIC with the highest anomaly rate above the
         threshold, then drop all probes involving it before re-scoring, so
         a single broken RNIC doesn't smear its healthy ToR neighbours.
+        ``mesh`` holds ``[probes, timeouts]`` per (prober, target) in the
+        order the window first showed each pair, so RNICs are met in the
+        order the pool's probes would show them.
         """
-        pool = [r for r in results
-                if r.kind == ProbeKind.TOR_MESH
-                and r.seq not in classification]
         anomalous: set[str] = set()
         while True:
-            involved: dict[str, list[ProbeResult]] = defaultdict(list)
-            for result in pool:
-                involved[result.prober_rnic].append(result)
-                involved[result.target_rnic].append(result)
+            involved: dict[str, list[int]] = {}
+            for pair, (probes, timeouts) in mesh.items():
+                if anomalous.isdisjoint(pair):
+                    for rnic in pair:
+                        seen = involved.setdefault(rnic, [0, 0])
+                        seen[0] += probes
+                        seen[1] += timeouts
             best_rnic, best_score = None, (0.0, 0)
-            for rnic, probes in involved.items():
-                timeouts = sum(1 for p in probes if p.timeout)
-                rate = timeouts / len(probes)
+            for rnic, (probes, timeouts) in involved.items():
+                rate = timeouts / probes
                 # ">10%" per §5 is strict; ties break toward the RNIC with
                 # more anomalous probes (a broken device is implicated by
                 # both its own failed probes and its peers').
@@ -504,108 +585,68 @@ class Analyzer:
             if best_rnic is None:
                 return anomalous
             anomalous.add(best_rnic)
-            pool = [r for r in pool
-                    if best_rnic not in (r.prober_rnic, r.target_rnic)]
 
     def _filter_cpu_noise(self, anomalous: set[str],
-                          results: list[ProbeResult],
+                          processing: dict[str, list[int]],
                           window: WindowEvidence) -> set[str]:
         """§6 false-positive filters: multi-RNIC simultaneity first, then
         the responder-processing-delay corroboration."""
         by_host: dict[str, set[str]] = defaultdict(set)
         for rnic in sorted(anomalous):
-            by_host[self.cluster.host_of_rnic(rnic).name].add(rnic)
+            by_host[self.cluster.host_name_of[rnic]].add(rnic)
 
         keep = set(anomalous)
         for host, rnics in by_host.items():
-            noisy = False
-            if len(rnics) >= self.config.cpu_fp_min_rnics:
-                # Independent simultaneous failures of several RNICs on one
-                # host are wildly unlikely; blame the Agent's CPU.
-                noisy = True
-            elif self._host_processing_abnormal(host, results):
-                noisy = True
-            if noisy:
+            # Independent simultaneous failures of several RNICs on one
+            # host are wildly unlikely; blame the Agent's CPU.
+            if len(rnics) >= self.config.cpu_fp_min_rnics \
+                    or self._abnormal_p90(processing.get(host, ())):
                 window.cpu_noise_hosts.add(host)
                 keep -= rnics
         return keep
 
-    def _host_processing_abnormal(self, host: str,
-                                  results: list[ProbeResult]) -> bool:
-        """Whether ``host`` shows abnormal processing delay.
-
-        Uses both responder-side samples (probes answered by the host) and
-        prober-side samples (probes the host's own Agent sent): during a
-        starvation episode the responder samples largely *disappear* into
-        timeouts, while the host's prober-side samples remain plentiful
-        and inflated — they are what reliably convicts the CPU.
+    def _starved_hosts(self, residual: list[ProbeResult],
+                       processing: dict[str, list[int]]) -> set[str]:
+        """§6's simultaneity rule applied to the residual pool as well: a
+        starved Agent freezes probing *and* responding, so essentially
+        every surviving timeout involves that ONE host (as prober or as
+        target) and the host's processing delay is abnormal.  A genuine
+        fabric fault spreads its victims over many prober/target hosts,
+        so the concentration guard keeps real switch evidence intact.
         """
-        samples = [r.responder_processing_ns for r in results
-                   if r.responder_processing_ns is not None
-                   and self._host_of_target(r) == host]
-        samples += [r.prober_processing_ns for r in results
-                    if r.prober_processing_ns is not None
-                    and r.prober_host == host]
+        host_of = self.cluster.host_name_of
+        involvement: dict[str, int] = defaultdict(int)
+        involved_rnics: dict[str, set[str]] = defaultdict(set)
+        for r in residual:
+            for host in sorted({r.prober_host, host_of[r.target_rnic]}):
+                involvement[host] += 1
+            for rnic in (r.prober_rnic, r.target_rnic):
+                involved_rnics[host_of[rnic]].add(rnic)
+        # Either delay evidence convicts the CPU, or (with total
+        # starvation leaving too few samples) the paper's primary rule
+        # does: several RNICs of the same host failing at once is not
+        # independent hardware.
+        return {host for host, count in involvement.items()
+                if count >= 0.8 * len(residual) and count >= 3
+                and (len(involved_rnics[host]) >= self.config.cpu_fp_min_rnics
+                     or self._abnormal_p90(processing.get(host, ())))}
+
+    def _abnormal_p90(self, samples: list[int]) -> Optional[int]:
+        """A host's p90 processing delay if it is over the threshold
+        (sorts ``samples`` in place; under five samples convict nobody)."""
         if len(samples) < 5:
-            return False
+            return None
         samples.sort()
         p90 = samples[max(0, int(len(samples) * 0.9) - 1)]
-        return p90 > self.config.high_processing_delay_ns
+        return p90 if p90 > self.config.high_processing_delay_ns else None
 
-    # -- steps 5-6: what one part can say alone, and its votes ---------------------------
+    # -- step 6: high RTT / high processing delay ------------------------------------------
 
-    def _emit_problems(self, results: list[ProbeResult],
-                       classification: dict[int, ProblemCategory],
-                       window: WindowEvidence, now: int) -> None:
-        by_seq = {r.seq: r for r in results}
-
-        # Host-down problems (non-network but reportable, Table 2 #4).
-        for host in sorted(window.down_hosts):
-            window.problems.append(Problem(
-                category=ProblemCategory.HOST_DOWN, locus=host,
-                detected_at_ns=now, window_start_ns=window.window_start_ns,
-                evidence_count=sum(
-                    1 for s, c in classification.items()
-                    if c == ProblemCategory.HOST_DOWN
-                    and self._host_of_target(by_seq[s]) == host),
-                from_service_tracing=False))
-
-        # RNIC problems.
-        for rnic in sorted(window.anomalous_rnics):
-            evidence = [by_seq[s] for s, c in classification.items()
-                        if c == ProblemCategory.RNIC_PROBLEM
-                        and rnic in (by_seq[s].prober_rnic,
-                                     by_seq[s].target_rnic)]
-            window.problems.append(Problem(
-                category=ProblemCategory.RNIC_PROBLEM, locus=rnic,
-                detected_at_ns=now, window_start_ns=window.window_start_ns,
-                evidence_count=len(evidence),
-                from_service_tracing=any(
-                    r.kind == ProbeKind.SERVICE_TRACING for r in evidence)))
-
-        # Algorithm 1 over the fabric-caused timeouts, per side, with no
-        # gate: conclude() applies it to the window-wide sum.
-        def tally(service_side: bool) -> SideTally:
-            anomalies = [
-                by_seq[s] for s, c in classification.items()
-                if c == ProblemCategory.SWITCH_NETWORK_PROBLEM
-                and (by_seq[s].kind == ProbeKind.SERVICE_TRACING)
-                == service_side]
-            loc = localize([r.probe_path for r in anomalies],
-                           [r.ack_path for r in anomalies])
-            return SideTally(loc.votes, loc.paths_considered, len(anomalies))
-
-        window.tallies = (tally(False), tally(True))
-
-        self._emit_latency_problems(results, window, now)
-
-    def _emit_latency_problems(self, results: list[ProbeResult],
+    def _emit_latency_problems(self, high_rtt: list[ProbeResult],
+                               processing: dict[str, list[int]],
                                window: WindowEvidence, now: int) -> None:
         """High-RTT (congestion) and high-processing-delay (bottleneck)."""
         problems = window.latency_problems
-        high_rtt = [r for r in results
-                    if r.network_rtt_ns is not None
-                    and r.network_rtt_ns > self.config.high_rtt_threshold_ns]
         for service_side in (False, True):
             side = [r for r in high_rtt
                     if (r.kind == ProbeKind.SERVICE_TRACING) == service_side]
@@ -639,19 +680,9 @@ class Analyzer:
                     detail=f"votes={loc.votes.get(suspect, 0)}"))
 
         # Host processing-delay bottlenecks (Figure 8 left).
-        by_host: dict[str, list[int]] = defaultdict(list)
-        for r in results:
-            if r.responder_processing_ns is not None:
-                by_host[self._host_of_target(r)].append(
-                    r.responder_processing_ns)
-            if r.prober_processing_ns is not None:
-                by_host[r.prober_host].append(r.prober_processing_ns)
-        for host, samples in sorted(by_host.items()):
-            if len(samples) < 5:
-                continue
-            samples.sort()
-            p90 = samples[max(0, int(len(samples) * 0.9) - 1)]
-            if p90 > self.config.high_processing_delay_ns:
+        for host, samples in sorted(processing.items()):
+            p90 = self._abnormal_p90(samples)
+            if p90 is not None:
                 problems.append(Problem(
                     category=ProblemCategory.HIGH_PROCESSING_DELAY,
                     locus=host, detected_at_ns=now,
@@ -669,53 +700,24 @@ class Analyzer:
         return tuple(
             self.int_provider.link_evidence(window_end_ns).values())
 
-    # -- step 7: SLA -------------------------------------------------------------------------
-
-    def _aggregate_sla(self, results: list[ProbeResult],
-                       classification: dict[int, ProblemCategory],
-                       window: WindowEvidence) -> SlaReport:
-        report = SlaReport(window.window_start_ns, window.window_end_ns,
-                           tracker=self._tracker)
-        for result in results:
-            scope = (report.service
-                     if result.kind == ProbeKind.SERVICE_TRACING
-                     else report.cluster)
-            scope.probes_total += 1
-            if result.timeout:
-                category = classification.get(result.seq)
-                if category == ProblemCategory.RNIC_PROBLEM:
-                    scope.timeouts_rnic += 1
-                elif category == ProblemCategory.SWITCH_NETWORK_PROBLEM:
-                    scope.timeouts_switch += 1
-                else:
-                    scope.timeouts_non_network += 1
-            else:
-                scope.probes_ok += 1
-                if result.network_rtt_ns is not None:
-                    scope.rtt.add(float(result.network_rtt_ns))
-                if result.responder_processing_ns is not None:
-                    scope.processing.add(float(result.responder_processing_ns))
-                if result.prober_processing_ns is not None:
-                    scope.processing.add(float(result.prober_processing_ns))
-        return report
-
     # -- step 8: service-network membership + priority (§4.3.4) ---------------------------------
 
-    def _service_members_seen(self, results: list[ProbeResult]
+    def _service_members_seen(self, service: list[ProbeResult]
                               ) -> tuple[str, ...]:
         """Every device and link a service-tracing probe touched, sorted."""
+        host_of = self.cluster.host_name_of
         seen: set[str] = set()
-        for result in results:
-            if result.kind != ProbeKind.SERVICE_TRACING:
-                continue
-            members = [result.prober_rnic, result.target_rnic,
-                       result.prober_host, self._host_of_target(result)]
-            for path in (result.probe_path, result.ack_path):
-                if path is None:
-                    continue
-                members.extend(h for h in path.hops if h is not None)
-                members.extend(f"{a}->{b}" for a, b in path.known_links())
-            seen.update(members)
+        routes: dict[tuple, PathRecord] = {}    # each distinct route once
+        for r in service:
+            seen.update((r.prober_rnic, r.target_rnic,
+                         r.prober_host, host_of[r.target_rnic]))
+            for path in (r.probe_path, r.ack_path):
+                if path is not None:
+                    routes[path.hops] = path
+        for hops, path in routes.items():
+            seen.update(path.link_names)
+            seen.update(hops)
+        seen.discard(None)      # rate-limited hops
         return tuple(sorted(seen))
 
     def in_service_network(self, locus: str, now: Optional[int] = None) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.net.traceroute import PathRecord
 
@@ -51,25 +51,27 @@ class Localization:
         return self.votes.most_common(n)
 
 
-def _link_names(path: PathRecord) -> Iterable[str]:
-    for a, b in path.known_links():
-        yield f"{a}->{b}"
-
-
 def detect_abnormal_links(paths: list[PathRecord]) -> Localization:
-    """Algorithm 1 verbatim: vote per directed link, return the arg-max.
+    """Algorithm 1: vote per directed link, return the arg-max.
 
     Unknown hops (rate-limited traceroute responders) contribute no links
     across the gap, which only lowers a suspect's tally — never creates a
-    false vote.
+    false vote.  A window's anomalies share few distinct routes (an Agent
+    hands every result of a 5-tuple the same record), so each distinct
+    hop sequence votes once, weighted by how many paths took it.
     """
-    votes: Counter = Counter()
-    considered = 0
+    routes: dict[tuple, list] = {}      # hops -> [a record, paths seen]
     for path in paths:
-        considered += 1
-        for link_name in _link_names(path):
-            votes[link_name] += 1
-    return Localization.from_votes(votes, considered)
+        route = routes.get(path.hops)
+        if route is None:
+            routes[path.hops] = [path, 1]
+        else:
+            route[1] += 1
+    votes: Counter = Counter()
+    for path, times in routes.values():
+        for link_name in path.link_names:
+            votes[link_name] += times
+    return Localization.from_votes(votes, len(paths))
 
 
 def detect_abnormal_switches(paths: list[PathRecord]) -> Localization:

@@ -513,6 +513,7 @@ class RootAnalyzer(Analyzer):
 
     ingest_accepted = _shard_sum("ingest_accepted")
     ingest_dropped = _shard_sum("ingest_dropped")
+    ingest_duplicates = _shard_sum("ingest_duplicates")
     ingest_backlog = _shard_sum("ingest_backlog")
 
     def memory_bytes(self) -> int:

@@ -166,6 +166,8 @@ class RPingmesh:
             self.analyzer.ingest_accepted
         m.counter("repro_analyzer_ingest_dropped_total").value = \
             self.analyzer.ingest_dropped
+        m.counter("repro_analyzer_ingest_duplicates_total").value = \
+            self.analyzer.ingest_duplicates
         m.gauge("repro_analyzer_ingest_backlog").set(
             self.analyzer.ingest_backlog)
         # Sharded deployments additionally expose per-shard ingest health
@@ -177,6 +179,8 @@ class RPingmesh:
                       shard=label).value = shard.ingest_accepted
             m.counter("repro_analyzer_shard_ingest_dropped_total",
                       shard=label).value = shard.ingest_dropped
+            m.counter("repro_analyzer_shard_ingest_duplicates_total",
+                      shard=label).value = shard.ingest_duplicates
             m.gauge("repro_analyzer_shard_ingest_backlog",
                     shard=label).set(shard.ingest_backlog)
         m.gauge("repro_analyzer_windows_analyzed").set(

@@ -12,7 +12,9 @@ positions and marks itself incomplete.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.net.addresses import FiveTuple
@@ -45,6 +47,13 @@ class PathRecord:
             if a is not None and b is not None:
                 links.append((a, b))
         return links
+
+    @cached_property
+    def link_names(self) -> tuple[str, ...]:
+        """``"src->dst"`` per known link, built once: what Algorithm 1
+        votes on, window after window, for as long as the record lives
+        (interned: thousands of live records share a few hundred names)."""
+        return tuple(sys.intern(f"{a}->{b}") for a, b in self.known_links())
 
     def known_switches(self) -> list[str]:
         """Known intermediate switch hops (excludes the two host ports)."""

@@ -28,7 +28,9 @@ so they are refused; format 3 files hold ``Rnic._wire_departure`` /
 without its identity table, so an ``/inject`` after restore would build a
 second instance of a fault the campaign already armed; format 5 files hold
 ``DirectedLink``s without ``quiet_wait_ns``, the constant the walker adds
-up over a loaded hop.  (The ``v1`` in the magic line names the container
+up over a loaded hop; format 6 files hold an ``Analyzer`` with no memory of
+the uploads it accepted, so a resend in flight across the restore would be
+ingested twice.  (The ``v1`` in the magic line names the container
 layout — magic, JSON line, zlib pickle — which has not changed.)
 
 Also a tiny CLI, used by tests to prove *cross-process* restore::
@@ -49,7 +51,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 6
+FORMAT = 7
 
 
 class CheckpointError(RuntimeError):

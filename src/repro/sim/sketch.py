@@ -82,9 +82,32 @@ class QuantileSketch:
             self._max = value
 
     def extend(self, values: Iterable[float]) -> None:
-        """Record many samples."""
-        for value in values:
-            self.add(value)
+        """Record many samples: :meth:`add` per value, as one loop over
+        locals (a window's worth arrives at once, batch by batch)."""
+        buckets = self._buckets
+        log_gamma = self._log_gamma
+        min_key, max_key = self._min_key, self._max_key
+        log, ceil = math.log, math.ceil
+        count, low, high = self._count, self._min, self._max
+        try:
+            for value in values:
+                value = float(value)
+                if value <= MIN_TRACKABLE:
+                    key = min_key
+                else:
+                    key = ceil(log(value) / log_gamma)
+                    if key < min_key:
+                        key = min_key
+                    elif key > max_key:
+                        key = max_key
+                buckets[key] = buckets.get(key, 0) + 1
+                count += 1
+                if low is None or value < low:
+                    low = value
+                if high is None or value > high:
+                    high = value
+        finally:    # a value that cannot be keyed leaves the rest recorded
+            self._count, self._min, self._max = count, low, high
 
     def clear(self) -> None:
         """Drop all samples (start of a new analysis window)."""

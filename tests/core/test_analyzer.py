@@ -5,6 +5,9 @@ is exercised in isolation, without multi-minute simulations.
 """
 
 
+from repro.controlplane.clients import ANALYZER_ENDPOINT, UploadChannel
+from repro.controlplane.endpoint import Endpoint
+from repro.controlplane.transport import ManagementNetwork
 from repro.core.analyzer import Analyzer
 from repro.core.config import RPingmeshConfig
 from repro.core.controller import Controller
@@ -79,6 +82,61 @@ class TestHostDownDetection:
         upload(analyzer, small_clos, "host0", [])
         window = analyzer.analyze()
         assert "host0" not in window.down_hosts
+
+
+class _LosesOneAck(ManagementNetwork):
+    """A management network that drops exactly one envelope: the first
+    the Analyzer sends, i.e. its ack of the first upload."""
+
+    lost = 0
+
+    def send(self, env):
+        if env.src == ANALYZER_ENDPOINT and not self.lost:
+            self.lost += 1
+            return False
+        return super().send(env)
+
+
+class TestDuplicateUploads:
+    """The upload channel resends on ack timeout, so a lost *ack* brings a
+    batch the Analyzer already took a second time."""
+
+    def test_a_lost_ack_does_not_ingest_the_batch_twice(self, small_clos):
+        analyzer, _ = make_analyzer(small_clos)
+        net = _LosesOneAck(small_clos.sim, RngStream(0, "controlplane"))
+        analyzer.bind(net)
+        channel = UploadChannel(Endpoint("agent.host0", net), analyzer.config)
+        channel.submit(AgentUpload("host0", small_clos.sim.now, [
+            probe_result(small_clos, "host0-rnic0", "host1-rnic0")
+            for _ in range(4)]))
+        small_clos.sim.run_until(seconds(20))
+        # The resend was acked, so the channel is done with the batch...
+        assert (net.lost, channel.retries, channel.acked,
+                channel.backlog) == (1, 1, 1, 0)
+        # ...and the window holds its four results once.
+        window = analyzer.analyze()
+        assert window.results_processed == 4
+        assert analyzer.sla.latest().cluster.probes_total == 4
+        assert (analyzer.ingest_accepted, analyzer.ingest_duplicates) == (1, 1)
+
+    def test_a_late_retry_cannot_run_the_silence_clock_backwards(
+            self, small_clos):
+        analyzer, _ = make_analyzer(small_clos)
+        upload(analyzer, small_clos, "host0", [], at_ns=seconds(30))
+        upload(analyzer, small_clos, "host0", [], at_ns=seconds(5))
+        small_clos.sim.run_until(seconds(45))
+        assert "host0" not in analyzer.analyze().down_hosts
+
+    def test_the_memory_is_the_resend_buffer(self, small_clos):
+        """A channel can only resend what its buffer still holds, so that
+        many timestamps per host are all the Analyzer keeps."""
+        analyzer, _ = make_analyzer(small_clos, upload_resend_buffer=2)
+        for at_ns in (1, 2, 3, 3, 2):
+            upload(analyzer, small_clos, "host0", [], at_ns=at_ns)
+        upload(analyzer, small_clos, "host1", [], at_ns=3)  # another host
+        assert (analyzer.ingest_accepted, analyzer.ingest_duplicates) == (4, 2)
+        upload(analyzer, small_clos, "host0", [], at_ns=1)  # forgotten
+        assert analyzer.ingest_accepted == 5
 
 
 class TestQpnResetNoise:

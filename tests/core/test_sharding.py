@@ -180,6 +180,9 @@ class TestRootAnalyzerSurface:
         assert root.ingest_accepted > 0
         assert root.ingest_dropped == sum(s.ingest_dropped
                                           for s in root.shards)
+        batch = root.shards[2]._pending[0]
+        assert root.shards[2].receive_upload(batch)     # a resend
+        assert root.ingest_duplicates == 1
         assert root.ingest_backlog == sum(s.ingest_backlog
                                           for s in root.shards)
 
@@ -195,6 +198,9 @@ class TestRootAnalyzerSurface:
             key = ('repro_analyzer_shard_ingest_accepted_total'
                    f'{{shard="{i}"}}')
             assert snap[key] > 0
+            assert snap['repro_analyzer_shard_ingest_duplicates_total'
+                        f'{{shard="{i}"}}'] == 0
+        assert snap["repro_analyzer_ingest_duplicates_total"] == 0
         assert snap["repro_analyzer_ingest_accepted_total"] == sum(
             snap[f'repro_analyzer_shard_ingest_accepted_total'
                  f'{{shard="{i}"}}'] for i in range(4))

@@ -200,7 +200,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 6
+        assert meta["format"] == 7
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -220,12 +220,13 @@ class TestFileFormat:
         registry-backed EndpointStats, a v3 one per-event wire departures
         and the Agent's ``send_roles``, a v4 one a FaultManager with no
         identity table, a v5 one links without the constant a loaded hop
-        costs; resuming any of them under this code would diverge
+        costs, a v6 one an Analyzer that does not remember which uploads
+        it took; resuming any of them under this code would diverge
         silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4, 5):
+        for old in (1, 2, 3, 4, 5, 6):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))

@@ -33,6 +33,11 @@ from repro.analysis.runtime import (GOLDEN_SCENARIOS, SCENARIOS,
 # that replaced it; re-captured once, deliberately, when every PeriodicTask
 # got its own jitter stream (firing times moved, nothing else); unchanged
 # again when idle service-tracing tasks were parked on top of that.
+# ``faulted`` seeds 3 and 7 re-captured once more, deliberately, when the
+# Analyzer stopped ingesting a batch twice after a lost ack (this
+# scenario's control plane loses 2 % of messages): 2,833 -> 2,716 and
+# 2,894 -> 2,801 uploaded results, the resent batches counted once; with
+# that one check disabled all nine reproduce the older values bit for bit.
 GOLDEN_DIGESTS = {
     ("quiet", 3):
         "fb0a73d114ccb68e5a3d26b9a4add2dee3ddd977028cbc0fee6d65198383593a",
@@ -41,9 +46,9 @@ GOLDEN_DIGESTS = {
     ("quiet", 11):
         "786b60b926da803e02e756ff8bb8d35f547fd5b20fa2831dd29e9859e3bc40c6",
     ("faulted", 3):
-        "e39ca1f724235266b7c3211d9fce34a187ddfe1a7260cd7cccba0842d15e242f",
+        "70be2fc80bf28fbf782c285b0f8aea96ad9019ea1f2fc4cd9fc94ec5f27956de",
     ("faulted", 7):
-        "3fc44cd8a8c36c1bf68d83204079d0056f026358fb3951d399dd8f48f22731f9",
+        "55c56cfefdad8b1e16f30eb6c659d450831415187a8105272900b9950d5ee826",
     ("faulted", 11):
         "391e15025931cea61b4048a1159a35f816812b7f7c5558b67b4de4e2c79ecb3e",
     ("congested", 3):

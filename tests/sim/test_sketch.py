@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim.sketch import MAX_TRACKABLE, MIN_TRACKABLE, QuantileSketch
 from repro.sim.stats import PercentileTracker
@@ -132,6 +133,35 @@ class TestMerge:
     def test_accuracy_mismatch_raises(self):
         with pytest.raises(ValueError, match="accuracies"):
             QuantileSketch(0.01).merge(QuantileSketch(0.02))
+
+
+class TestExtend:
+    """``extend`` is ``add`` per value written as one loop; the two must
+    leave the same sketch, whatever was in it and whatever comes."""
+
+    values = st.lists(st.one_of(
+        st.floats(min_value=-10.0, max_value=MAX_TRACKABLE * 10,
+                  allow_nan=False),
+        st.integers(min_value=0, max_value=10 ** 13)))
+
+    @given(before=values, xs=values)
+    def test_extend_equals_the_add_loop(self, before, xs):
+        looped, extended = QuantileSketch(ACCURACY), QuantileSketch(ACCURACY)
+        for sketch in (looped, extended):
+            for value in before:
+                sketch.add(value)
+        for value in xs:
+            looped.add(value)
+        extended.extend(iter(xs))
+        assert extended.state() == looped.state()
+        assert len(extended) == len(looped) == len(before) + len(xs)
+
+    def test_a_value_without_a_bucket_leaves_the_rest_recorded(self):
+        sketch = QuantileSketch(ACCURACY)
+        with pytest.raises(ValueError):
+            sketch.extend([5.0, 7.0, float("nan"), 9.0])
+        assert (len(sketch), sketch.min(), sketch.max()) == (2, 5.0, 7.0)
+        assert sum(count for _, count in sketch.state()["buckets"]) == 2
 
 
 class TestWireForm:
