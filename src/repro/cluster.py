@@ -10,7 +10,9 @@ the workloads need.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Union
+import math
+from functools import partial
+from typing import Any, Callable, Optional, Union
 
 from repro.host.host import Host, build_host_with_rnics
 from repro.host.rnic import Rnic
@@ -25,6 +27,96 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 Plan = Union[ClosFabricPlan, RailFabricPlan]
+
+
+def _any_match(predicates: tuple, five_tuple) -> bool:
+    return any(predicate(five_tuple) for predicate in predicates)
+
+
+def _or_predicates(operands: list) -> Optional[Callable]:
+    held = [p for p in operands if p is not None]
+    if len(held) <= 1:
+        return held[0] if held else None
+    return partial(_any_match, tuple(held))
+
+
+# How each held setting combines the device's base (operands[0]) with its
+# holders' values.  Every rule is commutative, so hold order never shows.
+HOLD_RULES: dict[str, Callable[[list], Any]] = {
+    # AND: the device works only while every holder lets it.
+    "up": all, "admin_up": all, "routing_configured": all,
+    "gid_index_present": all, "pfc_headroom_ok": all,
+    # OR: any holder breaks (or isolates) it.
+    "flap_down": any, "pfc_deadlocked": any, "routed_around": any,
+    # The worst holder wins.
+    "corruption_drop_prob": max, "rx_corruption_prob": max,
+    "tx_corruption_prob": max, "cpu_load": max, "pcie_gbps": min,
+    # Contributions add up on top of the base.
+    "offered_load_gbps": math.fsum, "pause_delay_ns": sum,
+    "silent_drop_predicate": _or_predicates,
+}
+
+
+class Holds:
+    """One owner per contended device setting (DESIGN.md §4).
+
+    Faults, workloads and remediation never write a setting in
+    :data:`HOLD_RULES` directly: each *holds* a value under its owner key,
+    and the table writes the combination of every holder's value with the
+    device's base — what it read before the first hold, and what it reads
+    again once the last holder leaves — through the device's own setter.
+    A write is never skipped for being unchanged: ``set_offered_load``
+    integrates the queue even then.
+    """
+
+    def __init__(self, sim: Simulator):
+        self._sim = sim
+        # (device name, setting) -> (device, base, {owner: value}).
+        self._held: dict[tuple[str, str], tuple[Any, Any, dict]] = {}
+        self._owners = 0
+
+    def owner(self, name: str) -> str:
+        """A fresh owner key for one writer (minted in construction order,
+        so it is the same on every run)."""
+        self._owners += 1
+        return f"{name}#{self._owners}"
+
+    def hold(self, owner: str, device, setting: str, value) -> None:
+        """Set (or replace) ``owner``'s value for one setting of ``device``."""
+        key = (device.name, setting)
+        entry = self._held.get(key)
+        if entry is None:
+            base = (device.cpu.load if setting == "cpu_load"
+                    else getattr(device, setting))
+            entry = self._held[key] = (device, base, {})
+        entry[2][owner] = value
+        self._write(entry, setting)
+
+    def release(self, owner: str, device=None) -> list:
+        """Drop everything ``owner`` holds (on ``device`` only, if given);
+        returns the devices written, in hold order."""
+        written = []
+        for key, entry in list(self._held.items()):
+            held, _, values = entry
+            if owner not in values or (device is not None
+                                       and device is not held):
+                continue
+            del values[owner]
+            if not values:
+                del self._held[key]
+            self._write(entry, key[1])
+            written.append(held)
+        return written
+
+    def _write(self, entry: tuple, setting: str) -> None:
+        device, base, values = entry
+        value = HOLD_RULES[setting]([base, *values.values()])
+        if setting == "offered_load_gbps":
+            device.set_offered_load(self._sim.now, value)
+        elif setting == "cpu_load":
+            device.cpu.set_load(value)
+        else:
+            setattr(device, setting, value)
 
 
 class Cluster:
@@ -47,6 +139,8 @@ class Cluster:
         self.fabric = Fabric(sim, self.topology, rngs.stream("fabric"),
                              sanitizer=self.sanitizer)
         self.traceroute = TracerouteService(self.fabric)
+        # Every writer of a contended device setting goes through here.
+        self.holds = Holds(sim)
         self.hosts: dict[str, Host] = {}
         self._rnics: dict[str, Rnic] = {}
         self.host_name_of: dict[str, str] = {}    # RNIC name -> host name

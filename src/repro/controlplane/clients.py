@@ -38,6 +38,13 @@ def _discard_reply(reply) -> None:
     """Fire-and-forget reply sink for acked requests."""
 
 
+def ack_timeout_ns(config: RPingmeshConfig, attempt: int) -> int:
+    """How long retry ``attempt`` of an acked request waits: the ack
+    timeout, doubled per attempt up to the backoff cap."""
+    return min(config.upload_ack_timeout_ns << min(attempt, 16),
+               config.upload_backoff_max_ns)
+
+
 class ControllerClient:
     """The Agent's view of the Controller over the management network.
 
@@ -70,13 +77,10 @@ class ControllerClient:
         self._request_acked("update_comm_info", (rnic_name, info))
 
     def _request_acked(self, method: str, payload, attempt: int = 0) -> None:
-        base = self._config.upload_ack_timeout_ns
-        timeout = min(base << min(attempt, 16),
-                      self._config.upload_backoff_max_ns)
         self._endpoint.request(
             self._controller, method, payload,
             on_reply=_discard_reply,
-            timeout_ns=timeout,
+            timeout_ns=ack_timeout_ns(self._config, attempt),
             on_timeout=partial(self._on_timeout, method, payload, attempt))
 
     def _on_timeout(self, method: str, payload, attempt: int) -> None:
@@ -129,10 +133,6 @@ class UploadChannel:
             self.dropped_overflow += 1
         self._send(uid, attempt=0)
 
-    def _ack_timeout_ns(self, attempt: int) -> int:
-        base = self._config.upload_ack_timeout_ns
-        return min(base << min(attempt, 16), self._config.upload_backoff_max_ns)
-
     def _send(self, uid: int, attempt: int) -> None:
         batch = self._buffer.get(uid)
         if batch is None:
@@ -140,7 +140,7 @@ class UploadChannel:
         self._endpoint.request(
             self._analyzer, "upload", batch,
             on_reply=partial(self._on_ack, uid),
-            timeout_ns=self._ack_timeout_ns(attempt),
+            timeout_ns=ack_timeout_ns(self._config, attempt),
             on_timeout=partial(self._on_timeout, uid, attempt))
 
     def _on_ack(self, uid: int, reply: Optional[dict]) -> None:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Optional
 
 from repro.cluster import Cluster
-from repro.host.rnic import Cqe, CqeKind, LocalSendError, QPType, QueuePair
+from repro.host.rnic import Cqe, LocalSendError, QPType, QueuePair
 from repro.net.addresses import roce_five_tuple
 from repro.sim.engine import EventHandle
 from repro.sim.stats import PercentileTracker
@@ -75,7 +75,8 @@ class RailProber:
         for rnic in host.rnics:
             self._qps[rnic.name] = host.verbs.create_qp(
                 rnic, QPType.UD,
-                on_cqe=partial(self._on_cqe, rnic.name))
+                on_cqe=partial(self._on_cqe, rnic.name),
+                on_sent=self._on_sent)
 
     # -- probing -------------------------------------------------------------
 
@@ -98,7 +99,7 @@ class RailProber:
                           dst.comm_info(self._qps[dst_rnic].qpn),
                           src_port=src_port,
                           payload={"t": "rail", "seq": seq},
-                          payload_bytes=50)
+                          payload_bytes=50, context=pending)
         except LocalSendError:
             pass  # reported at the timeout tick
 
@@ -122,25 +123,23 @@ class RailProber:
 
     # -- completion ----------------------------------------------------------
 
+    @staticmethod
+    def _on_sent(qp: QueuePair, pending: _Pending,
+                 timestamp: Optional[int], at_ns: int) -> None:
+        """Send completion of ``pending``'s probe: ② on the prober clock."""
+        pending.t_send = timestamp
+
     def _on_cqe(self, rnic_name: str, cqe: Cqe) -> None:
         # Everything _handle_cqe keeps is copied (timestamps into the
         # pending record, plain ints into OneWayResult), so the CQE can
         # go straight back to its RNIC's pool — without this, every rail
         # probe's CQE stayed live forever (PoolSan SAN003 leak finding).
         try:
-            self._handle_cqe(rnic_name, cqe)
+            self._handle_cqe(cqe)
         finally:
             self.host.rnic_by_name(rnic_name).release_cqe(cqe)
 
-    def _handle_cqe(self, rnic_name: str, cqe: Cqe) -> None:
-        if cqe.kind == CqeKind.SEND:
-            # We match send CQEs to pendings by order per source RNIC;
-            # wr_id-based matching keeps it exact.
-            for pending in self._pending.values():
-                if pending.src_rnic == rnic_name and pending.t_send is None:
-                    pending.t_send = cqe.rnic_timestamp_ns
-                    break
-            return
+    def _handle_cqe(self, cqe: Cqe) -> None:
         if cqe.payload.get("t") != "rail":
             return
         pending = self._pending.pop(cqe.payload["seq"], None)

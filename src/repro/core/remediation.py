@@ -61,6 +61,7 @@ class Remediator:
         self.actions: list[RemediationAction] = []
         self._p2_sightings: dict[str, int] = {}
         self._isolated_links: set[str] = set()
+        self._owner = cluster.holds.owner("remediator")
 
     # -- switch-port isolation (§7.5 #2) ------------------------------------
 
@@ -97,8 +98,9 @@ class Remediator:
     def _isolate_link(self, problem: Problem,
                       reason: str) -> RemediationAction:
         a, b = problem.locus.split("->")
-        pair = self.cluster.topology.link_pair(a, b)
-        pair.routed_around = True
+        self.cluster.holds.hold(self._owner,
+                                self.cluster.topology.link_pair(a, b),
+                                "routed_around", True)
         self.cluster.topology.invalidate_routes()
         self._isolated_links.add(problem.locus)
         self._isolated_links.add(f"{b}->{a}")
@@ -116,11 +118,13 @@ class Remediator:
         return action
 
     def deisolate(self, locus: str) -> None:
-        """Operator repaired the device: restore the link to ECMP."""
+        """Operator repaired the device: give the link back to ECMP (unless
+        a fault still holds it routed around)."""
         if "->" not in locus:
             raise ValueError(f"not a link locus: {locus}")
         a, b = locus.split("->")
-        self.cluster.topology.link_pair(a, b).routed_around = False
+        self.cluster.holds.release(self._owner,
+                                   self.cluster.topology.link_pair(a, b))
         self.cluster.topology.invalidate_routes()
         self._isolated_links.discard(locus)
         self._isolated_links.discard(f"{b}->{a}")

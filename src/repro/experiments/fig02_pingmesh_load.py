@@ -53,9 +53,10 @@ def run(*, seed: int = 2,
     pingmesh.start()
 
     result = PingmeshLoadResult()
+    sweep = cluster.holds.owner("fig02")
     for load in loads:
         for host in cluster.hosts.values():
-            host.cpu.set_load(load)
+            cluster.holds.hold(sweep, host, "cpu_load", load)
         mark = cluster.sim.now
         cluster.sim.run_for(seconds(epoch_s))
         report = system.analyzer.sla.latest()

@@ -4,6 +4,7 @@ For every row of the paper's Table 2 we inject the corresponding fault into
 a cluster running both R-Pingmesh and a DML service, and record:
 
 * whether the Analyzer detected a problem within a few analysis periods,
+* whether some new verdict names an injected component (``localized``),
 * the problem category it assigned (timeout-type vs latency-type —
   failures produce timeouts, bottlenecks produce high RTT / processing
   delay, exactly the paper's §7.1 phenomenology),
@@ -20,7 +21,8 @@ from typing import Optional
 from repro.cluster import Cluster
 from repro.experiments.common import default_cluster_params, deploy
 from repro.fleet.spec import FaultEvent, schedule_campaign
-from repro.fleet.worker import FAILURE_CATEGORIES, LATENCY_CATEGORIES
+from repro.fleet.worker import (FAILURE_CATEGORIES, LATENCY_CATEGORIES,
+                                locus_matches)
 from repro.services.dml import CommPattern, DmlConfig, DmlJob
 from repro.sim.units import MILLISECOND, seconds
 
@@ -34,6 +36,7 @@ class CatalogRow:
     expect_service_failure: bool
     expect_signal: str            # "timeout" or "latency"
     detected: bool = False
+    localized: bool = False
     categories: set = field(default_factory=set)
     service_failed: bool = False
     detection_latency_s: Optional[float] = None
@@ -121,12 +124,15 @@ def run_row(row: int, *, seed: int = 16, fault_s: int = 50,
 
     problems_before = len(system.analyzer.problems)
     injected_at = cluster.sim.now
-    schedule_campaign(faults, cluster, campaign)
+    scheduled = schedule_campaign(faults, cluster, campaign)
     cluster.sim.run_for(seconds(fault_s))
 
     new_problems = system.analyzer.problems[problems_before:]
     if new_problems:
         outcome.detected = True
+        outcome.localized = any(
+            locus_matches(fault.ground_truth, problem.locus)
+            for fault, _ in scheduled for problem in new_problems)
         outcome.categories = {p.category for p in new_problems}
         first = min(p.detected_at_ns for p in new_problems)
         outcome.detection_latency_s = (first - injected_at) / 1e9

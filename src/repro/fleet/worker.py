@@ -189,7 +189,7 @@ def _expected_categories(truth: GroundTruth) -> tuple[ProblemCategory, ...]:
     return FAILURE_CATEGORIES
 
 
-def _locus_matches(truth: GroundTruth, problem_locus: str) -> bool:
+def locus_matches(truth: GroundTruth, problem_locus: str) -> bool:
     """Does a verdict locus name the injected component (either way for
     cables, adjacent-link tolerant for switches)?"""
     locus = truth.locus
@@ -223,7 +223,7 @@ def _explains(fault: Fault, window: tuple[int, Optional[int]],
     if (expected_category
             and problem.category not in _expected_categories(truth)):
         return False
-    return not locus or _locus_matches(truth, problem.locus)
+    return not locus or locus_matches(truth, problem.locus)
 
 
 def _score_fault(fault: Fault, window: tuple[int, Optional[int]],
@@ -235,7 +235,7 @@ def _score_fault(fault: Fault, window: tuple[int, Optional[int]],
     hits = [p for p in problems
             if _explains(fault, window, p, expected_category=True,
                          locus=p.category in LOCATED_CATEGORIES)]
-    localized = [p for p in hits if _locus_matches(truth, p.locus)]
+    localized = [p for p in hits if locus_matches(truth, p.locus)]
     first = min(hits, key=lambda p: p.detected_at_ns) if hits else None
     return DetectionOutcome(
         fault_id=truth.fault_id,

@@ -5,9 +5,11 @@ link at fault, and whether the paper marks it service-failing (*) — so
 experiments can score the Analyzer's detection and localisation accuracy
 against what was actually injected (Figure 6).
 
-Faults are injected/cleared against a :class:`~repro.cluster.Cluster`; the
-:class:`FaultManager` schedules activation windows on the simulator and
-keeps the ground-truth registry.
+Faults are injected/cleared against a :class:`~repro.cluster.Cluster`,
+holding the device settings they change through its
+:class:`~repro.cluster.Holds` table, so two faults (or a fault and a
+workload) on one device compose; the :class:`FaultManager` schedules
+activation windows on the simulator and keeps the ground-truth registry.
 """
 
 from __future__ import annotations
@@ -58,7 +60,11 @@ class GroundTruth:
 
 
 class Fault:
-    """Base class: subclasses override ``_inject`` and ``_clear``."""
+    """Base class.  A fault is mostly the device settings it holds while
+    active: a subclass lists them in ``held`` as ``(device, setting,
+    value)``; :meth:`inject` holds them through ``cluster.holds`` and
+    :meth:`clear` releases them.  ``_inject`` / ``_clear`` are for effects
+    that are not settings (a flapping task, an ACL rule, a partition)."""
 
     table2_row: int = 0
     category = ProblemCategory.HARDWARE_FAILURE
@@ -74,9 +80,12 @@ class Fault:
             table2_row=self.table2_row, category=self.category,
             locus_kind=self.locus_kind, locus=locus,
             causes_service_failure=self.causes_service_failure)
-        # Open activation windows (see acquire/release).  Raw inject() /
-        # clear() bypass the count and stay idempotent on their own.
-        self._open_windows = 0
+        self.owner = cluster.holds.owner(self.ground_truth.fault_id)
+        self.held: list[tuple] = []
+        # How many scheduled activation windows are open (see acquire /
+        # release).  Raw inject() / clear() bypass the count and stay
+        # idempotent on their own.
+        self.open_windows = 0
         # What scorers judge verdicts against: earliest scheduled start to
         # latest scheduled end (None = some window never closes).  Set by
         # FaultManager; None until a window is scheduled.
@@ -87,6 +96,8 @@ class Fault:
         if self.ground_truth.active:
             return
         self.ground_truth.active = True
+        for device, setting, value in self.held:
+            self._hold(device, setting, value)
         self._inject()
 
     def clear(self) -> None:
@@ -94,6 +105,7 @@ class Fault:
         if not self.ground_truth.active:
             return
         self.ground_truth.active = False
+        self.cluster.holds.release(self.owner)
         self._clear()
 
     def acquire(self) -> None:
@@ -105,8 +117,8 @@ class Fault:
         window's end).  Refcounting makes the outcome order-independent:
         the fault is active exactly while >= 1 window is open.
         """
-        self._open_windows += 1
-        if self._open_windows == 1:
+        self.open_windows += 1
+        if self.open_windows == 1:
             self.inject()
 
     def release(self) -> None:
@@ -116,105 +128,57 @@ class Fault:
         inject ever ran — is a no-op, so campaign event ordering cannot
         wedge a fault into a half-cleared state.
         """
-        if self._open_windows == 0:
+        if self.open_windows == 0:
             return
-        self._open_windows -= 1
-        if self._open_windows == 0:
+        self.open_windows -= 1
+        if self.open_windows == 0:
             self.clear()
 
-    @property
-    def open_windows(self) -> int:
-        """How many scheduled activation windows are currently open."""
-        return self._open_windows
-
     def _inject(self) -> None:
-        raise NotImplementedError
+        """Start what is not a held setting (nothing, by default)."""
 
     def _clear(self) -> None:
-        raise NotImplementedError
+        """Undo what is not a held setting (nothing, by default)."""
+
+    def _hold(self, device, setting: str, value) -> None:
+        self.cluster.holds.hold(self.owner, device, setting, value)
+
+    def _cable(self, a: str, b: str) -> tuple:
+        """Both directions of the a<->b cable."""
+        link = self.cluster.topology.link
+        return link(a, b), link(b, a)
 
 
 # --------------------------------------------------------------------------
 # #1 — RNIC or switch port flapping
 # --------------------------------------------------------------------------
 
-class SwitchPortFlapping(Fault):
-    """Table 2 #1 (switch side): a cable's state oscillates up/down.
-
-    The flap period is far below routing convergence, so ECMP keeps
-    offering the link and flows hashed onto it lose packets during every
-    down phase — the Figure 1 (top) scenario.
-    """
+class _Flapping(Fault):
+    """Table 2 #1: a port's state oscillates down/up, down for
+    ``down_fraction`` of every ``period_ns``.  Subclasses say what a phase
+    change holds (:meth:`_flap`)."""
 
     table2_row = 1
-    category = ProblemCategory.HARDWARE_FAILURE
-    locus_kind = LocusKind.LINK
 
-    def __init__(self, cluster: Cluster, a: str, b: str, *,
+    def __init__(self, cluster: Cluster, locus: str, *,
                  period_ns: int = 400 * MILLISECOND,
                  down_fraction: float = 0.5):
-        super().__init__(cluster, f"{a}<->{b}")
+        super().__init__(cluster, locus)
         if not 0.0 < down_fraction < 1.0:
             raise ValueError("down_fraction must be in (0, 1)")
-        self.pair = cluster.topology.link_pair(a, b)
         self.period_ns = period_ns
         self.down_fraction = down_fraction
         self._task: Optional[PeriodicTask] = None
-        self._phase_down = False
 
     def _inject(self) -> None:
         half = max(1, round(self.period_ns * self.down_fraction))
         self._phase_down = True
-        self.pair.up = False
-        self.pair.mark_transition(self.cluster.sim.now)
+        self._flap(True)
         self._task = self.cluster.sim.every(half, self._toggle, delay=half)
 
     def _toggle(self) -> None:
         self._phase_down = not self._phase_down
-        self.pair.up = not self._phase_down
-        self.pair.mark_transition(self.cluster.sim.now)
-        assert self._task is not None
-        if self._phase_down:
-            self._task.set_interval(
-                max(1, round(self.period_ns * self.down_fraction)))
-        else:
-            self._task.set_interval(
-                max(1, round(self.period_ns * (1 - self.down_fraction))))
-
-    def _clear(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-        self.pair.up = True
-
-
-class RnicFlapping(Fault):
-    """Table 2 #1 (RNIC side): the NIC port oscillates — Figure 1 (bottom)."""
-
-    table2_row = 1
-    category = ProblemCategory.HARDWARE_FAILURE
-    locus_kind = LocusKind.RNIC
-
-    def __init__(self, cluster: Cluster, rnic_name: str, *,
-                 period_ns: int = 400 * MILLISECOND,
-                 down_fraction: float = 0.5):
-        super().__init__(cluster, rnic_name)
-        self.rnic = cluster.rnic(rnic_name)
-        self.period_ns = period_ns
-        self.down_fraction = down_fraction
-        self._task: Optional[PeriodicTask] = None
-        self._phase_down = False
-
-    def _inject(self) -> None:
-        half = max(1, round(self.period_ns * self.down_fraction))
-        self._phase_down = True
-        self.rnic.flap_down = True
-        self.rnic.last_flap_ns = self.cluster.sim.now
-        self._task = self.cluster.sim.every(half, self._toggle, delay=half)
-
-    def _toggle(self) -> None:
-        self._phase_down = not self._phase_down
-        self.rnic.flap_down = self._phase_down
-        self.rnic.last_flap_ns = self.cluster.sim.now
+        self._flap(self._phase_down)
         assert self._task is not None
         fraction = (self.down_fraction if self._phase_down
                     else 1 - self.down_fraction)
@@ -223,7 +187,42 @@ class RnicFlapping(Fault):
     def _clear(self) -> None:
         if self._task is not None:
             self._task.stop()
-        self.rnic.flap_down = False
+
+    def _flap(self, down: bool) -> None:
+        raise NotImplementedError
+
+
+class SwitchPortFlapping(_Flapping):
+    """Table 2 #1 (switch side): a cable's state oscillates up/down.
+
+    The flap period is far below routing convergence, so ECMP keeps
+    offering the link and flows hashed onto it lose packets during every
+    down phase — the Figure 1 (top) scenario.
+    """
+
+    locus_kind = LocusKind.LINK
+
+    def __init__(self, cluster: Cluster, a: str, b: str, **timing):
+        super().__init__(cluster, f"{a}<->{b}", **timing)
+        self.pair = cluster.topology.link_pair(a, b)
+
+    def _flap(self, down: bool) -> None:
+        self._hold(self.pair, "up", not down)
+        self.pair.mark_transition(self.cluster.sim.now)
+
+
+class RnicFlapping(_Flapping):
+    """Table 2 #1 (RNIC side): the NIC port oscillates — Figure 1 (bottom)."""
+
+    locus_kind = LocusKind.RNIC
+
+    def __init__(self, cluster: Cluster, rnic_name: str, **timing):
+        super().__init__(cluster, rnic_name, **timing)
+        self.rnic = cluster.rnic(rnic_name)
+
+    def _flap(self, down: bool) -> None:
+        self._hold(self.rnic, "flap_down", down)
+        self.rnic.last_flap_ns = self.cluster.sim.now
 
 
 # --------------------------------------------------------------------------
@@ -242,16 +241,8 @@ class LinkCorruption(Fault):
         super().__init__(cluster, f"{a}<->{b}")
         if not 0.0 < drop_prob <= 1.0:
             raise ValueError("drop_prob must be in (0, 1]")
-        self.links = [cluster.topology.link(a, b), cluster.topology.link(b, a)]
-        self.drop_prob = drop_prob
-
-    def _inject(self) -> None:
-        for link in self.links:
-            link.corruption_drop_prob = self.drop_prob
-
-    def _clear(self) -> None:
-        for link in self.links:
-            link.corruption_drop_prob = 0.0
+        self.held = [(link, "corruption_drop_prob", drop_prob)
+                     for link in self._cable(a, b)]
 
 
 class RnicCorruption(Fault):
@@ -264,16 +255,9 @@ class RnicCorruption(Fault):
     def __init__(self, cluster: Cluster, rnic_name: str, *,
                  drop_prob: float = 0.05):
         super().__init__(cluster, rnic_name)
-        self.rnic = cluster.rnic(rnic_name)
-        self.drop_prob = drop_prob
-
-    def _inject(self) -> None:
-        self.rnic.rx_corruption_prob = self.drop_prob
-        self.rnic.tx_corruption_prob = self.drop_prob
-
-    def _clear(self) -> None:
-        self.rnic.rx_corruption_prob = 0.0
-        self.rnic.tx_corruption_prob = 0.0
+        rnic = cluster.rnic(rnic_name)
+        self.held = [(rnic, "rx_corruption_prob", drop_prob),
+                     (rnic, "tx_corruption_prob", drop_prob)]
 
 
 # --------------------------------------------------------------------------
@@ -290,13 +274,7 @@ class RnicDown(Fault):
 
     def __init__(self, cluster: Cluster, rnic_name: str):
         super().__init__(cluster, rnic_name)
-        self.rnic = cluster.rnic(rnic_name)
-
-    def _inject(self) -> None:
-        self.rnic.admin_up = False
-
-    def _clear(self) -> None:
-        self.rnic.admin_up = True
+        self.held = [(cluster.rnic(rnic_name), "admin_up", False)]
 
 
 class HostDown(Fault):
@@ -309,13 +287,7 @@ class HostDown(Fault):
 
     def __init__(self, cluster: Cluster, host_name: str):
         super().__init__(cluster, host_name)
-        self.host = cluster.hosts[host_name]
-
-    def _inject(self) -> None:
-        self.host.set_down()
-
-    def _clear(self) -> None:
-        self.host.set_up()
+        self.held = [(cluster.hosts[host_name], "up", False)]
 
 
 # --------------------------------------------------------------------------
@@ -333,15 +305,8 @@ class PfcDeadlock(Fault):
 
     def __init__(self, cluster: Cluster, a: str, b: str):
         super().__init__(cluster, f"{a}<->{b}")
-        self.links = [cluster.topology.link(a, b), cluster.topology.link(b, a)]
-
-    def _inject(self) -> None:
-        for link in self.links:
-            link.pfc_deadlocked = True
-
-    def _clear(self) -> None:
-        for link in self.links:
-            link.pfc_deadlocked = False
+        self.held = [(link, "pfc_deadlocked", True)
+                     for link in self._cable(a, b)]
 
 
 # --------------------------------------------------------------------------
@@ -359,13 +324,7 @@ class RnicRoutingMisconfig(Fault):
 
     def __init__(self, cluster: Cluster, rnic_name: str):
         super().__init__(cluster, rnic_name)
-        self.rnic = cluster.rnic(rnic_name)
-
-    def _inject(self) -> None:
-        self.rnic.routing_configured = False
-
-    def _clear(self) -> None:
-        self.rnic.routing_configured = True
+        self.held = [(cluster.rnic(rnic_name), "routing_configured", False)]
 
 
 class RnicGidIndexMissing(Fault):
@@ -379,13 +338,7 @@ class RnicGidIndexMissing(Fault):
 
     def __init__(self, cluster: Cluster, rnic_name: str):
         super().__init__(cluster, rnic_name)
-        self.rnic = cluster.rnic(rnic_name)
-
-    def _inject(self) -> None:
-        self.rnic.gid_index_present = False
-
-    def _clear(self) -> None:
-        self.rnic.gid_index_present = True
+        self.held = [(cluster.rnic(rnic_name), "gid_index_present", False)]
 
 
 # --------------------------------------------------------------------------
@@ -431,15 +384,8 @@ class PfcHeadroomMisconfig(Fault):
 
     def __init__(self, cluster: Cluster, a: str, b: str):
         super().__init__(cluster, f"{a}<->{b}")
-        self.links = [cluster.topology.link(a, b), cluster.topology.link(b, a)]
-
-    def _inject(self) -> None:
-        for link in self.links:
-            link.pfc_headroom_ok = False
-
-    def _clear(self) -> None:
-        for link in self.links:
-            link.pfc_headroom_ok = True
+        self.held = [(link, "pfc_headroom_ok", False)
+                     for link in self._cable(a, b)]
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +393,8 @@ class PfcHeadroomMisconfig(Fault):
 # --------------------------------------------------------------------------
 
 class LinkOverload(Fault):
-    """Extra fluid load on one directed link.
+    """Extra fluid load on one directed link, on top of whatever else
+    (service traffic) loads it.
 
     Stands in for Table 2 #10 (ECMP hash-collision uplink congestion) and
     #11 (inter-service interference), which in production arise from
@@ -465,19 +412,8 @@ class LinkOverload(Fault):
         super().__init__(cluster, f"{src}->{dst}")
         self.table2_row = table2_row
         self.ground_truth.table2_row = table2_row
-        self.link = cluster.topology.link(src, dst)
-        self.extra_gbps = extra_gbps
-        self._baseline = 0.0
-
-    def _inject(self) -> None:
-        now = self.cluster.sim.now
-        self._baseline = self.link.offered_load_gbps
-        self.link.set_offered_load(now, self._baseline + self.extra_gbps)
-
-    def _clear(self) -> None:
-        now = self.cluster.sim.now
-        reduced = max(0.0, self.link.offered_load_gbps - self.extra_gbps)
-        self.link.set_offered_load(now, reduced)
+        self.held = [(cluster.topology.link(src, dst), "offered_load_gbps",
+                      extra_gbps)]
 
 
 # --------------------------------------------------------------------------
@@ -496,16 +432,7 @@ class CpuOverload(Fault):
     def __init__(self, cluster: Cluster, host_name: str, *,
                  load: float = 0.96):
         super().__init__(cluster, host_name)
-        self.host = cluster.hosts[host_name]
-        self.load = load
-        self._previous = 0.0
-
-    def _inject(self) -> None:
-        self._previous = self.host.cpu.load
-        self.host.cpu.set_load(self.load)
-
-    def _clear(self) -> None:
-        self.host.cpu.set_load(self._previous)
+        self.held = [(cluster.hosts[host_name], "cpu_load", load)]
 
 
 # --------------------------------------------------------------------------
@@ -525,21 +452,10 @@ class PcieDowngrade(Fault):
                  degraded_pcie_gbps: float = 32.0,
                  pause_delay_ns: int = 300_000):
         super().__init__(cluster, rnic_name)
-        self.rnic = cluster.rnic(rnic_name)
-        tor = cluster.tor_of(rnic_name)
-        self.downlink = cluster.topology.link(tor, rnic_name)
-        self.degraded_pcie_gbps = degraded_pcie_gbps
-        self.pause_delay_ns = pause_delay_ns
-        self._orig_pcie = self.rnic.pcie_gbps
-
-    def _inject(self) -> None:
-        self._orig_pcie = self.rnic.pcie_gbps
-        self.rnic.pcie_gbps = self.degraded_pcie_gbps
-        self.downlink.pause_delay_ns = self.pause_delay_ns
-
-    def _clear(self) -> None:
-        self.rnic.pcie_gbps = self._orig_pcie
-        self.downlink.pause_delay_ns = 0
+        rnic = cluster.rnic(rnic_name)
+        downlink = cluster.topology.link(cluster.tor_of(rnic_name), rnic_name)
+        self.held = [(rnic, "pcie_gbps", degraded_pcie_gbps),
+                     (downlink, "pause_delay_ns", pause_delay_ns)]
 
 
 class RnicAcsMisconfig(PcieDowngrade):
@@ -547,7 +463,6 @@ class RnicAcsMisconfig(PcieDowngrade):
     as a PCIe downgrade, different root cause (and category row)."""
 
     table2_row = 14
-    category = ProblemCategory.INTRA_HOST_BOTTLENECK
 
 
 # --------------------------------------------------------------------------
@@ -565,20 +480,21 @@ class LinkFailure(Fault):
     def __init__(self, cluster: Cluster, a: str, b: str):
         super().__init__(cluster, f"{a}<->{b}")
         self.pair = cluster.topology.link_pair(a, b)
+        self.held = [(self.pair, "up", False)]
+        self._converged = False
 
     def _inject(self) -> None:
-        self.pair.up = False
         self.cluster.sim.call_later(ROUTING_CONVERGENCE_NS, self._converge)
 
     def _converge(self) -> None:
-        if not self.pair.up:
-            self.pair.routed_around = True
+        if self.ground_truth.active:
+            self._hold(self.pair, "routed_around", True)
+            self._converged = True
             self.cluster.topology.invalidate_routes()
 
     def _clear(self) -> None:
-        self.pair.up = True
-        if self.pair.routed_around:
-            self.pair.routed_around = False
+        if self._converged:
+            self._converged = False
             self.cluster.topology.invalidate_routes()
 
 
@@ -593,19 +509,14 @@ class SilentDrop(Fault):
     def __init__(self, cluster: Cluster, src: str, dst: str, *,
                  match_port_mod: int = 8, match_port_rem: int = 3):
         super().__init__(cluster, f"{src}->{dst}")
-        self.link = cluster.topology.link(src, dst)
         self.mod = match_port_mod
         self.rem = match_port_rem
+        self.held = [(cluster.topology.link(src, dst),
+                      "silent_drop_predicate", self.matches)]
 
     def matches(self, five_tuple: FiveTuple) -> bool:
         """The 'certain 5-tuples' predicate."""
         return five_tuple.src_port % self.mod == self.rem
-
-    def _inject(self) -> None:
-        self.link.silent_drop_predicate = self.matches
-
-    def _clear(self) -> None:
-        self.link.silent_drop_predicate = None
 
 
 # --------------------------------------------------------------------------
@@ -668,8 +579,8 @@ class FaultManager:
 
     Refcounting only works on *one* instance, so the manager also owns the
     table from a declarative identity to the fault built for it
-    (:meth:`fault`): two instances on one device would each restore it on
-    their own clear, under the other's open window.
+    (:meth:`fault`): two instances of one identity would be two holders,
+    and a held sum (extra load, pause pressure) would count the dose twice.
     """
 
     def __init__(self, cluster: Cluster):

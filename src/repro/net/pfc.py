@@ -11,7 +11,8 @@ The default substrate models the storm's *effect* with a static pause
 delay installed by the fault (enough for every headline experiment).
 This engine is the mechanistic, opt-in alternative: it periodically
 derives pause pressure from actual drain deficits and traffic, so the
-storm emerges — and subsides — with the workload.
+storm emerges — and subsides — with the workload.  It holds its pressure
+through ``cluster.holds``, on top of any a fault holds on the same port.
 
 Model per evaluation tick:
 
@@ -43,6 +44,13 @@ PAUSE_DUTY_TO_DELAY_NS = 1_000_000
 UPSTREAM_INHERITANCE = 0.5
 
 
+def _press(pressure: dict[tuple[str, str], int], link: tuple[str, str],
+           duty: float) -> None:
+    """Add one victim's pause duty to a link's pressure this tick."""
+    pressure[link] = (pressure.get(link, 0)
+                      + round(duty * PAUSE_DUTY_TO_DELAY_NS))
+
+
 @dataclass
 class PauseState:
     """Current pause pressure on one directed link."""
@@ -60,8 +68,7 @@ class PfcPropagationEngine:
         self.cluster = cluster
         self.tick_ns = tick_ns
         self._task: PeriodicTask | None = None
-        # Links whose pause_delay this engine owns (never fight faults).
-        self._owned: set[tuple[str, str]] = set()
+        self._owner = cluster.holds.owner("pfc")
         self.pause_states: list[PauseState] = []
 
     def start(self) -> None:
@@ -70,16 +77,11 @@ class PfcPropagationEngine:
             self._task = self.cluster.sim.every(self.tick_ns, self.evaluate)
 
     def stop(self) -> None:
-        """Stop and clear all engine-owned pause pressure."""
+        """Stop and release all of this engine's pause pressure."""
         if self._task is not None:
             self._task.stop()
             self._task = None
-        self._clear_owned()
-
-    def _clear_owned(self) -> None:
-        for key in self._owned:
-            self.cluster.topology.links[key].pause_delay_ns = 0
-        self._owned.clear()
+        self.cluster.holds.release(self._owner)
         self.pause_states = []
 
     # -- the model ----------------------------------------------------------------
@@ -90,11 +92,12 @@ class PfcPropagationEngine:
         return self.cluster.topology.link(tor, rnic_name).offered_load_gbps
 
     def evaluate(self) -> list[PauseState]:
-        """One tick: recompute every engine-owned pause delay."""
+        """One tick: recompute all of this engine's pause pressure."""
         was_storming = bool(self.pause_states)
-        self._clear_owned()
+        self.cluster.holds.release(self._owner)
         topo = self.cluster.topology
         states: list[PauseState] = []
+        pressure: dict[tuple[str, str], int] = {}   # link -> this tick's ns
 
         for rnic in self.cluster.all_rnics():
             demand = self._inbound_demand_gbps(rnic.name)
@@ -106,11 +109,9 @@ class PfcPropagationEngine:
                 continue
             duty = min(1.0, deficit / demand)
             tor = self.cluster.tor_of(rnic.name)
-            downlink = topo.link(tor, rnic.name)
-            downlink.pause_delay_ns += round(duty * PAUSE_DUTY_TO_DELAY_NS)
-            self._owned.add((tor, rnic.name))
-            states.append(PauseState(link_name=downlink.name, duty=duty,
-                                     source=rnic.name))
+            _press(pressure, (tor, rnic.name), duty)
+            states.append(PauseState(link_name=f"{tor}->{rnic.name}",
+                                     duty=duty, source=rnic.name))
 
             # One tier of backpressure: upstream links feeding this ToR
             # inherit pressure proportional to their share of the ToR's
@@ -120,14 +121,14 @@ class PfcPropagationEngine:
             active = [n for n in feeders
                       if topo.link(n, tor).offered_load_gbps > 0]
             for feeder in active or feeders:
-                uplink = topo.link(feeder, tor)
                 share = duty * UPSTREAM_INHERITANCE / max(1, len(
                     active or feeders))
-                uplink.pause_delay_ns += round(
-                    share * PAUSE_DUTY_TO_DELAY_NS)
-                self._owned.add((feeder, tor))
-                states.append(PauseState(link_name=uplink.name,
+                _press(pressure, (feeder, tor), share)
+                states.append(PauseState(link_name=f"{feeder}->{tor}",
                                          duty=share, source=rnic.name))
+        for key, delay_ns in pressure.items():
+            self.cluster.holds.hold(self._owner, topo.links[key],
+                                    "pause_delay_ns", delay_ns)
         self.pause_states = states
         self._observe(states, was_storming)
         return states

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.net.addresses import FiveTuple
@@ -231,8 +232,38 @@ class LinkPair:
         return now_ns - self.last_transition_ns <= window_ns
 
 
+def _knob(slot: str, doc: str) -> property:
+    """A link attribute whose reads are plain and whose writes go through
+    :meth:`DirectedLink._write` (no-op writes return early)."""
+    def write(self: "DirectedLink", value) -> None:
+        self._write(slot, value)
+    return property(attrgetter(slot), write, doc=doc)
+
+
 class DirectedLink:
     """One direction of a cable, with queue state and fault knobs."""
+
+    # What a packet is told here.  Faults and workloads hold the fault
+    # knobs through ``cluster.holds`` (DESIGN.md §4); ``queue_bytes`` is
+    # queue state, not a held setting.
+    corruption_drop_prob = _knob(
+        "_corruption_drop_prob",
+        "Per-packet corruption drop probability (fault #2).")
+    silent_drop_predicate = _knob(
+        "_silent_drop_predicate",
+        "Per-5-tuple silent-drop rule (the §4.1 problem), or None.")
+    pfc_enabled = _knob(
+        "_pfc_enabled", "Whether PFC is configured on the RoCE queue.")
+    pfc_headroom_ok = _knob(
+        "_pfc_headroom_ok",
+        "Whether PFC headroom is sized correctly (fault #9 clears it).")
+    pfc_deadlocked = _knob(
+        "_pfc_deadlocked", "Whether a PFC deadlock blocks the RoCE queue.")
+    pause_delay_ns = _knob(
+        "_pause_delay_ns",
+        "Extra per-packet delay from PFC pause pressure on this port.")
+    queue_bytes = _knob(
+        "_queue_bytes", "Fluid queue occupancy as of the last integration.")
 
     def __init__(self, src: str, dst: str, pair: LinkPair, *,
                  rate_gbps: float = 400.0, propagation_ns: int = 500,
@@ -250,10 +281,9 @@ class DirectedLink:
         # which is also how the fabric tells the two apart per hop.
         self.dst_acl = dst_acl
 
-        # Fault knobs (driven by repro.net.faults).  Every write goes
-        # through a property and ``_write``; rate/propagation are
-        # construction-time constants, which the base-delay cache and
-        # the fabric's route cache both rely on.
+        # The knobs' state (written only through the properties above);
+        # rate/propagation are construction-time constants, which the
+        # base-delay cache and the fabric's route cache both rely on.
         self._corruption_drop_prob = 0.0
         self._silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
         self._pfc_enabled = True
@@ -319,70 +349,6 @@ class DirectedLink:
             self._before_write()
             setattr(self, attr, value)
             self._refresh_quiet()
-
-    @property
-    def corruption_drop_prob(self) -> float:
-        """Per-packet corruption drop probability (fault #2)."""
-        return self._corruption_drop_prob
-
-    @corruption_drop_prob.setter
-    def corruption_drop_prob(self, value: float) -> None:
-        self._write("_corruption_drop_prob", value)
-
-    @property
-    def silent_drop_predicate(self) -> Optional[Callable[[FiveTuple], bool]]:
-        """Per-5-tuple silent-drop rule (the §4.1 problem), or None."""
-        return self._silent_drop_predicate
-
-    @silent_drop_predicate.setter
-    def silent_drop_predicate(
-            self, value: Optional[Callable[[FiveTuple], bool]]) -> None:
-        self._write("_silent_drop_predicate", value)
-
-    @property
-    def pfc_enabled(self) -> bool:
-        """Whether PFC is configured on the RoCE queue."""
-        return self._pfc_enabled
-
-    @pfc_enabled.setter
-    def pfc_enabled(self, value: bool) -> None:
-        self._write("_pfc_enabled", value)
-
-    @property
-    def pfc_headroom_ok(self) -> bool:
-        """Whether PFC headroom is sized correctly (fault #9 clears it)."""
-        return self._pfc_headroom_ok
-
-    @pfc_headroom_ok.setter
-    def pfc_headroom_ok(self, value: bool) -> None:
-        self._write("_pfc_headroom_ok", value)
-
-    @property
-    def pfc_deadlocked(self) -> bool:
-        """Whether a PFC deadlock blocks the RoCE queue."""
-        return self._pfc_deadlocked
-
-    @pfc_deadlocked.setter
-    def pfc_deadlocked(self, value: bool) -> None:
-        self._write("_pfc_deadlocked", value)
-
-    @property
-    def pause_delay_ns(self) -> int:
-        """Extra per-packet delay from PFC pause pressure on this port."""
-        return self._pause_delay_ns
-
-    @pause_delay_ns.setter
-    def pause_delay_ns(self, value: int) -> None:
-        self._write("_pause_delay_ns", value)
-
-    @property
-    def queue_bytes(self) -> float:
-        """Fluid queue occupancy as of the last integration."""
-        return self._queue_bytes
-
-    @queue_bytes.setter
-    def queue_bytes(self, value: float) -> None:
-        self._write("_queue_bytes", value)
 
     @property
     def name(self) -> str:

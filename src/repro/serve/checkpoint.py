@@ -30,8 +30,11 @@ second instance of a fault the campaign already armed; format 5 files hold
 ``DirectedLink``s without ``quiet_wait_ns``, the constant the walker adds
 up over a loaded hop; format 6 files hold an ``Analyzer`` with no memory of
 the uploads it accepted, so a resend in flight across the restore would be
-ingested twice.  (The ``v1`` in the magic line names the container
-layout — magic, JSON line, zlib pickle — which has not changed.)
+ingested twice; format 7 files hold faults and workloads that restore their
+own idea of "before" and a ``Cluster`` with no ``Holds`` table, so a clear
+after the restore would overwrite what another writer still holds.  (The
+``v1`` in the magic line names the container layout — magic, JSON line,
+zlib pickle — which has not changed.)
 
 Also a tiny CLI, used by tests to prove *cross-process* restore::
 
@@ -51,7 +54,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 7
+FORMAT = 8
 
 
 class CheckpointError(RuntimeError):

@@ -106,6 +106,7 @@ class DmlJob:
         self.config = config or DmlConfig()
         self.traffic = traffic or TrafficEngine(cluster)
         self.rng = cluster.rngs.stream("dml")
+        self._owner = cluster.holds.owner("dml")
         self.connections: list[DmlConnection] = []
         self.throughput = TimeSeries("training_throughput_gbps")
         self.checkpoint_windows: list[tuple[int, int]] = []
@@ -115,7 +116,7 @@ class DmlJob:
         self._compute_decay_per_cycle = 0.0
         self._running = False
         self._in_comm_phase = False
-        self._baseline: Optional[float] = None
+        self._baseline_throughput: Optional[float] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -135,7 +136,7 @@ class DmlJob:
         self.traffic.clear()
         for conn in self.connections:
             self._destroy_connection(conn)
-        self._set_participant_load(0.10)
+        self.cluster.holds.release(self._owner)
 
     def _pairs(self) -> list[tuple[str, str]]:
         n = len(self.participants)
@@ -202,9 +203,11 @@ class DmlJob:
     # -- the training cycle -----------------------------------------------------------
 
     def _set_participant_load(self, load: float) -> None:
-        hosts = {self.cluster.host_of_rnic(name) for name in self.participants}
+        hosts = dict.fromkeys(self.cluster.host_name_of[name]
+                              for name in self.participants)
         for host in hosts:
-            host.cpu.set_load(load)
+            self.cluster.holds.hold(self._owner, self.cluster.hosts[host],
+                                    "cpu_load", load)
 
     def _begin_compute(self) -> None:
         if not self._running or self.task_failed:
@@ -331,8 +334,8 @@ class DmlJob:
         total_gbits = self.config.data_gbits_per_cycle * live
         throughput = total_gbits / (cycle_ns / SECOND) if cycle_ns else 0.0
         self.throughput.record(now, throughput)
-        if self._baseline is None and self.cycles_completed >= 2:
-            self._baseline = throughput
+        if self._baseline_throughput is None and self.cycles_completed >= 2:
+            self._baseline_throughput = throughput
         self.cycles_completed += 1
         self.compute_speed_factor *= (1.0 - self._compute_decay_per_cycle)
 
@@ -359,7 +362,7 @@ class DmlJob:
         self._running = False
         self.traffic.clear()
         self.throughput.record(self.cluster.sim.now, 0.0)
-        self._set_participant_load(0.10)
+        self.cluster.holds.release(self._owner)
 
     # -- ServiceMonitor protocol (§4.3.4) ---------------------------------------------
 
@@ -374,9 +377,10 @@ class DmlJob:
         if self.task_failed:
             return True
         current = self.current_throughput()
-        if current is None or self._baseline is None:
+        if current is None or self._baseline_throughput is None:
             return False
-        return current < self.config.degradation_threshold * self._baseline
+        return current < (self.config.degradation_threshold
+                          * self._baseline_throughput)
 
     @property
     def in_comm_phase(self) -> bool:

@@ -51,6 +51,7 @@ class ModelLoadPhase:
         self.base_duration_ns = base_duration_ns
         self.loading_cpu_load = loading_cpu_load
         self.result: Optional[LoadResult] = None
+        self._owner = cluster.holds.owner("model_load")
 
     def expected_duration_ns(self, host_name: str) -> int:
         """This host's load time given its *pre-existing* CPU load.
@@ -68,14 +69,13 @@ class ModelLoadPhase:
         per_host: dict[str, int] = {}
         for name in self.host_names:
             per_host[name] = self.expected_duration_ns(name)
-            host = self.cluster.hosts[name]
             # Loading itself pins CPU further (visible as processing delay).
-            host.cpu.set_load(max(host.cpu.load, self.loading_cpu_load))
+            self.cluster.holds.hold(self._owner, self.cluster.hosts[name],
+                                    "cpu_load", self.loading_cpu_load)
         longest = max(per_host.values())
 
         def _finish() -> None:
-            for name in self.host_names:
-                self.cluster.hosts[name].cpu.set_load(0.10)
+            self.cluster.holds.release(self._owner)
             self.result = LoadResult(per_host_ns=per_host,
                                      started_at_ns=start,
                                      finished_at_ns=self.cluster.sim.now)

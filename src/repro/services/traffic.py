@@ -9,7 +9,8 @@ observe it.
 On :meth:`apply`, the engine:
 
 1. routes every flow and accumulates per-link demand,
-2. sets each link's fluid offered load,
+2. holds each link's share of fluid offered load (``cluster.holds``: it
+   adds to whatever else — a ``LinkOverload`` fault — loads the link),
 3. for overloaded links, installs the standing queue prescribed by the
    active congestion-control model (see :mod:`repro.services.congestion`),
 4. computes per-flow goodput via bottleneck share (approximate max-min).
@@ -44,7 +45,8 @@ class TrafficEngine:
     def __init__(self, cluster: Cluster, *, cc: CcModel = DCQCN):
         self.cluster = cluster
         self.cc = cc
-        self._touched: set[tuple[str, str]] = set()
+        self._owner = cluster.holds.owner("traffic")
+        self._demand: dict[tuple[str, str], float] = {}
         self.flows: list[Flow] = []
 
     def set_cc(self, cc: CcModel) -> None:
@@ -53,15 +55,13 @@ class TrafficEngine:
 
     def apply(self, flows: list[Flow]) -> None:
         """Replace the active flow set and recompute link loads."""
-        now = self.cluster.sim.now
         topo = self.cluster.topology
+        holds = self.cluster.holds
 
-        # Clear loads we set previously (links may have dropped out).
-        for key in self._touched:
-            link = topo.links[key]
-            link.set_offered_load(now, 0.0)
+        # Give back the loads we held (links may have dropped out), and
+        # the standing queues that came with them.
+        for link in holds.release(self._owner):
             link.queue_bytes = 0.0
-        self._touched.clear()
 
         demand: dict[tuple[str, str], float] = {}
         for flow in flows:
@@ -74,14 +74,15 @@ class TrafficEngine:
             link = topo.links[key]
             # Congestion: CC caps arrivals at capacity but leaves its
             # characteristic standing queue (tail-RTT signature).
-            link.set_offered_load(now, min(load, link.rate_gbps))
+            holds.hold(self._owner, link, "offered_load_gbps",
+                       min(load, link.rate_gbps))
             if load > link.rate_gbps:
                 link.queue_bytes = self.cc.congested_queue_fill \
                     * link.buffer_bytes
-            self._touched.add(key)
 
         self._compute_goodputs(flows, demand)
         self.flows = flows
+        self._demand = demand
 
     def clear(self) -> None:
         """Remove all service load (compute phases, job teardown)."""
@@ -106,7 +107,7 @@ class TrafficEngine:
         """Links whose demand exceeded capacity at the last apply()."""
         topo = self.cluster.topology
         out = []
-        for key in sorted(self._touched):
+        for key in sorted(self._demand):
             link = topo.links[key]
             if link.queue_bytes > 0:
                 out.append(link)
@@ -114,12 +115,7 @@ class TrafficEngine:
 
     def link_demand(self, src: str, dst: str) -> float:
         """Current total flow demand mapped onto one directed link."""
-        total = 0.0
-        for flow in self.flows:
-            for a, b in zip(flow.path, flow.path[1:]):
-                if (a, b) == (src, dst):
-                    total += flow.demand_gbps
-        return total
+        return self._demand.get((src, dst), 0.0)
 
     def min_goodput(self) -> Optional[float]:
         """The slowest flow's goodput — the DML barrel-effect bound."""

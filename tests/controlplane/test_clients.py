@@ -1,6 +1,6 @@
 """UploadChannel retry/backoff/buffering and ControllerClient shims."""
 
-from repro.controlplane.clients import UploadChannel
+from repro.controlplane.clients import UploadChannel, ack_timeout_ns
 from repro.controlplane.endpoint import Endpoint
 from repro.controlplane.transport import ManagementNetwork
 from repro.core.config import RPingmeshConfig
@@ -51,8 +51,7 @@ def test_partition_triggers_backoff_retries_then_heal_drains():
 
 def test_backoff_is_exponential_and_capped():
     config = RPingmeshConfig()
-    _, _, channel = make_channel(config)
-    timeouts = [channel._ack_timeout_ns(a) for a in range(8)]
+    timeouts = [ack_timeout_ns(config, a) for a in range(8)]
     assert timeouts[0] == config.upload_ack_timeout_ns
     assert timeouts[1] == 2 * config.upload_ack_timeout_ns
     assert all(t <= config.upload_backoff_max_ns for t in timeouts)

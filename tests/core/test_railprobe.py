@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.railprobe import RailProber
-from repro.net.faults import LinkCorruption, RnicDown
+from repro.net.faults import (LinkCorruption, RnicDown,
+                              RnicRoutingMisconfig)
 from repro.net.topology import Tier
 from repro.sim.units import MILLISECOND, seconds
 
@@ -72,6 +73,21 @@ class TestOneWayDetection:
         from_rnic0 = [r for r in prober.results
                       if r.src_rnic == "host0-rnic0"]
         assert all(r.timeout for r in from_rnic0)
+
+    def test_locally_failed_probe_takes_no_send_timestamp(self, small_rail,
+                                                          prober):
+        """A probe that never reaches the wire keeps its pending entry
+        until its timeout; the next probe's ② must still be its own."""
+        misconfig = RnicRoutingMisconfig(small_rail, "host0-rnic0")
+        misconfig.inject()
+        prober.probe_pair("host0-rnic0", "host0-rnic1", src_port=5000)
+        misconfig.clear()
+        prober.probe_pair("host0-rnic0", "host0-rnic1", src_port=5001)
+        small_rail.sim.run_for(seconds(1))
+        by_port = {r.src_port: r for r in prober.results}
+        assert by_port[5000].timeout
+        assert not by_port[5001].timeout
+        assert by_port[5001].raw_delta_ns is not None
 
     def test_delay_change_needs_baseline(self, small_rail, prober):
         assert prober.delay_change_ns("host0-rnic0", "host0-rnic1") is None

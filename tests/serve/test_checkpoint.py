@@ -17,6 +17,7 @@ from repro.fleet.spec import FaultEvent
 from repro.serve import (CheckpointError, ServeSession, ServeSpec,
                          load_checkpoint, read_metadata, save_checkpoint)
 from repro.serve.checkpoint import MAGIC
+from repro.services.dml import DmlConfig, DmlJob
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -174,6 +175,31 @@ class TestRestoreDeterminism:
         downed.cluster.sim.run_for(100_000)
         assert downed.system.agents[rnic.host.name].acks_sent == acks
 
+    def test_cut_while_a_fault_and_a_dml_job_both_hold_one_host(
+            self, tmp_path):
+        """The holds table rides in the pickle: the fault's 0.96 and the
+        job's phase loads on host0 both survive the cut, and releasing the
+        fault after the restore leaves the job's load, not a stale one."""
+        overload = FaultEvent.make("cpu_overload", "host0", start_s=2,
+                                   end_s=8, load=0.96)
+        session = ServeSession(ServeSpec(seed=7, campaign=(overload,)))
+        cluster = session.cluster
+        DmlJob(cluster, cluster.rnic_names()).start()
+        for _ in range(5):
+            session.tick()
+        assert cluster.hosts["host0"].cpu.load == 0.96
+        path = tmp_path / "ck.bin"
+        save_checkpoint(session, path)
+        restored = load_checkpoint(path)
+        for _ in range(7):
+            session.tick()
+            restored.tick()
+        assert restored.replay_digest() == session.replay_digest()
+        loads = {twin.cluster.hosts["host0"].cpu.load
+                 for twin in (session, restored)}
+        assert len(loads) == 1 and loads <= {DmlConfig.compute_cpu_load,
+                                            DmlConfig.comm_cpu_load}
+
     def test_uptime_and_alert_state_survive(self, tmp_path):
         session = ServeSession(ServeSpec(seed=3))
         for _ in range(8):
@@ -200,7 +226,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 7
+        assert meta["format"] == 8
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -221,12 +247,13 @@ class TestFileFormat:
         and the Agent's ``send_roles``, a v4 one a FaultManager with no
         identity table, a v5 one links without the constant a loaded hop
         costs, a v6 one an Analyzer that does not remember which uploads
-        it took; resuming any of them under this code would diverge
+        it took, a v7 one writers that restore their own "before" and no
+        holds table; resuming any of them under this code would diverge
         silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4, 5, 6):
+        for old in (1, 2, 3, 4, 5, 6, 7):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))

@@ -111,7 +111,7 @@ class TestThroughputAccounting:
         job = job_on(tiny_clos)
         job.start()
         tiny_clos.sim.run_for(seconds(5))
-        assert job._baseline is not None
+        assert job._baseline_throughput is not None
         assert not job.degraded()
 
     def test_broken_connections_reduce_total(self, tiny_clos):
