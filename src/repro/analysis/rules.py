@@ -81,9 +81,7 @@ POOL_INTERNAL_ATTRS = {
     "_free": "repro/net/packet.py",
     "_event_free": "repro/sim/engine.py",
     "_event_pool_size": "repro/sim/engine.py",
-    "_cur_heap": "repro/sim/engine.py",
-    "_bucket_heap": "repro/sim/engine.py",
-    "_cur_index": "repro/sim/engine.py",
+    "_event_heap": "repro/sim/engine.py",
     "_cqe_free": "repro/host/rnic.py",
     "_cqe_pool_limit": "repro/host/rnic.py",
     "_transit_free": "repro/net/fabric.py",

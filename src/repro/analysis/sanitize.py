@@ -388,7 +388,7 @@ class PoolSanitizer:
         Packets/CQEs/transits: live, un-retained, and older than
         ``leak_age_ns`` of sim time (younger objects are presumed in
         flight).  Events: exact — every outstanding record must still be
-        in the calendar queue, in-flight age notwithstanding.  Transits:
+        in the event queue, in-flight age notwithstanding.  Transits:
         exact too — the ones carrying a packet must be the fabric's
         in-flight table (the rest are tombstones a demotion left for
         their pending event to release).

@@ -117,7 +117,7 @@ class RootCauseAdvisor:
                 table2_row=5, cause="PFC deadlock (watchdog not firing)",
                 confidence=0.95,
                 evidence=f"persistent mutual pause on {pair.name}"))
-        if not link.pfc_enabled or not link.pfc_headroom_ok:
+        if not link.pfc_headroom_ok:
             diagnosis.hypotheses.append(Hypothesis(
                 table2_row=9,
                 cause="PFC unconfigured or misconfigured headroom",

@@ -209,12 +209,8 @@ class Rnic:
         self._wr_ids = itertools.count(1)
         self._next_qpn = rng.randint(0x100, 0xFFF)
         self._pending_rc_sends: dict[int, deque[int]] = {}
-        # Hot-path memos: probe 5-tuples repeat per (peer, src_port) and
-        # PCIe serialization depends only on (size, pcie_gbps); both are
-        # pure.  The PCIe memo is keyed by the rate so PcieDowngrade
-        # (which writes pcie_gbps directly) invalidates it naturally.
+        # Hot-path memo: probe 5-tuples repeat per (peer, src_port).
         self._five_tuple_memo: dict[tuple[str, int], FiveTuple] = {}
-        self._pcie_memo: tuple[float, dict[int, int]] = (pcie_gbps, {})
         # CQE free list (bounded).
         self._cqe_free: list[Cqe] = []
         self._cqe_pool_limit = 64
@@ -417,13 +413,8 @@ class Rnic:
             five_tuple, size, opcode, qp.qpn, dst.qpn,
             self.gid.value, dst.gid, payload)
 
-        rate, pcie_sizes = self._pcie_memo
-        if rate != self._pcie_gbps:
-            rate, pcie_sizes = self._pcie_memo = (self._pcie_gbps, {})
-        pcie_ns = pcie_sizes.get(size)
-        if pcie_ns is None:
-            pcie_ns = pcie_sizes[size] = serialization_delay_ns(size, rate)
-        depart_ns = post_ns + TX_PIPELINE_NS + pcie_ns
+        depart_ns = (post_ns + TX_PIPELINE_NS
+                     + serialization_delay_ns(size, self._pcie_gbps))
         if planned:
             # Nothing the departure reads changes without a hooked write: run
             # it now, remember how to take it back (sweeping stale steps).

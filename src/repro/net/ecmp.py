@@ -50,55 +50,3 @@ def pick_next_hop(five_tuple: FiveTuple, switch_name: str,
         return candidates[0]
     return candidates[ecmp_hash(five_tuple, switch_name) % len(candidates)]
 
-
-class EcmpHasher:
-    """Memoized ECMP hashing, bit-identical to :func:`pick_next_hop`.
-
-    The CRC of a flow's 5-tuple string and the CRC of each switch's salt
-    are pure functions of their inputs, so a fabric-lifetime memo of both
-    halves turns the per-hop hash into one table lookup plus the splitmix
-    finalizer.  The flow memo is bounded (probe 5-tuples rotate with source
-    ports); the salt memo is naturally bounded by the switch count.
-    """
-
-    _MAX_FLOWS = 65536
-
-    __slots__ = ("_flow_crc", "_salt_crc")
-
-    def __init__(self) -> None:
-        # FiveTuple -> crc32(tuple_key) << 32, pre-shifted for _mix input.
-        self._flow_crc: dict[FiveTuple, int] = {}
-        # switch name -> crc32(name)
-        self._salt_crc: dict[str, int] = {}
-
-    def _flow_half(self, five_tuple: FiveTuple) -> int:
-        crc = self._flow_crc.get(five_tuple)
-        if crc is None:
-            if len(self._flow_crc) >= self._MAX_FLOWS:
-                self._flow_crc.clear()
-            tuple_key = (f"{five_tuple.src_ip}|{five_tuple.src_port}|"
-                         f"{five_tuple.dst_ip}|{five_tuple.dst_port}|"
-                         f"{five_tuple.proto}")
-            crc = zlib.crc32(tuple_key.encode()) << 32
-            self._flow_crc[five_tuple] = crc
-        return crc
-
-    def _salt_half(self, switch_name: str) -> int:
-        crc = self._salt_crc.get(switch_name)
-        if crc is None:
-            crc = self._salt_crc[switch_name] = zlib.crc32(switch_name.encode())
-        return crc
-
-    def hash(self, five_tuple: FiveTuple, switch_name: str) -> int:
-        """Same value as ``ecmp_hash(five_tuple, switch_name)``."""
-        return _mix(self._flow_half(five_tuple)
-                    | self._salt_half(switch_name)) & 0xFFFFFFFF
-
-    def pick(self, five_tuple: FiveTuple, switch_name: str,
-             candidates: list[str]) -> str:
-        """Same choice as ``pick_next_hop(five_tuple, switch_name, ...)``."""
-        if not candidates:
-            raise ValueError(f"no next-hop candidates at {switch_name}")
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[self.hash(five_tuple, switch_name) % len(candidates)]

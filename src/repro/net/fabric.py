@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from repro.net.ecmp import EcmpHasher, pick_next_hop
+from repro.net.ecmp import pick_next_hop
 from repro.net.packet import TC_ROCE, Packet, PacketPool
 from repro.net.topology import DirectedLink, Topology
 from repro.sim.engine import SimulationError, Simulator
@@ -149,7 +149,6 @@ class Fabric:
         self._adaptive_routing = False
         self.packet_pool = PacketPool(limit=packet_pool_size,
                                       sanitizer=sanitizer)
-        self._hasher = EcmpHasher()
         # Complete plans per 5-tuple, valid for one Topology.route_epoch.
         self._path_cache: dict = {}
         self._path_cache_epoch = -1
@@ -339,7 +338,6 @@ class Fabric:
             if (cached is not None and cached.nodes[0] == node
                     and cached.nodes[-1] == dst_port):
                 return cached
-        hasher = self._hasher
         nodes = [node]
         hops = []
         ways = []
@@ -350,7 +348,7 @@ class Fabric:
             if adaptive and len(candidates) > 1:
                 node = self.rng.choice(candidates)
             else:
-                node = hasher.pick(five_tuple, node, candidates)
+                node = pick_next_hop(five_tuple, node, candidates)
             hops.append(topology.links[(nodes[-1], node)])
             ways.append(len(candidates))
             nodes.append(node)

@@ -252,8 +252,6 @@ class DirectedLink:
     silent_drop_predicate = _knob(
         "_silent_drop_predicate",
         "Per-5-tuple silent-drop rule (the §4.1 problem), or None.")
-    pfc_enabled = _knob(
-        "_pfc_enabled", "Whether PFC is configured on the RoCE queue.")
     pfc_headroom_ok = _knob(
         "_pfc_headroom_ok",
         "Whether PFC headroom is sized correctly (fault #9 clears it).")
@@ -286,7 +284,6 @@ class DirectedLink:
         # base-delay cache and the fabric's route cache both rely on.
         self._corruption_drop_prob = 0.0
         self._silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
-        self._pfc_enabled = True
         self._pfc_headroom_ok = True
         self._pfc_deadlocked = False
         # Extra fixed delay, e.g. PFC storm pause pressure (Figure 8 right).
@@ -316,7 +313,6 @@ class DirectedLink:
 
         # Counters for assertions and SLA accounting
         self.packets_forwarded = 0
-        self.packets_dropped = 0
         # CRC error counter, as a switch would expose for this port.
         self.crc_errors = 0
 
@@ -334,7 +330,7 @@ class DirectedLink:
             and not self._pfc_deadlocked
             and self._corruption_drop_prob <= 0
             and self._silent_drop_predicate is None
-            and self._pfc_enabled and self._pfc_headroom_ok
+            and self._pfc_headroom_ok
             and (acl is None or not acl.rule_count)
             # The three states advance_queue leaves exactly as they are.
             and (queue == 0.0 if net_gbps < 0
@@ -425,7 +421,7 @@ class DirectedLink:
         not full.  With PFC unconfigured/mis-headroomed (fault #9),
         overload spills.
         """
-        if self._pfc_enabled and self._pfc_headroom_ok:
+        if self._pfc_headroom_ok:
             return 0.0
         self.advance_queue(now_ns)
         if self._queue_bytes < self.buffer_bytes * 0.98:

@@ -4,10 +4,10 @@ Opt-in instrumentation for :class:`~repro.sim.engine.Simulator`: when a
 profiler is installed the engine routes every popped event through
 :meth:`SimProfiler.run`, which times the callback on the host clock and
 attributes (count, wall ns) to the callback's *site* — the module-qualified
-name of the function or method, which for the lambdas the substrate
-schedules resolves to their enclosing scope (``Agent._init_rnic_state.
-<lambda>`` and friends).  ``benchmarks/`` uses the report to say where a
-simulated second of R-Pingmesh actually spends host CPU.
+name of the function or method it runs.  A :class:`~repro.sim.engine.
+PeriodicTask` firing is billed to the task's callback (``Agent._probe_next``),
+not to the engine's re-arm wrapper, so the report says where a simulated
+second of R-Pingmesh actually spends host CPU.
 
 Determinism contract: wall time is **observability output, never
 simulation input** — it is accumulated in the profiler only, outside sim
@@ -25,17 +25,24 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.sim.engine import PeriodicTask
+
+_PERIODIC_FIRE = PeriodicTask._fire
+
 
 def callback_site(callback: Callable[[], None]) -> str:
     """Stable site name of a scheduled callback.
 
     Functions, bound methods, and lambdas carry ``__module__`` /
     ``__qualname__``; ``functools.partial`` is unwrapped to the function
-    it wraps; other callable objects fall back to their type.
+    it wraps, and a periodic firing to its task's callback; other callable
+    objects fall back to their type.
     """
     while isinstance(callback, functools.partial):
         callback = callback.func
     func = getattr(callback, "__func__", callback)
+    if func is _PERIODIC_FIRE:
+        return callback_site(callback.__self__._callback)
     qualname = getattr(func, "__qualname__", None)
     module = getattr(func, "__module__", None)
     if qualname is None:

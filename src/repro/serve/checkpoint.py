@@ -1,6 +1,6 @@
 """Versioned checkpoint files for serve-mode sessions.
 
-A checkpoint is the *whole world*: the calendar queue with every pending
+A checkpoint is the *whole world*: the event queue with every pending
 event, the pooled-object free lists, every RNG stream's position, and
 all tracker/sketch/shard state — captured by pickling the live
 :class:`~repro.serve.session.ServeSession` object graph.  The substrate
@@ -32,7 +32,10 @@ up over a loaded hop; format 6 files hold an ``Analyzer`` with no memory of
 the uploads it accepted, so a resend in flight across the restore would be
 ingested twice; format 7 files hold faults and workloads that restore their
 own idea of "before" and a ``Cluster`` with no ``Holds`` table, so a clear
-after the restore would overwrite what another writer still holds.  (The
+after the restore would overwrite what another writer still holds; format 8
+files hold a bucketed calendar queue, an ECMP memo on the ``Fabric``, a PCIe
+memo on each ``Rnic`` and two dead ``DirectedLink`` fields, shapes the
+single-heap engine and the unmemoised fabric and RNIC no longer have.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -54,7 +57,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 8
+FORMAT = 9
 
 
 class CheckpointError(RuntimeError):

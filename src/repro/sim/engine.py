@@ -1,22 +1,20 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a calendar-queue scheduler.  Components schedule callbacks at
-absolute or relative times; the engine pops events in (time, sequence) order
-so simultaneous events run in the order they were scheduled, which makes
-every run bit-for-bit reproducible for a given seed.
+Components schedule callbacks at absolute or relative times; the engine pops
+events in (time, sequence) order so simultaneous events run in the order they
+were scheduled, which makes every run bit-for-bit reproducible for a given
+seed.
 
 Design notes
 ------------
 * Callbacks, not coroutines.  A callback scheduler is both faster and easier
   to reason about for the probe/respond/analyze loops this package runs, and
   it avoids the generator-trampoline machinery of a process-based kernel.
-* Calendar queue, not a single heap.  The workload is dominated by
-  same-interval :class:`PeriodicTask` firings plus short in-flight packet
-  hops, so events cluster tightly in time.  The queue buckets events by
-  ``time >> bucket_bits`` (default 20 bits ~ 1.05 ms per bucket): pushes
-  into future buckets are plain list appends, and only the *current* bucket
-  is heap-ordered.  Bucket entries are ``(time, seq, event)`` tuples so heap
-  comparisons run on ints at C speed instead of dataclass ``__lt__``.
+* One binary heap is the event queue.  With the fabric and host adding
+  quiet steps up ahead of the clock, a probe costs about five events and
+  the queue holds a few hundred entries (about nine heap levels), so no
+  bucketing scheme pays for itself.  Entries are ``(time, seq, event)``
+  tuples so heap comparisons run on ints at C speed.
 * Events can be cancelled.  Cancellation is O(1): the handle is flagged and
   skipped when popped (lazy deletion).  When cancelled events outnumber live
   ones the queue compacts, so mass-cancel workloads cannot bloat it.
@@ -33,12 +31,6 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-#: Bucket width in bits of sim-time (2**20 ns ~ 1.05 ms per bucket).
-#: Swept empirically on the steady-state probing workload: wider buckets
-#: amortize bucket-heap churn until ~2**21, where current-bucket heap ops
-#: start to dominate.  Pop order is exact (time, seq) at any width, so the
-#: setting cannot affect replay digests — only speed.
-BUCKET_BITS_DEFAULT = 20
 #: Free-list cap for recycled _Event records (0 disables pooling).
 EVENT_POOL_DEFAULT = 8192
 #: Sentinel horizon for run_all: beyond any schedulable time.
@@ -80,30 +72,21 @@ class _Event:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
-class CalendarQueue:
-    """Bucketed event queue that pops in exact (time, seq) order.
+class EventQueue:
+    """The future-event set: one binary heap of ``(time, seq, event)``.
 
-    Future buckets are unsorted lists (O(1) push); the bucket holding the
-    earliest events is heap-ordered on demand.  A small heap of bucket
-    indices finds the next non-empty bucket.  Pushes *behind* the active
-    bucket (possible only by smuggling events past ``call_at``'s guard,
-    which the white-box invariant tests do on purpose) demote the active
-    bucket back into the calendar so ordering stays exact even then.
+    Pops in exact (time, seq) order.  A push behind the last pop (possible
+    only by smuggling an event past ``call_at``'s guard, which the
+    white-box invariant tests do on purpose) simply sorts first.
     """
 
-    __slots__ = ("bucket_bits", "_buckets", "_bucket_heap", "_cur_index",
-                 "_cur_heap", "_live", "_cancelled", "on_swept")
+    __slots__ = ("_event_heap", "_live", "_cancelled", "on_swept")
 
-    def __init__(self, *, bucket_bits: int = BUCKET_BITS_DEFAULT,
+    def __init__(self, *,
                  on_swept: Optional[Callable[[_Event], None]] = None):
-        self.bucket_bits = bucket_bits
         # Called with each cancelled event a compaction sweeps out.
         self.on_swept = on_swept
-        # bucket index -> unsorted [(time, seq, event), ...]
-        self._buckets: dict[int, list[tuple[int, int, _Event]]] = {}
-        self._bucket_heap: list[int] = []
-        self._cur_index = -1          # active (heap-ordered) bucket; -1 none
-        self._cur_heap: list[tuple[int, int, _Event]] = []
+        self._event_heap: list[tuple[int, int, _Event]] = []
         self._live = 0                # scheduled and not cancelled
         self._cancelled = 0           # cancelled but still queued
 
@@ -118,16 +101,7 @@ class CalendarQueue:
     def push(self, event: _Event) -> None:
         """Enqueue an event (its time/seq must already be set)."""
         self._live += 1
-        index = event.time >> self.bucket_bits
-        if index == self._cur_index:
-            heapq.heappush(self._cur_heap, (event.time, event.seq, event))
-            return
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [(event.time, event.seq, event)]
-            heapq.heappush(self._bucket_heap, index)
-        else:
-            bucket.append((event.time, event.seq, event))
+        heapq.heappush(self._event_heap, (event.time, event.seq, event))
 
     def note_cancel(self) -> None:
         """Account a first-time cancellation of a still-queued event."""
@@ -137,88 +111,32 @@ class CalendarQueue:
             self.compact()
 
     def pop_due(self, limit: int) -> Optional[_Event]:
-        """Dequeue the globally-earliest event if its time is <= ``limit``.
+        """Dequeue the earliest event if its time is <= ``limit``.
 
         Returns cancelled events too (the caller recycles them); ordering
         across the live ones is exact (time, seq).
         """
-        while True:
-            cur = self._cur_heap
-            bucket_heap = self._bucket_heap
-            if bucket_heap and (not cur or bucket_heap[0] < self._cur_index):
-                # An earlier bucket exists (or no bucket is active).
-                if not cur and (bucket_heap[0] << self.bucket_bits) > limit:
-                    return None   # every queued event is beyond the horizon
-                if cur:
-                    self._demote_current()
-                if not self._activate_next():
-                    return None
-                continue
-            if not cur:
-                return None
-            head = cur[0]
-            if head[0] > limit:
-                return None
-            event = heapq.heappop(cur)[2]
-            if event.cancelled:
-                self._cancelled -= 1
-            else:
-                self._live -= 1
-            return event
-
-    def _activate_next(self) -> bool:
-        """Heapify the earliest calendar bucket into the active slot."""
-        bucket_heap = self._bucket_heap
-        while bucket_heap:
-            index = heapq.heappop(bucket_heap)
-            bucket = self._buckets.pop(index, None)
-            if bucket is None:
-                continue              # stale index left behind by compact()
-            heapq.heapify(bucket)
-            self._cur_index = index
-            self._cur_heap = bucket
-            return True
-        self._cur_index = -1
-        self._cur_heap = []
-        return False
-
-    def _demote_current(self) -> None:
-        """Return the active bucket to the calendar (past-push path)."""
-        bucket = self._cur_heap
-        index = self._cur_index
-        self._cur_index = -1
-        self._cur_heap = []
-        if not bucket:
-            return
-        existing = self._buckets.get(index)
-        if existing is None:
-            self._buckets[index] = bucket
-            heapq.heappush(self._bucket_heap, index)
+        heap = self._event_heap
+        if not heap or heap[0][0] > limit:
+            return None
+        event = heapq.heappop(heap)[2]
+        if event.cancelled:
+            self._cancelled -= 1
         else:
-            existing.extend(bucket)
+            self._live -= 1
+        return event
 
     def compact(self) -> None:
         """Drop cancelled entries (lazy-deletion sweep).
 
         Triggered from :meth:`note_cancel` once cancelled entries outnumber
-        live ones; also callable directly.  Emptied calendar buckets leave a
-        stale index in the bucket heap, which activation skips.
+        live ones; also callable directly.  Every swept event goes to
+        ``on_swept``, so the pool's accounting sees it retire.
         """
-        swept: list[_Event] = []
-
-        def live(entries):
-            swept.extend(e[2] for e in entries if e[2].cancelled)
-            return [e for e in entries if not e[2].cancelled]
-
-        kept = live(self._cur_heap)
-        heapq.heapify(kept)
-        self._cur_heap = kept
-        for index in list(self._buckets):
-            bucket = live(self._buckets[index])
-            if bucket:
-                self._buckets[index] = bucket
-            else:
-                del self._buckets[index]
+        heap = self._event_heap
+        swept = [entry[2] for entry in heap if entry[2].cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         if self.on_swept is not None:
             for event in swept:
@@ -234,7 +152,7 @@ class EventHandle:
 
     __slots__ = ("_event", "_gen", "_time", "_queue", "_cancelled")
 
-    def __init__(self, event: _Event, queue: CalendarQueue):
+    def __init__(self, event: _Event, queue: EventQueue):
         self._event = event
         self._gen = event.gen
         self._time = event.time
@@ -347,11 +265,9 @@ class Simulator:
     """
 
     def __init__(self, *, seed: int = 0, check_invariants: bool = False,
-                 bucket_bits: int = BUCKET_BITS_DEFAULT,
                  event_pool_size: int = EVENT_POOL_DEFAULT,
                  sanitizer=None):
-        self._queue = CalendarQueue(bucket_bits=bucket_bits,
-                                    on_swept=self._recycle)
+        self._queue = EventQueue(on_swept=self._recycle)
         self._seq = itertools.count()
         self._now = 0
         self._running = False

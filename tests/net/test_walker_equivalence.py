@@ -44,9 +44,9 @@ Each before-write demotion has scripts that fail when it is deleted —
 checked by hand, once, keeping the write and its ``_refresh_quiet()`` but
 dropping the ``_before_write()`` in front, over seeds 0-59:
 ``offered_load_gbps`` 21 seeds fail, ``queue_bytes`` 22, ``pause_delay_ns``
-26, ``corruption_drop_prob`` 1, ``silent_drop_predicate`` 1, ``pfc_enabled``
-3, ``pfc_headroom_ok`` 3, ``pfc_deadlocked`` 1, ``LinkPair.up`` 5, ACL edits
-3; the line that forgets a packet's *entered* lookahead when a demotion finds
+26, ``corruption_drop_prob`` 1, ``silent_drop_predicate`` 1,
+``pfc_headroom_ok`` 6, ``pfc_deadlocked`` 1, ``LinkPair.up`` 5, ACL edits 3;
+the line that forgets a packet's *entered* lookahead when a demotion finds
 nothing to take back (its entry times would be recomputed from rewritten
 constants by the next one) 2; none deleted, 0.  ``routed_around`` has no
 demotion of its own to delete: the route change it announces takes lookahead
@@ -86,6 +86,7 @@ from repro.analysis.sanitize import PoolSanitizer
 from repro.diagnosis.inband import IntCollector
 from repro.net.addresses import FiveTuple, PROTO_TCP, roce_five_tuple
 from repro.net.clos import ClosParams, build_clos
+from repro.net.ecmp import pick_next_hop
 from repro.net.fabric import (SWITCH_FORWARD_LATENCY_NS, DeliveryRecord,
                               DropReason, Fabric)
 from repro.net.packet import TC_ROCE, RoCEPacket, TCPPacket
@@ -132,7 +133,7 @@ class _PerHopFabric(Fabric):
         if self.adaptive_routing and len(candidates) > 1:
             next_node = self.rng.choice(candidates)
         else:
-            next_node = self._hasher.pick(packet.five_tuple, node, candidates)
+            next_node = pick_next_hop(packet.five_tuple, node, candidates)
         link = self.topology.link(node, next_node)
         now = self.sim.now
         is_roce = packet.traffic_class == TC_ROCE
@@ -359,7 +360,7 @@ def _apply(world, kind, link_key, switch, port, x, undo):
     elif kind == "spill":
         # Overfed and full, which PFC makes a constant — until it is gone.
         if undo:
-            link.pfc_enabled = False
+            link.pfc_headroom_ok = False
         else:
             link.set_offered_load(now, 1.5 * link.rate_gbps)
             link.queue_bytes = float(link.buffer_bytes)

@@ -101,3 +101,13 @@ class TestEngineIntegration:
 
         assert drive().deterministic_snapshot() == \
             drive().deterministic_snapshot()
+
+    def test_periodic_firing_billed_to_its_callback(self):
+        sim = Simulator(seed=2)
+        prof = SimProfiler()
+        sim.set_profiler(prof)
+        sim.every(10, _Thing().method)
+        sim.run_until(35)
+        snap = prof.deterministic_snapshot()
+        assert snap == {f"{__name__}._Thing.method": 3}
+        assert not any("PeriodicTask._fire" in site for site in snap)

@@ -226,7 +226,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 8
+        assert meta["format"] == 9
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -248,12 +248,13 @@ class TestFileFormat:
         identity table, a v5 one links without the constant a loaded hop
         costs, a v6 one an Analyzer that does not remember which uploads
         it took, a v7 one writers that restore their own "before" and no
-        holds table; resuming any of them under this code would diverge
+        holds table, a v8 one a calendar queue and the fabric's and RNICs'
+        memos; resuming any of them under this code would diverge
         silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4, 5, 6, 7):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))

@@ -1,98 +1,57 @@
-"""Differential test: CalendarQueue vs the original single-heapq scheduler.
+"""The event queue, checked against the sorted set of live events.
 
-The calendar queue replaced a plain ``heapq`` of (time, seq) entries.  Its
-contract is *exact* pop order — byte-identical behaviour, not approximate
-bucket order — so this harness drives both implementations with the same
-randomized, seeded operation stream and requires identical observable
-results at every step:
+The engine's queue is one binary heap of ``(time, seq, event)`` entries
+with lazy deletion.  Its contract is *exact* pop order, so this harness
+drives it with scripted and randomized, seeded operation streams and checks
+every pop against the sorted live ``(time, seq)`` set: what the script has
+pushed and neither cancelled nor seen popped.  Checked at every step:
 
 * pops in exact (time, seq) order, including same-timestamp ties;
 * lazy-deleted (cancelled) entries never surface as live pops;
 * cancel-after-fire is harmless;
-* pushes *before* the last popped time (the white-box replay-test path)
-  still pop, and in the right order;
-* live counts agree after every operation, including across compaction.
-
-``_HeapReference`` below is a faithful port of the pre-calendar-queue
-engine core: one heap, (time, seq, event) tuples, lazy deletion.
+* pushes *behind* the last pop (the white-box replay-test path) still pop,
+  and in the right order;
+* live and queued counts agree after every operation, including across
+  compaction;
+* every event cancelled while queued leaves exactly once: popped as
+  cancelled, or handed to ``on_swept`` by a compaction.
 """
 
-import heapq
 import random
 
-from repro.sim.engine import CalendarQueue, _Event
-
-
-class _HeapReference:
-    """The original engine's queue: a single heap with lazy deletion."""
-
-    def __init__(self):
-        self._heap = []
-        self.live = 0
-        self._cancelled = 0
-
-    def push(self, event):
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        self.live += 1
-
-    def note_cancel(self):
-        self.live -= 1
-        self._cancelled += 1
-
-    def pop_due(self, limit):
-        heap = self._heap
-        if not heap or heap[0][0] > limit:
-            return None
-        event = heapq.heappop(heap)[2]
-        if event.cancelled:
-            self._cancelled -= 1
-        else:
-            self.live -= 1
-        return event
-
-
-class _Mirror:
-    """One logical event mirrored into both queues."""
-
-    __slots__ = ("ref_event", "cal_event", "cancelled", "fired")
-
-    def __init__(self, time, seq):
-        self.ref_event = _Event(time, seq)
-        self.cal_event = _Event(time, seq)
-        self.cancelled = False
-        self.fired = False
+from repro.sim.engine import EventQueue, _Event
 
 
 class _Harness:
-    def __init__(self, seed, bucket_bits=8):
-        # Narrow buckets (2**8 ticks) so a short random schedule still
-        # spans many buckets and exercises activation/demotion constantly.
+    def __init__(self, seed):
         self.rng = random.Random(seed)
-        self.ref = _HeapReference()
-        self.cal = CalendarQueue(bucket_bits=bucket_bits)
+        self.swept = []
+        self.queue = EventQueue(on_swept=self.swept.append)
         self.seq = 0
         self.now = 0
-        self.queued = []      # mirrors pushed and not yet popped-live
-        self.popped = []      # mirrors popped live, for cancel-after-fire
+        self.live = {}        # (time, seq) -> event, queued and not cancelled
+        self.cancelled = []   # events cancelled while queued
+        self.skipped = []     # cancelled events popped (lazy deletion)
+        self.popped = []      # events popped live, for cancel-after-fire
 
     def push(self, time):
-        mirror = _Mirror(time, self.seq)
+        event = _Event(time, self.seq)
         self.seq += 1
-        self.ref.push(mirror.ref_event)
-        self.cal.push(mirror.cal_event)
-        self.queued.append(mirror)
-        return mirror
+        self.queue.push(event)
+        self.live[(time, event.seq)] = event
+        return event
+
+    def cancel(self, event):
+        """What ``EventHandle.cancel`` does to a still-queued event."""
+        event.cancelled = True
+        del self.live[(event.time, event.seq)]
+        self.cancelled.append(event)
+        self.queue.note_cancel()
+        self.check_counts()
 
     def cancel_random_queued(self):
-        candidates = [m for m in self.queued if not m.cancelled]
-        if not candidates:
-            return
-        mirror = self.rng.choice(candidates)
-        mirror.cancelled = True
-        mirror.ref_event.cancelled = True
-        mirror.cal_event.cancelled = True
-        self.ref.note_cancel()
-        self.cal.note_cancel()
+        if self.live:
+            self.cancel(self.rng.choice(list(self.live.values())))
 
     def cancel_random_fired(self):
         """Cancel-after-fire: a stale handle on an already-popped event.
@@ -101,38 +60,38 @@ class _Harness:
         queue level the equivalent is simply that no queue accounting is
         touched.  Flagging the popped records must not disturb anything.
         """
-        if not self.popped:
-            return
-        mirror = self.rng.choice(self.popped)
-        mirror.ref_event.cancelled = True
-        mirror.cal_event.cancelled = True
+        if self.popped:
+            self.rng.choice(self.popped).cancelled = True
+            self.check_counts()
 
     def pop_until(self, limit):
-        """Pop both queues to ``limit``; their live pop streams must match."""
+        """Pop to ``limit``; the live pops must be the sorted live set."""
+        expected = sorted(key for key in self.live if key[0] <= limit)
         out = []
         while True:
-            ref_ev = self.ref.pop_due(limit)
-            # Drain lazy-deleted entries exactly like Simulator._drain does.
-            while ref_ev is not None and ref_ev.cancelled:
-                ref_ev = self.ref.pop_due(limit)
-            cal_ev = self.cal.pop_due(limit)
-            while cal_ev is not None and cal_ev.cancelled:
-                cal_ev = self.cal.pop_due(limit)
-            if ref_ev is None or cal_ev is None:
-                assert ref_ev is None and cal_ev is None, (
-                    "one queue drained before the other")
+            event = self.queue.pop_due(limit)
+            if event is None:
                 break
-            assert (ref_ev.time, ref_ev.seq) == (cal_ev.time, cal_ev.seq), (
-                f"pop order diverged: heapq gave {(ref_ev.time, ref_ev.seq)},"
-                f" calendar gave {(cal_ev.time, cal_ev.seq)}")
-            self.now = ref_ev.time
-            mirror = next(m for m in self.queued if m.ref_event is ref_ev)
-            self.queued.remove(mirror)
-            mirror.fired = True
-            self.popped.append(mirror)
-            out.append((ref_ev.time, ref_ev.seq))
-        assert self.ref.live == self.cal.live
+            if event.cancelled:
+                self.skipped.append(event)   # Simulator._drain recycles it
+                continue
+            key = (event.time, event.seq)
+            del self.live[key]
+            self.popped.append(event)
+            out.append(key)
+        assert out == expected
+        if out:
+            self.now = out[-1][0]
+        self.check_counts()
         return out
+
+    def check_counts(self):
+        assert self.queue.live == len(self.live)
+        left = {e.seq for e in self.swept} | {e.seq for e in self.skipped}
+        assert len(left) == len(self.swept) + len(self.skipped), (
+            "a cancelled event left the queue twice")
+        queued = [e for e in self.cancelled if e.seq not in left]
+        assert len(self.queue) == len(self.live) + len(queued)
 
 
 def _run_random_schedule(seed, steps):
@@ -145,7 +104,7 @@ def _run_random_schedule(seed, steps):
             # (time, seq) ties occur all the time.
             h.push(h.now + rng.randrange(0, 2000, 100))
         elif op < 0.65 and h.now > 0:
-            # Past push (white-box path): earlier than the popped clock.
+            # Push behind the last pop (white-box path).
             h.push(rng.randrange(0, h.now))
         elif op < 0.80:
             h.cancel_random_queued()
@@ -154,11 +113,12 @@ def _run_random_schedule(seed, steps):
         else:
             h.pop_until(h.now + rng.randrange(0, 3000, 250))
     h.pop_until(1 << 62)  # drain
-    assert h.cal.live == 0 and h.ref.live == 0
-    assert not h.queued or all(m.cancelled for m in h.queued)
+    assert len(h.queue) == 0 and not h.live
+    assert sorted(e.seq for e in h.swept + h.skipped) == \
+        sorted(e.seq for e in h.cancelled)
 
 
-def test_randomized_schedules_match_heapq_reference():
+def test_randomized_schedules_match_sorted_live_set():
     for seed in range(12):
         _run_random_schedule(seed, steps=400)
 
@@ -170,28 +130,43 @@ def test_same_timestamp_ties_pop_in_seq_order():
     assert h.pop_until(1000) == [(1000, seq) for seq in range(50)]
 
 
+def test_cancel_after_fire_touches_no_accounting():
+    h = _Harness(3)
+    first = h.push(100)
+    h.push(200)
+    assert h.pop_until(100) == [(100, 0)]
+    first.cancelled = True          # the stale handle's flag, nothing more
+    h.check_counts()
+    h.push(150)
+    assert h.pop_until(1 << 62) == [(150, 2), (200, 1)]
+
+
 def test_mass_cancel_triggers_compaction_and_order_survives():
     h = _Harness(1)
-    mirrors = [h.push(t) for t in range(0, 20000, 7)]
+    events = [h.push(t) for t in range(0, 20000, 7)]
     # Cancel enough to trip the compaction threshold (>64 and > live).
-    cancelled_total = 0
-    for mirror in mirrors[: (3 * len(mirrors)) // 4]:
-        if not mirror.cancelled:
-            mirror.cancelled = True
-            mirror.ref_event.cancelled = True
-            mirror.cal_event.cancelled = True
-            h.ref.note_cancel()
-            h.cal.note_cancel()
-            cancelled_total += 1
-    # note_cancel resets the counter on every sweep; far fewer than
-    # cancelled_total still pending proves at least one sweep ran and
-    # physically dropped entries.
-    assert h.cal._cancelled < cancelled_total
-    assert len(h.cal) < len(mirrors)
+    for event in events[: (3 * len(events)) // 4]:
+        h.cancel(event)
+    # A sweep ran and physically dropped entries.
+    assert h.swept
+    assert len(h.queue) < len(events)
     survivors = h.pop_until(1 << 62)
-    expected = sorted((m.ref_event.time, m.ref_event.seq)
-                      for m in mirrors if not m.cancelled)
-    assert survivors == expected
+    assert survivors == [(e.time, e.seq) for e in events if not e.cancelled]
+
+
+def test_compaction_hands_every_swept_event_to_on_swept():
+    h = _Harness(4)
+    events = [h.push(t) for t in range(200)]
+    doomed = events[::2] + [events[1]]
+    for event in doomed[:-1]:
+        h.cancel(event)
+    assert not h.swept                  # 100 cancelled, 100 live: no sweep
+    h.cancel(doomed[-1])                # 101 > 99: the sweep runs
+    assert sorted(e.seq for e in h.swept) == sorted(e.seq for e in doomed)
+    assert len(h.queue) == h.queue.live == 99
+    assert h.pop_until(1 << 62) == [(e.time, e.seq) for e in events
+                                      if not e.cancelled]
+    assert not h.skipped
 
 
 def test_interleaved_past_and_future_pushes_keep_exact_order():
@@ -199,9 +174,9 @@ def test_interleaved_past_and_future_pushes_keep_exact_order():
     h.push(5000)
     h.push(100)
     assert h.pop_until(200) == [(100, 1)]
-    # These land before the already-activated 5000 bucket...
+    # These land before the queued 5000...
     h.push(300)
     h.push(300)
-    # ...and this one in the past relative to pops so far is fine too:
+    # ...and this one behind the last pop is fine too:
     h.push(50)
     assert h.pop_until(1 << 62) == [(50, 4), (300, 2), (300, 3), (5000, 0)]
