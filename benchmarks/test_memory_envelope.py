@@ -7,9 +7,20 @@ modelled Analyzer memory at least ``MIN_RATIO``x below the unsharded
 deployment's — while reaching the same verdict about the faulted link.
 
 The unsharded Analyzer's exact percentile retention grows linearly with
-analysed windows (~1 MB/window at this probe volume); the sharded tier's
-growth is one set of fixed-size sketch states per fused window.  Twelve
-windows are enough for the envelope to separate decisively.
+analysed windows (~0.23 MB/window at this probe volume, 8 bytes a
+sample); the sharded tier's growth is one set of fixed-size sketch
+states per fused window.  Twelve windows are enough for the envelope to
+separate decisively.
+
+Both peaks are modelled bytes, deterministic per seed.  Since the
+Analyzer folds uploads on arrival instead of holding a window of raw
+results, and exact stores cost 8 bytes a sample instead of 32, the
+peaks are 2.98 MB unsharded and 0.38 MB sharded: a ratio of 7.87x (it
+was 12.1 MB vs 2.0 MB, 6.05x, when both held their raw results).
+``MIN_RATIO`` sits at 6x, under the measured 7.87x by a margin for
+estimate changes that move both sides.  The sharded ceiling sits at
+1 MB, under the 2.98 MB an exact sample-shaped store reaches here, so
+sample-shaped growth on the sharded tier fails it.
 
 Emits one ``BENCH {json}`` line (peaks, ratio, process RSS) for trend
 tracking; the bench-smoke CI job runs this file.
@@ -32,10 +43,10 @@ POD4 = ClosParams(pods=4, tors_per_pod=2, aggs_per_pod=2, spines=2,
                   hosts_per_tor=3)
 FAULTED_LINK = ("pod1-tor0", "pod1-agg0")
 DURATION_S = 250            # 12 analysis windows
-MIN_RATIO = 5.0
+MIN_RATIO = 6.0
 # Hard ceiling on the sharded tier's modelled bytes: growth must stay
 # sketch-shaped (fixed per window), not sample-shaped.
-SHARDED_ENVELOPE_BYTES = 3_000_000
+SHARDED_ENVELOPE_BYTES = 1_000_000
 # Whole-process RSS sanity bound (both deployments, all 48 RNICs, MB).
 RSS_ENVELOPE_MB = 1500
 

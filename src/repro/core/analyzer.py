@@ -29,9 +29,10 @@ last window through a strict classification pipeline:
 The pipeline runs as two stages (DESIGN.md §11).  :meth:`Analyzer.gather`
 turns one window's uploads into a :class:`WindowEvidence` — everything
 above that needs raw ``ProbeResult``s, with Algorithm 1's votes left as
-*ungated* tallies.  It reads each result once: one fold collects what
-steps 3-7 need and settles steps 1-2, and the steps themselves run over
-the timeouts (and the few high-RTT results) alone.
+*ungated* tallies.  Each result is read once, when its batch arrives:
+:class:`WindowFold` keeps what steps 3-7 need of it and lets it go, and
+only the timeouts wait for the window to close, where steps 1-2 settle
+them against the down set and the QPN registry as they then stand.
 :meth:`Analyzer.conclude` turns a list of evidence
 parts into the window's verdicts: every field of the evidence merges over
 disjoint parts (sets union, counts and votes sum, sketches merge), so the
@@ -42,8 +43,10 @@ same code.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from struct import pack
 from typing import Optional, Protocol
 
 from repro.cluster import Cluster
@@ -55,10 +58,9 @@ from repro.core.controller import Controller
 from repro.core.localization import Localization, localize
 from repro.core.records import (AgentUpload, Priority, Problem,
                                 ProbeKind, ProbeResult, ProblemCategory)
-from repro.core.sla import SlaHistory, SlaReport
+from repro.core.sla import SlaHistory, SlaReport, SlaWindow, TrackerFactory
 from repro.diagnosis.fusion import FusionReport, fuse_window
 from repro.diagnosis.inband import merge_link_evidence
-from repro.net.traceroute import PathRecord
 from repro.sim.sketch import QuantileSketch
 from repro.sim.stats import PercentileTracker
 
@@ -143,6 +145,163 @@ class WindowEvidence:
         default_factory=list)
 
 
+def _int64s() -> array:
+    """An empty store of 8-byte integer samples."""
+    return array("q")
+
+
+class WindowFold:
+    """One open window's uploads, folded as each batch arrives.
+
+    :meth:`add` reads every result once and keeps only what the window's
+    steps need of it: side totals, SLA samples (one batch at a time, in
+    arrival order), the host → processing-delay table
+    (8-byte ints), the high-RTT results, the service network's members
+    and distinct routes, and ToR-mesh pair counts.  Nothing else of a
+    successful result survives the call.  Timeouts queue with their
+    place in the window: steps 1-2 settle them at close, and a ToR-mesh
+    timeout that survives them counts toward its pair then — ordered by
+    the first place a counted result of the pair held, which is the
+    order §4.3.2 meets RNICs in.
+    """
+
+    __slots__ = ("batches", "totals", "timed_out", "rtt", "delay",
+                 "processing", "high_rtt", "timeouts", "places", "mesh",
+                 "service_seen", "service_routes", "traced")
+
+    def __init__(self, tracker: TrackerFactory):
+        self.batches = 0        # accepted into this window
+        # Pairs below are indexed by service_side: (cluster, service).
+        self.totals = [0, 0]
+        self.timed_out = [0, 0]
+        self.rtt = (tracker(), tracker())
+        self.delay = (tracker(), tracker())
+        # Host -> processing-delay samples, responder-side (probes the
+        # host answered) and prober-side (probes its own Agent sent):
+        # during a starvation episode the responder samples largely
+        # *disappear* into timeouts, while the prober-side ones remain
+        # plentiful and inflated — they are what convicts the CPU.
+        self.processing: defaultdict[str, array] = defaultdict(_int64s)
+        self.high_rtt: list[ProbeResult] = []
+        # Timeouts and their places in the window, side by side: a tuple
+        # per timeout would hand the cyclic GC thousands of objects that
+        # live the whole window, and every full collection walks them.
+        self.timeouts: list[ProbeResult] = []
+        self.places: list[int] = []
+        # ToR-mesh (prober, target) -> [probes, timeouts, first place].
+        self.mesh: dict[tuple[str, str], list[int]] = {}
+        self.service_seen: set[Optional[str]] = set()
+        self.service_routes: set[tuple] = set()      # hops, each once
+        self.traced: list[tuple[int, bool]] = []     # (seq, service_side)
+
+    def add(self, results: list[ProbeResult], host_of: dict[str, str],
+            high_rtt_ns: int, tracing: bool) -> None:
+        """Fold one accepted batch."""
+        self.batches += 1
+        totals, timed_out = self.totals, self.timed_out
+        processing, high_rtt = self.processing, self.high_rtt
+        timeouts, places = self.timeouts, self.places
+        mesh, traced = self.mesh, self.traced
+        seen, routes = self.service_seen, self.service_routes
+        # This batch's SLA samples and processing delays, each stored in
+        # one packed call at the end (see PercentileTracker.extend); a
+        # host's delays are only ever sorted and counted, so their order
+        # does not matter.
+        rtts, delays = ([], []), ([], [])
+        staged: defaultdict[str, list[int]] = defaultdict(list)
+        for r in results:
+            kind = r.kind
+            side = kind is ProbeKind.SERVICE_TRACING
+            totals[side] += 1       # their sum is now this result's place
+            if tracing:
+                traced.append((r.seq, side))
+            target_host = host_of[r.target_rnic]
+            if side:
+                seen.update((r.prober_rnic, r.target_rnic,
+                             r.prober_host, target_host))
+                for path in (r.probe_path, r.ack_path):
+                    if path is not None and path.hops not in routes:
+                        routes.add(path.hops)
+                        seen.update(path.link_names)
+                        seen.update(path.hops)
+            rtt = r.network_rtt_ns
+            responder = r.responder_processing_ns
+            prober = r.prober_processing_ns
+            if responder is not None:
+                staged[target_host].append(responder)
+            if prober is not None:
+                staged[r.prober_host].append(prober)
+            if rtt is not None and rtt > high_rtt_ns:
+                high_rtt.append(r)
+            if r.timeout:
+                timed_out[side] += 1
+                timeouts.append(r)
+                places.append(totals[0] + totals[1])
+                continue
+            if rtt is not None:
+                rtts[side].append(rtt)
+            if responder is not None:
+                delays[side].append(responder)
+            if prober is not None:
+                delays[side].append(prober)
+            if kind is ProbeKind.TOR_MESH:
+                pair = (r.prober_rnic, r.target_rnic)
+                counts = mesh.get(pair)
+                if counts is None:
+                    mesh[pair] = [1, 0, totals[0] + totals[1]]
+                else:
+                    counts[0] += 1
+        for side in (0, 1):
+            if rtts[side]:
+                self.rtt[side].extend(rtts[side])
+            if delays[side]:
+                self.delay[side].extend(delays[side])
+        for host, samples in staged.items():
+            processing[host].frombytes(pack(f"{len(samples)}q", *samples))
+
+    def count_mesh_timeout(self, place: int, r: ProbeResult) -> None:
+        """A ToR-mesh timeout steps 1-2 left standing joins its pair."""
+        pair = (r.prober_rnic, r.target_rnic)
+        counts = self.mesh.get(pair)
+        if counts is None:
+            self.mesh[pair] = [1, 1, place]
+        else:
+            counts[0] += 1
+            counts[1] += 1
+            if place < counts[2]:
+                counts[2] = place
+
+    def mesh_in_order(self) -> list[tuple[tuple[str, str], int, int]]:
+        """``(pair, probes, timeouts)`` in first-counted order."""
+        return [(pair, probes, timeouts) for pair, (probes, timeouts, _)
+                in sorted(self.mesh.items(), key=lambda item: item[1][2])]
+
+    def sla_report(self, start_ns: int, end_ns: int) -> SlaReport:
+        """The window's SLA report over the folded stores (counts unset)."""
+        cluster, service = (
+            SlaWindow(scope, start_ns, end_ns, rtt=self.rtt[side],
+                      processing=self.delay[side])
+            for side, scope in enumerate(("cluster", "service")))
+        return SlaReport(start_ns, end_ns, cluster=cluster, service=service)
+
+    def service_members(self) -> tuple[str, ...]:
+        """Every device and link a service-tracing probe touched, sorted."""
+        self.service_seen.discard(None)      # rate-limited hops
+        return tuple(sorted(self.service_seen))
+
+    def memory_bytes(self) -> int:
+        """Deterministic footprint estimate: 8 bytes per stored sample,
+        a ProbeResult's worth per queued timeout or high-RTT result."""
+        stores = sum(t.memory_bytes() for t in self.rtt + self.delay)
+        processing = sum(64 + 8 * len(samples)
+                         for samples in self.processing.values())
+        return (256 + stores + processing
+                + 256 * (len(self.timeouts) + len(self.high_rtt))
+                + 96 * len(self.mesh)
+                + 64 * (len(self.service_seen) + len(self.service_routes))
+                + 16 * len(self.traced))
+
+
 class Analyzer:
     """The 20-second analysis loop.
 
@@ -173,7 +332,6 @@ class Analyzer:
         # and, for fabric-caused timeouts, the Algorithm-1 vote.
         self.tracer = cluster.obs.tracer
 
-        self._pending: list[AgentUpload] = []
         self._upload_listeners: list = []
         self._window_listeners: list = []
         self._last_upload_ns: dict[str, int] = {}
@@ -187,6 +345,7 @@ class Analyzer:
         self.sla = SlaHistory()
         self._tracker = (QuantileSketch if config.sla_sketch
                          else PercentileTracker)
+        self._fold = WindowFold(self._tracker)
         self.windows: list[WindowAnalysis] = []
         self.problems: list[Problem] = []
         self.category_counts: Counter = Counter()
@@ -235,9 +394,10 @@ class Analyzer:
     def receive_upload(self, batch: AgentUpload) -> bool:
         """Agent upload entry point (5-second batches).
 
-        Returns whether the batch was accepted.  The ingest queue is
-        bounded (``analyzer_ingest_capacity`` batches per window): beyond
-        it arrivals are refused and counted, which the upload channel
+        Returns whether the batch was accepted; an accepted batch is
+        folded into the open window here (:class:`WindowFold`).  Ingest
+        is bounded (``analyzer_ingest_capacity`` batches per window):
+        beyond it arrivals are refused and counted, which the upload channel
         surfaces as a NACK rather than retrying forever.  Even a refused
         batch proves the host is alive, so the silence clock still resets
         (never backwards: a retry carries its first send's timestamp).
@@ -254,11 +414,13 @@ class Analyzer:
         elif sent_at in accepted:
             self.ingest_duplicates += 1
             return True
-        if len(self._pending) >= self.config.analyzer_ingest_capacity:
+        fold = self._fold
+        if fold.batches >= self.config.analyzer_ingest_capacity:
             self.ingest_dropped += 1
             return False
         accepted.append(sent_at)
-        self._pending.append(batch)
+        fold.add(batch.results, self.cluster.host_name_of,
+                 self.config.high_rtt_threshold_ns, self.tracer.enabled)
         self.ingest_accepted += 1
         for listener in self._upload_listeners:
             listener(batch)
@@ -266,8 +428,8 @@ class Analyzer:
 
     @property
     def ingest_backlog(self) -> int:
-        """Batches queued for the next analysis window."""
-        return len(self._pending)
+        """Batches folded into the window still open."""
+        return self._fold.batches
 
     def start(self) -> None:
         """Begin the periodic analysis loop."""
@@ -283,101 +445,52 @@ class Analyzer:
         return self.conclude([self.gather()])
 
     def gather(self) -> WindowEvidence:
-        """Stage 1: drain the ingest queue into this window's evidence.
+        """Stage 1: close the open window's fold into its evidence.
 
-        One loop folds each result exactly once (DESIGN.md §11): side
-        totals, SLA samples, the per-host processing table, the high-RTT
-        and service-side results, ToR-mesh pair counts, and — steps 1-2
-        need nothing but the result — the timeouts still unexplained.
-        Every later step reads those timeouts only.  The fold is locals:
-        nothing of it outlives the call.
+        Everything of a result but its timeout was folded when its batch
+        arrived (:class:`WindowFold`, DESIGN.md §11).  Here steps 1-2
+        settle the queued timeouts against the down set and the QPN
+        registry as they stand now, the survivors of the ToR mesh join
+        their pairs' counts, and every later step reads those timeouts,
+        the folded tables and the few high-RTT results only.
         """
         now = self.cluster.sim.now
         config = self.config
+        fold, self._fold = self._fold, WindowFold(self._tracker)
         evidence = WindowEvidence(
             window_start_ns=now - config.analysis_period_ns,
             window_end_ns=now)
-        uploads, self._pending = self._pending, []
         down_hosts = evidence.down_hosts = self._down_hosts(now)
-        report = evidence.sla = SlaReport(evidence.window_start_ns, now,
-                                          tracker=self._tracker)
-        # Pairs below are indexed by service_side: (cluster, service).
-        scopes = (report.cluster, report.service)
+        evidence.sla = fold.sla_report(evidence.window_start_ns, now)
         host_of = self.cluster.host_name_of
         current_qpn = self.controller.current_qpn
-        high_rtt_ns = config.high_rtt_threshold_ns
+        processing = fold.processing
+        totals, timed_out = fold.totals, fold.timed_out
 
-        totals, timed_out = [0, 0], [0, 0]
-        rtts, delays = ([], []), ([], [])     # one batch's SLA samples
-        # Host -> processing-delay samples, responder-side (probes the
-        # host answered) and prober-side (probes its own Agent sent):
-        # during a starvation episode the responder samples largely
-        # *disappear* into timeouts, while the prober-side ones remain
-        # plentiful and inflated — they are what convicts the CPU.
-        processing: dict[str, list[int]] = defaultdict(list)
-        high_rtt: list[ProbeResult] = []
-        service: list[ProbeResult] = []
-        # ToR-mesh (prober, target) -> [probes, timeouts], first seen first.
-        mesh: dict[tuple[str, str], list[int]] = {}
         verdict: dict[int, ProblemCategory] = {}    # seq -> category
         down_evidence: Counter = Counter()
         unexplained: list[ProbeResult] = []     # timeouts past steps 1-2
-        for batch in uploads:
-            for r in batch.results:
-                kind = r.kind
-                side = kind is ProbeKind.SERVICE_TRACING
-                totals[side] += 1
-                if side:
-                    service.append(r)
-                target_host = host_of[r.target_rnic]
-                rtt = r.network_rtt_ns
-                responder = r.responder_processing_ns
-                prober = r.prober_processing_ns
-                if responder is not None:
-                    processing[target_host].append(responder)
-                if prober is not None:
-                    processing[r.prober_host].append(prober)
-                if rtt is not None and rtt > high_rtt_ns:
-                    high_rtt.append(r)
-                timeout = r.timeout
-                if timeout:
-                    timed_out[side] += 1
-                    # Step 1: host down.  Step 2: QPN reset noise.
-                    if target_host in down_hosts:
-                        verdict[r.seq] = ProblemCategory.HOST_DOWN
-                        down_evidence[target_host] += 1
-                        continue
-                    current = current_qpn(r.target_rnic)
-                    if current is not None and r.target_qpn != current:
-                        verdict[r.seq] = ProblemCategory.QPN_RESET
-                        evidence.qpn_reset_timeouts += 1
-                        continue
-                    unexplained.append(r)
-                else:
-                    if rtt is not None:
-                        rtts[side].append(float(rtt))
-                    if responder is not None:
-                        delays[side].append(float(responder))
-                    if prober is not None:
-                        delays[side].append(float(prober))
-                if kind is ProbeKind.TOR_MESH:
-                    pair = (r.prober_rnic, r.target_rnic)
-                    counts = mesh.get(pair)
-                    if counts is None:
-                        counts = mesh[pair] = [0, 0]
-                    counts[0] += 1
-                    counts[1] += timeout
-            for scope, rtt_samples, delay_samples in zip(scopes, rtts, delays):
-                scope.rtt.extend(rtt_samples)
-                scope.processing.extend(delay_samples)
-                rtt_samples.clear()
-                delay_samples.clear()
+        for place, r in zip(fold.places, fold.timeouts):
+            # Step 1: host down.  Step 2: QPN reset noise.
+            target_host = host_of[r.target_rnic]
+            if target_host in down_hosts:
+                verdict[r.seq] = ProblemCategory.HOST_DOWN
+                down_evidence[target_host] += 1
+                continue
+            current = current_qpn(r.target_rnic)
+            if current is not None and r.target_qpn != current:
+                verdict[r.seq] = ProblemCategory.QPN_RESET
+                evidence.qpn_reset_timeouts += 1
+                continue
+            unexplained.append(r)
+            if r.kind is ProbeKind.TOR_MESH:
+                fold.count_mesh_timeout(place, r)
         evidence.results_processed = sum(totals)
 
         # Step 3: anomalous RNICs from ToR-mesh probing (iterative).
         # (The ablation switch reproduces Pingmesh-style analysis where
         # RNIC and switch drops interfere during troubleshooting, §2.4.)
-        anomalous = (self._detect_anomalous_rnics(mesh)
+        anomalous = (self._detect_anomalous_rnics(fold.mesh_in_order())
                      if config.tor_mesh_rnic_filter_enabled else set())
         # Step 4: agent-CPU false-positive filters (§6).
         if config.cpu_fp_filter_enabled:
@@ -434,10 +547,11 @@ class Analyzer:
         # Algorithm 1 over the fabric-caused timeouts, per side, with no
         # gate: conclude() applies it to the window-wide sum.
         evidence.tallies = (SideTally.of(fabric[0]), SideTally.of(fabric[1]))
-        self._emit_latency_problems(high_rtt, processing, evidence, now)
+        self._emit_latency_problems(fold.high_rtt, processing, evidence, now)
         evidence.int_links = self._int_links(now)
 
         # Step 7: the SLA counts (the samples went in batch by batch).
+        scopes = (evidence.sla.cluster, evidence.sla.service)
         service_rnic = sum(r.kind is ProbeKind.SERVICE_TRACING
                            for r in rnic_timeouts)
         rnic_side = (len(rnic_timeouts) - service_rnic, service_rnic)
@@ -448,12 +562,10 @@ class Analyzer:
             scope.timeouts_switch = len(fabric[side])
             scope.timeouts_non_network = (
                 timed_out[side] - scope.timeouts_rnic - scope.timeouts_switch)
-        evidence.service_members = self._service_members_seen(service)
+        evidence.service_members = fold.service_members()
         if self.tracer.enabled:
-            evidence.verdicts = [
-                (r.seq, r.kind is ProbeKind.SERVICE_TRACING,
-                 verdict.get(r.seq))
-                for batch in uploads for r in batch.results]
+            evidence.verdicts = [(seq, side, verdict.get(seq))
+                                 for seq, side in fold.traced]
         return evidence
 
     def conclude(self, parts: list[WindowEvidence]) -> WindowAnalysis:
@@ -553,20 +665,20 @@ class Analyzer:
         return down
 
     def _detect_anomalous_rnics(
-            self, mesh: dict[tuple[str, str], list[int]]) -> set[str]:
+            self, mesh: list[tuple[tuple[str, str], int, int]]) -> set[str]:
         """Iterative §4.3.2 detection over this window's ToR-mesh probes.
 
         Repeatedly pick the RNIC with the highest anomaly rate above the
         threshold, then drop all probes involving it before re-scoring, so
         a single broken RNIC doesn't smear its healthy ToR neighbours.
-        ``mesh`` holds ``[probes, timeouts]`` per (prober, target) in the
-        order the window first showed each pair, so RNICs are met in the
-        order the pool's probes would show them.
+        ``mesh`` holds ``(pair, probes, timeouts)`` per (prober, target)
+        in the order the window first counted each pair, so RNICs are met
+        in the order the pool's probes would show them.
         """
         anomalous: set[str] = set()
         while True:
             involved: dict[str, list[int]] = {}
-            for pair, (probes, timeouts) in mesh.items():
+            for pair, probes, timeouts in mesh:
                 if anomalous.isdisjoint(pair):
                     for rnic in pair:
                         seen = involved.setdefault(rnic, [0, 0])
@@ -587,7 +699,7 @@ class Analyzer:
             anomalous.add(best_rnic)
 
     def _filter_cpu_noise(self, anomalous: set[str],
-                          processing: dict[str, list[int]],
+                          processing: dict[str, array],
                           window: WindowEvidence) -> set[str]:
         """§6 false-positive filters: multi-RNIC simultaneity first, then
         the responder-processing-delay corroboration."""
@@ -606,7 +718,7 @@ class Analyzer:
         return keep
 
     def _starved_hosts(self, residual: list[ProbeResult],
-                       processing: dict[str, list[int]]) -> set[str]:
+                       processing: dict[str, array]) -> set[str]:
         """§6's simultaneity rule applied to the residual pool as well: a
         starved Agent freezes probing *and* responding, so essentially
         every surviving timeout involves that ONE host (as prober or as
@@ -631,19 +743,18 @@ class Analyzer:
                 and (len(involved_rnics[host]) >= self.config.cpu_fp_min_rnics
                      or self._abnormal_p90(processing.get(host, ())))}
 
-    def _abnormal_p90(self, samples: list[int]) -> Optional[int]:
+    def _abnormal_p90(self, samples: array) -> Optional[int]:
         """A host's p90 processing delay if it is over the threshold
-        (sorts ``samples`` in place; under five samples convict nobody)."""
+        (under five samples convict nobody)."""
         if len(samples) < 5:
             return None
-        samples.sort()
-        p90 = samples[max(0, int(len(samples) * 0.9) - 1)]
+        p90 = sorted(samples)[max(0, int(len(samples) * 0.9) - 1)]
         return p90 if p90 > self.config.high_processing_delay_ns else None
 
     # -- step 6: high RTT / high processing delay ------------------------------------------
 
     def _emit_latency_problems(self, high_rtt: list[ProbeResult],
-                               processing: dict[str, list[int]],
+                               processing: dict[str, array],
                                window: WindowEvidence, now: int) -> None:
         """High-RTT (congestion) and high-processing-delay (bottleneck)."""
         problems = window.latency_problems
@@ -702,24 +813,6 @@ class Analyzer:
 
     # -- step 8: service-network membership + priority (§4.3.4) ---------------------------------
 
-    def _service_members_seen(self, service: list[ProbeResult]
-                              ) -> tuple[str, ...]:
-        """Every device and link a service-tracing probe touched, sorted."""
-        host_of = self.cluster.host_name_of
-        seen: set[str] = set()
-        routes: dict[tuple, PathRecord] = {}    # each distinct route once
-        for r in service:
-            seen.update((r.prober_rnic, r.target_rnic,
-                         r.prober_host, host_of[r.target_rnic]))
-            for path in (r.probe_path, r.ack_path):
-                if path is not None:
-                    routes[path.hops] = path
-        for hops, path in routes.items():
-            seen.update(path.link_names)
-            seen.update(hops)
-        seen.discard(None)      # rate-limited hops
-        return tuple(sorted(seen))
-
     def in_service_network(self, locus: str, now: Optional[int] = None) -> bool:
         """Whether a device/link was part of the service network recently."""
         if now is None:
@@ -772,14 +865,14 @@ class Analyzer:
     def memory_bytes(self) -> int:
         """Deterministic estimate of this Analyzer's retained state.
 
-        Covers the ingest backlog (raw ProbeResults awaiting a window),
-        the per-window analysis records, and the SLA history — where
-        exact-mode percentile trackers retain every sample forever, the
-        unbounded-growth term the sketch + shard-retention path bounds.
+        Covers the open window's fold (its stores, tables and queued
+        timeouts), the per-window analysis records, and the SLA history —
+        where exact-mode percentile trackers retain every sample forever,
+        the unbounded-growth term the sketch + shard-retention path bounds.
         """
-        pending = sum(256 * len(batch.results) for batch in self._pending)
         windows = sum(512 + 128 * len(w.problems) for w in self.windows)
-        return 1024 + pending + windows + self.sla.memory_bytes()
+        return (1024 + self._fold.memory_bytes() + windows
+                + self.sla.memory_bytes())
 
     # -- verdict helpers (§7.2) ----------------------------------------------------------------
 

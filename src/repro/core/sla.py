@@ -13,10 +13,14 @@ service network separately, the Analyzer reports:
 using two servers under a ToR must not produce a "50% ToR drop rate".
 
 Percentile storage is pluggable (DESIGN.md §11): the default
-:class:`~repro.sim.stats.PercentileTracker` keeps every sample exactly;
+:class:`~repro.sim.stats.PercentileTracker` keeps every sample exactly,
+8 bytes each, so a retained window costs 8 bytes per successful probe's
+RTT and 16 per its two processing delays;
 ``RPingmeshConfig(sla_sketch=True)`` swaps in the fixed-memory mergeable
 :class:`~repro.sim.sketch.QuantileSketch` (<= 1 % relative error).
 Both answer ``None`` on empty, so the reporting surface is identical.
+The Analyzer fills a window's stores as its uploads arrive and hands
+them to the window's :class:`SlaReport` when it closes.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ class SlaWindow:
         return self.processing.summary()
 
     def memory_bytes(self) -> int:
-        """Estimated footprint of this window's percentile stores."""
+        """Estimated footprint of this window's percentile stores (each
+        store's own estimate plus a fixed record overhead)."""
         return 256 + self.rtt.memory_bytes() + self.processing.memory_bytes()
 
     def merge(self, other: "SlaWindow") -> None:

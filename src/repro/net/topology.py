@@ -27,6 +27,7 @@ with a probability proportional to the overload.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -271,6 +272,9 @@ class DirectedLink:
             raise ValueError(f"rate must be positive: {rate_gbps}")
         self.src = src
         self.dst = dst
+        # Built once: every drop record and INT stamp names the link, and
+        # thousands of them then share one string.
+        self.name = sys.intern(f"{src}->{dst}")
         self.pair = pair
         self.rate_gbps = rate_gbps
         self.propagation_ns = propagation_ns
@@ -345,10 +349,6 @@ class DirectedLink:
             self._before_write()
             setattr(self, attr, value)
             self._refresh_quiet()
-
-    @property
-    def name(self) -> str:
-        return f"{self.src}->{self.dst}"
 
     @property
     def up(self) -> bool:

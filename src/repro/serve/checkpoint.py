@@ -35,7 +35,10 @@ own idea of "before" and a ``Cluster`` with no ``Holds`` table, so a clear
 after the restore would overwrite what another writer still holds; format 8
 files hold a bucketed calendar queue, an ECMP memo on the ``Fabric``, a PCIe
 memo on each ``Rnic`` and two dead ``DirectedLink`` fields, shapes the
-single-heap engine and the unmemoised fabric and RNIC no longer have.  (The
+single-heap engine and the unmemoised fabric and RNIC no longer have; format
+9 files hold an ``Analyzer`` whose open window is a queue of raw upload
+batches, not the fold its batches now go into on arrival, list-backed
+percentile trackers, and ``DirectedLink``s with no ``name`` of their own.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -57,7 +60,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 9
+FORMAT = 10
 
 
 class CheckpointError(RuntimeError):

@@ -2,30 +2,39 @@
 
 Two shapes cover everything the paper reports:
 
-* :class:`PercentileTracker` — a bounded sample buffer answering P50..P999
-  queries per analysis window (the SLA distributions in §5).
+* :class:`PercentileTracker` — every sample of one distribution, kept
+  exactly as an 8-byte double, answering P50..P999 queries per analysis
+  window (the SLA distributions in §5).  It is not bounded: the
+  Analyzer's :class:`~repro.core.sla.SlaHistory` keeps up to 100,000
+  windows of them.  :class:`~repro.sim.sketch.QuantileSketch` is the
+  fixed-memory, mergeable alternative.
 * :class:`TimeSeries` — (time, value) pairs for the figure-style plots.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from struct import pack
 from typing import Iterable, Optional
 
 
 class PercentileTracker:
-    """Collects float samples and answers percentile queries.
+    """Collects float samples and answers percentile queries exactly.
 
-    Keeps all samples for exactness (windows in this package hold at most a
-    few hundred thousand samples); sorts lazily on query.  Every query on
-    an empty tracker answers ``None`` — the one empty-sample contract
-    shared with :class:`~repro.sim.sketch.QuantileSketch` and
+    Keeps every sample as a double in one ``array('d')``, 8 bytes each
+    (a list of floats costs 32); ints go in as the doubles ``float()``
+    would make of them.  Sorts lazily on query, replacing the store with
+    its sorted copy, so :meth:`mean` sums in the order queries left.
+    Every query on an empty tracker answers ``None`` — the one
+    empty-sample contract shared with
+    :class:`~repro.sim.sketch.QuantileSketch` and
     ``TierAggregate.rtt_p99`` — so call sites need no ``len()`` guards.
     """
 
     def __init__(self) -> None:
-        self._samples: list[float] = []
+        self._samples = array("d")
         self._sorted = True
 
     def __len__(self) -> int:
@@ -37,13 +46,20 @@ class PercentileTracker:
         self._sorted = False
 
     def extend(self, values: Iterable[float]) -> None:
-        """Record many samples."""
-        self._samples.extend(values)
+        """Record many samples.
+
+        Packed in one call: an array converts item by item through a
+        format parse, several times slower than ``struct`` converting
+        the whole batch (the doubles are the same).
+        """
+        if not isinstance(values, list):
+            values = list(values)
+        self._samples.frombytes(pack(f"{len(values)}d", *values))
         self._sorted = False
 
     def clear(self) -> None:
         """Drop all samples (start of a new analysis window)."""
-        self._samples.clear()
+        self._samples = array("d")
         self._sorted = True
 
     def samples(self) -> list[float]:
@@ -52,7 +68,7 @@ class PercentileTracker:
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._samples.sort()
+            self._samples = array("d", sorted(self._samples))
             self._sorted = True
 
     def percentile(self, pct: float) -> Optional[float]:
@@ -119,10 +135,10 @@ class PercentileTracker:
         }
 
     def memory_bytes(self) -> int:
-        """Deterministic footprint estimate: list slot + float object per
-        retained sample.  Grows without bound with the sample count — the
-        cost :class:`~repro.sim.sketch.QuantileSketch` exists to avoid."""
-        return 64 + 32 * len(self._samples)
+        """Deterministic footprint estimate: one double per retained
+        sample.  Grows without bound with the sample count — the cost
+        :class:`~repro.sim.sketch.QuantileSketch` exists to avoid."""
+        return 64 + 8 * len(self._samples)
 
 
 @dataclass

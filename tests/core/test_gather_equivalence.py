@@ -1,14 +1,18 @@
-"""Differential oracle for ``Analyzer.gather`` (DESIGN.md §11).
+"""Differential oracle for the Analyzer's stage 1 (DESIGN.md §11).
 
-``reference_gather`` is a test-only port of the multi-pass stage 1 the
-single-pass fold replaced: one full walk over the window's results per
-classification step, a window-wide ``by_seq`` index, one Algorithm-1 vote
-per path.  It survives here as the reference the fold is compared with,
-field by field, over seeded random windows that hit every branch the two
-could disagree on: timeouts to down hosts, stale QPNs, one broken RNIC
-plus a second with an *equal* ``(rate, timeouts)`` score, a CPU-starved
-host, service-tracing results, ``None`` paths and ``None`` hops, the SLA
-sketch on and off, tracing on and off.
+``reference_gather`` is a test-only port of the multi-pass stage 1 that
+folding on arrival replaced: it holds the window's raw batches, walks
+them in full once per classification step, keeps a window-wide
+``by_seq`` index and casts one Algorithm-1 vote per path.  It survives
+here as the reference the fold is compared with, field by field, over
+seeded random windows that hit every branch the two could disagree on:
+timeouts to down hosts, stale QPNs, one broken RNIC plus a second with
+an *equal* ``(rate, timeouts)`` score, a CPU-starved host,
+service-tracing results, ``None`` paths and ``None`` hops, the SLA
+sketch on and off, tracing on and off.  The reference reads the window's
+batches whole; the fold receives the same results through
+``receive_upload`` cut into random smaller batches, so no answer may
+depend on where a batch boundary fell.
 """
 
 import random
@@ -17,7 +21,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.analyzer import Analyzer, SideTally, WindowEvidence
+from repro.core.analyzer import SideTally, WindowEvidence
 from repro.core.config import RPingmeshConfig
 from repro.core.localization import Localization
 from repro.core.records import (AgentUpload, Problem, ProbeKind, ProbeResult,
@@ -296,13 +300,14 @@ def _service_members_seen(analyzer, results):
     return tuple(sorted(seen))
 
 
-def reference_gather(analyzer):
-    """Stage 1 as the multi-pass pipeline computed it."""
+def reference_gather(analyzer, uploads):
+    """Stage 1 as the multi-pass pipeline computed it over ``uploads``,
+    the window's batches (``analyzer`` has received them, for the
+    silence clock)."""
     now = analyzer.cluster.sim.now
     evidence = WindowEvidence(
         window_start_ns=now - analyzer.config.analysis_period_ns,
         window_end_ns=now)
-    uploads, analyzer._pending = analyzer._pending, []
     results = [r for batch in uploads for r in batch.results]
     evidence.results_processed = len(results)
     evidence.down_hosts = analyzer._down_hosts(now)
@@ -533,6 +538,24 @@ class WindowMaker:
             assert analyzer.receive_upload(batch)
         return analyzer
 
+    def split(self, batches):
+        """The same results in the same order, each batch cut again at
+        random; a piece is sent a few ns before the next (a resend would
+        repeat a timestamp), the last piece at the batch's own time."""
+        rng = self.rng
+        out = []
+        for batch in batches:
+            results = batch.results
+            cuts = sorted(rng.sample(range(1, len(results)),
+                                     min(rng.randrange(3), len(results) - 1))
+                          ) if len(results) > 1 else []
+            bounds = [0] + cuts + [len(results)]
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                out.append(AgentUpload(
+                    batch.host, batch.uploaded_at_ns - (len(bounds) - 2 - i),
+                    results[lo:hi]))
+        return out
+
 
 def _samples(tracker):
     if isinstance(tracker, QuantileSketch):
@@ -562,8 +585,9 @@ def _flatten(evidence):
 def test_fold_matches_the_multi_pass_reference(cluster, seed):
     maker = WindowMaker(cluster, seed)
     batches = maker.batches()
-    multi_pass, fold = maker.analyzer(batches), maker.analyzer(batches)
-    expected = _flatten(reference_gather(multi_pass))
+    multi_pass = maker.analyzer(batches)
+    fold = maker.analyzer(maker.split(batches))
+    expected = _flatten(reference_gather(multi_pass, batches))
     actual = _flatten(fold.gather())
     for name, value in expected.items():
         assert actual[name] == value, name
@@ -611,10 +635,11 @@ def test_an_equal_score_goes_to_the_rnic_met_first(cluster):
         first = next(rnic for r in results
                      for rnic in (r.prober_rnic, r.target_rnic)
                      if rnic in pair)
-        for gather in (reference_gather, Analyzer.gather):
-            analyzer = maker.analyzer(
-                [AgentUpload(results[0].prober_host, NOW, list(results))])
-            assert gather(analyzer).anomalous_rnics == {first}
+        uploads = [AgentUpload(results[0].prober_host, NOW, list(results))]
+        assert reference_gather(maker.analyzer(uploads),
+                                uploads).anomalous_rnics == {first}
+        assert maker.analyzer(maker.split(uploads)).gather(
+            ).anomalous_rnics == {first}
         convicted.add(first)
     assert convicted == pair    # the order decides, not the names
 

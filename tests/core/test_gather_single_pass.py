@@ -1,14 +1,19 @@
-"""``Analyzer.gather`` reads each upload batch once (DESIGN.md §11).
+"""The Analyzer reads each result once, when it arrives (DESIGN.md §11).
 
-The fold's whole point is the pass count, so it is pinned exactly: a
-batch's ``results`` is iterated once per window (once more when tracing
-asks for a verdict per probe), each result is asked whether it timed out
-once — the question every step of the multi-pass pipeline opened with —
-and a path record spells its link names once, however many timeouts,
-sides and windows vote on it.
+The fold's whole point is the pass count and what it keeps, so both are
+pinned exactly.  A batch's ``results`` is iterated once, inside
+``receive_upload``, tracing or not; each result is asked whether it
+timed out once — the question every step of the multi-pass pipeline
+opened with — and each timeout is looked at once more when the window
+closes, where steps 1-2 read its QPN.  A path record spells its link
+names once, however many timeouts, sides and windows vote on it.  And
+what the fold keeps is O(timeouts): a successful result that is not
+high-RTT is let go as soon as its batch has been folded.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -31,15 +36,16 @@ class CountingList(list):
 
 
 class WatchedResult(ProbeResult):
-    """A probe result that counts how often ``timeout`` is read."""
+    """A probe result that counts how often ``timeout`` and
+    ``target_qpn`` are read."""
 
-    __slots__ = ("timeout_reads",)
+    __slots__ = ("timeout_reads", "qpn_reads")
 
     @classmethod
     def of(cls, result):
         watched = cls(**{f.name: getattr(result, f.name)
                          for f in dataclasses.fields(result)})
-        watched.timeout_reads = 0
+        watched.timeout_reads = watched.qpn_reads = 0
         return watched
 
     @property
@@ -50,6 +56,26 @@ class WatchedResult(ProbeResult):
     @timeout.setter
     def timeout(self, value):
         ProbeResult.timeout.__set__(self, value)
+
+    @property
+    def target_qpn(self):
+        self.qpn_reads += 1
+        return ProbeResult.target_qpn.__get__(self)
+
+    @target_qpn.setter
+    def target_qpn(self, value):
+        ProbeResult.target_qpn.__set__(self, value)
+
+
+class WeakResult(ProbeResult):
+    """A probe result a test can hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
+
+    @classmethod
+    def of(cls, result):
+        return cls(**{f.name: getattr(result, f.name)
+                      for f in dataclasses.fields(result)})
 
 
 class CountingPath(PathRecord):
@@ -93,18 +119,24 @@ def busy_window(cluster):
     return batches, path
 
 
-@pytest.mark.parametrize("tracing, walks", [(False, 1), (True, 2)])
-def test_each_batch_and_each_result_is_read_once(small_clos, tracing, walks):
+@pytest.mark.parametrize("tracing", [False, True])
+def test_results_read_at_arrival_and_timeouts_once_more(
+        small_clos, tracing):
     analyzer, _ = make_analyzer(small_clos)
     analyzer.tracer = Tracer(enabled=tracing)
     small_clos.sim.run_until(seconds(20))
     batches, _ = busy_window(small_clos)
+    results = [r for b in batches for r in list.__iter__(b.results)]
     for batch in batches:
         analyzer.receive_upload(batch)
-    assert [b.results.walks for b in batches] == [0, 0, 0]
+    assert [b.results.walks for b in batches] == [1, 1, 1]
+    assert {r.timeout_reads for r in results} == {1}
+    assert {r.qpn_reads for r in results} == {0}
     evidence = analyzer.gather()
-    assert [b.results.walks for b in batches] == [walks] * 3
-    assert {r.timeout_reads for b in batches for r in b.results} == {1}
+    assert [b.results.walks for b in batches] == [1, 1, 1]
+    assert {r.timeout_reads for r in results} == {1}
+    assert {(r.timeout, r.qpn_reads) for r in results} == {
+        (True, 1), (False, 0)}
     # ...and the window was a busy one: every later step had work.
     assert evidence.qpn_reset_timeouts == 3
     assert [t.anomalies for t in evidence.tallies] == [12, 12]
@@ -113,6 +145,41 @@ def test_each_batch_and_each_result_is_read_once(small_clos, tracing, walks):
     assert "pod0-tor0" in evidence.service_members
     assert len(evidence.verdicts) == (
         evidence.results_processed if tracing else 0)
+
+
+def test_the_fold_keeps_timeouts_until_close_and_nothing_after(small_clos):
+    """Weak references to every uploaded result: a successful one that is
+    not high-RTT, cluster or service side, is gone once
+    ``receive_upload`` returns; timeouts (and high-RTT results) live
+    until ``analyze()``, and nothing lives after it."""
+    analyzer, _ = make_analyzer(small_clos)
+    small_clos.sim.run_until(seconds(20))
+    batches, path = busy_window(small_clos)
+    refs = {"timeout": [], "high_rtt": [], "ok": []}
+    sides = set()
+    for batch in batches:
+        served = probe_result(small_clos, f"{batch.host}-rnic0", "host3-rnic0",
+                              kind=ProbeKind.SERVICE_TRACING, path=path)
+        results = [WeakResult.of(r) for r in [*batch.results, served]]
+        for r in results:
+            kind = ("timeout" if r.timeout
+                    else "high_rtt" if r.network_rtt_ns
+                    > analyzer.config.high_rtt_threshold_ns else "ok")
+            refs[kind].append(weakref.ref(r))
+            sides.add((kind, r.kind))
+        analyzer.receive_upload(AgentUpload(batch.host, batch.uploaded_at_ns,
+                                            results))
+        del results, r
+    gc.collect()
+    assert {kind for kind, _ in sides} == set(refs)
+    assert {("ok", ProbeKind.TOR_MESH),
+            ("ok", ProbeKind.SERVICE_TRACING)} <= sides
+    assert all(ref() is None for ref in refs["ok"])
+    assert all(ref() is not None
+               for ref in refs["timeout"] + refs["high_rtt"])
+    analyzer.analyze()
+    gc.collect()
+    assert all(ref() is None for kind in refs for ref in refs[kind])
 
 
 def test_a_path_spells_its_links_once(small_clos):

@@ -173,15 +173,16 @@ class TestShardedFaultParity:
 class TestRootAnalyzerSurface:
     def test_ingest_counters_sum_over_shards(self):
         cluster, system = deploy()
-        system.run(seconds(25))
         root = system.analyzer
+        taken = []
+        root.shards[2].add_upload_listener(taken.append)
+        system.run(seconds(25))
         assert root.ingest_accepted == sum(s.ingest_accepted
                                            for s in root.shards)
         assert root.ingest_accepted > 0
         assert root.ingest_dropped == sum(s.ingest_dropped
                                           for s in root.shards)
-        batch = root.shards[2]._pending[0]
-        assert root.shards[2].receive_upload(batch)     # a resend
+        assert root.shards[2].receive_upload(taken[-1])     # a resend
         assert root.ingest_duplicates == 1
         assert root.ingest_backlog == sum(s.ingest_backlog
                                           for s in root.shards)

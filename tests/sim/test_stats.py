@@ -1,5 +1,8 @@
 """Unit tests for percentile tracking and time series."""
 
+import math
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +96,105 @@ class TestPercentileTracker:
         t.extend(samples)
         for p in (1, 50, 99):
             assert t.percentile(p) in samples
+
+
+class ListTracker:
+    """The list-of-floats store :class:`PercentileTracker` replaced, fed
+    the ``float()`` of every value the way its callers used to: the
+    oracle the 8-byte array store must equal answer for answer."""
+
+    def __init__(self):
+        self._samples = []
+        self._sorted = True
+
+    def __len__(self):
+        return len(self._samples)
+
+    def add(self, value):
+        self._samples.append(float(value))
+        self._sorted = False
+
+    def extend(self, values):
+        self._samples.extend(float(v) for v in values)
+        self._sorted = False
+
+    def clear(self):
+        self._samples.clear()
+        self._sorted = True
+
+    def samples(self):
+        return list(self._samples)
+
+    def _sort(self):
+        if not self._sorted:
+            self._samples.sort()
+            self._sorted = True
+
+    def percentile(self, pct):
+        if not self._samples:
+            return None
+        self._sort()
+        if pct == 0.0:
+            return self._samples[0]
+        rank = math.ceil(pct / 100.0 * len(self._samples))
+        return self._samples[max(0, rank - 1)]
+
+    def mean(self):
+        if not self._samples:
+            return None
+        return sum(self._samples) / len(self._samples)
+
+    def min(self):
+        return self.percentile(0.0)
+
+    def max(self):
+        return self.percentile(100.0)
+
+    def summary(self):
+        if not self._samples:
+            return None
+        return {"count": float(len(self._samples)), "mean": self.mean(),
+                "min": self.min(), "p50": self.percentile(50),
+                "p90": self.percentile(90), "p99": self.percentile(99),
+                "p999": self.percentile(99.9), "max": self.max()}
+
+
+SAMPLE = st.one_of(
+    st.integers(-(2 ** 63), 2 ** 63),
+    st.floats(allow_nan=False, allow_infinity=False,
+              min_value=-1e15, max_value=1e15))
+OPERATION = st.one_of(
+    st.tuples(st.just("add"), SAMPLE),
+    st.tuples(st.just("extend"), st.lists(SAMPLE, max_size=20)),
+    st.tuples(st.just("percentile"), st.floats(0.0, 100.0)),
+    st.tuples(st.sampled_from(
+        ("mean", "min", "max", "summary", "clear", "samples", "__len__"))))
+QUERIES = (("mean",), ("percentile", 50.0), ("mean",), ("summary",),
+           ("samples",), ("__len__",))
+
+
+def _apply(tracker, operation):
+    name, *args = operation
+    return repr(getattr(tracker, name)(*args))   # repr: -0.0 is not 0.0
+
+
+class TestArrayStoreAgainstListOracle:
+    @given(st.lists(OPERATION, max_size=60))
+    def test_every_answer_equals_the_list_trackers(self, operations):
+        tracker, oracle = PercentileTracker(), ListTracker()
+        for operation in [*operations, *QUERIES]:
+            assert _apply(tracker, operation) == _apply(oracle, operation), \
+                operation
+        restored = pickle.loads(pickle.dumps(tracker))
+        for operation in (("add", 7), *QUERIES):
+            assert _apply(restored, operation) == _apply(oracle, operation), \
+                operation
+
+    def test_a_sample_costs_eight_bytes(self):
+        t = PercentileTracker()
+        empty = t.memory_bytes()
+        t.extend(range(1000))
+        assert t.memory_bytes() == empty + 8 * 1000
 
 
 class TestTimeSeries:
