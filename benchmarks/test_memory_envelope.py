@@ -12,15 +12,18 @@ sample); the sharded tier's growth is one set of fixed-size sketch
 states per fused window.  Twelve windows are enough for the envelope to
 separate decisively.
 
-Both peaks are modelled bytes, deterministic per seed.  Since the
-Analyzer folds uploads on arrival instead of holding a window of raw
-results, and exact stores cost 8 bytes a sample instead of 32, the
-peaks are 2.98 MB unsharded and 0.38 MB sharded: a ratio of 7.87x (it
-was 12.1 MB vs 2.0 MB, 6.05x, when both held their raw results).
-``MIN_RATIO`` sits at 6x, under the measured 7.87x by a margin for
-estimate changes that move both sides.  The sharded ceiling sits at
-1 MB, under the 2.98 MB an exact sample-shaped store reaches here, so
-sample-shaped growth on the sharded tier fails it.
+Both peaks are modelled bytes, deterministic per seed.  The Analyzer
+folds uploads on arrival instead of holding a window of raw results,
+exact stores cost 8 bytes a sample instead of 32, and an open window's
+timeouts are kept per flow (a representative plus 16 bytes a member)
+instead of one raw result each.  The peaks are 2.86 MB unsharded and
+0.29 MB sharded: a ratio of 10.01x (7.87x, 2.98 MB vs 0.38 MB, while
+timeouts were kept one result each; 6.05x, 12.1 MB vs 2.0 MB, when both
+held their raw results).  ``MIN_RATIO`` sits at 6x, under the measured
+ratio by a margin for estimate changes that move both sides.  The
+sharded ceiling sits at 1 MB, under the 2.86 MB an exact sample-shaped
+store reaches here, so sample-shaped growth on the sharded tier fails
+it.
 
 Emits one ``BENCH {json}`` line (peaks, ratio, process RSS) for trend
 tracking; the bench-smoke CI job runs this file.

@@ -30,9 +30,12 @@ The pipeline runs as two stages (DESIGN.md §11).  :meth:`Analyzer.gather`
 turns one window's uploads into a :class:`WindowEvidence` — everything
 above that needs raw ``ProbeResult``s, with Algorithm 1's votes left as
 *ungated* tallies.  Each result is read once, when its batch arrives:
-:class:`WindowFold` keeps what steps 3-7 need of it and lets it go, and
-only the timeouts wait for the window to close, where steps 1-2 settle
-them against the down set and the QPN registry as they then stand.
+:class:`WindowFold` keeps what steps 3-7 need of it and lets it go, and a
+timeout joins its *flow* — the window's timeouts with the same kind,
+prober, target, target QPN and traced routes, which every step above
+treats alike.  At close steps 1-7 run once per flow, weighted by its
+member count, against the down set, the QPN registry and the quarantines
+as they then stand.
 :meth:`Analyzer.conclude` turns a list of evidence
 parts into the window's verdicts: every field of the evidence merges over
 disjoint parts (sets union, counts and votes sum, sketches merge), so the
@@ -46,6 +49,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from struct import pack
 from typing import Optional, Protocol
 
@@ -55,7 +59,7 @@ from repro.controlplane.endpoint import Endpoint
 from repro.controlplane.transport import ManagementNetwork
 from repro.core.config import RPingmeshConfig
 from repro.core.controller import Controller
-from repro.core.localization import Localization, localize
+from repro.core.localization import Localization, localize, vote
 from repro.core.records import (AgentUpload, Priority, Problem,
                                 ProbeKind, ProbeResult, ProblemCategory)
 from repro.core.sla import SlaHistory, SlaReport, SlaWindow, TrackerFactory
@@ -106,11 +110,16 @@ class SideTally:
     anomalies: int = 0
 
     @classmethod
-    def of(cls, anomalies: list[ProbeResult]) -> "SideTally":
-        """Algorithm 1 over the paths of these probes and their ACKs."""
-        loc = localize([r.probe_path for r in anomalies],
-                       [r.ack_path for r in anomalies])
-        return cls(loc.votes, loc.paths_considered, len(anomalies))
+    def of(cls, anomalies: list[tuple[ProbeResult, int]]) -> "SideTally":
+        """Algorithm 1 over the paths of these probes and their ACKs, each
+        ``(result, times)`` voting for ``times`` probes like it: every
+        probe path first, then every ACK path, as :func:`localize` does."""
+        loc = vote([(r.probe_path, n) for r, n in anomalies
+                    if r.probe_path is not None]
+                   + [(r.ack_path, n) for r, n in anomalies
+                      if r.ack_path is not None])
+        return cls(loc.votes, loc.paths_considered,
+                   sum(n for _, n in anomalies))
 
 
 @dataclass
@@ -150,23 +159,55 @@ def _int64s() -> array:
     return array("q")
 
 
+class TimeoutFlow:
+    """One open window's timeouts of one flow.
+
+    A flow is the timeouts that share kind, prober RNIC, target RNIC,
+    target QPN and the hops of both traced routes: everything steps 1-7
+    read of a timeout but its issue time.  The flow keeps its first
+    member as the representative and, per member, the issue time
+    (quarantine is decided against it), the place in the window (the
+    order §4.3.2 and Algorithm 1 meet it in) and, while tracing, the seq
+    its verdict is written under.  Every other field a step reads is the
+    same for all members, so it is read off the representative.
+    """
+
+    __slots__ = ("first", "issued", "places", "seqs")
+
+    def __init__(self, first: ProbeResult, tracing: bool):
+        self.first = first
+        self.issued = array("q")
+        self.places = array("q")
+        # An untraced flow stores no seqs, and needs no store for them.
+        self.seqs: array | tuple = array("q") if tracing else ()
+
+    def first_place_after(self, cut: int) -> int:
+        """The place of the first member issued after ``cut``."""
+        return next(place for place, issued in zip(self.places, self.issued)
+                    if issued > cut)
+
+
 class WindowFold:
     """One open window's uploads, folded as each batch arrives.
 
     :meth:`add` reads every result once and keeps only what the window's
     steps need of it: side totals, SLA samples (one batch at a time, in
-    arrival order), the host → processing-delay table
-    (8-byte ints), the high-RTT results, the service network's members
-    and distinct routes, and ToR-mesh pair counts.  Nothing else of a
-    successful result survives the call.  Timeouts queue with their
-    place in the window: steps 1-2 settle them at close, and a ToR-mesh
-    timeout that survives them counts toward its pair then — ordered by
-    the first place a counted result of the pair held, which is the
-    order §4.3.2 meets RNICs in.
+    arrival order), the host → processing-delay table (8-byte ints) and
+    each host's peak delay, the high-RTT results, the service network's
+    members and distinct routes, ToR-mesh pair counts, and the timeouts
+    grouped into :class:`TimeoutFlow`s, in first-arrival order.  Nothing
+    else of a result survives the call — of a timeout, nothing but its
+    issue time, place and (tracing) seq unless it is its flow's first
+    member.  Every verdict waits for close, because what steps 1-7 read
+    (the down set, the QPN registry, quarantines a shard learns from the
+    root mid-window) may change before then; a ToR-mesh flow that
+    survives steps 1-2 counts toward its pair then — ordered by the
+    first place a counted result of the pair held, which is the order
+    §4.3.2 meets RNICs in.
     """
 
     __slots__ = ("batches", "totals", "timed_out", "rtt", "delay",
-                 "processing", "high_rtt", "timeouts", "places", "mesh",
+                 "processing", "peaks", "high_rtt", "flows", "mesh",
                  "service_seen", "service_routes", "traced")
 
     def __init__(self, tracker: TrackerFactory):
@@ -182,12 +223,15 @@ class WindowFold:
         # *disappear* into timeouts, while the prober-side ones remain
         # plentiful and inflated — they are what convicts the CPU.
         self.processing: defaultdict[str, array] = defaultdict(_int64s)
+        # Host -> its largest delay: a host whose peak is under the
+        # threshold is not slow, and close need not read its samples.
+        self.peaks: dict[str, int] = {}
         self.high_rtt: list[ProbeResult] = []
-        # Timeouts and their places in the window, side by side: a tuple
-        # per timeout would hand the cyclic GC thousands of objects that
-        # live the whole window, and every full collection walks them.
-        self.timeouts: list[ProbeResult] = []
-        self.places: list[int] = []
+        # Flow key -> its timeouts.  A few hundred flows hold a window's
+        # thousands of timeouts; each member is two or three ints in
+        # arrays the cyclic GC never walks, not an object living the
+        # whole window.
+        self.flows: dict[tuple, TimeoutFlow] = {}
         # ToR-mesh (prober, target) -> [probes, timeouts, first place].
         self.mesh: dict[tuple[str, str], list[int]] = {}
         self.service_seen: set[Optional[str]] = set()
@@ -199,77 +243,120 @@ class WindowFold:
         """Fold one accepted batch."""
         self.batches += 1
         totals, timed_out = self.totals, self.timed_out
-        processing, high_rtt = self.processing, self.high_rtt
-        timeouts, places = self.timeouts, self.places
+        flows, high_rtt = self.flows, self.high_rtt
         mesh, traced = self.mesh, self.traced
-        seen, routes = self.service_seen, self.service_routes
+        place = totals[0] + totals[1]       # results folded so far
+        start, served = place, 0
         # This batch's SLA samples and processing delays, each stored in
-        # one packed call at the end (see PercentileTracker.extend); a
-        # host's delays are only ever sorted and counted, so their order
-        # does not matter.
+        # one packed call at the end (see PercentileTracker.extend).
+        # Responder delays are staged by target RNIC and mapped to hosts
+        # once per batch; a host's delays are only ever counted and
+        # sorted, so their order does not matter.
         rtts, delays = ([], []), ([], [])
-        staged: defaultdict[str, list[int]] = defaultdict(list)
+        cluster_rtt, cluster_delay = rtts[0].append, delays[0].append
+        staged: defaultdict[str, list[int]] = defaultdict(list)   # by host
+        responded: defaultdict[str, list[int]] = defaultdict(list)
+        # Enum members as locals: an Enum's class attribute costs several
+        # times a local read, and the loop asks twice per result.
+        service, tor_mesh = ProbeKind.SERVICE_TRACING, ProbeKind.TOR_MESH
         for r in results:
+            place += 1
             kind = r.kind
-            side = kind is ProbeKind.SERVICE_TRACING
-            totals[side] += 1       # their sum is now this result's place
             if tracing:
-                traced.append((r.seq, side))
-            target_host = host_of[r.target_rnic]
-            if side:
-                seen.update((r.prober_rnic, r.target_rnic,
-                             r.prober_host, target_host))
-                for path in (r.probe_path, r.ack_path):
-                    if path is not None and path.hops not in routes:
-                        routes.add(path.hops)
-                        seen.update(path.link_names)
-                        seen.update(path.hops)
+                traced.append((r.seq, kind is service))
             rtt = r.network_rtt_ns
             responder = r.responder_processing_ns
             prober = r.prober_processing_ns
             if responder is not None:
-                staged[target_host].append(responder)
+                responded[r.target_rnic].append(responder)
             if prober is not None:
                 staged[r.prober_host].append(prober)
             if rtt is not None and rtt > high_rtt_ns:
                 high_rtt.append(r)
-            if r.timeout:
-                timed_out[side] += 1
-                timeouts.append(r)
-                places.append(totals[0] + totals[1])
-                continue
-            if rtt is not None:
-                rtts[side].append(rtt)
-            if responder is not None:
-                delays[side].append(responder)
-            if prober is not None:
-                delays[side].append(prober)
-            if kind is ProbeKind.TOR_MESH:
-                pair = (r.prober_rnic, r.target_rnic)
-                counts = mesh.get(pair)
-                if counts is None:
-                    mesh[pair] = [1, 0, totals[0] + totals[1]]
-                else:
-                    counts[0] += 1
+            if kind is not service:
+                if not r.timeout:
+                    # The common case first: a cluster probe came back.
+                    if rtt is not None:
+                        cluster_rtt(rtt)
+                    if responder is not None:
+                        cluster_delay(responder)
+                    if prober is not None:
+                        cluster_delay(prober)
+                    if kind is tor_mesh:
+                        pair = (r.prober_rnic, r.target_rnic)
+                        counts = mesh.get(pair)
+                        if counts is None:
+                            mesh[pair] = [1, 0, place]
+                        else:
+                            counts[0] += 1
+                    continue
+                side = 0
+            else:
+                served += 1
+                self._see_service(r, host_of)
+                if not r.timeout:
+                    if rtt is not None:
+                        rtts[1].append(rtt)
+                    if responder is not None:
+                        delays[1].append(responder)
+                    if prober is not None:
+                        delays[1].append(prober)
+                    continue
+                side = 1
+            # A timeout joins its flow.  The kind is keyed as its two
+            # flags, which tell the three kinds apart and hash in C.
+            timed_out[side] += 1
+            probe, ack = r.probe_path, r.ack_path
+            key = (side, kind is tor_mesh, r.prober_rnic,
+                   r.target_rnic, r.target_qpn,
+                   None if probe is None else probe.hops,
+                   None if ack is None else ack.hops)
+            flow = flows.get(key)
+            if flow is None:
+                flow = flows[key] = TimeoutFlow(r, tracing)
+            flow.issued.append(r.issued_at_ns)
+            flow.places.append(place)
+            if tracing:
+                flow.seqs.append(r.seq)
+        totals[0] += place - start - served
+        totals[1] += served
         for side in (0, 1):
             if rtts[side]:
                 self.rtt[side].extend(rtts[side])
             if delays[side]:
                 self.delay[side].extend(delays[side])
+        for rnic, samples in responded.items():
+            staged[host_of[rnic]] += samples
+        processing, peaks = self.processing, self.peaks
         for host, samples in staged.items():
             processing[host].frombytes(pack(f"{len(samples)}q", *samples))
+            peak = max(samples)
+            peaks[host] = max(peaks.get(host, peak), peak)
 
-    def count_mesh_timeout(self, place: int, r: ProbeResult) -> None:
-        """A ToR-mesh timeout steps 1-2 left standing joins its pair."""
+    def _see_service(self, r: ProbeResult, host_of: dict[str, str]) -> None:
+        """A service-tracing result's endpoints and routes join the
+        service network's members (each distinct route spelled once)."""
+        seen, routes = self.service_seen, self.service_routes
+        seen.update((r.prober_rnic, r.target_rnic,
+                     r.prober_host, host_of[r.target_rnic]))
+        for path in (r.probe_path, r.ack_path):
+            if path is not None and path.hops not in routes:
+                routes.add(path.hops)
+                seen.update(path.link_names)
+                seen.update(path.hops)
+
+    def count_mesh_timeouts(self, flow: TimeoutFlow) -> None:
+        """A ToR-mesh flow steps 1-2 left standing joins its pair."""
+        r, members = flow.first, len(flow.issued)
         pair = (r.prober_rnic, r.target_rnic)
         counts = self.mesh.get(pair)
         if counts is None:
-            self.mesh[pair] = [1, 1, place]
+            self.mesh[pair] = [members, members, flow.places[0]]
         else:
-            counts[0] += 1
-            counts[1] += 1
-            if place < counts[2]:
-                counts[2] = place
+            counts[0] += members
+            counts[1] += members
+            if flow.places[0] < counts[2]:
+                counts[2] = flow.places[0]
 
     def mesh_in_order(self) -> list[tuple[tuple[str, str], int, int]]:
         """``(pair, probes, timeouts)`` in first-counted order."""
@@ -290,13 +377,18 @@ class WindowFold:
         return tuple(sorted(self.service_seen))
 
     def memory_bytes(self) -> int:
-        """Deterministic footprint estimate: 8 bytes per stored sample,
-        a ProbeResult's worth per queued timeout or high-RTT result."""
+        """Deterministic footprint estimate: 8 bytes per stored sample or
+        member field, 64 per host's table and peak, a ProbeResult's worth
+        per high-RTT result, a representative's (224 B) per timeout
+        flow."""
         stores = sum(t.memory_bytes() for t in self.rtt + self.delay)
         processing = sum(64 + 8 * len(samples)
                          for samples in self.processing.values())
+        members = sum(2 * len(flow.issued) + len(flow.seqs)
+                      for flow in self.flows.values())
         return (256 + stores + processing
-                + 256 * (len(self.timeouts) + len(self.high_rtt))
+                + 224 * len(self.flows) + 8 * members
+                + 256 * len(self.high_rtt)
                 + 96 * len(self.mesh)
                 + 64 * (len(self.service_seen) + len(self.service_routes))
                 + 16 * len(self.traced))
@@ -448,11 +540,14 @@ class Analyzer:
         """Stage 1: close the open window's fold into its evidence.
 
         Everything of a result but its timeout was folded when its batch
-        arrived (:class:`WindowFold`, DESIGN.md §11).  Here steps 1-2
-        settle the queued timeouts against the down set and the QPN
-        registry as they stand now, the survivors of the ToR mesh join
-        their pairs' counts, and every later step reads those timeouts,
-        the folded tables and the few high-RTT results only.
+        arrived, and each timeout joined its flow (:class:`WindowFold`,
+        DESIGN.md §11).  Here every step runs once per flow, in the order
+        the flows first arrived, with the flow's member count as its
+        weight: steps 1-2 against the down set and the QPN registry as
+        they stand now, the survivors of the ToR mesh joining their
+        pairs' counts, then quarantine — the one step that may split a
+        flow, by its members' issue times — CPU noise, the residual rule,
+        step 5 and Algorithm 1.
         """
         now = self.cluster.sim.now
         config = self.config
@@ -463,28 +558,33 @@ class Analyzer:
         down_hosts = evidence.down_hosts = self._down_hosts(now)
         evidence.sla = fold.sla_report(evidence.window_start_ns, now)
         host_of = self.cluster.host_name_of
-        current_qpn = self.controller.current_qpn
-        processing = fold.processing
+        qpns = self.controller.current_qpns()
         totals, timed_out = fold.totals, fold.timed_out
+        # Host -> p90 processing delay, for the hosts over the threshold:
+        # the §6 filter, the residual rule and step 6 all ask about it.
+        slow_hosts = self._slow_hosts(fold)
 
-        verdict: dict[int, ProblemCategory] = {}    # seq -> category
+        # (flow, cut, category): members issued at or before ``cut`` are
+        # RNIC problems, the rest ``category`` (the traced verdicts).
+        settled: list[tuple[TimeoutFlow, int, ProblemCategory]] = []
         down_evidence: Counter = Counter()
-        unexplained: list[ProbeResult] = []     # timeouts past steps 1-2
-        for place, r in zip(fold.places, fold.timeouts):
+        unexplained: list[TimeoutFlow] = []     # flows past steps 1-2
+        for flow in fold.flows.values():
             # Step 1: host down.  Step 2: QPN reset noise.
+            r = flow.first
             target_host = host_of[r.target_rnic]
             if target_host in down_hosts:
-                verdict[r.seq] = ProblemCategory.HOST_DOWN
-                down_evidence[target_host] += 1
+                settled.append((flow, -1, ProblemCategory.HOST_DOWN))
+                down_evidence[target_host] += len(flow.issued)
                 continue
-            current = current_qpn(r.target_rnic)
+            current = qpns.get(r.target_rnic)
             if current is not None and r.target_qpn != current:
-                verdict[r.seq] = ProblemCategory.QPN_RESET
-                evidence.qpn_reset_timeouts += 1
+                settled.append((flow, -1, ProblemCategory.QPN_RESET))
+                evidence.qpn_reset_timeouts += len(flow.issued)
                 continue
-            unexplained.append(r)
+            unexplained.append(flow)
             if r.kind is ProbeKind.TOR_MESH:
-                fold.count_mesh_timeout(place, r)
+                fold.count_mesh_timeouts(flow)
         evidence.results_processed = sum(totals)
 
         # Step 3: anomalous RNICs from ToR-mesh probing (iterative).
@@ -494,7 +594,8 @@ class Analyzer:
                      if config.tor_mesh_rnic_filter_enabled else set())
         # Step 4: agent-CPU false-positive filters (§6).
         if config.cpu_fp_filter_enabled:
-            anomalous = self._filter_cpu_noise(anomalous, processing, evidence)
+            anomalous = self._filter_cpu_noise(anomalous, slow_hosts,
+                                               evidence)
         evidence.anomalous_rnics = anomalous
         quarantined = self._quarantined_until
         for rnic in anomalous:
@@ -502,31 +603,44 @@ class Analyzer:
                                     now + config.rnic_quarantine_ns)
 
         # Quarantine attribution: timeouts to/from quarantined RNICs are
-        # RNIC problems for this window and the next minute (§5).  Then
-        # CPU-noise hosts: their residual timeouts are noise, not fabric.
-        rnic_timeouts: list[ProbeResult] = []
-        residual: list[ProbeResult] = []
+        # RNIC problems for this window and the next minute (§5) — decided
+        # by each member's issue time, so a quarantine ending inside a
+        # flow's span splits it.  Then CPU-noise hosts: their residual
+        # timeouts are noise, not fabric.
+        rnic_hits: list[tuple[ProbeResult, int]] = []   # (flow rep, members)
+        # (first place, members, flow, cut) per flow part left standing.
+        residual: list[tuple[int, int, TimeoutFlow, int]] = []
         noise_hosts = evidence.cpu_noise_hosts
-        for r in unexplained:
-            if (quarantined.get(r.prober_rnic, 0) >= r.issued_at_ns
-                    or quarantined.get(r.target_rnic, 0) >= r.issued_at_ns):
-                verdict[r.seq] = ProblemCategory.RNIC_PROBLEM
-                rnic_timeouts.append(r)
-            elif host_of[r.target_rnic] in noise_hosts:
-                verdict[r.seq] = ProblemCategory.AGENT_CPU_NOISE
+        for flow in unexplained:
+            r = flow.first
+            cut = max(quarantined.get(r.prober_rnic, 0),
+                      quarantined.get(r.target_rnic, 0))
+            blamed = sum(map(cut.__ge__, flow.issued))
+            rest = len(flow.issued) - blamed
+            if blamed:
+                rnic_hits.append((r, blamed))
+                if not rest:
+                    settled.append((flow, cut, ProblemCategory.RNIC_PROBLEM))
+                    continue
+            if host_of[r.target_rnic] in noise_hosts:
+                settled.append((flow, cut, ProblemCategory.AGENT_CPU_NOISE))
             else:
-                residual.append(r)
-        starved = (self._starved_hosts(residual, processing)
+                residual.append((flow.first_place_after(cut) if blamed
+                                 else flow.places[0], rest, flow, cut))
+        starved = (self._starved_hosts(residual, slow_hosts)
                    if config.cpu_fp_filter_enabled else set())
         noise_hosts |= starved
         # Step 5: everything else is the switch network's fault.
         fabric: tuple[list, list] = ([], [])
-        for r in residual:
+        for part in residual:
+            _, _, flow, cut = part
+            r = flow.first
             if r.prober_host in starved or host_of[r.target_rnic] in starved:
-                verdict[r.seq] = ProblemCategory.AGENT_CPU_NOISE
+                settled.append((flow, cut, ProblemCategory.AGENT_CPU_NOISE))
             else:
-                verdict[r.seq] = ProblemCategory.SWITCH_NETWORK_PROBLEM
-                fabric[r.kind is ProbeKind.SERVICE_TRACING].append(r)
+                settled.append(
+                    (flow, cut, ProblemCategory.SWITCH_NETWORK_PROBLEM))
+                fabric[r.kind is ProbeKind.SERVICE_TRACING].append(part)
 
         # Host-down problems (non-network but reportable, Table 2 #4).
         for host in sorted(down_hosts):
@@ -536,34 +650,48 @@ class Analyzer:
                 evidence_count=down_evidence[host],
                 from_service_tracing=False))
         for rnic in sorted(anomalous):
-            hits = [r for r in rnic_timeouts
+            hits = [(r, n) for r, n in rnic_hits
                     if rnic in (r.prober_rnic, r.target_rnic)]
             evidence.problems.append(Problem(
                 category=ProblemCategory.RNIC_PROBLEM, locus=rnic,
                 detected_at_ns=now, window_start_ns=evidence.window_start_ns,
-                evidence_count=len(hits),
+                evidence_count=sum(n for _, n in hits),
                 from_service_tracing=any(
-                    r.kind is ProbeKind.SERVICE_TRACING for r in hits)))
+                    r.kind is ProbeKind.SERVICE_TRACING for r, _ in hits)))
         # Algorithm 1 over the fabric-caused timeouts, per side, with no
-        # gate: conclude() applies it to the window-wide sum.
-        evidence.tallies = (SideTally.of(fabric[0]), SideTally.of(fabric[1]))
-        self._emit_latency_problems(fold.high_rtt, processing, evidence, now)
+        # gate: conclude() applies it to the window-wide sum.  A split
+        # flow's part stands where its first member did, so each side is
+        # put back in arrival order and votes fill in the order one vote
+        # per timeout would fill them.
+        for side in fabric:
+            side.sort(key=itemgetter(0))
+        evidence.tallies = tuple(
+            SideTally.of([(flow.first, members)
+                          for _, members, flow, _ in side])
+            for side in fabric)
+        self._emit_latency_problems(fold.high_rtt, fold.processing,
+                                    slow_hosts, evidence, now)
         evidence.int_links = self._int_links(now)
 
         # Step 7: the SLA counts (the samples went in batch by batch).
         scopes = (evidence.sla.cluster, evidence.sla.service)
-        service_rnic = sum(r.kind is ProbeKind.SERVICE_TRACING
-                           for r in rnic_timeouts)
-        rnic_side = (len(rnic_timeouts) - service_rnic, service_rnic)
+        rnic_side = [0, 0]
+        for r, n in rnic_hits:
+            rnic_side[r.kind is ProbeKind.SERVICE_TRACING] += n
         for side, scope in enumerate(scopes):
             scope.probes_total = totals[side]
             scope.probes_ok = totals[side] - timed_out[side]
             scope.timeouts_rnic = rnic_side[side]
-            scope.timeouts_switch = len(fabric[side])
+            scope.timeouts_switch = evidence.tallies[side].anomalies
             scope.timeouts_non_network = (
                 timed_out[side] - scope.timeouts_rnic - scope.timeouts_switch)
         evidence.service_members = fold.service_members()
         if self.tracer.enabled:
+            verdict: dict[int, ProblemCategory] = {}    # seq -> category
+            for flow, cut, category in settled:
+                for seq, issued in zip(flow.seqs, flow.issued):
+                    verdict[seq] = (ProblemCategory.RNIC_PROBLEM
+                                    if issued <= cut else category)
             evidence.verdicts = [(seq, side, verdict.get(seq))
                                  for seq, side in fold.traced]
         return evidence
@@ -699,7 +827,7 @@ class Analyzer:
             anomalous.add(best_rnic)
 
     def _filter_cpu_noise(self, anomalous: set[str],
-                          processing: dict[str, array],
+                          slow_hosts: dict[str, int],
                           window: WindowEvidence) -> set[str]:
         """§6 false-positive filters: multi-RNIC simultaneity first, then
         the responder-processing-delay corroboration."""
@@ -712,49 +840,85 @@ class Analyzer:
             # Independent simultaneous failures of several RNICs on one
             # host are wildly unlikely; blame the Agent's CPU.
             if len(rnics) >= self.config.cpu_fp_min_rnics \
-                    or self._abnormal_p90(processing.get(host, ())):
+                    or host in slow_hosts:
                 window.cpu_noise_hosts.add(host)
                 keep -= rnics
         return keep
 
-    def _starved_hosts(self, residual: list[ProbeResult],
-                       processing: dict[str, array]) -> set[str]:
+    def _starved_hosts(self, residual: list[tuple[int, int, TimeoutFlow, int]],
+                       slow_hosts: dict[str, int]) -> set[str]:
         """§6's simultaneity rule applied to the residual pool as well: a
         starved Agent freezes probing *and* responding, so essentially
         every surviving timeout involves that ONE host (as prober or as
         target) and the host's processing delay is abnormal.  A genuine
         fabric fault spreads its victims over many prober/target hosts,
         so the concentration guard keeps real switch evidence intact.
+        ``residual`` holds ``(place, members, flow, cut)`` flow parts.
         """
         host_of = self.cluster.host_name_of
         involvement: dict[str, int] = defaultdict(int)
         involved_rnics: dict[str, set[str]] = defaultdict(set)
-        for r in residual:
-            for host in sorted({r.prober_host, host_of[r.target_rnic]}):
-                involvement[host] += 1
-            for rnic in (r.prober_rnic, r.target_rnic):
-                involved_rnics[host_of[rnic]].add(rnic)
+        timeouts = 0
+        for _, members, flow, _ in residual:
+            r = flow.first
+            timeouts += members
+            prober, target = r.prober_host, host_of[r.target_rnic]
+            # Each host once per timeout, the lower name first.
+            if prober < target:
+                involvement[prober] += members
+                involvement[target] += members
+            elif target < prober:
+                involvement[target] += members
+                involvement[prober] += members
+            else:
+                involvement[prober] += members
+            involved_rnics[host_of[r.prober_rnic]].add(r.prober_rnic)
+            involved_rnics[target].add(r.target_rnic)
         # Either delay evidence convicts the CPU, or (with total
         # starvation leaving too few samples) the paper's primary rule
         # does: several RNICs of the same host failing at once is not
         # independent hardware.
         return {host for host, count in involvement.items()
-                if count >= 0.8 * len(residual) and count >= 3
+                if count >= 0.8 * timeouts and count >= 3
                 and (len(involved_rnics[host]) >= self.config.cpu_fp_min_rnics
-                     or self._abnormal_p90(processing.get(host, ())))}
+                     or host in slow_hosts)}
+
+    def _slow_hosts(self, fold: WindowFold) -> dict[str, int]:
+        """Host -> p90 processing delay, for every host over the
+        threshold (:meth:`_abnormal_p90`), each host's samples read at
+        most once: a host none of whose delays passes the threshold is
+        cleared by its peak."""
+        threshold = self.config.high_processing_delay_ns
+        slow = {}
+        for host, peak in fold.peaks.items():
+            if peak > threshold:
+                p90 = self._abnormal_p90(fold.processing[host])
+                if p90 is not None:
+                    slow[host] = p90
+        return slow
 
     def _abnormal_p90(self, samples: array) -> Optional[int]:
         """A host's p90 processing delay if it is over the threshold
-        (under five samples convict nobody)."""
-        if len(samples) < 5:
+        (under five samples convict nobody).
+
+        Counted before it is sorted: the p90 is the ``k``-th smallest of
+        ``n`` samples, and it exceeds the threshold exactly when at least
+        ``n - k`` samples do — so only a host that passes is sorted.
+        """
+        n = len(samples)
+        if n < 5:
             return None
-        p90 = sorted(samples)[max(0, int(len(samples) * 0.9) - 1)]
-        return p90 if p90 > self.config.high_processing_delay_ns else None
+        k = max(0, int(n * 0.9) - 1)
+        threshold = self.config.high_processing_delay_ns
+        if sum(map(threshold.__lt__, samples)) < n - k:
+            return None
+        return sorted(samples)[k]
 
     # -- step 6: high RTT / high processing delay ------------------------------------------
 
     def _emit_latency_problems(self, high_rtt: list[ProbeResult],
                                processing: dict[str, array],
+                               slow_hosts: dict[str, int],
                                window: WindowEvidence, now: int) -> None:
         """High-RTT (congestion) and high-processing-delay (bottleneck)."""
         problems = window.latency_problems
@@ -791,16 +955,14 @@ class Analyzer:
                     detail=f"votes={loc.votes.get(suspect, 0)}"))
 
         # Host processing-delay bottlenecks (Figure 8 left).
-        for host, samples in sorted(processing.items()):
-            p90 = self._abnormal_p90(samples)
-            if p90 is not None:
-                problems.append(Problem(
-                    category=ProblemCategory.HIGH_PROCESSING_DELAY,
-                    locus=host, detected_at_ns=now,
-                    window_start_ns=window.window_start_ns,
-                    evidence_count=len(samples),
-                    from_service_tracing=False,
-                    detail=f"p90={p90}ns"))
+        for host in sorted(slow_hosts):
+            problems.append(Problem(
+                category=ProblemCategory.HIGH_PROCESSING_DELAY,
+                locus=host, detected_at_ns=now,
+                window_start_ns=window.window_start_ns,
+                evidence_count=len(processing[host]),
+                from_service_tracing=False,
+                detail=f"p90={slow_hosts[host]}ns"))
 
     # -- INT link evidence (repro.diagnosis) -----------------------------------------------------
 
@@ -865,8 +1027,8 @@ class Analyzer:
     def memory_bytes(self) -> int:
         """Deterministic estimate of this Analyzer's retained state.
 
-        Covers the open window's fold (its stores, tables and queued
-        timeouts), the per-window analysis records, and the SLA history —
+        Covers the open window's fold (its stores, tables and timeout
+        flows), the per-window analysis records, and the SLA history —
         where exact-mode percentile trackers retain every sample forever,
         the unbounded-growth term the sketch + shard-retention path bounds.
         """

@@ -74,6 +74,11 @@ class CommRegistry:
         info = self._registry.get(rnic_name)
         return info.qpn if info else None
 
+    def current_qpns(self) -> dict[str, int]:
+        """Every registered RNIC's QPN as one snapshot (rnic name -> QPN),
+        for a reader that asks about many RNICs at one instant."""
+        return {name: info.qpn for name, info in self._registry.items()}
+
     def resolve_ip(self, ip: str) -> Optional[tuple[str, CommInfo]]:
         """Service-tracing lookup: peer IP -> (rnic name, comm info)."""
         rnic_name = self._by_ip.get(ip)

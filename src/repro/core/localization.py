@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, repeat
+from typing import Iterable, Optional
 
 from repro.net.traceroute import PathRecord
 
@@ -51,27 +52,40 @@ class Localization:
         return self.votes.most_common(n)
 
 
+def vote(weighted: Iterable[tuple[PathRecord, int]]) -> Localization:
+    """Algorithm 1's one core: vote per directed link, weighted.
+
+    Each ``(record, times)`` stands for ``times`` paths along the record's
+    hops.  A window's anomalies share few distinct routes (an Agent hands
+    every result of a 5-tuple the same record, and the Analyzer groups
+    timeouts into flows), so each distinct hop sequence votes once,
+    weighted by how many paths took it.  Links enter the tally in the
+    order their first route was met, as one vote per path would put them.
+    """
+    routes: dict[tuple, list] = {}      # hops -> [a record, paths seen]
+    paths = 0
+    for path, times in weighted:
+        paths += times
+        route = routes.get(path.hops)
+        if route is None:
+            routes[path.hops] = [path, times]
+        else:
+            route[1] += times
+    votes: dict[str, int] = {}
+    for path, times in routes.values():
+        for link_name in path.link_names:
+            votes[link_name] = votes.get(link_name, 0) + times
+    return Localization.from_votes(Counter(votes), paths)
+
+
 def detect_abnormal_links(paths: list[PathRecord]) -> Localization:
     """Algorithm 1: vote per directed link, return the arg-max.
 
     Unknown hops (rate-limited traceroute responders) contribute no links
     across the gap, which only lowers a suspect's tally — never creates a
-    false vote.  A window's anomalies share few distinct routes (an Agent
-    hands every result of a 5-tuple the same record), so each distinct
-    hop sequence votes once, weighted by how many paths took it.
+    false vote.
     """
-    routes: dict[tuple, list] = {}      # hops -> [a record, paths seen]
-    for path in paths:
-        route = routes.get(path.hops)
-        if route is None:
-            routes[path.hops] = [path, 1]
-        else:
-            route[1] += 1
-    votes: Counter = Counter()
-    for path, times in routes.values():
-        for link_name in path.link_names:
-            votes[link_name] += times
-    return Localization.from_votes(votes, len(paths))
+    return vote(zip(paths, repeat(1)))
 
 
 def detect_abnormal_switches(paths: list[PathRecord]) -> Localization:
@@ -93,5 +107,5 @@ def localize(probe_paths: list[Optional[PathRecord]],
     path; Analyzer traverses "the paths of these probes and their ACKs one
     by one", so both directions vote.
     """
-    paths = [p for p in list(probe_paths) + list(ack_paths) if p is not None]
-    return detect_abnormal_links(paths)
+    return detect_abnormal_links(
+        [p for p in chain(probe_paths, ack_paths) if p is not None])

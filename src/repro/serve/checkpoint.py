@@ -38,7 +38,9 @@ memo on each ``Rnic`` and two dead ``DirectedLink`` fields, shapes the
 single-heap engine and the unmemoised fabric and RNIC no longer have; format
 9 files hold an ``Analyzer`` whose open window is a queue of raw upload
 batches, not the fold its batches now go into on arrival, list-backed
-percentile trackers, and ``DirectedLink``s with no ``name`` of their own.  (The
+percentile trackers, and ``DirectedLink``s with no ``name`` of their own;
+format 10 files hold a fold whose timeouts wait for close as a queue of raw
+results, not grouped into the ``TimeoutFlow``s close now settles.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -60,7 +62,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 10
+FORMAT = 11
 
 
 class CheckpointError(RuntimeError):

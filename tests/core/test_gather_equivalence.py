@@ -16,9 +16,11 @@ depend on where a batch boundary fell.
 """
 
 import random
+from array import array
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
 from repro.core.analyzer import SideTally, WindowEvidence
@@ -26,6 +28,7 @@ from repro.core.config import RPingmeshConfig
 from repro.core.localization import Localization
 from repro.core.records import (AgentUpload, Problem, ProbeKind, ProbeResult,
                                 ProblemCategory)
+from repro.core.sharding import AnalyzerShard
 from repro.core.sla import SlaReport
 from repro.fleet.presets import SMALL
 from repro.fleet.spec import FaultEvent, build_world
@@ -36,6 +39,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.sketch import QuantileSketch
 from repro.sim.units import MICROSECOND, seconds
 from tests.core.test_analyzer import make_analyzer
+from tests.core.test_gather_single_pass import flow_key
 
 # -- the reference: the multi-pass gather, as it stood before the fold ------------
 
@@ -509,11 +513,24 @@ class WindowMaker:
             self.add(kind, prober, target, timeout=True,
                      port=7000 + rng.randrange(2))
 
+    def expiring_quarantine(self):
+        """An RNIC whose quarantine ends inside the window, and one prober
+        timing out against it on one path all window long: the flow's
+        members issued before the end are RNIC problems, the rest go on
+        to the noise and fabric checks."""
+        rng = self.rng
+        bad = rng.choice(self.rnics)
+        self.quarantined[bad] = NOW - seconds(8)
+        prober = rng.choice([r for r in self.rnics if r != bad])
+        kind = rng.choice((ProbeKind.INTER_TOR, ProbeKind.SERVICE_TRACING))
+        for _ in range(rng.randrange(3, 9)):
+            self.add(kind, prober, bad, timeout=True)
+
     def batches(self):
         rng = self.rng
         for feature in (self.tied_rnics, self.broken_rnic,
                         self.starved_host, self.fabric_fault,
-                        self.fabric_fault):
+                        self.fabric_fault, self.expiring_quarantine):
             if rng.random() < 0.5:
                 feature()
         self.background()
@@ -581,6 +598,15 @@ def _flatten(evidence):
     return flat
 
 
+def _splits_a_flow(analyzer, flows):
+    """Whether a quarantine ends inside some flow's issue times."""
+    quarantined = analyzer._quarantined_until
+    return any(
+        min(f.issued) <= max(quarantined.get(f.first.prober_rnic, 0),
+                             quarantined.get(f.first.target_rnic, 0))
+        < max(f.issued) for f in flows)
+
+
 @pytest.mark.parametrize("seed", range(WINDOWS))
 def test_fold_matches_the_multi_pass_reference(cluster, seed):
     maker = WindowMaker(cluster, seed)
@@ -601,8 +627,11 @@ def test_the_windows_cover_every_branch(cluster):
     for seed in range(WINDOWS):
         maker = WindowMaker(cluster, seed)
         analyzer = maker.analyzer(maker.batches())
+        flows = list(analyzer._fold.flows.values())
         evidence = analyzer.gather()
         categories = {c for _, _, c in evidence.verdicts}
+        seen["split"] += _splits_a_flow(analyzer, flows)
+        seen["multi-member"] += any(len(f.issued) > 1 for f in flows)
         seen["down"] += any(p.category == ProblemCategory.HOST_DOWN
                             and p.evidence_count for p in evidence.problems)
         seen["qpn"] += evidence.qpn_reset_timeouts > 0
@@ -617,7 +646,26 @@ def test_the_windows_cover_every_branch(cluster):
         seen["traced"] += bool(evidence.verdicts)
     assert all(seen[name] >= 3 for name in (
         "down", "qpn", "rnic", "cpu", "cpu-timeouts", "cluster-votes",
-        "service-votes", "latency", "service", "sketch", "traced")), seen
+        "service-votes", "latency", "service", "sketch", "traced", "split",
+        "multi-member")), seen
+
+
+THRESHOLD = RPingmeshConfig().high_processing_delay_ns
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((THRESHOLD - 1, THRESHOLD, THRESHOLD + 1))
+                | st.integers(0, 2 * THRESHOLD), max_size=40))
+def test_the_counted_p90_is_the_sorted_p90(cluster, samples):
+    """``_abnormal_p90`` counts samples over the threshold and sorts only
+    a host that passes; the answer is the sorted list's, duplicates and
+    values at, just under and just over the threshold included."""
+    analyzer, _ = make_analyzer(cluster)
+    expected = None
+    if len(samples) >= 5:
+        p90 = sorted(samples)[max(0, int(len(samples) * 0.9) - 1)]
+        expected = p90 if p90 > THRESHOLD else None
+    assert analyzer._abnormal_p90(array("q", samples)) == expected
 
 
 def test_an_equal_score_goes_to_the_rnic_met_first(cluster):
@@ -642,6 +690,51 @@ def test_an_equal_score_goes_to_the_rnic_met_first(cluster):
             ).anomalous_rnics == {first}
         convicted.add(first)
     assert convicted == pair    # the order decides, not the names
+
+
+# -- sharded ---------------------------------------------------------------------
+
+
+def test_a_quarantine_learned_mid_window_splits_the_flows_it_meets(cluster):
+    """An AnalyzerShard hears the root's quarantines whenever its
+    ``cluster_state`` broadcast lands, so what a flow's members were at
+    arrival is no verdict: cut between two uploads of one window by a
+    quarantine ending inside a folded flow's issue times, the shard's
+    evidence equals the reference's over the whole window."""
+    split = 0
+    for seed in range(16):
+        maker = WindowMaker(cluster, seed)
+        batches = maker.split(maker.batches())
+        half = len(batches) // 2
+        flows = defaultdict(list)       # a flow's issue times, first half
+        for batch in batches[:half]:
+            for r in batch.results:
+                if r.timeout:
+                    flows[flow_key(r)].append(r.issued_at_ns)
+        key, issued = max(flows.items(), key=lambda item: len(item[1]))
+        rnic, until = key[2], sorted(issued)[(len(issued) - 1) // 2]
+
+        _, controller = make_analyzer(cluster)
+        shard = AnalyzerShard(cluster, controller,
+                              RPingmeshConfig(**maker.config), 0)
+        shard.tracer = Tracer(enabled=maker.tracing)
+        shard._quarantined_until.update(maker.quarantined)
+        for batch in batches[:half]:
+            assert shard.receive_upload(batch)
+        shard._handle_cluster_state(
+            {"down_hosts": [], "quarantined": [(rnic, until)]})
+        for batch in batches[half:]:
+            assert shard.receive_upload(batch)
+        reference = maker.analyzer(batches)
+        reference._quarantined_until[rnic] = max(
+            reference._quarantined_until.get(rnic, 0), until)
+        split += _splits_a_flow(shard, shard._fold.flows.values())
+        expected = _flatten(reference_gather(reference, batches))
+        actual = _flatten(shard.gather())
+        for name, value in expected.items():
+            assert actual[name] == value, (seed, name)
+        assert shard._quarantined_until == reference._quarantined_until
+    assert split >= 8
 
 
 # -- one sharded world ------------------------------------------------------------

@@ -4,16 +4,20 @@ The fold's whole point is the pass count and what it keeps, so both are
 pinned exactly.  A batch's ``results`` is iterated once, inside
 ``receive_upload``, tracing or not; each result is asked whether it
 timed out once — the question every step of the multi-pass pipeline
-opened with — and each timeout is looked at once more when the window
-closes, where steps 1-2 read its QPN.  A path record spells its link
-names once, however many timeouts, sides and windows vote on it.  And
-what the fold keeps is O(timeouts): a successful result that is not
-high-RTT is let go as soon as its batch has been folded.
+opened with — and a timeout's QPN is read then too, to key its flow.
+At close each *flow* is looked at once more, through its first member,
+where steps 1-2 read its QPN: QPN reads at close count flows, not
+timeouts.  A path record spells its link names once, however many
+timeouts, sides and windows vote on it.  And what the fold keeps is
+O(flows): a successful result that is not high-RTT, and a timeout that
+is not its flow's first member, is let go as soon as its batch has been
+folded.
 """
 
 import dataclasses
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -119,9 +123,14 @@ def busy_window(cluster):
     return batches, path
 
 
+def flow_key(r):
+    """What makes two timeouts one flow (``WindowFold.add``)."""
+    return (r.kind, r.prober_rnic, r.target_rnic, r.target_qpn,
+            r.probe_path and r.probe_path.hops, r.ack_path and r.ack_path.hops)
+
+
 @pytest.mark.parametrize("tracing", [False, True])
-def test_results_read_at_arrival_and_timeouts_once_more(
-        small_clos, tracing):
+def test_results_read_at_arrival_and_flows_once_more(small_clos, tracing):
     analyzer, _ = make_analyzer(small_clos)
     analyzer.tracer = Tracer(enabled=tracing)
     small_clos.sim.run_until(seconds(20))
@@ -131,12 +140,23 @@ def test_results_read_at_arrival_and_timeouts_once_more(
         analyzer.receive_upload(batch)
     assert [b.results.walks for b in batches] == [1, 1, 1]
     assert {r.timeout_reads for r in results} == {1}
-    assert {r.qpn_reads for r in results} == {0}
+    # 27 timeouts had their QPN read to key their flows; 42 successes not.
+    assert Counter(r.qpn_reads for r in results) == {1: 27, 0: 42}
+    flows = list(analyzer._fold.flows.values())
     evidence = analyzer.gather()
     assert [b.results.walks for b in batches] == [1, 1, 1]
     assert {r.timeout_reads for r in results} == {1}
-    assert {(r.timeout, r.qpn_reads) for r in results} == {
-        (True, 1), (False, 0)}
+    # Each flow's first member is read at close, and nothing else is.
+    reads = [r.qpn_reads for r in results]
+    firsts = [r for r, n in zip(results, reads) if n == 2]
+    assert len(firsts) == len(flows)
+    assert all(r is flow.first for r, flow in zip(firsts, flows))
+    assert {(r.timeout, n) for r, n in zip(results, reads)} == {
+        (True, 2), (True, 1), (False, 0)}
+    # Three flows a host: inter-ToR and service timeouts on the traced
+    # path, and the stale-QPN one.
+    assert len(flows) == len({flow_key(r) for r in results
+                              if r.timeout}) == 9
     # ...and the window was a busy one: every later step had work.
     assert evidence.qpn_reset_timeouts == 3
     assert [t.anomalies for t in evidence.tallies] == [12, 12]
@@ -147,24 +167,29 @@ def test_results_read_at_arrival_and_timeouts_once_more(
         evidence.results_processed if tracing else 0)
 
 
-def test_the_fold_keeps_timeouts_until_close_and_nothing_after(small_clos):
+def test_the_fold_keeps_flow_representatives_until_close(small_clos):
     """Weak references to every uploaded result: a successful one that is
-    not high-RTT, cluster or service side, is gone once
-    ``receive_upload`` returns; timeouts (and high-RTT results) live
-    until ``analyze()``, and nothing lives after it."""
+    not high-RTT, cluster or service side, and a timeout that is not the
+    first of its flow, are gone once ``receive_upload`` returns; a flow's
+    first member (and high-RTT results) live until ``analyze()``, and
+    nothing lives after it."""
     analyzer, _ = make_analyzer(small_clos)
     small_clos.sim.run_until(seconds(20))
     batches, path = busy_window(small_clos)
-    refs = {"timeout": [], "high_rtt": [], "ok": []}
+    refs = {"first": [], "member": [], "high_rtt": [], "ok": []}
     sides = set()
+    flows = set()
     for batch in batches:
         served = probe_result(small_clos, f"{batch.host}-rnic0", "host3-rnic0",
                               kind=ProbeKind.SERVICE_TRACING, path=path)
         results = [WeakResult.of(r) for r in [*batch.results, served]]
         for r in results:
-            kind = ("timeout" if r.timeout
-                    else "high_rtt" if r.network_rtt_ns
-                    > analyzer.config.high_rtt_threshold_ns else "ok")
+            if r.timeout:
+                kind = "member" if flow_key(r) in flows else "first"
+                flows.add(flow_key(r))
+            else:
+                kind = ("high_rtt" if r.network_rtt_ns
+                        > analyzer.config.high_rtt_threshold_ns else "ok")
             refs[kind].append(weakref.ref(r))
             sides.add((kind, r.kind))
         analyzer.receive_upload(AgentUpload(batch.host, batch.uploaded_at_ns,
@@ -173,10 +198,12 @@ def test_the_fold_keeps_timeouts_until_close_and_nothing_after(small_clos):
     gc.collect()
     assert {kind for kind, _ in sides} == set(refs)
     assert {("ok", ProbeKind.TOR_MESH),
-            ("ok", ProbeKind.SERVICE_TRACING)} <= sides
-    assert all(ref() is None for ref in refs["ok"])
+            ("ok", ProbeKind.SERVICE_TRACING),
+            ("member", ProbeKind.INTER_TOR),
+            ("member", ProbeKind.SERVICE_TRACING)} <= sides
+    assert all(ref() is None for ref in refs["ok"] + refs["member"])
     assert all(ref() is not None
-               for ref in refs["timeout"] + refs["high_rtt"])
+               for ref in refs["first"] + refs["high_rtt"])
     analyzer.analyze()
     gc.collect()
     assert all(ref() is None for kind in refs for ref in refs[kind])

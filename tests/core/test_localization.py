@@ -5,7 +5,7 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 from repro.core.localization import (Localization, detect_abnormal_links,
-                                     detect_abnormal_switches, localize)
+                                     detect_abnormal_switches, localize, vote)
 from repro.net.addresses import roce_five_tuple
 from repro.net.traceroute import PathRecord
 
@@ -146,3 +146,21 @@ def test_summed_part_tallies_localize_like_one_vote_over_the_union(probes):
     assert merged.votes == whole.votes
     assert merged.paths_considered == whole.paths_considered
     assert merged.suspects == whole.suspects
+
+
+@given(st.lists(st.tuples(_HOPS, st.integers(1, 4)), max_size=16))
+def test_a_weighted_vote_is_that_many_paths(weighted):
+    """``vote`` weighs a record as ``times`` paths along it: its tally, in
+    insertion order, is one vote per path per known link over the
+    expanded list, and so are the paths it counts."""
+    records = [(record("src", *hops, "dst"), times)
+               for hops, times in weighted]
+    expected = Counter()
+    for path, times in records:
+        for _ in range(times):
+            for a, b in path.known_links():
+                expected[f"{a}->{b}"] += 1
+    result = vote(records)
+    assert list(result.votes.items()) == list(expected.items())
+    assert result.paths_considered == sum(t for _, t in records)
+    assert result.suspects == Localization.from_votes(expected, 0).suspects

@@ -202,15 +202,16 @@ class TestRestoreDeterminism:
 
     def test_cut_mid_fold_with_a_timeout_queued(self, tmp_path):
         """The Analyzer's open window rides in the pickle as its fold: cut
-        between two uploads of one window, with a timeout queued for steps
-        1-2 at close, the restored copy closes that window to the same
-        verdicts, SLA numbers and digest as the run that never stopped."""
+        between two uploads of one window, with a flow of timeouts queued
+        for steps 1-7 at close, the restored copy closes that window to
+        the same verdicts, SLA numbers and digest as the run that never
+        stopped."""
         down = FaultEvent.make("rnic_down", "host1-rnic0", start_s=2)
         session = ServeSession(ServeSpec(seed=7, campaign=(down,)))
         for _ in range(12):     # the window closes at 20 s
             session.tick()
         fold = session.system.analyzer._fold
-        assert fold.timeouts and fold.batches
+        assert fold.flows and fold.batches
         path = tmp_path / "ck.bin"
         save_checkpoint(session, path)
         restored = load_checkpoint(path)
@@ -254,7 +255,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 10
+        assert meta["format"] == 11
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -278,12 +279,13 @@ class TestFileFormat:
         it took, a v7 one writers that restore their own "before" and no
         holds table, a v8 one a calendar queue and the fabric's and RNICs'
         memos, a v9 one an Analyzer holding its window as raw batches and
-        links without a stored name; resuming any of them under this code
-        would diverge silently or fail to unpickle."""
+        links without a stored name, a v10 one a fold queueing raw timeouts
+        instead of their flows; resuming any of them under this code would
+        diverge silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
