@@ -50,7 +50,7 @@ from repro.core.records import (AgentUpload, PinglistEntry, ProbeKind,
                                 ProbeResult)
 from repro.host.ebpf import QpEvent, QpEventKind
 from repro.host.host import Host
-from repro.host.rnic import (CommInfo, Cqe, LocalSendError, QPType,
+from repro.host.rnic import (CommInfo, LocalSendError, QPType,
                              QueuePair, Rnic)
 from repro.net.addresses import FiveTuple, roce_five_tuple
 from repro.net.traceroute import PathRecord
@@ -63,7 +63,7 @@ def agent_endpoint_name(host_name: str) -> str:
     return f"agent.{host_name}"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Outstanding:
     """Book-keeping for one in-flight probe on the prober side."""
 
@@ -93,7 +93,8 @@ class _RnicAgentState:
     # connection died; only QPNs still in this set accept the answer.
     service_live: set[int] = field(default_factory=set)
     service_round: list[PinglistEntry] = field(default_factory=list)
-    rr_index: dict[ProbeKind, int] = field(default_factory=dict)
+    # Round-robin position in tor_mesh (0) and inter_tor (1).
+    rr_index: list[int] = field(default_factory=lambda: [0, 0])
     outstanding: dict[int, _Outstanding] = field(default_factory=dict)
     path_cache: dict[FiveTuple, PathRecord] = field(default_factory=dict)
     # (target ip, src_port) -> (probe 5-tuple, its reverse), memoised.
@@ -176,11 +177,11 @@ class Agent:
         cfg = self.config
         state.tasks.append(sim.every(
             cfg.tor_mesh_interval_ns(),
-            partial(self._probe_next, state, ProbeKind.TOR_MESH),
+            partial(self._probe_next, state, 0),
             jitter=cfg.tor_mesh_interval_ns() // 4))
         state.tasks.append(sim.every(
             cfg.tor_mesh_interval_ns(),  # retimed when pinglists arrive
-            partial(self._probe_next, state, ProbeKind.INTER_TOR),
+            partial(self._probe_next, state, 1),
             jitter=cfg.tor_mesh_interval_ns() // 4))
         # Service Tracing is paused while the RNIC has no traced connection
         # (§4.2.2): the task stays parked until the first one resolves.
@@ -191,10 +192,11 @@ class Agent:
         return state
 
     def _create_qp(self, state: _RnicAgentState) -> QueuePair:
-        """The probe/respond UD QP (send completions: ``_on_sent``)."""
+        """The probe/respond UD QP; its completions are plain calls
+        (``_on_sent``, ``_on_recv``)."""
         return self.host.verbs.create_qp(
-            state.rnic, QPType.UD, on_cqe=partial(self._on_cqe, state),
-            on_sent=partial(self._on_sent, state))
+            state.rnic, QPType.UD, on_sent=partial(self._on_sent, state),
+            on_recv=partial(self._on_recv, state))
 
     def restart(self) -> None:
         """Agent restart (host reboot path): all probe QPNs change (§4.1).
@@ -309,13 +311,13 @@ class Agent:
 
     # -- probing -------------------------------------------------------------------
 
-    def _probe_next(self, state: _RnicAgentState, kind: ProbeKind) -> None:
-        entries = (state.tor_mesh if kind == ProbeKind.TOR_MESH
-                   else state.inter_tor)
+    def _probe_next(self, state: _RnicAgentState, inter_tor: int) -> None:
+        """One Cluster Monitoring probe: ToR-mesh (0) or inter-ToR (1)."""
+        entries = state.inter_tor if inter_tor else state.tor_mesh
         if not entries or not self.host.up:
             return
-        index = state.rr_index.get(kind, 0) % len(entries)
-        state.rr_index[kind] = index + 1
+        index = state.rr_index[inter_tor] % len(entries)
+        state.rr_index[inter_tor] = index + 1
         self._probe(state, entries[index])
 
     def _probe_next_service(self, state: _RnicAgentState) -> None:
@@ -331,12 +333,13 @@ class Agent:
 
     def _probe(self, state: _RnicAgentState, entry: PinglistEntry) -> None:
         seq = next(self.cluster.probe_seqs)
-        now = self.cluster.sim.now
+        sim = self.cluster.sim
+        now = sim.now
         out = _Outstanding(seq=seq, entry=entry, issued_at_ns=now,
                            t1_host=self.host.read_clock())
         state.outstanding[seq] = out
-        out.timeout_handle = self.cluster.sim.call_later(
-            self.config.probe_timeout_ns,
+        out.timeout_handle = sim.call_at(
+            now + self.config.probe_timeout_ns,
             partial(self._on_timeout, state, seq))
         if self.tracer.enabled:
             self.tracer.open_span(
@@ -360,21 +363,30 @@ class Agent:
                                   reason=exc.reason)
             return
         self.probes_sent += 1
-        self._ensure_traced(state, entry)
+        if self.config.continuous_path_tracing:
+            # First sight of a 5-tuple: trace it immediately so the path is
+            # known *before* any failure (the continuous-tracing rationale;
+            # the ablation traces only on demand, after failures).
+            five_tuple, reverse = self._five_tuples(state, entry)
+            if five_tuple not in state.path_cache:
+                self._trace_tuple(state, five_tuple, reverse)
 
-    # -- CQE dispatch -----------------------------------------------------------------
+    # -- completion dispatch ------------------------------------------------------------
 
-    def _on_cqe(self, state: _RnicAgentState, cqe: Cqe) -> None:
-        kind = cqe.payload.get("t")
+    def _on_recv(self, state: _RnicAgentState, payload: dict,
+                 timestamp: int, src_ip: str, src_gid: str, src_qpn: int,
+                 src_port: int) -> None:
+        """Receive completion (``Rnic.allocate_qp``) stamped ``timestamp``.
+        ``payload`` is the delivered packet's: every handler below copies
+        what it keeps."""
+        kind = payload.get("t")
         if kind == "probe":
-            self._respond(state, cqe)
+            self._respond(state, payload, timestamp, src_ip, src_gid,
+                          src_qpn, src_port)
         elif kind == "ack1":
-            self._on_ack1(state, cqe)
+            self._on_ack1(state, payload, timestamp)
         elif kind == "ack2":
-            self._on_ack2(state, cqe)
-        # Every handler above copies what it keeps; hand the CQE storage
-        # back to the RNIC for reuse.
-        state.rnic.release_cqe(cqe)
+            self._on_ack2(state, payload)
 
     def _on_sent(self, state: _RnicAgentState, qp: QueuePair, context: Any,
                  timestamp: Optional[int], at_ns: int) -> None:
@@ -404,13 +416,14 @@ class Agent:
 
     # -- responder role (steps 2-3 of Figure 4) --------------------------------------
 
-    def _respond(self, state: _RnicAgentState, cqe: Cqe) -> None:
+    def _respond(self, state: _RnicAgentState, payload: dict, t3: int,
+                 src_ip: str, src_gid: str, src_qpn: int,
+                 src_port: int) -> None:
+        """The probe's receive completion, stamped ③."""
         if not self.host.up:
             return
-        t3 = cqe.rnic_timestamp_ns                      # ③ probe recv CQE
-        reply_to = CommInfo(ip=cqe.src_ip, gid=cqe.src_gid, qpn=cqe.src_qpn)
-        seq = cqe.payload["seq"]
-        src_port = cqe.src_port  # copy now: the CQE is recycled on return
+        reply_to = CommInfo(ip=src_ip, gid=src_gid, qpn=src_qpn)
+        seq = payload["seq"]
         # Userspace handling cost before the first ACK is posted: normal
         # CPU processing plus any Agent starvation stall (Figure 6 right).
         now = self.cluster.sim.now
@@ -453,11 +466,12 @@ class Agent:
 
     # -- prober completion (steps 4-5 of Figure 4) --------------------------------------
 
-    def _on_ack1(self, state: _RnicAgentState, cqe: Cqe) -> None:
-        out = state.outstanding.get(cqe.payload["seq"])
+    def _on_ack1(self, state: _RnicAgentState, payload: dict,
+                 t5: int) -> None:
+        out = state.outstanding.get(payload["seq"])
         if out is None:
             return  # late ACK after timeout: drop on the floor
-        out.t5_rnic = cqe.rnic_timestamp_ns             # ⑤ ACK1 recv CQE
+        out.t5_rnic = t5                                # ⑤ ACK1 recv CQE
         # The prober thread lives in the same Agent process as the
         # responder: when the service starves the Agent's CPU, probes
         # *from* this host stall here past the timeout as well — the other
@@ -481,11 +495,11 @@ class Agent:
                               mark="t6", host_clock_ns=out.t6_host)
         self._maybe_complete(state, out)
 
-    def _on_ack2(self, state: _RnicAgentState, cqe: Cqe) -> None:
-        out = state.outstanding.get(cqe.payload["seq"])
+    def _on_ack2(self, state: _RnicAgentState, payload: dict) -> None:
+        out = state.outstanding.get(payload["seq"])
         if out is None:
             return
-        out.responder_delay_ns = cqe.payload["responder_delay"]
+        out.responder_delay_ns = payload["responder_delay"]
         self._maybe_complete(state, out)
 
     def _maybe_complete(self, state: _RnicAgentState,
@@ -556,9 +570,10 @@ class Agent:
             if network_rtt_ns is not None:
                 obs.metrics.histogram("repro_agent_network_rtt_ns") \
                     .observe(network_rtt_ns)
-        self._results.append(result)
-        self.results_buffered_peak = max(self.results_buffered_peak,
-                                         len(self._results))
+        results = self._results
+        results.append(result)
+        if len(results) > self.results_buffered_peak:
+            self.results_buffered_peak = len(results)
 
     # -- path tracing (§4.2.3) ------------------------------------------------------------
 
@@ -575,16 +590,6 @@ class Agent:
             pair = state.five_tuples[key] = (five_tuple,
                                              five_tuple.reversed())
         return pair
-
-    def _ensure_traced(self, state: _RnicAgentState,
-                       entry: PinglistEntry) -> None:
-        """First sight of a 5-tuple: trace it immediately so the path is
-        known *before* any failure (the continuous-tracing rationale)."""
-        if not self.config.continuous_path_tracing:
-            return  # ablation: trace only on demand, after failures
-        five_tuple, reverse = self._five_tuples(state, entry)
-        if five_tuple not in state.path_cache:
-            self._trace_tuple(state, five_tuple, reverse)
 
     def _trace_tuple(self, state: _RnicAgentState, five_tuple: FiveTuple,
                      reverse: FiveTuple) -> None:

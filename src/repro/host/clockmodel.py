@@ -21,11 +21,12 @@ class Clock:
     def __init__(self, offset_ns: int = 0, drift_ppm: float = 0.0):
         self.offset_ns = offset_ns
         self.drift_ppm = drift_ppm
+        # Elapsed-time scale, derived once: neither setting ever changes.
+        self.rate = 1.0 + drift_ppm * 1e-6
 
     def read(self, sim_now_ns: int) -> int:
         """This clock's reading at true (simulation) time ``sim_now_ns``."""
-        drifted = sim_now_ns * (1.0 + self.drift_ppm * 1e-6)
-        return self.offset_ns + round(drifted)
+        return self.offset_ns + round(sim_now_ns * self.rate)
 
     def __repr__(self) -> str:
         return f"Clock(offset={self.offset_ns}ns, drift={self.drift_ppm}ppm)"

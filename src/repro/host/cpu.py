@@ -35,6 +35,9 @@ class CpuModel:
         self.base_delay_ns = base_delay_ns
         self.noise_sigma = noise_sigma
         self._load = 0.10
+        #: Whether the host is loaded enough to starve the Agent (derived
+        #: by ``set_load``, the one write of the load).
+        self.overloaded = False
         self._stall_until_ns = 0
         self._next_stall_check_ns = 0
 
@@ -46,6 +49,7 @@ class CpuModel:
     def set_load(self, load: float) -> None:
         """Set the average CPU load (clamped to [0, 0.99])."""
         self._load = min(max(load, 0.0), 0.99)
+        self.overloaded = self._load >= STARVATION_LOAD
 
     def processing_delay_ns(self) -> int:
         """Delay the CPU adds to one userspace handling step.
@@ -66,11 +70,6 @@ class CpuModel:
             if self.rng.chance(spike_prob):
                 delay += self.rng.uniform(200.0, 1200.0) * MICROSECOND
         return max(1, round(delay))
-
-    @property
-    def overloaded(self) -> bool:
-        """Whether the host is loaded enough to starve the Agent."""
-        return self._load >= STARVATION_LOAD
 
     def starvation_stall_ns(self, now_ns: int) -> int:
         """Remaining Agent scheduling stall at ``now_ns`` (0 if running).

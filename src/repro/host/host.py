@@ -8,6 +8,7 @@ plumbing through which both services and the Agent operate.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from repro.host.clockmodel import random_clock
@@ -35,18 +36,16 @@ class Host:
         self.verbs = VerbsContext(sim, self.tracer)
         self.rnics: list[Rnic] = []
 
-    @property
-    def up(self) -> bool:
-        """Whether the host is alive (fault #4 clears this)."""
-        return self._up
-
-    @up.setter
-    def up(self, value: bool) -> None:
+    def _write_up(self, value: bool) -> None:
         for rnic in self.rnics:     # their planned sends read this (§10)
             rnic.demote_planned()
         self._up = value
         for rnic in self.rnics:
             rnic.resettle()
+
+    # A plain read (every probe reads it twice); a write resettles the RNICs.
+    up = property(attrgetter("_up"), _write_up,
+                  doc="Whether the host is alive (fault #4 clears this).")
 
     def add_rnic(self, rnic: Rnic) -> None:
         """Attach an RNIC to this host (sets the back reference)."""

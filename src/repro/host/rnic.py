@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.addresses import GID, FiveTuple, roce_five_tuple
@@ -38,7 +39,7 @@ from repro.net.packet import (ROCE_HEADER_BYTES, Packet, RoCEOpcode,
 from repro.host.clockmodel import Clock
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStream
-from repro.sim.units import MICROSECOND, serialization_delay_ns
+from repro.sim.units import MICROSECOND, DelayTable
 
 if TYPE_CHECKING:
     from repro.host.host import Host
@@ -79,6 +80,12 @@ class CqeKind(Enum):
     RECV = "recv"
 
 
+# A member read off its Enum class costs ~100 ns on CPython 3.11: the
+# packet path compares against these instead.
+_RC, _UC, _RTS = QPType.RC, QPType.UC, QPState.RTS
+_SEND, _RECV, _RC_ACK = CqeKind.SEND, CqeKind.RECV, RoCEOpcode.RC_ACK
+
+
 @dataclass(frozen=True, slots=True)
 class CommInfo:
     """What a peer must know to address a QP (paper §4.1): IP, GID, QPN."""
@@ -117,11 +124,14 @@ class QueuePair:
     qp_type: QPType
     state: QPState = QPState.RESET
     on_cqe: Optional[Callable[[Cqe], None]] = None
-    # Send completions as plain calls instead of Cqes: Rnic.allocate_qp.
+    # Completions as plain calls instead of Cqes: Rnic.allocate_qp.
     on_sent: Optional[Callable[..., None]] = None
+    on_recv: Optional[Callable[..., None]] = None
     # RC/UC connection attributes (set by modify_qp):
     remote: Optional[CommInfo] = None
     five_tuple: Optional[FiveTuple] = None
+    # Wire opcode of a send posted without one (allocate_qp: by qp_type).
+    opcode: Optional[RoCEOpcode] = None
 
     @property
     def connected(self) -> bool:
@@ -146,14 +156,11 @@ class LocalSendError(Exception):
 
 def _hooked(slot: str) -> property:
     """An attribute planned send steps read: a write takes them back first."""
-    def read(self):
-        return getattr(self, slot)
-
     def write(self, value) -> None:
         self.demote_planned()
         setattr(self, slot, value)
         self.resettle()
-    return property(read, write)
+    return property(attrgetter(slot), write)
 
 
 class Rnic:
@@ -235,8 +242,10 @@ class Rnic:
 
     def resettle(self) -> None:
         """Every hooked write ends here: ``operational`` (the NIC can move
-        packets) and ``settled`` (a send step may run ahead of the clock:
-        it passes every local check, nothing traces it or draws for it)."""
+        packets), ``settled`` (a send step may run ahead of the clock:
+        it passes every local check, nothing traces it or draws for it) and
+        ``tx_delays`` (size -> TX pipeline + PCIe serialization)."""
+        self.tx_delays = DelayTable(self._pcie_gbps, TX_PIPELINE_NS)
         host = self._host
         self.operational = (self._admin_up and not self._flap_down
                             and (host is None or host.up))
@@ -313,7 +322,8 @@ class Rnic:
 
     def allocate_qp(self, qp_type: QPType,
                     on_cqe: Optional[Callable[[Cqe], None]] = None, *,
-                    on_sent: Optional[Callable[..., None]] = None
+                    on_sent: Optional[Callable[..., None]] = None,
+                    on_recv: Optional[Callable[..., None]] = None
                     ) -> QueuePair:
         """Create a QP in RESET state and assign it a fresh QPN.
 
@@ -324,13 +334,17 @@ class Rnic:
         context, rnic_timestamp_ns, at_ns)`` instead of a SEND :class:`Cqe`
         — at post time, ahead of the clock, while the RNIC is ``settled``
         (never read ``sim.now`` for ``at_ns``; see :meth:`demote_planned`).
+        With ``on_recv``, ``on_recv(payload, rnic_timestamp_ns, src_ip,
+        src_gid, src_qpn, src_port)`` replaces a RECV :class:`Cqe`; the
+        payload is the delivered packet's, valid until the call returns.
         """
         if on_sent is not None and qp_type == QPType.RC:
             raise ValueError("RC send completions wait for the remote ACK")
         qpn = self._next_qpn
         self._next_qpn += self.rng.randint(1, 7)
         qp = QueuePair(qpn=qpn, qp_type=qp_type, on_cqe=on_cqe,
-                       on_sent=on_sent)
+                       on_sent=on_sent, on_recv=on_recv,
+                       opcode=_DEFAULT_OPCODE[qp_type])
         self._qps[qpn] = qp
         return qp
 
@@ -380,7 +394,7 @@ class Rnic:
         if post_ns != now and not planned:
             raise SimulationError(f"{self.name}: only a settled RNIC's "
                                   f"on_sent consumer posts ahead of the clock")
-        if qp.state != QPState.RTS:
+        if qp.state is not _RTS:
             raise LocalSendError("qp_not_rts")
         if not settled:         # settled passes all three by definition
             if not self.operational:
@@ -397,7 +411,7 @@ class Rnic:
                 raise LocalSendError("gid_index_missing")
 
         if opcode is None:
-            opcode = _DEFAULT_OPCODE[qp.qp_type]
+            opcode = qp.opcode
         if wr_id is None:
             wr_id = next(self._wr_ids)
 
@@ -413,8 +427,7 @@ class Rnic:
             five_tuple, size, opcode, qp.qpn, dst.qpn,
             self.gid.value, dst.gid, payload)
 
-        depart_ns = (post_ns + TX_PIPELINE_NS
-                     + serialization_delay_ns(size, self._pcie_gbps))
+        depart_ns = post_ns + self.tx_delays[size]
         if planned:
             # Nothing the departure reads changes without a hooked write: run
             # it now, remember how to take it back (sweeping stale steps).
@@ -461,7 +474,7 @@ class Rnic:
                 self._trace_rnic_drop(packet.payload, "tx_corruption")
         else:
             self.fabric.inject(packet, self.name, at_ns)
-        if qp.qp_type == QPType.RC:
+        if qp.qp_type is _RC:
             # RC send CQE deferred until the hardware ACK (Table 1: no ②/④).
             if not corrupted:
                 self._pending_rc_sends.setdefault(
@@ -470,12 +483,12 @@ class Rnic:
             # A corrupted send completes too: the NIC believes it sent it.
             timestamp = self.clock.read(at_ns)
             if self._tracer is not None:
-                self._trace_cqe(packet.payload, CqeKind.SEND, timestamp)
+                self._trace_cqe(packet.payload, _SEND, timestamp)
             if qp.on_sent is not None:
                 qp.on_sent(qp, context, timestamp, at_ns)
             else:
                 self._emit_cqe(qp, self._acquire_cqe(
-                    CqeKind.SEND, qp.qpn, wr_id, timestamp))
+                    _SEND, qp.qpn, wr_id, timestamp))
         if corrupted:
             self.fabric.packet_pool.release(packet)
 
@@ -568,18 +581,19 @@ class Rnic:
                 self._trace_rnic_drop(packet.payload, "gid_mismatch")
             return
 
-        if packet.opcode == RoCEOpcode.RC_ACK:
+        if packet.opcode is _RC_ACK:
             self._on_rc_ack(packet)
             return
 
         qp = self._qps.get(packet.dst_qpn)
-        if qp is None or qp.state != QPState.RTS:
+        if qp is None or qp.state is not _RTS:
             # QPN reset noise (§4.3.1): the prober used an outdated QPN.
             self._count_drop("qpn_mismatch")
             if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "qpn_mismatch")
             return
-        if qp.qp_type in (QPType.RC, QPType.UC):
+        qp_type = qp.qp_type
+        if qp_type is _RC or qp_type is _UC:
             expected = qp.remote
             if expected is None or packet.src_qpn != expected.qpn:
                 self._count_drop("qpn_mismatch")
@@ -589,14 +603,19 @@ class Rnic:
 
         self.rx_packets += 1
         self.rx_bytes += packet.size_bytes
-        if qp.qp_type == QPType.RC:
+        if qp_type is _RC:
             self._send_rc_hw_ack(packet)
 
         timestamp = self.clock.read(self.sim.now)
         if self._tracer is not None:
-            self._trace_cqe(packet.payload, CqeKind.RECV, timestamp)
+            self._trace_cqe(packet.payload, _RECV, timestamp)
+        if qp.on_recv is not None:
+            five_tuple = packet.five_tuple
+            qp.on_recv(packet.payload, timestamp, five_tuple.src_ip,
+                       packet.src_gid, packet.src_qpn, five_tuple.src_port)
+            return
         cqe = self._acquire_cqe(
-            CqeKind.RECV, qp.qpn, next(self._wr_ids), timestamp)
+            _RECV, qp.qpn, next(self._wr_ids), timestamp)
         cqe.payload.update(packet.payload)
         cqe.src_ip = packet.five_tuple.src_ip
         cqe.src_gid = packet.src_gid

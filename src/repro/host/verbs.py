@@ -33,15 +33,18 @@ class VerbsContext:
 
     def create_qp(self, rnic: Rnic, qp_type: QPType,
                   on_cqe: Optional[Callable[[Cqe], None]] = None, *,
-                  on_sent: Optional[Callable[..., None]] = None
+                  on_sent: Optional[Callable[..., None]] = None,
+                  on_recv: Optional[Callable[..., None]] = None
                   ) -> QueuePair:
         """Create a QP.
 
         UD QPs are connectionless and go straight to RTS (after the usual
         INIT/RTR dance which we collapse); RC/UC QPs stay in RESET until
-        ``connect_qp``.  ``on_sent``: see :meth:`Rnic.allocate_qp`.
+        ``connect_qp``.  ``on_sent``, ``on_recv``: see
+        :meth:`Rnic.allocate_qp`.
         """
-        qp = rnic.allocate_qp(qp_type, on_cqe, on_sent=on_sent)
+        qp = rnic.allocate_qp(qp_type, on_cqe, on_sent=on_sent,
+                              on_recv=on_recv)
         if qp_type == QPType.UD:
             qp.state = QPState.RTS
         return qp

@@ -10,6 +10,7 @@ R-Pingmesh steers probes onto the same ECMP paths as service flows.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 ROCE_UDP_PORT = 4791
@@ -21,23 +22,29 @@ MIN_SRC_PORT = 1024
 MAX_SRC_PORT = 65535
 
 
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
-    """Outer transport 5-tuple; the unit ECMP hashes on."""
+_FiveTupleFields = namedtuple("_FiveTupleFields", (
+    "src_ip", "src_port", "dst_ip", "dst_port", "proto"))
 
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    proto: str = PROTO_UDP
 
-    def __post_init__(self) -> None:
-        if not 0 < self.src_port <= MAX_SRC_PORT:
-            raise ValueError(f"bad src_port: {self.src_port}")
-        if not 0 < self.dst_port <= MAX_SRC_PORT:
-            raise ValueError(f"bad dst_port: {self.dst_port}")
-        if self.proto not in (PROTO_UDP, PROTO_TCP):
-            raise ValueError(f"bad proto: {self.proto}")
+class FiveTuple(_FiveTupleFields):
+    """Outer transport 5-tuple; the unit ECMP hashes on.
+
+    A tuple, so it hashes and compares at C level: its hash is
+    ``hash((src_ip, src_port, dst_ip, dst_port, proto))``, computed afresh
+    in every process (``str`` hashes are per process, so none is stored).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src_ip: str, src_port: int, dst_ip: str,
+                dst_port: int, proto: str = PROTO_UDP) -> "FiveTuple":
+        if not 0 < src_port <= MAX_SRC_PORT:
+            raise ValueError(f"bad src_port: {src_port}")
+        if not 0 < dst_port <= MAX_SRC_PORT:
+            raise ValueError(f"bad dst_port: {dst_port}")
+        if proto not in (PROTO_UDP, PROTO_TCP):
+            raise ValueError(f"bad proto: {proto}")
+        return tuple.__new__(cls, (src_ip, src_port, dst_ip, dst_port, proto))
 
     @property
     def is_roce(self) -> bool:

@@ -36,15 +36,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.net.ecmp import pick_next_hop
 from repro.net.packet import TC_ROCE, Packet, PacketPool
-from repro.net.topology import DirectedLink, Topology
+from repro.net.topology import (SWITCH_FORWARD_LATENCY_NS, DirectedLink,
+                                Topology)
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStream
 
-SWITCH_FORWARD_LATENCY_NS = 450  # ASIC pipeline latency per switch hop
 # A plan longer than this is a routing loop; the walker re-plans at its end
 # and the packet's TTL ends the loop.
 MAX_PLANNED_HOPS = 64
@@ -74,9 +74,9 @@ class DropRecord:
     node: Optional[str]      # node at which the drop was decided
 
 
-@dataclass(slots=True)
-class DeliveryRecord:
-    """Bookkeeping attached to a delivered packet."""
+class DeliveryRecord(NamedTuple):
+    """Bookkeeping attached to a delivered packet (the fabric builds one
+    per delivery with ``tuple.__new__``, which runs no Python code)."""
 
     time_ns: int
     path: tuple[str, ...]    # node names traversed, inclusive of endpoints
@@ -97,7 +97,8 @@ class _CachedPath:
 
 
 class _Transit:
-    """Pooled per-packet walker state; the callable the engine runs.
+    """Pooled per-packet walker state, and the walker: the engine runs the
+    transit itself at the packet's next arrival.
 
     ``idx`` is the node the pending event finds the packet at.  Hops
     ``look_idx .. idx-1`` were added up ahead of the clock, the first of
@@ -117,15 +118,89 @@ class _Transit:
         self.look_idx = 0
         self.look_ns = 0
 
-    def __call__(self) -> None:
-        self.fabric._walk(self)
+    def __call__(self, start_ns: Optional[int] = None) -> None:
+        """Advance the packet from the node it stands at, at ``sim.now``
+        (fresh from :meth:`Fabric.inject`: from ``start_ns`` on).
+
+        Quiet hops are added up without an event of their own; the first
+        hop that is not quiet is evaluated here if the packet stands at it
+        now, otherwise by the event this schedules for its arrival time.  A
+        packet that stands at its destination now is delivered here.
+        """
+        fabric = self.fabric
+        packet = self.packet
+        if packet is None:
+            # Superseded by _demote_in_flight: this was its pending event.
+            fabric._release_transit(self)
+            return
+        now = fabric.sim.now
+        path = self.path
+        idx = self.idx
+        if (start_ns is None and idx == len(path.hops)
+                and path.nodes[idx] == self.dst):
+            # The usual event: every hop on the way here was added up.  (A
+            # re-plan from the destination could only plan it again.)
+            fabric._deliver(self, packet, path.nodes, now)
+            return
+        if path.route_epoch != fabric.topology.route_epoch:
+            path = fabric._replan(self, path, idx)
+        hops = path.hops
+        n_hops = len(hops)
+        size = packet.size_bytes
+        is_roce = self.is_roce
+        collector = fabric._int_collector
+        # TTL cannot expire inside a plan shorter than it.
+        look = fabric._tracer is None and packet.ttl > n_hops - idx
+        look_idx = idx
+        look_ns = t = now if start_ns is None else start_ns
+        while True:
+            if idx == n_hops:
+                if t != now:
+                    break
+                if path.nodes[idx] == self.dst:
+                    fabric._deliver(self, packet, path.nodes, now)
+                    return
+                path = fabric._replan(self, path, idx)
+                hops = path.hops
+                n_hops = len(hops)
+                if idx == n_hops:
+                    del fabric._in_flight[packet.packet_id]
+                    fabric._release_transit(self)
+                    fabric._drop(packet, DropReason.NO_ROUTE, link=None,
+                                 node=path.nodes[idx])
+                    return
+                look = fabric._tracer is None and packet.ttl > n_hops - idx
+                continue
+            link = hops[idx]
+            if look and link.quiet:
+                if collector is not None:
+                    collector.stamp(packet, link, t)
+                if link.dst_acl is not None:
+                    packet.ttl -= 1
+                t += (link.quiet_delays[size] if is_roce
+                      else _quiet_hop_ns(link, size, False))
+                link.packets_forwarded += 1
+                idx += 1
+            elif t == now:
+                delay = fabric._evaluate_hop(self, path, idx, link)
+                if delay is None:
+                    return
+                idx += 1
+                look_idx = idx
+                look_ns = t = now + delay
+            else:
+                break
+        self.idx = idx
+        self.look_idx = look_idx
+        self.look_ns = look_ns
+        fabric.sim.schedule(t - now, self)
 
 
 def _quiet_hop_ns(link: DirectedLink, size_bytes: int, is_roce: bool) -> int:
     """What a quiet hop costs: a constant of the link, size and class."""
-    delay = link.base_delay_ns(size_bytes)
     if is_roce:
-        delay += link.quiet_wait_ns
+        return link.quiet_delays[size_bytes]
+    delay = link.base_delays[size_bytes]
     if link.dst_acl is not None:
         delay += SWITCH_FORWARD_LATENCY_NS
     return delay
@@ -272,7 +347,7 @@ class Fabric:
         packet.sent_at_ns = at_ns
         dst_port = self._ip_to_port.get(packet.five_tuple.dst_ip)
         transit = self._acquire_transit()
-        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _retire before the packet is recycled
+        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared when its walk ends, before the packet is recycled
         if dst_port is None or (at_ns != now and self._adaptive_routing):
             # No route to plan, or one drawn hop by hop when it stands there.
             transit.path = _CachedPath((src_port,), (), (),
@@ -283,7 +358,7 @@ class Fabric:
         transit.dst = dst_port
         transit.is_roce = packet.traffic_class == TC_ROCE
         self._in_flight[packet.packet_id] = transit
-        self._walk(transit, at_ns)
+        transit(at_ns)
 
     def withdraw(self, packet: Packet) -> bool:
         """Un-send a packet injected for an instant not before now: its
@@ -373,78 +448,7 @@ class Fabric:
         transit.path = rest
         return rest
 
-    # -- the walker ----------------------------------------------------------
-
-    def _walk(self, transit: _Transit,
-              start_ns: Optional[int] = None) -> None:
-        """Advance one packet from the node it stands at, at ``sim.now``
-        (fresh from :meth:`inject`: from ``start_ns`` on).
-
-        Quiet hops are added up without an event of their own; the first
-        hop that is not quiet is evaluated here if the packet stands at it
-        now, otherwise by the event this schedules for its arrival time.
-        """
-        packet = transit.packet
-        if packet is None:
-            # Superseded by _demote_in_flight: this was its pending event.
-            self._release_transit(transit)
-            return
-        now = self.sim.now
-        path = transit.path
-        idx = transit.idx
-        if path.route_epoch != self.topology.route_epoch:
-            path = self._replan(transit, path, idx)
-        hops = path.hops
-        n_hops = len(hops)
-        size = packet.size_bytes
-        is_roce = transit.is_roce
-        collector = self._int_collector
-        # TTL cannot expire inside a plan shorter than it.
-        look = self._tracer is None and packet.ttl > n_hops - idx
-        look_idx = idx
-        look_ns = t = now if start_ns is None else start_ns
-        while True:
-            if idx == n_hops:
-                if t != now:
-                    break
-                if path.nodes[idx] == transit.dst:
-                    self._deliver(transit, path)
-                    return
-                path = self._replan(transit, path, idx)
-                hops = path.hops
-                n_hops = len(hops)
-                if idx == n_hops:
-                    self._retire(transit)
-                    self._drop(packet, DropReason.NO_ROUTE, link=None,
-                               node=path.nodes[idx])
-                    return
-                look = self._tracer is None and packet.ttl > n_hops - idx
-                continue
-            link = hops[idx]
-            if look and link.quiet:
-                if collector is not None:
-                    collector.stamp(packet, link, t)
-                if link.dst_acl is not None:
-                    packet.ttl -= 1
-                    t += SWITCH_FORWARD_LATENCY_NS
-                t += link.base_delay_ns(size)
-                if is_roce:
-                    t += link.quiet_wait_ns
-                link.packets_forwarded += 1
-                idx += 1
-            elif t == now:
-                delay = self._evaluate_hop(transit, path, idx, link)
-                if delay is None:
-                    return
-                idx += 1
-                look_idx = idx
-                look_ns = t = now + delay
-            else:
-                break
-        transit.idx = idx
-        transit.look_idx = look_idx
-        transit.look_ns = look_ns
-        self.sim.schedule(t - now, transit)
+    # -- the walker's slow path ----------------------------------------------
 
     def _evaluate_hop(self, transit: _Transit, path: _CachedPath, idx: int,
                       link: DirectedLink) -> Optional[int]:
@@ -465,7 +469,8 @@ class Fabric:
                 if packet.ttl <= 0:
                     reason = DropReason.TTL_EXPIRED
         if reason is not None:
-            self._retire(transit)
+            del self._in_flight[packet.packet_id]
+            self._release_transit(transit)
             self._drop(packet, reason, link=link.name, node=node)
             return None
         delay = link.traversal_delay_ns(now, packet.size_bytes,
@@ -611,9 +616,9 @@ class Fabric:
                 self.sanitizer.reacquire_transit(transit)
         else:
             transit = _Transit()
+            transit.fabric = self
             if self.sanitizer is not None:
                 self.sanitizer.acquire_transit(transit)
-        transit.fabric = self
         return transit
 
     def _release_transit(self, transit: _Transit) -> None:
@@ -626,18 +631,13 @@ class Fabric:
         if recycled:
             free.append(transit)
 
-    def _retire(self, transit: _Transit) -> None:
-        """The packet's walk is over (delivered or dropped)."""
-        del self._in_flight[transit.packet.packet_id]
-        self._release_transit(transit)
-
     # -- endings -------------------------------------------------------------
 
-    def _deliver(self, transit: _Transit, path: _CachedPath) -> None:
-        packet = transit.packet
-        nodes = path.nodes
-        self._retire(transit)
-        now = self.sim.now
+    def _deliver(self, transit: _Transit, packet: Packet,
+                 nodes: tuple[str, ...], now: int) -> None:
+        """The walk is over, then the packet is handed to its receiver."""
+        del self._in_flight[packet.packet_id]
+        self._release_transit(transit)
         self.packets_delivered += 1
         if self._int_collector is not None:
             self._int_collector.collect(packet, now)
@@ -648,7 +648,7 @@ class Fabric:
                                    dst=nodes[-1], hops=len(nodes) - 1)
         receiver = self._receivers.get(nodes[-1])
         if receiver is not None:
-            receiver(packet, DeliveryRecord(now, nodes))
+            receiver(packet, tuple.__new__(DeliveryRecord, (now, nodes)))
         # Delivered pool-owned packets are recycled once the receiver is
         # done with them; dropped packets never are (DropRecords keep them).
         self.packet_pool.release(packet)

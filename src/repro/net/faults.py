@@ -410,6 +410,8 @@ class LinkOverload(Fault):
     def __init__(self, cluster: Cluster, src: str, dst: str, *,
                  extra_gbps: float, table2_row: int = 10):
         super().__init__(cluster, f"{src}->{dst}")
+        if not extra_gbps >= 0.0:
+            raise ValueError("extra_gbps must be non-negative")
         self.table2_row = table2_row
         self.ground_truth.table2_row = table2_row
         self.held = [(cluster.topology.link(src, dst), "offered_load_gbps",
@@ -452,6 +454,10 @@ class PcieDowngrade(Fault):
                  degraded_pcie_gbps: float = 32.0,
                  pause_delay_ns: int = 300_000):
         super().__init__(cluster, rnic_name)
+        if not degraded_pcie_gbps > 0.0:
+            raise ValueError("degraded_pcie_gbps must be positive")
+        if not pause_delay_ns >= 0:
+            raise ValueError("pause_delay_ns must be non-negative")
         rnic = cluster.rnic(rnic_name)
         downlink = cluster.topology.link(cluster.tor_of(rnic_name), rnic_name)
         self.held = [(rnic, "pcie_gbps", degraded_pcie_gbps),

@@ -35,7 +35,9 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.net.addresses import FiveTuple
-from repro.sim.units import serialization_delay_ns
+from repro.sim.units import DelayTable
+
+SWITCH_FORWARD_LATENCY_NS = 450  # ASIC pipeline latency per switch hop
 
 
 class NodeKind(Enum):
@@ -263,6 +265,7 @@ class DirectedLink:
         "Extra per-packet delay from PFC pause pressure on this port.")
     queue_bytes = _knob(
         "_queue_bytes", "Fluid queue occupancy as of the last integration.")
+    propagation_ns = _knob("_propagation_ns", "Cable propagation delay.")
 
     def __init__(self, src: str, dst: str, pair: LinkPair, *,
                  rate_gbps: float = 400.0, propagation_ns: int = 500,
@@ -277,15 +280,15 @@ class DirectedLink:
         self.name = sys.intern(f"{src}->{dst}")
         self.pair = pair
         self.rate_gbps = rate_gbps
-        self.propagation_ns = propagation_ns
+        self._propagation_ns = propagation_ns
         self.buffer_bytes = buffer_bytes
         # Ingress ACL of the switch this link feeds; None for a host port,
         # which is also how the fabric tells the two apart per hop.
         self.dst_acl = dst_acl
 
         # The knobs' state (written only through the properties above);
-        # rate/propagation are construction-time constants, which the
-        # base-delay cache and the fabric's route cache both rely on.
+        # rate is a construction-time constant, which the delay tables and
+        # the fabric's route cache both rely on.
         self._corruption_drop_prob = 0.0
         self._silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
         self._pfc_headroom_ok = True
@@ -297,8 +300,6 @@ class DirectedLink:
         self.offered_load_gbps = 0.0     # written by set_offered_load only
         self._queue_bytes = 0.0
         self._queue_updated_ns = 0
-        # propagation + serialization per packet size (both immutable).
-        self._base_delay_ns: dict[int, int] = {}
 
         # Whether a packet crossing now can only be delayed by a constant
         # — the link is *steady*: cable up and not routed around, no
@@ -307,12 +308,15 @@ class DirectedLink:
         # (idle, fed at exactly line rate, or overfed and full).  The
         # fabric adds such hops up without an event of their own
         # (DESIGN.md §10); ``quiet_wait_ns`` is what a RoCE packet then
-        # pays on top of ``base_delay_ns``: standing queue plus pause
-        # pressure.  Both are re-derived after every write, and the
-        # topology hears *before* one that changes what a quiet link tells
-        # a packet, while the constants are still those lookahead used.
-        self.quiet = True
-        self.quiet_wait_ns = 0
+        # pays on top of ``base_delays[size]`` (propagation plus
+        # serialization, all an idle link costs): standing queue plus pause
+        # pressure; ``quiet_delays[size]`` is all it pays here, the far
+        # switch's pipeline included.  All are re-derived after every
+        # write, and the topology hears *before* one that changes what a
+        # quiet link tells a packet, while the constants are still those
+        # lookahead used.
+        self.base_delays = self.quiet_delays = DelayTable(rate_gbps, -1)
+        self._refresh_quiet()           # derives both tables
         self._on_disturb: Optional[Callable[[], None]] = None
 
         # Counters for assertions and SLA accounting
@@ -340,8 +344,15 @@ class DirectedLink:
             and (queue == 0.0 if net_gbps < 0
                  else queue == self.buffer_bytes if net_gbps > 0
                  else 0.0 <= queue <= self.buffer_bytes))
-        self.quiet_wait_ns = (round(queue * 8.0 / self.rate_gbps)
-                              + self._pause_delay_ns)
+        self.quiet_wait_ns = wait = (round(queue * 8.0 / self.rate_gbps)
+                                     + self._pause_delay_ns)
+        propagation = self._propagation_ns
+        if self.base_delays.fixed_ns != propagation:
+            self.base_delays = DelayTable(self.rate_gbps, propagation)
+        fixed = propagation + wait + (
+            SWITCH_FORWARD_LATENCY_NS if acl is not None else 0)
+        if self.quiet_delays.fixed_ns != fixed:
+            self.quiet_delays = DelayTable(self.rate_gbps, fixed)
 
     def _write(self, attr: str, value) -> None:
         """One write to what a packet is told here (a no-op returns early)."""
@@ -392,15 +403,6 @@ class DirectedLink:
         self.advance_queue(now_ns)
         return round(self._queue_bytes * 8.0 / self.rate_gbps)
 
-    def base_delay_ns(self, size_bytes: int) -> int:
-        """Propagation + serialization: all an idle link costs a packet."""
-        delay = self._base_delay_ns.get(size_bytes)
-        if delay is None:
-            delay = self._base_delay_ns[size_bytes] = (
-                self.propagation_ns
-                + serialization_delay_ns(size_bytes, self.rate_gbps))
-        return delay
-
     def traversal_delay_ns(self, now_ns: int, size_bytes: int, *,
                            roce_queue: bool = True) -> int:
         """Total one-hop latency for a discrete packet entering now.
@@ -409,7 +411,7 @@ class DirectedLink:
         class; TCP rides a separate, lightly loaded queue (§2.4), so
         non-RoCE packets see only propagation + serialization.
         """
-        delay = self.base_delay_ns(size_bytes)
+        delay = self.base_delays[size_bytes]
         if roce_queue:
             delay += self.queue_delay_ns(now_ns) + self._pause_delay_ns
         return delay

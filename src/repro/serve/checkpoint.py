@@ -40,7 +40,11 @@ single-heap engine and the unmemoised fabric and RNIC no longer have; format
 batches, not the fold its batches now go into on arrival, list-backed
 percentile trackers, and ``DirectedLink``s with no ``name`` of their own;
 format 10 files hold a fold whose timeouts wait for close as a queue of raw
-results, not grouped into the ``TimeoutFlow``s close now settles.  (The
+results, not grouped into the ``TimeoutFlow``s close now settles; format 11
+files hold a ``Simulator`` with an ``EventQueue`` of its own and a ``now``
+property, ``FiveTuple`` dataclasses, Agent QPs taking receive ``Cqe``s and
+links, RNICs and clocks without the per-size delays and drift scale the
+flattened probe path reads.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -62,7 +66,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 11
+FORMAT = 12
 
 
 class CheckpointError(RuntimeError):

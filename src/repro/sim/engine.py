@@ -10,14 +10,17 @@ Design notes
 * Callbacks, not coroutines.  A callback scheduler is both faster and easier
   to reason about for the probe/respond/analyze loops this package runs, and
   it avoids the generator-trampoline machinery of a process-based kernel.
-* One binary heap is the event queue.  With the fabric and host adding
-  quiet steps up ahead of the clock, a probe costs about five events and
-  the queue holds a few hundred entries (about nine heap levels), so no
-  bucketing scheme pays for itself.  Entries are ``(time, seq, event)``
-  tuples so heap comparisons run on ints at C speed.
+* One binary heap inside :class:`Simulator` is the event queue.  With the
+  fabric and host adding quiet steps up ahead of the clock, a probe costs
+  about five events and the queue holds a few hundred entries (about nine
+  heap levels), so no bucketing scheme pays for itself.  Entries are
+  ``(time, seq, event)`` tuples so heap comparisons run on ints at C speed,
+  and ``call_at``, ``schedule`` and the drain loop push and pop it
+  themselves: an event pays for its two heap operations, not for the calls
+  around them.  ``now`` is a plain attribute only the loop writes.
 * Events can be cancelled.  Cancellation is O(1): the handle is flagged and
   skipped when popped (lazy deletion).  When cancelled events outnumber live
-  ones the queue compacts, so mass-cancel workloads cannot bloat it.
+  ones the heap compacts, so mass-cancel workloads cannot bloat it.
 * Events are pooled.  ``_Event`` records carry a generation counter and are
   recycled through a bounded free list; a stale :class:`EventHandle` whose
   event was recycled detects the generation mismatch and becomes inert.
@@ -27,13 +30,14 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 #: Free-list cap for recycled _Event records (0 disables pooling).
 EVENT_POOL_DEFAULT = 8192
-#: Sentinel horizon for run_all: beyond any schedulable time.
+#: Sentinel horizon for run_all, and run_until's event cap: beyond any
+#: schedulable time or event count.
 _FAR_FUTURE = 1 << 62
 
 
@@ -72,77 +76,6 @@ class _Event:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
-class EventQueue:
-    """The future-event set: one binary heap of ``(time, seq, event)``.
-
-    Pops in exact (time, seq) order.  A push behind the last pop (possible
-    only by smuggling an event past ``call_at``'s guard, which the
-    white-box invariant tests do on purpose) simply sorts first.
-    """
-
-    __slots__ = ("_event_heap", "_live", "_cancelled", "on_swept")
-
-    def __init__(self, *,
-                 on_swept: Optional[Callable[[_Event], None]] = None):
-        # Called with each cancelled event a compaction sweeps out.
-        self.on_swept = on_swept
-        self._event_heap: list[tuple[int, int, _Event]] = []
-        self._live = 0                # scheduled and not cancelled
-        self._cancelled = 0           # cancelled but still queued
-
-    @property
-    def live(self) -> int:
-        """Number of live (non-cancelled) queued events."""
-        return self._live
-
-    def __len__(self) -> int:
-        return self._live + self._cancelled
-
-    def push(self, event: _Event) -> None:
-        """Enqueue an event (its time/seq must already be set)."""
-        self._live += 1
-        heapq.heappush(self._event_heap, (event.time, event.seq, event))
-
-    def note_cancel(self) -> None:
-        """Account a first-time cancellation of a still-queued event."""
-        self._live -= 1
-        self._cancelled += 1
-        if self._cancelled > 64 and self._cancelled > self._live:
-            self.compact()
-
-    def pop_due(self, limit: int) -> Optional[_Event]:
-        """Dequeue the earliest event if its time is <= ``limit``.
-
-        Returns cancelled events too (the caller recycles them); ordering
-        across the live ones is exact (time, seq).
-        """
-        heap = self._event_heap
-        if not heap or heap[0][0] > limit:
-            return None
-        event = heapq.heappop(heap)[2]
-        if event.cancelled:
-            self._cancelled -= 1
-        else:
-            self._live -= 1
-        return event
-
-    def compact(self) -> None:
-        """Drop cancelled entries (lazy-deletion sweep).
-
-        Triggered from :meth:`note_cancel` once cancelled entries outnumber
-        live ones; also callable directly.  Every swept event goes to
-        ``on_swept``, so the pool's accounting sees it retire.
-        """
-        heap = self._event_heap
-        swept = [entry[2] for entry in heap if entry[2].cancelled]
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._cancelled = 0
-        if self.on_swept is not None:
-            for event in swept:
-                self.on_swept(event)
-
-
 class EventHandle:
     """Opaque handle to a scheduled event, usable for cancellation.
 
@@ -150,13 +83,13 @@ class EventHandle:
     event can never cancel an unrelated later event.
     """
 
-    __slots__ = ("_event", "_gen", "_time", "_queue", "_cancelled")
+    __slots__ = ("_event", "_gen", "_time", "_sim", "_cancelled")
 
-    def __init__(self, event: _Event, queue: EventQueue):
+    def __init__(self, event: _Event, sim: "Simulator"):
         self._event = event
         self._gen = event.gen
         self._time = event.time
-        self._queue = queue
+        self._sim = sim
         self._cancelled = False
 
     @property
@@ -177,7 +110,12 @@ class EventHandle:
         event = self._event
         if event.gen == self._gen and not event.cancelled:
             event.cancelled = True
-            self._queue.note_cancel()
+            sim = self._sim
+            sim._cancelled += 1
+            # Sweep once cancelled entries pass 64 and outnumber live ones.
+            if (sim._cancelled > 64
+                    and 2 * sim._cancelled > len(sim._event_heap)):
+                sim._compact()
 
 
 class PeriodicTask:
@@ -253,7 +191,8 @@ class PeriodicTask:
             self._jitter_state = state = (
                 self._jitter_state * 1103515245 + 12345) & 0x7FFFFFFF
             delay += state % self._jitter
-        self._handle = self._sim.call_later(max(1, delay), self._fire)
+        sim = self._sim
+        self._handle = sim.call_at(sim.now + max(1, delay), self._fire)
 
 
 class Simulator:
@@ -267,9 +206,13 @@ class Simulator:
     def __init__(self, *, seed: int = 0, check_invariants: bool = False,
                  event_pool_size: int = EVENT_POOL_DEFAULT,
                  sanitizer=None):
-        self._queue = EventQueue(on_swept=self._recycle)
+        # The future-event set, popped in exact (time, seq) order.  A push
+        # behind the clock (only white-box tests smuggle one) sorts first.
+        self._event_heap: list[tuple[int, int, _Event]] = []
+        self._cancelled = 0           # cancelled but still queued
         self._seq = itertools.count()
-        self._now = 0
+        #: Simulation time in ns; only the event loop and run_until write it.
+        self.now = 0
         self._running = False
         self.seed = seed
         # PeriodicTasks created so far: the ordinal that seeds each one's
@@ -318,7 +261,7 @@ class Simulator:
         its outstanding-record count; ordinary code wants :meth:`pending`
         (live events only).
         """
-        return len(self._queue)
+        return len(self._event_heap)
 
     @property
     def event_pool_free(self) -> int:
@@ -340,16 +283,11 @@ class Simulator:
         """The installed event profiler, if any."""
         return self._profiler
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     def call_at(self, time: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}")
+                f"cannot schedule in the past: {time} < now {self.now}")
         free = self._event_free
         if free:
             event = free.pop()
@@ -363,14 +301,14 @@ class Simulator:
             event = _Event(time, next(self._seq), callback)
             if self._san is not None:
                 self._san.acquire_event(event)
-        self._queue.push(event)
-        return EventHandle(event, self._queue)
+        heappush(self._event_heap, (time, event.seq, event))
+        return EventHandle(event, self)
 
     def call_later(self, delay: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.call_at(self._now + delay, callback)
+        return self.call_at(self.now + delay, callback)
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`call_later`: no cancellation handle.
@@ -382,20 +320,22 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
+        time = self.now + delay
+        seq = next(self._seq)
         free = self._event_free
         if free:
             event = free.pop()
             if self._san is not None:
                 self._san.reacquire_event(event)
-            event.time = self._now + delay
-            event.seq = next(self._seq)
+            event.time = time
+            event.seq = seq
             event.callback = callback
             event.cancelled = False
         else:
-            event = _Event(self._now + delay, next(self._seq), callback)
+            event = _Event(time, seq, callback)
             if self._san is not None:
                 self._san.acquire_event(event)
-        self._queue.push(event)
+        heappush(self._event_heap, (time, seq, event))
 
     def every(self, interval: int, callback: Callable[[], None], *,
               delay: Optional[int] = None, jitter: int = 0) -> PeriodicTask:
@@ -405,7 +345,7 @@ class Simulator:
     def _recycle(self, event: _Event) -> None:
         """Retire a dequeued event.  The generation bump (done whether or
         not the record re-enters the free list) is what invalidates any
-        surviving handle."""
+        surviving handle.  ``_drain`` runs the same steps inline."""
         event.gen += 1
         event.callback = None
         free = self._event_free
@@ -415,39 +355,63 @@ class Simulator:
         if recycled:
             free.append(event)
 
-    def _drain(self, limit_time: int, max_events: Optional[int] = None) -> None:
+    def _compact(self) -> None:
+        """Drop cancelled entries (lazy-deletion sweep).
+
+        Run from :meth:`EventHandle.cancel` once cancelled entries outnumber
+        live ones.  Every swept event is retired, so the pool's accounting
+        sees it leave.
+        """
+        heap = self._event_heap
+        swept = [entry[2] for entry in heap if entry[2].cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
+        self._cancelled = 0
+        for event in swept:
+            self._recycle(event)
+
+    def _drain(self, limit_time: int, max_events: int = _FAR_FUTURE) -> None:
         """The single pop/execute loop behind run_until and run_all.
 
         Keeping one copy means the invariant check and the profiler hook
-        cannot drift apart between the two entry points.
+        cannot drift apart between the two entry points.  Each popped event
+        is retired (``_recycle``, inline) before its callback runs, and a
+        sanitizer poisons a retired record: every field is read first.
         """
-        queue = self._queue
-        pop_due = queue.pop_due
-        recycle = self._recycle
-        processed = 0
-        while True:
-            event = pop_due(limit_time)
-            if event is None:
-                break
-            if event.cancelled:
-                recycle(event)
-                continue
+        heap = self._event_heap
+        free = self._event_free
+        pool_size = self._event_pool_size
+        san = self._san
+        check = self.check_invariants
+        stop = self.events_processed + max_events
+        while heap and heap[0][0] <= limit_time:
+            event = heappop(heap)[2]
             time = event.time
-            if self.check_invariants and time < self._now:
+            callback = event.callback
+            cancelled = event.cancelled
+            if cancelled:
+                self._cancelled -= 1
+            elif check and time < self.now:
                 raise InvariantViolation(
                     f"event scheduled before current sim time: "
-                    f"{time} < now {self._now}")
-            self._now = time
-            callback = event.callback
-            recycle(event)
+                    f"{time} < now {self.now}")
+            event.gen += 1
+            event.callback = None
+            recycled = len(free) < pool_size
+            if san is not None:
+                san.release_event(event, recycled=recycled)
+            if recycled:
+                free.append(event)
+            if cancelled:
+                continue
+            self.now = time
             profiler = self._profiler
             if profiler is None:
                 callback()
             else:
                 profiler.run(callback)
             self.events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
+            if self.events_processed >= stop:
                 raise SimulationError(
                     f"run_all exceeded {max_events} events; runaway schedule?")
 
@@ -457,21 +421,21 @@ class Simulator:
         The clock is always advanced to ``time`` even if the queue drains
         early, so back-to-back ``run_until`` calls observe contiguous time.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot run backwards: {time} < now {self._now}")
+                f"cannot run backwards: {time} < now {self.now}")
         if self._running:
             raise SimulationError("run_until called re-entrantly")
         self._running = True
         try:
             self._drain(time)
-            self._now = time
+            self.now = time
         finally:
             self._running = False
 
     def run_for(self, duration: int) -> None:
         """Process events for ``duration`` ns of simulated time."""
-        self.run_until(self._now + duration)
+        self.run_until(self.now + duration)
 
     def run_all(self, *, limit: int = 50_000_000) -> None:
         """Drain the event queue completely (bounded by ``limit`` events)."""
@@ -485,7 +449,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return self._queue.live
+        return len(self._event_heap) - self._cancelled
 
     def _next_jitter_seed(self) -> int:
         """Seed of the next PeriodicTask's private jitter stream."""

@@ -81,3 +81,20 @@ def serialization_delay_ns(size_bytes: int, rate_gbps: float) -> int:
     if rate_gbps <= 0:
         raise ValueError(f"rate must be positive, got {rate_gbps}")
     return max(1, round(size_bytes * 8 / rate_gbps))
+
+
+class DelayTable(dict):
+    """``size_bytes -> fixed_ns + serialization_delay_ns(size_bytes, rate)``,
+    derived on a size's first read; a hit runs no Python code.  An owner
+    whose rate can change builds a new table at the write."""
+
+    __slots__ = ("rate_gbps", "fixed_ns")
+
+    def __init__(self, rate_gbps: float, fixed_ns: int = 0):
+        self.rate_gbps = rate_gbps
+        self.fixed_ns = fixed_ns
+
+    def __missing__(self, size_bytes: int) -> int:
+        delay = self[size_bytes] = self.fixed_ns + serialization_delay_ns(
+            size_bytes, self.rate_gbps)
+        return delay

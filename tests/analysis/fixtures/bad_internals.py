@@ -6,7 +6,7 @@ def steal_a_packet(pool):
 
 
 def peek_engine(sim) -> int:
-    return len(sim._event_free) + len(sim._queue._event_heap)  # DET009 x2
+    return len(sim._event_free) + len(sim._event_heap)  # DET009 x2
 
 
 def drain_cqes(rnic) -> None:

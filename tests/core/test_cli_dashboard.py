@@ -151,6 +151,22 @@ class TestCli:
         [line] = captured.err.splitlines()
         assert "error: campaign event 'link_corruption'" in line
 
+    @pytest.mark.parametrize("spec", [
+        "pcie_downgrade@2:host1-rnic0:degraded_pcie_gbps=0",
+        "pcie_downgrade@2:host1-rnic0:degraded_pcie_gbps=-4",
+        "rnic_acs_misconfig@2:host1-rnic0:degraded_pcie_gbps=0",
+        "link_overload@2:pod0-tor0,pod0-agg0:extra_gbps=-900",
+    ], ids=["pcie-zero", "pcie-negative", "acs-zero", "overload-negative"])
+    def test_out_of_range_fault_parameter_is_one_line_and_exit_2(
+            self, spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--ticks", "5", "--pace", "0", "--fault", spec])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "error: " in line and "must be" in line
+
     def test_catalog_selected_rows(self, capsys):
         code = main(["catalog", "--rows", "3"])
         assert code == 0

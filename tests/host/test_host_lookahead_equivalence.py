@@ -185,7 +185,10 @@ class _PerEventAgent(Agent):
             return
         self._roles(state)[wr_id] = ("probe", seq)
         self.probes_sent += 1
-        self._ensure_traced(state, entry)
+        if self.config.continuous_path_tracing:
+            five_tuple, reverse = self._five_tuples(state, entry)
+            if five_tuple not in state.path_cache:
+                self._trace_tuple(state, five_tuple, reverse)
 
     def _on_cqe(self, state, cqe):
         if cqe.kind == CqeKind.SEND:
@@ -193,11 +196,13 @@ class _PerEventAgent(Agent):
         else:
             kind = cqe.payload.get("t")
             if kind == "probe":
-                self._respond(state, cqe)
+                self._respond(state, cqe.payload, cqe.rnic_timestamp_ns,
+                              cqe.src_ip, cqe.src_gid, cqe.src_qpn,
+                              cqe.src_port)
             elif kind == "ack1":
-                self._on_ack1(state, cqe)
+                self._on_ack1(state, cqe.payload, cqe.rnic_timestamp_ns)
             elif kind == "ack2":
-                self._on_ack2(state, cqe)
+                self._on_ack2(state, cqe.payload)
         state.rnic.release_cqe(cqe)
 
     def _on_send_cqe(self, state, cqe):
@@ -215,13 +220,12 @@ class _PerEventAgent(Agent):
                            {"t": "ack2", "seq": context["seq"],
                             "responder_delay": responder_delay})
 
-    def _respond(self, state, cqe):
+    def _respond(self, state, payload, t3, src_ip, src_gid, src_qpn,
+                 src_port):
         if not self.host.up:
             return
-        t3 = cqe.rnic_timestamp_ns
-        reply_to = CommInfo(ip=cqe.src_ip, gid=cqe.src_gid, qpn=cqe.src_qpn)
-        seq = cqe.payload["seq"]
-        src_port = cqe.src_port
+        reply_to = CommInfo(ip=src_ip, gid=src_gid, qpn=src_qpn)
+        seq = payload["seq"]
         now = self.cluster.sim.now
         delay = self.host.cpu.processing_delay_ns()
         delay += self.host.cpu.starvation_stall_ns(now)
@@ -362,9 +366,9 @@ class _World:
             self._queue(write, windows, agent, state.rnic)
         probe(state, entry)
 
-    def _on_respond(self, agent, respond, state, cqe):
+    def _on_respond(self, agent, respond, state, payload, *received):
         if agent.host.up:
-            writes = self.script.respond_writes.get(cqe.payload["seq"], ())
+            writes = self.script.respond_writes.get(payload["seq"], ())
             if writes and self.sim.now >= WRITES_FROM_NS:
                 # The delay _respond is about to draw, from a copy of the
                 # CPU model so the real streams are left alone.
@@ -378,7 +382,7 @@ class _World:
                            "ack2": (ack1, ack2)}
                 for write in writes:
                     self._queue(write, windows, agent, state.rnic)
-        respond(state, cqe)
+        respond(state, payload, *received)
 
     def _queue(self, write, windows, agent, rnic):
         start, due = windows[write["window"]]

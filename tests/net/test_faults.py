@@ -168,6 +168,22 @@ class TestSimpleFaults:
         fault.clear()
         assert downlink.pause_delay_ns == 0
 
+    @pytest.mark.parametrize("fault_class", [PcieDowngrade, RnicAcsMisconfig])
+    @pytest.mark.parametrize("params", [
+        {"degraded_pcie_gbps": 0}, {"degraded_pcie_gbps": -8.0},
+        {"degraded_pcie_gbps": float("nan")}, {"pause_delay_ns": -1}])
+    def test_pcie_downgrade_rejects_bad_parameters(self, tiny_clos,
+                                                   fault_class, params):
+        # Accepted, they crashed the world at the next probe tick.
+        with pytest.raises(ValueError):
+            fault_class(tiny_clos, "host0-rnic0", **params)
+
+    @pytest.mark.parametrize("extra_gbps", [-900.0, -1e-9, float("nan")])
+    def test_link_overload_rejects_negative_load(self, tiny_clos, extra_gbps):
+        with pytest.raises(ValueError):
+            LinkOverload(tiny_clos, "pod0-tor0", "pod0-agg0",
+                         extra_gbps=extra_gbps)
+
     def test_acs_misconfig_is_row_14(self, tiny_clos):
         fault = RnicAcsMisconfig(tiny_clos, "host0-rnic0")
         assert fault.ground_truth.table2_row == 14

@@ -234,7 +234,7 @@ class _Script:
             entries = []
             for link in world.fabric.links_of_path(path):
                 entries.append(((link.src, link.dst), t))
-                t += link.base_delay_ns(PROBE_BYTES)
+                t += link.base_delays[PROBE_BYTES]
                 if link.dst_acl is not None:
                     t += SWITCH_FORWARD_LATENCY_NS
             inner_hops.extend((key, entry, t, n)
@@ -556,7 +556,7 @@ def _entry_time(world, path, hop, start=100):
     """When a packet injected at ``start`` enters hop ``hop`` of a quiet path."""
     t = start
     for link in world.fabric.links_of_path(path)[:hop]:
-        t += link.base_delay_ns(PROBE_BYTES)
+        t += link.base_delays[PROBE_BYTES]
         if link.dst_acl is not None:
             t += SWITCH_FORWARD_LATENCY_NS
     return t

@@ -1,97 +1,133 @@
-"""The event queue, checked against the sorted set of live events.
+"""The Simulator's event heap, checked against the sorted set of live events.
 
 The engine's queue is one binary heap of ``(time, seq, event)`` entries
-with lazy deletion.  Its contract is *exact* pop order, so this harness
-drives it with scripted and randomized, seeded operation streams and checks
-every pop against the sorted live ``(time, seq)`` set: what the script has
-pushed and neither cancelled nor seen popped.  Checked at every step:
+inside :class:`~repro.sim.engine.Simulator`, with lazy deletion.  Its
+contract is *exact* pop order, so this harness drives a real Simulator with
+scripted and randomized, seeded operation streams — ``call_at`` and
+``schedule`` pushes, handle cancels, ``run_until`` pops — and checks every
+pop against the
+sorted live ``(time, seq)`` set: what the script has pushed and neither
+cancelled nor seen fire.  Checked at every step:
 
 * pops in exact (time, seq) order, including same-timestamp ties;
-* lazy-deleted (cancelled) entries never surface as live pops;
+* lazy-deleted (cancelled) entries never fire;
 * cancel-after-fire is harmless;
-* pushes *behind* the last pop (the white-box replay-test path) still pop,
+* pushes *behind* the clock (the white-box replay-test path) still pop,
   and in the right order;
 * live and queued counts agree after every operation, including across
   compaction;
-* every event cancelled while queued leaves exactly once: popped as
-  cancelled, or handed to ``on_swept`` by a compaction.
+* every event cancelled while queued leaves exactly once — popped as
+  cancelled, or swept by a compaction — and each departure is reported to
+  the pool sanitizer, which is how PoolSan sees a swept record retire.
 """
 
 import random
+from heapq import heappush
 
-from repro.sim.engine import EventQueue, _Event
+from repro.sim.engine import EventHandle, Simulator, _Event
+
+
+class _ReleaseLog:
+    """A stand-in pool sanitizer: records every event retirement."""
+
+    def __init__(self):
+        self.released = []      # (seq, cancelled) per retired record
+
+    def bind_sim(self, sim):
+        pass
+
+    def acquire_event(self, event):
+        pass
+
+    def reacquire_event(self, event):
+        pass
+
+    def release_event(self, event, *, recycled):
+        self.released.append((event.seq, event.cancelled))
 
 
 class _Harness:
     def __init__(self, seed):
         self.rng = random.Random(seed)
-        self.swept = []
-        self.queue = EventQueue(on_swept=self.swept.append)
-        self.seq = 0
-        self.now = 0
-        self.live = {}        # (time, seq) -> event, queued and not cancelled
-        self.cancelled = []   # events cancelled while queued
-        self.skipped = []     # cancelled events popped (lazy deletion)
-        self.popped = []      # events popped live, for cancel-after-fire
+        self.log = _ReleaseLog()
+        self.sim = Simulator(seed=seed, sanitizer=self.log)
+        self.seq = 0          # the engine's next sequence number
+        self.live = {}        # (time, seq) -> handle (None: schedule()d)
+        self.cancelled = []   # seqs cancelled while queued
+        self.fired = []       # (time, seq) in firing order
+        self.popped = []      # handles that fired, for cancel-after-fire
 
-    def push(self, time):
-        event = _Event(time, self.seq)
+    def _callback(self, key):
+        return lambda: self.fired.append(key)
+
+    def push(self, time, *, handle=True):
+        """Queue an event at ``time``: by ``call_at`` (or, with no
+        ``handle``, ``schedule``), or behind the clock by hand."""
+        sim = self.sim
+        key = (time, self.seq)
         self.seq += 1
-        self.queue.push(event)
-        self.live[(time, event.seq)] = event
-        return event
+        callback = self._callback(key)
+        if time < sim.now:
+            # Smuggle the entry past call_at's guard.
+            event = _Event(time, next(sim._seq), callback)
+            heappush(sim._event_heap, (time, event.seq, event))
+            queued = EventHandle(event, sim)
+        elif handle:
+            queued = sim.call_at(time, callback)
+        else:
+            sim.schedule(time - sim.now, callback)
+            queued = None
+        assert queued is None or queued._event.seq == key[1]
+        self.live[key] = queued
+        return queued
 
-    def cancel(self, event):
+    def cancel(self, handle):
         """What ``EventHandle.cancel`` does to a still-queued event."""
-        event.cancelled = True
+        event = handle._event
         del self.live[(event.time, event.seq)]
-        self.cancelled.append(event)
-        self.queue.note_cancel()
+        self.cancelled.append(event.seq)
+        handle.cancel()
         self.check_counts()
 
     def cancel_random_queued(self):
-        if self.live:
-            self.cancel(self.rng.choice(list(self.live.values())))
+        handles = [handle for handle in self.live.values() if handle]
+        if handles:
+            self.cancel(self.rng.choice(handles))
 
     def cancel_random_fired(self):
-        """Cancel-after-fire: a stale handle on an already-popped event.
+        """Cancel-after-fire: a stale handle on an already-fired event.
 
-        The engine's EventHandle guards this with a generation check; at
-        queue level the equivalent is simply that no queue accounting is
-        touched.  Flagging the popped records must not disturb anything.
+        The handle's generation no longer matches its (recycled) record, so
+        nothing at all may change.
         """
         if self.popped:
-            self.rng.choice(self.popped).cancelled = True
+            self.rng.choice(self.popped).cancel()
             self.check_counts()
 
     def pop_until(self, limit):
-        """Pop to ``limit``; the live pops must be the sorted live set."""
+        """Run to ``limit``; what fires must be the sorted live set."""
         expected = sorted(key for key in self.live if key[0] <= limit)
-        out = []
-        while True:
-            event = self.queue.pop_due(limit)
-            if event is None:
-                break
-            if event.cancelled:
-                self.skipped.append(event)   # Simulator._drain recycles it
-                continue
-            key = (event.time, event.seq)
-            del self.live[key]
-            self.popped.append(event)
-            out.append(key)
+        start = len(self.fired)
+        self.sim.run_until(max(limit, self.sim.now))
+        out = self.fired[start:]
+        for key in out:
+            handle = self.live.pop(key)
+            if handle:
+                self.popped.append(handle)
         assert out == expected
-        if out:
-            self.now = out[-1][0]
         self.check_counts()
         return out
 
     def check_counts(self):
-        assert self.queue.live == len(self.live)
-        left = {e.seq for e in self.swept} | {e.seq for e in self.skipped}
-        assert len(left) == len(self.swept) + len(self.skipped), (
+        sim = self.sim
+        assert sim.pending() == len(self.live)
+        gone = [seq for seq, cancelled in self.log.released if cancelled]
+        assert len(set(gone)) == len(gone), (
             "a cancelled event left the queue twice")
-        queued = [e for e in self.cancelled if e.seq not in left]
-        assert len(self.queue) == len(self.live) + len(queued)
+        assert set(gone) <= set(self.cancelled)
+        queued = len(self.cancelled) - len(gone)
+        assert sim.queue_depth == len(sim._event_heap) == \
+            len(self.live) + queued
 
 
 def _run_random_schedule(seed, steps):
@@ -102,20 +138,21 @@ def _run_random_schedule(seed, steps):
         if op < 0.55:
             # Mostly future pushes; deliberately coarse times so exact
             # (time, seq) ties occur all the time.
-            h.push(h.now + rng.randrange(0, 2000, 100))
-        elif op < 0.65 and h.now > 0:
-            # Push behind the last pop (white-box path).
-            h.push(rng.randrange(0, h.now))
+            h.push(h.sim.now + rng.randrange(0, 2000, 100),
+                   handle=rng.random() < 0.6)
+        elif op < 0.65 and h.sim.now > 0:
+            # Push behind the clock (white-box path).
+            h.push(rng.randrange(0, h.sim.now))
         elif op < 0.80:
             h.cancel_random_queued()
         elif op < 0.85:
             h.cancel_random_fired()
         else:
-            h.pop_until(h.now + rng.randrange(0, 3000, 250))
-    h.pop_until(1 << 62)  # drain
-    assert len(h.queue) == 0 and not h.live
-    assert sorted(e.seq for e in h.swept + h.skipped) == \
-        sorted(e.seq for e in h.cancelled)
+            h.pop_until(h.sim.now + rng.randrange(0, 3000, 250))
+    h.pop_until(1 << 61)  # drain
+    assert h.sim.queue_depth == 0 and not h.live
+    assert sorted(seq for seq, cancelled in h.log.released if cancelled) \
+        == sorted(h.cancelled)
 
 
 def test_randomized_schedules_match_sorted_live_set():
@@ -125,8 +162,8 @@ def test_randomized_schedules_match_sorted_live_set():
 
 def test_same_timestamp_ties_pop_in_seq_order():
     h = _Harness(0)
-    for _ in range(50):
-        h.push(1000)
+    for n in range(50):
+        h.push(1000, handle=n % 3 != 0)
     assert h.pop_until(1000) == [(1000, seq) for seq in range(50)]
 
 
@@ -135,38 +172,43 @@ def test_cancel_after_fire_touches_no_accounting():
     first = h.push(100)
     h.push(200)
     assert h.pop_until(100) == [(100, 0)]
-    first.cancelled = True          # the stale handle's flag, nothing more
+    first.cancel()                  # stale: its record was retired
     h.check_counts()
     h.push(150)
-    assert h.pop_until(1 << 62) == [(150, 2), (200, 1)]
+    assert h.pop_until(1 << 61) == [(150, 2), (200, 1)]
 
 
 def test_mass_cancel_triggers_compaction_and_order_survives():
     h = _Harness(1)
-    events = [h.push(t) for t in range(0, 20000, 7)]
+    handles = [h.push(t) for t in range(0, 20000, 7)]
     # Cancel enough to trip the compaction threshold (>64 and > live).
-    for event in events[: (3 * len(events)) // 4]:
-        h.cancel(event)
-    # A sweep ran and physically dropped entries.
-    assert h.swept
-    assert len(h.queue) < len(events)
-    survivors = h.pop_until(1 << 62)
-    assert survivors == [(e.time, e.seq) for e in events if not e.cancelled]
+    for handle in handles[: (3 * len(handles)) // 4]:
+        h.cancel(handle)
+    # A sweep ran and physically dropped entries, retiring each.
+    assert h.log.released
+    assert h.sim.queue_depth < len(handles)
+    survivors = h.pop_until(1 << 61)
+    assert survivors == [(t, seq) for seq, t in enumerate(range(0, 20000, 7))
+                         if seq >= (3 * len(handles)) // 4]
 
 
-def test_compaction_hands_every_swept_event_to_on_swept():
+def test_compaction_retires_every_swept_event():
     h = _Harness(4)
-    events = [h.push(t) for t in range(200)]
-    doomed = events[::2] + [events[1]]
-    for event in doomed[:-1]:
-        h.cancel(event)
-    assert not h.swept                  # 100 cancelled, 100 live: no sweep
-    h.cancel(doomed[-1])                # 101 > 99: the sweep runs
-    assert sorted(e.seq for e in h.swept) == sorted(e.seq for e in doomed)
-    assert len(h.queue) == h.queue.live == 99
-    assert h.pop_until(1 << 62) == [(e.time, e.seq) for e in events
-                                      if not e.cancelled]
-    assert not h.skipped
+    handles = [h.push(t) for t in range(200)]
+    doomed = handles[::2] + [handles[1]]
+    for handle in doomed[:-1]:
+        h.cancel(handle)
+    assert not h.log.released          # 100 cancelled, 100 live: no sweep
+    h.cancel(doomed[-1])               # 101 > 99: the sweep runs
+    swept = sorted(seq for seq, _ in h.log.released)
+    assert swept == sorted(handle._event.seq for handle in doomed)
+    assert h.sim.queue_depth == h.sim.pending() == 99
+    released = len(h.log.released)
+    expected = sorted(h.live)
+    assert h.pop_until(1 << 61) == expected
+    # Only live pops were retired after the sweep: nothing cancelled was
+    # left in the heap to pop.
+    assert all(not cancelled for _, cancelled in h.log.released[released:])
 
 
 def test_interleaved_past_and_future_pushes_keep_exact_order():
@@ -177,6 +219,6 @@ def test_interleaved_past_and_future_pushes_keep_exact_order():
     # These land before the queued 5000...
     h.push(300)
     h.push(300)
-    # ...and this one behind the last pop is fine too:
+    # ...and this one behind the clock is fine too:
     h.push(50)
-    assert h.pop_until(1 << 62) == [(50, 4), (300, 2), (300, 3), (5000, 0)]
+    assert h.pop_until(1 << 61) == [(50, 4), (300, 2), (300, 3), (5000, 0)]
