@@ -49,7 +49,7 @@ RULES: dict[str, Rule] = {r.code: r for r in (
          "network and must not be mutated after send"),
     Rule("DET007",
          "pooled object escapes its handler scope",
-         "pooled packets/CQEs are poisoned and recycled after release — "
+         "pooled packets are poisoned and recycled after release — "
          "copy the fields you keep, or retain deliberately and document "
          "it with a disable comment"),
     Rule("DET008",

@@ -52,9 +52,9 @@ MUTABLE_FACTORIES = frozenset({
 
 # Parameter annotations that mean "this object belongs to a pool and is
 # recycled once the handler returns".
-POOLED_PARAM_TYPES = frozenset({"Packet", "RoCEPacket", "TCPPacket", "Cqe"})
+POOLED_PARAM_TYPES = frozenset({"Packet", "RoCEPacket", "TCPPacket"})
 # Calls whose result is a pool loan rather than an owned object.
-POOLED_ACQUIRE_METHODS = frozenset({"acquire_roce", "_acquire_cqe"})
+POOLED_ACQUIRE_METHODS = frozenset({"acquire_roce"})
 
 # -- DET008: wire-form mutation -----------------------------------------------
 
@@ -82,8 +82,6 @@ POOL_INTERNAL_ATTRS = {
     "_event_free": "repro/sim/engine.py",
     "_event_pool_size": "repro/sim/engine.py",
     "_event_heap": "repro/sim/engine.py",
-    "_cqe_free": "repro/host/rnic.py",
-    "_cqe_pool_limit": "repro/host/rnic.py",
     "_transit_free": "repro/net/fabric.py",
     "_transit_pool_limit": "repro/net/fabric.py",
 }
@@ -148,8 +146,8 @@ def _scope_nodes(body: list[ast.stmt]) -> Iterator[ast.AST]:
 def _pooled_annotation(annotation: ast.AST) -> bool:
     """The annotation's top-level type is a pooled class.
 
-    ``Packet``, ``"RoCEPacket"``, and ``Optional[Cqe]`` all qualify; a
-    ``Callable[[Cqe], None]`` callback or ``list[Packet]`` batch does
+    ``Packet``, ``"RoCEPacket"``, and ``Optional[TCPPacket]`` all qualify;
+    a ``Callable[[Packet], None]`` callback or ``list[Packet]`` batch does
     not — only a parameter that *is* the loan carries taint.
     """
     text = ast.unparse(annotation).strip().strip("\"'").strip()

@@ -1,7 +1,7 @@
 """PoolSan: an opt-in lifetime sanitizer for pooled simulation objects.
 
-The sim-core fast path (DESIGN.md §10) recycles ``RoCEPacket``, ``Cqe``,
-``_Event``, and ``_Transit`` storage through bounded free lists.  Pooling
+The sim-core fast path (DESIGN.md §10) recycles ``RoCEPacket``, ``_Event``,
+and ``_Transit`` storage through bounded free lists.  Pooling
 buys speed but imports the bug class C networking stacks fight with
 ASan: use-after-release, double-release, and leaks.  Today the only
 thing standing between such a bug and a silently-wrong verdict is a
@@ -49,7 +49,6 @@ from repro.analysis.findings import Finding
 from repro.sim.units import SECOND
 
 if TYPE_CHECKING:  # imported for annotations only; avoids import cycles
-    from repro.host.rnic import Cqe
     from repro.net.packet import RoCEPacket
     from repro.sim.engine import Simulator, _Event
 
@@ -63,7 +62,7 @@ POISON_STR = "<poolsan-poisoned>"
 POISON_KEY = "__poolsan__"
 
 #: The tracked pools, in reporting order.
-POOL_KINDS = ("packet", "cqe", "event", "transit")
+POOL_KINDS = ("packet", "event", "transit")
 
 
 class PoolSanitizerError(RuntimeError):
@@ -126,7 +125,7 @@ class PoolSanitizer:
     """Lifetime tracker wired into every pool by ``sanitize=True``.
 
     One sanitizer instance serves one :class:`~repro.cluster.Cluster`
-    (all four pools share the acquisition sequence, so reports interleave
+    (all three pools share the acquisition sequence, so reports interleave
     meaningfully).  All hooks are no-ops in terms of simulation state.
     """
 
@@ -298,26 +297,6 @@ class PoolSanitizer:
             record.retain_reason = reason
             self.retained["packet"] += 1
 
-    # -- CQEs --------------------------------------------------------------
-
-    def acquire_cqe(self, cqe: "Cqe") -> None:
-        self._register("cqe", cqe, self._site())
-
-    def reacquire_cqe(self, cqe: "Cqe") -> None:
-        site = self._site()
-        freed = self._pop_freed("cqe", cqe)
-        if freed is None:
-            self._register("cqe", cqe, site)
-            return
-        damaged = _verify_cqe(cqe, freed.token)
-        self._reacquire("cqe", cqe, site, damaged,
-                        freed.release_site, freed.acquire_site)
-
-    def release_cqe(self, cqe: "Cqe", *, recycled: bool) -> None:
-        token = self._note_release("cqe", cqe, self._site(), recycled)
-        if token is not None:
-            _poison_cqe(cqe, token)
-
     # -- engine events -----------------------------------------------------
 
     def acquire_event(self, event: "_Event") -> None:
@@ -385,7 +364,7 @@ class PoolSanitizer:
     def leaks(self) -> list[Finding]:
         """Current leak findings (SAN003), in acquisition order.
 
-        Packets/CQEs/transits: live, un-retained, and older than
+        Packets/transits: live, un-retained, and older than
         ``leak_age_ns`` of sim time (younger objects are presumed in
         flight).  Events: exact — every outstanding record must still be
         in the event queue, in-flight age notwithstanding.  Transits:
@@ -395,7 +374,7 @@ class PoolSanitizer:
         """
         now = self._now()
         out: list[Finding] = []
-        for kind in ("packet", "cqe", "transit"):
+        for kind in ("packet", "transit"):
             for record in sorted(self._live[kind].values(),
                                  key=lambda r: r.seq):
                 if record.retained:
@@ -457,8 +436,8 @@ def _leak_finding(kind: str, record: _Live, age: int) -> Finding:
 # -- per-kind poison/verify ----------------------------------------------------
 #
 # Every field poisoned here is reassigned by the corresponding pool's
-# reuse path (PacketPool.acquire_roce, Rnic._acquire_cqe, the engine's
-# call_at/schedule, Fabric.inject/_demote_in_flight) — that pairing is what keeps
+# reuse path (PacketPool.acquire_roce, the engine's call_at/schedule,
+# Fabric.inject/_demote_in_flight) — that pairing is what keeps
 # sanitized digests byte-identical.  Verify functions return the names of
 # fields whose sentinel was clobbered between release and reacquire.
 
@@ -492,38 +471,6 @@ def _verify_packet(packet: "RoCEPacket", token: int) -> list[str]:
     for name in ("src_gid", "dst_gid"):
         if getattr(packet, name) != POISON_STR:
             damaged.append(name)
-    return damaged
-
-
-def _poison_cqe(cqe: "Cqe", token: int) -> None:
-    cqe.kind = None
-    cqe.qpn = POISON_INT
-    cqe.wr_id = POISON_INT
-    cqe.rnic_timestamp_ns = POISON_INT   # stale RTT math goes negative
-    cqe.payload.clear()
-    cqe.payload[POISON_KEY] = token
-    cqe.src_ip = POISON_STR
-    cqe.src_gid = POISON_STR
-    cqe.src_qpn = POISON_INT
-    cqe.src_port = POISON_INT
-    cqe.opcode = None
-
-
-def _verify_cqe(cqe: "Cqe", token: int) -> list[str]:
-    damaged = []
-    if cqe.kind is not None:
-        damaged.append("kind")
-    for name in ("qpn", "wr_id", "rnic_timestamp_ns", "src_qpn",
-                 "src_port"):
-        if getattr(cqe, name) != POISON_INT:
-            damaged.append(name)
-    if cqe.payload != {POISON_KEY: token}:
-        damaged.append("payload")
-    for name in ("src_ip", "src_gid"):
-        if getattr(cqe, name) != POISON_STR:
-            damaged.append(name)
-    if cqe.opcode is not None:
-        damaged.append("opcode")
     return damaged
 
 

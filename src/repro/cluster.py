@@ -129,7 +129,7 @@ class Cluster:
         self.plan = plan
         self.topology: Topology = plan.topology
         # Opt-in pool lifetime sanitizer (PoolSan, DESIGN.md §12): one
-        # instance shared by the event, packet, transit, and CQE pools.
+        # instance shared by the event, packet and transit pools.
         # Imported lazily — repro.analysis.runtime imports this module.
         self.sanitizer = None
         if sanitize:
@@ -175,10 +175,10 @@ class Cluster:
              sanitize: bool = False) -> "Cluster":
         """Build a 3-tier Clos cluster.
 
-        ``sanitize=True`` wraps every pool (events, packets, transits,
-        CQEs) in the PoolSan lifetime sanitizer; behaviour must be
-        byte-identical either way, which ``tests/analysis/test_sanitize.py``
-        asserts via replay digests.
+        ``sanitize=True`` wraps every pool (events, packets, transits) in
+        the PoolSan lifetime sanitizer; behaviour must be byte-identical
+        either way, which ``tests/analysis/test_sanitize.py`` asserts via
+        replay digests.
         """
         sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)

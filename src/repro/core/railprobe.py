@@ -21,7 +21,7 @@ from functools import partial
 from typing import Optional
 
 from repro.cluster import Cluster
-from repro.host.rnic import Cqe, LocalSendError, QPType, QueuePair
+from repro.host.rnic import LocalSendError, QPType, QueuePair
 from repro.net.addresses import roce_five_tuple
 from repro.sim.engine import EventHandle
 from repro.sim.stats import PercentileTracker
@@ -74,9 +74,8 @@ class RailProber:
         self._baselines: dict[tuple[str, str], PercentileTracker] = {}
         for rnic in host.rnics:
             self._qps[rnic.name] = host.verbs.create_qp(
-                rnic, QPType.UD,
-                on_cqe=partial(self._on_cqe, rnic.name),
-                on_sent=self._on_sent)
+                rnic, QPType.UD, on_sent=self._on_sent,
+                on_recv=self._on_recv)
 
     # -- probing -------------------------------------------------------------
 
@@ -129,27 +128,20 @@ class RailProber:
         """Send completion of ``pending``'s probe: ② on the prober clock."""
         pending.t_send = timestamp
 
-    def _on_cqe(self, rnic_name: str, cqe: Cqe) -> None:
-        # Everything _handle_cqe keeps is copied (timestamps into the
-        # pending record, plain ints into OneWayResult), so the CQE can
-        # go straight back to its RNIC's pool — without this, every rail
-        # probe's CQE stayed live forever (PoolSan SAN003 leak finding).
-        try:
-            self._handle_cqe(cqe)
-        finally:
-            self.host.rnic_by_name(rnic_name).release_cqe(cqe)
-
-    def _handle_cqe(self, cqe: Cqe) -> None:
-        if cqe.payload.get("t") != "rail":
+    def _on_recv(self, payload: dict, timestamp: int, src_ip: str,
+                 src_gid: str, src_qpn: int, src_port: int) -> None:
+        """Receive completion on the responder clock; ``payload`` is the
+        delivered packet's, so only plain values are kept."""
+        if payload.get("t") != "rail":
             return
-        pending = self._pending.pop(cqe.payload["seq"], None)
+        pending = self._pending.pop(payload["seq"], None)
         if pending is None:
             return
         if pending.timeout_handle is not None:
             pending.timeout_handle.cancel()
         raw = None
         if pending.t_send is not None:
-            raw = cqe.rnic_timestamp_ns - pending.t_send
+            raw = timestamp - pending.t_send
             self._baselines.setdefault(
                 (pending.src_rnic, pending.dst_rnic),
                 PercentileTracker()).add(float(raw))

@@ -100,7 +100,8 @@ class Cqe:
     """A completion queue event.
 
     ``rnic_timestamp_ns`` is taken on this RNIC's own clock — the only
-    timestamps commodity RNICs provide (§3.1).
+    timestamps commodity RNICs provide (§3.1).  Plain data, built only for
+    a registered ``on_cqe``, which owns it and may keep it.
     """
 
     kind: CqeKind
@@ -181,7 +182,7 @@ class Rnic:
     def __init__(self, name: str, ip: str, sim: Simulator, fabric: Fabric,
                  clock: Clock, rng: RngStream, *,
                  link_gbps: float = 400.0, pcie_gbps: float = 512.0,
-                 qpc_cache_slots: int = 256, sanitizer=None):
+                 qpc_cache_slots: int = 256):
         self.name = name
         self.ip = ip
         self.sim = sim
@@ -218,12 +219,6 @@ class Rnic:
         self._pending_rc_sends: dict[int, deque[int]] = {}
         # Hot-path memo: probe 5-tuples repeat per (peer, src_port).
         self._five_tuple_memo: dict[tuple[str, int], FiveTuple] = {}
-        # CQE free list (bounded).
-        self._cqe_free: list[Cqe] = []
-        self._cqe_pool_limit = 64
-        # Pool sanitizer: explicit kwarg wins, else inherited from the
-        # fabric.
-        self._san = sanitizer if sanitizer is not None else fabric.sanitizer
         # Host TCP stack hook (Pingmesh baseline, checkpoint traffic).
         self.tcp_handler: Optional[
             Callable[[Packet, DeliveryRecord], None]] = None
@@ -486,9 +481,8 @@ class Rnic:
                 self._trace_cqe(packet.payload, _SEND, timestamp)
             if qp.on_sent is not None:
                 qp.on_sent(qp, context, timestamp, at_ns)
-            else:
-                self._emit_cqe(qp, self._acquire_cqe(
-                    _SEND, qp.qpn, wr_id, timestamp))
+            elif qp.on_cqe is not None:
+                qp.on_cqe(Cqe(_SEND, qp.qpn, wr_id, timestamp))
         if corrupted:
             self.fabric.packet_pool.release(packet)
 
@@ -510,48 +504,6 @@ class Rnic:
         if mark is not None:
             fields["mark"] = mark
         self.tracer.event(payload["seq"], self.sim.now, name, **fields)
-
-    def _emit_cqe(self, qp: QueuePair, cqe: Cqe) -> None:
-        if qp.on_cqe is not None:
-            qp.on_cqe(cqe)
-
-    def _acquire_cqe(self, kind: CqeKind, qpn: int, wr_id: int,
-                     rnic_timestamp_ns: int) -> Cqe:
-        """A CQE with these fields set and every RECV field reset.
-
-        Recycling is consumer-driven: a CQE is reused only after its
-        ``on_cqe`` handler hands it back via :meth:`release_cqe`.  Handlers
-        that never release (tests, experiments) keep plain allocation and
-        may retain the CQE forever.
-        """
-        if self._cqe_free:
-            cqe = self._cqe_free.pop()
-            if self._san is not None:
-                self._san.reacquire_cqe(cqe)
-            cqe.kind = kind
-            cqe.qpn = qpn
-            cqe.wr_id = wr_id
-            cqe.rnic_timestamp_ns = rnic_timestamp_ns
-            cqe.payload.clear()
-            cqe.src_ip = ""
-            cqe.src_gid = ""
-            cqe.src_qpn = 0
-            cqe.src_port = 0
-            cqe.opcode = None
-            return cqe
-        cqe = Cqe(kind=kind, qpn=qpn, wr_id=wr_id,
-                  rnic_timestamp_ns=rnic_timestamp_ns)
-        if self._san is not None:
-            self._san.acquire_cqe(cqe)
-        return cqe
-
-    def release_cqe(self, cqe: Cqe) -> None:
-        """Hand a fully-consumed CQE back for reuse (copy fields first)."""
-        recycled = len(self._cqe_free) < self._cqe_pool_limit
-        if self._san is not None:
-            self._san.release_cqe(cqe, recycled=recycled)
-        if recycled:
-            self._cqe_free.append(cqe)
 
     # -- receive path ---------------------------------------------------------
 
@@ -614,16 +566,13 @@ class Rnic:
             qp.on_recv(packet.payload, timestamp, five_tuple.src_ip,
                        packet.src_gid, packet.src_qpn, five_tuple.src_port)
             return
-        cqe = self._acquire_cqe(
-            _RECV, qp.qpn, next(self._wr_ids), timestamp)
-        cqe.payload.update(packet.payload)
-        cqe.src_ip = packet.five_tuple.src_ip
-        cqe.src_gid = packet.src_gid
-        cqe.src_qpn = packet.src_qpn
-        cqe.src_port = packet.five_tuple.src_port
-        cqe.opcode = packet.opcode
+        wr_id = next(self._wr_ids)
         if qp.on_cqe is not None:
-            qp.on_cqe(cqe)
+            five_tuple = packet.five_tuple
+            qp.on_cqe(Cqe(_RECV, qp.qpn, wr_id, timestamp,
+                          dict(packet.payload), five_tuple.src_ip,
+                          packet.src_gid, packet.src_qpn,
+                          five_tuple.src_port, packet.opcode))
 
     _EMPTY_PAYLOAD: dict[str, Any] = {}
 
@@ -650,5 +599,6 @@ class Rnic:
         wr_id = pending.popleft()
         # RC send CQE timestamp is ACK-arrival time, NOT wire departure —
         # this is exactly why RC cannot provide timestamps ②/④ (Table 1).
-        self._emit_cqe(qp, self._acquire_cqe(
-            CqeKind.SEND, qp.qpn, wr_id, self.clock.read(self.sim.now)))
+        if qp.on_cqe is not None:
+            qp.on_cqe(Cqe(_SEND, qp.qpn, wr_id,
+                          self.clock.read(self.sim.now)))

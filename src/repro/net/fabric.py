@@ -48,6 +48,8 @@ from repro.sim.rng import RngStream
 # A plan longer than this is a routing loop; the walker re-plans at its end
 # and the packet's TTL ends the loop.
 MAX_PLANNED_HOPS = 64
+# Released packets the packet pool keeps for reuse.
+PACKET_POOL_LIMIT = 4096
 
 
 class DropReason(Enum):
@@ -210,19 +212,19 @@ class Fabric:
     """Forwards packets over a :class:`Topology` inside a simulation."""
 
     def __init__(self, sim: Simulator, topology: Topology, rng: RngStream,
-                 *, packet_pool_size: int = 4096, sanitizer=None):
+                 *, sanitizer=None):
         self.sim = sim
         self.topology = topology
         self.rng = rng
         # Opt-in pool sanitizer (repro.analysis.sanitize); shared with the
-        # packet pool here and inherited by every attached Rnic.
+        # packet pool.
         self.sanitizer = sanitizer
         # InfiniBand-style Adaptive Routing (paper §7.5): every packet may
         # take any parallel path, independent of its 5-tuple.  Probing
         # still detects problems, but traced paths stop matching the
         # packets that died — the stated localisation limitation.
         self._adaptive_routing = False
-        self.packet_pool = PacketPool(limit=packet_pool_size,
+        self.packet_pool = PacketPool(limit=PACKET_POOL_LIMIT,
                                       sanitizer=sanitizer)
         # Complete plans per 5-tuple, valid for one Topology.route_epoch.
         self._path_cache: dict = {}

@@ -164,6 +164,8 @@ class _Flapping(Fault):
                  period_ns: int = 400 * MILLISECOND,
                  down_fraction: float = 0.5):
         super().__init__(cluster, locus)
+        if not period_ns > 0:   # a zero period would toggle every 1 ns
+            raise ValueError("period_ns must be positive")
         if not 0.0 < down_fraction < 1.0:
             raise ValueError("down_fraction must be in (0, 1)")
         self.period_ns = period_ns
@@ -255,6 +257,8 @@ class RnicCorruption(Fault):
     def __init__(self, cluster: Cluster, rnic_name: str, *,
                  drop_prob: float = 0.05):
         super().__init__(cluster, rnic_name)
+        if not 0.0 < drop_prob <= 1.0:
+            raise ValueError("drop_prob must be in (0, 1]")
         rnic = cluster.rnic(rnic_name)
         self.held = [(rnic, "rx_corruption_prob", drop_prob),
                      (rnic, "tx_corruption_prob", drop_prob)]
@@ -434,6 +438,8 @@ class CpuOverload(Fault):
     def __init__(self, cluster: Cluster, host_name: str, *,
                  load: float = 0.96):
         super().__init__(cluster, host_name)
+        if not 0.0 < load <= 1.0:
+            raise ValueError("load must be in (0, 1]")
         self.held = [(cluster.hosts[host_name], "cpu_load", load)]
 
 

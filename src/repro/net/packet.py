@@ -96,8 +96,8 @@ class PacketPool:
     Ownership contract (DESIGN.md §10):
 
     * a packet acquired here belongs to the fabric until its delivery
-      callback returns — receivers must copy anything they keep (RNICs
-      snapshot payload/5-tuple fields into CQEs, so they already do);
+      callback returns — receivers must copy anything they keep (an RNIC
+      copies fields into any ``Cqe`` it builds; ``on_recv`` consumers copy);
     * *delivered* packets are released back to the pool;
     * *dropped* packets are never released — :class:`~repro.net.fabric.
       DropRecord` retains them, and recycling would rewrite drop evidence;

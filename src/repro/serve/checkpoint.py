@@ -44,7 +44,9 @@ results, not grouped into the ``TimeoutFlow``s close now settles; format 11
 files hold a ``Simulator`` with an ``EventQueue`` of its own and a ``now``
 property, ``FiveTuple`` dataclasses, Agent QPs taking receive ``Cqe``s and
 links, RNICs and clocks without the per-size delays and drift scale the
-flattened probe path reads.  (The
+flattened probe path reads; format 12 files hold RNICs with a ``Cqe`` free
+list and a sanitizer reference, and rail probers taking receive ``Cqe``s,
+which the RNIC no longer pools.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -66,7 +68,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 12
+FORMAT = 13
 
 
 class CheckpointError(RuntimeError):

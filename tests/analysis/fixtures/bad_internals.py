@@ -9,8 +9,8 @@ def peek_engine(sim) -> int:
     return len(sim._event_free) + len(sim._event_heap)  # DET009 x2
 
 
-def drain_cqes(rnic) -> None:
-    rnic._cqe_free.clear()  # DET009
+def drain_transits(fabric) -> None:
+    fabric._transit_free.clear()  # DET009
 
 
 class Wrapper:

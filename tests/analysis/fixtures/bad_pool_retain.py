@@ -5,8 +5,8 @@ class Handler:
     def on_packet(self, packet: "RoCEPacket") -> None:
         self.last_packet = packet  # DET007: attribute store
 
-    def on_cqe(self, cqe: Cqe) -> None:
-        self.history.append(cqe)  # DET007: accumulated into attribute
+    def on_segment(self, segment: TCPPacket) -> None:
+        self.history.append(segment)  # DET007: accumulated into attribute
 
     def wrap_and_keep(self, packet: Packet) -> None:
         record = DropRecord(1, packet)
@@ -16,8 +16,8 @@ class Handler:
         packet = self.pool.acquire_roce(ft, 64)
         self.pending[ft] = packet  # DET007: stored into container
 
-    def copies_are_fine(self, cqe: Cqe) -> None:
-        self.timestamps.append(cqe.rnic_timestamp_ns)  # field copy: ok
+    def copies_are_fine(self, packet: RoCEPacket) -> None:
+        self.timestamps.append(packet.sent_at_ns)  # field copy: ok
 
     def local_batch_is_fine(self, packet: Packet) -> None:
         batch = []

@@ -71,7 +71,7 @@ class TestRuleFixtures:
         # finding sits in one of the four escaping methods.
         messages = " ".join(f.message for f in findings)
         assert "'packet'" in messages
-        assert "'cqe'" in messages
+        assert "'segment'" in messages
         assert "'record'" in messages  # taint through the wrapping ctor
 
     def test_det008_wireform_mutation(self, fixtures_dir):
@@ -93,8 +93,8 @@ class TestRuleFixtures:
         source = (fixtures_dir / "bad_internals.py").read_text()
         findings = lint_source("src/repro/sim/engine.py", source)
         codes = codes_of(findings)
-        # The engine-owned attrs are free inside engine.py; the packet /
-        # cqe / fabric internals still flag.
+        # The engine-owned attrs are free inside engine.py; the packet
+        # and fabric internals still flag.
         assert codes == ["DET009"] * 3
 
     def test_clean_fixture_has_no_findings(self, fixtures_dir):

@@ -17,7 +17,6 @@ from repro.analysis import (PoolSanitizer, PoolSanitizerError,
 from repro.analysis.runtime import (GOLDEN_SCENARIOS, SCENARIOS,
                                     run_scenario)
 from repro.cluster import Cluster
-from repro.host.rnic import CqeKind
 from repro.net.addresses import roce_five_tuple
 from repro.net.clos import ClosParams
 from repro.net.packet import PacketPool, RoCEOpcode
@@ -128,26 +127,23 @@ class TestDoubleRelease:
 
 
 class TestLeaks:
-    def test_retained_cqe_is_reported_with_acquire_site(self):
+    def test_retained_packet_is_reported_with_acquire_site(self):
         cluster = Cluster.clos(ClosParams(pods=1, tors_per_pod=1,
                                           aggs_per_pod=1, spines=1,
                                           hosts_per_tor=1),
                                seed=0, sanitize=True)
-        rnic = cluster.all_rnics()[0]
-        cqe = rnic._acquire_cqe(CqeKind.SEND, qpn=7, wr_id=1,
-                                rnic_timestamp_ns=0)
+        pool = cluster.fabric.packet_pool
+        packet = acquire(pool)
         cluster.sim.run_for(2 * SECOND)   # age it past leak_age_ns
-        leaks = [f for f in cluster.sanitizer.leaks()
-                 if f.code == "SAN003" and "cqe" in f.message]
-        (finding,) = leaks
-        assert "leaked pooled cqe" in finding.message
+        (finding,) = cluster.sanitizer.leaks()
+        assert finding.code == "SAN003"
+        assert "leaked pooled packet" in finding.message
         # The acquire site names the caller that took the loan.
         assert "test_sanitize.py" in finding.message
         assert finding.path.endswith("test_sanitize.py")
         # Releasing clears the leak.
-        rnic.release_cqe(cqe)
-        assert [f for f in cluster.sanitizer.leaks()
-                if "cqe" in f.message] == []
+        pool.release(packet)
+        assert cluster.sanitizer.leaks() == []
 
     def test_in_flight_objects_are_not_leaks(self):
         sanitizer = make_sanitizer(leak_age_ns=SECOND)
@@ -272,10 +268,10 @@ class TestMetricsExport:
                        if k.startswith("repro_poolsan_")}
         acquired = {k: v for k, v in pool_series.items()
                     if k.startswith("repro_poolsan_acquired_total")}
-        assert len(acquired) == 4   # packet, cqe, event, transit
+        assert len(acquired) == 3   # packet, event, transit
         assert any(v > 0 for v in acquired.values())
         # acquired == released + live, straight off the snapshot.
-        for kind in ("packet", "cqe", "event", "transit"):
+        for kind in ("packet", "event", "transit"):
             label = f'{{pool="{kind}"}}'
             assert (pool_series[f"repro_poolsan_acquired_total{label}"]
                     == pool_series[f"repro_poolsan_released_total{label}"]

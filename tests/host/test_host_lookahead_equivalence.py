@@ -65,7 +65,7 @@ from repro.cluster import Cluster
 from repro.core.agent import Agent
 from repro.core.config import RPingmeshConfig
 from repro.core.system import RPingmesh
-from repro.host.rnic import (_DEFAULT_OPCODE, TX_PIPELINE_NS, CommInfo,
+from repro.host.rnic import (_DEFAULT_OPCODE, TX_PIPELINE_NS, CommInfo, Cqe,
                              CqeKind, LocalSendError, QPState, QPType, Rnic)
 from repro.net.addresses import roce_five_tuple
 from repro.net.clos import ClosParams
@@ -143,8 +143,8 @@ class _PerEventRnic(Rnic):
         timestamp = self.clock.read(self.sim.now)
         if self.tracer is not None:
             self._trace_cqe(payload, CqeKind.SEND, timestamp)
-        self._emit_cqe(qp, self._acquire_cqe(
-            CqeKind.SEND, qp.qpn, wr_id, timestamp))
+        if qp.on_cqe is not None:
+            qp.on_cqe(Cqe(CqeKind.SEND, qp.qpn, wr_id, timestamp))
 
 
 class _PerEventAgent(Agent):
@@ -203,7 +203,6 @@ class _PerEventAgent(Agent):
                 self._on_ack1(state, cqe.payload, cqe.rnic_timestamp_ns)
             elif kind == "ack2":
                 self._on_ack2(state, cqe.payload)
-        state.rnic.release_cqe(cqe)
 
     def _on_send_cqe(self, state, cqe):
         role = self._roles(state).pop(cqe.wr_id, None)

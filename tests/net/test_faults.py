@@ -55,6 +55,16 @@ class TestFlapping:
             SwitchPortFlapping(tiny_clos, "pod0-tor0", "pod0-agg0",
                                down_fraction=1.5)
 
+    @pytest.mark.parametrize("period_ns", [0, -5, float("nan")])
+    def test_non_positive_period_rejected(self, tiny_clos, period_ns):
+        # Accepted, a zero period toggled the port every nanosecond and
+        # wedged the run.
+        with pytest.raises(ValueError, match="period_ns"):
+            SwitchPortFlapping(tiny_clos, "pod0-tor0", "pod0-agg0",
+                               period_ns=period_ns)
+        with pytest.raises(ValueError, match="period_ns"):
+            RnicFlapping(tiny_clos, "host0-rnic0", period_ns=period_ns)
+
     def test_ground_truth_metadata(self, tiny_clos):
         fault = SwitchPortFlapping(tiny_clos, "pod0-tor0", "pod0-agg0")
         gt = fault.ground_truth
@@ -177,6 +187,23 @@ class TestSimpleFaults:
         # Accepted, they crashed the world at the next probe tick.
         with pytest.raises(ValueError):
             fault_class(tiny_clos, "host0-rnic0", **params)
+
+    @pytest.mark.parametrize("drop_prob", [-1.0, 0.0, 1.5, float("nan")])
+    def test_rnic_corruption_rejects_out_of_range_prob(self, tiny_clos,
+                                                       drop_prob):
+        # Accepted, a negative probability was a fault that did nothing
+        # yet still counted as ground truth.
+        with pytest.raises(ValueError, match="drop_prob"):
+            RnicCorruption(tiny_clos, "host0-rnic0", drop_prob=drop_prob)
+
+    @pytest.mark.parametrize("load", [-1.0, 0.0, 5.0, float("nan")])
+    def test_cpu_overload_rejects_out_of_range_load(self, tiny_clos, load):
+        with pytest.raises(ValueError, match="load"):
+            CpuOverload(tiny_clos, "host0", load=load)
+
+    def test_range_ends_accepted(self, tiny_clos):
+        RnicCorruption(tiny_clos, "host0-rnic0", drop_prob=1.0)
+        CpuOverload(tiny_clos, "host0", load=1.0)
 
     @pytest.mark.parametrize("extra_gbps", [-900.0, -1e-9, float("nan")])
     def test_link_overload_rejects_negative_load(self, tiny_clos, extra_gbps):

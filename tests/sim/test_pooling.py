@@ -1,16 +1,16 @@
 """Pool-reuse correctness: recycled storage must be indistinguishable.
 
-Three pools run under the sim core — ``_Event`` records in the engine,
-``RoCEPacket`` storage in the fabric, and ``Cqe`` records on each RNIC.
-Pooling is purely an allocation strategy: these tests pin the property
-that makes it invisible — no stale state ever leaks through a recycled
-record (payload keys, drop/trace-adjacent annotations, wr_ids, RECV
-metadata) — and that the engine runs the same events at any pool size.
-Whole-system neutrality is PoolSan's (``tests/analysis/test_sanitize.py``)
-and the golden digests'.
+Two pools are pinned here — ``_Event`` records in the engine and
+``RoCEPacket`` storage in the fabric.  Pooling is purely an allocation
+strategy: these tests pin the property that makes it invisible — no stale
+state ever leaks through a recycled record (payload keys,
+drop/trace-adjacent annotations) — and that the engine runs the same
+events at any pool size.  ``Cqe``s are not pooled: an RNIC builds one only
+for a registered ``on_cqe``, which owns it.  Whole-system neutrality is
+PoolSan's (``tests/analysis/test_sanitize.py``) and the golden digests'.
 """
 
-from repro.host.rnic import CqeKind, QPType
+from repro.host.rnic import QPType
 from repro.net.addresses import roce_five_tuple
 from repro.net.packet import PacketPool, RoCEOpcode, RoCEPacket
 from repro.sim.engine import Simulator
@@ -136,32 +136,12 @@ class TestPacketPool:
         assert dropped.payload == {"t": "probe", "seq": 42}
 
 
-# -- CQE pool ----------------------------------------------------------------
+# -- CQEs: not pooled, owned by their handler ---------------------------------
 
 class TestCqePool:
-    def test_recv_fields_never_leak_into_next_cqe(self, tiny_clos):
-        rnic = tiny_clos.rnic("host0-rnic0")
-        recv = rnic._acquire_cqe(CqeKind.RECV, 5, 101, 999)
-        recv.payload.update({"t": "probe", "seq": 1})
-        recv.src_ip = "10.0.0.9"
-        recv.src_gid = "stale-gid"
-        recv.src_qpn = 44
-        recv.src_port = 5009
-        recv.opcode = RoCEOpcode.UD_SEND
-        rnic.release_cqe(recv)
-
-        send = rnic._acquire_cqe(CqeKind.SEND, 6, 102, 1000)
-        assert send is recv, "CQE record should have been recycled"
-        assert send.kind == CqeKind.SEND
-        assert send.qpn == 6 and send.wr_id == 102
-        assert send.rnic_timestamp_ns == 1000
-        assert send.payload == {}
-        assert send.src_ip == "" and send.src_gid == ""
-        assert send.src_qpn == 0 and send.src_port == 0
-        assert send.opcode is None
-
     def test_handlers_that_never_release_keep_their_cqes(self, tiny_clos):
-        """Test/experiment handlers retain CQEs; they must stay immutable."""
+        """Test/experiment handlers retain CQEs; they must stay as
+        delivered while the packets they came from are recycled."""
         a = tiny_clos.rnic("host0-rnic0")
         b = tiny_clos.rnic("host1-rnic0")
         host_a = tiny_clos.host_of_rnic(a.name)
