@@ -8,7 +8,6 @@ plumbing through which both services and the Agent operate.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Optional
 
 from repro.host.clockmodel import random_clock
@@ -18,6 +17,7 @@ from repro.host.rnic import Rnic
 from repro.host.verbs import VerbsContext
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
+from repro.sim.ledger import hooked
 from repro.sim.rng import RngRegistry
 
 
@@ -36,16 +36,17 @@ class Host:
         self.verbs = VerbsContext(sim, self.tracer)
         self.rnics: list[Rnic] = []
 
-    def _write_up(self, value: bool) -> None:
-        for rnic in self.rnics:     # their planned sends read this (§10)
-            rnic.demote_planned()
-        self._up = value
+    def _plans(self) -> list:
+        ledger = self.sim.ledger    # every RNIC's planned sends read up
+        return [(ledger, rnic) for rnic in self.rnics]
+
+    def _resettle(self) -> None:
         for rnic in self.rnics:
             rnic.resettle()
 
     # A plain read (every probe reads it twice); a write resettles the RNICs.
-    up = property(attrgetter("_up"), _write_up,
-                  doc="Whether the host is alive (fault #4 clears this).")
+    up = hooked("_up", _plans, _resettle, every_write=True,
+                doc="Whether the host is alive (fault #4 clears this).")
 
     def add_rnic(self, rnic: Rnic) -> None:
         """Attach an RNIC to this host (sets the back reference)."""

@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.addresses import GID, FiveTuple, roce_five_tuple
@@ -38,6 +37,7 @@ from repro.net.packet import (ROCE_HEADER_BYTES, Packet, RoCEOpcode,
                               RoCEPacket)
 from repro.host.clockmodel import Clock
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.ledger import hooked
 from repro.sim.rng import RngStream
 from repro.sim.units import MICROSECOND, DelayTable
 
@@ -155,29 +155,8 @@ class LocalSendError(Exception):
         self.reason = reason
 
 
-def _hooked(slot: str) -> property:
-    """An attribute planned send steps read: a write takes them back first."""
-    def write(self, value) -> None:
-        self.demote_planned()
-        setattr(self, slot, value)
-        self.resettle()
-    return property(attrgetter(slot), write)
-
-
 class Rnic:
     """One RDMA NIC attached to a topology host port of the same name."""
-
-    host = _hooked("_host")                   # None while unattached
-    pcie_gbps = _hooked("_pcie_gbps")         # fault #13 lowers this
-    gid_index_present = _hooked("_gid_index_present")    # fault #7 clears
-    routing_configured = _hooked("_routing_configured")  # fault #6 clears
-    admin_up = _hooked("_admin_up")           # fault #3 clears this
-    flap_down = _hooked("_flap_down")         # fault #1 toggles this
-    tx_corruption_prob = _hooked("_tx_corruption_prob")  # fault #2, RNIC side
-    # Probe-lifecycle tracer (repro.obs), installed when tracing is on.
-    # CQE-timestamp events for marks ②-⑤ of Figure 4 are emitted here
-    # because only the RNIC knows its own clock's reading.
-    tracer = _hooked("_tracer")
 
     def __init__(self, name: str, ip: str, sim: Simulator, fabric: Fabric,
                  clock: Clock, rng: RngStream, *,
@@ -205,6 +184,7 @@ class Rnic:
         self._tx_corruption_prob = 0.0
         self._tracer = None
         self.resettle()
+        sim.ledger.register(self, self.demote_planned)
 
         self.gid = GID.from_ip(ip)
         self.last_flap_ns = -(1 << 62)    # last flap transition
@@ -248,10 +228,31 @@ class Rnic:
                         and self._gid_index_present and self._tracer is None
                         and self._tx_corruption_prob == 0)
 
+    def _plans(self) -> tuple:
+        return ((self.sim.ledger, self),)
+
+    # What a planned send step read: every write takes the RNIC's planned
+    # steps back first (repro.sim.ledger), even one that changes nothing.
+    # Faults: #13 lowers pcie_gbps, #7 / #6 / #3 clear gid_index_present /
+    # routing_configured / admin_up, #1 toggles flap_down.
+    host = hooked("_host", _plans, resettle, every_write=True)  # or None
+    pcie_gbps = hooked("_pcie_gbps", _plans, resettle, every_write=True)
+    gid_index_present = hooked("_gid_index_present", _plans, resettle,
+                               every_write=True)
+    routing_configured = hooked("_routing_configured", _plans, resettle,
+                                every_write=True)
+    admin_up = hooked("_admin_up", _plans, resettle, every_write=True)
+    flap_down = hooked("_flap_down", _plans, resettle, every_write=True)
+    tx_corruption_prob = hooked("_tx_corruption_prob", _plans, resettle,
+                                every_write=True)       # fault #2, RNIC side
+    # Probe-lifecycle tracer (repro.obs): only the RNIC reads its own clock,
+    # so the CQE-timestamp events for Figure 4's ②-⑤ are emitted here.
+    tracer = hooked("_tracer", _plans, resettle, every_write=True)
+
     def demote_planned(self) -> None:
-        """Take back every planned send not due before now (DESIGN.md §10),
-        on any write to what it read: counters given back, packet withdrawn;
-        a send *posted* ahead of the clock is un-posted (``on_sent`` gets a
+        """Take back every planned send not due before now (the take-back
+        filed under this RNIC): counters given back, packet withdrawn; a
+        send *posted* ahead of the clock is un-posted (``on_sent`` gets a
         ``None`` timestamp), any other departs by event at its instant."""
         steps = self._planned
         if not steps:
@@ -328,7 +329,8 @@ class Rnic:
         A UD/UC consumer that registers ``on_sent`` gets ``on_sent(qp,
         context, rnic_timestamp_ns, at_ns)`` instead of a SEND :class:`Cqe`
         — at post time, ahead of the clock, while the RNIC is ``settled``
-        (never read ``sim.now`` for ``at_ns``; see :meth:`demote_planned`).
+        (never read ``sim.now`` for ``at_ns``; a write to what the send read
+        takes it back first, through :mod:`repro.sim.ledger`).
         With ``on_recv``, ``on_recv(payload, rnic_timestamp_ns, src_ip,
         src_gid, src_qpn, src_port)`` replaces a RECV :class:`Cqe`; the
         payload is the delivered packet's, valid until the call returns.
@@ -355,7 +357,7 @@ class Rnic:
         qp = self._qps.get(qpn)
         if qp is None:
             raise KeyError(f"unknown QPN {qpn} on {self.name}")
-        self.demote_planned()
+        self.sim.ledger.notify(self)
         qp.state = QPState.DESTROYED
         qp.remote = None
 

@@ -22,10 +22,9 @@ packet and the fluid queue cannot move — idle, or loaded with a standing
 queue) can do none of that: its delay is a constant, so the walker adds
 consecutive quiet hops up and schedules a single event at the first hop that
 is not quiet — or at the destination.  Before any write changes what a quiet
-link tells a packet, and on any route change, the lookahead decisions
-in-flight packets have not reached yet are taken back
-(:meth:`Fabric._demote_in_flight`), so a write landing mid-flight is seen at
-exactly the hop a per-hop walk would have seen it.
+link tells a packet, and on any route change, the take-back ledger
+(:mod:`repro.sim.ledger`) runs :meth:`Fabric._demote_in_flight`, so a write
+landing mid-flight is seen at exactly the hop a per-hop walk would see it.
 
 Delivery invokes the receiver registered for the destination host port —
 normally the RNIC model, which applies its own (host-side) fault logic.
@@ -43,6 +42,7 @@ from repro.net.packet import TC_ROCE, Packet, PacketPool
 from repro.net.topology import (SWITCH_FORWARD_LATENCY_NS, DirectedLink,
                                 Topology)
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.ledger import hooked
 from repro.sim.rng import RngStream
 
 # A plan longer than this is a routing loop; the walker re-plans at its end
@@ -261,50 +261,27 @@ class Fabric:
         # Per-fabric packet id source: ids restart at 1 for every cluster
         # so same-process replays see identical ids.
         self._packet_ids = itertools.count(1)
-        topology.on_disturb = self._demote_in_flight
+        topology.ledger = sim.ledger        # the walker plans over it
+        sim.ledger.register(topology, self._demote_in_flight)
         if sanitizer is not None:
             sanitizer.bind_fabric(self)
 
-    # The three switches below change what in-flight lookahead assumed, so
-    # each takes it back before flipping.
+    def _walks(self) -> tuple:
+        return ((self.sim.ledger, self.topology),)
 
-    @property
-    def adaptive_routing(self) -> bool:
-        """Whether per-packet adaptive routing replaces ECMP (§7.5)."""
-        return self._adaptive_routing
+    def _replan_all(self) -> None:
+        # A route change: each packet is re-planned under the new mode from
+        # where it stands, at its next event.
+        self.topology._routes_changed()
 
-    @adaptive_routing.setter
-    def adaptive_routing(self, value: bool) -> None:
-        self._demote_in_flight()
-        self._adaptive_routing = value
-        self._path_cache.clear()
-        # Plans made the other way end where their packets stand, so each
-        # is re-planned under the new mode at its next event.
-        for transit in self._in_flight.values():
-            path = transit.path
-            idx = transit.idx
-            transit.path = _CachedPath(path.nodes[:idx + 1], path.hops[:idx],
-                                       path.ways[:idx], path.route_epoch)
-
-    @property
-    def tracer(self):
-        """The installed probe-lifecycle tracer, or None."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._demote_in_flight()
-        self._tracer = value
-
-    @property
-    def int_collector(self):
-        """The installed in-band telemetry collector, or None."""
-        return self._int_collector
-
-    @int_collector.setter
-    def int_collector(self, value) -> None:
-        self._demote_in_flight()
-        self._int_collector = value
+    adaptive_routing = hooked(
+        "_adaptive_routing", _walks, _replan_all, every_write=True,
+        doc="Whether per-packet adaptive routing replaces ECMP (§7.5).")
+    tracer = hooked("_tracer", _walks, None, every_write=True,
+                    doc="The installed probe-lifecycle tracer, or None.")
+    int_collector = hooked(
+        "_int_collector", _walks, None, every_write=True,
+        doc="The installed in-band telemetry collector, or None.")
 
     # -- wiring ------------------------------------------------------------
 
@@ -549,19 +526,14 @@ class Fabric:
     def _demote_in_flight(self) -> None:
         """Take back every lookahead decision not reached yet.
 
-        Called *before* any write that changes what a quiet hop tells a
-        packet — entry times are recomputed here from link constants, which
-        must still be the ones the plan was made with — by route changes,
-        and by the tracer / collector / adaptive switches.  Each in-flight
-        packet is put back at the first looked-ahead node it has not
-        entered, with an event at its arrival time there, so the hop is
-        evaluated under the written state exactly as a per-hop walk would.
-
-        Tie rule: a write at the very nanosecond a packet enters a
-        looked-ahead hop applies to that hop (write first).  That is what
-        the per-hop walker did for every writer that schedules ahead —
-        fault windows, periodic engines, job phases — because their events
-        are queued long before the hop's.  O(1) when nothing is in flight.
+        The walker's take-back, filed with the ledger under the topology:
+        it runs *before* a write (``repro.sim.ledger``), as entry times are
+        recomputed here from link constants the plan was made with.  Each
+        in-flight packet is put back at the first looked-ahead node it has
+        not entered, with an event at its arrival time there, so the hop is
+        evaluated under the written state exactly as a per-hop walk would
+        (the ledger's tie rule: a hop entered at the write's nanosecond is
+        taken back).  O(1) when nothing is in flight.
         """
         if not self._in_flight:
             return

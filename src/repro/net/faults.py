@@ -164,8 +164,8 @@ class _Flapping(Fault):
                  period_ns: int = 400 * MILLISECOND,
                  down_fraction: float = 0.5):
         super().__init__(cluster, locus)
-        if not period_ns > 0:   # a zero period would toggle every 1 ns
-            raise ValueError("period_ns must be positive")
+        if not period_ns >= MILLISECOND:   # a ns period toggles every ns
+            raise ValueError("period_ns must be at least 1 ms (1000000)")
         if not 0.0 < down_fraction < 1.0:
             raise ValueError("down_fraction must be in (0, 1)")
         self.period_ns = period_ns
@@ -521,6 +521,9 @@ class SilentDrop(Fault):
     def __init__(self, cluster: Cluster, src: str, dst: str, *,
                  match_port_mod: int = 8, match_port_rem: int = 3):
         super().__init__(cluster, f"{src}->{dst}")
+        if not (match_port_mod >= 1 and 0 <= match_port_rem < match_port_mod):
+            raise ValueError("match_port_mod must be >= 1 and match_port_rem "
+                             "in [0, match_port_mod)")
         self.mod = match_port_mod
         self.rem = match_port_rem
         self.held = [(cluster.topology.link(src, dst),

@@ -30,11 +30,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.net.addresses import FiveTuple
+from repro.sim.ledger import Ledger, hooked
 from repro.sim.units import DelayTable
 
 SWITCH_FORWARD_LATENCY_NS = 450  # ASIC pipeline latency per switch hop
@@ -71,39 +70,48 @@ class AclRule:
         return True
 
 
+# The walker's scope (repro.sim.ledger): it looks ahead over quiet links only.
+
+def _walker(link: "DirectedLink") -> tuple:
+    topology = link.pair.topology
+    return ((topology.ledger, topology),) if topology and link.quiet else ()
+
+
+def _walker_over_any(owner) -> tuple:
+    return next((_walker(link) for link in owner.links if link.quiet), ())
+
+
+def _refresh_links(owner) -> None:
+    for link in owner.links:
+        link._refresh_quiet()
+
+
 class Acl:
     """Per-switch access control list (default: permit everything)."""
 
-    def __init__(self) -> None:
-        self._deny_rules: list[AclRule] = []
-        # Topology hook (set by add_node): rule edits take lookahead back
-        # and re-derive the quiet flag of every link into this switch.
-        self._on_change: Optional[Callable[[], None]] = None
+    deny_rules = hooked("_deny_rules", _walker_over_any, _refresh_links)
 
-    def _changed(self) -> None:
-        callback = self._on_change
-        if callback is not None:
-            callback()
+    def __init__(self) -> None:
+        self._deny_rules: tuple[AclRule, ...] = ()
+        self.links: list["DirectedLink"] = []   # in-links, from add_cable
 
     def deny(self, src_ip: Optional[str] = None,
              dst_ip: Optional[str] = None) -> AclRule:
         """Install a deny rule and return it (for later removal)."""
         rule = AclRule(src_ip, dst_ip)
-        self._deny_rules.append(rule)
-        self._changed()
+        self.deny_rules = (*self._deny_rules, rule)
         return rule
 
     def remove(self, rule: AclRule) -> None:
         """Remove a previously installed rule (no-op if absent)."""
         if rule in self._deny_rules:
-            self._deny_rules.remove(rule)
-            self._changed()
+            rules = list(self._deny_rules)
+            rules.remove(rule)
+            self.deny_rules = tuple(rules)
 
     def clear(self) -> None:
         """Remove all deny rules."""
-        if self._deny_rules:
-            self._deny_rules.clear()
-            self._changed()
+        self.deny_rules = ()
 
     def permits(self, five_tuple: FiveTuple) -> bool:
         """Whether the packet passes the ACL."""
@@ -164,61 +172,42 @@ class Node:
         return hash(self.name)
 
 
+def _rerouted(pair: "LinkPair") -> tuple:
+    topology = pair.topology     # a route change, quiet links or not
+    return ((topology.ledger, topology),) if topology else ()
+
+
+def _reroute(pair: "LinkPair") -> None:
+    _refresh_links(pair)
+    if pair.topology:
+        pair.topology._routes_changed()
+
+
 class LinkPair:
     """Shared physical-cable state for the two directions of a cable."""
 
     __slots__ = ("name", "_up", "_routed_around", "last_transition_ns",
-                 "transition_count", "links", "_on_reroute")
+                 "transition_count", "links", "topology")
 
-    def __init__(self, name: str, up: bool = True,
-                 routed_around: bool = False,
-                 last_transition_ns: int = -(1 << 62),
-                 transition_count: int = 0):
+    # Hooked, so *any* writer — faults or tests poking pairs directly —
+    # keeps the links' quiet flags and the fabric's routes current.
+    up = hooked("_up", _walker_over_any, _refresh_links,
+                doc="Physical cable state (both directions).")
+    routed_around = hooked(
+        "_routed_around", _rerouted, _reroute,
+        doc="Whether routing has converged around the (down) cable.")
+
+    def __init__(self, name: str):
         self.name = name
-        self._up = up
-        self._routed_around = routed_around
+        self._up = True
+        self._routed_around = False
         # Last up/down transition (flap detection for transports).
-        self.last_transition_ns = last_transition_ns
+        self.last_transition_ns = -(1 << 62)
         # Lifetime transition count (the "port flap counter" operators read).
-        self.transition_count = transition_count
-        # The cable's two directions and the topology's reroute hook (both
-        # set by add_cable).  State writes go through the setters below so
-        # that *any* writer — faults or tests poking pairs directly — keeps
-        # the links' quiet flags and the fabric's cached routes current.
+        self.transition_count = 0
+        # The cable's two directions and its topology (set by add_cable).
         self.links: tuple["DirectedLink", ...] = ()
-        self._on_reroute: Optional[Callable[[], None]] = None
-
-    @property
-    def up(self) -> bool:
-        """Physical cable state (both directions)."""
-        return self._up
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        if value == self._up:
-            return
-        for link in self.links:
-            link._before_write()
-        self._up = value
-        for link in self.links:
-            link._refresh_quiet()
-
-    @property
-    def routed_around(self) -> bool:
-        """Whether routing has converged around the (down) cable."""
-        return self._routed_around
-
-    @routed_around.setter
-    def routed_around(self, value: bool) -> None:
-        if value == self._routed_around:
-            return
-        self._routed_around = value
-        for link in self.links:
-            link._refresh_quiet()
-        # Lookahead is taken back by the route change this announces.
-        callback = self._on_reroute
-        if callback is not None:
-            callback()
+        self.topology: Optional["Topology"] = None
 
     def mark_transition(self, now_ns: int) -> None:
         """Record an up/down state change at ``now_ns``."""
@@ -235,37 +224,8 @@ class LinkPair:
         return now_ns - self.last_transition_ns <= window_ns
 
 
-def _knob(slot: str, doc: str) -> property:
-    """A link attribute whose reads are plain and whose writes go through
-    :meth:`DirectedLink._write` (no-op writes return early)."""
-    def write(self: "DirectedLink", value) -> None:
-        self._write(slot, value)
-    return property(attrgetter(slot), write, doc=doc)
-
-
 class DirectedLink:
     """One direction of a cable, with queue state and fault knobs."""
-
-    # What a packet is told here.  Faults and workloads hold the fault
-    # knobs through ``cluster.holds`` (DESIGN.md §4); ``queue_bytes`` is
-    # queue state, not a held setting.
-    corruption_drop_prob = _knob(
-        "_corruption_drop_prob",
-        "Per-packet corruption drop probability (fault #2).")
-    silent_drop_predicate = _knob(
-        "_silent_drop_predicate",
-        "Per-5-tuple silent-drop rule (the §4.1 problem), or None.")
-    pfc_headroom_ok = _knob(
-        "_pfc_headroom_ok",
-        "Whether PFC headroom is sized correctly (fault #9 clears it).")
-    pfc_deadlocked = _knob(
-        "_pfc_deadlocked", "Whether a PFC deadlock blocks the RoCE queue.")
-    pause_delay_ns = _knob(
-        "_pause_delay_ns",
-        "Extra per-packet delay from PFC pause pressure on this port.")
-    queue_bytes = _knob(
-        "_queue_bytes", "Fluid queue occupancy as of the last integration.")
-    propagation_ns = _knob("_propagation_ns", "Cable propagation delay.")
 
     def __init__(self, src: str, dst: str, pair: LinkPair, *,
                  rate_gbps: float = 400.0, propagation_ns: int = 500,
@@ -286,7 +246,7 @@ class DirectedLink:
         # which is also how the fabric tells the two apart per hop.
         self.dst_acl = dst_acl
 
-        # The knobs' state (written only through the properties above);
+        # The knobs' state (written only through the properties below);
         # rate is a construction-time constant, which the delay tables and
         # the fabric's route cache both rely on.
         self._corruption_drop_prob = 0.0
@@ -296,8 +256,8 @@ class DirectedLink:
         # Extra fixed delay, e.g. PFC storm pause pressure (Figure 8 right).
         self._pause_delay_ns = 0
 
-        # Fluid queue state
-        self.offered_load_gbps = 0.0     # written by set_offered_load only
+        # Fluid queue state (load: written through set_offered_load)
+        self._offered_load_gbps = 0.0
         self._queue_bytes = 0.0
         self._queue_updated_ns = 0
 
@@ -312,27 +272,22 @@ class DirectedLink:
         # serialization, all an idle link costs): standing queue plus pause
         # pressure; ``quiet_delays[size]`` is all it pays here, the far
         # switch's pipeline included.  All are re-derived after every
-        # write, and the topology hears *before* one that changes what a
-        # quiet link tells a packet, while the constants are still those
-        # lookahead used.
+        # write, and the walker's take-back runs *before* one that changes
+        # what a quiet link tells a packet, while the constants are still
+        # those lookahead used (repro.sim.ledger).
         self.base_delays = self.quiet_delays = DelayTable(rate_gbps, -1)
         self._refresh_quiet()           # derives both tables
-        self._on_disturb: Optional[Callable[[], None]] = None
 
         # Counters for assertions and SLA accounting
         self.packets_forwarded = 0
         # CRC error counter, as a switch would expose for this port.
         self.crc_errors = 0
 
-    def _before_write(self) -> None:
-        if self.quiet and self._on_disturb is not None:
-            self._on_disturb()
-
     def _refresh_quiet(self) -> None:
         pair = self.pair
         acl = self.dst_acl
         queue = self._queue_bytes
-        net_gbps = self.offered_load_gbps - self.rate_gbps
+        net_gbps = self._offered_load_gbps - self.rate_gbps
         self.quiet = (
             pair._up and not pair._routed_around
             and not self._pfc_deadlocked
@@ -354,12 +309,32 @@ class DirectedLink:
         if self.quiet_delays.fixed_ns != fixed:
             self.quiet_delays = DelayTable(self.rate_gbps, fixed)
 
-    def _write(self, attr: str, value) -> None:
-        """One write to what a packet is told here (a no-op returns early)."""
-        if getattr(self, attr) != value:
-            self._before_write()
-            setattr(self, attr, value)
-            self._refresh_quiet()
+    # What a packet is told here.  Faults and workloads hold the fault
+    # knobs and the load through ``cluster.holds`` (DESIGN.md §4);
+    # ``queue_bytes`` is queue state, not a held setting.
+    corruption_drop_prob = hooked(
+        "_corruption_drop_prob", _walker, _refresh_quiet,
+        doc="Per-packet corruption drop probability (fault #2).")
+    silent_drop_predicate = hooked(
+        "_silent_drop_predicate", _walker, _refresh_quiet,
+        doc="Per-5-tuple silent-drop rule (the §4.1 problem), or None.")
+    pfc_headroom_ok = hooked(
+        "_pfc_headroom_ok", _walker, _refresh_quiet,
+        doc="Whether PFC headroom is sized correctly (fault #9 clears it).")
+    pfc_deadlocked = hooked(
+        "_pfc_deadlocked", _walker, _refresh_quiet,
+        doc="Whether a PFC deadlock blocks the RoCE queue.")
+    pause_delay_ns = hooked(
+        "_pause_delay_ns", _walker, _refresh_quiet,
+        doc="Extra per-packet delay from PFC pause pressure on this port.")
+    queue_bytes = hooked(
+        "_queue_bytes", _walker, _refresh_quiet,
+        doc="Fluid queue occupancy as of the last integration.")
+    propagation_ns = hooked("_propagation_ns", _walker, _refresh_quiet,
+                            doc="Cable propagation delay.")
+    offered_load_gbps = hooked(
+        "_offered_load_gbps", _walker, _refresh_quiet,
+        doc="Fluid background load (written by set_offered_load).")
 
     @property
     def up(self) -> bool:
@@ -371,7 +346,7 @@ class DirectedLink:
         dt = now_ns - self._queue_updated_ns
         if dt <= 0:
             return
-        net_gbps = self.offered_load_gbps - self.rate_gbps
+        net_gbps = self._offered_load_gbps - self.rate_gbps
         before = self._queue_bytes
         limit = float(self.buffer_bytes)
         # Gbps == bits/ns, so bytes delta = net * dt / 8.
@@ -387,11 +362,11 @@ class DirectedLink:
         if load_gbps < 0:
             raise ValueError(f"load must be non-negative: {load_gbps}")
         self.advance_queue(now_ns)
-        self._write("offered_load_gbps", load_gbps)
+        self.offered_load_gbps = load_gbps
 
     def utilization(self) -> float:
         """Offered load over capacity (may exceed 1.0 when congested)."""
-        return self.offered_load_gbps / self.rate_gbps
+        return self._offered_load_gbps / self.rate_gbps
 
     def queue_delay_ns(self, now_ns: int) -> int:
         """Queue wait a packet entering now would experience."""
@@ -428,7 +403,7 @@ class DirectedLink:
         self.advance_queue(now_ns)
         if self._queue_bytes < self.buffer_bytes * 0.98:
             return 0.0
-        overload = self.offered_load_gbps / self.rate_gbps
+        overload = self._offered_load_gbps / self.rate_gbps
         if overload <= 1.0:
             return 0.0
         # Fraction of arrivals that cannot be served nor buffered.
@@ -452,15 +427,7 @@ class Topology:
         # (node, dst) -> filtered ECMP candidates, valid for the current
         # route tables + routed_around flags.
         self._next_hop_memo: dict[tuple[str, str], list[str]] = {}
-        # The fabric's hook: called before a write changes what a quiet hop
-        # tells a packet and when routes change, i.e. whenever lookahead
-        # already done may no longer hold.
-        self.on_disturb: Optional[Callable[[], None]] = None
-
-    def _disturbed(self) -> None:
-        callback = self.on_disturb
-        if callback is not None:
-            callback()
+        self.ledger = Ledger()   # the world's, once a fabric walks the graph
 
     def _routes_changed(self) -> None:
         # routed_around flips alter the live next_hops filter but NOT the
@@ -468,17 +435,6 @@ class Topology:
         # invalidate_routes — the black-hole window depends on this).
         self.route_epoch += 1
         self._next_hop_memo.clear()
-        self._disturbed()
-
-    def _acl_changed(self, switch: str) -> None:
-        # After the edit, but before any flag moves: rules are nothing the
-        # take-back reads.
-        inbound = [self.links[(neighbor, switch)]
-                   for neighbor in self._adjacency[switch]]
-        for link in inbound:
-            link._before_write()
-        for link in inbound:
-            link._refresh_quiet()
 
     # -- construction -----------------------------------------------------
 
@@ -487,7 +443,6 @@ class Topology:
         if name in self.nodes:
             raise ValueError(f"duplicate node name: {name}")
         node = Node(name=name, kind=kind, tier=tier)
-        node.acl._on_change = partial(self._acl_changed, name)
         self.nodes[name] = node
         self._adjacency[name] = []
         self.invalidate_routes()
@@ -511,15 +466,14 @@ class Topology:
         if (a, b) in self.links:
             raise ValueError(f"duplicate cable: {a} <-> {b}")
         pair = LinkPair(name=f"{a}<->{b}")
-        pair._on_reroute = self._routes_changed
+        pair.topology = self
         for src, dst in ((a, b), (b, a)):
             far = self.nodes[dst]
             link = DirectedLink(
                 src, dst, pair, rate_gbps=rate_gbps,
                 propagation_ns=propagation_ns, buffer_bytes=buffer_bytes,
                 dst_acl=far.acl if far.is_switch else None)
-            link._on_disturb = self._disturbed
-            link._refresh_quiet()
+            far.acl.links.append(link)
             self.links[(src, dst)] = link
             self._adjacency[src].append(dst)
         pair.links = (self.links[(a, b)], self.links[(b, a)])
@@ -622,6 +576,7 @@ class Topology:
 
     def invalidate_routes(self) -> None:
         """Force next-hop recomputation (after topology edits)."""
+        self.ledger.notify(self)
         self._routes_dirty = True
         self._routes_changed()
 

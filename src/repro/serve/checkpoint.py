@@ -46,7 +46,10 @@ property, ``FiveTuple`` dataclasses, Agent QPs taking receive ``Cqe``s and
 links, RNICs and clocks without the per-size delays and drift scale the
 flattened probe path reads; format 12 files hold RNICs with a ``Cqe`` free
 list and a sanitizer reference, and rail probers taking receive ``Cqe``s,
-which the RNIC no longer pools.  (The
+which the RNIC no longer pools; format 13 files hold links, cables, ACLs
+and a topology that relay a write's take-back through callbacks of their
+own, and a ``Simulator`` with no take-back ledger for a restored write to
+notify.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -68,7 +71,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 13
+FORMAT = 14
 
 
 class CheckpointError(RuntimeError):

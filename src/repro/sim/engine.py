@@ -34,6 +34,8 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
+from repro.sim.ledger import Ledger
+
 #: Free-list cap for recycled _Event records (0 disables pooling).
 EVENT_POOL_DEFAULT = 8192
 #: Sentinel horizon for run_all, and run_until's event cap: beyond any
@@ -241,6 +243,8 @@ class Simulator:
         self._san = None
         if sanitizer is not None:
             self.set_sanitizer(sanitizer)
+        # Who planned ahead of the clock over what (repro.sim.ledger).
+        self.ledger = Ledger()
 
     def set_sanitizer(self, sanitizer) -> None:
         """Install (or, with None, remove) a pool sanitizer."""

@@ -157,13 +157,14 @@ class TestCli:
         "rnic_acs_misconfig@2:host1-rnic0:degraded_pcie_gbps=0",
         "link_overload@2:pod0-tor0,pod0-agg0:extra_gbps=-900",
         "switch_port_flapping@2:pod0-agg0,pod0-tor0:period_ns=0",
+        "switch_port_flapping@2:pod0-agg0,pod0-tor0:period_ns=2",
         "rnic_flapping@2:host1-rnic0:period_ns=-5",
         "rnic_corruption@2:host1-rnic0:drop_prob=-1",
         "rnic_corruption@2:host1-rnic0:drop_prob=1.5",
         "cpu_overload@2:host1:load=-1",
         "cpu_overload@2:host1:load=nan",
     ], ids=["pcie-zero", "pcie-negative", "acs-zero", "overload-negative",
-            "flap-period-zero", "flap-period-negative",
+            "flap-period-zero", "flap-period-2ns", "flap-period-negative",
             "rnic-corruption-negative", "rnic-corruption-above-one",
             "cpu-load-negative", "cpu-load-nan"])
     def test_out_of_range_fault_parameter_is_one_line_and_exit_2(

@@ -6,10 +6,12 @@ back through a ``send_roles`` table.  Host lookahead (DESIGN.md §10) runs a
 departure, the first-ACK post and the second-ACK post at post time, with
 their own instants as arguments, whenever what they read is settled; a write
 to anything a planned step read takes the step back and re-queues it as an
-event.  The contract is *exact* equivalence, so this harness runs real
-Agents on small random Clos shapes twice — once as built, once with every
-RNIC and Agent swapped for the faithful port of the per-event path below —
-under the same seeded script of writes, and requires identical:
+event (the write notifies the take-back ledger, ``repro.sim.ledger``, which
+runs the RNIC's ``demote_planned``).  The contract is *exact* equivalence,
+so this harness runs real Agents on small random Clos shapes twice — once
+as built, once with every RNIC and Agent swapped for the faithful port of
+the per-event path below — under the same seeded script of writes, and
+requires identical:
 
 * ``system.upload_digest`` (every uploaded result's seq, completion time,
   timeout flag, three SLA delays);
@@ -36,11 +38,13 @@ every real writer queues far ahead of a step that exists for microseconds).
 
 Each hooked write class has scripts that fail when its hook is deleted —
 checked by hand, once, by keeping the write and its ``resettle()`` but
-dropping the ``demote_planned()`` call, over seeds 0-59: ``admin_up`` 59
-seeds fail, ``flap_down`` 57, ``routing_configured`` 54,
-``gid_index_present`` 50, ``tx_corruption_prob`` 60, ``pcie_gbps`` 36,
-``Rnic.tracer`` 56, ``Host.up`` (``set_down`` / ``set_up``) 58, QP destroy
-(``Agent.restart()``) 45; none deleted, 0.  Fabric faults and
+dropping the take-back in front, over seeds 0-59: ``admin_up`` 59 seeds
+fail, ``flap_down`` 57, ``routing_configured`` 54, ``gid_index_present`` 50,
+``tx_corruption_prob`` 60, ``pcie_gbps`` 36, ``Rnic.tracer`` 56,
+``Host.up`` (``set_down`` / ``set_up``) 58, QP destroy (``Agent.restart()``)
+45; none deleted, 0.  ``tests/sim/test_ledger.py`` checks in tier-1 that
+every hooked write still reaches the RNIC's take-back before ``resettle()``,
+and reaches no other planner.  Fabric faults and
 ``cpu.set_load`` need no host hook (the walker has its own; the CPU delay is
 drawn at ③ in both worlds) and ride along to show exactly that.
 

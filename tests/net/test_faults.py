@@ -65,6 +65,17 @@ class TestFlapping:
         with pytest.raises(ValueError, match="period_ns"):
             RnicFlapping(tiny_clos, "host0-rnic0", period_ns=period_ns)
 
+    @pytest.mark.parametrize("period_ns", [2, MILLISECOND - 1])
+    def test_sub_millisecond_period_rejected(self, tiny_clos, period_ns):
+        # Positive but tiny, a period toggled the port every nanosecond
+        # all the same (max(1, round(...))) and wedged the run.
+        with pytest.raises(ValueError, match="period_ns must be"):
+            SwitchPortFlapping(tiny_clos, "pod0-tor0", "pod0-agg0",
+                               period_ns=period_ns)
+        with pytest.raises(ValueError, match="period_ns must be"):
+            RnicFlapping(tiny_clos, "host0-rnic0", period_ns=period_ns)
+        RnicFlapping(tiny_clos, "host0-rnic0", period_ns=MILLISECOND)
+
     def test_ground_truth_metadata(self, tiny_clos):
         fault = SwitchPortFlapping(tiny_clos, "pod0-tor0", "pod0-agg0")
         gt = fault.ground_truth
@@ -253,6 +264,21 @@ class TestSilentDrop:
         assert not link.silent_drop_predicate(miss)
         fault.clear()
         assert link.silent_drop_predicate is None
+
+    @pytest.mark.parametrize("mod, rem", [(0, 0), (-8, 3), (8, 8), (8, 9),
+                                          (8, -1)])
+    def test_port_match_out_of_range_rejected(self, tiny_clos, mod, rem):
+        # mod 0 crashed the first packet with ZeroDivisionError; a
+        # remainder outside [0, mod) matched no port yet was ground truth.
+        with pytest.raises(ValueError, match="must be"):
+            SilentDrop(tiny_clos, "pod0-tor0", "pod0-agg0",
+                       match_port_mod=mod, match_port_rem=rem)
+
+    def test_port_match_edges_accepted(self, tiny_clos):
+        for mod, rem in ((1, 0), (8, 0), (8, 7)):
+            fault = SilentDrop(tiny_clos, "pod0-tor0", "pod0-agg0",
+                               match_port_mod=mod, match_port_rem=rem)
+            assert fault.matches(roce_five_tuple("a", "b", 8 * 100 + rem))
 
 
 class TestFaultManager:

@@ -4,7 +4,9 @@
 each (``_forward``).  The lookahead walker adds the delays of consecutive
 *quiet* hops up and schedules one event where the run of quiet hops ends;
 before a write changes what a quiet link tells a packet, the lookahead
-in-flight packets have not reached is taken back.  Its contract is *exact*
+in-flight packets have not reached is taken back (the write notifies the
+take-back ledger, ``repro.sim.ledger``, which runs the walker's
+``_demote_in_flight``).  Its contract is *exact*
 equivalence, so this harness drives both with the same randomized, seeded
 script — random Clos shapes, background loads, and fault / load / pause /
 ACL / route writes timed to land mid-flight, a third of them at the very
@@ -42,15 +44,15 @@ queues fill and 68 drain with the flag flipping inside ``advance_queue``.
 
 Each before-write demotion has scripts that fail when it is deleted —
 checked by hand, once, keeping the write and its ``_refresh_quiet()`` but
-dropping the ``_before_write()`` in front, over seeds 0-59:
-``offered_load_gbps`` 21 seeds fail, ``queue_bytes`` 22, ``pause_delay_ns``
-26, ``corruption_drop_prob`` 1, ``silent_drop_predicate`` 1,
-``pfc_headroom_ok`` 6, ``pfc_deadlocked`` 1, ``LinkPair.up`` 5, ACL edits 3;
-the line that forgets a packet's *entered* lookahead when a demotion finds
-nothing to take back (its entry times would be recomputed from rewritten
-constants by the next one) 2; none deleted, 0.  ``routed_around`` has no
-demotion of its own to delete: the route change it announces takes lookahead
-back, as ``invalidate_routes`` does.
+dropping the notice in front, over seeds 0-59: ``offered_load_gbps`` 21
+seeds fail, ``queue_bytes`` 22, ``pause_delay_ns`` 26,
+``corruption_drop_prob`` 1, ``silent_drop_predicate`` 1, ``pfc_headroom_ok``
+6, ``pfc_deadlocked`` 1, ``LinkPair.up`` 5, ACL edits 3; the line that
+forgets a packet's *entered* lookahead when a demotion finds nothing to take
+back (its entry times would be recomputed from rewritten constants by the
+next one) 2; none deleted, 0.  ``tests/sim/test_ledger.py`` checks in tier-1
+that every hooked write still reaches the walker before it re-derives
+anything, and reaches no other planner.
 
 Tie rule (pinned by ``TestTieRule``): a write at the nanosecond a packet
 enters a looked-ahead hop applies to that hop.  The per-hop walker ordered
