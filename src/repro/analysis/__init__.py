@@ -1,13 +1,13 @@
 """Determinism tooling for the simulation substrate.
 
-Three legs, one contract (DESIGN.md "Determinism contract"):
+Two legs, one contract (DESIGN.md "Determinism contract"):
 
 * **detlint** — an AST-based static pass (:mod:`repro.analysis.rules`)
   that rejects the constructs which silently break bit-for-bit replay:
   wall clocks, the global ``random`` module, unordered iteration feeding
   the scheduler, identity-based ordering, shared mutable state, mutable
-  message envelopes, pooled objects escaping their handlers, in-place
-  mutation of wire-form state, and out-of-module pool internals access.
+  message envelopes, in-place mutation of wire-form state, and
+  out-of-module engine internals access.
   Run it as ``python -m repro.analysis src`` (``--format json|sarif``
   for CI artifacts, ``--audit-allowlist`` for stale-entry checks).
 * **runtime invariants** — draw-count accounting on every
@@ -15,21 +15,14 @@ Three legs, one contract (DESIGN.md "Determinism contract"):
   (``Simulator(check_invariants=True)``), and the
   :func:`~repro.analysis.runtime.replay_digest` harness that runs a
   scenario twice and compares structural state digests.
-* **PoolSan** (:mod:`repro.analysis.sanitize`) — the opt-in pooled-object
-  lifetime sanitizer behind the ``sanitize=True`` knob: poison-on-release,
-  double-release and use-after-release detection, and end-of-run leak
-  accounting, with zero digest impact
-  (:func:`~repro.analysis.runtime.sanitize_check` pins that).
 """
 
 from repro.analysis.findings import Finding, RULES
 from repro.analysis.linter import (AllowlistAudit, LintReport,
                                    audit_allowlist, lint_paths, lint_source)
-from repro.analysis.runtime import (ReplayReport, SanitizeReport,
-                                    default_scenario, replay_digest,
-                                    sanitize_check, structural_digest,
+from repro.analysis.runtime import (ReplayReport, default_scenario,
+                                    replay_digest, structural_digest,
                                     system_state)
-from repro.analysis.sanitize import PoolSanitizer, PoolSanitizerError
 
 __all__ = [
     "Finding",
@@ -40,12 +33,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "ReplayReport",
-    "SanitizeReport",
     "default_scenario",
     "replay_digest",
-    "sanitize_check",
     "structural_digest",
     "system_state",
-    "PoolSanitizer",
-    "PoolSanitizerError",
 ]

@@ -49,14 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also run the replay-digest harness (two seeded runs of the "
              "reference scenario) with scheduler invariants enabled")
     parser.add_argument(
-        "--sanitize-check", action="store_true",
-        help="also run the golden + sharded scenarios under the PoolSan "
-             "pool-lifetime sanitizer; fails on any finding or on a "
-             "digest drift vs the plain run")
-    parser.add_argument(
         "--seed", type=int, default=7,
-        help="seed for --check-invariants / --sanitize-check "
-             "(default: 7)")
+        help="seed for --check-invariants (default: 7)")
     return parser
 
 
@@ -64,25 +58,6 @@ def _list_rules() -> None:
     for code, rule in sorted(RULES.items()):
         print(f"{code}  {rule.title}")
         print(f"        fix: {rule.hint}")
-
-
-def _run_sanitize(seed: int, out) -> int:
-    # Lazy import for the same reason as _run_invariants.
-    from repro.analysis.runtime import sanitize_check
-    failed = 0
-    for rep in sanitize_check(seed):
-        if rep.ok:
-            print(f"poolsan: OK {rep.scenario} seed={rep.seed} "
-                  f"digest={rep.digest_plain[:16]}", file=out)
-            continue
-        failed += 1
-        print(f"poolsan: FAIL {rep.scenario} seed={rep.seed}", file=out)
-        if rep.digest_plain != rep.digest_sanitized:
-            print(f"  digest drift: plain={rep.digest_plain} "
-                  f"sanitized={rep.digest_sanitized}", file=out)
-        for finding in rep.findings:
-            print(f"  {finding.render()}", file=out)
-    return 1 if failed else 0
 
 
 def _run_invariants(seed: int, out) -> int:
@@ -138,6 +113,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         exit_code = max(exit_code, 0 if audit.ok else 1)
     if args.check_invariants:
         exit_code = max(exit_code, _run_invariants(args.seed, aux))
-    if args.sanitize_check:
-        exit_code = max(exit_code, _run_sanitize(args.seed, aux))
     return exit_code

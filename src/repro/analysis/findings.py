@@ -47,38 +47,18 @@ RULES: dict[str, Rule] = {r.code: r for r in (
          "message dataclass is not frozen",
          "declare @dataclass(frozen=True): envelopes cross the simulated "
          "network and must not be mutated after send"),
-    Rule("DET007",
-         "pooled object escapes its handler scope",
-         "pooled packets are poisoned and recycled after release — "
-         "copy the fields you keep, or retain deliberately and document "
-         "it with a disable comment"),
+    # DET007 (pooled object escaping its handler) is retired: nothing is
+    # recycled any more, so an object outliving its handler is just kept.
+    # The code is not reused.
     Rule("DET008",
          "in-place mutation of wire-form state",
          "frozen messages and sketch .state() payloads are shared with "
          "every reader; copy first (dict(state)) or build a new "
          "instance instead of mutating"),
     Rule("DET009",
-         "pool/engine internals accessed from outside the owner",
-         "free lists and heap fields belong to their module; go through "
-         "the public API (acquire/release, queue_depth) so pooling "
-         "stays swappable"),
-    # SANxxx codes are emitted by the runtime PoolSan sanitizer
-    # (repro.analysis.sanitize), not by the static pass — they share the
-    # Finding shape and this catalogue so reports render uniformly.
-    Rule("SAN001",
-         "use-after-release write to a pooled object",
-         "a poisoned field changed while the object sat on the free "
-         "list; the anchor is the release site — find who kept a "
-         "reference past it"),
-    Rule("SAN002",
-         "double release of a pooled object",
-         "the object was already on the free list; release exactly once "
-         "(the report shows both release sites)"),
-    Rule("SAN003",
-         "pooled object leaked",
-         "acquired but not released within the leak age; release in a "
-         "finally block, or mark it retained with a reason if keeping "
-         "it is intentional"),
+         "engine internals accessed from outside the owner",
+         "the event heap belongs to the engine; go through the public "
+         "API (call_at, schedule, pending) so the queue stays swappable"),
 )}
 
 

@@ -1,4 +1,4 @@
-"""The detlint AST rules (DET001-DET009).
+"""The detlint AST rules (DET001-DET009; DET007 is retired).
 
 One :class:`FileChecker` pass per file.  The checker is deliberately
 heuristic — it resolves imports and simple local/attribute bindings, not
@@ -48,14 +48,6 @@ MUTABLE_FACTORIES = frozenset({
     "deque", "bytearray",
 })
 
-# -- DET007: pooled-object escapes --------------------------------------------
-
-# Parameter annotations that mean "this object belongs to a pool and is
-# recycled once the handler returns".
-POOLED_PARAM_TYPES = frozenset({"Packet", "RoCEPacket", "TCPPacket"})
-# Calls whose result is a pool loan rather than an owned object.
-POOLED_ACQUIRE_METHODS = frozenset({"acquire_roce"})
-
 # -- DET008: wire-form mutation -----------------------------------------------
 
 # Constructors whose instances are wire-form payloads shared across the
@@ -74,16 +66,11 @@ CONSTRUCTION_SCOPES = frozenset({
     "__setattr__", "__delattr__", "__copy__", "__deepcopy__",
 })
 
-# -- DET009: pool/engine internals --------------------------------------------
+# -- DET009: engine internals --------------------------------------------------
 
 # attribute name -> path suffix of the one module allowed to touch it.
-POOL_INTERNAL_ATTRS = {
-    "_free": "repro/net/packet.py",
-    "_event_free": "repro/sim/engine.py",
-    "_event_pool_size": "repro/sim/engine.py",
+ENGINE_INTERNAL_ATTRS = {
     "_event_heap": "repro/sim/engine.py",
-    "_transit_free": "repro/net/fabric.py",
-    "_transit_pool_limit": "repro/net/fabric.py",
 }
 
 
@@ -129,9 +116,8 @@ def _is_counter_call(node: ast.AST) -> bool:
 def _scope_nodes(body: list[ast.stmt]) -> Iterator[ast.AST]:
     """Pre-order walk of a body, skipping nested function/class scopes.
 
-    DET007/DET008 track per-handler taint; a nested ``def`` or ``lambda``
-    is its own scope (and closures are intentionally out of DET007's
-    reach — the runtime sanitizer covers actual escapes through them).
+    DET008 tracks per-handler taint; a nested ``def`` or ``lambda`` is its
+    own scope.
     """
     stack: list[ast.AST] = list(reversed(body))
     while stack:
@@ -141,21 +127,6 @@ def _scope_nodes(body: list[ast.stmt]) -> Iterator[ast.AST]:
                              ast.ClassDef, ast.Lambda)):
             continue
         stack.extend(reversed(list(ast.iter_child_nodes(node))))
-
-
-def _pooled_annotation(annotation: ast.AST) -> bool:
-    """The annotation's top-level type is a pooled class.
-
-    ``Packet``, ``"RoCEPacket"``, and ``Optional[TCPPacket]`` all qualify;
-    a ``Callable[[Packet], None]`` callback or ``list[Packet]`` batch does
-    not — only a parameter that *is* the loan carries taint.
-    """
-    text = ast.unparse(annotation).strip().strip("\"'").strip()
-    head, bracket, rest = text.partition("[")
-    if head.strip() == "Optional" and bracket:
-        text = rest.rsplit("]", 1)[0].strip().strip("\"'")
-        head = text.partition("[")[0]
-    return head.strip().split(".")[-1] in POOLED_PARAM_TYPES
 
 
 def _subscript_base(node: ast.AST) -> ast.AST:
@@ -219,7 +190,7 @@ class FileChecker:
                 self._check_call(node)
             elif isinstance(node, ast.Attribute):
                 self._check_numpy_random(node)
-                self._check_pool_internals(node)
+                self._check_engine_internals(node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._check_function(node)
             elif isinstance(node, ast.ClassDef):
@@ -328,7 +299,6 @@ class FileChecker:
                            "mutable default argument is shared across "
                            f"calls of {node.name}()")
         self._check_loops(node)
-        self._check_pooled_escape(node)
         self._check_wireform(node)
 
     # -- classes: DET005 class state + DET006 frozen --------------------------
@@ -466,104 +436,6 @@ class FileChecker:
                         "from unordered set iteration",
                         span=_span(node))
 
-    # -- DET007 ---------------------------------------------------------------
-
-    def _pooled_names(self,
-                      func: ast.FunctionDef | ast.AsyncFunctionDef
-                      ) -> set[str]:
-        """Local names bound to pool loans (params, acquires, wrappers)."""
-        tainted: set[str] = set()
-        all_args = [*func.args.posonlyargs, *func.args.args,
-                    *func.args.kwonlyargs]
-        for arg in all_args:
-            if arg.annotation is not None \
-                    and _pooled_annotation(arg.annotation):
-                tainted.add(arg.arg)
-        # Fixpoint over assignments: aliases, fresh acquires, and records
-        # wrapping a loan (``DropRecord(..., packet)``) all carry taint.
-        for _ in range(3):
-            changed = False
-            for node in _scope_nodes(func.body):
-                if not (isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    continue
-                name = node.targets[0].id
-                if name in tainted:
-                    continue
-                if self._carries_pool_taint(node.value, tainted):
-                    tainted.add(name)
-                    changed = True
-            if not changed:
-                break
-        return tainted
-
-    @staticmethod
-    def _carries_pool_taint(value: ast.AST, tainted: set[str]) -> bool:
-        if isinstance(value, ast.Name):
-            return value.id in tainted
-        if not isinstance(value, ast.Call):
-            return False
-        func = value.func
-        if isinstance(func, ast.Attribute) \
-                and func.attr in POOLED_ACQUIRE_METHODS:
-            return True
-        # Constructor-looking calls (CapWord) propagate taint from their
-        # arguments; plain function calls (len, copy helpers) do not.
-        ctor = (isinstance(func, ast.Name) and func.id[:1].isupper()) or \
-            (isinstance(func, ast.Attribute) and func.attr[:1].isupper())
-        if not ctor:
-            return False
-        operands = [*value.args,
-                    *[kw.value for kw in value.keywords]]
-        return any(isinstance(a, ast.Name) and a.id in tainted
-                   for a in operands)
-
-    def _check_pooled_escape(
-            self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        tainted = self._pooled_names(func)
-        if not tainted:
-            return
-        for node in _scope_nodes(func.body):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                if not (isinstance(value, ast.Name)
-                        and value.id in tainted):
-                    continue
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Attribute) or (
-                            isinstance(target, ast.Subscript)
-                            and isinstance(target.value,
-                                           (ast.Attribute, ast.Subscript))):
-                        self._emit(
-                            "DET007", node,
-                            f"pooled object {value.id!r} stored beyond "
-                            "the handler scope; it is recycled after "
-                            "release")
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in ACCUMULATOR_METHODS \
-                    and isinstance(node.func.value,
-                                   (ast.Attribute, ast.Subscript)):
-                container = node.func.value
-                if isinstance(container, ast.Attribute):
-                    owner = POOL_INTERNAL_ATTRS.get(container.attr)
-                    if owner is not None and self.path.replace(
-                            "\\", "/").endswith(owner):
-                        # The pool pushing onto its own free list IS the
-                        # release mechanism, not an escape.
-                        continue
-                escaping = [a.id for a in node.args
-                            if isinstance(a, ast.Name) and a.id in tainted]
-                if escaping:
-                    self._emit(
-                        "DET007", node,
-                        f"pooled object {escaping[0]!r} accumulated into "
-                        f"{_dotted(node.func.value) or 'a container'} "
-                        "that outlives the handler")
-
     # -- DET008 ---------------------------------------------------------------
 
     def _check_wireform(
@@ -638,8 +510,8 @@ class FileChecker:
 
     # -- DET009 ---------------------------------------------------------------
 
-    def _check_pool_internals(self, node: ast.Attribute) -> None:
-        owner = POOL_INTERNAL_ATTRS.get(node.attr)
+    def _check_engine_internals(self, node: ast.Attribute) -> None:
+        owner = ENGINE_INTERNAL_ATTRS.get(node.attr)
         if owner is None:
             return
         if self.path.replace("\\", "/").endswith(owner):
@@ -649,7 +521,7 @@ class FileChecker:
             return
         self._emit(
             "DET009", node,
-            f"direct access to pool internal {node.attr!r} from outside "
+            f"direct access to engine internal {node.attr!r} from outside "
             f"its owning module ({owner})")
 
     @staticmethod
@@ -692,4 +564,4 @@ def check_module(path: str, source: str) -> list[Finding]:
 def iter_codes() -> Iterator[str]:
     """All rule codes, in order."""
     yield from ("DET000", "DET001", "DET002", "DET003", "DET004",
-                "DET005", "DET006", "DET007", "DET008", "DET009")
+                "DET005", "DET006", "DET008", "DET009")

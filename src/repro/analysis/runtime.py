@@ -118,8 +118,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {spec.name: spec for spec in (
                         **_MID_RUN),
         **_SLOW_CONTROL),
     # Not golden (pinned at one seed only): these drag default-off
-    # subsystems across the sanitized pools; sanitize-on/off equality is
-    # what every seed must hold.
+    # subsystems through the substrate.
     #
     # Two pods, shards=2 + sketch SLA: summary shipping, sketch states,
     # fused verdicts.
@@ -130,7 +129,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {spec.name: spec for spec in (
         topology=ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2,
                             spines=1, hosts_per_tor=1),
         control_loss_prob=0.01, shards=2, sla_sketch=True, **_SLOW_CONTROL),
-    # Congestion with the INT backend deployed: per-hop stamps on pooled
+    # Congestion with the INT backend deployed: per-hop stamps on
     # packets' payloads, popped at delivery, window drains, Analyzer fusion.
     _reference(
         "int_telemetry",
@@ -150,26 +149,18 @@ SCENARIOS: dict[str, ScenarioSpec] = {spec.name: spec for spec in (
 def run_scenario(name: str, seed: int, *,
                  check_invariants: bool = True,
                  duration_ns: Optional[int] = None,
-                 obs: Optional[Any] = None,
-                 sanitize: bool = False,
-                 poolsan_out: Optional[list] = None) -> dict[str, Any]:
+                 obs: Optional[Any] = None) -> dict[str, Any]:
     """Build ``SCENARIOS[name]`` from ``seed``, run it, snapshot it.
 
     ``duration_ns`` cuts the spec's 45 s short.  ``obs`` (an
     :class:`~repro.obs.Observability`) opts the run into the
     observability layer; the returned snapshot is sim state only, so it
-    must be identical with or without it (DESIGN.md §8).  ``sanitize``
-    opts into the PoolSan lifetime sanitizer under the same contract
-    (DESIGN.md §12); ``poolsan_out``, if given, receives the live
-    :class:`~repro.analysis.sanitize.PoolSanitizer` so callers can pull
-    its findings without the snapshot (and thus the digest) changing.
+    must be identical with or without it (DESIGN.md §8).
     """
     spec = SCENARIOS[name]
-    cluster, system, _, _ = build_world(
+    _, system, _, _ = build_world(
         spec.topology, seed, config=spec.config(), campaign=spec.campaign,
-        obs=obs, check_invariants=check_invariants, sanitize=sanitize)
-    if poolsan_out is not None:
-        poolsan_out.append(cluster.sanitizer)
+        obs=obs, check_invariants=check_invariants)
     system.run(duration_ns if duration_ns is not None
                else spec.duration_s * SECOND)
     return system_state(system)
@@ -182,40 +173,3 @@ GOLDEN_SCENARIOS: dict[str, Scenario] = {
 #: The reference scenario for replay tests: small, noisy, eventful, two
 #: analysis windows, fast enough for tier-1.
 default_scenario: Scenario = GOLDEN_SCENARIOS["faulted"]
-
-
-@dataclass(frozen=True, slots=True)
-class SanitizeReport:
-    """Outcome of one sanitized-vs-plain scenario comparison."""
-
-    scenario: str
-    seed: int
-    digest_plain: str
-    digest_sanitized: str
-    findings: tuple = ()
-    summary: Optional[dict[str, dict[str, int]]] = None
-
-    @property
-    def ok(self) -> bool:
-        """Digest-neutral and violation-free."""
-        return (self.digest_plain == self.digest_sanitized
-                and not self.findings)
-
-
-def sanitize_check(seed: int = 7) -> list[SanitizeReport]:
-    """Run every reference scenario plain and sanitized; compare digests,
-    collect findings.  The runtime half of the CI sanitizer-smoke gate
-    (``python -m repro.analysis --sanitize-check``)."""
-    out: list[SanitizeReport] = []
-    for name in SCENARIOS:
-        plain = structural_digest(run_scenario(name, seed))
-        sink: list = []
-        sanitized = structural_digest(
-            run_scenario(name, seed, sanitize=True, poolsan_out=sink))
-        sanitizer = sink[0]
-        out.append(SanitizeReport(
-            scenario=name, seed=seed,
-            digest_plain=plain, digest_sanitized=sanitized,
-            findings=tuple(sanitizer.report()),
-            summary=sanitizer.summary()))
-    return out

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn, Optional
 
@@ -288,9 +287,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     # No --seeds: the preset's own.
     seeds = [tuple(map(int, args.seeds.split(",")))] if args.seeds else []
     sweep = PRESETS[args.preset](*seeds, replicates=args.replicates)
-    if args.sanitize:
-        sweep = replace(sweep, scenarios=tuple(
-            replace(spec, sanitize=True) for spec in sweep.scenarios))
 
     def show(event: FleetProgress) -> None:
         if args.quiet or event.kind == "submit":
@@ -480,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the scorecard JSON artifact here")
     fleet_run.add_argument("--quiet", action="store_true",
                            help="suppress per-job progress lines")
-    fleet_run.add_argument("--sanitize", action="store_true",
-                           help="run every scenario under the PoolSan "
-                                "pool-lifetime sanitizer; jobs fail on "
-                                "any finding (digests are unchanged)")
     fleet_run.set_defaults(func=cmd_fleet_run)
     fleet_report = fleet_sub.add_parser(
         "report", help="render a scorecard artifact")

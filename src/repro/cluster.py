@@ -122,22 +122,12 @@ class Holds:
 class Cluster:
     """A fully wired simulated RoCE cluster."""
 
-    def __init__(self, sim: Simulator, rngs: RngRegistry, plan: Plan,
-                 *, sanitize: bool = False):
+    def __init__(self, sim: Simulator, rngs: RngRegistry, plan: Plan):
         self.sim = sim
         self.rngs = rngs
         self.plan = plan
         self.topology: Topology = plan.topology
-        # Opt-in pool lifetime sanitizer (PoolSan, DESIGN.md §12): one
-        # instance shared by the event, packet and transit pools.
-        # Imported lazily — repro.analysis.runtime imports this module.
-        self.sanitizer = None
-        if sanitize:
-            from repro.analysis.sanitize import PoolSanitizer
-            self.sanitizer = PoolSanitizer()
-            sim.set_sanitizer(self.sanitizer)
-        self.fabric = Fabric(sim, self.topology, rngs.stream("fabric"),
-                             sanitizer=self.sanitizer)
+        self.fabric = Fabric(sim, self.topology, rngs.stream("fabric"))
         self.traceroute = TracerouteService(self.fabric)
         # Every writer of a contended device setting goes through here.
         self.holds = Holds(sim)
@@ -171,29 +161,19 @@ class Cluster:
 
     @classmethod
     def clos(cls, params: Optional[ClosParams] = None, *,
-             seed: int = 0, check_invariants: bool = False,
-             sanitize: bool = False) -> "Cluster":
-        """Build a 3-tier Clos cluster.
-
-        ``sanitize=True`` wraps every pool (events, packets, transits) in
-        the PoolSan lifetime sanitizer; behaviour must be byte-identical
-        either way, which ``tests/analysis/test_sanitize.py`` asserts via
-        replay digests.
-        """
+             seed: int = 0, check_invariants: bool = False) -> "Cluster":
+        """Build a 3-tier Clos cluster."""
         sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)
-        return cls(sim, rngs, build_clos(params or ClosParams()),
-                   sanitize=sanitize)
+        return cls(sim, rngs, build_clos(params or ClosParams()))
 
     @classmethod
     def rail(cls, params: Optional[RailParams] = None, *,
-             seed: int = 0, check_invariants: bool = False,
-             sanitize: bool = False) -> "Cluster":
+             seed: int = 0, check_invariants: bool = False) -> "Cluster":
         """Build a two-tier rail-optimized cluster (§7.4)."""
         sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)
-        return cls(sim, rngs, build_rail(params or RailParams()),
-                   sanitize=sanitize)
+        return cls(sim, rngs, build_rail(params or RailParams()))
 
     # -- lookups ----------------------------------------------------------------
 

@@ -13,9 +13,8 @@ untouched: :class:`~repro.net.fabric.Fabric` holds an ``int_collector``
 attribute that is ``None`` unless an :class:`IntBackend` is deployed, and
 every hook is a single ``is None`` check (the same pattern as the span
 tracer).  Stamps ride in a reserved ``"_int"`` payload key that the
-collector pops before the receiver callback runs, so no packet or dict
-references outlive delivery (PoolSan-clean) and recycled payload dicts
-never leak stamps between probes.
+collector pops before the receiver callback runs, so a receiver never sees
+the stack and the collector keeps no reference to the packet.
 
 Quiet hops the fabric's walker looks ahead over are stamped too (with the
 time the packet will enter them), so a path's stack is always complete —
@@ -43,7 +42,7 @@ if TYPE_CHECKING:
 INT_STAMP_BYTES = 12
 
 # Payload key reserved for the in-flight stamp stack.  Popped at
-# delivery; cleared with the rest of the payload on pool reuse.
+# delivery; a dropped packet keeps it.
 INT_PAYLOAD_KEY = "_int"
 
 # Per-link causes the collector can attribute from stamp aggregates.

@@ -195,16 +195,14 @@ def build_world(topology: ClosParams, seed: int, *,
                 config: Optional[RPingmeshConfig] = None,
                 campaign: Iterable[FaultEvent] = (),
                 obs: Optional[Observability] = None,
-                check_invariants: bool = False,
-                sanitize: bool = False) -> World:
+                check_invariants: bool = False) -> World:
     """Stand one deployment up: cluster -> RPingmesh -> FaultManager ->
     validated, scheduled campaign (the order ``bench/`` builds by hand).
 
     Nothing is started; callers ``system.start()`` / ``system.run()``.
     """
     cluster = Cluster.clos(topology, seed=seed,
-                           check_invariants=check_invariants,
-                           sanitize=sanitize)
+                           check_invariants=check_invariants)
     system = RPingmesh(cluster, config, obs=obs)
     faults = FaultManager(cluster)
     return World(cluster, system, faults,
@@ -235,9 +233,6 @@ class ScenarioSpec:
     # shard pairs, and the fixed-memory quantile sketch for SLA windows.
     shards: int = 1
     sla_sketch: bool = False
-    # Run under the PoolSan pool-lifetime sanitizer (DESIGN.md §12).
-    # The worker fails the job on any sanitizer finding.
-    sanitize: bool = False
     # Diagnosis backends to deploy (repro.diagnosis, DESIGN.md §14).
     # Empty = the config default ("probe",), producing results identical
     # to a spec written before this field existed; name backends
@@ -273,14 +268,9 @@ class ScenarioSpec:
         ``timeout_s`` is excluded: it budgets *wall clock*, which must
         never influence what a scenario computes — two specs differing
         only in timeout produce identical simulations, so they must
-        produce the same digest.  ``sanitize`` is excluded for the same
-        reason: PoolSan only observes, and the sanitized run's replay
-        digest is pinned byte-identical to the plain run's
-        (tests/analysis/test_sanitize.py), so both runs are mergeable
-        under one key.
+        produce the same digest.
         """
-        return structural_digest(replace(self, timeout_s=None,
-                                         sanitize=False))
+        return structural_digest(replace(self, timeout_s=None))
 
     def config(self) -> RPingmeshConfig:
         """The deployment configuration this spec's fields describe."""

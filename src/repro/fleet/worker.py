@@ -126,17 +126,8 @@ def run_scenario(spec: ScenarioSpec, seed: int) -> ScenarioResult:
 
     cluster, system, _, faults = build_world(
         spec.topology, seed, config=spec.config(), campaign=spec.campaign,
-        obs=Observability(metrics=spec.metrics, tracing=spec.tracing),
-        sanitize=spec.sanitize)
+        obs=Observability(metrics=spec.metrics, tracing=spec.tracing))
     system.run(seconds(spec.duration_s))
-
-    if cluster.sanitizer is not None:
-        poolsan = cluster.sanitizer.report()
-        if poolsan:
-            raise RuntimeError(
-                f"poolsan: {len(poolsan)} finding(s) in "
-                f"{spec.label} seed={seed}:\n"
-                + "\n".join(f.render() for f in poolsan))
 
     detections = tuple(
         _score_fault(fault, window, system.analyzer.problems)

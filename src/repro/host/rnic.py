@@ -270,7 +270,6 @@ class Rnic:
             self._tx_bytes -= packet.size_bytes
             self.step_demotions += 1
             if post_ns > now or (post_ns == now and not stands):
-                self.fabric.packet_pool.release(packet)
                 qp.on_sent(qp, context, None, post_ns)
             else:
                 self.sim.schedule(depart_ns - now, partial(
@@ -333,7 +332,7 @@ class Rnic:
         takes it back first, through :mod:`repro.sim.ledger`).
         With ``on_recv``, ``on_recv(payload, rnic_timestamp_ns, src_ip,
         src_gid, src_qpn, src_port)`` replaces a RECV :class:`Cqe`; the
-        payload is the delivered packet's, valid until the call returns.
+        payload is the delivered packet's own dict, not a copy.
         """
         if on_sent is not None and qp_type == QPType.RC:
             raise ValueError("RC send completions wait for the remote ACK")
@@ -454,11 +453,9 @@ class Rnic:
             # NIC died between post and departure; message is lost and no
             # completion is ever generated (matches flush-on-down behaviour
             # closely enough for probing: the prober simply times out).
-            # No DropRecord keeps a packet lost inside the NIC: release it.
             self._count_drop("rnic_down")
             if self._tracer is not None:
                 self._trace_rnic_drop(packet.payload, "rnic_down")
-            self.fabric.packet_pool.release(packet)
             return
         self._tx_packets += 1
         self._tx_bytes += packet.size_bytes
@@ -485,8 +482,6 @@ class Rnic:
                 qp.on_sent(qp, context, timestamp, at_ns)
             elif qp.on_cqe is not None:
                 qp.on_cqe(Cqe(_SEND, qp.qpn, wr_id, timestamp))
-        if corrupted:
-            self.fabric.packet_pool.release(packet)
 
     # Figure-4 marks carried by send/recv CQEs of the probe exchange: the
     # probe's send CQE is ② and its recv CQE ③; the first ACK's are ④/⑤.

@@ -48,8 +48,6 @@ from repro.sim.rng import RngStream
 # A plan longer than this is a routing loop; the walker re-plans at its end
 # and the packet's TTL ends the loop.
 MAX_PLANNED_HOPS = 64
-# Released packets the packet pool keeps for reuse.
-PACKET_POOL_LIMIT = 4096
 
 
 class DropReason(Enum):
@@ -99,26 +97,19 @@ class _CachedPath:
 
 
 class _Transit:
-    """Pooled per-packet walker state, and the walker: the engine runs the
-    transit itself at the packet's next arrival.
+    """One packet's walk, and the walker: the engine runs the transit itself
+    at the packet's next arrival.  The walk owns it: built with ``__new__``
+    and slot writes by :meth:`Fabric.inject` (or by a demotion, for the rest
+    of a walk), it dies with the walk.
 
     ``idx`` is the node the pending event finds the packet at.  Hops
     ``look_idx .. idx-1`` were added up ahead of the clock, the first of
     them entered at ``look_ns``; they are what a demotion can take back.
+    ``packet`` is None once a demotion has superseded the transit.
     """
 
     __slots__ = ("fabric", "packet", "path", "idx", "dst", "is_roce",
                  "look_idx", "look_ns")
-
-    def __init__(self) -> None:
-        self.fabric: Optional["Fabric"] = None
-        self.packet: Optional[Packet] = None
-        self.path: Optional[_CachedPath] = None
-        self.idx = 0
-        self.dst = ""
-        self.is_roce = True
-        self.look_idx = 0
-        self.look_ns = 0
 
     def __call__(self, start_ns: Optional[int] = None) -> None:
         """Advance the packet from the node it stands at, at ``sim.now``
@@ -132,9 +123,7 @@ class _Transit:
         fabric = self.fabric
         packet = self.packet
         if packet is None:
-            # Superseded by _demote_in_flight: this was its pending event.
-            fabric._release_transit(self)
-            return
+            return      # superseded by _demote_in_flight
         now = fabric.sim.now
         path = self.path
         idx = self.idx
@@ -142,7 +131,7 @@ class _Transit:
                 and path.nodes[idx] == self.dst):
             # The usual event: every hop on the way here was added up.  (A
             # re-plan from the destination could only plan it again.)
-            fabric._deliver(self, packet, path.nodes, now)
+            fabric._deliver(packet, path.nodes, now)
             return
         if path.route_epoch != fabric.topology.route_epoch:
             path = fabric._replan(self, path, idx)
@@ -160,14 +149,13 @@ class _Transit:
                 if t != now:
                     break
                 if path.nodes[idx] == self.dst:
-                    fabric._deliver(self, packet, path.nodes, now)
+                    fabric._deliver(packet, path.nodes, now)
                     return
                 path = fabric._replan(self, path, idx)
                 hops = path.hops
                 n_hops = len(hops)
                 if idx == n_hops:
                     del fabric._in_flight[packet.packet_id]
-                    fabric._release_transit(self)
                     fabric._drop(packet, DropReason.NO_ROUTE, link=None,
                                  node=path.nodes[idx])
                     return
@@ -198,6 +186,9 @@ class _Transit:
         fabric.sim.schedule(t - now, self)
 
 
+_new_transit = _Transit.__new__
+
+
 def _quiet_hop_ns(link: DirectedLink, size_bytes: int, is_roce: bool) -> int:
     """What a quiet hop costs: a constant of the link, size and class."""
     if is_roce:
@@ -211,26 +202,20 @@ def _quiet_hop_ns(link: DirectedLink, size_bytes: int, is_roce: bool) -> int:
 class Fabric:
     """Forwards packets over a :class:`Topology` inside a simulation."""
 
-    def __init__(self, sim: Simulator, topology: Topology, rng: RngStream,
-                 *, sanitizer=None):
+    def __init__(self, sim: Simulator, topology: Topology, rng: RngStream):
         self.sim = sim
         self.topology = topology
         self.rng = rng
-        # Opt-in pool sanitizer (repro.analysis.sanitize); shared with the
-        # packet pool.
-        self.sanitizer = sanitizer
         # InfiniBand-style Adaptive Routing (paper §7.5): every packet may
         # take any parallel path, independent of its 5-tuple.  Probing
         # still detects problems, but traced paths stop matching the
         # packets that died — the stated localisation limitation.
         self._adaptive_routing = False
-        self.packet_pool = PacketPool(limit=PACKET_POOL_LIMIT,
-                                      sanitizer=sanitizer)
+        # Builds the RoCE packets RNICs send.
+        self.packet_pool = PacketPool()
         # Complete plans per 5-tuple, valid for one Topology.route_epoch.
         self._path_cache: dict = {}
         self._path_cache_epoch = -1
-        self._transit_free: list[_Transit] = []
-        self._transit_pool_limit = 1024
         # packet_id -> the transit whose event is pending.  Insertion
         # ordered, so a demotion reschedules packets in a replayable order.
         self._in_flight: dict[int, _Transit] = {}
@@ -263,8 +248,6 @@ class Fabric:
         self._packet_ids = itertools.count(1)
         topology.ledger = sim.ledger        # the walker plans over it
         sim.ledger.register(topology, self._demote_in_flight)
-        if sanitizer is not None:
-            sanitizer.bind_fabric(self)
 
     def _walks(self) -> tuple:
         return ((self.sim.ledger, self.topology),)
@@ -325,17 +308,18 @@ class Fabric:
         packet.packet_id = next(self._packet_ids)
         packet.sent_at_ns = at_ns
         dst_port = self._ip_to_port.get(packet.five_tuple.dst_ip)
-        transit = self._acquire_transit()
-        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared when its walk ends, before the packet is recycled
         if dst_port is None or (at_ns != now and self._adaptive_routing):
             # No route to plan, or one drawn hop by hop when it stands there.
-            transit.path = _CachedPath((src_port,), (), (),
-                                       self.topology.route_epoch)
+            path = _CachedPath((src_port,), (), (), self.topology.route_epoch)
         else:
-            transit.path = self._plan(packet.five_tuple, src_port, dst_port)
-        transit.idx = 0
+            path = self._plan(packet.five_tuple, src_port, dst_port)
+        transit = _new_transit(_Transit)
+        transit.fabric = self
+        transit.packet = packet
+        transit.path = path
         transit.dst = dst_port
         transit.is_roce = packet.traffic_class == TC_ROCE
+        transit.idx = transit.look_idx = transit.look_ns = 0
         self._in_flight[packet.packet_id] = transit
         transit(at_ns)
 
@@ -449,7 +433,6 @@ class Fabric:
                     reason = DropReason.TTL_EXPIRED
         if reason is not None:
             del self._in_flight[packet.packet_id]
-            self._release_transit(transit)
             self._drop(packet, reason, link=link.name, node=node)
             return None
         delay = link.traversal_delay_ns(now, packet.size_bytes,
@@ -551,7 +534,8 @@ class Fabric:
             # The pending event cannot be cancelled (schedule() keeps no
             # handle): leave its transit behind as a tombstone and carry on
             # with a fresh one.
-            successor = self._acquire_transit()
+            successor = _new_transit(_Transit)
+            successor.fabric = self
             successor.packet = packet
             successor.path = transit.path
             successor.dst = transit.dst
@@ -580,38 +564,12 @@ class Fabric:
                 counts[link.name] -= 1
         return {name: count for name, count in counts.items() if count}
 
-    # -- transit pool --------------------------------------------------------
-
-    def _acquire_transit(self) -> _Transit:
-        free = self._transit_free
-        if free:
-            transit = free.pop()
-            if self.sanitizer is not None:
-                self.sanitizer.reacquire_transit(transit)
-        else:
-            transit = _Transit()
-            transit.fabric = self
-            if self.sanitizer is not None:
-                self.sanitizer.acquire_transit(transit)
-        return transit
-
-    def _release_transit(self, transit: _Transit) -> None:
-        transit.packet = None
-        transit.path = None
-        free = self._transit_free
-        recycled = len(free) < self._transit_pool_limit
-        if self.sanitizer is not None:
-            self.sanitizer.release_transit(transit, recycled=recycled)
-        if recycled:
-            free.append(transit)
-
     # -- endings -------------------------------------------------------------
 
-    def _deliver(self, transit: _Transit, packet: Packet,
-                 nodes: tuple[str, ...], now: int) -> None:
+    def _deliver(self, packet: Packet, nodes: tuple[str, ...],
+                 now: int) -> None:
         """The walk is over, then the packet is handed to its receiver."""
         del self._in_flight[packet.packet_id]
-        self._release_transit(transit)
         self.packets_delivered += 1
         if self._int_collector is not None:
             self._int_collector.collect(packet, now)
@@ -623,21 +581,14 @@ class Fabric:
         receiver = self._receivers.get(nodes[-1])
         if receiver is not None:
             receiver(packet, tuple.__new__(DeliveryRecord, (now, nodes)))
-        # Delivered pool-owned packets are recycled once the receiver is
-        # done with them; dropped packets never are (DropRecords keep them).
-        self.packet_pool.release(packet)
 
     def _drop(self, packet: Packet, reason: DropReason, *,
               link: Optional[str], node: Optional[str]) -> None:
         record = DropRecord(self.sim.now, packet, reason, link, node)
         self.drop_counts[reason.value] = \
             self.drop_counts.get(reason.value, 0) + 1
-        if self.sanitizer is not None and packet.pooled:
-            # Dropped packets are never recycled: the DropRecord keeps
-            # them as evidence (DESIGN.md §10).  Tell the leak detector.
-            self.sanitizer.retain_packet(packet, f"drop evidence: {reason.value}")
         if len(self.drops) < self.max_drop_log:
-            self.drops.append(record)  # detlint: disable=DET007 DropRecords retain dropped packets as evidence; never recycled
+            self.drops.append(record)
         if self._tracer is not None:
             seq, leg = self._probe_leg(packet)
             if seq is not None:

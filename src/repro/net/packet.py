@@ -47,11 +47,6 @@ class Packet:
     # breaking same-process replay — detlint DET005.)
     packet_id: int = 0
     sent_at_ns: Optional[int] = None
-    # True while a PacketPool owns this packet's storage: the fabric may
-    # recycle it after delivery.  Directly-constructed packets stay False
-    # and are never recycled, so references held by tests or DropRecords
-    # cannot be mutated behind their backs.
-    pooled: bool = False
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -86,101 +81,46 @@ class TCPPacket(Packet):
         self.traffic_class = TC_TCP
 
 
+_new_packet = RoCEPacket.__new__
+
+
 class PacketPool:
-    """Bounded free list recycling :class:`RoCEPacket` storage.
+    """Builds the RoCE packets RNICs send (no storage is reused).
 
-    Probe traffic churns through millions of short-lived RoCE packets;
-    the pool reuses their (slotted) storage and payload dicts instead of
-    re-allocating per probe.
-
-    Ownership contract (DESIGN.md §10):
-
-    * a packet acquired here belongs to the fabric until its delivery
-      callback returns — receivers must copy anything they keep (an RNIC
-      copies fields into any ``Cqe`` it builds; ``on_recv`` consumers copy);
-    * *delivered* packets are released back to the pool;
-    * *dropped* packets are never released — :class:`~repro.net.fabric.
-      DropRecord` retains them, and recycling would rewrite drop evidence;
-    * every acquired field is reassigned on reuse (payload dicts are
-      cleared), so no stale state can leak between probes;
-    * ``limit=0`` disables reuse; acquire still works and must be
-      behaviourally indistinguishable (golden digests prove it);
-    * with a ``sanitizer`` (PoolSan, DESIGN.md §12) every acquire/release
-      is tracked, released packets are poisoned, and double-releasing a
-      pool-owned packet raises instead of passing silently.
+    A packet is owned by whoever holds it: the fabric while it walks, then
+    its receiver, or the :class:`~repro.net.fabric.DropRecord` of its drop.
+    Nothing recycles it, so a reference kept past delivery stays as it was.
     """
 
-    __slots__ = ("limit", "_free", "reused", "released", "_san")
+    __slots__ = ()
 
-    def __init__(self, limit: int = 0, *, sanitizer=None):
-        self.limit = limit
-        self._free: list[RoCEPacket] = []
-        self.reused = 0
-        self.released = 0
-        self._san = sanitizer
-
-    @property
-    def free_count(self) -> int:
-        """Packets currently parked on the free list (gauge surface)."""
-        return len(self._free)
-
-    def acquire_roce(self, five_tuple: FiveTuple, size_bytes: int,
+    @staticmethod
+    def acquire_roce(five_tuple: FiveTuple, size_bytes: int,
                      opcode: RoCEOpcode, src_qpn: int, dst_qpn: int,
                      src_gid: str, dst_gid: str,
                      payload: dict[str, Any]) -> RoCEPacket:
-        """A RoCE packet with exactly these fields (payload is copied)."""
-        free = self._free
-        if free:
-            self.reused += 1
-            packet = free.pop()
-            if self._san is not None:
-                self._san.reacquire_packet(packet)
-            packet.five_tuple = five_tuple
-            packet.size_bytes = size_bytes
-            packet.traffic_class = TC_ROCE
-            packet.ttl = 64
-            stale = packet.payload
-            stale.clear()
-            stale.update(payload)
-            packet.packet_id = 0
-            packet.sent_at_ns = None
-            packet.opcode = opcode
-            packet.src_qpn = src_qpn
-            packet.dst_qpn = dst_qpn
-            packet.src_gid = src_gid
-            packet.dst_gid = dst_gid
-            packet.pooled = True
-            return packet
-        packet = RoCEPacket(
-            five_tuple=five_tuple, size_bytes=size_bytes,
-            opcode=opcode, src_qpn=src_qpn, dst_qpn=dst_qpn,
-            src_gid=src_gid, dst_gid=dst_gid, payload=dict(payload))
-        packet.pooled = True
-        if self._san is not None:
-            self._san.acquire_packet(packet)
-        return packet
+        """A RoCE packet with exactly these fields (payload is copied).
 
-    def release(self, packet: Packet) -> None:
-        """Return a delivered pool-owned packet; foreign packets pass by.
-
-        A packet without the ``pooled`` flag is ignored: either it was
-        never pool-owned (hand-constructed), or it was *already released*
-        — the first release clears the flag.  The sanitizer tells those
-        apart and raises :class:`~repro.analysis.sanitize.
-        PoolSanitizerError` on the double-release case, which plain mode
-        cannot distinguish and must let pass.
+        Built with ``__new__`` and slot writes, so of the dataclass checks a
+        hand-built :class:`RoCEPacket` runs only the size check is kept:
+        callers are RNICs, which address with ``roce_five_tuple``.
         """
-        if not packet.pooled:
-            if self._san is not None:
-                self._san.foreign_release(packet)
-            return
-        packet.pooled = False
-        recycled = len(self._free) < self.limit
-        if self._san is not None:
-            self._san.release_packet(packet, recycled=recycled)
-        if recycled:
-            self.released += 1
-            self._free.append(packet)
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive: {size_bytes}")
+        packet = _new_packet(RoCEPacket)
+        packet.five_tuple = five_tuple
+        packet.size_bytes = size_bytes
+        packet.traffic_class = TC_ROCE
+        packet.ttl = 64
+        packet.payload = dict(payload)
+        packet.packet_id = 0
+        packet.sent_at_ns = None
+        packet.opcode = opcode
+        packet.src_qpn = src_qpn
+        packet.dst_qpn = dst_qpn
+        packet.src_gid = src_gid
+        packet.dst_gid = dst_gid
+        return packet
 
 
 # Overheads used to size small control packets realistically.

@@ -93,7 +93,8 @@ class Acl:
 
     def __init__(self) -> None:
         self._deny_rules: tuple[AclRule, ...] = ()
-        self.links: list["DirectedLink"] = []   # in-links, from add_cable
+        # In-links, from add_cable; a host port's stays empty.
+        self.links: list["DirectedLink"] = []
 
     def deny(self, src_ip: Optional[str] = None,
              dst_ip: Optional[str] = None) -> AclRule:
@@ -473,7 +474,10 @@ class Topology:
                 src, dst, pair, rate_gbps=rate_gbps,
                 propagation_ns=propagation_ns, buffer_bytes=buffer_bytes,
                 dst_acl=far.acl if far.is_switch else None)
-            far.acl.links.append(link)
+            if far.is_switch:
+                # No packet reads a host port's ACL, so its edits re-derive
+                # no link and tell no planner.
+                far.acl.links.append(link)
             self.links[(src, dst)] = link
             self._adjacency[src].append(dst)
         pair.links = (self.links[(a, b)], self.links[(b, a)])

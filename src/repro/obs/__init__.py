@@ -108,14 +108,6 @@ class Observability:
             .value = cluster.sim.events_processed
         self.metrics.gauge("repro_sim_now_ns").set(cluster.sim.now)
         self.metrics.gauge(
-            "repro_sim_event_pool_free",
-            help="recycled _Event records parked on the engine free list"
-        ).set(cluster.sim.event_pool_free)
-        self.metrics.gauge(
-            "repro_fabric_packet_pool_free",
-            help="RoCE packets parked on the fabric packet pool free list"
-        ).set(fabric.packet_pool.free_count)
-        self.metrics.gauge(
             "repro_fabric_packets_in_flight",
             help="packets injected and neither delivered nor dropped yet"
         ).set(fabric.packets_in_flight)
@@ -154,21 +146,3 @@ class Observability:
         if self.tracing:
             for key, value in self.tracer.summary().items():
                 self.metrics.gauge(f"repro_obs_{key}").set(value)
-        sanitizer = getattr(cluster, "sanitizer", None)
-        if sanitizer is not None:
-            # PoolSan per-pool lifetime accounting (DESIGN.md §12).  The
-            # invariant acquired == released + live is checkable straight
-            # off a metrics snapshot.
-            for pool, stats in sanitizer.summary().items():
-                self.metrics.counter("repro_poolsan_acquired_total",
-                                     pool=pool).value = stats["acquired"]
-                self.metrics.counter("repro_poolsan_released_total",
-                                     pool=pool).value = stats["released"]
-                self.metrics.gauge("repro_poolsan_live",
-                                   pool=pool).set(stats["live"])
-                self.metrics.gauge("repro_poolsan_retained",
-                                   pool=pool).set(stats["retained"])
-            self.metrics.counter("repro_poolsan_poison_writes_total") \
-                .value = sanitizer.poison_writes
-            self.metrics.counter("repro_poolsan_double_releases_total") \
-                .value = sanitizer.double_releases

@@ -1,8 +1,7 @@
 """Versioned checkpoint files for serve-mode sessions.
 
 A checkpoint is the *whole world*: the event queue with every pending
-event, the pooled-object free lists, every RNG stream's position, and
-all tracker/sketch/shard state — captured by pickling the live
+event, every RNG stream's position, and all tracker/sketch/shard state — captured by pickling the live
 :class:`~repro.serve.session.ServeSession` object graph.  The substrate
 keeps that graph picklable on purpose (scheduled callbacks are bound
 methods or ``functools.partial``, never lambdas), and the restore
@@ -49,7 +48,9 @@ list and a sanitizer reference, and rail probers taking receive ``Cqe``s,
 which the RNIC no longer pools; format 13 files hold links, cables, ACLs
 and a topology that relay a write's take-back through callbacks of their
 own, and a ``Simulator`` with no take-back ledger for a restored write to
-notify.  (The
+notify; format 14 files hold free lists of recycled events, packets and
+transits and generation-checked event handles apart from their events,
+which the engine, fabric and packet builder no longer have.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -71,7 +72,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 14
+FORMAT = 15
 
 
 class CheckpointError(RuntimeError):
@@ -94,14 +95,6 @@ def _spec_metadata(spec) -> dict:
 
 def save_checkpoint(session: ServeSession, path: str) -> dict:
     """Write the session to ``path`` atomically; returns the metadata."""
-    if session.cluster.sanitizer is not None:
-        # PoolSan keys its live/freed tables by id(); object identities
-        # do not survive a process boundary, so a restored sanitizer
-        # would misattribute every pooled object.  Refuse loudly.
-        raise CheckpointError(
-            "cannot checkpoint a sanitized session (PoolSan tables are "
-            "id()-keyed and do not survive restore); rerun without "
-            "sanitize")
     metadata = {
         "format": FORMAT,
         "tick": session.ticks,

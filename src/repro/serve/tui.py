@@ -1,4 +1,4 @@
-"""The live serve-mode dashboard: sparklines, alerts, pool/shard gauges.
+"""The live serve-mode dashboard: sparklines, alerts, shard gauges.
 
 Pure rendering over a :class:`~repro.serve.session.ServeSession` —
 no terminal control here beyond what the CLI runner adds (it clears the
@@ -79,15 +79,9 @@ def _probe_rates(history: list, tick_ns: int) -> list:
 
 
 def _gauges_line(session: ServeSession) -> str:
-    """Pool and shard gauges from the metric registry, one line."""
+    """Shard gauges from the metric registry, one line."""
     snapshot = session.system.obs.metrics.snapshot()
     parts = []
-    pool = snapshot.get("repro_sim_event_pool_free")
-    if pool is not None:
-        parts.append(f"event_pool_free={pool}")
-    packet_pool = snapshot.get("repro_fabric_packet_pool_free")
-    if packet_pool is not None:
-        parts.append(f"packet_pool_free={packet_pool}")
     for key, value in snapshot.items():
         if key.startswith("repro_analyzer_shard_ingest_backlog"):
             shard = key[key.find("{"):] if "{" in key else ""

@@ -21,9 +21,10 @@ Design notes
 * Events can be cancelled.  Cancellation is O(1): the handle is flagged and
   skipped when popped (lazy deletion).  When cancelled events outnumber live
   ones the heap compacts, so mass-cancel workloads cannot bloat it.
-* Events are pooled.  ``_Event`` records carry a generation counter and are
-  recycled through a bounded free list; a stale :class:`EventHandle` whose
-  event was recycled detects the generation mismatch and becomes inert.
+* An event is its own handle: one plain slotted object, built where it is
+  queued (``__new__`` plus slot writes, no constructor frame) and left to
+  the garbage collector.  Popping or sweeping it clears its callback, which
+  is what makes a late :meth:`EventHandle.cancel` inert.
 * Periodic tasks are first-class because almost everything in R-Pingmesh is
   periodic: probing threads, pinglist refreshes, analysis periods.
 """
@@ -36,8 +37,6 @@ from typing import Callable, Optional
 
 from repro.sim.ledger import Ledger
 
-#: Free-list cap for recycled _Event records (0 disables pooling).
-EVENT_POOL_DEFAULT = 8192
 #: Sentinel horizon for run_all, and run_until's event cap: beyond any
 #: schedulable time or event count.
 _FAR_FUTURE = 1 << 62
@@ -56,68 +55,49 @@ class InvariantViolation(SimulationError):
     """
 
 
-class _Event:
-    """A scheduled callback.  Pooled: ``gen`` bumps on every recycle."""
+class EventHandle:
+    """A scheduled callback, and the handle to cancel it by.
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "gen")
+    The engine builds one per :meth:`Simulator.call_at` or
+    :meth:`Simulator.schedule` with ``__new__`` and slot writes; only a
+    ``call_at`` event leaves the engine, so only it carries ``sim``.
+    ``callback`` is cleared once the event is popped or swept: a cancel
+    after that only sets ``cancelled``.
+    """
+
+    __slots__ = ("time", "seq", "callback", "cancelled", "sim")
 
     def __init__(self, time: int, seq: int,
                  callback: Optional[Callable[[], None]] = None,
-                 cancelled: bool = False):
+                 sim: Optional["Simulator"] = None):
         self.time = time
         self.seq = seq
         self.callback = callback
-        self.cancelled = cancelled
-        self.gen = 0
+        self.cancelled = False
+        self.sim = sim
 
-    def __lt__(self, other: "_Event") -> bool:
+    def __lt__(self, other: "EventHandle") -> bool:
         # Queue entries are (time, seq, event) tuples, so this only runs on
         # an exact (time, seq) tie — impossible for engine-issued events
         # (seqs are unique) but reachable by white-box tests that smuggle
         # hand-built events in.
         return (self.time, self.seq) < (other.time, other.seq)
 
-
-class EventHandle:
-    """Opaque handle to a scheduled event, usable for cancellation.
-
-    Snapshots the event's generation so a handle outliving its (recycled)
-    event can never cancel an unrelated later event.
-    """
-
-    __slots__ = ("_event", "_gen", "_time", "_sim", "_cancelled")
-
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
-        self._gen = event.gen
-        self._time = event.time
-        self._sim = sim
-        self._cancelled = False
-
-    @property
-    def time(self) -> int:
-        """Absolute simulation time the event fires at."""
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether cancel() was called (even after the event fired)."""
-        return self._cancelled
-
     def cancel(self) -> None:
         """Prevent the event from running.  Safe to call more than once."""
-        if self._cancelled:
+        if self.cancelled:
             return
-        self._cancelled = True
-        event = self._event
-        if event.gen == self._gen and not event.cancelled:
-            event.cancelled = True
-            sim = self._sim
+        self.cancelled = True
+        if self.callback is not None:
+            sim = self.sim
             sim._cancelled += 1
             # Sweep once cancelled entries pass 64 and outnumber live ones.
             if (sim._cancelled > 64
                     and 2 * sim._cancelled > len(sim._event_heap)):
                 sim._compact()
+
+
+_new_event = EventHandle.__new__
 
 
 class PeriodicTask:
@@ -205,12 +185,10 @@ class Simulator:
     reference to the same simulator.
     """
 
-    def __init__(self, *, seed: int = 0, check_invariants: bool = False,
-                 event_pool_size: int = EVENT_POOL_DEFAULT,
-                 sanitizer=None):
+    def __init__(self, *, seed: int = 0, check_invariants: bool = False):
         # The future-event set, popped in exact (time, seq) order.  A push
         # behind the clock (only white-box tests smuggle one) sorts first.
-        self._event_heap: list[tuple[int, int, _Event]] = []
+        self._event_heap: list[tuple[int, int, EventHandle]] = []
         self._cancelled = 0           # cancelled but still queued
         self._seq = itertools.count()
         #: Simulation time in ns; only the event loop and run_until write it.
@@ -231,52 +209,8 @@ class Simulator:
         # draws randomness, or feeds wall time back into sim state, so
         # installing one cannot change replay digests.
         self._profiler = None
-        # Bounded free list of recycled _Event records.  Generation counters
-        # (bumped on every recycle, pooled or not) keep stale handles inert,
-        # so pool size 0 is behaviourally identical to any positive size.
-        self._event_pool_size = event_pool_size
-        self._event_free: list[_Event] = []
-        # Opt-in pool sanitizer (repro.analysis.sanitize.PoolSanitizer):
-        # observes every _Event acquire/recycle and poisons recycled
-        # records.  Like the profiler it only watches — digests must be
-        # byte-identical with or without it.
-        self._san = None
-        if sanitizer is not None:
-            self.set_sanitizer(sanitizer)
         # Who planned ahead of the clock over what (repro.sim.ledger).
         self.ledger = Ledger()
-
-    def set_sanitizer(self, sanitizer) -> None:
-        """Install (or, with None, remove) a pool sanitizer."""
-        self._san = sanitizer
-        if sanitizer is not None:
-            sanitizer.bind_sim(self)
-
-    @property
-    def sanitizer(self):
-        """The installed pool sanitizer, if any."""
-        return self._san
-
-    @property
-    def queue_depth(self) -> int:
-        """Queued events including cancelled-but-unpopped ones.
-
-        The sanitizer's event-accounting invariant compares this against
-        its outstanding-record count; ordinary code wants :meth:`pending`
-        (live events only).
-        """
-        return len(self._event_heap)
-
-    @property
-    def event_pool_free(self) -> int:
-        """Recycled ``_Event`` records currently on the free list.
-
-        Observability surface (``repro_sim_event_pool_free``) and part of
-        the checkpoint state-capture contract (DESIGN.md §13): the free
-        list rides along in a pickled world so the restored run acquires
-        pooled records in the same order as an uninterrupted one.
-        """
-        return len(self._event_free)
 
     def set_profiler(self, profiler) -> None:
         """Install (or, with None, remove) an event profiler."""
@@ -292,21 +226,14 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self.now}")
-        free = self._event_free
-        if free:
-            event = free.pop()
-            if self._san is not None:
-                self._san.reacquire_event(event)
-            event.time = time
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.cancelled = False
-        else:
-            event = _Event(time, next(self._seq), callback)
-            if self._san is not None:
-                self._san.acquire_event(event)
-        heappush(self._event_heap, (time, event.seq, event))
-        return EventHandle(event, self)
+        event = _new_event(EventHandle)
+        event.time = time
+        event.seq = seq = next(self._seq)
+        event.callback = callback
+        event.cancelled = False
+        event.sim = self
+        heappush(self._event_heap, (time, seq, event))
+        return event
 
     def call_later(self, delay: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` ``delay`` ns from now."""
@@ -319,26 +246,18 @@ class Simulator:
 
         Hot-path variant for callers that never cancel (packet hops, wire
         departures).  Scheduling order — and therefore replay behaviour —
-        is identical to ``call_later``; only the handle allocation is
-        skipped.
+        is identical to ``call_later``; the event just never leaves the
+        engine.
         """
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
         seq = next(self._seq)
-        free = self._event_free
-        if free:
-            event = free.pop()
-            if self._san is not None:
-                self._san.reacquire_event(event)
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.cancelled = False
-        else:
-            event = _Event(time, seq, callback)
-            if self._san is not None:
-                self._san.acquire_event(event)
+        event = _new_event(EventHandle)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.cancelled = False
         heappush(self._event_heap, (time, seq, event))
 
     def every(self, interval: int, callback: Callable[[], None], *,
@@ -346,46 +265,31 @@ class Simulator:
         """Create and start a :class:`PeriodicTask`."""
         return PeriodicTask(self, interval, callback, jitter=jitter).start(delay=delay)
 
-    def _recycle(self, event: _Event) -> None:
-        """Retire a dequeued event.  The generation bump (done whether or
-        not the record re-enters the free list) is what invalidates any
-        surviving handle.  ``_drain`` runs the same steps inline."""
-        event.gen += 1
-        event.callback = None
-        free = self._event_free
-        recycled = len(free) < self._event_pool_size
-        if self._san is not None:
-            self._san.release_event(event, recycled=recycled)
-        if recycled:
-            free.append(event)
-
     def _compact(self) -> None:
         """Drop cancelled entries (lazy-deletion sweep).
 
         Run from :meth:`EventHandle.cancel` once cancelled entries outnumber
-        live ones.  Every swept event is retired, so the pool's accounting
-        sees it leave.
+        live ones.  A swept event is retired like a popped one.
         """
         heap = self._event_heap
-        swept = [entry[2] for entry in heap if entry[2].cancelled]
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        live = []
+        for entry in heap:
+            if entry[2].cancelled:
+                entry[2].callback = None
+            else:
+                live.append(entry)
+        heap[:] = live
         heapify(heap)
         self._cancelled = 0
-        for event in swept:
-            self._recycle(event)
 
     def _drain(self, limit_time: int, max_events: int = _FAR_FUTURE) -> None:
         """The single pop/execute loop behind run_until and run_all.
 
         Keeping one copy means the invariant check and the profiler hook
         cannot drift apart between the two entry points.  Each popped event
-        is retired (``_recycle``, inline) before its callback runs, and a
-        sanitizer poisons a retired record: every field is read first.
+        is retired (its callback cleared) before the callback runs.
         """
         heap = self._event_heap
-        free = self._event_free
-        pool_size = self._event_pool_size
-        san = self._san
         check = self.check_invariants
         stop = self.events_processed + max_events
         while heap and heap[0][0] <= limit_time:
@@ -399,13 +303,7 @@ class Simulator:
                 raise InvariantViolation(
                     f"event scheduled before current sim time: "
                     f"{time} < now {self.now}")
-            event.gen += 1
             event.callback = None
-            recycled = len(free) < pool_size
-            if san is not None:
-                san.release_event(event, recycled=recycled)
-            if recycled:
-                free.append(event)
             if cancelled:
                 continue
             self.now = time

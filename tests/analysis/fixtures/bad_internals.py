@@ -1,23 +1,22 @@
-"""detlint fixture: DET009 — reaching into pool/engine internals."""
-
-
-def steal_a_packet(pool):
-    return pool._free.pop()  # DET009
+"""detlint fixture: DET009 — reaching into engine internals."""
 
 
 def peek_engine(sim) -> int:
-    return len(sim._event_free) + len(sim._event_heap)  # DET009 x2
+    return len(sim._event_heap)  # DET009
 
 
-def drain_transits(fabric) -> None:
-    fabric._transit_free.clear()  # DET009
+def steal_an_event(sim):
+    return sim._event_heap.pop()  # DET009
 
 
-class Wrapper:
-    def expand(self, fabric) -> None:
-        self.limit = fabric._transit_pool_limit  # DET009
+def drain_engine(sim) -> None:
+    sim._event_heap.clear()  # DET009
 
 
-class OwnPool:
-    def release(self, obj) -> None:
-        self._free.append(obj)  # self access inside the owner: ok
+def compare_engines(a, b) -> bool:
+    return len(a._event_heap) < len(b._event_heap)  # DET009 x2
+
+
+class OwnHeap:
+    def push(self, entry) -> None:
+        self._event_heap.append(entry)  # self access inside the owner: ok

@@ -1,7 +1,7 @@
 """Self-tests for the detlint static pass.
 
-Each rule DET001-DET009 must be demonstrated by at least one failing
-fixture; the suppression machinery (reason + allowlist + DET000) is
+Each live rule of DET001-DET009 (DET007 is retired) must be demonstrated
+by at least one failing fixture; the suppression machinery (reason + allowlist + DET000) is
 exercised end to end; and the real source tree must lint clean — the
 same gate CI applies.
 """
@@ -64,16 +64,6 @@ class TestRuleFixtures:
         findings = lint_source("ordinary_module.py", source)
         assert codes_of(findings) == []
 
-    def test_det007_pooled_escape(self, fixtures_dir):
-        findings = lint_fixture(fixtures_dir, "bad_pool_retain.py")
-        assert codes_of(findings) == ["DET007"] * 4
-        # Field copies and handler-local containers stay silent: every
-        # finding sits in one of the four escaping methods.
-        messages = " ".join(f.message for f in findings)
-        assert "'packet'" in messages
-        assert "'segment'" in messages
-        assert "'record'" in messages  # taint through the wrapping ctor
-
     def test_det008_wireform_mutation(self, fixtures_dir):
         findings = lint_fixture(fixtures_dir, "bad_wireform.py")
         assert codes_of(findings) == ["DET008"] * 5
@@ -85,17 +75,14 @@ class TestRuleFixtures:
     def test_det009_pool_internals(self, fixtures_dir):
         findings = lint_fixture(fixtures_dir, "bad_internals.py")
         assert codes_of(findings) == ["DET009"] * 5
-        # The owner's own self._free access is exempt.
-        assert all("_free" in f.message or "_heap" in f.message
-                   or "_limit" in f.message for f in findings)
+        # The owner's own self._event_heap access is exempt.
+        assert all("'_event_heap'" in f.message for f in findings)
 
     def test_det009_exempts_the_owning_module(self, fixtures_dir):
         source = (fixtures_dir / "bad_internals.py").read_text()
         findings = lint_source("src/repro/sim/engine.py", source)
-        codes = codes_of(findings)
-        # The engine-owned attrs are free inside engine.py; the packet
-        # and fabric internals still flag.
-        assert codes == ["DET009"] * 3
+        # The event heap is free inside engine.py.
+        assert codes_of(findings) == []
 
     def test_clean_fixture_has_no_findings(self, fixtures_dir):
         assert lint_fixture(fixtures_dir, "good_clean.py") == []
@@ -105,8 +92,6 @@ class TestRuleFixtures:
         for path in sorted(fixtures_dir.glob("bad_*.py")):
             for finding in lint_source(path.name, path.read_text()):
                 demonstrated.add(finding.code)
-        # SANxxx codes are runtime-sanitizer findings (exercised in
-        # test_sanitize.py); the static pass owns the DET namespace.
         expected = {code for code in RULES
                     if code.startswith("DET") and code != "DET000"}
         assert expected <= demonstrated
@@ -129,12 +114,12 @@ class TestSuppressions:
         assert "DET000" in codes   # not allowlisted
         assert "DET002" in codes   # and the finding stays live
 
-    def test_pooling_rule_suppressions(self, fixtures_dir):
-        findings = lint_fixture(fixtures_dir, "suppressed_pool.py",
+    def test_wireform_and_internals_suppressions(self, fixtures_dir):
+        findings = lint_fixture(fixtures_dir, "suppressed_rules.py",
                                 with_allowlist=True)
         assert codes_of(findings) == []
         assert sorted(f.code for f in findings if f.suppressed) == [
-            "DET007", "DET008", "DET009"]
+            "DET008", "DET008", "DET009"]
         for finding in findings:
             assert finding.suppress_reason.startswith("fixture:")
 
@@ -160,12 +145,9 @@ class TestRealTree:
         # Exactly the documented exemptions: RngStream's random.Random,
         # SimProfiler's two wall-clock reads, the fleet's six wall-time
         # sites (worker wall_s bookkeeping + runner timeout/speedup
-        # accounting), the serve runner's two tick-pacing reads,
-        # PoolSan's id()-keyed tracking tables, and the fabric's two
-        # deliberate packet retentions (in-flight transit slot + drop
-        # evidence).
+        # accounting) and the serve runner's two tick-pacing reads.
         assert sorted(f.code for f in report.suppressed) == (
-            ["DET001"] * 10 + ["DET002"] + ["DET004"] + ["DET007"] * 2)
+            ["DET001"] * 10 + ["DET002"])
         fleet = [f for f in report.suppressed
                  if "fleet" in str(f.path)]
         assert len(fleet) == 6
@@ -225,9 +207,8 @@ class TestRegressionShapes:
 @pytest.mark.parametrize("name", [
     "bad_wallclock.py", "bad_global_random.py", "bad_set_iter.py",
     "bad_id_order.py", "bad_mutable_default.py", "bad_messages.py",
-    "bad_pool_retain.py", "bad_wireform.py", "bad_internals.py",
-    "good_clean.py", "suppressed_ok.py", "bad_suppression.py",
-    "suppressed_pool.py",
+    "bad_wireform.py", "bad_internals.py", "good_clean.py",
+    "suppressed_ok.py", "bad_suppression.py", "suppressed_rules.py",
 ])
 def test_fixture_files_parse(fixtures_dir, name):
     import ast

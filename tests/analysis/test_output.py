@@ -52,7 +52,7 @@ class TestJsonFormat:
         assert keys == sorted(keys)
 
     def test_suppressed_findings_carry_reason(self, fixtures_dir):
-        report = fixture_report(fixtures_dir, ["suppressed_pool.py"],
+        report = fixture_report(fixtures_dir, ["suppressed_rules.py"],
                                 with_allowlist=True)
         doc = json.loads(to_json(report))
         assert doc["summary"]["findings"] == 0
@@ -81,7 +81,7 @@ class TestSarifFormat:
             assert region["startColumn"] >= 1
 
     def test_sarif_suppressions(self, fixtures_dir):
-        report = fixture_report(fixtures_dir, ["suppressed_pool.py"],
+        report = fixture_report(fixtures_dir, ["suppressed_rules.py"],
                                 with_allowlist=True)
         doc = sarif_payload(report)
         results = doc["runs"][0]["results"]

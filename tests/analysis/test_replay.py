@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.runtime import (default_scenario, replay_digest,
                                     structural_digest)
-from repro.sim.engine import InvariantViolation, Simulator, _Event
+from repro.sim.engine import EventHandle, InvariantViolation, Simulator
 from repro.sim.units import SECOND
 
 REPLAY_SEEDS = [3, 7, 11]
@@ -81,7 +81,7 @@ def test_invariant_violation_on_past_event():
     # event behind call_at's guard the way a buggy refactor might.
     sim = Simulator(seed=1, check_invariants=True)
     sim.run_until(100)
-    heappush(sim._event_heap, (50, 0, _Event(50, 0, lambda: None)))
+    heappush(sim._event_heap, (50, 0, EventHandle(50, 0, lambda: None)))
     with pytest.raises(InvariantViolation):
         sim.run_until(200)
 
@@ -89,7 +89,7 @@ def test_invariant_violation_on_past_event():
 def test_invariants_off_by_default_tolerates_same_heap_state():
     sim = Simulator(seed=1)
     sim.run_until(100)
-    heappush(sim._event_heap, (50, 0, _Event(50, 0, lambda: None)))
+    heappush(sim._event_heap, (50, 0, EventHandle(50, 0, lambda: None)))
     sim.run_until(200)  # silently mis-times the event, but does not raise
     assert sim.now == 200
 

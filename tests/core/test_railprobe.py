@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.core.railprobe import RailProber
 from repro.net.faults import (LinkCorruption, RnicDown,
                               RnicRoutingMisconfig)
@@ -52,29 +51,6 @@ class TestBasics:
             covered |= p.covered_links()
         fabric = {l.name for l in small_rail.topology.switch_links()}
         assert fabric <= covered
-
-
-class TestPoolSan:
-    @staticmethod
-    def sweep(sanitize: bool):
-        cluster = Cluster.rail(seed=3, sanitize=sanitize)
-        probers = [RailProber(cluster, h) for h in sorted(cluster.hosts)]
-        for p in probers:
-            p.sweep_ports()
-        cluster.sim.run_for(seconds(2))
-        return cluster, [r for p in probers for r in p.results]
-
-    def test_sweep_under_poolsan_equals_plain_run(self):
-        """The receive completion reads the delivered packet's payload by
-        reference: armed, the sweep must see the same results and leave no
-        finding and no leak."""
-        _, plain = self.sweep(sanitize=False)
-        armed, results = self.sweep(sanitize=True)
-        assert len(plain) == 768
-        assert not any(r.timeout for r in plain)
-        assert results == plain
-        assert armed.sanitizer.findings() == []
-        assert armed.sanitizer.leaks() == []
 
 
 class TestOneWayDetection:

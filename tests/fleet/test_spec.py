@@ -71,12 +71,6 @@ class TestScenarioSpec:
         """Wall-clock budget must not change simulation identity."""
         assert _spec().spec_digest == _spec(timeout_s=120.0).spec_digest
 
-    def test_sanitize_excluded_from_digest(self):
-        """PoolSan only observes, so sanitized results merge with plain
-        ones under the same key (the sanitized replay digest is pinned
-        byte-identical in tests/analysis/test_sanitize.py)."""
-        assert _spec().spec_digest == _spec(sanitize=True).spec_digest
-
     def test_label(self):
         spec = _spec()
         assert spec.label == f"t@{spec.spec_digest[:12]}"

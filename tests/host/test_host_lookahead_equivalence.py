@@ -48,8 +48,9 @@ and reaches no other planner.  Fabric faults and
 ``cpu.set_load`` need no host hook (the walker has its own; the CPU delay is
 drawn at ③ in both worlds) and ride along to show exactly that.
 
-Also here: every script runs a third time PoolSan-armed (same bytes, no
-finding, mid-plan reads included).  The checkpoint cut with steps planned and
+Also here: every script runs a third time (same bytes), and every state
+read of every run, mid-plan ones included, checks that each packet the
+fabric took in was delivered, dropped or is still in flight.  The checkpoint cut with steps planned and
 not yet due lives beside its fabric sibling in
 ``tests/serve/test_checkpoint.py``.
 
@@ -128,7 +129,6 @@ class _PerEventRnic(Rnic):
             self._count_drop("rnic_down")
             if self.tracer is not None:
                 self._trace_rnic_drop(packet.payload, "rnic_down")
-            self.fabric.packet_pool.release(packet)
             return
         self._tx_packets += 1
         self._tx_bytes += packet.size_bytes
@@ -138,7 +138,6 @@ class _PerEventRnic(Rnic):
             if self.tracer is not None:
                 self._trace_rnic_drop(packet.payload, "tx_corruption")
             self._send_cqe(qp, wr_id, packet.payload)
-            self.fabric.packet_pool.release(packet)
             return
         self.fabric.inject(packet, self.name)
         self._send_cqe(qp, wr_id, packet.payload)
@@ -330,10 +329,9 @@ class _Trace:
 class _World:
     """One deployed system, built as is or swapped onto the port."""
 
-    def __init__(self, script, *, per_event, sanitize=False):
+    def __init__(self, script, *, per_event):
         self.script = script
-        self.cluster = cluster = Cluster.clos(script.params, seed=script.seed,
-                                              sanitize=sanitize)
+        self.cluster = cluster = Cluster.clos(script.params, seed=script.seed)
         self.system = RPingmesh(cluster, RPingmeshConfig(**CONFIG))
         self.sim = cluster.sim
         self.rnics = cluster.all_rnics()
@@ -453,8 +451,11 @@ class _World:
     def state(self):
         cluster, system = self.cluster, self.system
         fabric = cluster.fabric
-        if cluster.sanitizer is not None:
-            assert cluster.sanitizer.report() == []
+        # Conservation: every packet injected (including those injected
+        # for an instant still ahead) is delivered, dropped or in flight.
+        assert fabric._packets_injected == (
+            fabric.packets_delivered + sum(fabric.drop_counts.values())
+            + fabric.packets_in_flight)
         return {
             "now": self.sim.now,
             "results": (system.upload_digest.count,
@@ -502,13 +503,12 @@ def test_host_lookahead_matches_per_event_host_path(seed):
     _assert_same(seed, expected, actual)
     assert reference.system.upload_digest.count > 100
     assert not any(rnic.step_demotions for rnic in reference.rnics)
-    # PoolSan armed: the same bytes, and (checked by every state() read,
-    # mid-plan ones included) no finding — SAN003's transit reconciliation
-    # stays exact with planned steps outstanding and across their demotion.
-    armed, sanitized = _run(script, per_event=False, sanitize=True)
-    _assert_same(seed, actual, sanitized)
-    stats = armed.cluster.sanitizer.summary()["packet"]
-    assert stats["acquired"] == stats["released"] + stats["live"]
+    # Once more: the same bytes, and (checked by every state() read,
+    # mid-plan ones included) every packet accounted for with planned
+    # steps outstanding and across their demotion.
+    again, replayed = _run(script, per_event=False)
+    _assert_same(seed, actual, replayed)
+    assert not again.cluster.fabric.packets_in_flight
 
 
 def test_scripts_plan_demote_and_unpost(monkeypatch):

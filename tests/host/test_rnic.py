@@ -77,6 +77,23 @@ class TestUdExchange:
         assert cqes_b[0].src_qpn == qp_a.qpn
         assert cqes_b[0].src_port == 5000
 
+    def test_cqe_consumers_keep_their_cqes(self, tiny_clos):
+        """A handler that keeps its CQEs sees each as delivered."""
+        a = tiny_clos.rnic("host0-rnic0")
+        b = tiny_clos.rnic("host1-rnic0")
+        host_a = tiny_clos.host_of_rnic(a.name)
+        host_b = tiny_clos.host_of_rnic(b.name)
+        kept = []
+        qp_a = host_a.verbs.create_qp(a, QPType.UD, on_cqe=lambda c: None)
+        qp_b = host_b.verbs.create_qp(b, QPType.UD, on_cqe=kept.append)
+        for seq in range(5):
+            host_a.verbs.post_send(
+                a, qp_a, b.comm_info(qp_b.qpn), src_port=5000 + seq,
+                payload={"seq": seq}, payload_bytes=50)
+        tiny_clos.sim.run_for(seconds(1))
+        assert [c.payload["seq"] for c in kept] == [0, 1, 2, 3, 4]
+        assert len({id(c) for c in kept}) == 5
+
     def test_ud_send_cqe_at_wire_departure(self, tiny_clos):
         """UD send CQE must predate delivery: it is timestamp ② of Fig 4."""
         c = tiny_clos

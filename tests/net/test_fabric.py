@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.addresses import roce_five_tuple, FiveTuple, PROTO_TCP
 from repro.net.fabric import DropReason, Fabric
-from repro.net.packet import RoCEPacket, TCPPacket
+from repro.net.packet import RoCEOpcode, RoCEPacket, TCPPacket
 from repro.net.topology import Tier, Topology
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngStream
@@ -307,3 +307,29 @@ class TestCounters:
         fabric.inject(roce_packet(), "a")
         sim.run_until(seconds(1))
         assert topo.link("a", "tor1").packets_forwarded == 1
+
+
+def test_dropped_packets_keep_their_evidence(tiny_clos):
+    """A DropRecord holds the dropped packet itself, as it was dropped,
+    however much traffic follows."""
+    fabric = tiny_clos.fabric
+    a = tiny_clos.rnic("host0-rnic0")
+    b = tiny_clos.rnic("host1-rnic0")
+    tor = tiny_clos.tor_of(b.name)
+    tiny_clos.topology.nodes[tor].acl.deny(dst_ip=b.ip)
+    packet = fabric.packet_pool.acquire_roce(
+        roce_five_tuple(a.ip, b.ip, 5000), 108, RoCEOpcode.UD_SEND,
+        1, 2, a.gid.value, b.gid.value, {"t": "probe", "seq": 42})
+    fabric.inject(packet, a.name)
+    tiny_clos.sim.run_for(seconds(1))
+    assert len(fabric.drops) == 1
+    dropped = fabric.drops[0].packet
+    assert dropped is packet
+    for i in range(20):
+        other = fabric.packet_pool.acquire_roce(
+            roce_five_tuple(b.ip, a.ip, 6000 + i), 108,
+            RoCEOpcode.UD_SEND, 1, 2, b.gid.value, a.gid.value,
+            {"seq": i})
+        fabric.inject(other, b.name)
+        tiny_clos.sim.run_for(seconds(1))
+    assert dropped.payload == {"t": "probe", "seq": 42}

@@ -4,8 +4,8 @@ import pytest
 
 from repro.net.addresses import FiveTuple, PROTO_TCP, roce_five_tuple
 from repro.net.packet import (PROBE_PAYLOAD_BYTES, ROCE_HEADER_BYTES,
-                              RoCEOpcode, RoCEPacket, TCPPacket, TC_ROCE,
-                              TC_TCP, Packet, probe_packet_size)
+                              PacketPool, RoCEOpcode, RoCEPacket, TCPPacket,
+                              TC_ROCE, TC_TCP, Packet, probe_packet_size)
 
 
 def _ft():
@@ -59,3 +59,34 @@ def test_payload_is_per_packet():
     b = Packet(five_tuple=_ft(), size_bytes=10)
     a.payload["k"] = 1
     assert "k" not in b.payload
+
+
+def _built(payload):
+    return PacketPool.acquire_roce(
+        roce_five_tuple("10.9.9.9", "10.0.0.2", 6001), 108,
+        RoCEOpcode.UD_SEND, 17, 23, "gid-src", "gid-dst", payload)
+
+
+def test_acquire_roce_matches_a_hand_built_packet():
+    """The builder skips the dataclass constructor, so every field it
+    writes is checked against one that ran it."""
+    built = _built({"a": 1})
+    fresh = RoCEPacket(
+        five_tuple=roce_five_tuple("10.9.9.9", "10.0.0.2", 6001),
+        size_bytes=108, opcode=RoCEOpcode.UD_SEND, src_qpn=17,
+        dst_qpn=23, src_gid="gid-src", dst_gid="gid-dst", payload={"a": 1})
+    assert type(built) is RoCEPacket
+    assert built == fresh
+
+
+def test_acquire_roce_copies_the_payload():
+    caller_payload = {"t": "probe"}
+    packet = _built(caller_payload)
+    packet.payload["mutated"] = True
+    assert caller_payload == {"t": "probe"}
+
+
+def test_acquire_roce_rejects_a_non_positive_size():
+    with pytest.raises(ValueError, match="size_bytes"):
+        PacketPool.acquire_roce(_ft(), 0, RoCEOpcode.UD_SEND, 1, 2,
+                                "gid-src", "gid-dst", {})

@@ -23,7 +23,8 @@ its instant.  Compared:
 * the fabric RNG stream's draw count and state;
 * with an INT collector installed, every stamp it folded;
 
-and the lookahead walker's results once more with PoolSan armed.
+and the lookahead walker's results once more, with every packet it took in
+accounted for — delivered, dropped or in flight — at every cut.
 
 ``_PerHopFabric`` below is a faithful port of the pre-lookahead walker.
 
@@ -84,7 +85,6 @@ from functools import partial
 
 import pytest
 
-from repro.analysis.sanitize import PoolSanitizer
 from repro.diagnosis.inband import IntCollector
 from repro.net.addresses import FiveTuple, PROTO_TCP, roce_five_tuple
 from repro.net.clos import ClosParams, build_clos
@@ -388,7 +388,7 @@ def _apply(world, kind, link_key, switch, port, x, undo):
 class _World:
     """A fabric of the given class over a Clos of the given shape."""
 
-    def __init__(self, params, seed, fabric_cls, sanitizer=None):
+    def __init__(self, params, seed, fabric_cls):
         self.topo = build_clos(params).topology
         # Every cable its own length: with build_clos's uniform 500 ns two
         # packets injected a whole number of hop delays apart meet at the
@@ -398,10 +398,9 @@ class _World:
         lengths = random.Random(seed)
         for key in sorted(self.topo.links):
             self.topo.links[key].propagation_ns = lengths.randrange(300, 900)
-        self.sim = Simulator(seed=0, sanitizer=sanitizer)
+        self.sim = Simulator(seed=0)
         self.fabric = fabric_cls(self.sim, self.topo,
-                                 RngStream(seed, "fabric"),
-                                 sanitizer=sanitizer)
+                                 RngStream(seed, "fabric"))
         self.ports = self.topo.host_ports()
         self.ips = {port: f"10.0.{i // 200}.{i % 200 + 1}"
                     for i, port in enumerate(self.ports)}
@@ -493,16 +492,29 @@ class _World:
         return out
 
 
-def _run(script, fabric_cls, sanitizer=None):
-    world = _World(script.params, script.seed, fabric_cls, sanitizer)
+def _run(script, fabric_cls, on_cut=None):
+    world = _World(script.params, script.seed, fabric_cls)
     world.play(script)
     snapshots = []
     for cut in script.cuts:
         world.sim.run_until(cut)
         snapshots.append(world.snapshot())
+        if on_cut is not None:
+            on_cut(world)
     world.sim.run_until(HORIZON_NS)
     snapshots.append(world.snapshot(final=True))
+    if on_cut is not None:
+        on_cut(world)
     return world, snapshots
+
+
+def _conserved(world):
+    """Every packet injected (including those injected for an instant still
+    ahead) is delivered, dropped or in flight."""
+    fabric = world.fabric
+    assert fabric._packets_injected == (
+        fabric.packets_delivered + sum(fabric.drop_counts.values())
+        + fabric.packets_in_flight)
 
 
 # -- the differential tests ------------------------------------------------------------
@@ -518,10 +530,8 @@ def test_lookahead_walker_matches_per_hop_walker(seed):
                 f"seed {seed}: {key} diverged at t={want['now']}")
     assert not walker.fabric.packets_in_flight
     assert not reference.fabric.walker_demotions
-    # PoolSan armed: the same results, every transit and event accounted for.
-    sanitizer = PoolSanitizer()
-    assert _run(script, Fabric, sanitizer)[1] == actual
-    assert sanitizer.report() == []
+    # Once more: the same results, every packet accounted for at each cut.
+    assert _run(script, Fabric, _conserved)[1] == actual
 
 
 def test_scripts_reach_every_ending_and_demote_in_flight():

@@ -255,7 +255,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 14
+        assert meta["format"] == 15
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -284,13 +284,14 @@ class TestFileFormat:
         queue, dataclass 5-tuples and Agent QPs fed receive CQEs, a v12
         one RNICs with a CQE free list and rail probers fed receive CQEs,
         a v13 one links, cables, ACLs and a topology relaying take-backs
-        through callbacks of their own, with no take-back ledger;
-        resuming any of them under this code would diverge silently or
+        through callbacks of their own, with no take-back ledger, a v14
+        one free lists of recycled events, packets and transits and
+        generation-checked handles apart from their events; resuming any of them under this code would diverge silently or
         fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))
@@ -325,12 +326,3 @@ class TestFileFormat:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["tick"] == 3
 
-
-class TestSanitizerGuard:
-    def test_sanitized_session_refused(self, tmp_path):
-        session = ServeSession(ServeSpec(seed=1))
-        session.tick()
-        # PoolSan tables are keyed by id(); pickling them is meaningless.
-        session.cluster.sanitizer = object()
-        with pytest.raises(CheckpointError, match="[Ss]aniti"):
-            save_checkpoint(session, tmp_path / "ck.bin")

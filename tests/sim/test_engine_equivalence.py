@@ -17,40 +17,20 @@ cancelled nor seen fire.  Checked at every step:
 * live and queued counts agree after every operation, including across
   compaction;
 * every event cancelled while queued leaves exactly once — popped as
-  cancelled, or swept by a compaction — and each departure is reported to
-  the pool sanitizer, which is how PoolSan sees a swept record retire.
+  cancelled, or swept by a compaction — and a departed event is retired
+  (its callback cleared), so a late cancel cannot touch the accounting.
 """
 
 import random
 from heapq import heappush
 
-from repro.sim.engine import EventHandle, Simulator, _Event
-
-
-class _ReleaseLog:
-    """A stand-in pool sanitizer: records every event retirement."""
-
-    def __init__(self):
-        self.released = []      # (seq, cancelled) per retired record
-
-    def bind_sim(self, sim):
-        pass
-
-    def acquire_event(self, event):
-        pass
-
-    def reacquire_event(self, event):
-        pass
-
-    def release_event(self, event, *, recycled):
-        self.released.append((event.seq, event.cancelled))
+from repro.sim.engine import EventHandle, Simulator
 
 
 class _Harness:
     def __init__(self, seed):
         self.rng = random.Random(seed)
-        self.log = _ReleaseLog()
-        self.sim = Simulator(seed=seed, sanitizer=self.log)
+        self.sim = Simulator(seed=seed)
         self.seq = 0          # the engine's next sequence number
         self.live = {}        # (time, seq) -> handle (None: schedule()d)
         self.cancelled = []   # seqs cancelled while queued
@@ -69,23 +49,21 @@ class _Harness:
         callback = self._callback(key)
         if time < sim.now:
             # Smuggle the entry past call_at's guard.
-            event = _Event(time, next(sim._seq), callback)
-            heappush(sim._event_heap, (time, event.seq, event))
-            queued = EventHandle(event, sim)
+            queued = EventHandle(time, next(sim._seq), callback, sim)
+            heappush(sim._event_heap, (time, queued.seq, queued))
         elif handle:
             queued = sim.call_at(time, callback)
         else:
             sim.schedule(time - sim.now, callback)
             queued = None
-        assert queued is None or queued._event.seq == key[1]
+        assert queued is None or queued.seq == key[1]
         self.live[key] = queued
         return queued
 
     def cancel(self, handle):
         """What ``EventHandle.cancel`` does to a still-queued event."""
-        event = handle._event
-        del self.live[(event.time, event.seq)]
-        self.cancelled.append(event.seq)
+        del self.live[(handle.time, handle.seq)]
+        self.cancelled.append(handle.seq)
         handle.cancel()
         self.check_counts()
 
@@ -97,7 +75,7 @@ class _Harness:
     def cancel_random_fired(self):
         """Cancel-after-fire: a stale handle on an already-fired event.
 
-        The handle's generation no longer matches its (recycled) record, so
+        The event was retired when it fired (its callback cleared), so
         nothing at all may change.
         """
         if self.popped:
@@ -113,21 +91,29 @@ class _Harness:
         for key in out:
             handle = self.live.pop(key)
             if handle:
+                assert handle.callback is None      # retired as it fired
                 self.popped.append(handle)
         assert out == expected
         self.check_counts()
         return out
 
+    def queued_cancelled(self):
+        """Seqs of the cancelled events still in the heap."""
+        return [event.seq for _, _, event in self.sim._event_heap
+                if event.cancelled]
+
     def check_counts(self):
         sim = self.sim
         assert sim.pending() == len(self.live)
-        gone = [seq for seq, cancelled in self.log.released if cancelled]
-        assert len(set(gone)) == len(gone), (
-            "a cancelled event left the queue twice")
-        assert set(gone) <= set(self.cancelled)
-        queued = len(self.cancelled) - len(gone)
-        assert sim.queue_depth == len(sim._event_heap) == \
-            len(self.live) + queued
+        queued = self.queued_cancelled()
+        assert len(set(queued)) == len(queued), (
+            "a cancelled event is queued twice")
+        assert set(queued) <= set(self.cancelled)
+        assert sim._cancelled == len(queued)
+        assert len(sim._event_heap) == len(self.live) + len(queued)
+        # Nothing retired is still queued.
+        assert all(event.callback is not None
+                   for _, _, event in sim._event_heap)
 
 
 def _run_random_schedule(seed, steps):
@@ -150,9 +136,8 @@ def _run_random_schedule(seed, steps):
         else:
             h.pop_until(h.sim.now + rng.randrange(0, 3000, 250))
     h.pop_until(1 << 61)  # drain
-    assert h.sim.queue_depth == 0 and not h.live
-    assert sorted(seq for seq, cancelled in h.log.released if cancelled) \
-        == sorted(h.cancelled)
+    assert not h.sim._event_heap and not h.live
+    assert h.sim._cancelled == 0
 
 
 def test_randomized_schedules_match_sorted_live_set():
@@ -172,7 +157,8 @@ def test_cancel_after_fire_touches_no_accounting():
     first = h.push(100)
     h.push(200)
     assert h.pop_until(100) == [(100, 0)]
-    first.cancel()                  # stale: its record was retired
+    first.cancel()                  # stale: the event was retired
+    assert first.callback is None
     h.check_counts()
     h.push(150)
     assert h.pop_until(1 << 61) == [(150, 2), (200, 1)]
@@ -185,8 +171,8 @@ def test_mass_cancel_triggers_compaction_and_order_survives():
     for handle in handles[: (3 * len(handles)) // 4]:
         h.cancel(handle)
     # A sweep ran and physically dropped entries, retiring each.
-    assert h.log.released
-    assert h.sim.queue_depth < len(handles)
+    assert len(h.sim._event_heap) < len(handles)
+    assert any(handle.callback is None for handle in handles)
     survivors = h.pop_until(1 << 61)
     assert survivors == [(t, seq) for seq, t in enumerate(range(0, 20000, 7))
                          if seq >= (3 * len(handles)) // 4]
@@ -198,17 +184,15 @@ def test_compaction_retires_every_swept_event():
     doomed = handles[::2] + [handles[1]]
     for handle in doomed[:-1]:
         h.cancel(handle)
-    assert not h.log.released          # 100 cancelled, 100 live: no sweep
+    # 100 cancelled, 100 live: no sweep.
+    assert len(h.queued_cancelled()) == 100
     h.cancel(doomed[-1])               # 101 > 99: the sweep runs
-    swept = sorted(seq for seq, _ in h.log.released)
-    assert swept == sorted(handle._event.seq for handle in doomed)
-    assert h.sim.queue_depth == h.sim.pending() == 99
-    released = len(h.log.released)
+    assert not h.queued_cancelled()
+    assert all(handle.callback is None for handle in doomed)
+    assert len(h.sim._event_heap) == h.sim.pending() == 99
     expected = sorted(h.live)
     assert h.pop_until(1 << 61) == expected
-    # Only live pops were retired after the sweep: nothing cancelled was
-    # left in the heap to pop.
-    assert all(not cancelled for _, cancelled in h.log.released[released:])
+    assert all(handle.callback is None for handle in handles)
 
 
 def test_interleaved_past_and_future_pushes_keep_exact_order():

@@ -7,7 +7,7 @@ a FROZEN scenario from ``repro.analysis.runtime`` runs to completion.  How
 many simulator events a run takes is not part of it, so an optimization
 may schedule fewer — as long as every probe still measures the same thing.
 
-If one of these fails, an engine/fabric/pooling change altered event
+If one of these fails, an engine/fabric change altered event
 ordering, RNG draw order, or a drop decision.  That is a bug in the change,
 not in the hash: do NOT re-capture the digests to make the suite green
 unless the behaviour change is deliberate, understood, and called out in
@@ -26,7 +26,7 @@ The three scenarios x three seeds span the behaviour space:
 import pytest
 
 from repro.analysis.runtime import (GOLDEN_SCENARIOS, SCENARIOS,
-                                    structural_digest)
+                                    run_scenario, structural_digest)
 
 # (scenario, seed) -> sha256 structural digest.  History: captured on the
 # per-hop fabric walker and reproduced bit for bit by the lookahead walker
@@ -60,7 +60,6 @@ GOLDEN_DIGESTS = {
 }
 
 # The reference scenarios that are not golden, pinned at seed 7 only.
-# tests/analysis/test_sanitize.py checks them where it runs them anyway.
 SEED7_DIGESTS = {
     "sharded":
         "984ec4ffb15276cde3e563c26a03e9d7d986ef0106eb2813eddc7552c38015d5",
@@ -73,12 +72,12 @@ SEED7_DIGESTS = {
 # spec_digest[:16] of every reference ScenarioSpec: the definitions are
 # FROZEN, and an edit to one shows here before any simulation runs.
 SPEC_DIGESTS = {
-    "quiet": "9132293125aa0296",
-    "faulted": "508585bf0b52a94a",
-    "congested": "0820e62b75ff9632",
-    "sharded": "fa240dc9bc8bceca",
-    "int_telemetry": "ae84d5097fe04e26",
-    "rnic_corruption": "a843018bd854a98d",
+    "quiet": "9782fba9d473c6d3",
+    "faulted": "818d15f3b89b0ea8",
+    "congested": "83208737e76e1fc6",
+    "sharded": "7249b5df781fe148",
+    "int_telemetry": "d1adcd9908ccd7b5",
+    "rnic_corruption": "2a8bddd5817d839b",
 }
 
 
@@ -104,3 +103,10 @@ def test_scenario_digest_matches_golden(name, seed):
     assert digest == GOLDEN_DIGESTS[(name, seed)], (
         f"{name} seed {seed}: replay digest changed - the sim core no "
         f"longer reproduces the pinned behaviour byte-for-byte")
+
+
+@pytest.mark.parametrize("name", sorted(SEED7_DIGESTS))
+def test_seed7_scenario_digest_matches_pinned(name):
+    digest = structural_digest(run_scenario(name, 7))
+    assert digest == SEED7_DIGESTS[name], (
+        f"{name} seed 7: replay digest changed")

@@ -122,8 +122,10 @@ def _switch_acl(cluster):
 
 
 def _port_acl(cluster):
-    # A host port's ACL feeds nothing a packet reads, but an edit still
-    # re-derives the (quiet) link into the port: the walker hears of it.
+    # A host port's ACL feeds nothing a packet reads: it lists no in-link,
+    # so an edit re-derives nothing and tells nobody, though the link into
+    # the port is quiet.
+    assert cluster.topology.link(TOR, PORT).quiet
     acl = cluster.topology.node(PORT).acl
     acl.deny(dst_ip="10.9.9.9")
     return acl
@@ -171,8 +173,8 @@ CASES = (
        ("LinkPair.routed_around", _pair, _set("routed_around", True),
         "walker", "pair"),
        ("Acl.deny", _switch_acl, _deny, "walker", "acl"),
-       ("Acl.remove", _port_acl, _remove, "walker", "acl"),
-       ("Acl.clear", _port_acl, _clear, "walker", "acl"),
+       ("Acl.remove", _port_acl, _remove, None, "acl"),
+       ("Acl.clear", _port_acl, _clear, None, "acl"),
        ("DirectedLink.pause_delay_ns@loud", _loud_link,
         _set("pause_delay_ns", 2_000), None, "link"),
        ("LinkPair.up@down", _down_pair, _set("up", True), None, "pair"),
