@@ -14,7 +14,9 @@ layer on and print that layer.  ``triage`` is the §7.2 "is it a network
 problem?" workflow, ``catalog`` runs Table 2 rows end to end, ``figures``
 exports figure series as CSV, ``backends`` prints the diagnosis bake-off's
 BENCH lines, ``fleet run`` merges a named sweep into a deterministic
-scorecard that ``fleet report`` re-renders.
+scorecard that ``fleet report`` re-renders, and ``checkpoint info|digest``
+prints a serve checkpoint's metadata or restores it and prints its replay
+digest.
 """
 
 from __future__ import annotations
@@ -330,6 +332,23 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
     return 0 if det.get("consistent", True) else 1
 
 
+def cmd_checkpoint(args: argparse.Namespace) -> int:
+    from repro.serve import CheckpointError, load_checkpoint, read_metadata
+
+    try:
+        if args.checkpoint_command == "info":
+            print(json.dumps(read_metadata(args.path), indent=2,
+                             sort_keys=True))
+            return 0
+        session = load_checkpoint(args.path)
+    except (OSError, CheckpointError) as exc:
+        _reject(exc)
+    for _ in range(args.run_ticks):
+        session.tick()
+    print(session.replay_digest())
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-pingmesh",
@@ -482,6 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_report.add_argument("--artifact", required=True,
                               help="path to a fleet scorecard JSON")
     fleet_report.set_defaults(func=cmd_fleet_report)
+
+    checkpoint = sub.add_parser(
+        "checkpoint", help="inspect or replay a serve checkpoint file"
+    ).add_subparsers(dest="checkpoint_command", required=True)
+    info = checkpoint.add_parser("info", help="print the JSON metadata")
+    digest = checkpoint.add_parser(
+        "digest", help="restore, run --run-ticks more, print replay digest")
+    digest.add_argument("--run-ticks", type=int, default=0)
+    for p in (info, digest):
+        p.add_argument("path")
+        p.set_defaults(func=cmd_checkpoint)
     return parser
 
 

@@ -35,44 +35,15 @@ from repro.core.config import RPingmeshConfig
 from repro.core.records import structural_digest
 from repro.core.system import RPingmesh
 from repro.net.clos import ClosParams
-from repro.net.faults import (ControlPlanePartition, CpuOverload, Fault,
-                              FaultManager, HostDown, LinkCorruption,
-                              LinkFailure, LinkOverload, PcieDowngrade,
-                              PfcDeadlock, PfcHeadroomMisconfig,
-                              RnicAcsMisconfig, RnicCorruption, RnicDown,
-                              RnicFlapping, RnicGidIndexMissing,
-                              RnicRoutingMisconfig, SwitchAclError,
-                              SwitchPortFlapping)
+from repro.net.faults import FAULT_KINDS, Fault, FaultManager, Param
 from repro.obs import Observability
 from repro.sim.units import MICROSECOND, SECOND
 
 ParamValue = Union[int, float, str, bool]
 # A fault with its scoring window (start_ns, end_ns or None if never cleared).
 ScheduledFault = tuple[Fault, tuple[int, Optional[int]]]
-
-# The declarative fault vocabulary: registry key -> constructor.  Every
-# constructor takes (cluster, *loci, **params); loci are positional
-# device/link-endpoint names (a management-network endpoint name for
-# ``control_plane_partition``), params are keyword knobs.
-FAULT_KINDS: dict[str, type[Fault]] = {
-    "switch_port_flapping": SwitchPortFlapping,
-    "rnic_flapping": RnicFlapping,
-    "link_corruption": LinkCorruption,
-    "rnic_corruption": RnicCorruption,
-    "rnic_down": RnicDown,
-    "host_down": HostDown,
-    "pfc_deadlock": PfcDeadlock,
-    "rnic_routing_misconfig": RnicRoutingMisconfig,
-    "rnic_gid_index_missing": RnicGidIndexMissing,
-    "switch_acl_error": SwitchAclError,
-    "pfc_headroom_misconfig": PfcHeadroomMisconfig,
-    "link_overload": LinkOverload,
-    "cpu_overload": CpuOverload,
-    "pcie_downgrade": PcieDowngrade,
-    "rnic_acs_misconfig": RnicAcsMisconfig,
-    "link_failure": LinkFailure,
-    "control_plane_partition": ControlPlanePartition,
-}
+# Where a window's start or end may lie (10^9 s is some 31 years).
+_WINDOW_S = Param("window", float, 0.0, 1e9, unit="s")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,19 +62,26 @@ class FaultEvent:
     params: tuple[tuple[str, ParamValue], ...] = ()
 
     def __post_init__(self) -> None:
+        """Check what needs no world: the kind, the window, and each value
+        against its kind's ``PARAMS`` (loci and parameter names wait for
+        :func:`validate_campaign_loci`)."""
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; choose from: "
                 f"{', '.join(sorted(FAULT_KINDS))}")
         if not self.loci:
             raise ValueError(f"fault event {self.kind!r} needs >= 1 locus")
-        if self.start_s < 0:
-            raise ValueError("start_s must be >= 0")
+        for name in ("start_s", "end_s"):
+            value = getattr(self, name)
+            if value is not None and not _WINDOW_S.allows(value):
+                raise ValueError(f"{name} must be {_WINDOW_S.describe()}, "
+                                 f"got {value!r}")
         if self.end_s is not None and self.end_s <= self.start_s:
             raise ValueError("end_s must follow start_s")
         if tuple(sorted(self.params)) != self.params:
             raise ValueError("params must be sorted (name, value) pairs; "
                              "build events with FaultEvent.make()")
+        FAULT_KINDS[self.kind].check_params(dict(self.params))
 
     @classmethod
     def make(cls, kind: str, *loci: str, start_s: float,
@@ -124,36 +102,22 @@ class FaultEvent:
         return dict(self.params)
 
     def build(self, cluster: Cluster) -> Fault:
-        """Realise the declarative event against a live cluster; wrong
-        arity, an unknown keyword or two devices with no link between them
-        raise the ``ValueError`` every other campaign mistake does."""
-        try:
-            return FAULT_KINDS[self.kind](cluster, *self.loci,
-                                          **self.params_dict())
-        except (TypeError, KeyError) as exc:
-            raise ValueError(
-                f"campaign event {self.kind!r} cannot be built from loci "
-                f"{list(self.loci)} and params {self.params_dict()}: "
-                f"{exc.args[0] if exc.args else exc}") from exc
+        """Realise the event against a live cluster it has been validated
+        for (:func:`validate_campaign_loci`)."""
+        return FAULT_KINDS[self.kind](cluster, *self.loci,
+                                      **self.params_dict())
 
 
 def validate_campaign_loci(campaign: Iterable[FaultEvent],
                            cluster: Cluster) -> None:
-    """Fail fast if a campaign names devices the deployment lacks."""
-    devices = set(cluster.topology.nodes) | set(cluster.hosts)
+    """Fail fast, with one ``ValueError`` naming the event's kind, if an
+    event's loci or parameter names do not fit its kind in this
+    deployment (its values were checked when it was made)."""
     for event in campaign:
-        if event.kind in ("cpu_overload", "host_down"):
-            known = cluster.hosts
-        elif (event.kind == "control_plane_partition"
-                and cluster.management is not None):
-            known = cluster.management.endpoints()
-        else:
-            known = devices
-        unknown = [n for n in event.loci if n not in known]
-        if unknown:
-            raise ValueError(
-                f"campaign event {event.kind!r} names unknown "
-                f"loci {unknown} (topology has {len(devices)} devices)")
+        why = FAULT_KINDS[event.kind].build_error(
+            cluster, event.loci, event.params_dict())
+        if why is not None:
+            raise ValueError(f"campaign event {event.kind!r} {why}")
 
 
 def schedule_campaign(manager: FaultManager, cluster: Cluster,

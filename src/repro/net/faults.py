@@ -10,18 +10,24 @@ holding the device settings they change through its
 :class:`~repro.cluster.Holds` table, so two faults (or a fault and a
 workload) on one device compose; the :class:`FaultManager` schedules
 activation windows on the simulator and keeps the ground-truth registry.
+
+What a kind takes is data on its class: ``locus_kind`` fixes its loci and
+``PARAMS`` its keywords' types and ranges, which the constructors,
+:class:`~repro.fleet.spec.FaultEvent` and campaign validation all check.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Optional
+from ipaddress import IPv4Address
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional
 
 from repro.cluster import Cluster
 from repro.net.addresses import FiveTuple
 from repro.sim.engine import PeriodicTask
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import HOUR, MILLISECOND, SECOND
 
 # Time for routing to converge around a cleanly failed link.  Flapping
 # faster than this leaves the link in ECMP and black-holes hashed flows.
@@ -46,6 +52,43 @@ class LocusKind(Enum):
     HOST = "host"
 
 
+class Param(NamedTuple):
+    """One keyword a fault kind takes.  ``type`` is ``int``, ``float`` (an
+    int too) or ``IPv4Address`` (None or a dotted address).  A number lies
+    in ``low``..``high``, open where ``bounds`` has a parenthesis; finite
+    bounds keep NaN and +-inf out, and no bool is a number.  A ``_ns`` knob
+    is an int: the clock counts whole ns."""
+
+    name: str
+    type: object
+    low: Optional[float] = None
+    high: Optional[float] = None
+    bounds: str = "[]"
+    unit: str = ""
+    required: bool = False
+
+    def allows(self, value: object) -> bool:
+        if self.type is IPv4Address:
+            try:
+                return value is None or str(IPv4Address(value)) == value
+            except ValueError:
+                return False
+        number = int if self.type is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, number):
+            return False
+        low, high = self.bounds
+        return ((self.low < value if low == "(" else self.low <= value)
+                and (value < self.high if high == ")" else value <= self.high))
+
+    def describe(self) -> str:
+        if self.type is IPv4Address:
+            return "None or a dotted IPv4 address"
+        what = "an integer" if self.type is int else "a number"
+        unit = f" {self.unit}" if self.unit else ""
+        return (f"{what} in {self.bounds[0]}{self.low!r}, "
+                f"{self.high!r}{self.bounds[1]}{unit}")
+
+
 @dataclass
 class GroundTruth:
     """What was actually injected; the scoring key for Figure 6."""
@@ -66,13 +109,20 @@ class Fault:
     :meth:`clear` releases them.  ``_inject`` / ``_clear`` are for effects
     that are not settings (a flapping task, an ACL rule, a partition)."""
 
+    kind = ""                           # FAULT_KINDS key: snake_case name
     table2_row: int = 0
     category = ProblemCategory.HARDWARE_FAILURE
     locus_kind = LocusKind.LINK
     causes_service_failure = False
+    PARAMS: tuple[Param, ...] = ()      # its keywords, one row each
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
 
     def __init__(self, cluster: Cluster, locus: str, *,
-                 fault_id: Optional[str] = None):
+                 fault_id: Optional[str] = None, **params):
+        self.check_params(params)
         self.cluster = cluster
         self.locus = locus
         self.ground_truth = GroundTruth(
@@ -134,6 +184,49 @@ class Fault:
         if self.open_windows == 0:
             self.clear()
 
+    @classmethod
+    def check_params(cls, params: Mapping[str, object]) -> None:
+        """Refuse the first value ``PARAMS`` does not allow (a name it
+        lacks is :meth:`build_error`'s)."""
+        for param in cls.PARAMS:
+            if param.name in params and not param.allows(params[param.name]):
+                raise ValueError(
+                    f"{cls.kind}: {param.name} must be {param.describe()}, "
+                    f"got {params[param.name]!r}")
+
+    @classmethod
+    def loci_in(cls, cluster: Cluster) -> tuple[str, object]:
+        """This kind's loci in words, and the names that qualify."""
+        topology = cluster.topology
+        return {
+            LocusKind.LINK: ("two cabled nodes", topology.nodes),
+            LocusKind.RNIC: ("one RNIC", cluster.host_name_of),
+            LocusKind.HOST: ("one host", cluster.hosts),
+            LocusKind.SWITCH: ("one switch", topology.switches()),
+        }[cls.locus_kind]
+
+    @classmethod
+    def build_error(cls, cluster: Cluster, loci: tuple[str, ...],
+                    params: Mapping[str, object]) -> Optional[str]:
+        """Why ``cls(cluster, *loci, **params)`` would not build, as a phrase
+        to follow the kind's name; None if it would."""
+        what, known = cls.loci_in(cluster)
+        if len(loci) != (2 if cls.locus_kind is LocusKind.LINK else 1):
+            return f"takes {what}, not {list(loci)}"
+        unknown = [name for name in loci if name not in known]
+        if unknown:
+            return f"names unknown loci {unknown} (it takes {what})"
+        if len(loci) == 2 and tuple(loci) not in cluster.topology.links:
+            return f"names {loci[0]} and {loci[1]}, which no cable joins"
+        names = [param.name for param in cls.PARAMS]
+        unknown = [name for name in params if name not in names]
+        if unknown:
+            return (f"has no parameter {unknown[0]!r} (it takes "
+                    f"{', '.join(names) or 'none'})")
+        missing = [p.name for p in cls.PARAMS
+                   if p.required and p.name not in params]
+        return f"needs parameter {missing[0]!r}" if missing else None
+
     def _inject(self) -> None:
         """Start what is not a held setting (nothing, by default)."""
 
@@ -159,15 +252,15 @@ class _Flapping(Fault):
     change holds (:meth:`_flap`)."""
 
     table2_row = 1
+    # A period under 1 ms toggled the port every ns and wedged the run.
+    PARAMS = (Param("period_ns", int, MILLISECOND, HOUR, unit="ns"),
+              Param("down_fraction", float, 0.0, 1.0, bounds="()"))
 
     def __init__(self, cluster: Cluster, locus: str, *,
                  period_ns: int = 400 * MILLISECOND,
                  down_fraction: float = 0.5):
-        super().__init__(cluster, locus)
-        if not period_ns >= MILLISECOND:   # a ns period toggles every ns
-            raise ValueError("period_ns must be at least 1 ms (1000000)")
-        if not 0.0 < down_fraction < 1.0:
-            raise ValueError("down_fraction must be in (0, 1)")
+        super().__init__(cluster, locus, period_ns=period_ns,
+                         down_fraction=down_fraction)
         self.period_ns = period_ns
         self.down_fraction = down_fraction
         self._task: Optional[PeriodicTask] = None
@@ -237,12 +330,11 @@ class LinkCorruption(Fault):
     table2_row = 2
     category = ProblemCategory.HARDWARE_FAILURE
     locus_kind = LocusKind.LINK
+    PARAMS = (Param("drop_prob", float, 0.0, 1.0, bounds="(]"),)
 
     def __init__(self, cluster: Cluster, a: str, b: str, *,
                  drop_prob: float = 0.05):
-        super().__init__(cluster, f"{a}<->{b}")
-        if not 0.0 < drop_prob <= 1.0:
-            raise ValueError("drop_prob must be in (0, 1]")
+        super().__init__(cluster, f"{a}<->{b}", drop_prob=drop_prob)
         self.held = [(link, "corruption_drop_prob", drop_prob)
                      for link in self._cable(a, b)]
 
@@ -253,12 +345,11 @@ class RnicCorruption(Fault):
     table2_row = 2
     category = ProblemCategory.HARDWARE_FAILURE
     locus_kind = LocusKind.RNIC
+    PARAMS = LinkCorruption.PARAMS
 
     def __init__(self, cluster: Cluster, rnic_name: str, *,
                  drop_prob: float = 0.05):
-        super().__init__(cluster, rnic_name)
-        if not 0.0 < drop_prob <= 1.0:
-            raise ValueError("drop_prob must be in (0, 1]")
+        super().__init__(cluster, rnic_name, drop_prob=drop_prob)
         rnic = cluster.rnic(rnic_name)
         self.held = [(rnic, "rx_corruption_prob", drop_prob),
                      (rnic, "tx_corruption_prob", drop_prob)]
@@ -356,10 +447,11 @@ class SwitchAclError(Fault):
     category = ProblemCategory.MISCONFIGURATION
     locus_kind = LocusKind.SWITCH
     causes_service_failure = True
+    PARAMS = (Param("dst_ip", IPv4Address), Param("src_ip", IPv4Address))
 
     def __init__(self, cluster: Cluster, switch_name: str, *,
                  src_ip: Optional[str] = None, dst_ip: Optional[str] = None):
-        super().__init__(cluster, switch_name)
+        super().__init__(cluster, switch_name, src_ip=src_ip, dst_ip=dst_ip)
         self.switch = cluster.topology.node(switch_name)
         self.src_ip = src_ip
         self.dst_ip = dst_ip
@@ -410,12 +502,16 @@ class LinkOverload(Fault):
     table2_row = 10
     category = ProblemCategory.NETWORK_CONGESTION
     locus_kind = LocusKind.LINK
+    # 10 Tb/s is 25x a 400G port: more saturates a queue no more surely,
+    # and the bound keeps a sum of held loads finite.
+    PARAMS = (Param("extra_gbps", float, 0.0, 10_000.0, unit="Gb/s",
+                    required=True),
+              Param("table2_row", int, 10, 11))
 
     def __init__(self, cluster: Cluster, src: str, dst: str, *,
                  extra_gbps: float, table2_row: int = 10):
-        super().__init__(cluster, f"{src}->{dst}")
-        if not extra_gbps >= 0.0:
-            raise ValueError("extra_gbps must be non-negative")
+        super().__init__(cluster, f"{src}->{dst}", extra_gbps=extra_gbps,
+                         table2_row=table2_row)
         self.table2_row = table2_row
         self.ground_truth.table2_row = table2_row
         self.held = [(cluster.topology.link(src, dst), "offered_load_gbps",
@@ -434,12 +530,11 @@ class CpuOverload(Fault):
     table2_row = 12
     category = ProblemCategory.INTRA_HOST_BOTTLENECK
     locus_kind = LocusKind.HOST
+    PARAMS = (Param("load", float, 0.0, 1.0, bounds="(]"),)
 
     def __init__(self, cluster: Cluster, host_name: str, *,
                  load: float = 0.96):
-        super().__init__(cluster, host_name)
-        if not 0.0 < load <= 1.0:
-            raise ValueError("load must be in (0, 1]")
+        super().__init__(cluster, host_name, load=load)
         self.held = [(cluster.hosts[host_name], "cpu_load", load)]
 
 
@@ -455,15 +550,17 @@ class PcieDowngrade(Fault):
     table2_row = 13
     category = ProblemCategory.INTRA_HOST_BOTTLENECK
     locus_kind = LocusKind.RNIC
+    # A link trained down to PCIe Gen1 x1 still moves ~2 Gb/s; the healthy
+    # RNIC's PCIe rate is 512.
+    PARAMS = (Param("degraded_pcie_gbps", float, 1.0, 512.0, unit="Gb/s"),
+              Param("pause_delay_ns", int, 0, SECOND, unit="ns"))
 
     def __init__(self, cluster: Cluster, rnic_name: str, *,
                  degraded_pcie_gbps: float = 32.0,
                  pause_delay_ns: int = 300_000):
-        super().__init__(cluster, rnic_name)
-        if not degraded_pcie_gbps > 0.0:
-            raise ValueError("degraded_pcie_gbps must be positive")
-        if not pause_delay_ns >= 0:
-            raise ValueError("pause_delay_ns must be non-negative")
+        super().__init__(cluster, rnic_name,
+                         degraded_pcie_gbps=degraded_pcie_gbps,
+                         pause_delay_ns=pause_delay_ns)
         rnic = cluster.rnic(rnic_name)
         downlink = cluster.topology.link(cluster.tor_of(rnic_name), rnic_name)
         self.held = [(rnic, "pcie_gbps", degraded_pcie_gbps),
@@ -517,13 +614,16 @@ class SilentDrop(Fault):
     table2_row = 2
     category = ProblemCategory.HARDWARE_FAILURE
     locus_kind = LocusKind.LINK
+    PARAMS = (Param("match_port_mod", int, 1, 65_536),
+              Param("match_port_rem", int, 0, 65_535))
 
     def __init__(self, cluster: Cluster, src: str, dst: str, *,
                  match_port_mod: int = 8, match_port_rem: int = 3):
-        super().__init__(cluster, f"{src}->{dst}")
-        if not (match_port_mod >= 1 and 0 <= match_port_rem < match_port_mod):
-            raise ValueError("match_port_mod must be >= 1 and match_port_rem "
-                             "in [0, match_port_mod)")
+        super().__init__(cluster, f"{src}->{dst}",
+                         match_port_mod=match_port_mod,
+                         match_port_rem=match_port_rem)
+        if not match_port_rem < match_port_mod:
+            raise ValueError("match_port_rem must be below match_port_mod")
         self.mod = match_port_mod
         self.rem = match_port_rem
         self.held = [(cluster.topology.link(src, dst),
@@ -565,6 +665,12 @@ class ControlPlanePartition(Fault):
         self.endpoint = endpoint
 
     @classmethod
+    def loci_in(cls, cluster: Cluster) -> tuple[str, object]:
+        management = cluster.management
+        return ("one management endpoint",
+                management.endpoints() if management is not None else ())
+
+    @classmethod
     def for_host(cls, cluster: Cluster,
                  host_name: str) -> "ControlPlanePartition":
         """Partition the Agent endpoint of one host."""
@@ -576,6 +682,16 @@ class ControlPlanePartition(Fault):
 
     def _clear(self) -> None:
         self.cluster.management.heal(self.endpoint)
+
+
+# The declarative fault vocabulary campaigns name: kind -> class.  Every
+# class takes (cluster, *loci, **params); SilentDrop is library-only.
+FAULT_KINDS: dict[str, type[Fault]] = {cls.kind: cls for cls in (
+    SwitchPortFlapping, RnicFlapping, LinkCorruption, RnicCorruption,
+    RnicDown, HostDown, PfcDeadlock, RnicRoutingMisconfig,
+    RnicGidIndexMissing, SwitchAclError, PfcHeadroomMisconfig, LinkOverload,
+    CpuOverload, PcieDowngrade, RnicAcsMisconfig, LinkFailure,
+    ControlPlanePartition)}
 
 
 # --------------------------------------------------------------------------

@@ -54,10 +54,9 @@ which the engine, fabric and packet builder no longer have.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
-Also a tiny CLI, used by tests to prove *cross-process* restore::
-
-    python -m repro.serve.checkpoint info   <path>
-    python -m repro.serve.checkpoint digest <path> [--run-ticks N]
+``repro-pingmesh checkpoint info|digest`` (:mod:`repro.cli`) prints a
+file's metadata or restores it and prints its replay digest, which is how
+tests prove *cross-process* restore.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ import json
 import os
 import pickle
 import zlib
-from typing import Optional
 
 from repro.serve.session import ServeSession
 
@@ -159,35 +157,3 @@ def load_checkpoint(path: str) -> ServeSession:
             f"with payload tick {session.ticks}")
     return session
 
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """``python -m repro.serve.checkpoint`` — inspect or replay a file."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.serve.checkpoint",
-        description="Inspect or deterministically replay a serve "
-                    "checkpoint.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_info = sub.add_parser("info", help="print the JSON metadata")
-    p_info.add_argument("path")
-    p_digest = sub.add_parser(
-        "digest",
-        help="restore, optionally run N more ticks, print replay digest")
-    p_digest.add_argument("path")
-    p_digest.add_argument("--run-ticks", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    if args.command == "info":
-        print(json.dumps(read_metadata(args.path), indent=2,
-                         sort_keys=True))
-        return 0
-    session = load_checkpoint(args.path)
-    for _ in range(args.run_ticks):
-        session.tick()
-    print(session.replay_digest())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

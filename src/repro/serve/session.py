@@ -101,8 +101,15 @@ def parse_fault_spec(text: str) -> FaultEvent:
     if not window:
         raise ValueError(f"fault spec {text!r} needs '@START[-END]'")
     start_text, _, end_text = window.partition("-")
-    start_s = float(start_text)
-    end_s = float(end_text) if end_text else None
+
+    def seconds(field: str, raw: str) -> float:
+        try:
+            return float(raw)
+        except ValueError:
+            raise ValueError(f"fault spec {text!r}: {field} must be a number "
+                             f"of seconds, got {raw!r}") from None
+    start_s = seconds("start_s", start_text)
+    end_s = seconds("end_s", end_text) if end_text else None
     params: dict[str, object] = {}
     for pair in ",".join(parts[2:]).split(",") if len(parts) > 2 else ():
         key, _, raw = pair.partition("=")

@@ -163,10 +163,26 @@ class TestCli:
         "rnic_corruption@2:host1-rnic0:drop_prob=1.5",
         "cpu_overload@2:host1:load=-1",
         "cpu_overload@2:host1:load=nan",
+        "switch_port_flapping@2:pod0-tor0,pod0-agg0:period_ns=inf",
+        "link_corruption@inf:pod0-tor0,pod0-agg0",
+        "link_corruption@nan:pod0-tor0,pod0-agg0",
+        "link_corruption@2-inf:pod0-tor0,pod0-agg0",
+        "link_corruption@-3:pod0-tor0,pod0-agg0",
+        "pcie_downgrade@2:host1-rnic0:pause_delay_ns=1e18",
+        "pcie_downgrade@2:host1-rnic0:pause_delay_ns=2.5",
+        "pcie_downgrade@2:host1-rnic0:degraded_pcie_gbps=inf",
+        "link_overload@2:pod0-tor0,pod0-agg0:extra_gbps=inf",
+        "link_overload@2:pod0-tor0,pod0-agg0:extra_gbps=5,table2_row=12",
+        "switch_acl_error@2:pod0-tor0:src_ip=garbage",
+        "cpu_overload@2:host1:load=True",
     ], ids=["pcie-zero", "pcie-negative", "acs-zero", "overload-negative",
             "flap-period-zero", "flap-period-2ns", "flap-period-negative",
             "rnic-corruption-negative", "rnic-corruption-above-one",
-            "cpu-load-negative", "cpu-load-nan"])
+            "cpu-load-negative", "cpu-load-nan", "flap-period-inf",
+            "window-start-inf", "window-start-nan", "window-end-inf",
+            "window-start-unparsed", "pause-delay-1e18", "pause-delay-float",
+            "pcie-inf", "overload-inf", "overload-row-12",
+            "acl-src-not-an-address", "cpu-load-not-a-number"])
     def test_out_of_range_fault_parameter_is_one_line_and_exit_2(
             self, spec, capsys):
         with pytest.raises(SystemExit) as exit_info:

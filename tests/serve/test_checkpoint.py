@@ -25,11 +25,12 @@ REPO = Path(__file__).resolve().parents[2]
 def fresh_process_digest(path: Path, run_ticks: int) -> str:
     """Restore ``path`` in a brand-new interpreter and run it forward."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro.serve.checkpoint", "digest",
-         str(path), "--run-ticks", str(run_ticks)],
+        [sys.executable, "-W", "error", "-m", "repro.cli", "checkpoint",
+         "digest", str(path), "--run-ticks", str(run_ticks)],
         capture_output=True, text=True, timeout=300,
         cwd=REPO, env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin"})
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
     return result.stdout.strip()
 
 
@@ -317,12 +318,15 @@ class TestFileFormat:
             load_checkpoint(path)
 
     def test_cli_info_prints_metadata(self, tmp_path):
+        # Under -W error: run as ``python -m repro.serve.checkpoint``, the
+        # module was imported twice (once by repro.serve) and warned.
         path = self.make_checkpoint(tmp_path)
         result = subprocess.run(
-            [sys.executable, "-m", "repro.serve.checkpoint", "info",
-             str(path)],
+            [sys.executable, "-W", "error", "-m", "repro.cli", "checkpoint",
+             "info", str(path)],
             capture_output=True, text=True, timeout=120, cwd=REPO,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin"})
         assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
         assert json.loads(result.stdout)["tick"] == 3
 

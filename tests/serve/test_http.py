@@ -161,6 +161,33 @@ class TestInjectEndpoint:
         assert "campaign event 'link_corruption'" in json.loads(body)["error"]
         assert len(session.faults.faults) == before
 
+    def test_bad_values_400_and_the_loop_keeps_ticking(self):
+        # An infinite period once answered 200 and then killed the tick
+        # loop at the fault's start; an infinite window raised an
+        # OverflowError out of the handler.
+        session = ServeSession(ServeSpec(seed=6))
+        server = ServeHTTPServer(session, allow_inject=True)
+        server.start()
+        try:
+            for fault in (
+                    "switch_port_flapping@1:pod0-tor0,pod0-agg0"
+                    ":period_ns=inf",
+                    "link_corruption@inf:pod0-tor0,pod0-agg0",
+                    "pcie_downgrade@1:host1-rnic0:pause_delay_ns=1e18",
+                    "link_overload@1:pod0-tor0,pod0-agg0:extra_gbps=inf",
+                    "switch_acl_error@1:pod0-tor0:src_ip=garbage"):
+                code, body, _ = request(server.url + "/inject",
+                                        method="POST",
+                                        payload={"fault": fault})
+                assert code == 400, fault
+                assert "must be" in json.loads(body)["error"]
+            assert session.faults.faults == []
+            assert run_serve(session, server, pace_s=0, max_ticks=3) == 3
+            code, _, _ = request(server.url + "/health")
+            assert code == 200
+        finally:
+            server.stop()
+
     def test_403_when_disabled(self):
         session = ServeSession(ServeSpec(seed=6))
         server = ServeHTTPServer(session)  # allow_inject defaults off
