@@ -202,8 +202,8 @@ class Cluster:
 
     def rnics_under_tor(self, tor: str) -> list[str]:
         """RNIC names under one ToR/rail switch."""
-        return sorted(n for n in self._rnics
-                      if self.topology.tor_of(n) == tor)
+        rnics = self._rnics
+        return [n for n in self.topology.ports_under(tor) if n in rnics]
 
     def tors(self) -> list[str]:
         """All ToR-tier switch names."""

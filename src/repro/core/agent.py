@@ -50,32 +50,19 @@ from repro.core.records import (AgentUpload, PinglistEntry, ProbeKind,
                                 ProbeResult)
 from repro.host.ebpf import QpEvent, QpEventKind
 from repro.host.host import Host
-from repro.host.rnic import (CommInfo, LocalSendError, QPType,
+from repro.host.rnic import (CommInfo, LocalSendError, QPState, QPType,
                              QueuePair, Rnic)
 from repro.net.addresses import FiveTuple, roce_five_tuple
+from repro.net.fabric import DeliveryRecord, _new_transit, _Transit
+from repro.net.packet import ROCE_HEADER_BYTES, TC_ROCE, RoCEPacket
 from repro.net.traceroute import PathRecord
-from repro.sim.engine import EventHandle, PeriodicTask
+from repro.sim.engine import PeriodicTask
 from repro.sim.rng import RngStream
 
 
 def agent_endpoint_name(host_name: str) -> str:
     """Control-plane endpoint name of a host's Agent."""
     return f"agent.{host_name}"
-
-
-@dataclass(slots=True)
-class _Outstanding:
-    """Book-keeping for one in-flight probe on the prober side."""
-
-    seq: int
-    entry: PinglistEntry
-    issued_at_ns: int
-    t1_host: int
-    t2_rnic: Optional[int] = None
-    t5_rnic: Optional[int] = None
-    t6_host: Optional[int] = None
-    responder_delay_ns: Optional[int] = None
-    timeout_handle: Optional[EventHandle] = None
 
 
 @dataclass
@@ -95,12 +82,272 @@ class _RnicAgentState:
     service_round: list[PinglistEntry] = field(default_factory=list)
     # Round-robin position in tor_mesh (0) and inter_tor (1).
     rr_index: list[int] = field(default_factory=lambda: [0, 0])
-    outstanding: dict[int, _Outstanding] = field(default_factory=dict)
+    outstanding: dict[int, "_Exchange"] = field(default_factory=dict)
     path_cache: dict[FiveTuple, PathRecord] = field(default_factory=dict)
     # (target ip, src_port) -> (probe 5-tuple, its reverse), memoised.
     five_tuples: dict[tuple[str, int], tuple[FiveTuple, FiveTuple]] = field(
         default_factory=dict)
     tasks: list[PeriodicTask] = field(default_factory=list)
+
+
+# What a leg compares against on every send and landing (a member read off
+# its Enum class costs ~100 ns on CPython 3.11).
+_RTS, _UD = QPState.RTS, QPType.UD
+_RECEIVE = Rnic._on_fabric_packet
+_new_packet = RoCEPacket.__new__
+
+
+class _Leg(_Transit):
+    """A leg of an exchange whose every hop was added up when it was sent.
+
+    Its one event lands it: the fabric's delivery books, then the receiving
+    RNIC's checks, counters and ③ / ⑤ stamp, then the QP's ``on_recv`` —
+    what ``Fabric._deliver`` and ``Rnic._on_fabric_packet`` do for it.
+    Whatever those would do otherwise (a tracer or INT collector to tell, a
+    receiver that is not an RNIC, a receive the RNIC refuses or draws for)
+    is left to them.  A take-back supersedes a leg as it does any transit.
+    """
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        packet = self.packet
+        if packet is None:
+            return      # superseded by a take-back
+        fabric = self.fabric
+        nodes = self.path.nodes
+        now = fabric.sim.now
+        receiver = fabric._receivers.get(nodes[-1])
+        if (fabric._tracer is not None or fabric._int_collector is not None
+                or getattr(receiver, "__func__", None) is not _RECEIVE):
+            fabric._deliver(packet, nodes, now)
+            return
+        del fabric._in_flight[packet.packet_id]
+        fabric.packets_delivered += 1
+        rnic = receiver.__self__
+        qp = rnic._qps.get(packet.dst_qpn)
+        if (rnic._tracer is not None or not rnic.operational
+                or rnic.rx_corruption_prob > 0
+                or not rnic._gid_index_present
+                or packet.dst_gid != rnic.gid.value or qp is None
+                or qp.state is not _RTS or qp.qp_type is not _UD
+                or qp.on_recv is None):
+            receiver(packet, tuple.__new__(DeliveryRecord, (now, nodes)))
+            return
+        rnic.rx_packets += 1
+        rnic.rx_bytes += packet.size_bytes
+        clock = rnic.clock
+        five_tuple = packet.five_tuple
+        qp.on_recv(packet.payload, clock.offset_ns + round(now * clock.rate),
+                   five_tuple.src_ip, packet.src_gid, packet.src_qpn,
+                   five_tuple.src_port)
+
+
+class _Exchange:
+    """One probe's whole Figure 4 exchange, prober and responder side.
+
+    Built by :meth:`Agent._probe` with ``__new__`` and slot writes and
+    kept in the prober's ``outstanding`` book, which the probe's payload
+    (``{"t": "probe", "seq": ..., "x": prober state}``) names, so the
+    responder finds it at ③; no payload holds the exchange itself, so a
+    dropped packet the fabric logs keeps nothing of it alive.  Its bound
+    methods are the callbacks of the events a probe keeps — ⑥, and the
+    first ACK's post when it cannot be posted ahead — and :meth:`_send`
+    sends every leg (DESIGN.md §10, "The exchange is the unit").
+    """
+
+    __slots__ = ("agent", "state", "seq", "entry", "five_tuples",
+                 "issued_at_ns", "t1_host", "t2_rnic", "t5_rnic", "t6_host",
+                 "responder_delay_ns", "timeout_handle",
+                 "responder", "responder_state", "t3_rnic", "reply_to",
+                 "ack1_at_ns")
+
+    def _send(self, agent: "Agent", state: _RnicAgentState, payload: dict,
+              five_tuple: FiveTuple, dst_gid: str, dst_qpn: int,
+              post_ns: int, context: Any) -> None:
+        """Post one leg from ``state``'s QP for ``post_ns``, addressed by
+        ``five_tuple``; ``context`` is what ``Agent._on_sent`` is handed
+        (the exchange for the probe, its ``_ack1_sent`` for the first ACK,
+        None for the second).
+
+        While the RNIC is settled and nothing watches the fabric this *is*
+        ``Rnic.post_send`` → ``_depart`` → ``Fabric.inject`` → the walker →
+        ``on_sent``, computed here from the constants they read, with the
+        same counters bumped in the same order and the same books kept (the
+        RNIC's planned step, the fabric's in-flight transit).  A leg whose
+        hops are all quiet is a :class:`_Leg`; at the first hop that is not,
+        a plain transit walks on from there.  Anything else is
+        :meth:`_post`'s.
+        """
+        rnic = state.rnic
+        qp = state.qp
+        fabric = rnic.fabric
+        if (not rnic.settled or qp.state is not _RTS or qp.on_sent is None
+                or fabric._tracer is not None
+                or fabric._int_collector is not None
+                or fabric._adaptive_routing):
+            self._post(agent, state, payload, five_tuple, dst_gid, dst_qpn,
+                       post_ns, context)
+            return
+        sim = rnic.sim
+        now = sim.now
+        # Rnic.post_send, planned: the work request and its packet.
+        wr_id = next(rnic._wr_ids)
+        size = ROCE_HEADER_BYTES + agent.config.probe_payload_bytes
+        packet = _new_packet(RoCEPacket)
+        packet.five_tuple = five_tuple
+        packet.size_bytes = size
+        packet.traffic_class = TC_ROCE
+        packet.payload = payload
+        packet.opcode = qp.opcode
+        packet.src_qpn = qp.qpn
+        packet.dst_qpn = dst_qpn
+        packet.src_gid = rnic.gid.value
+        packet.dst_gid = dst_gid
+        depart = post_ns + rnic.tx_delays[size]
+        steps = rnic._planned
+        if len(steps) > 8:
+            steps = rnic._planned = [step for step in steps
+                                     if step[0] >= now]
+        steps.append((depart, post_ns if post_ns > now else -1, qp, packet,
+                      wr_id, context))
+        # Rnic._depart (settled: operational, no corruption to draw for).
+        rnic._tx_packets += 1
+        rnic._tx_bytes += size
+        # Fabric.inject for the departure instant.
+        fabric._packets_injected += 1
+        packet.packet_id = packet_id = next(fabric._packet_ids)
+        packet.sent_at_ns = depart
+        dst_port = fabric._ip_to_port.get(five_tuple.dst_ip)
+        path = None
+        if fabric._path_cache_epoch == fabric.topology.route_epoch:
+            path = fabric._path_cache.get(five_tuple)
+        if (path is None or path.nodes[0] != rnic.name
+                or path.nodes[-1] != dst_port):
+            path = fabric._plan(five_tuple, rnic.name, dst_port)
+        # The walker from the departure on: quiet hops are added up.  (TTL
+        # cannot expire inside a plan shorter than it.)
+        hops = path.hops
+        n_hops = len(hops)
+        if (path.quiet_epoch == fabric.quiet_epoch
+                and path.quiet_size == size):
+            # Every hop was quiet at the last walk, and no write since.
+            for link in hops:
+                link.packets_forwarded += 1
+            idx = n_hops
+            t = depart + path.quiet_ns
+            packet.ttl = 64 - path.quiet_ttl
+        else:
+            idx = 0
+            t = depart
+            ttl = 64
+            if n_hops < ttl:
+                for link in hops:
+                    if not link.quiet:
+                        break
+                    if link.dst_acl is not None:
+                        ttl -= 1
+                    t += link.quiet_delays[size]
+                    link.packets_forwarded += 1
+                    idx += 1
+                if idx == n_hops:
+                    path.quiet_epoch = fabric.quiet_epoch
+                    path.quiet_size = size
+                    path.quiet_ns = t - depart
+                    path.quiet_ttl = 64 - ttl
+            packet.ttl = ttl
+        walk = _new_transit(_Leg if idx == n_hops
+                            and path.nodes[idx] == dst_port else _Transit)
+        walk.fabric = fabric
+        walk.packet = packet
+        walk.path = path
+        walk.dst = dst_port
+        walk.is_roce = True
+        walk.idx = idx
+        walk.look_idx = 0
+        walk.look_ns = depart
+        fabric._in_flight[packet_id] = walk
+        sim.schedule(t - now, walk)
+        # The UD send completion, stamped at departure (② or ④).
+        clock = rnic.clock
+        stamp = clock.offset_ns + round(depart * clock.rate)
+        leg = payload["t"]
+        if leg == "probe":
+            self.t2_rnic = stamp
+        elif leg == "ack1":
+            self._ack1_sent(state, stamp, depart)
+
+    def _post(self, agent: "Agent", state: _RnicAgentState, payload: dict,
+              five_tuple: FiveTuple, dst_gid: str, dst_qpn: int,
+              post_ns: int, context: Any) -> None:
+        """:meth:`_send` by the per-packet path: ``Rnic.post_send``, which
+        raises what it raises, its completion through ``Agent._on_sent``."""
+        state.rnic.post_send(
+            state.qp, CommInfo(five_tuple.dst_ip, dst_gid, dst_qpn),
+            src_port=five_tuple.src_port, payload=payload,
+            payload_bytes=agent.config.probe_payload_bytes,
+            context=context, at_ns=post_ns)
+
+    # -- responder ------------------------------------------------------------
+
+    def _post_ack1(self) -> None:
+        """Post the first ACK at ``ack1_at_ns`` from whichever QP is the
+        responder RNIC's then; its completion (④) posts the second."""
+        agent = self.responder
+        try:
+            self._send(agent, self.responder_state,
+                       {"t": "ack1", "seq": self.seq}, *self.reply_to,
+                       self.ack1_at_ns, self._ack1_sent)
+        except LocalSendError:
+            return
+        agent._acks_sent += 1
+
+    def _ack1_sent(self, state: _RnicAgentState, t4: int,
+                   at_ns: int) -> None:
+        """④: the first ACK hit the wire at ``at_ns``; its delay vs ③ is the
+        responder processing delay, shipped in the second ACK, which is
+        posted at that same instant."""
+        agent = self.responder
+        try:
+            self._send(agent, state, {"t": "ack2", "seq": self.seq,
+                                      "responder_delay": t4 - self.t3_rnic},
+                       *self.reply_to, at_ns, None)
+        except LocalSendError:
+            return
+        agent._acks_sent += 1
+
+    # -- prober ---------------------------------------------------------------
+
+    def _stamp_t6(self) -> None:
+        """⑥: the prober has processed the first ACK."""
+        if self.seq not in self.state.outstanding:
+            return
+        agent = self.agent
+        now = agent.cluster.sim.now
+        clock = agent.host.clock
+        self.t6_host = clock.offset_ns + round(now * clock.rate)
+        if agent.tracer.enabled:
+            agent.tracer.event(self.seq, now, "agent.done", mark="t6",
+                               host_clock_ns=self.t6_host)
+        if self.responder_delay_ns is not None and self.t2_rnic is not None:
+            self._complete()
+
+    def _complete(self) -> None:
+        """Every stamp is in (②, ⑤, ⑥ and the responder delay)."""
+        state = self.state
+        del state.outstanding[self.seq]
+        self.timeout_handle.cancel()
+        rtt_plus_remote = self.t5_rnic - self.t2_rnic       # (⑤-②)
+        network_rtt = rtt_plus_remote - self.responder_delay_ns
+        prober_processing = (self.t6_host - self.t1_host) - rtt_plus_remote
+        self.agent._record(state, self, timeout=False,
+                           network_rtt_ns=network_rtt,
+                           prober_processing_ns=prober_processing,
+                           responder_processing_ns=self.responder_delay_ns)
+
+
+_new_exchange = _Exchange.__new__
+_new_result = ProbeResult.__new__
 
 
 class Agent:
@@ -332,13 +579,20 @@ class Agent:
         self._probe(state, state.service_round.pop())
 
     def _probe(self, state: _RnicAgentState, entry: PinglistEntry) -> None:
-        seq = next(self.cluster.probe_seqs)
         sim = self.cluster.sim
         now = sim.now
-        out = _Outstanding(seq=seq, entry=entry, issued_at_ns=now,
-                           t1_host=self.host.read_clock())
-        state.outstanding[seq] = out
-        out.timeout_handle = sim.call_at(
+        clock = self.host.clock
+        exchange = _new_exchange(_Exchange)
+        exchange.agent = self
+        exchange.state = state
+        exchange.seq = seq = next(self.cluster.probe_seqs)
+        exchange.entry = entry
+        exchange.issued_at_ns = now
+        exchange.t1_host = clock.offset_ns + round(now * clock.rate)    # ①
+        exchange.t2_rnic = exchange.t5_rnic = exchange.t6_host = None
+        exchange.responder_delay_ns = None
+        state.outstanding[seq] = exchange
+        exchange.timeout_handle = sim.call_at(
             now + self.config.probe_timeout_ns,
             partial(self._on_timeout, state, seq))
         if self.tracer.enabled:
@@ -348,12 +602,15 @@ class Agent:
                 target_rnic=entry.target_rnic, target_ip=entry.target.ip,
                 target_qpn=entry.target.qpn, src_port=entry.src_port)
             self.tracer.event(seq, now, "agent.send", mark="t1",
-                              host_clock_ns=out.t1_host)
+                              host_clock_ns=exchange.t1_host)
+        target = entry.target
+        exchange.five_tuples = (
+            state.five_tuples.get((target.ip, entry.src_port))
+            or self._five_tuples(state, entry))
         try:
-            state.rnic.post_send(
-                state.qp, entry.target, src_port=entry.src_port,
-                payload={"t": "probe", "seq": seq},
-                payload_bytes=self.config.probe_payload_bytes, context=out)
+            exchange._send(self, state, {"t": "probe", "seq": seq, "x": state},
+                           exchange.five_tuples[0], target.gid, target.qpn,
+                           now, exchange)
         except LocalSendError as exc:
             # Unreachable locally (down/flapping/misconfigured RNIC): the
             # probe never leaves; it will be reported at the timeout tick
@@ -367,7 +624,7 @@ class Agent:
             # First sight of a 5-tuple: trace it immediately so the path is
             # known *before* any failure (the continuous-tracing rationale;
             # the ablation traces only on demand, after failures).
-            five_tuple, reverse = self._five_tuples(state, entry)
+            five_tuple, reverse = exchange.five_tuples
             if five_tuple not in state.path_cache:
                 self._trace_tuple(state, five_tuple, reverse)
 
@@ -377,8 +634,8 @@ class Agent:
                  timestamp: int, src_ip: str, src_gid: str, src_qpn: int,
                  src_port: int) -> None:
         """Receive completion (``Rnic.allocate_qp``) stamped ``timestamp``.
-        ``payload`` is the delivered packet's: every handler below copies
-        what it keeps."""
+        ``payload`` is the delivered packet's (a probe's ``"x"`` names the
+        prober's state, whose ``outstanding`` book holds its exchange)."""
         kind = payload.get("t")
         if kind == "probe":
             self._respond(state, payload, timestamp, src_ip, src_gid,
@@ -390,29 +647,22 @@ class Agent:
 
     def _on_sent(self, state: _RnicAgentState, qp: QueuePair, context: Any,
                  timestamp: Optional[int], at_ns: int) -> None:
-        """Send completion (``Rnic.allocate_qp``) at departure instant
-        ``at_ns``, possibly ahead of the clock.  ``context``: the probe's
-        :class:`_Outstanding`, the first ACK's ``(reply_to, src_port, seq,
-        t3)``, None for the second.  A ``None`` timestamp takes back an ACK
-        posted for ``at_ns``."""
+        """Send completion (``Rnic.allocate_qp``) of a leg ``post_send``
+        sent, at departure instant ``at_ns``, possibly ahead of the clock.
+        ``context``: the probe's :class:`_Exchange`, the first ACK's
+        ``_ack1_sent``, None for the second ACK.  A ``None`` timestamp takes
+        back an ACK posted for ``at_ns``; a first ACK is posted again then."""
         if timestamp is None:
             self._acks_sent -= 1
             if context is not None:
                 sim = self.cluster.sim
-                sim.schedule(at_ns - sim.now, partial(
-                    self._post_ack1, state, *context, at_ns))
+                sim.schedule(at_ns - sim.now, context.__self__._post_ack1)
         elif qp is not state.qp or context is None:
             pass    # second ACK, or a QP that restart() has since replaced
-        elif type(context) is _Outstanding:
+        elif type(context) is _Exchange:
             context.t2_rnic = timestamp                 # ② wire departure
         else:
-            # ④: the first ACK hit the wire; its delay vs ③ is the
-            # responder processing delay, shipped in the second ACK, which
-            # is posted at that same instant.
-            reply_to, src_port, seq, t3 = context
-            self._send_ack(state, reply_to, src_port,
-                           {"t": "ack2", "seq": seq,
-                            "responder_delay": timestamp - t3}, at_ns)
+            context(state, timestamp, at_ns)            # ④
 
     # -- responder role (steps 2-3 of Figure 4) --------------------------------------
 
@@ -422,131 +672,113 @@ class Agent:
         """The probe's receive completion, stamped ③."""
         if not self.host.up:
             return
-        reply_to = CommInfo(ip=src_ip, gid=src_gid, qpn=src_qpn)
         seq = payload["seq"]
+        exchange = payload["x"].outstanding.get(seq)
+        # ACKs echo the probe's source port (§5): the reverse 5-tuple.
+        if exchange is None:
+            # The prober gave up on it (timeout, restart): answer anyway.
+            exchange = _new_exchange(_Exchange)
+            exchange.seq = seq
+            reverse = None
+        else:
+            reverse = exchange.five_tuples[1]
+        if (reverse is None or reverse.src_ip != state.rnic.ip
+                or reverse.dst_ip != src_ip):
+            reverse = roce_five_tuple(state.rnic.ip, src_ip, src_port)
+        exchange.responder = self
+        exchange.responder_state = state
+        exchange.t3_rnic = t3
+        exchange.reply_to = (reverse, src_gid, src_qpn)
         # Userspace handling cost before the first ACK is posted: normal
         # CPU processing plus any Agent starvation stall (Figure 6 right).
-        now = self.cluster.sim.now
-        delay = self.host.cpu.processing_delay_ns()
-        stall = self.host.cpu.starvation_stall_ns(now)
+        sim = self.cluster.sim
+        now = sim.now
+        cpu = self.host.cpu
+        delay = cpu.processing_delay_ns()
+        # starvation_stall_ns is 0, with no draw, unless one of these holds.
+        stall = (cpu.starvation_stall_ns(now)
+                 if cpu.overloaded or now < cpu._stall_until_ns else 0)
         delay += stall
         if self.tracer.enabled:
             self.tracer.event(seq, now, "responder.recv",
                               host=self.host.name, rnic=state.rnic.name,
                               cpu_delay_ns=delay)
+        exchange.ack1_at_ns = now + delay
         if state.rnic.settled and not stall:
             # Nothing the post reads changes without a hooked write: post
             # now, for then.  (A starved Agent is seconds away: by event.)
-            self._post_ack1(state, reply_to, src_port, seq, t3, now + delay)
+            exchange._post_ack1()
         else:
-            self.cluster.sim.schedule(delay, partial(
-                self._post_ack1, state, reply_to, src_port, seq, t3,
-                now + delay))
-
-    def _post_ack1(self, state: _RnicAgentState, reply_to: CommInfo,
-                   src_port: int, seq: int, t3: int, at_ns: int) -> None:
-        """Post the first ACK at ``at_ns``, from whichever QP is the
-        RNIC's then; its completion (④) posts the second."""
-        self._send_ack(state, reply_to, src_port, {"t": "ack1", "seq": seq},
-                       at_ns, (reply_to, src_port, seq, t3))
-
-    def _send_ack(self, state: _RnicAgentState, reply_to: CommInfo,
-                  src_port: int, payload: dict, at_ns: int,
-                  context: Any = None) -> None:
-        """ACKs echo the probe's source port, mimicking RC hardware ACKs
-        so they ride the same ECMP path class (§5)."""
-        try:
-            state.rnic.post_send(
-                state.qp, reply_to, src_port=src_port, payload=payload,
-                payload_bytes=self.config.probe_payload_bytes,
-                context=context, at_ns=at_ns)
-        except LocalSendError:
-            return
-        self._acks_sent += 1
+            sim.schedule(delay, exchange._post_ack1)
 
     # -- prober completion (steps 4-5 of Figure 4) --------------------------------------
 
     def _on_ack1(self, state: _RnicAgentState, payload: dict,
                  t5: int) -> None:
-        out = state.outstanding.get(payload["seq"])
-        if out is None:
+        exchange = state.outstanding.get(payload["seq"])
+        if exchange is None:
             return  # late ACK after timeout: drop on the floor
-        out.t5_rnic = t5                                # ⑤ ACK1 recv CQE
+        exchange.t5_rnic = t5                           # ⑤ ACK1 recv CQE
         # The prober thread lives in the same Agent process as the
         # responder: when the service starves the Agent's CPU, probes
         # *from* this host stall here past the timeout as well — the other
         # half of the Figure 6 (right) signature.
-        now = self.cluster.sim.now
-        delay = self.host.cpu.processing_delay_ns()
-        delay += self.host.cpu.starvation_stall_ns(now)
+        sim = self.cluster.sim
+        now = sim.now
+        cpu = self.host.cpu
+        delay = cpu.processing_delay_ns()
+        if cpu.overloaded or now < cpu._stall_until_ns:
+            delay += cpu.starvation_stall_ns(now)
         if self.tracer.enabled:
-            self.tracer.event(out.seq, now, "prober.ack1_processing",
+            self.tracer.event(exchange.seq, now, "prober.ack1_processing",
                               host=self.host.name, cpu_delay_ns=delay)
-        self.cluster.sim.schedule(
-            delay, partial(self._stamp_t6, state, out.seq))
-
-    def _stamp_t6(self, state: _RnicAgentState, seq: int) -> None:
-        out = state.outstanding.get(seq)
-        if out is None:
-            return
-        out.t6_host = self.host.read_clock()            # ⑥ app-level done
-        if self.tracer.enabled:
-            self.tracer.event(seq, self.cluster.sim.now, "agent.done",
-                              mark="t6", host_clock_ns=out.t6_host)
-        self._maybe_complete(state, out)
+        sim.schedule(delay, exchange._stamp_t6)
 
     def _on_ack2(self, state: _RnicAgentState, payload: dict) -> None:
-        out = state.outstanding.get(payload["seq"])
-        if out is None:
+        exchange = state.outstanding.get(payload["seq"])
+        if exchange is None:
             return
-        out.responder_delay_ns = payload["responder_delay"]
-        self._maybe_complete(state, out)
-
-    def _maybe_complete(self, state: _RnicAgentState,
-                        out: _Outstanding) -> None:
-        if (out.t2_rnic is None or out.t5_rnic is None
-                or out.t6_host is None or out.responder_delay_ns is None):
-            return
-        state.outstanding.pop(out.seq, None)
-        if out.timeout_handle is not None:
-            out.timeout_handle.cancel()
-
-        rtt_plus_remote = out.t5_rnic - out.t2_rnic         # (⑤-②)
-        network_rtt = rtt_plus_remote - out.responder_delay_ns
-        prober_processing = (out.t6_host - out.t1_host) - rtt_plus_remote
-        self._record(state, out, timeout=False,
-                     network_rtt_ns=network_rtt,
-                     prober_processing_ns=prober_processing,
-                     responder_processing_ns=out.responder_delay_ns)
+        exchange.responder_delay_ns = payload["responder_delay"]
+        if exchange.t6_host is not None and exchange.t2_rnic is not None:
+            exchange._complete()            # ⑥ came first
 
     def _on_timeout(self, state: _RnicAgentState, seq: int) -> None:
-        out = state.outstanding.pop(seq, None)
-        if out is None:
-            return
-        self._record(state, out, timeout=True)
+        # By seq, not by a method of the exchange: a cancelled timeout
+        # stays queued until it is due, and would keep the exchange alive.
+        exchange = state.outstanding.pop(seq, None)
+        if exchange is not None:
+            self._record(state, exchange, timeout=True)
 
-    def _record(self, state: _RnicAgentState, out: _Outstanding, *,
+    def _record(self, state: _RnicAgentState, out: _Exchange, *,
                 timeout: bool, network_rtt_ns: Optional[int] = None,
                 prober_processing_ns: Optional[int] = None,
                 responder_processing_ns: Optional[int] = None) -> None:
         entry = out.entry
-        five_tuple, reverse = self._five_tuples(state, entry)
+        five_tuple, reverse = out.five_tuples
         if not self.config.continuous_path_tracing and timeout:
             # Ablation: on-demand tracing observes the path only AFTER the
             # failure — truncated or rehashed, exactly the mislocalisation
             # §4.2.3 warns about.
             self._trace_tuple(state, five_tuple, reverse)
-        result = ProbeResult(
-            kind=entry.kind, seq=out.seq, prober_rnic=state.rnic.name,
-            prober_host=self.host.name, target_rnic=entry.target_rnic,
-            target_ip=entry.target.ip, target_qpn=entry.target.qpn,
-            five_tuple=five_tuple, issued_at_ns=out.issued_at_ns,
-            completed_at_ns=self.cluster.sim.now, timeout=timeout,
-            network_rtt_ns=network_rtt_ns,
-            prober_processing_ns=prober_processing_ns,
-            responder_processing_ns=responder_processing_ns,
-            probe_path=state.path_cache.get(five_tuple),
-            ack_path=state.path_cache.get(reverse))
+        # ProbeResult(...) field by field, without the __init__ frame.
+        result = _new_result(ProbeResult)
+        result.kind = entry.kind
+        result.seq = out.seq
+        result.prober_rnic = state.rnic.name
+        result.prober_host = self.host.name
+        result.target_rnic = entry.target_rnic
+        target = entry.target
+        result.target_ip = target.ip
+        result.target_qpn = target.qpn
+        result.five_tuple = five_tuple
+        result.issued_at_ns = out.issued_at_ns
+        result.completed_at_ns = self.cluster.sim.now
+        result.timeout = timeout
+        result.network_rtt_ns = network_rtt_ns
+        result.prober_processing_ns = prober_processing_ns
+        result.responder_processing_ns = responder_processing_ns
+        result.probe_path = state.path_cache.get(five_tuple)
+        result.ack_path = state.path_cache.get(reverse)
         if self.tracer.enabled:
             now = self.cluster.sim.now
             if timeout:

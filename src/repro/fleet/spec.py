@@ -62,8 +62,9 @@ class FaultEvent:
     params: tuple[tuple[str, ParamValue], ...] = ()
 
     def __post_init__(self) -> None:
-        """Check what needs no world: the kind, the window, and each value
-        against its kind's ``PARAMS`` (loci and parameter names wait for
+        """Check what needs no world: the kind, the window, each value
+        against its kind's ``PARAMS``, the number of loci and the keyword
+        names (only which loci exist waits for
         :func:`validate_campaign_loci`)."""
         if self.kind not in FAULT_KINDS:
             raise ValueError(
@@ -81,7 +82,12 @@ class FaultEvent:
         if tuple(sorted(self.params)) != self.params:
             raise ValueError("params must be sorted (name, value) pairs; "
                              "build events with FaultEvent.make()")
-        FAULT_KINDS[self.kind].check_params(dict(self.params))
+        kind = FAULT_KINDS[self.kind]
+        params = dict(self.params)
+        kind.check_params(params)
+        why = kind.spec_error(self.loci, params)
+        if why is not None:
+            raise ValueError(f"campaign event {self.kind!r} {why}")
 
     @classmethod
     def make(cls, kind: str, *loci: str, start_s: float,
@@ -111,8 +117,8 @@ class FaultEvent:
 def validate_campaign_loci(campaign: Iterable[FaultEvent],
                            cluster: Cluster) -> None:
     """Fail fast, with one ``ValueError`` naming the event's kind, if an
-    event's loci or parameter names do not fit its kind in this
-    deployment (its values were checked when it was made)."""
+    event's loci do not exist in this deployment (everything else about
+    it was checked when it was made)."""
     for event in campaign:
         why = FAULT_KINDS[event.kind].build_error(
             cluster, event.loci, event.params_dict())

@@ -83,9 +83,17 @@ class DeliveryRecord(NamedTuple):
 
 
 class _CachedPath:
-    """A planned route; complete ECMP plans are shared per flow."""
+    """A planned route; complete ECMP plans are shared per flow.
 
-    __slots__ = ("nodes", "hops", "ways", "route_epoch")
+    ``quiet_*`` remember the last walk over it on which every hop was
+    quiet: for ``quiet_size``-byte RoCE packets the hops add up to
+    ``quiet_ns`` and cost ``quiet_ttl``.  That holds while
+    ``Fabric.quiet_epoch`` is still ``quiet_epoch``: no write a quiet link
+    would tell a packet about has landed since (an exchange's legs read it).
+    """
+
+    __slots__ = ("nodes", "hops", "ways", "route_epoch", "quiet_epoch",
+                 "quiet_size", "quiet_ns", "quiet_ttl")
 
     def __init__(self, nodes: tuple[str, ...],
                  hops: tuple[DirectedLink, ...], ways: tuple[int, ...],
@@ -94,6 +102,8 @@ class _CachedPath:
         self.hops = hops             # hops[i] links nodes[i] -> nodes[i+1]
         self.ways = ways             # ECMP fan-out at each hop
         self.route_epoch = route_epoch
+        self.quiet_epoch = -1
+        self.quiet_size = self.quiet_ns = self.quiet_ttl = 0
 
 
 class _Transit:
@@ -223,6 +233,10 @@ class Fabric:
         # not quiet when their packet got there: the rule chain ran.
         self.walker_demotions = 0
         self.hops_evaluated = 0
+        # Moves with every take-back, i.e. before any write to what a quiet
+        # link tells a packet: what a plan's quiet walk added up holds while
+        # this has not moved (_CachedPath.quiet_*).
+        self.quiet_epoch = 0
         self._receivers: dict[str, Callable[[Packet, DeliveryRecord], None]] = {}
         self._ip_to_port: dict[str, str] = {}
         self._drop_listeners: list[Callable[[DropRecord], None]] = []
@@ -518,6 +532,7 @@ class Fabric:
         (the ledger's tie rule: a hop entered at the write's nanosecond is
         taken back).  O(1) when nothing is in flight.
         """
+        self.quiet_epoch += 1
         if not self._in_flight:
             return
         now = self.sim.now

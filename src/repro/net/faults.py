@@ -52,6 +52,11 @@ class LocusKind(Enum):
     HOST = "host"
 
 
+# What a locus kind's loci are, in words.
+_LOCI_WORDS = {LocusKind.LINK: "two cabled nodes", LocusKind.RNIC: "one RNIC",
+               LocusKind.HOST: "one host", LocusKind.SWITCH: "one switch"}
+
+
 class Param(NamedTuple):
     """One keyword a fault kind takes.  ``type`` is ``int``, ``float`` (an
     int too) or ``IPv4Address`` (None or a dotted address).  A number lies
@@ -187,7 +192,7 @@ class Fault:
     @classmethod
     def check_params(cls, params: Mapping[str, object]) -> None:
         """Refuse the first value ``PARAMS`` does not allow (a name it
-        lacks is :meth:`build_error`'s)."""
+        lacks is :meth:`spec_error`'s)."""
         for param in cls.PARAMS:
             if param.name in params and not param.allows(params[param.name]):
                 raise ValueError(
@@ -195,29 +200,30 @@ class Fault:
                     f"got {params[param.name]!r}")
 
     @classmethod
+    def loci_words(cls) -> str:
+        """This kind's loci in words."""
+        return _LOCI_WORDS[cls.locus_kind]
+
+    @classmethod
     def loci_in(cls, cluster: Cluster) -> tuple[str, object]:
         """This kind's loci in words, and the names that qualify."""
         topology = cluster.topology
-        return {
-            LocusKind.LINK: ("two cabled nodes", topology.nodes),
-            LocusKind.RNIC: ("one RNIC", cluster.host_name_of),
-            LocusKind.HOST: ("one host", cluster.hosts),
-            LocusKind.SWITCH: ("one switch", topology.switches()),
+        return cls.loci_words(), {
+            LocusKind.LINK: topology.nodes,
+            LocusKind.RNIC: cluster.host_name_of,
+            LocusKind.HOST: cluster.hosts,
+            LocusKind.SWITCH: topology.switches(),
         }[cls.locus_kind]
 
     @classmethod
-    def build_error(cls, cluster: Cluster, loci: tuple[str, ...],
-                    params: Mapping[str, object]) -> Optional[str]:
-        """Why ``cls(cluster, *loci, **params)`` would not build, as a phrase
-        to follow the kind's name; None if it would."""
-        what, known = cls.loci_in(cluster)
+    def spec_error(cls, loci: tuple[str, ...],
+                   params: Mapping[str, object]) -> Optional[str]:
+        """Why ``cls(cluster, *loci, **params)`` would build in no world —
+        the wrong number of loci, a keyword it does not take, a required
+        one missing — as a phrase to follow the kind's name; None if some
+        world may take it.  (A value is :meth:`check_params`'s.)"""
         if len(loci) != (2 if cls.locus_kind is LocusKind.LINK else 1):
-            return f"takes {what}, not {list(loci)}"
-        unknown = [name for name in loci if name not in known]
-        if unknown:
-            return f"names unknown loci {unknown} (it takes {what})"
-        if len(loci) == 2 and tuple(loci) not in cluster.topology.links:
-            return f"names {loci[0]} and {loci[1]}, which no cable joins"
+            return f"takes {cls.loci_words()}, not {list(loci)}"
         names = [param.name for param in cls.PARAMS]
         unknown = [name for name in params if name not in names]
         if unknown:
@@ -226,6 +232,22 @@ class Fault:
         missing = [p.name for p in cls.PARAMS
                    if p.required and p.name not in params]
         return f"needs parameter {missing[0]!r}" if missing else None
+
+    @classmethod
+    def build_error(cls, cluster: Cluster, loci: tuple[str, ...],
+                    params: Mapping[str, object]) -> Optional[str]:
+        """Why ``cls(cluster, *loci, **params)`` would not build in this
+        world, as a phrase to follow the kind's name; None if it would."""
+        why = cls.spec_error(loci, params)
+        if why is not None:
+            return why
+        what, known = cls.loci_in(cluster)
+        unknown = [name for name in loci if name not in known]
+        if unknown:
+            return f"names unknown loci {unknown} (it takes {what})"
+        if len(loci) == 2 and tuple(loci) not in cluster.topology.links:
+            return f"names {loci[0]} and {loci[1]}, which no cable joins"
+        return None
 
     def _inject(self) -> None:
         """Start what is not a held setting (nothing, by default)."""
@@ -665,9 +687,13 @@ class ControlPlanePartition(Fault):
         self.endpoint = endpoint
 
     @classmethod
+    def loci_words(cls) -> str:
+        return "one management endpoint"
+
+    @classmethod
     def loci_in(cls, cluster: Cluster) -> tuple[str, object]:
         management = cluster.management
-        return ("one management endpoint",
+        return (cls.loci_words(),
                 management.endpoints() if management is not None else ())
 
     @classmethod

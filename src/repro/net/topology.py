@@ -28,6 +28,7 @@ with a probability proportional to the overload.
 from __future__ import annotations
 
 import sys
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -419,6 +420,11 @@ class Topology:
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], DirectedLink] = {}
         self._adjacency: dict[str, list[str]] = {}
+        # Kept where adjacency is written: each node's switch neighbours,
+        # and per switch the sorted nodes whose only switch neighbour it is
+        # (tor_of / ports_under in O(1)).
+        self._switch_neighbors: dict[str, list[str]] = {}
+        self._under: dict[str, list[str]] = {}
         self._next_hops: dict[str, dict[str, list[str]]] = {}
         self._routes_dirty = True
         # Bumps whenever next_hops() may answer differently — route
@@ -446,6 +452,8 @@ class Topology:
         node = Node(name=name, kind=kind, tier=tier)
         self.nodes[name] = node
         self._adjacency[name] = []
+        self._switch_neighbors[name] = []
+        self._under[name] = []
         self.invalidate_routes()
         return node
 
@@ -480,6 +488,8 @@ class Topology:
                 far.acl.links.append(link)
             self.links[(src, dst)] = link
             self._adjacency[src].append(dst)
+            if far.is_switch:
+                self._add_switch_neighbor(src, dst)
         pair.links = (self.links[(a, b)], self.links[(b, a)])
         self.invalidate_routes()
         return pair
@@ -519,14 +529,25 @@ class Topology:
             n for n, node in self.nodes.items()
             if node.is_switch and (tier is None or node.tier == tier))
 
+    def _add_switch_neighbor(self, node: str, switch: str) -> None:
+        tors = self._switch_neighbors[node]
+        if len(tors) == 1:
+            self._under[tors[0]].remove(node)   # no longer its only one
+        tors.append(switch)
+        if len(tors) == 1:
+            insort(self._under[switch], node)
+
     def tor_of(self, host_port: str) -> str:
         """The ToR switch a host port hangs off (its unique neighbor)."""
-        neighbors = self._adjacency.get(host_port, [])
-        tors = [n for n in neighbors if self.nodes[n].is_switch]
+        tors = self._switch_neighbors.get(host_port, ())
         if len(tors) != 1:
             raise ValueError(
                 f"host port {host_port} has {len(tors)} switch neighbors")
         return tors[0]
+
+    def ports_under(self, switch: str) -> list[str]:
+        """The nodes ``tor_of`` maps to ``switch``, sorted."""
+        return list(self._under.get(switch, ()))
 
     def all_directed_links(self) -> Iterable[DirectedLink]:
         """Every directed link."""

@@ -50,7 +50,11 @@ and a topology that relay a write's take-back through callbacks of their
 own, and a ``Simulator`` with no take-back ledger for a restored write to
 notify; format 14 files hold free lists of recycled events, packets and
 transits and generation-checked event handles apart from their events,
-which the engine, fabric and packet builder no longer have.  (The
+which the engine, fabric and packet builder no longer have; format 15
+files hold probes in flight as ``_Outstanding`` records reached through
+per-probe ``partial``s, cached routes with no quiet sum and a topology
+with no ToR maps, which the one-object-per-exchange Agent, the fabric and
+the topology no longer have.  (The
 ``v1`` in the magic line names the container layout — magic, JSON line,
 zlib pickle — which has not changed.)
 
@@ -70,7 +74,7 @@ import zlib
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 15
+FORMAT = 16
 
 
 class CheckpointError(RuntimeError):

@@ -209,6 +209,9 @@ class Simulator:
         # draws randomness, or feeds wall time back into sim state, so
         # installing one cannot change replay digests.
         self._profiler = None
+        #: The event an installed profiler is running (its ``time`` and
+        #: ``seq`` stay readable after the pop); None without a profiler.
+        self.profiled_event: Optional[EventHandle] = None
         # Who planned ahead of the clock over what (repro.sim.ledger).
         self.ledger = Ledger()
 
@@ -311,6 +314,7 @@ class Simulator:
             if profiler is None:
                 callback()
             else:
+                self.profiled_event = event
                 profiler.run(callback)
             self.events_processed += 1
             if self.events_processed >= stop:

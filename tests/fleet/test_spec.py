@@ -1,6 +1,7 @@
 """ScenarioSpec / SweepSpec: digests, validation, job expansion."""
 
 import pickle
+import re
 
 import pytest
 
@@ -22,11 +23,34 @@ def _spec(**overrides) -> ScenarioSpec:
 
 class TestFaultEvent:
     def test_make_sorts_params(self):
-        event = FaultEvent.make("link_corruption", "a", "b",
+        event = FaultEvent.make("pcie_downgrade", "host0-rnic0",
                                 start_s=1.0, end_s=2.0,
-                                drop_prob=0.5, burst=3)
-        assert event.params == (("burst", 3), ("drop_prob", 0.5))
-        assert event.params_dict() == {"burst": 3, "drop_prob": 0.5}
+                                pause_delay_ns=3, degraded_pcie_gbps=16.0)
+        assert event.params == (("degraded_pcie_gbps", 16.0),
+                                ("pause_delay_ns", 3))
+        assert event.params_dict() == {"degraded_pcie_gbps": 16.0,
+                                       "pause_delay_ns": 3}
+
+    @pytest.mark.parametrize("kind, loci, params, why", [
+        ("link_corruption", ("pod0-tor0",), {"burst": 3},
+         "takes two cabled nodes, not ['pod0-tor0']"),
+        ("link_corruption", ("pod0-tor0", "pod0-agg0"), {"burst": 3},
+         "has no parameter 'burst' (it takes drop_prob)"),
+        ("rnic_down", ("host0-rnic0", "host1-rnic0"), {},
+         "takes one RNIC, not"),
+        ("rnic_down", ("host0-rnic0",), {"volume": 11},
+         "has no parameter 'volume' (it takes none)"),
+        ("link_overload", ("pod0-tor0", "pod0-agg0"), {},
+         "needs parameter 'extra_gbps'"),
+        ("control_plane_partition", ("agent.host0", "agent.host1"), {},
+         "takes one management endpoint"),
+    ], ids=["wrong-arity", "unknown-param-on-a-link", "two-rnics",
+            "unknown-param", "missing-required", "two-endpoints"])
+    def test_event_that_builds_nowhere_is_refused_when_made(
+            self, kind, loci, params, why):
+        with pytest.raises(ValueError, match=f"campaign event '{kind}' "
+                                             + re.escape(why)):
+            FaultEvent.make(kind, *loci, start_s=5, **params)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -155,14 +179,14 @@ class TestCampaignValidation:
 
     @pytest.mark.parametrize("bad", [
         FaultEvent.make("link_corruption", "nope", "pod0-agg0", start_s=5),
-        FaultEvent.make("link_corruption", "pod0-tor0", start_s=5),
+        FaultEvent.make("rnic_down", "pod0-tor0", start_s=5),
         FaultEvent.make("link_corruption", "pod0-tor0", "pod0-tor1",
                         start_s=5),
-        FaultEvent.make("rnic_down", "host0-rnic0", start_s=5, volume=11),
+        FaultEvent.make("host_down", "host99", start_s=5),
         FaultEvent.make("control_plane_partition", "agent.host99",
                         start_s=5),
-    ], ids=["unknown-locus", "wrong-arity", "no-such-link",
-            "unknown-param", "unknown-endpoint"])
+    ], ids=["unknown-locus", "switch-for-an-rnic", "no-such-link",
+            "unknown-host", "unknown-endpoint"])
     def test_bad_event_schedules_nothing(self, bad):
         with pytest.raises(ValueError, match="campaign event '"):
             build_world(TINY, 0, campaign=(self.GOOD, bad))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.net.clos import ClosParams
+from repro.net.rail import RailParams
 
 
 class TestClosCluster:
@@ -88,3 +89,37 @@ class TestAdaptiveRoutingFlag:
             small_clos.fabric.inject(packet, "host0-rnic0")
         small_clos.sim.run_for(1_000_000_000)
         assert len(paths) > 1  # ECMP would give exactly 1
+
+
+def _scanned_tor_of(topology, port):
+    """What ``tor_of`` answered when it rebuilt the neighbour list."""
+    tors = [n for n in topology.neighbors(port)
+            if topology.nodes[n].is_switch]
+    if len(tors) != 1:
+        raise ValueError(f"{port} has {len(tors)} switch neighbors")
+    return tors[0]
+
+
+@pytest.mark.parametrize("cluster", [
+    lambda: Cluster.clos(),
+    lambda: Cluster.clos(ClosParams(pods=3, tors_per_pod=2, aggs_per_pod=2,
+                                    spines=2, hosts_per_tor=2,
+                                    rnics_per_host=2)),
+    lambda: Cluster.rail(),
+    lambda: Cluster.rail(RailParams(hosts=3, rails=4, spines=2)),
+], ids=["clos", "clos-multi-rnic", "rail", "rail-small"])
+def test_tor_lookups_equal_the_neighbour_scan(cluster):
+    cluster = cluster()
+    topology = cluster.topology
+    for port in topology.nodes:
+        try:
+            want = _scanned_tor_of(topology, port)
+        except ValueError:
+            with pytest.raises(ValueError, match="switch neighbors"):
+                topology.tor_of(port)
+        else:
+            assert topology.tor_of(port) == want
+    scanned = {n: _scanned_tor_of(topology, n) for n in cluster.rnic_names()}
+    for switch in topology.switches():
+        assert cluster.rnics_under_tor(switch) == sorted(
+            n for n, tor in scanned.items() if tor == switch)

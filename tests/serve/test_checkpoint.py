@@ -256,7 +256,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 15
+        assert meta["format"] == 16
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -287,12 +287,14 @@ class TestFileFormat:
         a v13 one links, cables, ACLs and a topology relaying take-backs
         through callbacks of their own, with no take-back ledger, a v14
         one free lists of recycled events, packets and transits and
-        generation-checked handles apart from their events; resuming any of them under this code would diverge silently or
-        fail to unpickle."""
+        generation-checked handles apart from their events, a v15 one
+        probes in flight as ``_Outstanding`` records and per-probe
+        partials; resuming any of them under this code would diverge
+        silently or fail to unpickle."""
         path = self.make_checkpoint(tmp_path)
         magic, meta_line, payload = path.read_bytes().split(b"\n", 2)
         meta = json.loads(meta_line)
-        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
             meta["format"] = old
             path.write_bytes(b"\n".join(
                 [magic, json.dumps(meta, sort_keys=True).encode(), payload]))

@@ -22,10 +22,12 @@ from repro.analysis.runtime import SCENARIOS
 from repro.fleet.spec import build_world
 from repro.sim.units import SECOND
 
-#: Python frames entered per probe sent: 80.9 measured; 92.0 while events,
-#: packets and transits were recycled through free lists, 182.7 before the
-#: probe path was flattened (DESIGN.md §10 lists the call sites).
-BUDGET = 81.0
+#: Python frames entered per probe sent: 37.9 measured since one object
+#: carries each Figure 4 exchange and plans its legs inline; 80.9 while
+#: every leg ran the per-packet chain, 92.0 while events, packets and
+#: transits were recycled through free lists, 182.7 before the probe path
+#: was flattened (DESIGN.md §10 lists the call sites).
+BUDGET = 38.0
 
 
 def frames_per_probe(seed: int = 7) -> float:

@@ -264,6 +264,28 @@ def test_owning_planner_told_first_and_alone(name, device_of, write, owner,
     assert {rnic.name: _rnic_state(rnic) for rnic in rnics} == after
 
 
+@pytest.mark.parametrize("name, device_of, write, owner, watch", CASES,
+                         ids=[case[0] for case in CASES])
+def test_exchange_sums_dropped_with_the_walkers_plans(name, device_of, write,
+                                                      owner, watch):
+    """An Agent's exchange plans a leg from the walker's books: it adds a
+    route's quiet hops up once and reuses the sum (``_CachedPath.quiet_*``)
+    while ``Fabric.quiet_epoch`` stands, and registers no take-back of its
+    own — a leg's send step is the RNIC's, its walk the walker's.  The
+    walker's take-back moves the epoch, so every write the walker is told
+    of drops every sum, and no other write does."""
+    cluster = _world()
+    device = device_of(cluster)
+    fabric = cluster.fabric
+    ledger = cluster.sim.ledger
+    assert ledger._take_backs[cluster.topology] == fabric._demote_in_flight
+    assert set(ledger._take_backs) == {cluster.topology,
+                                       *cluster.all_rnics()}
+    before = fabric.quiet_epoch
+    write(device, cluster)
+    assert (fabric.quiet_epoch != before) == (owner == "walker")
+
+
 def _hooked_settings() -> set[str]:
     """``Class.setting`` for every property ``hooked`` made in ``repro``."""
     found = set()
